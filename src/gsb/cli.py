@@ -35,20 +35,19 @@ from .groups import (
     random_k,
 )
 from .kernels import KernelQuery, k_sobolev_integral, k_sobolev_spectral, reproduce_check
-from .polar import MAX_ABS_Y, PointKC, polar_decompose
+from .polar import MAX_ABS_Y, PointKC
 from .quadrature import QuadSpec, integrate_kspace
 from .sobolev import (
     first_order_forms,
-    holo_sobolev_norm,
     laplacian_apply,
     sobolev_norm,
     sobolev_shift,
     symbol_positivity_threshold,
     toeplitz_quadratic_form,
     toeplitz_symbol,
-    weighted_norm,
+    weighted_form,
 )
-from .transform import HoloFunc, ct_forward, holo_inner, inverse_integral_trace
+from .transform import ct_forward, holo_inner, inverse_integral_trace
 
 VERIFY_SUITES = (
     "unitarity",
@@ -116,7 +115,7 @@ class RunConfig:
         if tol is None:
             tol = self.tolerance
         if tol is None:
-            tol = 1e-8 if self.spec.kind == "torus" else 1e-4
+            tol = 1e-8
         return QuadSpec(levels=tuple(self.levels), tolerance=tol)
 
     def c_value(self, spec: GroupSpec, t: float, n: int) -> float:
@@ -219,10 +218,15 @@ def _rel_err(lhs, rhs) -> float:
     return abs(lhs - rhs) / scale
 
 
-def _default_tol(suite: str, spec: GroupSpec) -> float:
-    if suite in ("unitarity", "reproducing", "sobolev-isometry"):
-        return 1e-6 if spec.kind == "torus" else 1e-3
-    if suite in ("mass", "kernel-tworoute"):
+def _gap(res, floor: float = 0.0) -> float:
+    """Gap between a QuadResult's two finest levels, relative to the larger
+    of them or to floor, the natural size of a form that may vanish."""
+    a, b = res.by_level[-1], res.by_level[-2]
+    return abs(a - b) / max(abs(a), abs(b), floor, 1e-300)
+
+
+def _default_tol(suite: str) -> float:
+    if suite in ("unitarity", "reproducing", "sobolev-isometry", "mass", "kernel-tworoute"):
         return 1e-6
     if suite == "toeplitz":
         return 1e-3
@@ -233,7 +237,7 @@ def _default_tol(suite: str, spec: GroupSpec) -> float:
 
 def _suite_rows(suite: str, cfg: RunConfig, t: float):
     spec = cfg.spec
-    tol = cfg.tolerance if cfg.tolerance is not None else _default_tol(suite, spec)
+    tol = cfg.tolerance if cfg.tolerance is not None else _default_tol(suite)
     q = cfg.quad(None if cfg.tolerance is None else cfg.tolerance)
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -253,7 +257,7 @@ def _suite_rows(suite: str, cfg: RunConfig, t: float):
             lhs = math.sqrt(max(res.value.real, 0.0))
             rhs = f.plancherel_norm()
             err = _rel_err(lhs, rhs)
-            return (cid, lhs, rhs, err, tol, err <= tol, res.gap)
+            return (cid, lhs, rhs, err, tol, err <= tol and res.gap <= tol, res.gap)
 
         return _map_cases(case, _basis(spec, cfg.cutoff))
 
@@ -267,8 +271,9 @@ def _suite_rows(suite: str, cfg: RunConfig, t: float):
         for cid, f in basis:
             F = ct_forward(f, t)
             for k, p in enumerate(points):
-                residual = reproduce_check(F, p, q)
-                rows.append((f"{cid}@p{k}", residual, 0.0, residual, tol, residual <= tol, residual))
+                residual, gap = reproduce_check(F, p, q)
+                ok = residual <= tol and gap <= tol
+                rows.append((f"{cid}@p{k}", residual, 0.0, residual, tol, ok, gap))
         return rows
 
     if suite == "sobolev-isometry":
@@ -278,10 +283,12 @@ def _suite_rows(suite: str, cfg: RunConfig, t: float):
                 continue
             c = cfg.c_value(spec, t, n)
             for cid, f in basis:
-                lhs = holo_sobolev_norm(ct_forward(f, t), n, c, q)
+                G = sobolev_shift(ct_forward(f, t), n, c)
+                res = holo_inner(G, G, q)
+                lhs = math.sqrt(max(res.value.real, 0.0))
                 rhs = sobolev_norm(f, n, c)
                 err = _rel_err(lhs, rhs)
-                rows.append((f"n={n}:{cid}", lhs, rhs, err, tol, err <= tol, q.tolerance))
+                rows.append((f"n={n}:{cid}", lhs, rhs, err, tol, err <= tol and res.gap <= tol, res.gap))
             # commutation of the Laplacian power with the transform, bit-exact
             f = basis[-1][1]
             a = ct_forward(laplacian_apply(f, n), t).coefs
@@ -326,21 +333,25 @@ def _suite_rows(suite: str, cfg: RunConfig, t: float):
             for cid1, f1, cid2, f2 in pairs:
                 F1, F2 = ct_forward(f1, t), ct_forward(f2, t)
                 res = toeplitz_quadratic_form(F1, F2, sym, q)
-                spectral = holo_inner(F1, sobolev_shift(F2, n, c), q).value
+                spec_res = holo_inner(F1, sobolev_shift(F2, n, c), q)
+                spectral = spec_res.value
                 # forms that vanish identically leave only rounding noise, so
                 # the zero floor is scaled to the natural size of the form
                 floor = 1e-6 * f1.plancherel_norm() * f2.plancherel_norm()
                 err = abs(res.value - spectral) / max(abs(spectral), abs(res.value), floor)
-                rows.append(
-                    (f"n={n}:<{cid1},{cid2}>", abs(res.value), abs(spectral), err, tol, err <= tol, res.gap)
-                )
+                gap = max(_gap(res, floor), _gap(spec_res, floor))
+                ok = err <= tol and gap <= tol
+                rows.append((f"n={n}:<{cid1},{cid2}>", abs(res.value), abs(spectral), err, tol, ok, gap))
         for k in range(spec.dim):
             for cid1, f1, cid2, f2 in pairs[: len(basis)]:
                 F1, F2 = ct_forward(f1, t), ct_forward(f2, t)
-                lhs, rhs = first_order_forms(F1, F2, k, q)
+                lhs_res, rhs_res = first_order_forms(F1, F2, k, q)
+                lhs, rhs = lhs_res.value, rhs_res.value
                 floor = 1e-6 * f1.plancherel_norm() * f2.plancherel_norm()
                 err = abs(lhs - rhs) / max(abs(lhs), abs(rhs), floor)
-                rows.append((f"X{k}:<{cid1},{cid2}>", abs(lhs), abs(rhs), err, tol, err <= tol, q.tolerance))
+                gap = max(_gap(lhs_res, floor), _gap(rhs_res, floor))
+                ok = err <= tol and gap <= tol
+                rows.append((f"X{k}:<{cid1},{cid2}>", abs(lhs), abs(rhs), err, tol, ok, gap))
         return rows
 
     if suite == "weighted-norm":
@@ -349,11 +360,16 @@ def _suite_rows(suite: str, cfg: RunConfig, t: float):
         ratios = []
         for cid, f in _basis(spec, cfg.cutoff):
             F = ct_forward(f, t)
-            lhs = weighted_norm(F, n, q)
-            rhs = holo_sobolev_norm(F, 2 * n, c, q)
+            G = sobolev_shift(F, 2 * n, c)
+            lhs_res, rhs_res = weighted_form(F, n, q), holo_inner(G, G, q)
+            lhs = math.sqrt(max(lhs_res.value.real, 0.0))
+            rhs = math.sqrt(max(rhs_res.value.real, 0.0))
             ratio = lhs / rhs if rhs > 0 else math.inf
             ratios.append(ratio)
-            rows.append((f"n={n}:{cid}", lhs, rhs, ratio, tol, math.isfinite(ratio), q.tolerance))
+            # the row's tol bounds the ratio spread; the quadrature tolerance bounds the gap
+            gap = max(lhs_res.gap, rhs_res.gap)
+            ok = math.isfinite(ratio) and gap <= q.tolerance
+            rows.append((f"n={n}:{cid}", lhs, rhs, ratio, tol, ok, gap))
         spread = max(ratios) / min(ratios)
         rows.append((f"n={n}:ratio-spread", spread, tol, spread, tol, spread <= tol, 0.0))
         return rows

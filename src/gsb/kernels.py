@@ -18,13 +18,13 @@ from .groups import (
     GroupSpec,
     character_from_trace,
     enumerate_irreps,
-    irrep_dim,
     laplacian_eigenvalue,
+    rep_matrix,
 )
-from .heat import TruncationReport, _choose_cutoff, _tail_bound, rho_eval
-from .polar import PointKC, log_phi, norm_y, phi, polar_compose, polar_decompose, star
+from .heat import _choose_cutoff, rho_eval
+from .polar import PointKC, log_phi, norm_y, polar_compose, polar_decompose, star
 from .quadrature import QuadSpec, integrate_laguerre, kspace_rule
-from .transform import HoloFunc, eval_holo, exp_iy_batch
+from .transform import HoloFunc, _schur_profiles, eval_holo
 
 __all__ = [
     "KernelQuery",
@@ -135,32 +135,34 @@ def log_envelope_sobolev(spec: GroupSpec, t: float, n: int, y) -> float:
     return log_envelope_l2(spec, t, y) - 2.0 * n * math.log1p(float(np.dot(y, y)))
 
 
-def reproduce_check(F: HoloFunc, g: PointKC, q: QuadSpec | None = None) -> float:
-    """Relative residual of the reproducing identity at g:
+def reproduce_check(F: HoloFunc, g: PointKC, q: QuadSpec | None = None):
+    """Relative residual of the reproducing identity at g, and its level gap:
 
     |F(g) - int k_t(g,h) F(h) nu_t(h) dh| / (1 + |F(g)|).
 
     The K-part of the h-integral is exact (Schur), leaving one k-space
-    quadrature of sum_pi e^{-lambda t} trace(pi(g e^{2iY}) B_pi).
+    quadrature of sum_pi e^{-lambda t} trace(pi(g e^{2iY}) B_pi).  On SU(2)
+    the sphere mean of pi_m(e^{2iY}) is chi_m(|Y|)/m, so irrep m contributes
+    trace(pi_m(g) B_m) times one radial sum (which should be exactly 1).
+    Returns (residual, gap), the gap between the two finest levels on the
+    residual's scale 1 + |F(g)|.
     """
     q = q or QuadSpec()
     spec, t = F.spec, F.t
-    damped = F.coefs.map_blocks(
-        lambda label: math.exp(-laplacian_eigenvalue(spec, label) * t)
-    )
     g_mat = polar_compose(spec, g)
-
-    def integrand(ys: np.ndarray) -> np.ndarray:
-        if spec.kind == "torus":
-            zs = np.asarray(g_mat, dtype=complex)[None, :] + 2j * ys
-            return damped.eval_k_batch(zs)
-        gs = np.asarray(g_mat, dtype=complex)[None] @ exp_iy_batch(spec, 2.0 * ys)
-        return damped.eval_k_batch(gs)
-
     values = []
-    for level in q.levels:
-        rule = kspace_rule(spec, t, level)
-        values.append(complex(np.dot(rule.weights, integrand(rule.nodes))))
-    reproduced = values[-1]
+    if spec.kind == "su2":
+        traces = [
+            (m, np.trace(rep_matrix(spec, m, g_mat) @ block)) for m, block in sorted(F.coefs.entries.items())
+        ]
+        for level in q.levels:
+            values.append(complex(sum(tr * np.sum(_schur_profiles(t, level, m)[1]) for m, tr in traces)))
+    else:
+        damped = F.coefs.map_blocks(lambda label: math.exp(-laplacian_eigenvalue(spec, label) * t))
+        for level in q.levels:
+            rule = kspace_rule(spec, t, level)
+            zs = np.asarray(g_mat, dtype=complex)[None, :] + 2j * rule.nodes
+            values.append(complex(np.dot(rule.weights, damped.eval_k_batch(zs))))
     fg = eval_holo(F, g)
-    return abs(fg - reproduced) / (1.0 + abs(fg))
+    scale = 1.0 + abs(fg)
+    return abs(fg - values[-1]) / scale, abs(values[-1] - values[-2]) / scale

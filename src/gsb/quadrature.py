@@ -4,8 +4,12 @@ Three families:
 
 * k-space rules integrating against the normalized measure
   c_t exp(-|Y|^2/t) / Phi(Y) dY on the Lie algebra (tensor Gauss-Hermite on
-  tori; a shifted-Hermite radial rule times a product sphere rule for SU(2),
-  using exp(-r^2/t) sinh(r) r dr = Gaussian centered at t/2 after folding);
+  tori).  On SU(2) the measure is Ad-invariant, so an integrand enters only
+  through its sphere means and one shifted-Hermite radial rule does the
+  work (exp(-r^2/t) sinh(r) r dr is a Gaussian centered at t/2 after
+  folding); the rule can be re-centred to absorb an exponential factor
+  e^{k r} of the sphere means.  A product sphere rule on top gives the tensor nodes that
+  integrate_kspace hands to integrands with no such structure;
 * generalized Gauss-Laguerre for integrals with weight s^{2n-1} e^{-cs};
 * sampling rules on K itself (exact trigonometric on tori, Euler-angle
   product rule on SU(2)).
@@ -17,7 +21,7 @@ levels; callers decide whether a flagged gap is fatal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,6 +34,7 @@ __all__ = [
     "QuadResult",
     "KSpaceRule",
     "kspace_rule",
+    "su2_radial_rule",
     "integrate_kspace",
     "integrate_laguerre",
     "integrate_K",
@@ -64,13 +69,70 @@ class QuadResult:
 
 @dataclass(frozen=True)
 class KSpaceRule:
-    """Nodes Y_i and weights w_i with sum_i w_i f(Y_i) ~ integral f dmu_t."""
+    """Nodes Y_i and weights w_i with sum_i w_i f(Y_i) ~ integral f dmu_t.
+
+    On SU(2) the rule is a radial rule times a sphere rule; radii r_i and
+    radial_weights W_i (which carry the 4 pi sphere mass) integrate any f
+    through its sphere means: integral f dmu_t ~ sum_i W_i mean_{|Y|=r_i} f.
+    Both are None on tori.
+    """
 
     spec: GroupSpec
     t: float
     level: int
     nodes: np.ndarray  # (N, dim)
     weights: np.ndarray  # (N,)
+    radii: np.ndarray | None = None
+    radial_weights: np.ndarray | None = None
+
+
+@lru_cache(maxsize=None)
+def _hermite(level: int):
+    return roots_hermite(level)
+
+
+@lru_cache(maxsize=1024)
+def su2_radial_rule(t: float, level: int, tilt: int = 0):
+    """Radial Gauss-Hermite rule for mu_t on su(2), tilted by e^{tilt r}.
+
+    Write M(r) for the mean of f over the sphere |Y| = |r|, an even function
+    on the whole line.  In radial form integral f dmu_t is proportional to
+    int_R r M(r) exp(-(r - t/2)^2/t) dr.  If M(r) = e^{tilt r} psi(r) (tilt
+    any integer), completing the square moves the Gaussian to (tilt + 1) t/2
+    and leaves the factor e^{lam t} with lam = ((tilt + 1)^2 - 1)/4, so that
+
+        e^{-lam t} integral f dmu_t ~ sum_i w_i psi(r_i),
+
+    exactly when r psi(r) is a polynomial of degree < 2 * level.  Tilt 0 is
+    the plain radial rule (the weights carry the 4 pi sphere mass).  Radii
+    are folded onto the whole line and may be negative.  Returns read-only
+    (radii, weights).
+    """
+    u, h = _hermite(level)
+    r = (tilt + 1) * t / 2.0 + math.sqrt(t) * u
+    w = 2.0 * h * r / (math.sqrt(math.pi) * t)
+    r.setflags(write=False)
+    w.setflags(write=False)
+    return r, w
+
+
+def _sphere_rule(level: int):
+    """Unit directions and weights (summing to 1) of the product sphere rule."""
+    ntheta = min(level, 20)
+    nphi = 2 * ntheta
+    x, v = roots_legendre(ntheta)  # x = cos(theta)
+    phi_ang = 2.0 * math.pi * np.arange(nphi) / nphi
+    st = np.sqrt(1.0 - x**2)
+    dirs = np.stack(
+        [
+            np.outer(st, np.cos(phi_ang)).ravel(),
+            np.outer(st, np.sin(phi_ang)).ravel(),
+            np.outer(x, np.ones(nphi)).ravel(),
+        ],
+        axis=-1,
+    )
+    ang_w = np.outer(v, np.full(nphi, 1.0 / (2.0 * nphi))).ravel()
+    return dirs, ang_w
 
 
 @lru_cache(maxsize=64)
@@ -88,30 +150,11 @@ def _kspace_rule_cached(kind: str, rank: int, t: float, level: int) -> KSpaceRul
         weights /= math.pi ** (rank / 2.0)
         return KSpaceRule(spec, t, level, nodes, weights)
 
-    # SU(2): integral of f d(mu_t) = pref * int_R r S(r) exp(-(r-t/2)^2/t) dr,
-    # S(r) = int_{S^2} f(r n) dOmega, pref = 1/(2 pi^{3/2} t).
-    u, w = roots_hermite(level)
-    r = t / 2.0 + math.sqrt(t) * u
-    radial_w = w * r / (2.0 * math.pi**1.5 * t)
-
-    ntheta = min(level, 20)
-    nphi = 2 * ntheta
-    x, v = roots_legendre(ntheta)  # x = cos(theta)
-    phi_ang = 2.0 * math.pi * np.arange(nphi) / nphi
-    st = np.sqrt(1.0 - x**2)
-    dirs = np.stack(
-        [
-            np.outer(st, np.cos(phi_ang)).ravel(),
-            np.outer(st, np.sin(phi_ang)).ravel(),
-            np.outer(x, np.ones(nphi)).ravel(),
-        ],
-        axis=-1,
-    )
-    ang_w = np.outer(v, np.full(nphi, 2.0 * math.pi / nphi)).ravel()
-
+    r, radial_w = su2_radial_rule(t, level)
+    dirs, ang_w = _sphere_rule(level)
     nodes = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
     weights = (radial_w[:, None] * ang_w[None, :]).ravel()
-    return KSpaceRule(spec, t, level, nodes, weights)
+    return KSpaceRule(spec, t, level, nodes, weights, r, radial_w)
 
 
 def kspace_rule(spec: GroupSpec, t: float, level: int) -> KSpaceRule:

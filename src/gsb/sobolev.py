@@ -14,13 +14,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import sympy as sp
 
 from .coeffs import CoefVec
 from .groups import SU2_BASIS, GroupSpec, laplacian_eigenvalue, rep_generator
-from .polar import frame_coefficients
 from .quadrature import QuadResult, QuadSpec
-from .transform import HoloFunc, holo_inner, holo_l2_norm
+from .transform import AxisWeight, HoloFunc, holo_inner, holo_l2_norm
 
 __all__ = [
     "PolyU",
@@ -35,6 +33,7 @@ __all__ = [
     "phi_x_weight",
     "toeplitz_quadratic_form",
     "first_order_forms",
+    "weighted_form",
     "weighted_norm",
 ]
 
@@ -105,7 +104,11 @@ def _symbol_exprs(dim: int, delta_sq_num: int, delta_sq_den: int, n: int):
     """Coefficients of phi_n in u, as sympy expressions in (t, c).
 
     Recursion: q_{k+1} = c q_k + dq_k/dt + q_k (-d/(2t) - |delta|^2 + u/t^2).
+    sympy is imported here, not at module load: it is the slowest import of
+    the package and only the symbol recursion needs it.
     """
+    import sympy as sp
+
     t, c, u = sp.symbols("t c u", positive=True)
     dsq = sp.Rational(delta_sq_num, delta_sq_den)
     q = sp.Integer(1)
@@ -118,6 +121,8 @@ def _symbol_exprs(dim: int, delta_sq_num: int, delta_sq_den: int, n: int):
 
 def symbol_coefficient_exprs(spec: GroupSpec, n: int):
     """Symbolic (in t, c) coefficients of phi_n, ascending in u."""
+    import sympy as sp
+
     dsq = sp.nsimplify(spec.delta_sq, rational=True)
     frac = sp.Rational(dsq)
     return _symbol_exprs(spec.dim, frac.p, frac.q, n)
@@ -167,7 +172,7 @@ def apply_vector_field(f, k: int):
 
 def _grad_log_radial(t: float, r: np.ndarray) -> np.ndarray:
     """h(r) with grad_Y log nu_t = Y * h(|Y|) on su(2): 1/r^2 - coth(r)/r - 2/t."""
-    small = r < 1e-3
+    small = np.abs(r) < 1e-3
     rs = np.where(small, 1.0, r)
     main = 1.0 / rs**2 - 1.0 / (np.tanh(rs) * rs)
     series = -1.0 / 3.0 + r**2 / 45.0
@@ -179,20 +184,15 @@ def phi_x_weight(spec: GroupSpec, t: float, k: int):
 
     phi_X(x e^{iY}) = (i/2) sum_l d_{kl}(Y) d(log nu_t)/dy_l,
 
-    with d the normal-derivative block of the frame coefficients.
+    with d the normal-derivative block of the frame coefficients.  On SU(2)
+    it is returned as an AxisWeight, y_k times a radial factor.
     """
-
-    def weight(ys: np.ndarray) -> np.ndarray:
-        ys = np.asarray(ys, dtype=float)
-        if spec.kind == "torus":
-            return -1j * ys[:, k] / t
-        # grad log nu_t is parallel to Y, which spans the kernel of ad(Y),
-        # so the frame block d(Y) = S^{-1} cos(ad Y) acts on it as the
-        # identity and the contraction collapses to the radial profile
-        r = np.linalg.norm(ys, axis=1)
-        return 0.5j * ys[:, k] * _grad_log_radial(t, r)
-
-    return weight
+    if spec.kind == "torus":
+        return lambda ys: -1j * np.asarray(ys, dtype=float)[:, k] / t
+    # grad log nu_t is parallel to Y, which spans the kernel of ad(Y), so the
+    # frame block d(Y) = S^{-1} cos(ad Y) acts on it as the identity and the
+    # contraction collapses to y_k times a radial profile
+    return AxisWeight(k, lambda u: 0.5j * _grad_log_radial(t, np.sqrt(u)))
 
 
 def toeplitz_quadratic_form(F1: HoloFunc, F2: HoloFunc, sym: PolyU, q: QuadSpec | None = None) -> QuadResult:
@@ -203,16 +203,21 @@ def toeplitz_quadratic_form(F1: HoloFunc, F2: HoloFunc, sym: PolyU, q: QuadSpec 
 def first_order_forms(F1: HoloFunc, F2: HoloFunc, k: int, q: QuadSpec | None = None):
     """Both sides of the first-order Toeplitz identity for X_k.
 
-    Returns (lhs, rhs): lhs = <F1, X_k F2> in L^2(nu_t), rhs the quadratic
-    form against phi_X.  Equality is the operator identity under test.
+    Returns (lhs, rhs) as QuadResults: lhs = <F1, X_k F2> in L^2(nu_t), rhs
+    the quadratic form against phi_X.  Equality is the operator identity
+    under test.
     """
     q = q or QuadSpec()
-    lhs = holo_inner(F1, apply_vector_field(F2, k), q).value
-    rhs = holo_inner(F1, F2, q, weight_nodes=phi_x_weight(F1.spec, F1.t, k)).value
+    lhs = holo_inner(F1, apply_vector_field(F2, k), q)
+    rhs = holo_inner(F1, F2, q, weight_nodes=phi_x_weight(F1.spec, F1.t, k))
     return lhs, rhs
+
+
+def weighted_form(F: HoloFunc, n: int, q: QuadSpec | None = None) -> QuadResult:
+    """int |F|^2 (1 + |Y|^2)^{2n} nu_t dg, K-part exact."""
+    return holo_inner(F, F, q or QuadSpec(), weight=lambda u: (1.0 + u) ** (2 * n))
 
 
 def weighted_norm(F: HoloFunc, n: int, q: QuadSpec | None = None) -> float:
     """sqrt of int |F|^2 (1 + |Y|^2)^{2n} nu_t dg."""
-    res = holo_inner(F, F, q or QuadSpec(), weight=lambda u: (1.0 + u) ** (2 * n))
-    return math.sqrt(max(res.value.real, 0.0))
+    return math.sqrt(max(weighted_form(F, n, q).value.real, 0.0))

@@ -1,8 +1,9 @@
 """End-to-end acceptance checks.
 
 Each test prints a single PASS/FAIL line so the suite output doubles as a
-certification report.  Tolerances are looser on SU(2), where the k-space
-quadrature is the accuracy bottleneck, than on tori.
+certification report.  Norms, reproduction and Sobolev isometry hold to the
+same tolerance on SU(2) as on tori: the SU(2) k-space integrals reduce to
+radial sums that are exact for polynomial weights.
 """
 
 import math
@@ -72,7 +73,7 @@ def _random_points(spec, rng, count, max_norm=3.0):
 def test_criterion_01_transform_is_unitary():
     worst = 0.0
     ok = True
-    for spec, cutoff, tol in ((TORUS, 5, 1e-6), (SU2, 4, 1e-3)):
+    for spec, cutoff, tol in ((TORUS, 5, 1e-6), (SU2, 4, 1e-6)):
         for t in (0.5, 1.0, 2.0):
             for f in _basis(spec, cutoff):
                 err = _rel(holo_l2_norm(ct_forward(f, t)), f.plancherel_norm())
@@ -96,13 +97,13 @@ def test_criterion_03_reproducing_property():
     rng = np.random.default_rng(11)
     ok = True
     worst = 0.0
-    for spec, tol in ((TORUS, 1e-6), (SU2, 1e-3)):
+    for spec, tol in ((TORUS, 1e-6), (SU2, 1e-6)):
         basis = _basis(spec, 5 if spec.kind == "torus" else 3)[:5]
         points = _random_points(spec, rng, 20)
         for f in basis:
             F = ct_forward(f, 1.0)
             for p in points:
-                r = reproduce_check(F, p, QuadSpec())
+                r, _ = reproduce_check(F, p, QuadSpec())
                 worst = max(worst, r / tol)
                 ok = ok and r <= tol
     _report("point evaluations reproduce through the kernel integral", ok, f"worst residual/tol {worst:.2e}")
@@ -111,7 +112,7 @@ def test_criterion_03_reproducing_property():
 def test_criterion_04_sobolev_isometry_and_commutation():
     ok = True
     worst = 0.0
-    for spec, tol in ((TORUS, 1e-6), (SU2, 1e-3)):
+    for spec, tol in ((TORUS, 1e-6), (SU2, 1e-6)):
         t = 1.0
         for n in (1, 2):
             c = spec.delta_sq + 1.0
@@ -194,7 +195,7 @@ def test_criterion_07_toeplitz_forms():
         for k in range(spec.dim):
             for f1, f2 in pairs[: len(basis)]:
                 F1, F2 = ct_forward(f1, t), ct_forward(f2, t)
-                lhs, rhs = first_order_forms(F1, F2, k)
+                lhs, rhs = (res.value for res in first_order_forms(F1, F2, k))
                 floor = 1e-6 * f1.plancherel_norm() * f2.plancherel_norm()
                 err = abs(lhs - rhs) / max(abs(lhs), abs(rhs), floor)
                 worst = max(worst, err / tol)

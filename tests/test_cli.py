@@ -1,14 +1,22 @@
+import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(args, cwd):
+    # the child runs in cwd, so the package path must be absolute
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH", "")) if p)
     return subprocess.run(
         [sys.executable, "-m", "gsb.cli", *args],
         cwd=cwd,
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 
@@ -109,3 +117,16 @@ def test_invert_malformed_coeffs_exits_2(tmp_path):
         tmp_path,
     )
     assert r.returncode == 2
+
+
+def test_su2_unitarity_high_irreps_tight_gaps(tmp_path):
+    # irreps up to m = 16 at t = 2 peak far from t/2; each radial term is
+    # integrated on a rule centred at its own peak, so every gap is tiny
+    args = ["verify", "unitarity", "--group", "su2", "--t", "2", "--cutoff", "16", "--out", "o"]
+    r = run_cli(args, tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert "PASS" in r.stdout
+    with open(tmp_path / "o" / "verify_unitarity_su2_t2.csv", newline="") as fp:
+        rows = list(csv.DictReader(fp))
+    assert len(rows) == sum(m * m for m in range(1, 17))
+    assert all(row["pass"] == "1" and float(row["gap"]) <= 1e-10 for row in rows)

@@ -110,4 +110,6 @@ def test_reproducing_identity(spec):
         y = random_algebra(spec, rng)
         y *= rng.uniform(0.0, 3.0) / np.linalg.norm(y)
         p = PointKC(spec, random_k(spec, rng), y)
-        assert reproduce_check(F, p, QuadSpec()) < 1e-9
+        residual, gap = reproduce_check(F, p, QuadSpec())
+        assert residual < 1e-9
+        assert gap < 1e-9

@@ -99,3 +99,13 @@ def test_rules_deterministic():
     c = kspace_rule(su2(), 2.0, 32)
     assert c.nodes.shape == a.nodes.shape
     assert not np.allclose(a.nodes, c.nodes)
+
+
+def test_su2_rule_is_radial_times_sphere():
+    # the radial weights carry the whole mass; a radial integrand needs only them
+    t = 0.8
+    rule = kspace_rule(su2(), t, 24)
+    assert rule.radial_weights.sum() == pytest.approx(1.0, abs=1e-14)
+    res = integrate_kspace(su2(), t, lambda ys: np.exp(-np.sum(ys**2, axis=1)), QuadSpec(levels=(16, 24)))
+    assert res.value.real == pytest.approx(np.dot(rule.radial_weights, np.exp(-rule.radii**2)), rel=1e-14)
+    assert kspace_rule(torus(2), t, 8).radii is None

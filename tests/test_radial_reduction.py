@@ -1,0 +1,135 @@
+"""The SU(2) radial reduction against a tensor-rule oracle.
+
+On SU(2) the package evaluates every K_C integral as one radial sum per
+irrep (Schur orthogonality on the spheres |Y| = r).  The oracle here does
+the direct evaluation instead: Schur on K only, with the integrand built at
+every node of a radial x sphere tensor rule, as pi_m(e^{iY}) matrices.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.special import roots_legendre
+
+from gsb.coeffs import CoefVec
+from gsb.groups import laplacian_eigenvalue, random_algebra, random_k, rep_matrix_batch, su2
+from gsb.kernels import reproduce_check
+from gsb.polar import PointKC, log_phi, polar_compose
+from gsb.quadrature import QuadSpec, kspace_rule
+from gsb.sobolev import _grad_log_radial, apply_vector_field, phi_x_weight
+from gsb.transform import _schur_profiles, ct_forward, ct_inverse_integral, exp_iy_batch, holo_inner
+
+SPEC = su2()
+LEVELS = (16, 24)
+Q = QuadSpec(levels=LEVELS, tolerance=1e-8)
+
+
+def _random_holo(rng, t, cutoff=3):
+    blocks = {m: rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)) for m in range(1, cutoff + 1)}
+    return ct_forward(CoefVec(SPEC, blocks), t)
+
+
+def _oracle_inner(F1, F2, level, weight_nodes=None):
+    rule = kspace_rule(SPEC, F1.t, level)
+    exp_iy = exp_iy_batch(SPEC, rule.nodes)
+    vals = np.zeros(rule.nodes.shape[0], dtype=complex)
+    for m in set(F1.coefs.entries) & set(F2.coefs.entries):
+        mats = rep_matrix_batch(SPEC, m, exp_iy)
+        p1, p2 = mats @ F1.coefs.entries[m], mats @ F2.coefs.entries[m]
+        vals += (SPEC.volume / m) * np.einsum("nij,nij->n", p1.conj(), p2)
+    if weight_nodes is not None:
+        vals = vals * weight_nodes(rule.nodes)
+    return complex(np.dot(rule.weights, vals))
+
+
+def _close(reduced, oracle, scale):
+    assert abs(reduced - oracle) <= 1e-12 * max(abs(oracle), scale)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_holo_inner_matches_tensor_oracle(t):
+    rng = np.random.default_rng(17)
+    F1, F2 = _random_holo(rng, t), _random_holo(rng, t)
+    scale = math.sqrt(abs(_oracle_inner(F1, F1, LEVELS[-1]) * _oracle_inner(F2, F2, LEVELS[-1])))
+    cases = [
+        (holo_inner(F1, F2, Q), F2, None),
+        (holo_inner(F1, F2, Q, weight=lambda u: u), F2, lambda ys: np.sum(ys**2, axis=1)),
+    ]
+    for k in range(3):
+        weight = phi_x_weight(SPEC, t, k)
+        XF2 = apply_vector_field(F2, k)
+        cases.append((holo_inner(F1, F2, Q, weight_nodes=weight), F2, weight))
+        cases.append((holo_inner(F1, XF2, Q), XF2, None))
+    for res, second, weight in cases:
+        for level, value in zip(LEVELS, res.by_level):
+            _close(value, _oracle_inner(F1, second, level, weight), scale)
+
+
+def test_grad_log_radial_is_even():
+    # the folded radial rule has negative radii, so the small-r series
+    # branch of grad log nu_t must test |r|
+    r = np.array([1e-5, 5e-4, 0.3, 2.0])
+    assert np.allclose(_grad_log_radial(1.0, -r), _grad_log_radial(1.0, r), rtol=1e-15, atol=0)
+
+
+def test_schur_profile_matches_tensor_sphere_means():
+    # e^{-lam t} int pi_m(e^{2iY}) dmu_t is (sum_i a_i) times the identity
+    t = 1.0
+    for m in (1, 2, 3):
+        rule = kspace_rule(SPEC, t, LEVELS[-1])
+        mats = rep_matrix_batch(SPEC, m, exp_iy_batch(SPEC, 2.0 * rule.nodes))
+        direct = math.exp(-laplacian_eigenvalue(SPEC, m) * t) * np.einsum("n,nij->ij", rule.weights, mats)
+        reduced = np.sum(_schur_profiles(t, LEVELS[-1], m)[1])
+        assert np.allclose(direct, reduced * np.eye(m), rtol=0, atol=1e-12)
+        assert reduced == pytest.approx(1.0, abs=1e-12)
+
+
+def test_reproduce_check_matches_tensor_oracle():
+    rng = np.random.default_rng(5)
+    t = 1.0
+    F = _random_holo(rng, t)
+    damped = F.coefs.map_blocks(lambda m: math.exp(-laplacian_eigenvalue(SPEC, m) * t))
+    rule = kspace_rule(SPEC, t, LEVELS[-1])
+    for _ in range(3):
+        y = random_algebra(SPEC, rng)
+        g = PointKC(SPEC, random_k(SPEC, rng), y * (1.5 / np.linalg.norm(y)))
+        g_mat = polar_compose(SPEC, g)
+        gs = np.asarray(g_mat)[None] @ exp_iy_batch(SPEC, 2.0 * rule.nodes)
+        oracle = complex(np.dot(rule.weights, damped.eval_k_batch(gs)))
+        fg = F.coefs.eval_kc(g)
+        oracle_residual = abs(fg - oracle) / (1.0 + abs(fg))
+        residual, gap = reproduce_check(F, g, Q)
+        assert oracle_residual <= 1e-12
+        assert abs(residual - oracle_residual) <= 1e-12
+        assert gap <= Q.tolerance
+
+
+def _oracle_inverse(F, x, radius, level):
+    """The ball rule: radial Gauss-Legendre on [0, R] times a 20 x 40 sphere rule."""
+    xr, wr = roots_legendre(level)
+    r = radius * (xr + 1.0) / 2.0
+    wr = radius / 2.0 * wr * r**2
+    xc, v = roots_legendre(20)
+    phis = 2.0 * math.pi * np.arange(40) / 40
+    st = np.sqrt(1.0 - xc**2)
+    dirs = np.stack(
+        [np.outer(st, np.cos(phis)).ravel(), np.outer(st, np.sin(phis)).ravel(), np.repeat(xc, 40)], axis=-1
+    )
+    ang_w = np.repeat(v, 40) * (2.0 * math.pi / 40)
+    nodes = (r[:, None, None] * dirs[None]).reshape(-1, 3)
+    weights = (wr[:, None] * ang_w[None]).ravel()
+    vals = F.coefs.eval_k_batch(np.asarray(x)[None] @ exp_iy_batch(SPEC, nodes))
+    log_phi_half = np.repeat([log_phi(SPEC, [0.0, 0.0, ri / 2.0]) for ri in r], dirs.shape[0])
+    log_damp = -np.sum(nodes**2, axis=1) / (2.0 * F.t) - log_phi_half
+    pref = (2.0 * math.pi * F.t) ** -1.5 * math.exp(-SPEC.delta_sq * F.t / 2.0)
+    return pref * complex(np.dot(weights, vals * np.exp(log_damp)))
+
+
+@pytest.mark.parametrize("radius", [4.0, 7.0])
+def test_ct_inverse_integral_matches_tensor_oracle(radius):
+    rng = np.random.default_rng(9)
+    F = _random_holo(rng, 1.0)
+    x = random_k(SPEC, rng)
+    reduced = ct_inverse_integral(F, x, radius, QuadSpec(levels=(32, 48)))
+    _close(reduced, _oracle_inverse(F, x, radius, 48), 1.0)

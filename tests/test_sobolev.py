@@ -118,7 +118,7 @@ def test_first_order_identity(spec, k):
     f1 = basis_entry(spec, labels[0], 0, 0)
     f2 = basis_entry(spec, labels[1], 0, 0) + f1 * 0.3
     F1, F2 = ct_forward(f1, 1.0), ct_forward(f2, 1.0)
-    lhs, rhs = first_order_forms(F1, F2, k)
+    lhs, rhs = (res.value for res in first_order_forms(F1, F2, k))
     scale = f1.plancherel_norm() * f2.plancherel_norm()
     assert abs(lhs - rhs) <= 1e-8 * scale
 
