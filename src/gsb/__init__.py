@@ -8,7 +8,7 @@ lattice-sum/growth-functional bound diagnostics.
 
 from .coeffs import CoefVec, basis_entry, from_torus_samples
 from .groups import GroupSpec, parse_group, su2, torus
-from .heat import heat_coeffs, heat_operator, log_nu_t, nu_t, rho_eval
+from .heat import heat_coeffs, log_nu_t, nu_t, rho_eval
 from .kernels import KernelQuery, k_sobolev_integral, k_sobolev_spectral, k_t, reproduce_check
 from .polar import PointKC, identity_point, phi, polar_compose, polar_decompose, star
 from .quadrature import QuadResult, QuadSpec, integrate_K, integrate_kspace, integrate_laguerre
@@ -29,7 +29,6 @@ from .transform import (
     eval_holo,
     holo_inner,
     holo_l2_norm,
-    l2_norm_K,
 )
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "eval_holo",
     "from_torus_samples",
     "heat_coeffs",
-    "heat_operator",
     "holo_inner",
     "holo_l2_norm",
     "holo_sobolev_norm",
@@ -59,7 +57,6 @@ __all__ = [
     "k_sobolev_integral",
     "k_sobolev_spectral",
     "k_t",
-    "l2_norm_K",
     "laplacian_apply",
     "log_nu_t",
     "nu_t",

@@ -54,7 +54,6 @@ class BoundReport:
 
     spec: GroupSpec
     t: float
-    descriptor: str
     rows: list = field(default_factory=list)
     stable: dict = field(default_factory=dict)
 
@@ -206,10 +205,9 @@ def smoothness_report(
     n_radial: int = 40,
     n_angular: int = 16,
     stability_tol: float = 0.10,
-    descriptor: str = "",
 ) -> BoundReport:
     """Growth functionals at a radius and its double, with stability flags."""
-    report = BoundReport(F.spec, t, descriptor)
+    report = BoundReport(F.spec, t)
     grids = {r: polar_grid(F.spec, r, n_radial, n_angular) for r in (radius, 2.0 * radius)}
     for n in range(n_max + 1):
         values = {}

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -30,13 +29,15 @@ from .groups import (
     GroupSpec,
     enumerate_irreps,
     irrep_dim,
+    laplacian_eigenvalue,
     parse_group,
     random_algebra,
     random_k,
 )
+from .heat import log_nu_t
 from .kernels import KernelQuery, k_sobolev_integral, k_sobolev_spectral, reproduce_check
-from .polar import MAX_ABS_Y, PointKC
-from .quadrature import QuadSpec, integrate_kspace
+from .polar import MAX_ABS_Y, PointKC, log_phi
+from .quadrature import QuadSpec, integrate_levels
 from .sobolev import (
     first_order_forms,
     laplacian_apply,
@@ -47,7 +48,7 @@ from .sobolev import (
     toeplitz_symbol,
     weighted_form,
 )
-from .transform import ct_forward, holo_inner, inverse_integral_trace
+from .transform import _ball_radii, _cube_nodes, ct_forward, holo_inner, inverse_integral_trace
 
 VERIFY_SUITES = (
     "unitarity",
@@ -83,28 +84,43 @@ class RunConfig:
     fmt: str = "csv"
 
     def validate(self) -> "RunConfig":
+        # written so that nan fails every comparison and is rejected
         try:
-            self.spec
+            spec = self.spec
         except ValueError as exc:
             raise ConfigError(str(exc))
-        if any(t <= 0 for t in self.t):
-            raise ConfigError("t values must be positive")
+        if not self.t or not all(0 < t < math.inf for t in self.t):
+            raise ConfigError("t values must be positive and finite")
         if not (1 <= self.cutoff <= 64):
             raise ConfigError("cutoff must be in 1..64")
-        if any(r <= 0 or r > MAX_ABS_Y for r in self.radii):
+        if not all(0 < r <= MAX_ABS_Y for r in self.radii):
             raise ConfigError(f"radii must lie in (0, {MAX_ABS_Y}]")
         if any(n < 0 for n in self.n):
             raise ConfigError("n values must be nonnegative")
-        if any(tau <= 0 for tau in self.tau):
-            raise ConfigError("tau values must be positive")
+        if not all(0 < tau < math.inf for tau in self.tau):
+            raise ConfigError("tau values must be positive and finite")
         if len(self.levels) < 2 or any(lv < 2 for lv in self.levels):
             raise ConfigError("need at least two quadrature levels >= 2")
-        if self.c is not None and self.c <= 0:
-            raise ConfigError("c must be positive")
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise ConfigError("tolerance must be positive")
+        if self.c is not None and not 0 < self.c < math.inf:
+            raise ConfigError("c must be positive and finite")
+        if self.tolerance is not None and not 0 < self.tolerance < math.inf:
+            raise ConfigError("tolerance must be positive and finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.fmt not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
+        # the damping e^{-lambda t/2} of the top irrep must stay a normal double
+        half_t = max(self.t) / 2.0
+
+        def top_damping(cutoff):
+            return laplacian_eigenvalue(spec, cutoff if spec.kind == "su2" else (cutoff,) * spec.rank) * half_t
+
+        if top_damping(self.cutoff) > 700.0:
+            allowed = max((k for k in range(1, self.cutoff) if top_damping(k) <= 700.0), default=0)
+            raise ConfigError(
+                f"cutoff {self.cutoff} damps the top irrep below e^-700 at t = {max(self.t):g}; "
+                f"the largest allowed cutoff is {allowed}"
+            )
         return self
 
     @property
@@ -190,14 +206,6 @@ def write_report(path: str, columns, rows, fmt: str):
             fp.write("\n")
 
 
-def _map_cases(fn, items):
-    workers = int(os.environ.get("GSB_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _basis(spec: GroupSpec, cutoff: int, limit: int | None = None):
     """Matrix-entry basis (case id, CoefVec) up to the label cutoff."""
     out = []
@@ -218,11 +226,21 @@ def _rel_err(lhs, rhs) -> float:
     return abs(lhs - rhs) / scale
 
 
-def _gap(res, floor: float = 0.0) -> float:
-    """Gap between a QuadResult's two finest levels, relative to the larger
-    of them or to floor, the natural size of a form that may vanish."""
-    a, b = res.by_level[-1], res.by_level[-2]
-    return abs(a - b) / max(abs(a), abs(b), floor, 1e-300)
+def _gap(res, q: QuadSpec, floor: float) -> float:
+    """Gap of a QuadResult on q's levels, relative to the larger of its two
+    finest values or to floor, the natural size of a form that may vanish."""
+    return integrate_levels(q, dict(zip(q.levels, res.by_level)).__getitem__, floor).gap
+
+
+def _mass_level(spec: GroupSpec, t: float, radius: float, level: int) -> complex:
+    """int exp(log nu_t - 2 log Phi) dY over |Y| <= R by a Gauss-Legendre rule:
+    radial with weight 4 pi r^2 on SU(2), the cube [-R, R]^r on tori."""
+    if spec.kind == "su2":
+        r, weights = _ball_radii(radius, level)
+        nodes = r[:, None] * np.array([0.0, 0.0, 1.0])
+    else:
+        nodes, weights = _cube_nodes(spec, radius, level)
+    return np.dot(weights, [math.exp(log_nu_t(spec, t, y) - 2.0 * log_phi(spec, y)) for y in nodes])
 
 
 def _default_tol(suite: str) -> float:
@@ -243,23 +261,24 @@ def _suite_rows(suite: str, cfg: RunConfig, t: float):
     rows = []
 
     if suite == "mass":
-        res = integrate_kspace(spec, t, lambda ys: np.ones(ys.shape[0]), q)
+        # nu_t against the polar Haar density 1/Phi^2 has total mass 1; the
+        # Gaussian factor e^{-(r - t/2)^2/t} on SU(2) is below e^-64 past R
+        radius = 8.0 * math.sqrt(t) + (t / 2.0 if spec.kind == "su2" else 0.0)
+        res = integrate_levels(q, lambda level: _mass_level(spec, t, radius, level))
         lhs = spec.volume * res.value.real
         rhs = spec.volume
         err = _rel_err(lhs, rhs)
-        rows.append(("mass", lhs, rhs, err, tol, err <= tol, res.gap))
+        rows.append(("mass", lhs, rhs, err, tol, err <= tol and res.gap <= tol, res.gap))
         return rows
 
     if suite == "unitarity":
-        def case(item):
-            cid, f = item
+        for cid, f in _basis(spec, cfg.cutoff):
             res = holo_inner(ct_forward(f, t), ct_forward(f, t), q)
             lhs = math.sqrt(max(res.value.real, 0.0))
             rhs = f.plancherel_norm()
             err = _rel_err(lhs, rhs)
-            return (cid, lhs, rhs, err, tol, err <= tol and res.gap <= tol, res.gap)
-
-        return _map_cases(case, _basis(spec, cfg.cutoff))
+            rows.append((cid, lhs, rhs, err, tol, err <= tol and res.gap <= tol, res.gap))
+        return rows
 
     if suite == "reproducing":
         basis = _basis(spec, cfg.cutoff, limit=5)
@@ -300,7 +319,6 @@ def _suite_rows(suite: str, cfg: RunConfig, t: float):
         return rows
 
     if suite == "kernel-tworoute":
-        cases = []
         for n in cfg.n:
             if n < 1:
                 continue
@@ -308,16 +326,12 @@ def _suite_rows(suite: str, cfg: RunConfig, t: float):
             for k in range(15):
                 g = PointKC(spec, random_k(spec, rng), random_algebra(spec, rng, 0.6))
                 h = PointKC(spec, random_k(spec, rng), random_algebra(spec, rng, 0.6))
-                cases.append((f"n={n}:q{k}", KernelQuery(g, h, t, n, c)))
-
-        def case(item):
-            cid, query = item
-            lhs = k_sobolev_spectral(query)
-            rhs, res = k_sobolev_integral(query)
-            err = _rel_err(lhs, rhs)
-            return (cid, lhs, rhs, err, tol, err <= tol, res.gap)
-
-        return _map_cases(case, cases)
+                query = KernelQuery(g, h, t, n, c)
+                lhs = k_sobolev_spectral(query)
+                rhs, res = k_sobolev_integral(query)
+                err = _rel_err(lhs, rhs)
+                rows.append((f"n={n}:q{k}", lhs, rhs, err, tol, err <= tol and res.gap <= tol, res.gap))
+        return rows
 
     if suite == "toeplitz":
         cutoff = min(cfg.cutoff, 3)
@@ -339,7 +353,7 @@ def _suite_rows(suite: str, cfg: RunConfig, t: float):
                 # the zero floor is scaled to the natural size of the form
                 floor = 1e-6 * f1.plancherel_norm() * f2.plancherel_norm()
                 err = abs(res.value - spectral) / max(abs(spectral), abs(res.value), floor)
-                gap = max(_gap(res, floor), _gap(spec_res, floor))
+                gap = max(_gap(res, q, floor), _gap(spec_res, q, floor))
                 ok = err <= tol and gap <= tol
                 rows.append((f"n={n}:<{cid1},{cid2}>", abs(res.value), abs(spectral), err, tol, ok, gap))
         for k in range(spec.dim):
@@ -349,7 +363,7 @@ def _suite_rows(suite: str, cfg: RunConfig, t: float):
                 lhs, rhs = lhs_res.value, rhs_res.value
                 floor = 1e-6 * f1.plancherel_norm() * f2.plancherel_norm()
                 err = abs(lhs - rhs) / max(abs(lhs), abs(rhs), floor)
-                gap = max(_gap(lhs_res, floor), _gap(rhs_res, floor))
+                gap = max(_gap(lhs_res, q, floor), _gap(rhs_res, q, floor))
                 ok = err <= tol and gap <= tol
                 rows.append((f"X{k}:<{cid1},{cid2}>", abs(lhs), abs(rhs), err, tol, ok, gap))
         return rows
@@ -416,7 +430,7 @@ def cmd_report(kind: str, cfg: RunConfig) -> int:
             spec,
             {label: np.eye(irrep_dim(spec, label)) for label in enumerate_irreps(spec, cfg.cutoff)},
         )
-        report = smoothness_report(ct_forward(f, t), t, n_max=max(cfg.n), descriptor="character-sum")
+        report = smoothness_report(ct_forward(f, t), t, n_max=max(cfg.n))
         rows = [(n, r, v, report.stable[n]) for n, r, v in report.sorted_rows()]
     elif kind == "bounds":
         columns = ["tau", "max-ratio", "alpha_t", "chamber"]

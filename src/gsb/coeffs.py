@@ -50,11 +50,12 @@ class CoefVec:
         d = irrep_dim(self.spec, label)
         return self.entries.get(label, np.zeros((d, d), dtype=complex))
 
-    def map_blocks(self, factor) -> "CoefVec":
-        """New CoefVec with block pi scaled by factor(label) (a scalar)."""
+    def spectral(self, fn) -> "CoefVec":
+        """New CoefVec with block pi scaled by fn(lambda_pi), lambda_pi the
+        Laplacian eigenvalue of pi."""
         return CoefVec(
             self.spec,
-            {label: factor(label) * block for label, block in self.entries.items()},
+            {label: fn(laplacian_eigenvalue(self.spec, label)) * block for label, block in self.entries.items()},
         )
 
     def __add__(self, other: "CoefVec") -> "CoefVec":
@@ -66,7 +67,7 @@ class CoefVec:
         return CoefVec(self.spec, out)
 
     def __mul__(self, scalar) -> "CoefVec":
-        return self.map_blocks(lambda _: scalar)
+        return CoefVec(self.spec, {label: scalar * block for label, block in self.entries.items()})
 
     __rmul__ = __mul__
 

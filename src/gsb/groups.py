@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -61,10 +61,6 @@ class RootData:
     delta_sq: float
     lattice_step: float  # generator spacing of Gamma along each axis
     chamber: str  # "full" (torus convention) or "halfline"
-
-    @property
-    def covolume(self) -> float:
-        return self.lattice_step
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ from .groups import (
     enumerate_irreps,
     laplacian_eigenvalue,
 )
-from .polar import PointKC, log_phi, norm_y, phi, polar_compose
+from .polar import PointKC, log_phi, norm_y, polar_compose
 
-__all__ = ["TruncationReport", "TailBoundError", "heat_coeffs", "rho_eval", "nu_t", "log_nu_t", "heat_operator"]
+__all__ = ["TruncationReport", "TailBoundError", "heat_coeffs", "rho_eval", "nu_t", "log_nu_t"]
 
 MAX_CUTOFF = 4000
 
@@ -155,10 +155,3 @@ def log_nu_t(spec: GroupSpec, t: float, y) -> float:
     s2 = float(np.dot(y, y))
     ct = -0.5 * spec.dim * math.log(math.pi * t) - spec.delta_sq * t
     return ct + log_phi(spec, y) - s2 / t
-
-
-def heat_operator(f: CoefVec, t: float) -> CoefVec:
-    """Blockwise damping exp(-lambda_pi t/2); the spectral heat semigroup."""
-    if t < 0:
-        raise ValueError("negative time requires the explicit spectral inverse")
-    return f.map_blocks(lambda label: math.exp(-laplacian_eigenvalue(f.spec, label) * t / 2.0))

@@ -22,8 +22,8 @@ from .groups import (
     rep_matrix,
 )
 from .heat import _choose_cutoff, rho_eval
-from .polar import PointKC, log_phi, norm_y, polar_compose, polar_decompose, star
-from .quadrature import QuadSpec, integrate_laguerre, kspace_rule
+from .polar import PointKC, norm_y, polar_compose, polar_decompose, star
+from .quadrature import QuadSpec, integrate_laguerre, integrate_levels, kspace_rule
 from .transform import HoloFunc, _schur_profiles, eval_holo
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "k_t",
     "k_sobolev_spectral",
     "k_sobolev_integral",
-    "envelope_l2",
-    "envelope_sobolev",
     "reproduce_check",
 ]
 
@@ -117,24 +115,6 @@ def k_sobolev_integral(query: KernelQuery, q: QuadSpec | None = None, tol: float
     return res.value / math.factorial(2 * query.n - 1), res
 
 
-def envelope_l2(spec: GroupSpec, t: float, y) -> float:
-    """Pointwise-bound envelope Phi(Y) e^{|Y|^2/t} (log-space internally)."""
-    return math.exp(log_envelope_l2(spec, t, y))
-
-
-def log_envelope_l2(spec: GroupSpec, t: float, y) -> float:
-    return log_phi(spec, y) + float(np.dot(y, y)) / t
-
-
-def envelope_sobolev(spec: GroupSpec, t: float, n: int, y) -> float:
-    """Sobolev envelope Phi(Y) e^{|Y|^2/t} / (1+|Y|^2)^{2n}."""
-    return math.exp(log_envelope_sobolev(spec, t, n, y))
-
-
-def log_envelope_sobolev(spec: GroupSpec, t: float, n: int, y) -> float:
-    return log_envelope_l2(spec, t, y) - 2.0 * n * math.log1p(float(np.dot(y, y)))
-
-
 def reproduce_check(F: HoloFunc, g: PointKC, q: QuadSpec | None = None):
     """Relative residual of the reproducing identity at g, and its level gap:
 
@@ -144,25 +124,29 @@ def reproduce_check(F: HoloFunc, g: PointKC, q: QuadSpec | None = None):
     quadrature of sum_pi e^{-lambda t} trace(pi(g e^{2iY}) B_pi).  On SU(2)
     the sphere mean of pi_m(e^{2iY}) is chi_m(|Y|)/m, so irrep m contributes
     trace(pi_m(g) B_m) times one radial sum (which should be exactly 1).
-    Returns (residual, gap), the gap between the two finest levels on the
-    residual's scale 1 + |F(g)|.
+    Returns (residual, gap), the gap between the two finest levels relative
+    to the larger of them and the residual's scale 1 + |F(g)|.
     """
     q = q or QuadSpec()
     spec, t = F.spec, F.t
     g_mat = polar_compose(spec, g)
-    values = []
     if spec.kind == "su2":
         traces = [
             (m, np.trace(rep_matrix(spec, m, g_mat) @ block)) for m, block in sorted(F.coefs.entries.items())
         ]
-        for level in q.levels:
-            values.append(complex(sum(tr * np.sum(_schur_profiles(t, level, m)[1]) for m, tr in traces)))
+
+        def value_at(level):
+            return sum(tr * np.sum(_schur_profiles(t, level, m)[1]) for m, tr in traces)
+
     else:
-        damped = F.coefs.map_blocks(lambda label: math.exp(-laplacian_eigenvalue(spec, label) * t))
-        for level in q.levels:
+        damped = F.coefs.spectral(lambda lam: math.exp(-lam * t))
+
+        def value_at(level):
             rule = kspace_rule(spec, t, level)
             zs = np.asarray(g_mat, dtype=complex)[None, :] + 2j * rule.nodes
-            values.append(complex(np.dot(rule.weights, damped.eval_k_batch(zs))))
+            return np.dot(rule.weights, damped.eval_k_batch(zs))
+
     fg = eval_holo(F, g)
     scale = 1.0 + abs(fg)
-    return abs(fg - values[-1]) / scale, abs(values[-1] - values[-2]) / scale
+    res = integrate_levels(q, value_at, scale)
+    return abs(fg - res.value) / scale, res.gap

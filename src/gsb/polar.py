@@ -1,9 +1,8 @@
 """Polar coordinates g = x * exp(iY) on the complexified group.
 
-Includes the density function Phi, the Haar density 1/Phi^2 in polar
-coordinates, the star anti-involution, and the left-invariant frame
-coefficient matrices expressing the complexified vector fields X_k, JX_k
-through the polar-coordinate fields (X-tilde, d/dy).
+Includes the density function Phi, the star anti-involution, and the
+left-invariant frame coefficient matrices expressing the complexified
+vector fields X_k, JX_k through the polar-coordinate fields (X-tilde, d/dy).
 """
 
 from __future__ import annotations
@@ -23,9 +22,7 @@ __all__ = [
     "polar_compose",
     "star",
     "phi",
-    "haar_density",
     "frame_coefficients",
-    "frame_apply",
     "algebra_matrix",
     "norm_y",
 ]
@@ -142,12 +139,6 @@ def log_phi(spec: GroupSpec, y) -> float:
     return math.log(2.0 * s) - s - math.log1p(-math.exp(-2.0 * s))
 
 
-def haar_density(spec: GroupSpec, y) -> float:
-    """Density of Haar measure dg against dx dY: 1/Phi(Y)^2."""
-    f = phi(spec, y)
-    return 1.0 / (f * f)
-
-
 def _ad_matrix(y: np.ndarray) -> np.ndarray:
     """ad(Y) on su(2) coordinates: [E_i, E_j] = -eps_{ijk} E_k."""
     y1, y2, y3 = y
@@ -226,45 +217,3 @@ def frame_coefficients(spec: GroupSpec, y):
     b = (sinc_inv @ sin).T
     d_ = (sinc_inv @ cos).T
     return a, b, c, d_
-
-
-def _translate_in_k(spec: GroupSpec, p: PointKC, k: int, h: float) -> PointKC:
-    """The point (x * exp(h E_k)) e^{iY}."""
-    if spec.kind == "torus":
-        x = np.asarray(p.x, dtype=float).copy()
-        x[k] += h
-        return PointKC(spec, x, p.y)
-    step = expm(h * SU2_BASIS[k])
-    return PointKC(spec, np.asarray(p.x, dtype=complex) @ step, p.y)
-
-
-def _translate_in_y(spec: GroupSpec, p: PointKC, k: int, h: float) -> PointKC:
-    y = p.y.copy()
-    y[k] += h
-    return PointKC(spec, p.x, y)
-
-
-def frame_apply(spec, func, p: PointKC, k: int, which: str, h: float | None = None) -> complex:
-    """Apply the left-invariant field X_k or JX_k to an evaluator on PointKC.
-
-    func takes a PointKC and returns a complex value.  Derivatives in the
-    polar coordinates are central finite differences with step h (default
-    1e-5 * (1 + |Y|)); the frame coefficients then assemble the field.
-    """
-    if which not in ("X", "JX"):
-        raise ValueError("which must be 'X' or 'JX'")
-    if h is None:
-        h = 1e-5 * (1.0 + norm_y(p.y))
-    if h > 0.1 * (1.0 + norm_y(p.y)):
-        raise ValueError("finite-difference step too large for the requested point")
-    a, b, c, d = frame_coefficients(spec, p.y)
-    ka, kb = (a, b) if which == "X" else (c, d)
-    total = 0.0 + 0.0j
-    for l in range(spec.dim):
-        if abs(ka[k, l]) > 1e-14:
-            dk = (func(_translate_in_k(spec, p, l, h)) - func(_translate_in_k(spec, p, l, -h))) / (2 * h)
-            total += ka[k, l] * dk
-        if abs(kb[k, l]) > 1e-14:
-            dy = (func(_translate_in_y(spec, p, l, h)) - func(_translate_in_y(spec, p, l, -h))) / (2 * h)
-            total += kb[k, l] * dy
-    return total

@@ -35,6 +35,7 @@ __all__ = [
     "KSpaceRule",
     "kspace_rule",
     "su2_radial_rule",
+    "integrate_levels",
     "integrate_kspace",
     "integrate_laguerre",
     "integrate_K",
@@ -45,7 +46,6 @@ __all__ = [
 @dataclass(frozen=True)
 class QuadSpec:
     levels: tuple = (64, 96)
-    radius_guard: float = 50.0
     tolerance: float = 1e-6
 
     def __post_init__(self):
@@ -135,18 +135,21 @@ def _sphere_rule(level: int):
     return dirs, ang_w
 
 
+def _tensor_rule(x: np.ndarray, w: np.ndarray, rank: int):
+    """Nodes (N, rank) and weights (N,) of the rank-fold product of the 1-D rule (x, w)."""
+    nodes = np.stack([g.ravel() for g in np.meshgrid(*([x] * rank), indexing="ij")], axis=-1)
+    weights = np.ones(nodes.shape[0])
+    for g in np.meshgrid(*([w] * rank), indexing="ij"):
+        weights = weights * g.ravel()
+    return nodes, weights
+
+
 @lru_cache(maxsize=64)
 def _kspace_rule_cached(kind: str, rank: int, t: float, level: int) -> KSpaceRule:
     spec = GroupSpec(kind, rank)
     if kind == "torus":
         u, w = roots_hermite(level)
-        axes_nodes = [math.sqrt(t) * u] * rank
-        grids = np.meshgrid(*axes_nodes, indexing="ij")
-        nodes = np.stack([g.ravel() for g in grids], axis=-1)
-        wgrids = np.meshgrid(*([w] * rank), indexing="ij")
-        weights = np.ones(nodes.shape[0])
-        for g in wgrids:
-            weights = weights * g.ravel()
+        nodes, weights = _tensor_rule(math.sqrt(t) * u, w, rank)
         weights /= math.pi ** (rank / 2.0)
         return KSpaceRule(spec, t, level, nodes, weights)
 
@@ -161,41 +164,46 @@ def kspace_rule(spec: GroupSpec, t: float, level: int) -> KSpaceRule:
     return _kspace_rule_cached(spec.kind, spec.rank, float(t), int(level))
 
 
+def integrate_levels(q: QuadSpec, value_at, floor: float = 0.0) -> QuadResult:
+    """Evaluate value_at(level) on every level of q and measure the gap.
+
+    The gap is |a - b| / max(|a|, |b|, floor) over the two finest levels;
+    floor is the natural size of a value that may vanish (0 if none).
+    """
+    values = tuple(complex(value_at(level)) for level in q.levels)
+    a, b = values[-1], values[-2]
+    gap = abs(a - b) / max(abs(a), abs(b), floor, 1e-300)
+    return QuadResult(a, gap, q.tolerance, values)
+
+
 def integrate_kspace(spec: GroupSpec, t: float, integrand, q: QuadSpec) -> QuadResult:
     """Integrate f against the normalized measure c_t e^{-|Y|^2/t}/Phi(Y) dY.
 
     integrand takes a batch (N, dim) of Y points and returns (N,) values.
     """
-    values = []
-    for level in q.levels:
+
+    def value_at(level):
         rule = kspace_rule(spec, t, level)
-        vals = np.asarray(integrand(rule.nodes))
-        values.append(complex(np.dot(rule.weights, vals)))
-    gap = _relative_gap(values[-1], values[-2])
-    return QuadResult(values[-1], gap, q.tolerance, tuple(values))
+        return np.dot(rule.weights, np.asarray(integrand(rule.nodes)))
 
-
-def _relative_gap(a: complex, b: complex) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+    return integrate_levels(q, value_at)
 
 
 def integrate_laguerre(c: float, n: int, f, q: QuadSpec | None = None) -> QuadResult:
     """int_0^inf s^{2n-1} e^{-cs} f(s) ds by generalized Gauss-Laguerre.
 
     The substitution u = c s moves the weight to u^{2n-1} e^{-u}.
-    f may be scalar or batch (applied to an array of s values).
+    f takes one s value.
     """
     if c <= 0 or n < 1:
         raise ValueError("need c > 0 and n >= 1")
-    q = q or QuadSpec(levels=(16, 32, 64), tolerance=1e-8)
-    values = []
-    for level in q.levels:
+
+    def value_at(level):
         u, w = roots_genlaguerre(level, 2 * n - 1)
-        s = u / c
-        fs = np.asarray([f(si) for si in s])
-        values.append(complex(np.dot(w, fs)) / c ** (2 * n))
-    gap = _relative_gap(values[-1], values[-2])
-    return QuadResult(values[-1], gap, q.tolerance, tuple(values))
+        fs = np.asarray([f(si) for si in u / c])
+        return complex(np.dot(w, fs)) / c ** (2 * n)
+
+    return integrate_levels(q or QuadSpec(levels=(16, 32, 64), tolerance=1e-8), value_at)
 
 
 @lru_cache(maxsize=32)

@@ -10,13 +10,15 @@ the density nu_t.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .coeffs import CoefVec
-from .groups import SU2_BASIS, GroupSpec, laplacian_eigenvalue, rep_generator
+from .groups import SU2_BASIS, GroupSpec, rep_generator
 from .quadrature import QuadResult, QuadSpec
 from .transform import AxisWeight, HoloFunc, holo_inner, holo_l2_norm
 
@@ -27,7 +29,7 @@ __all__ = [
     "sobolev_norm",
     "holo_sobolev_norm",
     "toeplitz_symbol",
-    "symbol_coefficient_exprs",
+    "symbol_coefficients",
     "symbol_positivity_threshold",
     "apply_vector_field",
     "phi_x_weight",
@@ -73,18 +75,12 @@ def _rewrap(f, coefs: CoefVec):
 
 def laplacian_apply(f, n: int = 1):
     """Apply the group Laplacian n times: block pi scales by (-lambda_pi)^n."""
-    coefs = _as_coefs(f)
-    spec = coefs.spec
-    out = coefs.map_blocks(lambda label: (-laplacian_eigenvalue(spec, label)) ** n)
-    return _rewrap(f, out)
+    return _rewrap(f, _as_coefs(f).spectral(lambda lam: (-lam) ** n))
 
 
 def sobolev_shift(f, n: int, c: float):
     """Blockwise (c + lambda_pi)^n, i.e. (cI - Delta)^n on coefficients."""
-    coefs = _as_coefs(f)
-    spec = coefs.spec
-    out = coefs.map_blocks(lambda label: (c + laplacian_eigenvalue(spec, label)) ** n)
-    return _rewrap(f, out)
+    return _rewrap(f, _as_coefs(f).spectral(lambda lam: (c + lam) ** n))
 
 
 def sobolev_norm(f: CoefVec, n: int, c: float) -> float:
@@ -100,41 +96,41 @@ def holo_sobolev_norm(F: HoloFunc, n: int, c: float, q: QuadSpec | None = None) 
 
 
 @lru_cache(maxsize=None)
-def _symbol_exprs(dim: int, delta_sq_num: int, delta_sq_den: int, n: int):
-    """Coefficients of phi_n in u, as sympy expressions in (t, c).
+def symbol_coefficients(spec: GroupSpec, n: int) -> tuple:
+    """Exact coefficients of phi_n, ascending in u; coefficient k is a dict
+    {(power of c, power of 1/t): Fraction}.
 
-    Recursion: q_{k+1} = c q_k + dq_k/dt + q_k (-d/(2t) - |delta|^2 + u/t^2).
-    sympy is imported here, not at module load: it is the slowest import of
-    the package and only the symbol recursion needs it.
+    phi_n = q_n, with q_0 = 1 and
+    q_{k+1} = c q_k + dq_k/dt + q_k (-d/(2t) - |delta|^2 + u/t^2),
+    run on {(power of u, power of c, power of s): Fraction} dicts, s = 1/t
+    (so d/dt s^e = -e s^{e+1}).
     """
-    import sympy as sp
-
-    t, c, u = sp.symbols("t c u", positive=True)
-    dsq = sp.Rational(delta_sq_num, delta_sq_den)
-    q = sp.Integer(1)
+    half_dim, dsq = Fraction(spec.dim, 2), Fraction(spec.delta_sq)
+    q = {(0, 0, 0): Fraction(1)}
     for _ in range(n):
-        q = sp.expand(c * q + sp.diff(q, t) + q * (-sp.Rational(dim, 2) / t - dsq + u / t**2))
-    poly = sp.Poly(q, u)
-    coeffs = [sp.simplify(poly.coeff_monomial(u**k)) for k in range(n + 1)]
-    return (t, c), coeffs
-
-
-def symbol_coefficient_exprs(spec: GroupSpec, n: int):
-    """Symbolic (in t, c) coefficients of phi_n, ascending in u."""
-    import sympy as sp
-
-    dsq = sp.nsimplify(spec.delta_sq, rational=True)
-    frac = sp.Rational(dsq)
-    return _symbol_exprs(spec.dim, frac.p, frac.q, n)
+        nxt = defaultdict(Fraction)
+        for (a, b, e), x in q.items():
+            nxt[a, b + 1, e] += x  # c q
+            nxt[a, b, e + 1] -= (e + half_dim) * x  # dq/dt - d/(2t) q
+            nxt[a, b, e] -= dsq * x  # -|delta|^2 q
+            nxt[a + 1, b, e + 2] += x  # u/t^2 q
+        q = {key: x for key, x in nxt.items() if x}
+    coefs = tuple({} for _ in range(n + 1))
+    for (a, b, e), x in q.items():
+        coefs[a][b, e] = x
+    return coefs
 
 
 def toeplitz_symbol(spec: GroupSpec, t: float, c: float, n: int) -> PolyU:
+    """phi_n at (t, c): each coefficient evaluated exactly, then rounded once."""
     if t <= 0 or c <= 0:
         raise ValueError("t and c must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    (ts, cs), exprs = symbol_coefficient_exprs(spec, n)
-    coeffs = tuple(float(e.subs({ts: t, cs: c})) for e in exprs)
+    s, cf = 1 / Fraction(t), Fraction(c)
+    coeffs = tuple(
+        float(sum(x * cf**b * s**e for (b, e), x in coef.items())) for coef in symbol_coefficients(spec, n)
+    )
     return PolyU(coeffs, n, c, t, spec)
 
 

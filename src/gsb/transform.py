@@ -41,7 +41,7 @@ from .groups import (
     rep_matrix,
 )
 from .polar import MAX_ABS_Y, PointKC, log_phi
-from .quadrature import QuadResult, QuadSpec, kspace_rule, su2_radial_rule
+from .quadrature import QuadResult, QuadSpec, _tensor_rule, integrate_levels, kspace_rule, su2_radial_rule
 
 __all__ = [
     "AxisWeight",
@@ -49,7 +49,6 @@ __all__ = [
     "QuadratureError",
     "ct_forward",
     "eval_holo",
-    "l2_norm_K",
     "holo_inner",
     "holo_l2_norm",
     "ct_inverse_spectral",
@@ -79,26 +78,17 @@ class HoloFunc:
     def spec(self) -> GroupSpec:
         return self.coefs.spec
 
-    def scaled_blocks(self, factor) -> "HoloFunc":
-        return HoloFunc(self.coefs.map_blocks(factor), self.t, self.provenance)
-
 
 def ct_forward(f: CoefVec, t: float) -> HoloFunc:
     """Damp block pi by exp(-lambda_pi t/2) and package for K_C evaluation."""
     if t <= 0:
         raise ValueError("t must be positive")
-    damped = f.map_blocks(lambda label: math.exp(-laplacian_eigenvalue(f.spec, label) * t / 2.0))
-    return HoloFunc(damped, t, "forward")
+    return HoloFunc(f.spectral(lambda lam: math.exp(-lam * t / 2.0)), t, "forward")
 
 
-def eval_holo(F: HoloFunc, p: PointKC, tol: float = 0.0) -> complex:
+def eval_holo(F: HoloFunc, p: PointKC) -> complex:
     """Evaluate F at a polar point; exact (finite support, no tail)."""
     return F.coefs.eval_kc(p)
-
-
-def l2_norm_K(f: CoefVec) -> float:
-    """Plancherel norm, equal to the Riemannian-volume L^2(K) norm."""
-    return f.plancherel_norm()
 
 
 def exp_iy_batch(spec: GroupSpec, ys: np.ndarray) -> np.ndarray:
@@ -224,20 +214,19 @@ def holo_inner(F1: HoloFunc, F2: HoloFunc, q: QuadSpec, weight=None, weight_node
     spec, t = F1.spec, F1.t
     if spec.kind == "su2" and weight_nodes is not None and not isinstance(weight_nodes, AxisWeight):
         raise TypeError("on su2 a direction-dependent weight must be an AxisWeight")
-    values = []
-    for level in q.levels:
-        if spec.kind == "su2":
-            values.append(_su2_inner_level(F1, F2, level, weight, weight_nodes))
-            continue
+    if spec.kind == "su2":
+        return integrate_levels(q, lambda level: _su2_inner_level(F1, F2, level, weight, weight_nodes))
+
+    def torus_level(level):
         rule = kspace_rule(spec, t, level)
         vals = _pair_k_integrals(F1, F2, rule.nodes)
         if weight is not None:
             vals = vals * weight(np.sum(rule.nodes**2, axis=1))
         if weight_nodes is not None:
             vals = vals * weight_nodes(rule.nodes)
-        values.append(complex(np.dot(rule.weights, vals)))
-    gap = abs(values[-1] - values[-2]) / max(abs(values[-1]), abs(values[-2]), 1e-300)
-    return QuadResult(values[-1], gap, q.tolerance, tuple(values))
+        return np.dot(rule.weights, vals)
+
+    return integrate_levels(q, torus_level)
 
 
 def holo_l2_norm(F: HoloFunc, q: QuadSpec | None = None) -> float:
@@ -254,21 +243,28 @@ def holo_l2_norm(F: HoloFunc, q: QuadSpec | None = None) -> float:
 
 def ct_inverse_spectral(F: HoloFunc) -> CoefVec:
     """Exact left inverse of ct_forward on finite supports (undoes the damping)."""
-    spec = F.spec
-    return F.coefs.map_blocks(lambda label: math.exp(laplacian_eigenvalue(spec, label) * F.t / 2.0))
+    return F.coefs.spectral(lambda lam: math.exp(lam * F.t / 2.0))
 
 
 def _cube_nodes(spec: GroupSpec, radius: float, level: int):
     """Nodes/weights of the tensor Gauss-Legendre rule on [-radius, radius]^r (tori)."""
     x, w = roots_legendre(level)
-    nodes_1d = radius * x
-    w_1d = radius * w
-    grids = np.meshgrid(*([nodes_1d] * spec.rank), indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    weights = np.ones(nodes.shape[0])
-    for g in np.meshgrid(*([w_1d] * spec.rank), indexing="ij"):
-        weights = weights * g.ravel()
-    return nodes, weights
+    return _tensor_rule(radius * x, radius * w, spec.rank)
+
+
+def _ball_radii(radius: float, level: int):
+    """Radii r_i and weights (R/2) w_i 4 pi r_i^2 of the Gauss-Legendre rule on
+    [0, R]: sum_i W_i f(r_i) ~ int_{|Y|<=R} f(|Y|) dY on su(2)."""
+    x, w = roots_legendre(level)
+    r = radius * (x + 1.0) / 2.0
+    return r, 2.0 * math.pi * radius * w * r**2
+
+
+def _torus_inverse_level(F: HoloFunc, x, radius: float, level: int) -> complex:
+    """int over the cube |y_i| <= R of F(x e^{iY}) e^{-|Y|^2/2t} dY on a torus (Phi = 1)."""
+    nodes, weights = _cube_nodes(F.spec, radius, level)
+    damp = np.exp(-np.sum(nodes**2, axis=1) / (2.0 * F.t))
+    return complex(np.dot(weights, _eval_holo_batch(F, x, nodes) * damp))
 
 
 def _su2_inverse_level(F: HoloFunc, x, radius: float, level: int) -> complex:
@@ -280,9 +276,8 @@ def _su2_inverse_level(F: HoloFunc, x, radius: float, level: int) -> complex:
     undone, which keeps every term O(1).
     """
     spec, t = F.spec, F.t
-    xr, wr = roots_legendre(level)
-    r = radius * (xr + 1.0) / 2.0
-    log_w = np.log(2.0 * math.pi * radius * wr * r**2)  # (R/2) w_i r_i^2 * 4 pi
+    r, w = _ball_radii(radius, level)
+    log_w = np.log(w)
     log_w -= r**2 / (2.0 * t) + np.array([log_phi(spec, np.array([0.0, 0.0, ri / 2.0])) for ri in r])
     total = 0.0 + 0.0j
     for m, block in F.coefs.entries.items():
@@ -308,24 +303,12 @@ def ct_inverse_integral(F: HoloFunc, x, radius: float, q: QuadSpec | None = None
         raise ValueError("radius exceeds the |Y| overflow guard")
     q = q or QuadSpec(levels=(32, 48))
     spec, t = F.spec, F.t
-    values = []
-    for level in q.levels:
-        if spec.kind == "su2":
-            values.append(_su2_inverse_level(F, x, radius, level))
-            continue
-        nodes, weights = _cube_nodes(spec, radius, level)
-        vals = _eval_holo_batch(F, x, nodes)
-        u = np.sum(nodes**2, axis=1)
-        damp = np.exp(-u / (2.0 * t) - np.array([log_phi(spec, y / 2.0) for y in nodes]))
-        values.append(complex(np.dot(weights, vals * damp)))
+    level_value = _su2_inverse_level if spec.kind == "su2" else _torus_inverse_level
+    res = integrate_levels(q, lambda level: level_value(F, x, radius, level))
+    if res.gap > max(q.tolerance, 1e-9):
+        raise QuadratureError(f"inversion quadrature gap {res.gap:.3e} exceeds {q.tolerance:.3e}", res)
     pref = (2.0 * math.pi * t) ** (-spec.dim / 2.0) * math.exp(-spec.delta_sq * t / 2.0)
-    gap = abs(values[-1] - values[-2]) / max(abs(values[-1]), abs(values[-2]), 1e-300)
-    if gap > max(q.tolerance, 1e-9):
-        raise QuadratureError(
-            f"inversion quadrature gap {gap:.3e} exceeds {q.tolerance:.3e}",
-            QuadResult(values[-1], gap, q.tolerance, tuple(values)),
-        )
-    return pref * values[-1]
+    return pref * res.value
 
 
 def _eval_holo_batch(F: HoloFunc, x, ys: np.ndarray) -> np.ndarray:

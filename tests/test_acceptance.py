@@ -7,10 +7,10 @@ radial sums that are exact for polynomial weights.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-import sympy as sp
 
 from gsb.bounds import (
     kernel_bound_check,
@@ -29,7 +29,7 @@ from gsb.sobolev import (
     laplacian_apply,
     sobolev_norm,
     sobolev_shift,
-    symbol_coefficient_exprs,
+    symbol_coefficients,
     symbol_positivity_threshold,
     toeplitz_quadratic_form,
     toeplitz_symbol,
@@ -207,8 +207,9 @@ def test_criterion_08_symbol_structure():
     ok = True
     for spec in (TORUS, torus(2), SU2):
         for n in (1, 2, 3, 4):
-            (ts, cs), exprs = symbol_coefficient_exprs(spec, n)
-            ok = ok and len(exprs) == n + 1 and sp.simplify(exprs[n] - ts ** (-2 * n)) == 0
+            coefs = symbol_coefficients(spec, n)
+            ok = ok and len(coefs) == n + 1 and coefs[n] == {(0, 2 * n): Fraction(1)}
+            ok = ok and all(coef and all(x != 0 for x in coef.values()) for coef in coefs)
             grid = spec.delta_sq + 0.5 * np.arange(1, 400)
             ok = ok and symbol_positivity_threshold(spec, 1.0, n, grid) is not None
     _report("symbol is a degree-n polynomial with exact top coefficient and a positivity threshold", ok)

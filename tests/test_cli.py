@@ -1,9 +1,12 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -130,3 +133,76 @@ def test_su2_unitarity_high_irreps_tight_gaps(tmp_path):
         rows = list(csv.DictReader(fp))
     assert len(rows) == sum(m * m for m in range(1, 17))
     assert all(row["pass"] == "1" and float(row["gap"]) <= 1e-10 for row in rows)
+
+
+def _main_in_process(args, capsys):
+    from gsb.cli import main
+
+    code = main(args)
+    return code, capsys.readouterr()
+
+
+def test_kernel_tworoute_judges_laguerre_gap(tmp_path, capsys):
+    # row n=1:q14 agrees to rel-err <= tol, but its Laguerre gap is above tol
+    out = tmp_path / "o"
+    args = ["verify", "kernel-tworoute", "--group", "torus:2", "--seed", "3", "--out", str(out)]
+    code, captured = _main_in_process(args, capsys)
+    assert code == 1
+    assert "FAIL" in captured.out
+    with open(out / "verify_kernel-tworoute_torus-2_t1.csv", newline="") as fp:
+        rows = {row["case-id"]: row for row in csv.DictReader(fp)}
+    row = rows["n=1:q14"]
+    assert row["pass"] == "0"
+    assert float(row["rel-err"]) <= float(row["tol"]) < float(row["gap"])
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify", "mass", "--t", "nan"], "t values"),
+        (["verify", "mass", "--t", "inf"], "t values"),
+        (["verify", "unitarity", "--group", "su2", "--c", "nan"], "c must"),
+        (["verify", "mass", "--c", "inf"], "c must"),
+        (["invert", "--coeffs", "c.json", "--points", "p.json", "--radii", "4,nan"], "radii"),
+        (["report", "lattice", "--tau", "1,inf"], "tau values"),
+        (["verify", "mass", "--tolerance", "nan"], "tolerance"),
+        (["verify", "reproducing", "--seed", "-1"], "seed"),
+        (["verify", "unitarity", "--group", "su2", "--t", "2", "--cutoff", "56"], "largest allowed cutoff is 52"),
+        (["verify", "unitarity", "--group", "torus:1", "--cutoff", "64"], "largest allowed cutoff is 37"),
+        (["verify", "unitarity", "--group", "torus:2", "--t", "0.5,4", "--cutoff", "20"], "largest allowed cutoff is 13"),
+    ],
+)
+def test_bad_input_exits_2_before_work(tmp_path, capsys, args, message):
+    out = tmp_path / "o"
+    code, captured = _main_in_process([*args, "--out", str(out)], capsys)
+    assert code == 2
+    assert message in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("group", ["su2", "torus:2"])
+def test_verify_mass_reads_nu_t(tmp_path, capsys, monkeypatch, group):
+    # the mass suite integrates the closed form of nu_t, so a density off by
+    # a factor 1 + 1e-5 must fail it
+    import gsb.cli
+
+    exact = gsb.cli.log_nu_t
+    monkeypatch.setattr(gsb.cli, "log_nu_t", lambda spec, t, y: exact(spec, t, y) + math.log1p(1e-5))
+    code, captured = _main_in_process(["verify", "mass", "--group", group, "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert "mass: FAIL" in captured.out
+
+
+def test_symbols_need_no_sympy(tmp_path):
+    script = (
+        "import sys\n"
+        "from gsb.cli import main\n"
+        f"assert main(['report', 'symbol', '--group', 'su2', '--out', {str(tmp_path)!r}]) == 0\n"
+        f"assert main(['verify', 'toeplitz', '--group', 'su2', '--cutoff', '1', '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert 'sympy' not in sys.modules\n"
+    )
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH", "")) if p)
+    r = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path)
+    )
+    assert r.returncode == 0, r.stderr

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gsb.coeffs import basis_entry
 from gsb.groups import enumerate_irreps, irrep_dim, random_k, su2, torus
-from gsb.heat import TailBoundError, heat_coeffs, heat_operator, log_nu_t, nu_t, rho_eval
+from gsb.heat import TailBoundError, heat_coeffs, log_nu_t, nu_t, rho_eval
 from gsb.polar import PointKC
 from gsb.quadrature import integrate_K
 
@@ -98,12 +97,3 @@ def test_nu_t_mass():
         for t in (0.25, 1.0, 4.0):
             res = integrate_kspace(spec, t, lambda ys: np.ones(ys.shape[0]), QuadSpec())
             assert res.value.real == pytest.approx(1.0, abs=1e-12)
-
-
-def test_heat_operator_damps():
-    spec = su2()
-    f = basis_entry(spec, 3, 0, 0)
-    g = heat_operator(f, 2.0)
-    assert g.block(3)[0, 0] == pytest.approx(math.exp(-2.0))
-    with pytest.raises(ValueError):
-        heat_operator(f, -1.0)

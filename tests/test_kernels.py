@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from gsb.bounds import growth_functional
 from gsb.coeffs import basis_entry
 from gsb.groups import random_algebra, random_k, su2, torus
 from gsb.heat import rho_eval
 from gsb.kernels import (
     KernelQuery,
-    envelope_l2,
-    envelope_sobolev,
     k_sobolev_integral,
     k_sobolev_spectral,
     k_t,
@@ -18,7 +17,7 @@ from gsb.kernels import (
 )
 from gsb.polar import PointKC, identity_point, phi
 from gsb.quadrature import QuadSpec
-from gsb.transform import ct_forward
+from gsb.transform import ct_forward, eval_holo
 
 
 def _random_point(spec, rng, scale=0.6):
@@ -92,13 +91,17 @@ def test_diagonal_kernel_positive():
 
 
 def test_envelopes():
+    # on a one-point grid the growth functional is |F|^2 over the envelope
+    # Phi(Y) e^{|Y|^2/t}, times (1+|Y|^2)^{2n} for order n
     spec = su2()
     y = np.array([0.0, 0.0, 1.5])
     t = 1.0
-    assert envelope_l2(spec, t, y) == pytest.approx(phi(spec, y) * math.exp(2.25 / t), rel=1e-12)
-    assert envelope_sobolev(spec, t, 2, y) == pytest.approx(
-        envelope_l2(spec, t, y) / (1 + 2.25) ** 4, rel=1e-12
-    )
+    F = ct_forward(basis_entry(spec, 2, 0, 0), t)
+    value = abs(eval_holo(F, PointKC(spec, np.eye(2, dtype=complex), y))) ** 2
+    g0, _ = growth_functional(F, t, 0, y[None, :])
+    g2, _ = growth_functional(F, t, 2, y[None, :])
+    assert g0 == pytest.approx(value / (phi(spec, y) * math.exp(2.25 / t)), rel=1e-12)
+    assert g2 == pytest.approx(g0 * (1 + 2.25) ** 4, rel=1e-12)
 
 
 @pytest.mark.parametrize("spec", [torus(1), su2()])

@@ -89,7 +89,7 @@ def test_reproduce_check_matches_tensor_oracle():
     rng = np.random.default_rng(5)
     t = 1.0
     F = _random_holo(rng, t)
-    damped = F.coefs.map_blocks(lambda m: math.exp(-laplacian_eigenvalue(SPEC, m) * t))
+    damped = F.coefs.spectral(lambda lam: math.exp(-lam * t))
     rule = kspace_rule(SPEC, t, LEVELS[-1])
     for _ in range(3):
         y = random_algebra(SPEC, rng)

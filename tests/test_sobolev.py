@@ -1,8 +1,8 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-import sympy as sp
 
 from gsb.coeffs import basis_entry
 from gsb.groups import laplacian_eigenvalue, su2, torus
@@ -13,7 +13,7 @@ from gsb.sobolev import (
     laplacian_apply,
     sobolev_norm,
     sobolev_shift,
-    symbol_coefficient_exprs,
+    symbol_coefficients,
     symbol_positivity_threshold,
     toeplitz_quadratic_form,
     toeplitz_symbol,
@@ -39,10 +39,28 @@ def test_symbol_phi1_su2_closed_form():
 @pytest.mark.parametrize("spec", [torus(1), torus(2), su2()])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_symbol_degree_and_top_coefficient(spec, n):
-    (t, c), exprs = symbol_coefficient_exprs(spec, n)
-    assert len(exprs) == n + 1
-    assert sp.simplify(exprs[n] - t ** (-2 * n)) == 0
-    assert all(sp.simplify(e) != 0 for e in exprs)
+    # coefficients are {(power of c, power of 1/t): Fraction}; the top one is t^{-2n}
+    coefs = symbol_coefficients(spec, n)
+    assert len(coefs) == n + 1
+    assert coefs[n] == {(0, 2 * n): Fraction(1)}
+    assert all(coef and all(x != 0 for x in coef.values()) for coef in coefs)
+
+
+@pytest.mark.parametrize("spec", [torus(1), torus(2), torus(3), su2()])
+def test_symbol_is_exact_value_rounded_once(spec):
+    # phi_1 = c - d/(2t) - |delta|^2 + u/t^2 and phi_2 = phi_1^2 + d/(2t^2) - 2u/t^3,
+    # evaluated exactly at the doubles t = 0.7 and c; each coefficient is the
+    # exact value rounded once (t = 0.7 is not dyadic, so float arithmetic
+    # would differ in the last bits on many of them)
+    t, s = 0.7, 1 / Fraction(0.7)
+    half_d, dsq = Fraction(spec.dim, 2), Fraction(spec.delta_sq)
+    for k in range(40):
+        c = spec.delta_sq + 1.0 + 0.5 * k
+        a0 = Fraction(c) - half_d * s - dsq
+        phi1 = (a0, s * s)
+        phi2 = (a0 * a0 + half_d * s * s, 2 * a0 * s * s - 2 * s**3, s**4)
+        assert toeplitz_symbol(spec, t, c, 1).coefficients == tuple(float(x) for x in phi1)
+        assert toeplitz_symbol(spec, t, c, 2).coefficients == tuple(float(x) for x in phi2)
 
 
 def test_positivity_threshold_torus_n1():

@@ -16,7 +16,6 @@ from gsb.transform import (
     holo_inner,
     holo_l2_norm,
     inverse_integral_trace,
-    l2_norm_K,
 )
 
 
@@ -60,7 +59,7 @@ def test_unitarity_single_entries(spec, label):
     f = basis_entry(spec, label, 0, 0)
     for t in (0.5, 2.0):
         lhs = holo_l2_norm(ct_forward(f, t), QuadSpec(tolerance=1e-6))
-        rhs = l2_norm_K(f)
+        rhs = f.plancherel_norm()
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
