@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma, roots_genlaguerre
 
 from .groups import GroupSpec, root_data
 from .heat import rho_eval
@@ -115,15 +114,15 @@ def lattice_sum(spec: GroupSpec, tau: float, P: LatticePoly | None = None, radiu
 def _chamber_gaussian_integral(spec: GroupSpec, P: LatticePoly) -> float:
     """(1/A) int over the closed chamber of P(|x|) e^{-|x|^2} dx,
 
-    A = covolume of the lattice.  Radial reduction with u = rho^2 turns the
-    integral into a generalized Gauss-Laguerre sum (alpha = r/2 - 1).
+    A = covolume of the lattice.  In polar form each coefficient c_k of P
+    contributes c_k int_0^inf rho^{r-1+k} e^{-rho^2} d rho
+    = c_k Gamma((r + k)/2) / 2, exactly, whatever the degree of P.
     """
     r = spec.rank
-    u, w = roots_genlaguerre(80, r / 2.0 - 1.0)
-    radial = 0.5 * float(np.sum(w * P(np.sqrt(u))))
+    radial = 0.5 * sum(c * math.gamma((r + k) / 2.0) for k, c in enumerate(P.coefficients))
     step = root_data(spec).lattice_step
     if spec.kind == "torus":
-        surface = 2.0 * math.pi ** (r / 2.0) / gamma(r / 2.0)
+        surface = 2.0 * math.pi ** (r / 2.0) / math.gamma(r / 2.0)
         return surface * radial / step**r
     # rank-1 half-line chamber
     return radial / step

@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -37,7 +38,7 @@ from .groups import (
 from .heat import log_nu_t
 from .kernels import KernelQuery, k_sobolev_integral, k_sobolev_spectral, reproduce_check
 from .polar import MAX_ABS_Y, PointKC, log_phi
-from .quadrature import QuadSpec, integrate_levels
+from .quadrature import MAX_ORDER, QuadSpec, integrate_levels
 from .sobolev import (
     first_order_forms,
     laplacian_apply,
@@ -68,6 +69,31 @@ class ConfigError(ValueError):
     pass
 
 
+# element type of each RunConfig field; a tuple field is checked element-wise
+_FIELD_TYPES = {
+    "group": str,
+    "t": float,
+    "n": int,
+    "c": float,
+    "cutoff": int,
+    "levels": int,
+    "radii": float,
+    "tau": float,
+    "tolerance": float,
+    "seed": int,
+    "out": str,
+    "fmt": str,
+}
+_TYPE_NAMES = {str: ("a string", "strings"), int: ("an integer", "integers"), float: ("a number", "numbers")}
+
+
+def _has_type(value, kind) -> bool:
+    if kind is str:
+        return isinstance(value, str)
+    base = numbers.Integral if kind is int else numbers.Real
+    return isinstance(value, base) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     group: str = "torus:1"
@@ -84,6 +110,15 @@ class RunConfig:
     fmt: str = "csv"
 
     def validate(self) -> "RunConfig":
+        for f in fields(self):
+            value, kind = getattr(self, f.name), _FIELD_TYPES[f.name]
+            if value is None and f.default is None:
+                continue
+            if isinstance(f.default, tuple):
+                if not isinstance(value, tuple) or not all(_has_type(v, kind) for v in value):
+                    raise ConfigError(f"{f.name} must be a list of {_TYPE_NAMES[kind][1]}")
+            elif not _has_type(value, kind):
+                raise ConfigError(f"{f.name} must be {_TYPE_NAMES[kind][0]}")
         # written so that nan fails every comparison and is rejected
         try:
             spec = self.spec
@@ -99,8 +134,8 @@ class RunConfig:
             raise ConfigError("n values must be nonnegative")
         if not all(0 < tau < math.inf for tau in self.tau):
             raise ConfigError("tau values must be positive and finite")
-        if len(self.levels) < 2 or any(lv < 2 for lv in self.levels):
-            raise ConfigError("need at least two quadrature levels >= 2")
+        if len(self.levels) < 2 or not all(2 <= lv <= MAX_ORDER for lv in self.levels):
+            raise ConfigError(f"need at least two quadrature levels, each in 2..{MAX_ORDER}")
         if self.c is not None and not 0 < self.c < math.inf:
             raise ConfigError("c must be positive and finite")
         if self.tolerance is not None and not 0 < self.tolerance < math.inf:
@@ -149,12 +184,14 @@ def _config_from_args(args) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config) as fp:
             data = json.load(fp)
+        if not isinstance(data, dict):
+            raise ConfigError("config file must hold a JSON object")
         allowed = {f.name for f in fields(RunConfig)}
         unknown = set(data) - allowed
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key in ("t", "n", "levels", "radii", "tau"):
-            if key in data:
+            if isinstance(data.get(key), list):
                 data[key] = tuple(data[key])
         cfg = replace(cfg, **data)
     overrides = {}
@@ -165,7 +202,10 @@ def _config_from_args(args) -> RunConfig:
     for name, cast in (("t", float), ("n", int), ("levels", int), ("radii", float), ("tau", float)):
         raw = getattr(args, name, None)
         if raw is not None:
-            overrides[name] = tuple(cast(part) for part in str(raw).split(","))
+            try:
+                overrides[name] = tuple(cast(part) for part in str(raw).split(","))
+            except ValueError:
+                raise ConfigError(f"--{name} expects a comma list of {_TYPE_NAMES[cast][1]}, got {raw!r}") from None
     if overrides:
         cfg = replace(cfg, **overrides)
     return cfg.validate()
@@ -240,7 +280,7 @@ def _mass_level(spec: GroupSpec, t: float, radius: float, level: int) -> complex
         nodes = r[:, None] * np.array([0.0, 0.0, 1.0])
     else:
         nodes, weights = _cube_nodes(spec, radius, level)
-    return np.dot(weights, [math.exp(log_nu_t(spec, t, y) - 2.0 * log_phi(spec, y)) for y in nodes])
+    return np.dot(weights, np.exp(log_nu_t(spec, t, nodes) - 2.0 * log_phi(spec, nodes)))
 
 
 def _default_tol(suite: str) -> float:

@@ -151,7 +151,9 @@ def nu_t(spec: GroupSpec, t: float, y) -> float:
     return math.exp(log_nu_t(spec, t, y))
 
 
-def log_nu_t(spec: GroupSpec, t: float, y) -> float:
-    s2 = float(np.dot(y, y))
+def log_nu_t(spec: GroupSpec, t: float, y):
+    """log nu_t(Y) at one point (a float) or on an (N, dim) batch (an (N,) array)."""
+    y = np.asarray(y, dtype=float)
+    s2 = np.sum(y * y, axis=-1)
     ct = -0.5 * spec.dim * math.log(math.pi * t) - spec.delta_sq * t
     return ct + log_phi(spec, y) - s2 / t

@@ -11,9 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .groups import SU2_BASIS, GroupSpec
+from .groups import GroupSpec
 
 __all__ = [
     "PointKC",
@@ -23,7 +22,6 @@ __all__ = [
     "star",
     "phi",
     "frame_coefficients",
-    "algebra_matrix",
     "norm_y",
 ]
 
@@ -52,14 +50,6 @@ def identity_point(spec: GroupSpec) -> PointKC:
 def norm_y(y) -> float:
     """|Y| in the group metric (coordinates are orthonormal by construction)."""
     return float(np.linalg.norm(y))
-
-
-def algebra_matrix(spec: GroupSpec, y) -> np.ndarray:
-    """The Lie-algebra element with the given coordinates, as a matrix (su2)."""
-    if spec.kind != "su2":
-        raise ValueError("algebra_matrix only applies to su2")
-    y = np.asarray(y, dtype=float)
-    return np.tensordot(y, SU2_BASIS, axes=(0, 0))
 
 
 def polar_decompose(spec: GroupSpec, g) -> PointKC:
@@ -97,8 +87,14 @@ def polar_compose(spec: GroupSpec, p: PointKC):
     """Inverse of polar_decompose: the group element x * exp(iY)."""
     if spec.kind == "torus":
         return np.asarray(p.x, dtype=float) + 1j * p.y
-    iy = 1j * algebra_matrix(spec, p.y)  # hermitian
-    return np.asarray(p.x, dtype=complex) @ expm(iy)
+    # iY = -(1/2) y.sigma, whose square is |y|^2/4 I:
+    # exp(iY) = cosh(|y|/2) I - (sinh(|y|/2)/|y|) y.sigma
+    y1, y2, y3 = (float(v) for v in p.y)
+    s = math.sqrt(y1 * y1 + y2 * y2 + y3 * y3)
+    c = math.cosh(s / 2.0)
+    k = math.sinh(s / 2.0) / s if s > 0.0 else 0.5
+    e = np.array([[c - k * y3, -k * complex(y1, -y2)], [-k * complex(y1, y2), c + k * y3]])
+    return np.asarray(p.x, dtype=complex) @ e
 
 
 def star(spec: GroupSpec, p: PointKC) -> PointKC:
@@ -128,8 +124,13 @@ def phi(spec: GroupSpec, y) -> float:
     return 1.0 / _sinch(s)
 
 
-def log_phi(spec: GroupSpec, y) -> float:
-    """log Phi(Y), safe for large |Y| (used by envelope code in log space)."""
+def log_phi(spec: GroupSpec, y):
+    """log Phi(Y), safe for large |Y| (used by envelope code in log space).
+
+    y is one point (returns a float) or an (N, dim) batch (returns (N,)).
+    """
+    if np.ndim(y) == 2:
+        return _log_phi_batch(spec, np.asarray(y, dtype=float))
     if spec.kind == "torus":
         return 0.0
     s = norm_y(y)
@@ -137,6 +138,16 @@ def log_phi(spec: GroupSpec, y) -> float:
         return -math.log(_sinch(s))
     # log(s/sinh s) = log(2s) - s - log1p(-exp(-2s))
     return math.log(2.0 * s) - s - math.log1p(-math.exp(-2.0 * s))
+
+
+def _log_phi_batch(spec: GroupSpec, ys: np.ndarray) -> np.ndarray:
+    if spec.kind == "torus":
+        return np.zeros(ys.shape[0])
+    s = np.linalg.norm(ys, axis=1)
+    s2 = s * s
+    series = -np.log1p(s2 / 6.0 * (1.0 + s2 / 20.0))
+    big = np.maximum(s, 1e-4)
+    return np.where(s < 1e-4, series, np.log(2.0 * big) - big - np.log1p(-np.exp(-2.0 * big)))
 
 
 def _ad_matrix(y: np.ndarray) -> np.ndarray:

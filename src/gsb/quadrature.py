@@ -14,6 +14,10 @@ Three families:
 * sampling rules on K itself (exact trigonometric on tori, Euler-angle
   product rule on SU(2)).
 
+The 1-D Gauss rules (roots_hermite, roots_legendre, roots_genlaguerre) are
+built the way scipy.special builds them, so they carry the same bits up to
+order MAX_ORDER without importing scipy.
+
 Every exposed integral reports the relative gap between its two finest
 levels; callers decide whether a flagged gap is fatal.
 """
@@ -25,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_genlaguerre, roots_hermite, roots_legendre
 
 from .groups import GroupSpec
 
@@ -40,7 +43,153 @@ __all__ = [
     "integrate_laguerre",
     "integrate_K",
     "k_haar_nodes",
+    "roots_hermite",
+    "roots_legendre",
+    "roots_genlaguerre",
+    "MAX_ORDER",
 ]
+
+# Above this order the Hermite recurrence loses its weights (non-finite from
+# about order 206), and scipy switches to asymptotic expansions.
+MAX_ORDER = 150
+
+
+def _golub_welsch(n: int, mu0: float, diag, offdiag, f, df, symmetric: bool):
+    """Nodes and weights of an n-point Gauss rule, as scipy.special builds them.
+
+    The eigenvalues of the Jacobi matrix are refined by one Newton step on the
+    orthogonal polynomial f(n, x) (derivative df); the weights 1/(f(n-1, x)
+    df(n, x)) are formed from log-normalised factors, symmetrised for an even
+    weight function and scaled to total mass mu0.  Returns read-only arrays.
+    """
+    if n != int(n) or not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"Gauss rule order must be an integer in 1..{MAX_ORDER}, got {n}")
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1))
+    dy = df(n, x)
+    x = x - f(n, x) / dy
+    fm = f(n - 1, x)
+    log_fm = np.log(np.abs(fm))
+    log_dy = np.log(np.abs(dy))
+    fm = fm / np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy = dy / np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    if symmetric:
+        w = (w + w[::-1]) / 2
+        x = (x - x[::-1]) / 2
+    w = w * (mu0 / w.sum())
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+# Three-term recurrences of cephes (scipy.special.eval_*), evaluated on arrays.
+
+
+def _hermite(n: int, x):
+    """Physicists' H_n(x) = He_n(sqrt(2) x) 2^{n/2}, He_n by backward recurrence."""
+    if n == 0:
+        return np.ones_like(x)
+    z = math.sqrt(2) * x
+    he = z
+    if n > 1:
+        y2, y3 = np.ones_like(z), np.zeros_like(z)
+        for k in range(n, 1, -1):
+            y2, y3 = z * y2 - k * y3, y2
+        he = z * y2 - y3
+    return he * math.pow(2, n / 2.0)
+
+
+def _legendre(n: int, x):
+    if n == 0:
+        return np.ones_like(x)
+    d, p = x - 1, x
+    for k in range(1, n):
+        d = ((2 * k + 1) / (k + 1)) * (x - 1) * p + (k / (k + 1)) * d
+        p = p + d
+    return p
+
+
+def _binom(n: int, k: int) -> float:
+    """C(n, k) by cephes' multiplication formula (exact below 2^53)."""
+    k = min(k, n - k)
+    num = den = 1.0
+    for i in range(1, k + 1):
+        num *= i + n - k
+        den *= i
+        if abs(num) > 1e50:
+            num /= den
+            den = 1.0
+    return num / den
+
+
+def _genlaguerre(n: int, alpha: int, x):
+    if n == 0:
+        return np.ones_like(x)
+    if n == 1:
+        return -x + alpha + 1
+    d = -x / (alpha + 1)
+    p = d + 1
+    for k in range(1, n):
+        d = -x / (k + alpha + 1) * p + (k / (k + alpha + 1)) * d
+        p = p + d
+    return _binom(n + alpha, n) * p
+
+
+@lru_cache(maxsize=None)
+def roots_hermite(n: int):
+    """n-point Gauss-Hermite rule for the weight e^{-x^2} on the line."""
+    k = np.arange(1, n, dtype=float)
+    return _golub_welsch(
+        n,
+        math.sqrt(math.pi),
+        np.zeros(n),
+        np.sqrt(k / 2.0),
+        _hermite,
+        lambda m, x: 2.0 * m * _hermite(m - 1, x),
+        True,
+    )
+
+
+@lru_cache(maxsize=None)
+def roots_legendre(n: int):
+    """n-point Gauss-Legendre rule on [-1, 1].
+
+    On odd n, cephes evaluates P_n near 0 by a power series, so the middle
+    weight (and through the normalisation a few others) may differ from
+    scipy's in the last bits; the nodes and every even-order rule agree.
+    """
+    k = np.arange(1, n, dtype=float)
+    return _golub_welsch(
+        n,
+        2.0,
+        np.zeros(n),
+        k * np.sqrt(1.0 / (4 * k * k - 1)),
+        _legendre,
+        lambda m, x: (-m * x * _legendre(m, x) + m * _legendre(m - 1, x)) / (1 - x**2),
+        True,
+    )
+
+
+@lru_cache(maxsize=None)
+def roots_genlaguerre(n: int, alpha: int):
+    """n-point generalized Gauss-Laguerre rule for x^alpha e^{-x} on [0, inf).
+
+    alpha is a nonnegative integer, so the mass Gamma(alpha + 1) = alpha! is
+    exact; the rule matches scipy's bit for bit while alpha < 20.
+    """
+    if alpha != int(alpha) or alpha < 0:
+        raise ValueError("alpha must be a nonnegative integer")
+    alpha = int(alpha)
+    k = np.arange(n, dtype=float)
+    return _golub_welsch(
+        n,
+        float(math.factorial(alpha)),
+        2 * k + alpha + 1,
+        -np.sqrt(k[1:] * (k[1:] + alpha)),
+        lambda m, x: _genlaguerre(m, alpha, x),
+        lambda m, x: (m * _genlaguerre(m, alpha, x) - (m + alpha) * _genlaguerre(m - 1, alpha, x)) / x,
+        False,
+    )
 
 
 @dataclass(frozen=True)
@@ -86,11 +235,6 @@ class KSpaceRule:
     radial_weights: np.ndarray | None = None
 
 
-@lru_cache(maxsize=None)
-def _hermite(level: int):
-    return roots_hermite(level)
-
-
 @lru_cache(maxsize=1024)
 def su2_radial_rule(t: float, level: int, tilt: int = 0):
     """Radial Gauss-Hermite rule for mu_t on su(2), tilted by e^{tilt r}.
@@ -108,7 +252,7 @@ def su2_radial_rule(t: float, level: int, tilt: int = 0):
     are folded onto the whole line and may be negative.  Returns read-only
     (radii, weights).
     """
-    u, h = _hermite(level)
+    u, h = roots_hermite(level)
     r = (tilt + 1) * t / 2.0 + math.sqrt(t) * u
     w = 2.0 * h * r / (math.sqrt(math.pi) * t)
     r.setflags(write=False)

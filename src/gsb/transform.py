@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .coeffs import CoefVec
 from .groups import (
@@ -41,7 +40,15 @@ from .groups import (
     rep_matrix,
 )
 from .polar import MAX_ABS_Y, PointKC, log_phi
-from .quadrature import QuadResult, QuadSpec, _tensor_rule, integrate_levels, kspace_rule, su2_radial_rule
+from .quadrature import (
+    QuadResult,
+    QuadSpec,
+    _tensor_rule,
+    integrate_levels,
+    kspace_rule,
+    roots_legendre,
+    su2_radial_rule,
+)
 
 __all__ = [
     "AxisWeight",

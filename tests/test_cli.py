@@ -170,9 +170,20 @@ def test_kernel_tworoute_judges_laguerre_gap(tmp_path, capsys):
         (["verify", "unitarity", "--group", "su2", "--t", "2", "--cutoff", "56"], "largest allowed cutoff is 52"),
         (["verify", "unitarity", "--group", "torus:1", "--cutoff", "64"], "largest allowed cutoff is 37"),
         (["verify", "unitarity", "--group", "torus:2", "--t", "0.5,4", "--cutoff", "20"], "largest allowed cutoff is 13"),
+        (["verify", "mass", "--t", "abc"], "--t expects a comma list of numbers"),
+        (["verify", "mass", "--levels", "64,x"], "--levels expects a comma list of integers"),
+        (["verify", "mass", "--config", {"seed": "1"}], "seed must be an integer"),
+        (["verify", "mass", "--config", {"t": "1"}], "t must be a list of numbers"),
+        (["verify", "mass", "--levels", "64,151"], "each in 2..150"),
     ],
 )
 def test_bad_input_exits_2_before_work(tmp_path, capsys, args, message):
+    # a dict in args stands for a config file with that content
+    cfg = tmp_path / "cfg.json"
+    for arg in args:
+        if isinstance(arg, dict):
+            cfg.write_text(json.dumps(arg))
+    args = [str(cfg) if isinstance(arg, dict) else arg for arg in args]
     out = tmp_path / "o"
     code, captured = _main_in_process([*args, "--out", str(out)], capsys)
     assert code == 2
@@ -201,6 +212,40 @@ def test_symbols_need_no_sympy(tmp_path):
         f"assert main(['verify', 'toeplitz', '--group', 'su2', '--cutoff', '1', '--out', {str(tmp_path)!r}]) == 0\n"
         "assert 'sympy' not in sys.modules\n"
     )
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH", "")) if p)
+    r = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path)
+    )
+    assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize("group", ["torus:3", "su2"])
+def test_mass_evaluates_density_once_per_level(tmp_path, capsys, monkeypatch, group):
+    # the mass suite hands log_nu_t the whole node batch of a level at once
+    import gsb.cli
+
+    exact, calls = gsb.cli.log_nu_t, []
+    monkeypatch.setattr(gsb.cli, "log_nu_t", lambda spec, t, y: calls.append(len(y)) or exact(spec, t, y))
+    code, captured = _main_in_process(["verify", "mass", "--group", group, "--levels", "16,24", "--out", str(tmp_path)], capsys)
+    assert code in (0, 1), captured.err
+    assert calls == ([16**3, 24**3] if group == "torus:3" else [16, 24])
+
+
+def test_commands_need_no_scipy(tmp_path):
+    coeffs = {"group": "torus:1", "entries": [{"label": [1], "matrix": [[[1.0, 0.0]]]}]}
+    (tmp_path / "c.json").write_text(json.dumps(coeffs))
+    (tmp_path / "p.json").write_text(json.dumps([[0.3]]))
+    out = str(tmp_path / "o")
+    runs = [
+        ["verify", "reproducing", "--group", "su2", "--cutoff", "2", "--levels", "16,24"],
+        ["verify", "unitarity", "--group", "torus:2", "--cutoff", "2"],
+        ["report", "lattice", "--group", "su2"],
+        ["report", "bounds", "--group", "su2"],
+        ["invert", "--group", "torus:1", "--coeffs", "c.json", "--points", "p.json"],
+    ]
+    script = "import sys\nfrom gsb.cli import main\n" + "".join(
+        f"assert main({[*args, '--out', out]!r}) == 0\n" for args in runs
+    ) + "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules), sorted(sys.modules)\n"
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH", "")) if p)
     r = subprocess.run(
         [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path)

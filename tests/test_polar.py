@@ -5,6 +5,7 @@ import pytest
 
 from gsb.groups import random_algebra, random_k, su2, torus
 from gsb.polar import (
+    MAX_ABS_Y,
     PointKC,
     frame_coefficients,
     identity_point,
@@ -143,3 +144,23 @@ def test_frame_apply_on_matrix_entry(which):
 def test_identity_point():
     p = identity_point(su2())
     assert np.allclose(polar_compose(su2(), p), np.eye(2))
+
+
+def test_polar_compose_matches_expm():
+    # the closed form of exp(iY) against scipy's expm, whose own error near
+    # |Y| = MAX_ABS_Y is about 3e-14 of the matrix size (the closed form is
+    # within 3e-15 of a 40-digit evaluation there)
+    from scipy.linalg import expm
+
+    from gsb.groups import SU2_BASIS
+
+    spec = su2()
+    rng = np.random.default_rng(11)
+    for k in range(200):
+        direction = rng.standard_normal(3)
+        y = direction / np.linalg.norm(direction) * MAX_ABS_Y * rng.uniform() if k else np.zeros(3)
+        x = random_k(spec, rng)
+        exact = x @ expm(1j * np.tensordot(y, SU2_BASIS, axes=(0, 0)))
+        got = polar_compose(spec, PointKC(spec, x, y))
+        assert np.max(np.abs(got - exact)) <= 5e-14 * np.max(np.abs(exact)), y
+    assert np.array_equal(polar_compose(spec, PointKC(spec, np.eye(2), np.zeros(3))), np.eye(2))

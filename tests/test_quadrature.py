@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sps
 from scipy.integrate import quad
 
+from gsb.bounds import LatticePoly, _chamber_gaussian_integral
 from gsb.groups import character, su2, torus
 from gsb.quadrature import (
+    MAX_ORDER,
     QuadSpec,
     integrate_K,
     integrate_kspace,
     integrate_laguerre,
     kspace_rule,
+    roots_genlaguerre,
+    roots_hermite,
+    roots_legendre,
 )
 
 
@@ -109,3 +115,59 @@ def test_su2_rule_is_radial_times_sphere():
     res = integrate_kspace(su2(), t, lambda ys: np.exp(-np.sum(ys**2, axis=1)), QuadSpec(levels=(16, 24)))
     assert res.value.real == pytest.approx(np.dot(rule.radial_weights, np.exp(-rule.radii**2)), rel=1e-14)
     assert kspace_rule(torus(2), t, 8).radii is None
+
+
+def _same_bits(rule, reference):
+    return all(np.array_equal(a, b) for a, b in zip(rule, reference))
+
+
+def test_rules_match_scipy_bit_for_bit():
+    # scipy is the oracle here only; the package builds the rules in numpy
+    for n in range(2, MAX_ORDER + 1):
+        assert _same_bits(roots_hermite(n), sps.roots_hermite(n)), n
+        if n % 2 == 0:
+            assert _same_bits(roots_legendre(n), sps.roots_legendre(n)), n
+    for alpha in (1, 3, 5):
+        for n in range(2, 129):
+            assert _same_bits(roots_genlaguerre(n, alpha), sps.roots_genlaguerre(n, alpha)), (n, alpha)
+
+
+def test_odd_legendre_rules_close_to_scipy():
+    # cephes evaluates P_n near 0 by a power series, the recurrence here does
+    # not: the middle weight moves by a few ulp, and through the weights'
+    # normalisation some others by the last bit or two
+    for n in range(3, MAX_ORDER + 1, 2):
+        x, w = roots_legendre(n)
+        ref_x, ref_w = sps.roots_legendre(n)
+        assert np.array_equal(x, ref_x), n
+        ulp = np.abs(w - ref_w) / np.spacing(ref_w)
+        assert ulp[n // 2] <= 32, n
+        assert np.delete(ulp, n // 2).max() <= 4, n
+
+
+def test_rules_are_cached_and_read_only():
+    x, w = roots_hermite(24)
+    assert roots_hermite(24)[0] is x
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+
+
+@pytest.mark.parametrize("rule", [roots_hermite, roots_legendre, lambda n: roots_genlaguerre(n, 1)])
+def test_rules_refuse_orders_above_max(rule):
+    rule(MAX_ORDER)
+    with pytest.raises(ValueError):
+        rule(MAX_ORDER + 1)
+
+
+@pytest.mark.parametrize(
+    "spec, exact",
+    [
+        # (1/A) int over the chamber of (1 + |x|) e^{-|x|^2} dx in closed form
+        (torus(1), (math.sqrt(math.pi) + 1.0) / (2 * math.pi)),
+        (torus(2), (math.pi + math.pi**1.5 / 2.0) / (2 * math.pi) ** 2),
+        (torus(3), (math.pi**1.5 + 2.0 * math.pi) / (2 * math.pi) ** 3),
+        (su2(), (math.sqrt(math.pi) / 2.0 + 0.5) / (4 * math.pi)),
+    ],
+)
+def test_chamber_integral_odd_degree(spec, exact):
+    assert _chamber_gaussian_integral(spec, LatticePoly((1.0, 1.0))) == pytest.approx(exact, rel=1e-15)
