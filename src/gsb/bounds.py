@@ -17,7 +17,7 @@ import numpy as np
 from .groups import GroupSpec, root_data
 from .heat import rho_eval
 from .polar import PointKC, log_phi
-from .transform import HoloFunc, _eval_holo_batch
+from .transform import HoloFunc, exp_iy_batch
 
 __all__ = [
     "LatticePoly",
@@ -186,10 +186,9 @@ def growth_functional(F: HoloFunc, t: float, n: int, grid: np.ndarray):
     Worked in log space; returns (value, argmax Y).
     """
     spec = F.spec
-    x0 = np.zeros(spec.rank) if spec.kind == "torus" else np.eye(2, dtype=complex)
-    vals = _eval_holo_batch(F, x0, grid)
+    vals = F.coefs.eval_k_batch(1j * grid if spec.kind == "torus" else exp_iy_batch(spec, grid))
     u = np.sum(grid**2, axis=1)
-    log_env = np.array([log_phi(spec, y) for y in grid]) + u / t
+    log_env = log_phi(spec, grid) + u / t
     with np.errstate(divide="ignore"):
         logs = 2.0 * np.log(np.abs(vals)) + 2.0 * n * np.log1p(u) - log_env
     i = int(np.argmax(logs))

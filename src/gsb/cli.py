@@ -38,7 +38,7 @@ from .groups import (
 from .heat import log_nu_t
 from .kernels import KernelQuery, k_sobolev_integral, k_sobolev_spectral, reproduce_check
 from .polar import MAX_ABS_Y, PointKC, log_phi
-from .quadrature import MAX_ORDER, QuadSpec, integrate_levels
+from .quadrature import MAX_ORDER, QuadSpec, _tensor_rule, integrate_levels, roots_legendre
 from .sobolev import (
     first_order_forms,
     laplacian_apply,
@@ -49,7 +49,7 @@ from .sobolev import (
     toeplitz_symbol,
     weighted_form,
 )
-from .transform import _ball_radii, _cube_nodes, ct_forward, holo_inner, inverse_integral_trace
+from .transform import _ball_radii, ct_forward, holo_inner, inverse_integral_trace
 
 VERIFY_SUITES = (
     "unitarity",
@@ -63,6 +63,9 @@ VERIFY_SUITES = (
 REPORT_KINDS = ("bounds", "smoothness", "lattice", "symbol")
 
 VERIFY_COLUMNS = ["case-id", "lhs", "rhs", "rel-err", "tol", "pass", "gap"]
+
+# the mass suite on torus:r builds level^r cube nodes, some tens of bytes each
+MAX_CUBE_NODES = 2_000_000
 
 
 class ConfigError(ValueError):
@@ -272,6 +275,23 @@ def _gap(res, q: QuadSpec, floor: float) -> float:
     return integrate_levels(q, dict(zip(q.levels, res.by_level)).__getitem__, floor).gap
 
 
+def _cube_nodes(spec: GroupSpec, radius: float, level: int):
+    """Nodes/weights of the tensor Gauss-Legendre rule on [-radius, radius]^r (tori)."""
+    x, w = roots_legendre(level)
+    return _tensor_rule(radius * x, radius * w, spec.rank)
+
+
+def _check_cube_budget(cfg: RunConfig):
+    """Refuse a mass run on torus:r whose finest cube exceeds MAX_CUBE_NODES."""
+    spec = cfg.spec
+    if spec.kind == "torus" and max(cfg.levels) ** spec.rank > MAX_CUBE_NODES:
+        allowed = max(k for k in range(1, MAX_ORDER + 1) if k**spec.rank <= MAX_CUBE_NODES)
+        raise ConfigError(
+            f"verify mass on {spec} builds level^{spec.rank} cube nodes, above {MAX_CUBE_NODES} at level "
+            f"{max(cfg.levels)}; the largest allowed level is {allowed}"
+        )
+
+
 def _mass_level(spec: GroupSpec, t: float, radius: float, level: int) -> complex:
     """int exp(log nu_t - 2 log Phi) dY over |Y| <= R by a Gauss-Legendre rule:
     radial with weight 4 pi r^2 on SU(2), the cube [-R, R]^r on tori."""
@@ -436,6 +456,8 @@ def _group_tag(cfg: RunConfig) -> str:
 
 
 def cmd_verify(suite: str, cfg: RunConfig) -> int:
+    if suite == "mass":
+        _check_cube_budget(cfg)
     all_pass = True
     reports = []
     for t in cfg.t:

@@ -23,8 +23,8 @@ from .groups import (
 )
 from .heat import _choose_cutoff, rho_eval
 from .polar import PointKC, norm_y, polar_compose, polar_decompose, star
-from .quadrature import QuadSpec, integrate_laguerre, integrate_levels, kspace_rule
-from .transform import HoloFunc, _schur_profiles, eval_holo
+from .quadrature import QuadSpec, integrate_laguerre, integrate_levels
+from .transform import HoloFunc, _profiles, eval_holo
 
 __all__ = [
     "KernelQuery",
@@ -121,30 +121,23 @@ def reproduce_check(F: HoloFunc, g: PointKC, q: QuadSpec | None = None):
     |F(g) - int k_t(g,h) F(h) nu_t(h) dh| / (1 + |F(g)|).
 
     The K-part of the h-integral is exact (Schur), leaving one k-space
-    quadrature of sum_pi e^{-lambda t} trace(pi(g e^{2iY}) B_pi).  On SU(2)
-    the sphere mean of pi_m(e^{2iY}) is chi_m(|Y|)/m, so irrep m contributes
-    trace(pi_m(g) B_m) times one radial sum (which should be exactly 1).
-    Returns (residual, gap), the gap between the two finest levels relative
-    to the larger of them and the residual's scale 1 + |F(g)|.
+    quadrature of sum_pi e^{-lambda t} trace(pi(g e^{2iY}) B_pi).  The mean
+    of e^{-lambda t} pi(e^{2iY}) is the identity (the sphere mean
+    chi_m(|Y|)/m on SU(2), the shifted Gaussian on a torus), so label pi
+    contributes trace(pi(g) B_pi) times the sum of its profile a (which
+    should be exactly 1).  Returns (residual, gap), the gap between the two
+    finest levels relative to the larger of them and the residual's scale
+    1 + |F(g)|.
     """
     q = q or QuadSpec()
     spec, t = F.spec, F.t
     g_mat = polar_compose(spec, g)
-    if spec.kind == "su2":
-        traces = [
-            (m, np.trace(rep_matrix(spec, m, g_mat) @ block)) for m, block in sorted(F.coefs.entries.items())
-        ]
+    traces = [
+        (label, np.trace(rep_matrix(spec, label, g_mat) @ block)) for label, block in sorted(F.coefs.entries.items())
+    ]
 
-        def value_at(level):
-            return sum(tr * np.sum(_schur_profiles(t, level, m)[1]) for m, tr in traces)
-
-    else:
-        damped = F.coefs.spectral(lambda lam: math.exp(-lam * t))
-
-        def value_at(level):
-            rule = kspace_rule(spec, t, level)
-            zs = np.asarray(g_mat, dtype=complex)[None, :] + 2j * rule.nodes
-            return np.dot(rule.weights, damped.eval_k_batch(zs))
+    def value_at(level):
+        return sum(tr * np.sum(_profiles(spec, t, level, label)[1]) for label, tr in traces)
 
     fg = eval_holo(F, g)
     scale = 1.0 + abs(fg)

@@ -9,7 +9,8 @@ Three families:
   work (exp(-r^2/t) sinh(r) r dr is a Gaussian centered at t/2 after
   folding); the rule can be re-centred to absorb an exponential factor
   e^{k r} of the sphere means.  A product sphere rule on top gives the tensor nodes that
-  integrate_kspace hands to integrands with no such structure;
+  integrate_kspace hands to integrands with no such structure (the torus
+  K_C integrals of transform run on a shifted rule per label instead);
 * generalized Gauss-Laguerre for integrals with weight s^{2n-1} e^{-cs};
 * sampling rules on K itself (exact trigonometric on tori, Euler-angle
   product rule on SU(2)).

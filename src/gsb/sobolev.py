@@ -180,11 +180,11 @@ def phi_x_weight(spec: GroupSpec, t: float, k: int):
 
     phi_X(x e^{iY}) = (i/2) sum_l d_{kl}(Y) d(log nu_t)/dy_l,
 
-    with d the normal-derivative block of the frame coefficients.  On SU(2)
-    it is returned as an AxisWeight, y_k times a radial factor.
+    with d the normal-derivative block of the frame coefficients, returned
+    as an AxisWeight, y_k times a radial factor.
     """
     if spec.kind == "torus":
-        return lambda ys: -1j * np.asarray(ys, dtype=float)[:, k] / t
+        return AxisWeight(k, lambda u: -1j / t)
     # grad log nu_t is parallel to Y, which spans the kernel of ad(Y), so the
     # frame block d(Y) = S^{-1} cos(ad Y) acts on it as the identity and the
     # contraction collapses to y_k times a radial profile

@@ -19,7 +19,15 @@ exponential e^{k r} of chi_m = sum_k e^{k r} is integrated on the radial
 Gauss-Hermite rule centred at its own peak (quadrature.su2_radial_rule),
 the leading one at m t/2, with the factor that completing the square leaves
 formed from its exponent; the inversion integral uses a radial
-Gauss-Legendre rule on [0, R].  Tori keep the tensor rules.
+Gauss-Legendre rule on [0, R].
+
+On a torus nu_t is the isotropic Gaussian e^{-|Y|^2/t} / (pi t)^{r/2}, and
+label n meets it through e^{-2 n.Y}.  Completing the square turns
+e^{-2 n.Y} dmu_t into e^{t |n|^2} N(-t n, t/2), and the block damping
+e^{-t |n|^2} cancels the first factor.  With zeta = Y.nhat and s = |Y_perp|^2,
+a weight rho(|Y|^2) sees only u = zeta^2 + s, and y_k rho only its mean
+nhat_k zeta rho along the shift, so every torus K_C integral is one sum over
+a rule in (zeta, s) per label.  The inversion integral factors over the axes.
 """
 
 from __future__ import annotations
@@ -43,9 +51,9 @@ from .polar import MAX_ABS_Y, PointKC, log_phi
 from .quadrature import (
     QuadResult,
     QuadSpec,
-    _tensor_rule,
     integrate_levels,
-    kspace_rule,
+    roots_genlaguerre,
+    roots_hermite,
     roots_legendre,
     su2_radial_rule,
 )
@@ -99,14 +107,11 @@ def eval_holo(F: HoloFunc, p: PointKC) -> complex:
 
 
 def exp_iy_batch(spec: GroupSpec, ys: np.ndarray) -> np.ndarray:
-    """exp(iY) for a batch of algebra coordinates; (N, 2, 2) for SU(2).
+    """exp(iY) for an (N, 3) batch of su(2) coordinates, shape (N, 2, 2).
 
-    For tori the group element batch is x + iY restricted to x = 0, i.e.
-    the complex vector iY, shape (N, r).
+    On a torus the point e^{iY} is just the complex vector iY.
     """
     ys = np.asarray(ys, dtype=float)
-    if spec.kind == "torus":
-        return 1j * ys
     r = np.linalg.norm(ys, axis=1)
     safe = np.where(r < 1e-12, 1.0, r)
     # iY = -(1/2)(y.sigma): exp(iY) = cosh(r/2) I - sinh(r/2)(yhat.sigma)
@@ -124,8 +129,9 @@ def exp_iy_batch(spec: GroupSpec, ys: np.ndarray) -> np.ndarray:
 class AxisWeight:
     """The direction-dependent weight y_k * radial(|Y|^2) on the Lie algebra.
 
-    Calling it on an (N, dim) node batch gives the per-node factors; on SU(2)
-    holo_inner uses the structure instead (Schur on the sphere).
+    holo_inner integrates it through its structure (its mean on each sphere
+    on SU(2), along the shift on a torus); calling it on an (N, dim) node
+    batch gives the per-node factors, for a rule on the whole algebra.
     """
 
     axis: int
@@ -134,19 +140,6 @@ class AxisWeight:
     def __call__(self, ys: np.ndarray) -> np.ndarray:
         ys = np.asarray(ys, dtype=float)
         return ys[:, self.axis] * self.radial(np.sum(ys**2, axis=1))
-
-
-def _pair_k_integrals(F1: HoloFunc, F2: HoloFunc, ys: np.ndarray) -> np.ndarray:
-    """Exact int_K conj(F1) F2 dx at each Y of a torus batch, by Schur orthogonality."""
-    spec = F1.spec
-    exp_iy = exp_iy_batch(spec, ys)
-    out = np.zeros(ys.shape[0], dtype=complex)
-    for label in sorted(set(F1.coefs.entries) & set(F2.coefs.entries)):
-        b1 = F1.coefs.entries[label]
-        b2 = F2.coefs.entries[label]
-        scal = np.exp(1j * exp_iy @ np.asarray(label))  # e^{-n.Y}
-        out += (spec.volume / irrep_dim(spec, label)) * np.conj(scal * b1[0, 0]) * (scal * b2[0, 0])
-    return out
 
 
 @lru_cache(maxsize=1024)
@@ -180,29 +173,85 @@ def _schur_profiles(t: float, level: int, m: int):
     return r, a, b
 
 
-def _su2_inner_level(F1: HoloFunc, F2: HoloFunc, level: int, weight, axis_weight) -> complex:
-    """One level of holo_inner on SU(2): one radial sum per common irrep."""
+# a rule holds L^3 nodes on torus:4 (21 MB at L = 96), so few are kept
+@lru_cache(maxsize=64)
+def _torus_profiles(t: float, level: int, rank: int, nsq: int):
+    """Rule for a torus label n with |n|^2 = nsq, the Gaussian shifted by -t n.
+
+    Returns read-only (u, a, zeta) such that, for a radial factor rho(u),
+    u = |Y|^2,
+
+        e^{-t |n|^2} int rho e^{-2 n.Y} dmu_t     ~ sum_i a_i rho(u_i),
+        e^{-t |n|^2} int y_k rho e^{-2 n.Y} dmu_t ~ nhat_k sum_i a_i zeta_i rho(u_i).
+
+    zeta = Y.nhat ~ N(-t |n|, t/2) takes the level-point Gauss-Hermite rule;
+    s = |Y_perp|^2 ~ (t/2) chi^2_{r-1} is t x^2 on a Gauss-Hermite node x for
+    one of its r - 1 squares when r is even, plus t v on a generalized
+    Gauss-Laguerre node v (alpha = (r-1)//2 - 1, mass alpha!) for the rest
+    when r >= 3.  Polynomial weights rho are integrated exactly.
+    """
+    x, h = roots_hermite(level)
+    gauss = h / math.sqrt(math.pi)
+    zeta = -t * math.sqrt(nsq) + math.sqrt(t) * x
+    s, v = np.zeros(1), np.ones(1)
+    if rank % 2 == 0:
+        s, v = t * x**2, gauss
+    if rank >= 3:
+        alpha = (rank - 1) // 2 - 1
+        xl, wl = roots_genlaguerre(level, alpha)
+        s = (s[:, None] + t * xl[None, :]).ravel()
+        v = (v[:, None] * (wl / math.factorial(alpha))[None, :]).ravel()
+    u = (zeta[:, None] ** 2 + s[None, :]).ravel()
+    a = (gauss[:, None] * v[None, :]).ravel()
+    zeta = np.repeat(zeta, s.size)
+    for arr in (u, a, zeta):
+        arr.setflags(write=False)
+    return u, a, zeta
+
+
+def _profiles(spec: GroupSpec, t: float, level: int, label):
+    """(u, a, b) of one label: for blocks B1, B2 with the damping undone,
+
+        e^{-lam t} int rho tr(B1^* pi(e^{2iY}) B2) dmu_t     ~ tr(B1^* B2) sum_i a_i rho(u_i),
+        e^{-lam t} int y_k rho tr(B1^* pi(e^{2iY}) B2) dmu_t ~ tr(B1^* dpi(E_k) B2) sum_i b_i rho(u_i),
+
+    rho a function of u = |Y|^2.  On SU(2) these are _schur_profiles with
+    u = r^2; on a torus pi(e^{2iY}) = e^{-2 n.Y} and dpi(E_k) = i n_k, so
+    b = (-i/|n|) zeta a, and b = 0 at n = 0.
+    """
+    if spec.kind == "su2":
+        r, a, b = _schur_profiles(t, level, label)
+        return r * r, a, b
+    nsq = int(np.dot(label, label))
+    u, a, zeta = _torus_profiles(t, level, spec.rank, nsq)
+    b = (-1j / math.sqrt(nsq)) * zeta * a if nsq else np.zeros(a.shape)
+    return u, a, b
+
+
+def _inner_level(F1: HoloFunc, F2: HoloFunc, level: int, weight, axis_weight) -> complex:
+    """One level of holo_inner: one sum per common label."""
     spec, t = F1.spec, F1.t
+    if axis_weight is not None:
+        direction = SU2_BASIS[axis_weight.axis] if spec.kind == "su2" else np.eye(spec.rank)[axis_weight.axis]
     total = 0.0 + 0.0j
-    for m in sorted(set(F1.coefs.entries) & set(F2.coefs.entries)):
+    for label in sorted(set(F1.coefs.entries) & set(F2.coefs.entries)):
         # undo the damping of both blocks (up to e^700, past which the rest
         # goes on the sum) so the product and the profile stay O(1)
-        half_lam = laplacian_eigenvalue(spec, m) * t / 2.0
+        half_lam = laplacian_eigenvalue(spec, label) * t / 2.0
         undo = min(half_lam, 700.0)
-        b1 = math.exp(undo) * F1.coefs.entries[m]
-        b2 = math.exp(undo) * F2.coefs.entries[m]
-        r, a, b = _schur_profiles(t, level, m)
-        u = r * r
+        b1 = math.exp(undo) * F1.coefs.entries[label]
+        b2 = math.exp(undo) * F2.coefs.entries[label]
+        u, a, b = _profiles(spec, t, level, label)
         if axis_weight is None:
             trace = np.sum(b1.conj() * b2)
             prof = a
         else:
-            gen = rep_generator(spec, m, SU2_BASIS[axis_weight.axis])
+            gen = rep_generator(spec, label, direction)
             trace = np.sum(b1.conj() * (gen @ b2))
             prof = b * axis_weight.radial(u)
         if weight is not None:
             prof = prof * weight(u)
-        total += (spec.volume / m) * trace * np.sum(prof) * math.exp(2.0 * (half_lam - undo))
+        total += (spec.volume / irrep_dim(spec, label)) * trace * np.sum(prof) * math.exp(2.0 * (half_lam - undo))
     return complex(total)
 
 
@@ -210,30 +259,16 @@ def holo_inner(F1: HoloFunc, F2: HoloFunc, q: QuadSpec, weight=None, weight_node
     """<F1, F2> against weight(|Y|^2) * nu_t(g) dg, K-part exact.
 
     weight maps u = |Y|^2 (vectorized) to a factor; None means 1.
-    weight_nodes, if given, maps the (N, r) node batch to per-node factors
-    (for weights that depend on the direction of Y, not just its length);
-    on SU(2) it must be an AxisWeight, whose sphere means Schur gives.
+    weight_nodes, if given, is an AxisWeight: a weight y_k * radial(|Y|^2)
+    that depends on the direction of Y, not just its length.
     """
     if F1.spec != F2.spec:
         raise ValueError("mismatched group specs")
     if abs(F1.t - F2.t) > 0:
         raise ValueError("mismatched transform times")
-    spec, t = F1.spec, F1.t
-    if spec.kind == "su2" and weight_nodes is not None and not isinstance(weight_nodes, AxisWeight):
-        raise TypeError("on su2 a direction-dependent weight must be an AxisWeight")
-    if spec.kind == "su2":
-        return integrate_levels(q, lambda level: _su2_inner_level(F1, F2, level, weight, weight_nodes))
-
-    def torus_level(level):
-        rule = kspace_rule(spec, t, level)
-        vals = _pair_k_integrals(F1, F2, rule.nodes)
-        if weight is not None:
-            vals = vals * weight(np.sum(rule.nodes**2, axis=1))
-        if weight_nodes is not None:
-            vals = vals * weight_nodes(rule.nodes)
-        return np.dot(rule.weights, vals)
-
-    return integrate_levels(q, torus_level)
+    if weight_nodes is not None and not isinstance(weight_nodes, AxisWeight):
+        raise TypeError("a direction-dependent weight must be an AxisWeight")
+    return integrate_levels(q, lambda level: _inner_level(F1, F2, level, weight, weight_nodes))
 
 
 def holo_l2_norm(F: HoloFunc, q: QuadSpec | None = None) -> float:
@@ -253,12 +288,6 @@ def ct_inverse_spectral(F: HoloFunc) -> CoefVec:
     return F.coefs.spectral(lambda lam: math.exp(lam * F.t / 2.0))
 
 
-def _cube_nodes(spec: GroupSpec, radius: float, level: int):
-    """Nodes/weights of the tensor Gauss-Legendre rule on [-radius, radius]^r (tori)."""
-    x, w = roots_legendre(level)
-    return _tensor_rule(radius * x, radius * w, spec.rank)
-
-
 def _ball_radii(radius: float, level: int):
     """Radii r_i and weights (R/2) w_i 4 pi r_i^2 of the Gauss-Legendre rule on
     [0, R]: sum_i W_i f(r_i) ~ int_{|Y|<=R} f(|Y|) dY on su(2)."""
@@ -268,10 +297,20 @@ def _ball_radii(radius: float, level: int):
 
 
 def _torus_inverse_level(F: HoloFunc, x, radius: float, level: int) -> complex:
-    """int over the cube |y_i| <= R of F(x e^{iY}) e^{-|Y|^2/2t} dY on a torus (Phi = 1)."""
-    nodes, weights = _cube_nodes(F.spec, radius, level)
-    damp = np.exp(-np.sum(nodes**2, axis=1) / (2.0 * F.t))
-    return complex(np.dot(weights, _eval_holo_batch(F, x, nodes) * damp))
+    """int over the cube |y_i| <= R of F(x e^{iY}) e^{-|Y|^2/2t} dY on a torus (Phi = 1).
+
+    Label n contributes tr(pi_n(x) B_n) times e^{-n.Y} e^{-|Y|^2/2t}, a
+    product over the axes, so the Gauss-Legendre tensor rule on the cube
+    is one 1-D sum per axis.
+    """
+    y, w = roots_legendre(level)
+    y = radius * y
+    w = radius * w * np.exp(-(y**2) / (2.0 * F.t))
+    total = 0.0 + 0.0j
+    for label, block in F.coefs.entries.items():
+        axes = math.prod(np.dot(w, np.exp(-nk * y)) for nk in label)
+        total += np.trace(rep_matrix(F.spec, label, x) @ block) * axes
+    return complex(total)
 
 
 def _su2_inverse_level(F: HoloFunc, x, radius: float, level: int) -> complex:
@@ -285,7 +324,7 @@ def _su2_inverse_level(F: HoloFunc, x, radius: float, level: int) -> complex:
     spec, t = F.spec, F.t
     r, w = _ball_radii(radius, level)
     log_w = np.log(w)
-    log_w -= r**2 / (2.0 * t) + np.array([log_phi(spec, np.array([0.0, 0.0, ri / 2.0])) for ri in r])
+    log_w -= r**2 / (2.0 * t) + log_phi(spec, (r / 2.0)[:, None] * np.array([0.0, 0.0, 1.0]))
     total = 0.0 + 0.0j
     for m, block in F.coefs.entries.items():
         undo = min(laplacian_eigenvalue(spec, m) * t / 2.0, 700.0)
@@ -302,9 +341,9 @@ def ct_inverse_integral(F: HoloFunc, x, radius: float, q: QuadSpec | None = None
     (2 pi t)^{-d/2} e^{-|delta|^2 t/2} int_{|Y|<=R} F(x e^{iY})
         e^{-|Y|^2/2t} / Phi(Y/2) dY.
 
-    Tori integrate over the cube |y_i| <= R with a tensor Gauss-Legendre
-    rule; SU(2) integrates over the ball by the radial reduction of
-    _su2_inverse_level.
+    Tori integrate over the cube |y_i| <= R with a Gauss-Legendre rule per
+    axis (_torus_inverse_level); SU(2) integrates over the ball by the
+    radial reduction of _su2_inverse_level.
     """
     if radius > MAX_ABS_Y:
         raise ValueError("radius exceeds the |Y| overflow guard")
@@ -316,17 +355,6 @@ def ct_inverse_integral(F: HoloFunc, x, radius: float, q: QuadSpec | None = None
         raise QuadratureError(f"inversion quadrature gap {res.gap:.3e} exceeds {q.tolerance:.3e}", res)
     pref = (2.0 * math.pi * t) ** (-spec.dim / 2.0) * math.exp(-spec.delta_sq * t / 2.0)
     return pref * res.value
-
-
-def _eval_holo_batch(F: HoloFunc, x, ys: np.ndarray) -> np.ndarray:
-    """F(x e^{iY}) for fixed x in K over a batch of Y."""
-    spec = F.spec
-    if spec.kind == "torus":
-        zs = np.asarray(x, dtype=float)[None, :] + 1j * ys
-        return F.coefs.eval_k_batch(zs)
-    gx = np.asarray(x, dtype=complex)
-    gs = gx[None] @ exp_iy_batch(spec, ys)
-    return F.coefs.eval_k_batch(gs)
 
 
 def inverse_integral_trace(F: HoloFunc, x, radii, q: QuadSpec | None = None):

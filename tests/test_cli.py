@@ -251,3 +251,39 @@ def test_commands_need_no_scipy(tmp_path):
         [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path)
     )
     assert r.returncode == 0, r.stderr
+
+
+def test_torus_unitarity_builds_no_tensor_rule(tmp_path, capsys, monkeypatch):
+    # every torus K_C integral runs on the shifted per-label rule, so the
+    # L^r tensor rule (kept for integrate_kspace) is never built
+    import gsb.quadrature
+
+    calls = []
+    build = gsb.quadrature._kspace_rule_cached
+    monkeypatch.setattr(gsb.quadrature, "_kspace_rule_cached", lambda *key: calls.append(key) or build(*key))
+    args = ["verify", "unitarity", "--group", "torus:3", "--cutoff", "1", "--out", str(tmp_path)]
+    code, captured = _main_in_process(args, capsys)
+    assert code == 0, captured.err
+    assert calls == []
+
+
+@pytest.mark.parametrize("group, level, allowed", [("torus:4", 96, 37), ("torus:4", 38, 37), ("torus:3", 126, 125)])
+def test_mass_cube_budget_exits_2_before_work(tmp_path, capsys, monkeypatch, group, level, allowed):
+    # the cube is never built for an oversize run; the largest allowed level passes the guard
+    import gsb.cli
+
+    class Built(Exception):
+        pass
+
+    def refuse(spec, radius, level):
+        raise Built(level)
+
+    monkeypatch.setattr(gsb.cli, "_cube_nodes", refuse)
+    out = tmp_path / "o"
+    args = ["verify", "mass", "--group", group, "--levels", f"16,{level}", "--out", str(out)]
+    code, captured = _main_in_process(args, capsys)
+    assert code == 2
+    assert f"the largest allowed level is {allowed}" in captured.err
+    assert not out.exists()
+    with pytest.raises(Built):
+        _main_in_process([*args[:5], f"16,{allowed}", *args[6:]], capsys)
