@@ -6,10 +6,10 @@ and its inverses, reproducing and Sobolev kernels, Toeplitz symbols, and
 lattice-sum/growth-functional bound diagnostics.
 """
 
-from .coeffs import CoefVec, basis_entry, from_torus_samples
+from .coeffs import CoefVec, basis_entry
 from .groups import GroupSpec, parse_group, su2, torus
-from .heat import heat_coeffs, log_nu_t, nu_t, rho_eval
-from .kernels import KernelQuery, k_sobolev_integral, k_sobolev_spectral, k_t, reproduce_check
+from .heat import log_nu_t, nu_t, rho_eval
+from .kernels import KernelQuery, k_sobolev_integral, k_sobolev_spectral, reproduce_check
 from .polar import PointKC, identity_point, phi, polar_compose, polar_decompose, star
 from .quadrature import QuadResult, QuadSpec, integrate_K, integrate_kspace, integrate_laguerre
 from .sobolev import (
@@ -26,7 +26,6 @@ from .transform import (
     ct_forward,
     ct_inverse_integral,
     ct_inverse_spectral,
-    eval_holo,
     holo_inner,
     holo_l2_norm,
 )
@@ -44,9 +43,6 @@ __all__ = [
     "ct_forward",
     "ct_inverse_integral",
     "ct_inverse_spectral",
-    "eval_holo",
-    "from_torus_samples",
-    "heat_coeffs",
     "holo_inner",
     "holo_l2_norm",
     "holo_sobolev_norm",
@@ -56,7 +52,6 @@ __all__ = [
     "integrate_laguerre",
     "k_sobolev_integral",
     "k_sobolev_spectral",
-    "k_t",
     "laplacian_apply",
     "log_nu_t",
     "nu_t",

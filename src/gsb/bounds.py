@@ -239,6 +239,7 @@ def kernel_bound_check(
     if y_points is None:
         y_points = polar_grid(spec, 4.0, n_radial=16, n_angular=8)
     alpha = alpha_t_estimate(spec, t, P)
+    log_phis = log_phi(spec, y_points)
     rows = []
     ok = True
     if spec.kind == "torus":
@@ -247,7 +248,7 @@ def kernel_bound_check(
         x0 = np.eye(2, dtype=complex)
     for tau in taus:
         worst = 0.0
-        for y in y_points:
+        for y, log_phi_y in zip(y_points, log_phis):
             value, _ = rho_eval(spec, 2.0 * tau, PointKC(spec, x0, 2.0 * y))
             u = float(np.dot(y, y))
             log_bound = (
@@ -255,7 +256,7 @@ def kernel_bound_check(
                 + (spec.rank - spec.dim) / 2.0 * math.log(tau)
                 + spec.delta_sq * tau
                 + u / tau
-                + log_phi(spec, y)
+                + log_phi_y
             )
             ratio = abs(value) / math.exp(log_bound)
             worst = max(worst, ratio)

@@ -34,11 +34,12 @@ from .groups import (
     parse_group,
     random_algebra,
     random_k,
+    su2_euler,
 )
 from .heat import log_nu_t
 from .kernels import KernelQuery, k_sobolev_integral, k_sobolev_spectral, reproduce_check
 from .polar import MAX_ABS_Y, PointKC, log_phi
-from .quadrature import MAX_ORDER, QuadSpec, _tensor_rule, integrate_levels, roots_legendre
+from .quadrature import MAX_ORDER, QuadSpec, integrate_levels
 from .sobolev import (
     first_order_forms,
     laplacian_apply,
@@ -63,9 +64,6 @@ VERIFY_SUITES = (
 REPORT_KINDS = ("bounds", "smoothness", "lattice", "symbol")
 
 VERIFY_COLUMNS = ["case-id", "lhs", "rhs", "rel-err", "tol", "pass", "gap"]
-
-# the mass suite on torus:r builds level^r cube nodes, some tens of bytes each
-MAX_CUBE_NODES = 2_000_000
 
 
 class ConfigError(ValueError):
@@ -218,6 +216,12 @@ def _fmt_num(x) -> str:
     return format(float(x), ".17g")
 
 
+def _name_num(x) -> str:
+    """Shortest round-trip form of x for file names: 0.05, not 0.050000000000000003; 1, not 1.0."""
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
+
+
 def _row_strings(row):
     out = []
     for cell in row:
@@ -275,31 +279,13 @@ def _gap(res, q: QuadSpec, floor: float) -> float:
     return integrate_levels(q, dict(zip(q.levels, res.by_level)).__getitem__, floor).gap
 
 
-def _cube_nodes(spec: GroupSpec, radius: float, level: int):
-    """Nodes/weights of the tensor Gauss-Legendre rule on [-radius, radius]^r (tori)."""
-    x, w = roots_legendre(level)
-    return _tensor_rule(radius * x, radius * w, spec.rank)
-
-
-def _check_cube_budget(cfg: RunConfig):
-    """Refuse a mass run on torus:r whose finest cube exceeds MAX_CUBE_NODES."""
-    spec = cfg.spec
-    if spec.kind == "torus" and max(cfg.levels) ** spec.rank > MAX_CUBE_NODES:
-        allowed = max(k for k in range(1, MAX_ORDER + 1) if k**spec.rank <= MAX_CUBE_NODES)
-        raise ConfigError(
-            f"verify mass on {spec} builds level^{spec.rank} cube nodes, above {MAX_CUBE_NODES} at level "
-            f"{max(cfg.levels)}; the largest allowed level is {allowed}"
-        )
-
-
 def _mass_level(spec: GroupSpec, t: float, radius: float, level: int) -> complex:
-    """int exp(log nu_t - 2 log Phi) dY over |Y| <= R by a Gauss-Legendre rule:
-    radial with weight 4 pi r^2 on SU(2), the cube [-R, R]^r on tori."""
-    if spec.kind == "su2":
-        r, weights = _ball_radii(radius, level)
-        nodes = r[:, None] * np.array([0.0, 0.0, 1.0])
-    else:
-        nodes, weights = _cube_nodes(spec, radius, level)
+    """int exp(log nu_t - 2 log Phi) dY over |Y| <= R by the radial Gauss-Legendre
+    rule on [0, R] with weight |S^{dim-1}| r^{dim-1}: the integrand is radial on
+    every group, so it is evaluated along one unit direction with every
+    coordinate nonzero (a density that ignored a coordinate would fail)."""
+    r, weights = _ball_radii(radius, level, spec.dim)
+    nodes = r[:, None] * np.full(spec.dim, 1.0 / math.sqrt(spec.dim))
     return np.dot(weights, np.exp(log_nu_t(spec, t, nodes) - 2.0 * log_phi(spec, nodes)))
 
 
@@ -456,14 +442,12 @@ def _group_tag(cfg: RunConfig) -> str:
 
 
 def cmd_verify(suite: str, cfg: RunConfig) -> int:
-    if suite == "mass":
-        _check_cube_budget(cfg)
     all_pass = True
     reports = []
     for t in cfg.t:
         rows = _suite_rows(suite, cfg, t)
         all_pass = all_pass and all(row[5] for row in rows)
-        path = os.path.join(cfg.out, f"verify_{suite}_{_group_tag(cfg)}_t{_fmt_num(t)}.{cfg.fmt}")
+        path = os.path.join(cfg.out, f"verify_{suite}_{_group_tag(cfg)}_t{_name_num(t)}.{cfg.fmt}")
         reports.append((path, rows))
     for path, rows in reports:
         write_report(path, VERIFY_COLUMNS, rows, cfg.fmt)
@@ -533,21 +517,9 @@ def load_coefficients(path: str) -> CoefVec:
 def _parse_points(spec: GroupSpec, path: str):
     with open(path) as fp:
         data = json.load(fp)
-    points = []
-    for item in data:
-        if spec.kind == "torus":
-            points.append(np.asarray(item, dtype=float))
-        else:
-            phi, theta, psi = (float(v) for v in item)
-            ez = lambda a: np.array([[np.exp(0.5j * a), 0.0], [0.0, np.exp(-0.5j * a)]])
-            ey = np.array(
-                [
-                    [math.cos(theta / 2.0), math.sin(theta / 2.0)],
-                    [-math.sin(theta / 2.0), math.cos(theta / 2.0)],
-                ]
-            )
-            points.append(ez(phi) @ ey @ ez(psi))
-    return points
+    # torus: one angle per axis; su2: Euler triples [phi, theta, psi]
+    points = np.asarray(data, dtype=float).reshape(len(data), spec.dim)
+    return list(points if spec.kind == "torus" else su2_euler(*points.T))
 
 
 def cmd_invert(cfg: RunConfig, coeff_path: str, points_path: str) -> int:

@@ -17,12 +17,11 @@ from .groups import (
     GroupSpec,
     irrep_dim,
     laplacian_eigenvalue,
-    rep_matrix,
     rep_matrix_batch,
 )
 from .polar import PointKC, polar_compose
 
-__all__ = ["CoefVec", "basis_entry", "from_torus_samples"]
+__all__ = ["CoefVec", "basis_entry"]
 
 
 class CoefVec:
@@ -89,19 +88,12 @@ class CoefVec:
         return total
 
     def eval_k(self, x) -> complex:
-        """Evaluate f at a point of K (torus angles / 2x2 unitary)."""
-        total = 0.0 + 0.0j
-        for label, block in self.entries.items():
-            total += np.trace(rep_matrix(self.spec, label, x) @ block)
-        return complex(total)
+        """Evaluate f at a point of K (torus angles / 2x2 unitary), a batch of one."""
+        return complex(self.eval_k_batch(np.atleast_1d(x)[None])[0])
 
     def eval_kc(self, p: PointKC) -> complex:
         """Evaluate the analytic continuation at a polar point of K_C."""
-        g = polar_compose(self.spec, p)
-        total = 0.0 + 0.0j
-        for label, block in self.entries.items():
-            total += np.trace(rep_matrix(self.spec, label, g) @ block)
-        return complex(total)
+        return self.eval_k(polar_compose(self.spec, p))
 
     def eval_k_batch(self, xs: np.ndarray) -> np.ndarray:
         out = None
@@ -121,29 +113,3 @@ def basis_entry(spec: GroupSpec, label, i: int = 0, j: int = 0) -> CoefVec:
     block = np.zeros((d, d), dtype=complex)
     block[j, i] = 1.0
     return CoefVec(spec, {label: block})
-
-
-def from_torus_samples(spec: GroupSpec, values: np.ndarray, cutoff: int) -> CoefVec:
-    """Ingest a torus function from a uniform grid by exact trig quadrature.
-
-    values is sampled on the uniform tensor grid with N >= 2*cutoff+1 points
-    per axis; frequencies with max|n_i| <= cutoff are recovered exactly for
-    band-limited input.
-    """
-    if spec.kind != "torus":
-        raise ValueError("sampling ingestion is torus-only")
-    values = np.asarray(values, dtype=complex)
-    if values.ndim != spec.rank:
-        raise ValueError("sample grid rank mismatch")
-    if min(values.shape) < 2 * cutoff + 1:
-        raise ValueError("grid too coarse for the requested cutoff")
-    spectrum = np.fft.fftn(values) / values.size
-    entries = {}
-    from .groups import enumerate_irreps
-
-    for label in enumerate_irreps(spec, cutoff):
-        idx = tuple(n % values.shape[axis] for axis, n in enumerate(label))
-        coef = spectrum[idx]
-        if abs(coef) > 1e-14:
-            entries[label] = np.array([[coef]])
-    return CoefVec(spec, entries)

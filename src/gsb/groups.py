@@ -32,6 +32,7 @@ __all__ = [
     "rep_matrix",
     "rep_matrix_batch",
     "rep_generator",
+    "su2_euler",
     "character",
     "character_from_trace",
     "root_data",
@@ -164,13 +165,10 @@ def rep_matrix(spec: GroupSpec, label, g) -> np.ndarray:
     realized on degree-(m-1) polynomials with an orthonormal monomial basis,
     so pi(g) is unitary for unitary g and pi = id on the defining rep.
     """
+    g = np.asarray(g, dtype=complex)
     if spec.kind == "torus":
-        label = _check_torus_label(spec, label)
-        z = np.atleast_1d(np.asarray(g, dtype=complex))
-        if z.shape != (spec.rank,):
-            raise ValueError("torus group element must be a length-r complex vector")
-        return np.array([[np.exp(1j * np.dot(label, z))]])
-    return rep_matrix_batch(spec, label, np.asarray(g, dtype=complex)[None])[0]
+        g = np.atleast_1d(g)
+    return rep_matrix_batch(spec, label, g[None])[0]
 
 
 @lru_cache(maxsize=None)
@@ -192,7 +190,9 @@ def rep_matrix_batch(spec: GroupSpec, label, gs: np.ndarray) -> np.ndarray:
     """
     if spec.kind == "torus":
         label = _check_torus_label(spec, label)
-        zs = np.asarray(gs, dtype=complex).reshape(-1, spec.rank)
+        zs = np.asarray(gs, dtype=complex)
+        if zs.ndim != 2 or zs.shape[1] != spec.rank:
+            raise ValueError("torus batch must have shape (N, r)")
         vals = np.exp(1j * zs @ np.asarray(label))
         return vals.reshape(-1, 1, 1)
 
@@ -301,6 +301,21 @@ def character(spec: GroupSpec, label, g) -> complex:
         return complex(rep_matrix(spec, label, g)[0, 0])
     g = np.asarray(g, dtype=complex)
     return character_from_trace(int(label), 0.5 * (g[0, 0] + g[1, 1]))
+
+
+def su2_euler(phi, theta, psi) -> np.ndarray:
+    """The SU(2) elements e^{phi E3} e^{theta E2} e^{psi E3}, shape (..., 2, 2).
+
+    The angle arrays broadcast against each other; with z = e^{i phi/2},
+    w = e^{i psi/2} the product is [[z c w, z s w*], [-z* s w, z* c w*]],
+    c = cos(theta/2), s = sin(theta/2).
+    """
+    z = np.exp(0.5j * np.asarray(phi, dtype=float))
+    w = np.exp(0.5j * np.asarray(psi, dtype=float))
+    half = 0.5 * np.asarray(theta, dtype=float)
+    c, s = np.cos(half), np.sin(half)
+    entries = [z * c * w, z * s * w.conj(), -z.conj() * s * w, z.conj() * c * w.conj()]
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
 
 
 def random_k(spec: GroupSpec, rng: np.random.Generator):

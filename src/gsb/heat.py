@@ -13,16 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoefVec
-from .groups import (
-    GroupSpec,
-    character_from_trace,
-    enumerate_irreps,
-    laplacian_eigenvalue,
-)
+from .groups import GroupSpec, character_from_trace
 from .polar import PointKC, log_phi, norm_y, polar_compose
 
-__all__ = ["TruncationReport", "TailBoundError", "heat_coeffs", "rho_eval", "nu_t", "log_nu_t"]
+__all__ = ["TruncationReport", "TailBoundError", "rho_eval", "nu_t", "log_nu_t"]
 
 MAX_CUTOFF = 4000
 
@@ -40,32 +34,6 @@ class TruncationReport:
     @property
     def ok(self) -> bool:
         return self.tail_bound <= self.tolerance
-
-
-def heat_coeffs(spec: GroupSpec, t: float, cutoff: int, tol: float = 1e-12):
-    """Truncated Peter-Weyl expansion of rho_t, with a tail report at Y=0.
-
-    rho_t = (1/vol K) sum_pi dim(pi) exp(-lambda_pi t/2) chi_pi.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    vol = spec.volume
-    entries = {}
-    for label in enumerate_irreps(spec, cutoff):
-        if spec.kind == "torus":
-            d = 1
-        else:
-            d = int(label)
-        lam = laplacian_eigenvalue(spec, label)
-        entries[label] = (d / vol) * math.exp(-lam * t / 2.0) * np.eye(d)
-    coefs = CoefVec(spec, entries)
-    tail = _tail_bound(spec, t, cutoff, 0.0)
-    report = TruncationReport(cutoff, tail, tol)
-    if not report.ok:
-        raise TailBoundError(
-            f"heat series tail {tail:.3e} exceeds tolerance {tol:.3e} at cutoff {cutoff}"
-        )
-    return coefs, report
 
 
 def _tail_bound(spec: GroupSpec, t: float, cutoff: int, s: float) -> float:
@@ -144,11 +112,12 @@ def rho_eval(spec: GroupSpec, t: float, p: PointKC, tol: float = 1e-10):
     return value, TruncationReport(cutoff, tail, tol)
 
 
-def nu_t(spec: GroupSpec, t: float, y) -> float:
-    """Gangolli density: c_t Phi(Y) exp(-|Y|^2/t), c_t = (pi t)^{-d/2} e^{-|delta|^2 t}."""
+def nu_t(spec: GroupSpec, t: float, y):
+    """Gangolli density: c_t Phi(Y) exp(-|Y|^2/t), c_t = (pi t)^{-d/2} e^{-|delta|^2 t},
+    as exp(log_nu_t)."""
     if t <= 0:
         raise ValueError("t must be positive")
-    return math.exp(log_nu_t(spec, t, y))
+    return np.exp(log_nu_t(spec, t, y))
 
 
 def log_nu_t(spec: GroupSpec, t: float, y):

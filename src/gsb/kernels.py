@@ -24,12 +24,11 @@ from .groups import (
 from .heat import _choose_cutoff, rho_eval
 from .polar import PointKC, norm_y, polar_compose, polar_decompose, star
 from .quadrature import QuadSpec, integrate_laguerre, integrate_levels
-from .transform import HoloFunc, _profiles, eval_holo
+from .transform import HoloFunc, _profiles
 
 __all__ = [
     "KernelQuery",
     "pair_point",
-    "k_t",
     "k_sobolev_spectral",
     "k_sobolev_integral",
     "reproduce_check",
@@ -64,13 +63,6 @@ def pair_point(spec: GroupSpec, g: PointKC, h: PointKC) -> PointKC:
         return polar_decompose(spec, z)
     mat = polar_compose(spec, g) @ np.asarray(polar_compose(spec, h)).conj().T
     return polar_decompose(spec, mat)
-
-
-def k_t(query: KernelQuery, tol: float = 1e-10) -> complex:
-    """Reproducing kernel rho_{2t}(g h^*) for the plain holomorphic L^2 space."""
-    p = pair_point(query.spec, query.g, query.h)
-    value, _ = rho_eval(query.spec, 2.0 * query.t, p, tol)
-    return value
 
 
 def k_sobolev_spectral(query: KernelQuery, tol: float = 1e-10) -> complex:
@@ -139,7 +131,7 @@ def reproduce_check(F: HoloFunc, g: PointKC, q: QuadSpec | None = None):
     def value_at(level):
         return sum(tr * np.sum(_profiles(spec, t, level, label)[1]) for label, tr in traces)
 
-    fg = eval_holo(F, g)
+    fg = F.coefs.eval_kc(g)
     scale = 1.0 + abs(fg)
     res = integrate_levels(q, value_at, scale)
     return abs(fg - res.value) / scale, res.gap

@@ -1,8 +1,7 @@
 """Polar coordinates g = x * exp(iY) on the complexified group.
 
-Includes the density function Phi, the star anti-involution, and the
-left-invariant frame coefficient matrices expressing the complexified
-vector fields X_k, JX_k through the polar-coordinate fields (X-tilde, d/dy).
+Includes the density function Phi (through its logarithm, on batches of
+points) and the star anti-involution.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ __all__ = [
     "polar_compose",
     "star",
     "phi",
-    "frame_coefficients",
     "norm_y",
 ]
 
@@ -106,125 +104,25 @@ def star(spec: GroupSpec, p: PointKC) -> PointKC:
     return polar_decompose(spec, np.asarray(g).conj().T)
 
 
-def _sinch(s: float) -> float:
-    """sinh(s)/s with the removable singularity filled in."""
-    if abs(s) < 1e-4:
-        s2 = s * s
-        return 1.0 + s2 / 6.0 * (1.0 + s2 / 20.0)
-    return math.sinh(s) / s
-
-
-def phi(spec: GroupSpec, y) -> float:
-    """Product of alpha(Y)/sinh(alpha(Y)) over positive roots; 1 on tori."""
-    if spec.kind == "torus":
-        return 1.0
-    s = norm_y(y)
-    if s > MAX_ABS_Y:
-        raise ValueError("|Y| exceeds the overflow guard")
-    return 1.0 / _sinch(s)
+def phi(spec: GroupSpec, y):
+    """Product of alpha(Y)/sinh(alpha(Y)) over positive roots (1 on tori), as exp(log_phi)."""
+    return np.exp(log_phi(spec, y))
 
 
 def log_phi(spec: GroupSpec, y):
     """log Phi(Y), safe for large |Y| (used by envelope code in log space).
 
-    y is one point (returns a float) or an (N, dim) batch (returns (N,)).
+    y is an (N, dim) batch (returns (N,)) or one point, a batch of one
+    (returns a float).
     """
-    if np.ndim(y) == 2:
-        return _log_phi_batch(spec, np.asarray(y, dtype=float))
+    ys = np.asarray(y, dtype=float)
     if spec.kind == "torus":
-        return 0.0
-    s = norm_y(y)
-    if s < 1e-4:
-        return -math.log(_sinch(s))
-    # log(s/sinh s) = log(2s) - s - log1p(-exp(-2s))
-    return math.log(2.0 * s) - s - math.log1p(-math.exp(-2.0 * s))
-
-
-def _log_phi_batch(spec: GroupSpec, ys: np.ndarray) -> np.ndarray:
-    if spec.kind == "torus":
-        return np.zeros(ys.shape[0])
-    s = np.linalg.norm(ys, axis=1)
-    s2 = s * s
-    series = -np.log1p(s2 / 6.0 * (1.0 + s2 / 20.0))
-    big = np.maximum(s, 1e-4)
-    return np.where(s < 1e-4, series, np.log(2.0 * big) - big - np.log1p(-np.exp(-2.0 * big)))
-
-
-def _ad_matrix(y: np.ndarray) -> np.ndarray:
-    """ad(Y) on su(2) coordinates: [E_i, E_j] = -eps_{ijk} E_k."""
-    y1, y2, y3 = y
-    return np.array(
-        [
-            [0.0, y3, -y2],
-            [-y3, 0.0, y1],
-            [y2, -y1, 0.0],
-        ]
-    )
-
-
-def _ad_functions(y: np.ndarray):
-    """Evaluate the four entire functions of ad(Y) used by the frame formula.
-
-    Returns (sin(adY)/adY, (cos(adY)-1)/adY, sin(adY), cos(adY)).  ad(Y) is
-    real skew with eigenvalues 0, +-i|Y|, so we diagonalize i*ad(Y)
-    (hermitian); a power series fallback covers |Y| < 1e-4.
-    """
-    s = float(np.linalg.norm(y))
-    ad = _ad_matrix(y)
-    if s < 1e-4:
-        eye = np.eye(3)
-        ad2 = ad @ ad
-        ad3 = ad @ ad2
-        sinc = eye - ad2 / 6.0
-        cosm1 = -ad / 2.0 + ad3 / 24.0
-        sin = ad - ad3 / 6.0
-        cos = eye - ad2 / 2.0
-        return sinc, cosm1, sin, cos
-    h = 1j * ad  # hermitian
-    evals, vecs = np.linalg.eigh(h)
-    lam = -1j * evals  # eigenvalues of ad(Y): 0, +-i s
-
-    def f_of(fun):
-        vals = np.array([fun(l) for l in lam])
-        return ((vecs * vals) @ vecs.conj().T).real
-
-    return f_of(_csinc), f_of(_ccosm1), f_of(np.sin), f_of(np.cos)
-
-
-def _csinc(z: complex) -> complex:
-    if abs(z) < 1e-8:
-        return 1.0 - z * z / 6.0
-    return np.sin(z) / z
-
-
-def _ccosm1(z: complex) -> complex:
-    if abs(z) < 1e-8:
-        return -z / 2.0 + z**3 / 24.0
-    return (np.cos(z) - 1.0) / z
-
-
-def frame_coefficients(spec: GroupSpec, y):
-    """Coefficient matrices (a, b, c, d) of the left-invariant frame.
-
-    X_k  = sum_l a[k,l] Xtilde_l + b[k,l] d/dy_l
-    JX_k = sum_l c[k,l] Xtilde_l + d[k,l] d/dy_l
-
-    computed from the block formula with S = sin(adY)/adY:
-    [[a, c], [b, d]] = transpose of S^{-1} [[S, (cos adY - 1)/adY],
-    [sin adY, cos adY]] (the matrix functions produce coefficients indexed
-    by column, so the row contract above needs the transpose).  S is always
-    invertible (eigenvalues sinh(s)/s > 0).
-    """
-    d = spec.dim
-    if spec.kind == "torus":
-        eye = np.eye(d)
-        zero = np.zeros((d, d))
-        return eye, zero, zero.copy(), eye.copy()
-    y = np.asarray(y, dtype=float)
-    sinc, cosm1, sin, cos = _ad_functions(y)
-    sinc_inv = np.linalg.inv(sinc)
-    a = np.eye(3)
-    c = (sinc_inv @ cosm1).T
-    b = (sinc_inv @ sin).T
-    d_ = (sinc_inv @ cos).T
-    return a, b, c, d_
+        out = np.zeros(ys.shape[:-1])
+    else:
+        s = np.linalg.norm(ys, axis=-1)
+        s2 = s * s
+        series = -np.log1p(s2 / 6.0 * (1.0 + s2 / 20.0))
+        big = np.maximum(s, 1e-4)
+        # log(s/sinh s) = log(2s) - s - log1p(-exp(-2s))
+        out = np.where(s < 1e-4, series, np.log(2.0 * big) - big - np.log1p(-np.exp(-2.0 * big)))
+    return out if ys.ndim > 1 else float(out)

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .groups import GroupSpec
+from .groups import GroupSpec, su2_euler
 
 __all__ = [
     "QuadSpec",
@@ -53,6 +53,9 @@ __all__ = [
 # Above this order the Hermite recurrence loses its weights (non-finite from
 # about order 206), and scipy switches to asymptotic expansions.
 MAX_ORDER = 150
+
+# a tensor rule holds level^rank nodes of some tens of bytes each
+MAX_TENSOR_NODES = 2_000_000
 
 
 def _golub_welsch(n: int, mu0: float, diag, offdiag, f, df, symmetric: bool):
@@ -281,7 +284,17 @@ def _sphere_rule(level: int):
 
 
 def _tensor_rule(x: np.ndarray, w: np.ndarray, rank: int):
-    """Nodes (N, rank) and weights (N,) of the rank-fold product of the 1-D rule (x, w)."""
+    """Nodes (N, rank) and weights (N,) of the rank-fold product of the 1-D rule (x, w).
+
+    A product of more than MAX_TENSOR_NODES nodes is refused before anything
+    is allocated.
+    """
+    if x.size**rank > MAX_TENSOR_NODES:
+        allowed = max(k for k in range(1, MAX_ORDER + 1) if k**rank <= MAX_TENSOR_NODES)
+        raise ValueError(
+            f"a rank-{rank} tensor rule of level {x.size} has {x.size}^{rank} nodes, above {MAX_TENSOR_NODES}; "
+            f"the largest allowed level is {allowed}"
+        )
     nodes = np.stack([g.ravel() for g in np.meshgrid(*([x] * rank), indexing="ij")], axis=-1)
     weights = np.ones(nodes.shape[0])
     for g in np.meshgrid(*([w] * rank), indexing="ij"):
@@ -353,39 +366,18 @@ def integrate_laguerre(c: float, n: int, f, q: QuadSpec | None = None) -> QuadRe
 
 @lru_cache(maxsize=32)
 def _k_haar_nodes_cached(kind: str, rank: int, level: int):
-    spec = GroupSpec(kind, rank)
     if kind == "torus":
         pts = 2.0 * math.pi * np.arange(level) / level
-        grids = np.meshgrid(*([pts] * rank), indexing="ij")
-        nodes = np.stack([g.ravel() for g in grids], axis=-1)
-        weights = np.full(nodes.shape[0], (2.0 * math.pi / level) ** rank)
-        return nodes, weights
+        return _tensor_rule(pts, np.full(level, 2.0 * math.pi / level), rank)
 
     # Euler angles g = e^{phi E3} e^{theta E2} e^{psi E3}; Haar = sin(theta)
     # d(phi) d(theta) d(psi), total mass 16 pi^2.
-    nphi = level
-    npsi = 2 * level
     x, v = roots_legendre(level)  # cos(theta)
-    phis = 2.0 * math.pi * np.arange(nphi) / nphi
-    psis = 4.0 * math.pi * np.arange(npsi) / npsi
-
-    half = np.arccos(x) / 2.0
-    ct, st = np.cos(half), np.sin(half)
-    mats = []
-    weights = []
-    wphi = 2.0 * math.pi / nphi
-    wpsi = 4.0 * math.pi / npsi
-    for i, p in enumerate(phis):
-        zp = np.exp(0.5j * p)
-        for j in range(len(x)):
-            mid = np.array([[ct[j], st[j]], [-st[j], ct[j]]], dtype=complex)
-            for s in psis:
-                zs = np.exp(0.5j * s)
-                left = np.array([[zp, 0], [0, np.conj(zp)]])
-                right = np.array([[zs, 0], [0, np.conj(zs)]])
-                mats.append(left @ mid @ right)
-                weights.append(wphi * v[j] * wpsi)
-    return np.array(mats), np.array(weights)
+    phis = 2.0 * math.pi * np.arange(level) / level
+    psis = 4.0 * math.pi * np.arange(2 * level) / (2 * level)
+    mats = su2_euler(phis[:, None, None], np.arccos(x)[None, :, None], psis[None, None, :])
+    w = (2.0 * math.pi / level) * v * (4.0 * math.pi / (2 * level))
+    return mats.reshape(-1, 2, 2), np.broadcast_to(w[None, :, None], mats.shape[:3]).ravel()
 
 
 def k_haar_nodes(spec: GroupSpec, level: int):
@@ -394,9 +386,10 @@ def k_haar_nodes(spec: GroupSpec, level: int):
 
 
 def integrate_K(spec: GroupSpec, f, level: int) -> complex:
-    """Integral over K with Riemannian-volume Haar; f takes a group element."""
+    """Integral over K with Riemannian-volume Haar.
+
+    f maps an (N, ...) batch of group elements (torus angles (N, r), SU(2)
+    matrices (N, 2, 2)) to (N,) values.
+    """
     nodes, weights = k_haar_nodes(spec, level)
-    total = 0.0 + 0.0j
-    for node, w in zip(nodes, weights):
-        total += w * f(node)
-    return complex(total)
+    return complex(np.dot(weights, np.asarray(f(nodes))))

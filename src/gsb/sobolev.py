@@ -180,8 +180,10 @@ def phi_x_weight(spec: GroupSpec, t: float, k: int):
 
     phi_X(x e^{iY}) = (i/2) sum_l d_{kl}(Y) d(log nu_t)/dy_l,
 
-    with d the normal-derivative block of the frame coefficients, returned
-    as an AxisWeight, y_k times a radial factor.
+    with d(Y) the d/dy block of JX_k in the polar fields (JX_k = sum_l
+    c_{kl} Xtilde_l + d_{kl} d/dy_l, d(Y) the transpose of S^{-1} cos(ad Y),
+    S = sin(ad Y)/ad Y), returned as an AxisWeight, y_k times a radial
+    factor.
     """
     if spec.kind == "torus":
         return AxisWeight(k, lambda u: -1j / t)

@@ -47,7 +47,7 @@ from .groups import (
     rep_generator,
     rep_matrix,
 )
-from .polar import MAX_ABS_Y, PointKC, log_phi
+from .polar import MAX_ABS_Y, log_phi
 from .quadrature import (
     QuadResult,
     QuadSpec,
@@ -63,7 +63,6 @@ __all__ = [
     "HoloFunc",
     "QuadratureError",
     "ct_forward",
-    "eval_holo",
     "holo_inner",
     "holo_l2_norm",
     "ct_inverse_spectral",
@@ -99,11 +98,6 @@ def ct_forward(f: CoefVec, t: float) -> HoloFunc:
     if t <= 0:
         raise ValueError("t must be positive")
     return HoloFunc(f.spectral(lambda lam: math.exp(-lam * t / 2.0)), t, "forward")
-
-
-def eval_holo(F: HoloFunc, p: PointKC) -> complex:
-    """Evaluate F at a polar point; exact (finite support, no tail)."""
-    return F.coefs.eval_kc(p)
 
 
 def exp_iy_batch(spec: GroupSpec, ys: np.ndarray) -> np.ndarray:
@@ -288,12 +282,14 @@ def ct_inverse_spectral(F: HoloFunc) -> CoefVec:
     return F.coefs.spectral(lambda lam: math.exp(lam * F.t / 2.0))
 
 
-def _ball_radii(radius: float, level: int):
-    """Radii r_i and weights (R/2) w_i 4 pi r_i^2 of the Gauss-Legendre rule on
-    [0, R]: sum_i W_i f(r_i) ~ int_{|Y|<=R} f(|Y|) dY on su(2)."""
+def _ball_radii(radius: float, level: int, dim: int):
+    """Radii r_i and weights (R/2) w_i |S^{dim-1}| r_i^{dim-1} of the
+    Gauss-Legendre rule on [0, R]: sum_i W_i f(r_i) ~ int_{|Y|<=R} f(|Y|) dY
+    on R^dim."""
     x, w = roots_legendre(level)
     r = radius * (x + 1.0) / 2.0
-    return r, 2.0 * math.pi * radius * w * r**2
+    half_sphere = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+    return r, half_sphere * radius * w * r ** (dim - 1)
 
 
 def _torus_inverse_level(F: HoloFunc, x, radius: float, level: int) -> complex:
@@ -322,7 +318,7 @@ def _su2_inverse_level(F: HoloFunc, x, radius: float, level: int) -> complex:
     undone, which keeps every term O(1).
     """
     spec, t = F.spec, F.t
-    r, w = _ball_radii(radius, level)
+    r, w = _ball_radii(radius, level, spec.dim)
     log_w = np.log(w)
     log_w -= r**2 / (2.0 * t) + log_phi(spec, (r / 2.0)[:, None] * np.array([0.0, 0.0, 1.0]))
     total = 0.0 + 0.0j

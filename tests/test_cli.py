@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -122,6 +123,19 @@ def test_invert_malformed_coeffs_exits_2(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("group, points", [("torus:1", [[0.1, 0.2]]), ("torus:2", [[0.1], [0.2, 0.3]]), ("su2", [[0.1, 0.2]])])
+def test_invert_malformed_points_exits_2(tmp_path, capsys, group, points):
+    # a point with the wrong number of coordinates is bad input, not a traceback
+    label = 1 if group == "su2" else [1] * int(group.split(":")[1])
+    coeffs, pts = tmp_path / "c.json", tmp_path / "p.json"
+    coeffs.write_text(json.dumps({"group": group, "entries": [{"label": label, "matrix": [[[1.0, 0.0]]]}]}))
+    pts.write_text(json.dumps(points))
+    args = ["invert", "--coeffs", str(coeffs), "--points", str(pts), "--group", group, "--out", str(tmp_path / "o")]
+    code, captured = _main_in_process(args, capsys)
+    assert code == 2
+    assert captured.err.startswith("error: ")
+
+
 def test_su2_unitarity_high_irreps_tight_gaps(tmp_path):
     # irreps up to m = 16 at t = 2 peak far from t/2; each radial term is
     # integrated on a rule centred at its own peak, so every gap is tiny
@@ -204,6 +218,19 @@ def test_verify_mass_reads_nu_t(tmp_path, capsys, monkeypatch, group):
     assert "mass: FAIL" in captured.out
 
 
+@pytest.mark.parametrize("group", ["su2", "torus:2"])
+def test_verify_mass_sees_every_coordinate(tmp_path, capsys, monkeypatch, group):
+    # the radial nodes have every coordinate nonzero, so a density that
+    # ignores the last coordinate must fail the suite
+    import gsb.cli
+
+    exact = gsb.cli.log_nu_t
+    monkeypatch.setattr(gsb.cli, "log_nu_t", lambda spec, t, y: exact(spec, t, y * (np.arange(y.shape[1]) + 1 < y.shape[1])))
+    code, captured = _main_in_process(["verify", "mass", "--group", group, "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert "mass: FAIL" in captured.out
+
+
 def test_symbols_need_no_sympy(tmp_path):
     script = (
         "import sys\n"
@@ -219,16 +246,17 @@ def test_symbols_need_no_sympy(tmp_path):
     assert r.returncode == 0, r.stderr
 
 
-@pytest.mark.parametrize("group", ["torus:3", "su2"])
+@pytest.mark.parametrize("group", ["torus:3", "su2", "torus:1", "torus:8"])
 def test_mass_evaluates_density_once_per_level(tmp_path, capsys, monkeypatch, group):
-    # the mass suite hands log_nu_t the whole node batch of a level at once
+    # the mass suite hands log_nu_t the whole radial node batch of a level at
+    # once, whatever the rank
     import gsb.cli
 
     exact, calls = gsb.cli.log_nu_t, []
     monkeypatch.setattr(gsb.cli, "log_nu_t", lambda spec, t, y: calls.append(len(y)) or exact(spec, t, y))
     code, captured = _main_in_process(["verify", "mass", "--group", group, "--levels", "16,24", "--out", str(tmp_path)], capsys)
     assert code in (0, 1), captured.err
-    assert calls == ([16**3, 24**3] if group == "torus:3" else [16, 24])
+    assert calls == [16, 24]
 
 
 def test_commands_need_no_scipy(tmp_path):
@@ -267,23 +295,28 @@ def test_torus_unitarity_builds_no_tensor_rule(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("group, level, allowed", [("torus:4", 96, 37), ("torus:4", 38, 37), ("torus:3", 126, 125)])
-def test_mass_cube_budget_exits_2_before_work(tmp_path, capsys, monkeypatch, group, level, allowed):
-    # the cube is never built for an oversize run; the largest allowed level passes the guard
-    import gsb.cli
-
-    class Built(Exception):
-        pass
-
-    def refuse(spec, radius, level):
-        raise Built(level)
-
-    monkeypatch.setattr(gsb.cli, "_cube_nodes", refuse)
+def test_verify_mass_torus4_passes_at_default_flags(tmp_path, capsys):
+    # the radial rule has level nodes on every group, so torus:4 runs at the
+    # default levels 64,96 and integrates nu_t / Phi^2 to vol K
     out = tmp_path / "o"
-    args = ["verify", "mass", "--group", group, "--levels", f"16,{level}", "--out", str(out)]
-    code, captured = _main_in_process(args, capsys)
-    assert code == 2
-    assert f"the largest allowed level is {allowed}" in captured.err
-    assert not out.exists()
-    with pytest.raises(Built):
-        _main_in_process([*args[:5], f"16,{allowed}", *args[6:]], capsys)
+    code, captured = _main_in_process(["verify", "mass", "--group", "torus:4", "--t", "0.25,1,4", "--out", str(out)], capsys)
+    assert code == 0, captured.err
+    assert "mass: PASS" in captured.out
+    for t in ("0.25", "1", "4"):
+        with open(out / f"verify_mass_torus-4_t{t}.csv", newline="") as fp:
+            (row,) = list(csv.DictReader(fp))
+        assert row["pass"] == "1"
+        assert float(row["rel-err"]) <= 1e-13 and float(row["gap"]) <= 1e-13
+        assert float(row["rhs"]) == pytest.approx((2 * math.pi) ** 4, rel=1e-15)
+
+
+def test_report_names_use_shortest_form_of_t(tmp_path, capsys):
+    # file names carry the shortest round-trip form of t; values keep 17 digits
+    out = tmp_path / "o"
+    code, captured = _main_in_process(["verify", "mass", "--t", "0.05,1,0.25,2", "--out", str(out)], capsys)
+    assert code == 0, captured.err
+    names = sorted(path.name for path in out.iterdir())
+    assert names == [f"verify_mass_torus-1_t{t}.csv" for t in ("0.05", "0.25", "1", "2")]
+    with open(out / "verify_mass_torus-1_t0.05.csv", newline="") as fp:
+        (row,) = list(csv.DictReader(fp))
+    assert row["tol"] == "9.9999999999999995e-07"

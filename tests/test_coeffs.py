@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gsb.coeffs import CoefVec, basis_entry, from_torus_samples
+from gsb.coeffs import CoefVec, basis_entry
 from gsb.groups import random_k, rep_matrix, su2, torus
 from gsb.quadrature import integrate_K
 
@@ -11,6 +11,8 @@ from gsb.quadrature import integrate_K
 def test_block_shape_validation():
     with pytest.raises(ValueError):
         CoefVec(su2(), {3: np.eye(2)})
+    with pytest.raises(ValueError):
+        basis_entry(torus(1), (1,)).eval_k([0.1, 0.2])  # a point of the wrong rank
 
 
 def test_zero_blocks_dropped():
@@ -22,7 +24,7 @@ def test_plancherel_matches_haar_integral():
     rng = np.random.default_rng(0)
     spec = su2()
     f = CoefVec(spec, {2: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), 1: [[0.7]]})
-    direct = integrate_K(spec, lambda g: abs(f.eval_k(g)) ** 2, 24)
+    direct = integrate_K(spec, lambda gs: np.abs(f.eval_k_batch(gs)) ** 2, 24)
     assert f.plancherel_norm() ** 2 == pytest.approx(direct.real, rel=1e-8)
 
 
@@ -50,21 +52,9 @@ def test_eval_k_batch_matches_scalar():
     gs = np.stack([random_k(spec, rng) for _ in range(6)])
     batch = f.eval_k_batch(gs)
     for k in range(6):
-        assert batch[k] == pytest.approx(f.eval_k(gs[k]), abs=1e-12)
-
-
-def test_from_torus_samples_roundtrip():
-    spec = torus(2)
-    f = CoefVec(spec, {(1, 0): [[1.5]], (0, -2): [[2.0 - 1j]], (3, 3): [[0.25j]]})
-    n = 9
-    axes = [2 * math.pi * np.arange(n) / n] * 2
-    xs = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack(xs, axis=-1).reshape(-1, 2)
-    values = f.eval_k_batch(grid.astype(complex)).reshape(n, n)
-    g = from_torus_samples(spec, values, cutoff=4)
-    assert g.support == f.support
-    for label in f.support:
-        assert np.allclose(g.block(label), f.block(label), atol=1e-12)
+        direct = sum(np.trace(rep_matrix(spec, m, gs[k]) @ block) for m, block in f.entries.items())
+        assert batch[k] == pytest.approx(direct, abs=1e-12)
+        assert f.eval_k(gs[k]) == pytest.approx(batch[k], abs=1e-12)
 
 
 def test_addition_and_scaling():

@@ -17,6 +17,7 @@ from gsb.groups import (
     rep_matrix_batch,
     root_data,
     su2,
+    su2_euler,
     torus,
 )
 
@@ -77,6 +78,22 @@ def test_torus_rep_is_exponential():
     x = np.array([0.3, -1.2])
     val = rep_matrix(spec, (2, -1), x)[0, 0]
     assert val == pytest.approx(np.exp(1j * (2 * 0.3 + 1.2)))
+
+
+def test_su2_euler_matches_expm():
+    # e^{phi E3} e^{theta E2} e^{psi E3}, broadcast over the angle arrays
+    from scipy.linalg import expm
+
+    from gsb.groups import SU2_BASIS
+
+    phis, thetas, psis = np.array([0.0, 1.3, 5.9]), np.array([0.2, 2.8]), np.array([0.7, 4.0, 11.5, 12.1])
+    mats = su2_euler(phis[:, None, None], thetas[None, :, None], psis[None, None, :])
+    assert mats.shape == (3, 2, 4, 2, 2)
+    for i, phi in enumerate(phis):
+        for j, theta in enumerate(thetas):
+            for k, psi in enumerate(psis):
+                exact = expm(phi * SU2_BASIS[2]) @ expm(theta * SU2_BASIS[1]) @ expm(psi * SU2_BASIS[2])
+                assert np.allclose(mats[i, j, k], exact, rtol=0, atol=1e-14)
 
 
 def test_character_consistency():

@@ -4,22 +4,22 @@ import numpy as np
 import pytest
 
 from gsb.groups import enumerate_irreps, irrep_dim, random_k, su2, torus
-from gsb.heat import TailBoundError, heat_coeffs, log_nu_t, nu_t, rho_eval
+from gsb.heat import TailBoundError, log_nu_t, nu_t, rho_eval
 from gsb.polar import PointKC
 from gsb.quadrature import integrate_K
 
 
-def test_heat_coeffs_blocks():
-    spec = torus(1)
-    coefs, report = heat_coeffs(spec, 1.0, cutoff=8)
-    assert report.ok
-    b = coefs.block((2,))[0, 0]
-    assert b == pytest.approx(math.exp(-2.0) / (2 * math.pi))
+def test_rho_eval_tail_error(monkeypatch):
+    # at t = 0.01 the tail bound on torus:1 needs more than 32 terms, so with
+    # at most 32 allowed no cutoff meets the tolerance
+    import gsb.heat
 
-
-def test_heat_coeffs_tail_error():
+    p = PointKC(torus(1), np.zeros(1), np.zeros(1))
+    _, report = rho_eval(torus(1), 0.01, p, tol=1e-12)
+    assert report.ok and report.cutoff > 32
+    monkeypatch.setattr(gsb.heat, "MAX_CUTOFF", 32)
     with pytest.raises(TailBoundError):
-        heat_coeffs(torus(1), 0.01, cutoff=2, tol=1e-12)
+        rho_eval(torus(1), 0.01, p, tol=1e-12)
 
 
 @pytest.mark.parametrize("spec", [torus(1), su2()])
@@ -28,7 +28,7 @@ def test_rho_mass_on_K(spec):
     # vol(K)*[coefficient of the trivial irrep] in our volume convention
     total = integrate_K(
         spec,
-        lambda x: rho_eval(spec, 1.0, _as_point(spec, x))[0],
+        lambda xs: [rho_eval(spec, 1.0, _as_point(spec, x))[0] for x in xs],
         24,
     )
     assert total.real == pytest.approx(1.0, abs=1e-8)

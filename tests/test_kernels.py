@@ -11,13 +11,12 @@ from gsb.kernels import (
     KernelQuery,
     k_sobolev_integral,
     k_sobolev_spectral,
-    k_t,
     pair_point,
     reproduce_check,
 )
 from gsb.polar import PointKC, identity_point, phi
 from gsb.quadrature import QuadSpec
-from gsb.transform import ct_forward, eval_holo
+from gsb.transform import ct_forward
 
 
 def _random_point(spec, rng, scale=0.6):
@@ -43,21 +42,36 @@ def test_pair_point_diagonal():
 
 
 def test_k_t_is_heat_kernel_at_double_time():
+    # k_t(g, h) = rho_{2t}(g h^*) = sum_pi dim(pi) e^{-lambda_pi t} chi_pi(g h^*) / vol,
+    # with g h^* composed here from scipy's expm
+    from scipy.linalg import expm
+
+    from gsb.groups import SU2_BASIS, character, enumerate_irreps, irrep_dim, laplacian_eigenvalue
+
+    def compose(p):
+        return p.x @ expm(1j * np.tensordot(p.y, SU2_BASIS, axes=(0, 0)))
+
     rng = np.random.default_rng(0)
     for spec in (torus(1), su2()):
         g = _random_point(spec, rng)
         h = _random_point(spec, rng)
-        q = KernelQuery(g, h, 0.7)
-        expected, _ = rho_eval(spec, 1.4, pair_point(spec, g, h))
-        assert k_t(q) == pytest.approx(expected, rel=1e-12)
+        gh = (g.x + 1j * g.y) - (h.x - 1j * h.y) if spec.kind == "torus" else compose(g) @ compose(h).conj().T
+        expected = sum(
+            irrep_dim(spec, pi) * math.exp(-laplacian_eigenvalue(spec, pi) * 0.7) * character(spec, pi, gh)
+            for pi in enumerate_irreps(spec, 40)
+        )
+        value, _ = rho_eval(spec, 1.4, pair_point(spec, g, h))
+        assert value == pytest.approx(expected / spec.volume, rel=1e-10)
 
 
 def test_sobolev_kernel_n0_reduces_to_k_t():
+    # at n = 0 the spectral Sobolev kernel is k_t(g, h) = rho_{2t}(g h^*)
     spec = su2()
     rng = np.random.default_rng(1)
     g, h = _random_point(spec, rng), _random_point(spec, rng)
     q = KernelQuery(g, h, 1.0, n=0, c=1.0)
-    assert k_sobolev_spectral(q) == pytest.approx(k_t(q), rel=1e-9)
+    expected, _ = rho_eval(spec, 2.0, pair_point(spec, g, h))
+    assert k_sobolev_spectral(q) == pytest.approx(expected, rel=1e-9)
 
 
 @pytest.mark.parametrize("spec", [torus(1), torus(2), su2()])
@@ -97,7 +111,7 @@ def test_envelopes():
     y = np.array([0.0, 0.0, 1.5])
     t = 1.0
     F = ct_forward(basis_entry(spec, 2, 0, 0), t)
-    value = abs(eval_holo(F, PointKC(spec, np.eye(2, dtype=complex), y))) ** 2
+    value = abs(F.coefs.eval_kc(PointKC(spec, np.eye(2, dtype=complex), y))) ** 2
     g0, _ = growth_functional(F, t, 0, y[None, :])
     g2, _ = growth_functional(F, t, 2, y[None, :])
     assert g0 == pytest.approx(value / (phi(spec, y) * math.exp(2.25 / t)), rel=1e-12)

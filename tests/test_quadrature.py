@@ -82,20 +82,40 @@ def test_laguerre_rational_against_adaptive():
 
 def test_integrate_K_volume():
     for spec in (torus(2), su2()):
-        total = integrate_K(spec, lambda x: 1.0, 12)
+        total = integrate_K(spec, lambda xs: np.ones(len(xs)), 12)
         assert total.real == pytest.approx(spec.volume, rel=1e-12)
 
 
 def test_integrate_K_trig_exact():
     spec = torus(1)
-    total = integrate_K(spec, lambda x: np.exp(1j * 3 * x[0]), 8)
+    total = integrate_K(spec, lambda xs: np.exp(1j * 3 * xs[:, 0]), 8)
     assert abs(total) < 1e-12
 
 
 def test_integrate_K_schur_characters():
     spec = su2()
-    total = integrate_K(spec, lambda g: abs(character(spec, 2, g)) ** 2, 24)
+    total = integrate_K(spec, lambda gs: [abs(character(spec, 2, g)) ** 2 for g in gs], 24)
     assert total.real == pytest.approx(spec.volume, rel=1e-8)
+
+
+def test_tensor_rule_refuses_oversize_before_building(monkeypatch):
+    # level^rank above 2,000,000 nodes raises before any node array exists;
+    # the largest allowed level passes the guard
+    class Built(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(np, "meshgrid", refuse)
+    with pytest.raises(ValueError, match="the largest allowed level is 37"):
+        kspace_rule(torus(4), 0.123, 38)
+    with pytest.raises(ValueError, match="the largest allowed level is 125"):
+        kspace_rule(torus(3), 0.123, 126)
+    with pytest.raises(ValueError, match="the largest allowed level is 6"):
+        kspace_rule(torus(8), 0.123, 64)
+    with pytest.raises(Built):
+        kspace_rule(torus(4), 0.123, 37)
 
 
 def test_rules_deterministic():

@@ -12,7 +12,6 @@ from gsb.transform import (
     ct_forward,
     ct_inverse_integral,
     ct_inverse_spectral,
-    eval_holo,
     holo_inner,
     holo_l2_norm,
     inverse_integral_trace,
@@ -49,7 +48,7 @@ def test_eval_holo_restricts_to_K():
     F = ct_forward(f, 1.0)
     x = random_k(spec, rng)
     p = PointKC(spec, x, np.zeros(3))
-    assert eval_holo(F, p) == pytest.approx(F.coefs.eval_k(x), abs=1e-12)
+    assert F.coefs.eval_kc(p) == pytest.approx(F.coefs.eval_k(x), abs=1e-12)
 
 
 @pytest.mark.parametrize(
