@@ -98,7 +98,8 @@ def test_integrate_K_schur_characters():
     assert total.real == pytest.approx(spec.volume, rel=1e-8)
 
 
-def test_tensor_rule_refuses_oversize_before_building(monkeypatch):
+@pytest.mark.parametrize("rank, level, allowed", [(4, 38, 37), (3, 126, 125), (8, 64, 6)])
+def test_tensor_rule_refuses_oversize_before_building(monkeypatch, rank, level, allowed):
     # level^rank above 2,000,000 nodes raises before any node array exists;
     # the largest allowed level passes the guard
     class Built(Exception):
@@ -108,14 +109,10 @@ def test_tensor_rule_refuses_oversize_before_building(monkeypatch):
         raise Built
 
     monkeypatch.setattr(np, "meshgrid", refuse)
-    with pytest.raises(ValueError, match="the largest allowed level is 37"):
-        kspace_rule(torus(4), 0.123, 38)
-    with pytest.raises(ValueError, match="the largest allowed level is 125"):
-        kspace_rule(torus(3), 0.123, 126)
-    with pytest.raises(ValueError, match="the largest allowed level is 6"):
-        kspace_rule(torus(8), 0.123, 64)
+    with pytest.raises(ValueError, match=f"the largest allowed level is {allowed}$"):
+        kspace_rule(torus(rank), 0.123, level)
     with pytest.raises(Built):
-        kspace_rule(torus(4), 0.123, 37)
+        kspace_rule(torus(rank), 0.123, allowed)
 
 
 def test_rules_deterministic():
