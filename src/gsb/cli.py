@@ -36,7 +36,7 @@ from .groups import (
     random_k,
     su2_euler,
 )
-from .heat import log_nu_t
+from .heat import TailBoundError, log_nu_t
 from .kernels import KernelQuery, k_sobolev_integral, k_sobolev_spectral, reproduce_check
 from .polar import MAX_ABS_Y, PointKC, log_phi
 from .quadrature import MAX_ORDER, QuadSpec, integrate_levels
@@ -50,7 +50,7 @@ from .sobolev import (
     toeplitz_symbol,
     weighted_form,
 )
-from .transform import _ball_radii, ct_forward, holo_inner, inverse_integral_trace
+from .transform import QuadratureError, _ball_radii, ct_forward, holo_inner, inverse_integral_trace
 
 VERIFY_SUITES = (
     "unitarity",
@@ -459,6 +459,7 @@ def cmd_verify(suite: str, cfg: RunConfig) -> int:
 def cmd_report(kind: str, cfg: RunConfig) -> int:
     spec = cfg.spec
     t = cfg.t[0]
+    ok = True  # only the bounds report carries a verdict
     if kind == "symbol":
         columns = ["n", "degree", "power-of-u", "coefficient"]
         rows = []
@@ -481,7 +482,7 @@ def cmd_report(kind: str, cfg: RunConfig) -> int:
     elif kind == "bounds":
         columns = ["tau", "max-ratio", "alpha_t", "chamber"]
         alpha = alpha_t_estimate(spec, t)
-        checked, _ = kernel_bound_check(spec, t)
+        checked, ok = kernel_bound_check(spec, t)
         chamber = "full-lattice" if spec.kind == "torus" else "halfline"
         rows = [(tau, ratio, alpha, chamber) for tau, ratio in checked]
     else:
@@ -489,6 +490,9 @@ def cmd_report(kind: str, cfg: RunConfig) -> int:
     path = os.path.join(cfg.out, f"report_{kind}_{_group_tag(cfg)}.{cfg.fmt}")
     write_report(path, columns, rows, cfg.fmt)
     print(f"wrote {path}")
+    if not ok:
+        print(f"{kind}: FAIL")
+        return 1
     return 0
 
 
@@ -598,6 +602,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (TailBoundError, QuadratureError, OverflowError, FloatingPointError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Group data for the flat torus T^r and SU(2).
 
-Everything downstream (characters, Laplacian eigenvalues, root data,
-representation matrices and their holomorphic continuations) comes from
-this module, so the metric conventions are fixed here once:
+Everything downstream (Laplacian eigenvalues, root data, representation
+matrices and their holomorphic continuations) comes from this module, so
+the metric conventions are fixed here once:
 
 * torus: K = R^r / 2*pi*Z^r with the flat metric, vol(K) = (2*pi)^r;
 * SU(2): the bi-invariant metric with |Y|^2 = 2 trace(Y^* Y) on su(2),
@@ -14,7 +14,6 @@ this module, so the metric conventions are fixed here once:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,8 +32,6 @@ __all__ = [
     "rep_matrix_batch",
     "rep_generator",
     "su2_euler",
-    "character",
-    "character_from_trace",
     "root_data",
     "random_k",
     "random_algebra",
@@ -274,33 +271,6 @@ def rep_generator(spec: GroupSpec, label, X) -> np.ndarray:
         if k - 1 >= 0:
             out[k - 1, k] = math.sqrt(k * (n - k + 1)) * x12
     return out
-
-
-def character_from_trace(m: int, half_trace: complex) -> complex:
-    """SU(2) character chi_m from the half-trace of a 2x2 element.
-
-    With eigenvalues e^{+-i w}, chi_m = sin(m w)/sin(w); the w -> 0, pi
-    degenerations are handled by a series expansion.
-    """
-    w = cmath.acos(half_trace)
-    s = cmath.sin(w)
-    if abs(s) < 1e-6:
-        # expand around the nearest degenerate point w0 with sin(w0) = 0
-        w0 = math.pi * round(w.real / math.pi)
-        eps = w - w0
-        sign = 1.0 if round(w0 / math.pi) % 2 == 0 else -1.0
-        # sin(m(w0+eps))/sin(w0+eps) = sign^{m-1} * sin(m eps)/sin(eps)
-        val = m * (1 - (m * m - 1) * eps * eps / 6.0 * (1 - (3 * m * m - 7) * eps * eps / 60.0))
-        return sign ** (m - 1) * val
-    return cmath.sin(m * w) / s
-
-
-def character(spec: GroupSpec, label, g) -> complex:
-    """Trace of rep_matrix, with the SU(2) degenerate points handled exactly."""
-    if spec.kind == "torus":
-        return complex(rep_matrix(spec, label, g)[0, 0])
-    g = np.asarray(g, dtype=complex)
-    return character_from_trace(int(label), 0.5 * (g[0, 0] + g[1, 1]))
 
 
 def su2_euler(phi, theta, psi) -> np.ndarray:

@@ -7,14 +7,13 @@ exp(-lambda_pi * t / 2) and integrates to one over K.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupSpec, character_from_trace
-from .polar import PointKC, log_phi, norm_y, polar_compose
+from .groups import GroupSpec, enumerate_irreps
+from .polar import PointKC, log_phi, polar_compose
 
 __all__ = ["TruncationReport", "TailBoundError", "rho_eval", "nu_t", "log_nu_t"]
 
@@ -47,7 +46,6 @@ def _tail_bound(spec: GroupSpec, t: float, cutoff: int, s: float) -> float:
         def ratio_at(m):
             return ((m + 1) / m) ** 2 * math.exp(-(2 * m + 1) * t / 8.0 + s / 2.0)
 
-        first = cutoff + 1
     else:
         # torus: ell-infinity shells, |n.y| <= ||n||_2 |y| <= sqrt(r) k |y|
         r = spec.rank
@@ -59,21 +57,17 @@ def _tail_bound(spec: GroupSpec, t: float, cutoff: int, s: float) -> float:
         def ratio_at(k):
             return term_at(k + 1) / max(term_at(k), 1e-300)
 
-        first = cutoff + 1
-
     total = 0.0
-    idx = first
-    while True:
-        term = term_at(idx)
-        ratio = ratio_at(idx)
+    for idx in range(cutoff + 1, cutoff + 2 + MAX_CUTOFF):
+        try:
+            term, ratio = term_at(idx), ratio_at(idx)
+        except OverflowError:  # a term past the double range: no finite bound
+            return math.inf
         if ratio < 0.5:
             # geometric majorant for everything past idx
-            total += term / (1.0 - ratio)
-            return total
+            return total + term / (1.0 - ratio)
         total += term
-        idx += 1
-        if idx > first + MAX_CUTOFF:
-            return math.inf
+    return math.inf
 
 
 def _choose_cutoff(spec: GroupSpec, t: float, s: float, tol: float) -> int:
@@ -85,31 +79,66 @@ def _choose_cutoff(spec: GroupSpec, t: float, s: float, tol: float) -> int:
     raise TailBoundError(f"no cutoff up to {MAX_CUTOFF} meets tolerance {tol:.3e} at |Y|={s:.3f}")
 
 
-def rho_eval(spec: GroupSpec, t: float, p: PointKC, tol: float = 1e-10):
-    """Analytically continued heat kernel rho_t(x e^{iY}), with tail report."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    s = norm_y(p.y)
-    cutoff = _choose_cutoff(spec, t, s, tol)
-    tail = _tail_bound(spec, t, cutoff, s)
+def _su2_characters(h, cutoff: int):
+    """chi_1, ..., chi_cutoff of SU(2) at the half-trace h (an array), one at a time.
 
-    if spec.kind == "torus":
-        z = np.asarray(p.x, dtype=float) + 1j * p.y
-        total = 1.0 + 0.0j
-        for zj in z:
-            fac = 1.0 + 0.0j
-            for n in range(1, cutoff + 1):
-                fac += math.exp(-n * n * t / 2.0) * (cmath.exp(1j * n * zj) + cmath.exp(-1j * n * zj))
-            total *= fac
-        value = total / spec.volume
-    else:
-        g = polar_compose(spec, p)
-        half_trace = 0.5 * (g[0, 0] + g[1, 1])
-        value = 0.0 + 0.0j
-        for m in range(1, cutoff + 1):
-            value += m * math.exp(-(m * m - 1) * t / 8.0) * character_from_trace(m, half_trace)
-        value /= spec.volume
-    return value, TruncationReport(cutoff, tail, tol)
+    With eigenvalues e^{+-iw}, h = cos w and chi_m = sin(m w)/sin w = U_{m-1}(h),
+    the Chebyshev polynomial of the second kind: U_0 = 1, U_1 = 2h,
+    U_{k+1} = 2h U_k - U_{k-1}.  Nothing is divided, so h = +-1 is no special case.
+    """
+    prev, cur = np.zeros_like(h), np.ones_like(h)
+    yield cur
+    for _ in range(cutoff - 1):
+        prev, cur = cur, 2.0 * h * cur - prev
+        yield cur
+
+
+def _series(spec: GroupSpec, tau, g, cutoff: int, weight=None):
+    """sum over labels up to the cutoff of dim e^{-lam tau/2} weight(lam) chi(g) / vol K.
+
+    g is a batch of K_C points as polar_compose gives them ((..., 2, 2) on
+    SU(2), (..., r) complex on a torus) and tau an array that broadcasts
+    against the batch; weight maps eigenvalues to factors (None means 1).
+    An unweighted torus sum is the product of its 1-D theta sums over the
+    axes; a weighted one contracts the whole label box.  A sum that
+    overflows raises FloatingPointError instead of returning inf or nan.
+    """
+    tau = np.asarray(tau, dtype=float)
+    with np.errstate(over="raise", invalid="raise"):
+        if spec.kind == "su2":
+            total = 0.0
+            for m, chi in enumerate(_su2_characters(0.5 * (g[..., 0, 0] + g[..., 1, 1]), cutoff), start=1):
+                lam = (m * m - 1) / 4.0
+                total = total + m * np.exp(-lam * tau / 2.0) * (1.0 if weight is None else weight(lam)) * chi
+        elif weight is None:
+            n = np.arange(1, cutoff + 1)
+            damp = np.exp(-n * n * tau[..., None] / 2.0)[..., None, :]
+            nz = 1j * n * g[..., None]  # (..., r, cutoff)
+            total = np.prod(1.0 + np.sum(damp * (np.exp(nz) + np.exp(-nz)), axis=-1), axis=-1)
+        else:
+            labels = np.array(enumerate_irreps(spec, cutoff))
+            lam = np.sum(labels * labels, axis=1)
+            total = np.sum(np.exp(-lam * tau[..., None] / 2.0) * weight(lam) * np.exp(1j * g @ labels.T), axis=-1)
+    return total / spec.volume
+
+
+def rho_eval(spec: GroupSpec, t, p: PointKC, tol: float = 1e-10):
+    """Analytically continued heat kernel rho_t(x e^{iY}), with tail report.
+
+    p may be a batch of points and t an array of times that broadcasts
+    against it.  One cutoff, taken at the largest |Y| and the smallest t,
+    serves the whole batch, so the report bounds the tail at every point.
+    Returns a complex for one point at one time, else an array.
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0):
+        raise ValueError("t must be positive")
+    t_min = float(np.min(t))
+    s = float(np.max(np.linalg.norm(p.y, axis=-1)))
+    cutoff = _choose_cutoff(spec, t_min, s, tol)
+    value = _series(spec, t, polar_compose(spec, p), cutoff)
+    report = TruncationReport(cutoff, _tail_bound(spec, t_min, cutoff, s), tol)
+    return (complex(value) if np.ndim(value) == 0 else value), report
 
 
 def nu_t(spec: GroupSpec, t: float, y):

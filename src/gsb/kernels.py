@@ -14,14 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (
-    GroupSpec,
-    character_from_trace,
-    enumerate_irreps,
-    laplacian_eigenvalue,
-    rep_matrix,
-)
-from .heat import _choose_cutoff, rho_eval
+from .groups import GroupSpec, rep_matrix
+from .heat import _choose_cutoff, _series, rho_eval
 from .polar import PointKC, norm_y, polar_compose, polar_decompose, star
 from .quadrature import QuadSpec, integrate_laguerre, integrate_levels
 from .transform import HoloFunc, _profiles
@@ -69,39 +63,25 @@ def k_sobolev_spectral(query: KernelQuery, tol: float = 1e-10) -> complex:
     """Blockwise route: sum_pi (dim/vol) e^{-lambda t} (c+lambda)^{-2n} chi_pi(gh^*)."""
     spec = query.spec
     p = pair_point(spec, query.g, query.h)
-    s = norm_y(p.y)
-    cutoff = _choose_cutoff(spec, 2.0 * query.t, s, tol)
-    vol = spec.volume
-    total = 0.0 + 0.0j
-    if spec.kind == "torus":
-        z = np.asarray(p.x, dtype=float) + 1j * p.y
-        for label in enumerate_irreps(spec, cutoff):
-            lam = laplacian_eigenvalue(spec, label)
-            chi = np.exp(1j * np.dot(label, z))
-            total += math.exp(-lam * query.t) * (query.c + lam) ** (-2 * query.n) * chi / vol
-    else:
-        g = polar_compose(spec, p)
-        half_trace = 0.5 * (g[0, 0] + g[1, 1])
-        for m in range(1, cutoff + 1):
-            lam = laplacian_eigenvalue(spec, m)
-            chi = character_from_trace(m, half_trace)
-            total += m * math.exp(-lam * query.t) * (query.c + lam) ** (-2 * query.n) * chi / vol
-    return complex(total)
+    cutoff = _choose_cutoff(spec, 2.0 * query.t, norm_y(p.y), tol)
+    g = polar_compose(spec, p)
+    return complex(_series(spec, 2.0 * query.t, g, cutoff, lambda lam: (query.c + lam) ** (-2 * query.n)))
 
 
 def k_sobolev_integral(query: KernelQuery, q: QuadSpec | None = None, tol: float = 1e-10):
     """Gamma-integral route:
 
-    k_t^{2n}(g,h) = 1/(2n-1)! * int_0^inf s^{2n-1} e^{-cs} rho_{2(t+s)}(gh^*) ds.
+    k_t^{2n}(g,h) = 1/(2n-1)! * int_0^inf s^{2n-1} e^{-cs} rho_{2(t+s)}(gh^*) ds,
+
+    with one rho_eval call per quadrature level, on all of its nodes.
     """
     if query.n < 1:
         raise ValueError("the integral route needs n >= 1")
     spec = query.spec
     p = pair_point(spec, query.g, query.h)
 
-    def f(s: float) -> complex:
-        value, _ = rho_eval(spec, 2.0 * (query.t + s), p, tol)
-        return value
+    def f(s):
+        return rho_eval(spec, 2.0 * (query.t + s), p, tol)[0]
 
     res = integrate_laguerre(query.c, query.n, f, q)
     return res.value / math.factorial(2 * query.n - 1), res

@@ -11,13 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupSpec
+from .groups import PAULI, GroupSpec
 
 __all__ = [
     "PointKC",
     "identity_point",
     "polar_decompose",
     "polar_compose",
+    "exp_iy_batch",
     "star",
     "phi",
     "norm_y",
@@ -33,6 +34,7 @@ class PointKC:
     spec: GroupSpec
     x: np.ndarray  # torus: angles in [0, 2pi)^r; su2: 2x2 unitary, det 1
     y: np.ndarray  # real coordinates, length dim K
+    # a batch of points carries leading axes on x and y that broadcast
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x))
@@ -73,25 +75,36 @@ def polar_decompose(spec: GroupSpec, g) -> PointKC:
     p = (vecs * np.sqrt(evals)) @ vecs.conj().T
     x = g @ np.linalg.inv(p)
     # coordinates: iY = -(1/2) sum y_k sigma_k  =>  y_k = -trace(iY sigma_k)
-    from .groups import PAULI
-
     y = np.array([-np.trace(iy @ sigma).real for sigma in PAULI])
     if norm_y(y) > MAX_ABS_Y:
         raise ValueError("polar factor exceeds the |Y| overflow guard")
     return PointKC(spec, x, y)
 
 
+def exp_iy_batch(spec: GroupSpec, ys: np.ndarray) -> np.ndarray:
+    """exp(iY) for an (N, 3) batch of su(2) coordinates, shape (N, 2, 2).
+
+    On a torus the point e^{iY} is just the complex vector iY.
+    """
+    ys = np.asarray(ys, dtype=float)
+    if spec.kind == "torus":
+        return 1j * ys
+    r = np.linalg.norm(ys, axis=1)
+    safe = np.where(r < 1e-12, 1.0, r)
+    # iY = -(1/2)(y.sigma) squares to r^2/4 I: exp(iY) = cosh(r/2) I - sinh(r/2)(yhat.sigma)
+    ysig = np.tensordot(ys / safe[:, None], PAULI, axes=(1, 0))
+    ch = np.cosh(r / 2.0)[:, None, None]
+    sh = np.sinh(r / 2.0)[:, None, None]
+    out = ch * np.eye(2)[None] - sh * ysig
+    out[r < 1e-12] = np.eye(2)
+    return out
+
+
 def polar_compose(spec: GroupSpec, p: PointKC):
-    """Inverse of polar_decompose: the group element x * exp(iY)."""
+    """Inverse of polar_decompose: the group element x * exp(iY), for one point or a batch."""
     if spec.kind == "torus":
         return np.asarray(p.x, dtype=float) + 1j * p.y
-    # iY = -(1/2) y.sigma, whose square is |y|^2/4 I:
-    # exp(iY) = cosh(|y|/2) I - (sinh(|y|/2)/|y|) y.sigma
-    y1, y2, y3 = (float(v) for v in p.y)
-    s = math.sqrt(y1 * y1 + y2 * y2 + y3 * y3)
-    c = math.cosh(s / 2.0)
-    k = math.sinh(s / 2.0) / s if s > 0.0 else 0.5
-    e = np.array([[c - k * y3, -k * complex(y1, -y2)], [-k * complex(y1, y2), c + k * y3]])
+    e = exp_iy_batch(spec, p.y.reshape(-1, 3)).reshape(p.y.shape[:-1] + (2, 2))
     return np.asarray(p.x, dtype=complex) @ e
 
 

@@ -351,15 +351,14 @@ def integrate_laguerre(c: float, n: int, f, q: QuadSpec | None = None) -> QuadRe
     """int_0^inf s^{2n-1} e^{-cs} f(s) ds by generalized Gauss-Laguerre.
 
     The substitution u = c s moves the weight to u^{2n-1} e^{-u}.
-    f takes one s value.
+    f maps an array of s values to an array of values; each level calls it once.
     """
     if c <= 0 or n < 1:
         raise ValueError("need c > 0 and n >= 1")
 
     def value_at(level):
         u, w = roots_genlaguerre(level, 2 * n - 1)
-        fs = np.asarray([f(si) for si in u / c])
-        return complex(np.dot(w, fs)) / c ** (2 * n)
+        return complex(np.dot(w, np.asarray(f(u / c)))) / c ** (2 * n)
 
     return integrate_levels(q or QuadSpec(levels=(16, 32, 64), tolerance=1e-8), value_at)
 

@@ -48,6 +48,7 @@ from .groups import (
     rep_matrix,
 )
 from .polar import MAX_ABS_Y, log_phi
+from .polar import exp_iy_batch  # bound here because bench/trace_layers.LAYERS resolves it here
 from .quadrature import (
     QuadResult,
     QuadSpec,
@@ -98,25 +99,6 @@ def ct_forward(f: CoefVec, t: float) -> HoloFunc:
     if t <= 0:
         raise ValueError("t must be positive")
     return HoloFunc(f.spectral(lambda lam: math.exp(-lam * t / 2.0)), t, "forward")
-
-
-def exp_iy_batch(spec: GroupSpec, ys: np.ndarray) -> np.ndarray:
-    """exp(iY) for an (N, 3) batch of su(2) coordinates, shape (N, 2, 2).
-
-    On a torus the point e^{iY} is just the complex vector iY.
-    """
-    ys = np.asarray(ys, dtype=float)
-    r = np.linalg.norm(ys, axis=1)
-    safe = np.where(r < 1e-12, 1.0, r)
-    # iY = -(1/2)(y.sigma): exp(iY) = cosh(r/2) I - sinh(r/2)(yhat.sigma)
-    from .groups import PAULI
-
-    ysig = np.tensordot(ys / safe[:, None], PAULI, axes=(1, 0))
-    ch = np.cosh(r / 2.0)[:, None, None]
-    sh = np.sinh(r / 2.0)[:, None, None]
-    out = ch * np.eye(2)[None] - sh * ysig
-    out[r < 1e-12] = np.eye(2)
-    return out
 
 
 @dataclass(frozen=True)

@@ -320,3 +320,34 @@ def test_report_names_use_shortest_form_of_t(tmp_path, capsys):
     with open(out / "verify_mass_torus-1_t0.05.csv", newline="") as fp:
         (row,) = list(csv.DictReader(fp))
     assert row["tol"] == "9.9999999999999995e-07"
+
+
+@pytest.mark.parametrize("group", ["su2", "torus:2"])
+def test_report_bounds_numeric_failure_exits_1_without_traceback(tmp_path, group):
+    # at t = 0.01 the heat series at the grid's largest |Y| leaves the double
+    # range (or no cutoff bounds its tail): one error line, exit 1
+    r = run_cli(["report", "bounds", "--group", group, "--t", "0.01", "--out", "o"], tmp_path)
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert [line for line in r.stderr.splitlines() if line] == [r.stderr.strip()]
+    assert r.stderr.startswith("error: ")
+
+
+def test_report_bounds_writes_report_then_fails_on_failed_check(tmp_path, capsys, monkeypatch):
+    import gsb.cli
+
+    monkeypatch.setattr(gsb.cli, "kernel_bound_check", lambda spec, t: ([(1.0, 2.0)], False))
+    out = tmp_path / "o"
+    code, captured = _main_in_process(["report", "bounds", "--out", str(out)], capsys)
+    assert code == 1
+    assert captured.out.splitlines()[-1] == "bounds: FAIL"
+    with open(out / "report_bounds_torus-1.csv", newline="") as fp:
+        (row,) = list(csv.DictReader(fp))
+    assert float(row["max-ratio"]) == 2.0
+
+
+def test_report_bounds_passing_run_prints_no_verdict(tmp_path, capsys):
+    out = tmp_path / "o"
+    code, captured = _main_in_process(["report", "bounds", "--out", str(out)], capsys)
+    assert code == 0, captured.err
+    assert captured.out == f"wrote {out / 'report_bounds_torus-1.csv'}\n"

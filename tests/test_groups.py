@@ -5,8 +5,6 @@ import pytest
 
 from gsb.groups import (
     GroupSpec,
-    character,
-    character_from_trace,
     enumerate_irreps,
     irrep_dim,
     laplacian_eigenvalue,
@@ -94,21 +92,6 @@ def test_su2_euler_matches_expm():
             for k, psi in enumerate(psis):
                 exact = expm(phi * SU2_BASIS[2]) @ expm(theta * SU2_BASIS[1]) @ expm(psi * SU2_BASIS[2])
                 assert np.allclose(mats[i, j, k], exact, rtol=0, atol=1e-14)
-
-
-def test_character_consistency():
-    rng = np.random.default_rng(1)
-    for m in (1, 2, 3, 5):
-        g = random_k(su2(), rng)
-        tr = np.trace(rep_matrix(su2(), m, g))
-        assert character(su2(), m, g) == pytest.approx(complex(tr), abs=1e-10)
-
-
-def test_character_near_identity_series():
-    # sin(m w)/sin(w) is removable at w = 0 and at w = pi
-    assert character_from_trace(4, 1.0 - 1e-14) == pytest.approx(4.0, rel=1e-9)
-    assert character_from_trace(3, -1.0 + 1e-14) == pytest.approx(3.0, rel=1e-9)
-    assert character_from_trace(4, -1.0 + 1e-14) == pytest.approx(-4.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

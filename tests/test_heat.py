@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gsb.groups import enumerate_irreps, irrep_dim, random_k, su2, torus
-from gsb.heat import TailBoundError, log_nu_t, nu_t, rho_eval
-from gsb.polar import PointKC
+from gsb.groups import enumerate_irreps, irrep_dim, random_algebra, random_k, rep_matrix, rep_matrix_batch, su2, torus
+from gsb.heat import TailBoundError, _su2_characters, log_nu_t, nu_t, rho_eval
+from gsb.polar import PointKC, polar_compose
 from gsb.quadrature import integrate_K
 
 
@@ -22,15 +22,28 @@ def test_rho_eval_tail_error(monkeypatch):
         rho_eval(torus(1), 0.01, p, tol=1e-12)
 
 
+@pytest.mark.parametrize("spec", [torus(1), torus(2), su2()])
+def test_tail_bound_past_double_range_raises_tail_error(spec):
+    # at t = 0.01 and |Y| = 50 the dropped terms pass e^709 before they decay,
+    # so no cutoff has a finite tail bound
+    y = np.zeros(spec.dim)
+    y[-1] = 50.0
+    with pytest.raises(TailBoundError):
+        rho_eval(spec, 0.01, PointKC(spec, np.zeros(spec.rank) if spec.kind == "torus" else np.eye(2), y))
+
+
+def test_su2_series_overflow_raises():
+    # at t = 1 and |Y| = 50 a cutoff exists, but the characters chi_m ~ e^{25 m}
+    # overflow on the way to it: the sum raises instead of returning inf or nan
+    with pytest.raises(FloatingPointError):
+        rho_eval(su2(), 1.0, PointKC(su2(), np.eye(2), [0.0, 50.0, 0.0]))
+
+
 @pytest.mark.parametrize("spec", [torus(1), su2()])
 def test_rho_mass_on_K(spec):
     # the heat kernel integrates to 1 against normalized Haar, i.e. to
     # vol(K)*[coefficient of the trivial irrep] in our volume convention
-    total = integrate_K(
-        spec,
-        lambda xs: [rho_eval(spec, 1.0, _as_point(spec, x))[0] for x in xs],
-        24,
-    )
+    total = integrate_K(spec, lambda xs: rho_eval(spec, 1.0, PointKC(spec, xs, np.zeros(spec.dim)))[0], 24)
     assert total.real == pytest.approx(1.0, abs=1e-8)
     assert abs(total.imag) < 1e-10
 
@@ -43,8 +56,8 @@ def _as_point(spec, x):
 
 @pytest.mark.parametrize("spec", [torus(1), torus(2), su2()])
 def test_rho_matches_series(spec):
-    # independent direct summation of dim * exp(-lambda t/2) * chi
-    from gsb.groups import character, laplacian_eigenvalue
+    # independent direct summation of dim * exp(-lambda t/2) * trace(pi(x))
+    from gsb.groups import laplacian_eigenvalue
 
     rng = np.random.default_rng(4)
     x = random_k(spec, rng)
@@ -53,7 +66,7 @@ def test_rho_matches_series(spec):
     for label in enumerate_irreps(spec, 25):
         lam = laplacian_eigenvalue(spec, label)
         direct += (
-            irrep_dim(spec, label) * math.exp(-lam * t / 2.0) * character(spec, label, x)
+            irrep_dim(spec, label) * math.exp(-lam * t / 2.0) * np.trace(rep_matrix(spec, label, x))
         )
     direct /= spec.volume
     value, report = rho_eval(spec, t, _as_point(spec, x))
@@ -97,3 +110,79 @@ def test_nu_t_mass():
         for t in (0.25, 1.0, 4.0):
             res = integrate_kspace(spec, t, lambda ys: np.ones(ys.shape[0]), QuadSpec())
             assert res.value.real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_su2_characters_at_degenerate_half_traces():
+    # chi_m = sin(m w)/sin(w) is removable at w = 0 (h = 1) and w = pi (h = -1),
+    # where it equals m and (-1)^(m-1) m; the recurrence divides by nothing
+    ms = np.arange(1, 41)
+    for h, sign in ((1.0, 1), (1.0 - 1e-14, 1), (-1.0, -1), (-1.0 + 1e-14, -1)):
+        chi = np.array([c for c in _su2_characters(np.array(h), 40)])
+        exact = sign ** (ms - 1) * ms
+        if abs(h) == 1.0:
+            assert np.array_equal(chi, exact)
+        else:
+            assert np.allclose(chi, exact, rtol=1e-9, atol=0)
+
+
+def test_su2_characters_match_rep_trace():
+    # against the symmetric-power matrices at random SL(2,C) points
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(16, 2, 2)) + 1j * rng.normal(size=(16, 2, 2))
+    gs = a / np.sqrt(np.linalg.det(a))[:, None, None]
+    chis = list(_su2_characters(0.5 * (gs[:, 0, 0] + gs[:, 1, 1]), 7))
+    for m, chi in enumerate(chis, start=1):
+        trace = np.trace(rep_matrix_batch(su2(), m, gs), axis1=1, axis2=2)
+        assert np.allclose(chi, trace, rtol=1e-12, atol=1e-12)
+
+
+def _term_scale(spec, t, y):
+    """sum of |terms| of the series at any x e^{iY}: its value at x = e, where
+    every character is positive (sinh(m r/2)/sinh(r/2), or e^{n.y})."""
+    return rho_eval(spec, t, PointKC(spec, np.zeros(spec.rank) if spec.kind == "torus" else np.eye(2), y))[0].real
+
+
+@pytest.mark.parametrize("spec", [torus(1), torus(2), su2()])
+def test_rho_eval_batch_matches_points(spec):
+    # one batch call over points, and one over times, agree with one-point
+    # calls to within the two calls' tail bounds and the rounding of the terms
+    rng = np.random.default_rng(6)
+    xs = np.stack([random_k(spec, rng) for _ in range(6)])
+    ys = np.stack([random_algebra(spec, rng, 0.8) for _ in range(6)])
+    values, report = rho_eval(spec, 0.7, PointKC(spec, xs, ys))
+    assert values.shape == (6,)
+    for x, y, value in zip(xs, ys, values):
+        single, single_report = rho_eval(spec, 0.7, PointKC(spec, x, y))
+        bound = report.tail_bound + single_report.tail_bound + 1e-14 * _term_scale(spec, 0.7, y)
+        assert abs(value - single) <= bound
+    times = np.array([0.3, 0.7, 2.0, 9.0])
+    p = PointKC(spec, xs[0], ys[0])
+    values, report = rho_eval(spec, times, p)
+    assert values.shape == times.shape and report.ok
+    for t, value in zip(times, values):
+        single, single_report = rho_eval(spec, t, p)
+        bound = report.tail_bound + single_report.tail_bound + 1e-14 * _term_scale(spec, t, ys[0])
+        assert abs(value - single) <= bound
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 4.0])
+def test_su2_series_matches_mpmath(t):
+    # the same truncated series, sum_m m e^{-(m^2-1)t/8} sin(m w)/sin(w) / vol
+    # with cos w the half-trace, summed with 50 digits
+    import mpmath
+
+    mpmath.mp.dps = 50
+    spec = su2()
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        p = PointKC(spec, random_k(spec, rng), random_algebra(spec, rng, 1.0))
+        value, report = rho_eval(spec, t, p)
+        g = polar_compose(spec, p)
+        w = mpmath.acos(mpmath.mpc(complex(0.5 * (g[0, 0] + g[1, 1]))))
+        terms = [
+            m * mpmath.exp(-(m * m - 1) * mpmath.mpf(t) / 8) * mpmath.sin(m * w) / mpmath.sin(w)
+            for m in range(1, report.cutoff + 1)
+        ]
+        exact = complex(mpmath.fsum(terms) / spec.volume)
+        scale = float(sum(abs(term) for term in terms)) / spec.volume
+        assert abs(value - exact) <= 1e-14 * scale

@@ -46,7 +46,7 @@ def test_k_t_is_heat_kernel_at_double_time():
     # with g h^* composed here from scipy's expm
     from scipy.linalg import expm
 
-    from gsb.groups import SU2_BASIS, character, enumerate_irreps, irrep_dim, laplacian_eigenvalue
+    from gsb.groups import SU2_BASIS, enumerate_irreps, irrep_dim, laplacian_eigenvalue, rep_matrix
 
     def compose(p):
         return p.x @ expm(1j * np.tensordot(p.y, SU2_BASIS, axes=(0, 0)))
@@ -57,7 +57,7 @@ def test_k_t_is_heat_kernel_at_double_time():
         h = _random_point(spec, rng)
         gh = (g.x + 1j * g.y) - (h.x - 1j * h.y) if spec.kind == "torus" else compose(g) @ compose(h).conj().T
         expected = sum(
-            irrep_dim(spec, pi) * math.exp(-laplacian_eigenvalue(spec, pi) * 0.7) * character(spec, pi, gh)
+            irrep_dim(spec, pi) * math.exp(-laplacian_eigenvalue(spec, pi) * 0.7) * np.trace(rep_matrix(spec, pi, gh))
             for pi in enumerate_irreps(spec, 40)
         )
         value, _ = rho_eval(spec, 1.4, pair_point(spec, g, h))

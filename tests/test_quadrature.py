@@ -6,7 +6,7 @@ import scipy.special as sps
 from scipy.integrate import quad
 
 from gsb.bounds import LatticePoly, _chamber_gaussian_integral
-from gsb.groups import character, su2, torus
+from gsb.groups import rep_matrix_batch, su2, torus
 from gsb.quadrature import (
     MAX_ORDER,
     QuadSpec,
@@ -62,13 +62,13 @@ def test_su2_radial_moment():
 
 
 def test_laguerre_gamma():
-    res = integrate_laguerre(1.7, 2, lambda s: 1.0)
+    res = integrate_laguerre(1.7, 2, np.ones_like)
     assert res.value == pytest.approx(math.factorial(3) / 1.7**4, rel=1e-12)
 
 
 def test_laguerre_shifted_exponential():
     c, a, n = 2.0, 0.9, 1
-    res = integrate_laguerre(c, n, lambda s: math.exp(-a * s))
+    res = integrate_laguerre(c, n, lambda s: np.exp(-a * s))
     assert res.value == pytest.approx(math.factorial(2 * n - 1) / (c + a) ** (2 * n), rel=1e-10)
 
 
@@ -94,7 +94,7 @@ def test_integrate_K_trig_exact():
 
 def test_integrate_K_schur_characters():
     spec = su2()
-    total = integrate_K(spec, lambda gs: [abs(character(spec, 2, g)) ** 2 for g in gs], 24)
+    total = integrate_K(spec, lambda gs: np.abs(np.trace(rep_matrix_batch(spec, 2, gs), axis1=1, axis2=2)) ** 2, 24)
     assert total.real == pytest.approx(spec.volume, rel=1e-8)
 
 
