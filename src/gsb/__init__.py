@@ -10,7 +10,7 @@ from .coeffs import CoefVec, basis_entry
 from .groups import GroupSpec, parse_group, su2, torus
 from .heat import log_nu_t, nu_t, rho_eval
 from .kernels import KernelQuery, k_sobolev_integral, k_sobolev_spectral, reproduce_check
-from .polar import PointKC, identity_point, phi, polar_compose, polar_decompose, star
+from .polar import PointKC, abs_y, identity_point, phi, polar_compose
 from .quadrature import QuadResult, QuadSpec, integrate_K, integrate_kspace, integrate_laguerre
 from .sobolev import (
     PolyU,
@@ -39,6 +39,7 @@ __all__ = [
     "PolyU",
     "QuadResult",
     "QuadSpec",
+    "abs_y",
     "basis_entry",
     "ct_forward",
     "ct_inverse_integral",
@@ -58,11 +59,9 @@ __all__ = [
     "parse_group",
     "phi",
     "polar_compose",
-    "polar_decompose",
     "reproduce_check",
     "rho_eval",
     "sobolev_norm",
-    "star",
     "su2",
     "toeplitz_quadratic_form",
     "toeplitz_symbol",

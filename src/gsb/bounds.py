@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import GroupSpec, root_data
+from .groups import GroupSpec
 from .heat import rho_eval
-from .polar import PointKC, exp_iy_batch, log_phi
+from .polar import exp_iy_batch, log_phi
 from .transform import HoloFunc
 
 __all__ = [
@@ -66,7 +66,7 @@ def lattice_points(spec: GroupSpec, radius: float) -> np.ndarray:
     Torus: the full lattice (2 pi Z)^r (no roots, so no chamber cut).
     SU(2): the nonnegative half of 4 pi Z in the rank-1 torus direction.
     """
-    step = root_data(spec).lattice_step
+    step = spec.lattice_step
     if spec.kind == "torus":
         kmax = int(math.floor(radius / step))
         axes = [step * np.arange(-kmax, kmax + 1)] * spec.rank
@@ -100,7 +100,7 @@ def lattice_sum(spec: GroupSpec, tau: float, P: LatticePoly | None = None, radiu
 
     if radius_cut is not None:
         return partial(radius_cut)
-    radius = 8.0 * math.sqrt(tau) + root_data(spec).lattice_step
+    radius = 8.0 * math.sqrt(tau) + spec.lattice_step
     value = partial(radius)
     for _ in range(40):
         radius *= 2.0
@@ -120,7 +120,7 @@ def _chamber_gaussian_integral(spec: GroupSpec, P: LatticePoly) -> float:
     """
     r = spec.rank
     radial = 0.5 * sum(c * math.gamma((r + k) / 2.0) for k, c in enumerate(P.coefficients))
-    step = root_data(spec).lattice_step
+    step = spec.lattice_step
     if spec.kind == "torus":
         surface = 2.0 * math.pi ** (r / 2.0) / math.gamma(r / 2.0)
         return surface * radial / step**r
@@ -240,11 +240,11 @@ def kernel_bound_check(
         y_points = polar_grid(spec, 4.0, n_radial=16, n_angular=8)
     alpha = alpha_t_estimate(spec, t, P)
     ys = np.asarray(y_points, dtype=float)
-    points = PointKC(spec, np.zeros(spec.rank) if spec.kind == "torus" else np.eye(2, dtype=complex), 2.0 * ys)
+    g2 = exp_iy_batch(spec, 2.0 * ys)
     u, log_phis = np.sum(ys**2, axis=1), log_phi(spec, ys)
     rows = []
     for tau in taus:
-        value, _ = rho_eval(spec, 2.0 * tau, points)
+        value, _ = rho_eval(spec, 2.0 * tau, g2)
         log_bound = (
             math.log(alpha) + (spec.rank - spec.dim) / 2.0 * math.log(tau) + spec.delta_sq * tau + u / tau + log_phis
         )

@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "GroupSpec",
-    "RootData",
     "torus",
     "su2",
     "enumerate_irreps",
@@ -32,7 +31,6 @@ __all__ = [
     "rep_matrix_batch",
     "rep_generator",
     "su2_euler",
-    "root_data",
     "random_k",
     "random_algebra",
 ]
@@ -49,16 +47,6 @@ PAULI = np.array(
 
 SU2_BASIS = 0.5j * PAULI
 SU2_BASIS.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class RootData:
-    """Positive roots, half-sum, and the exponential lattice for one group."""
-
-    positive_roots: tuple  # tuple of coefficient vectors on the Cartan
-    delta_sq: float
-    lattice_step: float  # generator spacing of Gamma along each axis
-    chamber: str  # "full" (torus convention) or "halfline"
 
 
 @dataclass(frozen=True)
@@ -88,6 +76,13 @@ class GroupSpec:
     def delta_sq(self) -> float:
         return 0.0 if self.kind == "torus" else 0.25
 
+    @property
+    def lattice_step(self) -> float:
+        """Generator spacing of the kernel lattice of exp along each axis:
+        2 pi on a torus; exp(s E_3) = diag(e^{is/2}, e^{-is/2}) has period
+        4 pi on SU(2)."""
+        return 2.0 * math.pi if self.kind == "torus" else 4.0 * math.pi
+
     def __str__(self):
         return f"torus:{self.rank}" if self.kind == "torus" else "su2"
 
@@ -108,14 +103,6 @@ def parse_group(text: str) -> GroupSpec:
     if text.startswith("torus:"):
         return torus(int(text.split(":", 1)[1]))
     raise ValueError(f"cannot parse group {text!r}")
-
-
-def root_data(spec: GroupSpec) -> RootData:
-    if spec.kind == "torus":
-        return RootData((), 0.0, 2.0 * math.pi, "full")
-    # Single positive root with alpha(Y) = |Y| on the closed chamber;
-    # exp(s*E_3) = diag(e^{is/2}, e^{-is/2}) has period 4*pi.
-    return RootData(((1.0,),), 0.25, 4.0 * math.pi, "halfline")
 
 
 def enumerate_irreps(spec: GroupSpec, cutoff: int) -> list:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import GroupSpec, enumerate_irreps
-from .polar import PointKC, log_phi, polar_compose
+from .polar import abs_y, log_phi
 
 __all__ = ["TruncationReport", "TailBoundError", "rho_eval", "nu_t", "log_nu_t"]
 
@@ -96,9 +96,9 @@ def _su2_characters(h, cutoff: int):
 def _series(spec: GroupSpec, tau, g, cutoff: int, weight=None):
     """sum over labels up to the cutoff of dim e^{-lam tau/2} weight(lam) chi(g) / vol K.
 
-    g is a batch of K_C points as polar_compose gives them ((..., 2, 2) on
-    SU(2), (..., r) complex on a torus) and tau an array that broadcasts
-    against the batch; weight maps eigenvalues to factors (None means 1).
+    g is a batch of K_C elements ((..., 2, 2) on SU(2), (..., r) complex on
+    a torus) and tau an array that broadcasts against the batch; weight
+    maps eigenvalues to factors (None means 1).
     An unweighted torus sum is the product of its 1-D theta sums over the
     axes; a weighted one contracts the whole label box.  A sum that
     overflows raises FloatingPointError instead of returning inf or nan.
@@ -122,21 +122,35 @@ def _series(spec: GroupSpec, tau, g, cutoff: int, weight=None):
     return total / spec.volume
 
 
-def rho_eval(spec: GroupSpec, t, p: PointKC, tol: float = 1e-10):
-    """Analytically continued heat kernel rho_t(x e^{iY}), with tail report.
-
-    p may be a batch of points and t an array of times that broadcasts
-    against it.  One cutoff, taken at the largest |Y| and the smallest t,
-    serves the whole batch, so the report bounds the tail at every point.
-    Returns a complex for one point at one time, else an array.
-    """
-    t = np.asarray(t, dtype=float)
-    if not np.all(t > 0):
+def _sum_series(spec: GroupSpec, tau, g, tol: float, weight=None):
+    """_series at the cutoff whose tail bound, at the smallest tau and the
+    largest |Y| of the batch, meets tol.  Returns (value, cutoff, smallest
+    tau, largest |Y|); an overflow is re-raised with those numbers."""
+    tau = np.asarray(tau, dtype=float)
+    if not np.all(tau > 0):
         raise ValueError("t must be positive")
-    t_min = float(np.min(t))
-    s = float(np.max(np.linalg.norm(p.y, axis=-1)))
+    t_min = float(np.min(tau))
+    s = float(np.max(abs_y(spec, g)))
     cutoff = _choose_cutoff(spec, t_min, s, tol)
-    value = _series(spec, t, polar_compose(spec, p), cutoff)
+    try:
+        value = _series(spec, tau, g, cutoff, weight)
+    except FloatingPointError as exc:
+        raise FloatingPointError(
+            f"heat series overflowed at cutoff {cutoff}, smallest t {t_min:.6g}, largest |Y| {s:.6g} ({exc})"
+        ) from exc
+    return value, cutoff, t_min, s
+
+
+def rho_eval(spec: GroupSpec, t, g, tol: float = 1e-10):
+    """Analytically continued heat kernel rho_t(g) at K_C elements, with tail report.
+
+    g is one element or a batch ((..., 2, 2) on SU(2), (..., r) complex on a
+    torus) and t an array of times that broadcasts against it.  One cutoff,
+    taken at the largest |Y| and the smallest t, serves the whole batch, so
+    the report bounds the tail at every point.  Returns a complex for one
+    element at one time, else an array.
+    """
+    value, cutoff, t_min, s = _sum_series(spec, t, g, tol)
     report = TruncationReport(cutoff, _tail_bound(spec, t_min, cutoff, s), tol)
     return (complex(value) if np.ndim(value) == 0 else value), report
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import GroupSpec, rep_matrix
-from .heat import _choose_cutoff, _series, rho_eval
-from .polar import PointKC, norm_y, polar_compose, polar_decompose, star
+from .heat import _sum_series, rho_eval
+from .polar import PointKC, polar_compose
 from .quadrature import QuadSpec, integrate_laguerre, integrate_levels
 from .transform import HoloFunc, _profiles
 
@@ -50,22 +50,21 @@ class KernelQuery:
         return self.g.spec
 
 
-def pair_point(spec: GroupSpec, g: PointKC, h: PointKC) -> PointKC:
-    """Polar form of g h^*."""
+def pair_point(spec: GroupSpec, g: PointKC, h: PointKC):
+    """The element g h^* of K_C: G H^* on SU(2), z_g - conj(z_h) on a torus,
+    where (x + iy)^* = -x + iy."""
+    gm, hm = polar_compose(spec, g), polar_compose(spec, h)
     if spec.kind == "torus":
-        z = polar_compose(spec, g) + polar_compose(spec, star(spec, h))
-        return polar_decompose(spec, z)
-    mat = polar_compose(spec, g) @ np.asarray(polar_compose(spec, h)).conj().T
-    return polar_decompose(spec, mat)
+        return gm - np.conj(hm)
+    return gm @ hm.conj().T
 
 
 def k_sobolev_spectral(query: KernelQuery, tol: float = 1e-10) -> complex:
     """Blockwise route: sum_pi (dim/vol) e^{-lambda t} (c+lambda)^{-2n} chi_pi(gh^*)."""
     spec = query.spec
-    p = pair_point(spec, query.g, query.h)
-    cutoff = _choose_cutoff(spec, 2.0 * query.t, norm_y(p.y), tol)
-    g = polar_compose(spec, p)
-    return complex(_series(spec, 2.0 * query.t, g, cutoff, lambda lam: (query.c + lam) ** (-2 * query.n)))
+    gh = pair_point(spec, query.g, query.h)
+    value = _sum_series(spec, 2.0 * query.t, gh, tol, lambda lam: (query.c + lam) ** (-2 * query.n))[0]
+    return complex(value)
 
 
 def k_sobolev_integral(query: KernelQuery, q: QuadSpec | None = None, tol: float = 1e-10):
@@ -78,10 +77,10 @@ def k_sobolev_integral(query: KernelQuery, q: QuadSpec | None = None, tol: float
     if query.n < 1:
         raise ValueError("the integral route needs n >= 1")
     spec = query.spec
-    p = pair_point(spec, query.g, query.h)
+    gh = pair_point(spec, query.g, query.h)
 
     def f(s):
-        return rho_eval(spec, 2.0 * (query.t + s), p, tol)[0]
+        return rho_eval(spec, 2.0 * (query.t + s), gh, tol)[0]
 
     res = integrate_laguerre(query.c, query.n, f, q)
     return res.value / math.factorial(2 * query.n - 1), res
@@ -111,7 +110,7 @@ def reproduce_check(F: HoloFunc, g: PointKC, q: QuadSpec | None = None):
     def value_at(level):
         return sum(tr * np.sum(_profiles(spec, t, level, label)[1]) for label, tr in traces)
 
-    fg = F.coefs.eval_kc(g)
+    fg = F.coefs.eval_k(g_mat)
     scale = 1.0 + abs(fg)
     res = integrate_levels(q, value_at, scale)
     return abs(fg - res.value) / scale, res.gap

@@ -1,12 +1,14 @@
 """Polar coordinates g = x * exp(iY) on the complexified group.
 
-Includes the density function Phi (through its logarithm, on batches of
-points) and the star anti-involution.
+A point is sampled and described as a polar pair (PointKC); the numerical
+layer works on the element it composes to, a complex (..., r) vector on a
+torus or an (..., 2, 2) SL(2,C) matrix on SU(2), and reads |Y| back from
+the element with abs_y.  Includes the density function Phi (through its
+logarithm, on batches of points).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,15 +18,13 @@ from .groups import PAULI, GroupSpec
 __all__ = [
     "PointKC",
     "identity_point",
-    "polar_decompose",
     "polar_compose",
     "exp_iy_batch",
-    "star",
+    "abs_y",
     "phi",
-    "norm_y",
 ]
 
-MAX_ABS_Y = 50.0  # overflow guard for the principal log / sinh factors
+MAX_ABS_Y = 50.0  # overflow guard on |Y| for the sinh factors and inversion radii
 
 
 @dataclass(frozen=True)
@@ -47,40 +47,6 @@ def identity_point(spec: GroupSpec) -> PointKC:
     return PointKC(spec, np.eye(2, dtype=complex), np.zeros(3))
 
 
-def norm_y(y) -> float:
-    """|Y| in the group metric (coordinates are orthonormal by construction)."""
-    return float(np.linalg.norm(y))
-
-
-def polar_decompose(spec: GroupSpec, g) -> PointKC:
-    """Unique factorization g = x * exp(iY) with x in K, Y in the algebra.
-
-    For SU(2) this is the matrix polar decomposition: exp(iY) is the
-    positive square root of g^* g and Y its principal logarithm over -i.
-    """
-    if spec.kind == "torus":
-        z = np.atleast_1d(np.asarray(g, dtype=complex))
-        x = np.mod(z.real, 2.0 * math.pi)
-        return PointKC(spec, x, z.imag.copy())
-
-    g = np.asarray(g, dtype=complex)
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if abs(det - 1.0) > 1e-8:
-        raise ValueError("group element must lie in SL(2,C)")
-    h = g.conj().T @ g  # positive hermitian, det 1
-    evals, vecs = np.linalg.eigh(h)
-    evals = np.clip(evals.real, 1e-300, None)
-    # iY = log sqrt(h); hermitian traceless
-    iy = (vecs * (0.5 * np.log(evals))) @ vecs.conj().T
-    p = (vecs * np.sqrt(evals)) @ vecs.conj().T
-    x = g @ np.linalg.inv(p)
-    # coordinates: iY = -(1/2) sum y_k sigma_k  =>  y_k = -trace(iY sigma_k)
-    y = np.array([-np.trace(iy @ sigma).real for sigma in PAULI])
-    if norm_y(y) > MAX_ABS_Y:
-        raise ValueError("polar factor exceeds the |Y| overflow guard")
-    return PointKC(spec, x, y)
-
-
 def exp_iy_batch(spec: GroupSpec, ys: np.ndarray) -> np.ndarray:
     """exp(iY) for an (N, 3) batch of su(2) coordinates, shape (N, 2, 2).
 
@@ -101,20 +67,20 @@ def exp_iy_batch(spec: GroupSpec, ys: np.ndarray) -> np.ndarray:
 
 
 def polar_compose(spec: GroupSpec, p: PointKC):
-    """Inverse of polar_decompose: the group element x * exp(iY), for one point or a batch."""
+    """The element x * exp(iY) of K_C, for one point or a batch."""
     if spec.kind == "torus":
         return np.asarray(p.x, dtype=float) + 1j * p.y
     e = exp_iy_batch(spec, p.y.reshape(-1, 3)).reshape(p.y.shape[:-1] + (2, 2))
     return np.asarray(p.x, dtype=complex) @ e
 
 
-def star(spec: GroupSpec, p: PointKC) -> PointKC:
-    """The anti-involution (x e^{iY})^* = e^{iY} x^{-1}, returned in polar form."""
+def abs_y(spec: GroupSpec, g):
+    """|Y| of the elements g = x exp(iY): ||Im z|| on a torus; on SU(2)
+    2 log of the largest singular value, since exp(iY) is positive with
+    eigenvalues e^{+-|Y|/2}.  One value per element of the batch."""
     if spec.kind == "torus":
-        x = np.mod(-np.asarray(p.x, dtype=float), 2.0 * math.pi)
-        return PointKC(spec, x, p.y.copy())
-    g = polar_compose(spec, p)
-    return polar_decompose(spec, np.asarray(g).conj().T)
+        return np.linalg.norm(np.imag(g), axis=-1)
+    return 2.0 * np.log(np.linalg.svd(g, compute_uv=False)[..., 0])
 
 
 def phi(spec: GroupSpec, y):

@@ -69,7 +69,7 @@ def _as_coefs(f) -> CoefVec:
 
 def _rewrap(f, coefs: CoefVec):
     if isinstance(f, HoloFunc):
-        return HoloFunc(coefs, f.t, f.provenance)
+        return HoloFunc(coefs, f.t)
     return coefs
 
 

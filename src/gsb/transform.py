@@ -87,7 +87,6 @@ class HoloFunc:
 
     coefs: CoefVec
     t: float
-    provenance: str = "user"
 
     @property
     def spec(self) -> GroupSpec:
@@ -98,7 +97,7 @@ def ct_forward(f: CoefVec, t: float) -> HoloFunc:
     """Damp block pi by exp(-lambda_pi t/2) and package for K_C evaluation."""
     if t <= 0:
         raise ValueError("t must be positive")
-    return HoloFunc(f.spectral(lambda lam: math.exp(-lam * t / 2.0)), t, "forward")
+    return HoloFunc(f.spectral(lambda lam: math.exp(-lam * t / 2.0)), t)
 
 
 @dataclass(frozen=True)

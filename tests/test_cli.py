@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -154,6 +155,25 @@ def _main_in_process(args, capsys):
 
     code = main(args)
     return code, capsys.readouterr()
+
+
+def test_kernel_tworoute_composes_each_point_once_per_route(tmp_path, capsys, monkeypatch):
+    # each route composes g and h once into the element g h^*, and both use
+    # that element as it is: 15 queries x 2 routes x 2 points
+    import gsb.polar
+
+    calls = []
+    exp_iy_batch = gsb.polar.exp_iy_batch
+
+    def counted(spec, ys):
+        calls.append(len(ys))
+        return exp_iy_batch(spec, ys)
+
+    monkeypatch.setattr(gsb.polar, "exp_iy_batch", counted)
+    args = ["verify", "kernel-tworoute", "--group", "su2", "--t", "1", "--n", "1", "--out", str(tmp_path / "o")]
+    code, captured = _main_in_process(args, capsys)
+    assert code == 0, captured.err
+    assert 0 < len(calls) <= 60
 
 
 def test_kernel_tworoute_judges_laguerre_gap(tmp_path, capsys):
@@ -331,6 +351,13 @@ def test_report_bounds_numeric_failure_exits_1_without_traceback(tmp_path, group
     assert "Traceback" not in r.stderr
     assert [line for line in r.stderr.splitlines() if line] == [r.stderr.strip()]
     assert r.stderr.startswith("error: ")
+    # the line names the series, its cutoff, the smallest t (the kernel of
+    # tau = t is rho_{2 tau}) and the largest |Y| (2 x the grid radius 4)
+    line = r.stderr.strip()
+    assert "heat series" in line
+    assert re.search(r"cutoff \d+", line), line
+    assert "smallest t 0.02" in line
+    assert "largest |Y| 8" in line
 
 
 def test_report_bounds_writes_report_then_fails_on_failed_check(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,6 @@ from gsb.groups import (
     rep_generator,
     rep_matrix,
     rep_matrix_batch,
-    root_data,
     su2,
     su2_euler,
     torus,
@@ -34,7 +33,8 @@ def test_spec_constants():
     assert su2().dim == 3
     assert su2().volume == pytest.approx(16 * math.pi**2)
     assert su2().delta_sq == pytest.approx(0.25)
-    assert root_data(su2()).lattice_step == pytest.approx(4 * math.pi)
+    assert su2().lattice_step == pytest.approx(4 * math.pi)
+    assert torus(2).lattice_step == pytest.approx(2 * math.pi)
 
 
 def test_enumerate_irreps_sorted():

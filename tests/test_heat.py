@@ -5,7 +5,7 @@ import pytest
 
 from gsb.groups import enumerate_irreps, irrep_dim, random_algebra, random_k, rep_matrix, rep_matrix_batch, su2, torus
 from gsb.heat import TailBoundError, _su2_characters, log_nu_t, nu_t, rho_eval
-from gsb.polar import PointKC, polar_compose
+from gsb.polar import PointKC, exp_iy_batch, polar_compose
 from gsb.quadrature import integrate_K
 
 
@@ -14,7 +14,7 @@ def test_rho_eval_tail_error(monkeypatch):
     # at most 32 allowed no cutoff meets the tolerance
     import gsb.heat
 
-    p = PointKC(torus(1), np.zeros(1), np.zeros(1))
+    p = np.zeros(1, dtype=complex)
     _, report = rho_eval(torus(1), 0.01, p, tol=1e-12)
     assert report.ok and report.cutoff > 32
     monkeypatch.setattr(gsb.heat, "MAX_CUTOFF", 32)
@@ -29,29 +29,28 @@ def test_tail_bound_past_double_range_raises_tail_error(spec):
     y = np.zeros(spec.dim)
     y[-1] = 50.0
     with pytest.raises(TailBoundError):
-        rho_eval(spec, 0.01, PointKC(spec, np.zeros(spec.rank) if spec.kind == "torus" else np.eye(2), y))
+        rho_eval(spec, 0.01, _exp_iy(spec, y))
 
 
 def test_su2_series_overflow_raises():
     # at t = 1 and |Y| = 50 a cutoff exists, but the characters chi_m ~ e^{25 m}
     # overflow on the way to it: the sum raises instead of returning inf or nan
-    with pytest.raises(FloatingPointError):
-        rho_eval(su2(), 1.0, PointKC(su2(), np.eye(2), [0.0, 50.0, 0.0]))
+    with pytest.raises(FloatingPointError, match=r"heat series overflowed at cutoff \d+, smallest t 1, largest \|Y\| 50"):
+        rho_eval(su2(), 1.0, _exp_iy(su2(), [0.0, 50.0, 0.0]))
 
 
 @pytest.mark.parametrize("spec", [torus(1), su2()])
 def test_rho_mass_on_K(spec):
     # the heat kernel integrates to 1 against normalized Haar, i.e. to
     # vol(K)*[coefficient of the trivial irrep] in our volume convention
-    total = integrate_K(spec, lambda xs: rho_eval(spec, 1.0, PointKC(spec, xs, np.zeros(spec.dim)))[0], 24)
+    total = integrate_K(spec, lambda xs: rho_eval(spec, 1.0, xs)[0], 24)
     assert total.real == pytest.approx(1.0, abs=1e-8)
     assert abs(total.imag) < 1e-10
 
 
-def _as_point(spec, x):
-    if spec.kind == "torus":
-        return PointKC(spec, np.asarray(x, dtype=float), np.zeros(spec.rank))
-    return PointKC(spec, x, np.zeros(3))
+def _exp_iy(spec, y):
+    """The element e^{iY} of K_C."""
+    return exp_iy_batch(spec, np.asarray(y, dtype=float)[None])[0]
 
 
 @pytest.mark.parametrize("spec", [torus(1), torus(2), su2()])
@@ -69,7 +68,7 @@ def test_rho_matches_series(spec):
             irrep_dim(spec, label) * math.exp(-lam * t / 2.0) * np.trace(rep_matrix(spec, label, x))
         )
     direct /= spec.volume
-    value, report = rho_eval(spec, t, _as_point(spec, x))
+    value, report = rho_eval(spec, t, x)
     assert report.ok
     assert value == pytest.approx(direct, rel=1e-10)
 
@@ -82,7 +81,7 @@ def test_rho_semigroup_at_identity():
     lhs = sum(
         m * m * math.exp(-(m * m - 1) / 4.0 * t) for m in range(1, 40)
     ) / spec.volume
-    value, _ = rho_eval(spec, 2 * t, _as_point(spec, np.eye(2, dtype=complex)), tol=1e-14)
+    value, _ = rho_eval(spec, 2 * t, np.eye(2, dtype=complex), tol=1e-14)
     assert value.real == pytest.approx(lhs, rel=1e-10)
 
 
@@ -139,7 +138,7 @@ def test_su2_characters_match_rep_trace():
 def _term_scale(spec, t, y):
     """sum of |terms| of the series at any x e^{iY}: its value at x = e, where
     every character is positive (sinh(m r/2)/sinh(r/2), or e^{n.y})."""
-    return rho_eval(spec, t, PointKC(spec, np.zeros(spec.rank) if spec.kind == "torus" else np.eye(2), y))[0].real
+    return rho_eval(spec, t, _exp_iy(spec, y))[0].real
 
 
 @pytest.mark.parametrize("spec", [torus(1), torus(2), su2()])
@@ -149,18 +148,18 @@ def test_rho_eval_batch_matches_points(spec):
     rng = np.random.default_rng(6)
     xs = np.stack([random_k(spec, rng) for _ in range(6)])
     ys = np.stack([random_algebra(spec, rng, 0.8) for _ in range(6)])
-    values, report = rho_eval(spec, 0.7, PointKC(spec, xs, ys))
+    gs = polar_compose(spec, PointKC(spec, xs, ys))
+    values, report = rho_eval(spec, 0.7, gs)
     assert values.shape == (6,)
-    for x, y, value in zip(xs, ys, values):
-        single, single_report = rho_eval(spec, 0.7, PointKC(spec, x, y))
+    for g, y, value in zip(gs, ys, values):
+        single, single_report = rho_eval(spec, 0.7, g)
         bound = report.tail_bound + single_report.tail_bound + 1e-14 * _term_scale(spec, 0.7, y)
         assert abs(value - single) <= bound
     times = np.array([0.3, 0.7, 2.0, 9.0])
-    p = PointKC(spec, xs[0], ys[0])
-    values, report = rho_eval(spec, times, p)
+    values, report = rho_eval(spec, times, gs[0])
     assert values.shape == times.shape and report.ok
     for t, value in zip(times, values):
-        single, single_report = rho_eval(spec, t, p)
+        single, single_report = rho_eval(spec, t, gs[0])
         bound = report.tail_bound + single_report.tail_bound + 1e-14 * _term_scale(spec, t, ys[0])
         assert abs(value - single) <= bound
 
@@ -175,9 +174,8 @@ def test_su2_series_matches_mpmath(t):
     spec = su2()
     rng = np.random.default_rng(7)
     for _ in range(4):
-        p = PointKC(spec, random_k(spec, rng), random_algebra(spec, rng, 1.0))
-        value, report = rho_eval(spec, t, p)
-        g = polar_compose(spec, p)
+        g = polar_compose(spec, PointKC(spec, random_k(spec, rng), random_algebra(spec, rng, 1.0)))
+        value, report = rho_eval(spec, t, g)
         w = mpmath.acos(mpmath.mpc(complex(0.5 * (g[0, 0] + g[1, 1]))))
         terms = [
             m * mpmath.exp(-(m * m - 1) * mpmath.mpf(t) / 8) * mpmath.sin(m * w) / mpmath.sin(w)

@@ -14,7 +14,7 @@ from gsb.kernels import (
     pair_point,
     reproduce_check,
 )
-from gsb.polar import PointKC, identity_point, phi
+from gsb.polar import PointKC, abs_y, exp_iy_batch, identity_point, phi
 from gsb.quadrature import QuadSpec
 from gsb.transform import ct_forward
 
@@ -33,12 +33,15 @@ def test_query_validation():
 
 
 def test_pair_point_diagonal():
-    # g g^* for g = e^{iY} is e^{2iY}
-    spec = su2()
-    y = np.array([0.3, -0.4, 0.5])
-    g = PointKC(spec, np.eye(2, dtype=complex), y)
-    p = pair_point(spec, g, g)
-    assert np.allclose(p.y, 2 * y, atol=1e-10)
+    # g g^* for g = x e^{iY} is the element x e^{2iY} x^* (2iY on a torus), whose |Y| is 2|Y|
+    rng = np.random.default_rng(4)
+    for spec in (torus(2), su2()):
+        y = np.array([0.3, -0.4, 0.5])[: spec.dim]
+        x = random_k(spec, rng)
+        gg = pair_point(spec, PointKC(spec, x, y), PointKC(spec, x, y))
+        e2 = exp_iy_batch(spec, 2 * y[None])[0]
+        assert np.allclose(gg, e2 if spec.kind == "torus" else x @ e2 @ x.conj().T, rtol=0, atol=1e-14)
+        assert abs_y(spec, gg) == pytest.approx(2 * np.linalg.norm(y), rel=1e-14)
 
 
 def test_k_t_is_heat_kernel_at_double_time():
