@@ -180,19 +180,26 @@ def polar_grid(spec: GroupSpec, radius: float, n_radial: int = 40, n_angular: in
     return np.vstack([np.zeros((1, spec.dim)), pts])
 
 
-def growth_functional(F: HoloFunc, t: float, n: int, grid: np.ndarray):
+def growth_functional(F: HoloFunc, t: float, n, grid: np.ndarray):
     """sup over the grid of |F(e^{iY})|^2 (1+|Y|^2)^{2n} / (Phi(Y) e^{|Y|^2/t}).
 
-    Worked in log space; returns (value, argmax Y).
+    Worked in log space; returns (value, argmax Y).  For a sequence of
+    orders n, F, |Y|^2 and log Phi are evaluated once and the result is a
+    list with one (value, argmax Y) per order.
     """
     spec = F.spec
     vals = F.coefs.eval_k_batch(exp_iy_batch(spec, grid))
     u = np.sum(grid**2, axis=1)
     log_env = log_phi(spec, grid) + u / t
     with np.errstate(divide="ignore"):
-        logs = 2.0 * np.log(np.abs(vals)) + 2.0 * n * np.log1p(u) - log_env
-    i = int(np.argmax(logs))
-    return float(np.exp(logs[i])), grid[i]
+        log_f2 = 2.0 * np.log(np.abs(vals))
+    log_w = np.log1p(u)
+    sups = []
+    for order in [n] if np.ndim(n) == 0 else n:
+        logs = log_f2 + 2.0 * order * log_w - log_env
+        i = int(np.argmax(logs))
+        sups.append((float(np.exp(logs[i])), grid[i]))
+    return sups[0] if np.ndim(n) == 0 else sups
 
 
 def smoothness_report(
@@ -207,14 +214,12 @@ def smoothness_report(
     """Growth functionals at a radius and its double, with stability flags."""
     report = BoundReport(F.spec, t)
     grids = {r: polar_grid(F.spec, r, n_radial, n_angular) for r in (radius, 2.0 * radius)}
-    for n in range(n_max + 1):
-        values = {}
-        for r, grid in grids.items():
-            value, _ = growth_functional(F, t, n, grid)
-            report.rows.append((n, r, value))
-            values[r] = value
-        base = values[radius]
-        report.stable[n] = abs(values[2.0 * radius] - base) <= stability_tol * max(base, 1e-300)
+    orders = range(n_max + 1)
+    sups = {r: [value for value, _ in growth_functional(F, t, orders, grid)] for r, grid in grids.items()}
+    for n in orders:
+        report.rows += [(n, r, values[n]) for r, values in sups.items()]
+        base = sups[radius][n]
+        report.stable[n] = abs(sups[2.0 * radius][n] - base) <= stability_tol * max(base, 1e-300)
     report.rows = report.sorted_rows()
     return report
 

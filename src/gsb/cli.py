@@ -303,7 +303,6 @@ def _suite_rows(suite: str, cfg: RunConfig, t: float):
     spec = cfg.spec
     tol = cfg.tolerance if cfg.tolerance is not None else _default_tol(suite)
     q = cfg.quad(None if cfg.tolerance is None else cfg.tolerance)
-    rng = np.random.default_rng(cfg.seed)
     rows = []
 
     if suite == "mass":
@@ -328,6 +327,7 @@ def _suite_rows(suite: str, cfg: RunConfig, t: float):
 
     if suite == "reproducing":
         basis = _basis(spec, cfg.cutoff, limit=5)
+        rng = np.random.default_rng(cfg.seed)
         points = []
         for _ in range(20):
             y = random_algebra(spec, rng)
@@ -365,18 +365,20 @@ def _suite_rows(suite: str, cfg: RunConfig, t: float):
         return rows
 
     if suite == "kernel-tworoute":
+        rng = np.random.default_rng(cfg.seed)
         for n in cfg.n:
             if n < 1:
                 continue
             c = spec.delta_sq + 1.0 if cfg.c is None else cfg.c
-            for k in range(15):
-                g = PointKC(spec, random_k(spec, rng), random_algebra(spec, rng, 0.6))
-                h = PointKC(spec, random_k(spec, rng), random_algebra(spec, rng, 0.6))
-                query = KernelQuery(g, h, t, n, c)
-                lhs = k_sobolev_spectral(query)
-                rhs, res = k_sobolev_integral(query)
-                err = _rel_err(lhs, rhs)
-                rows.append((f"n={n}:q{k}", lhs, rhs, err, tol, err <= tol and res.gap <= tol, res.gap))
+            # 15 pairs (g, h), drawn g, h, g, h, ..., each as (x, Y): one batched query
+            draws = [(random_k(spec, rng), random_algebra(spec, rng, 0.6)) for _ in range(30)]
+            xs, ys = (np.stack(part) for part in zip(*draws))
+            query = KernelQuery(PointKC(spec, xs[0::2], ys[0::2]), PointKC(spec, xs[1::2], ys[1::2]), t, n, c)
+            lhs = k_sobolev_spectral(query)
+            rhs, res = k_sobolev_integral(query)
+            for k, (left, right, gap) in enumerate(zip(lhs.tolist(), rhs.tolist(), res.gap.tolist())):
+                err = _rel_err(left, right)
+                rows.append((f"n={n}:q{k}", left, right, err, tol, err <= tol and gap <= tol, gap))
         return rows
 
     if suite == "toeplitz":

@@ -31,6 +31,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KernelQuery:
+    """Kernel at (g, h), or at each pair of a batch: g and h then carry one
+    leading axis of the same length."""
+
     g: PointKC
     h: PointKC
     t: float
@@ -52,19 +55,22 @@ class KernelQuery:
 
 def pair_point(spec: GroupSpec, g: PointKC, h: PointKC):
     """The element g h^* of K_C: G H^* on SU(2), z_g - conj(z_h) on a torus,
-    where (x + iy)^* = -x + iy."""
+    where (x + iy)^* = -x + iy.  For batches of points, one element per pair."""
     gm, hm = polar_compose(spec, g), polar_compose(spec, h)
     if spec.kind == "torus":
         return gm - np.conj(hm)
-    return gm @ hm.conj().T
+    return gm @ np.swapaxes(hm.conj(), -1, -2)
 
 
-def k_sobolev_spectral(query: KernelQuery, tol: float = 1e-10) -> complex:
-    """Blockwise route: sum_pi (dim/vol) e^{-lambda t} (c+lambda)^{-2n} chi_pi(gh^*)."""
+def k_sobolev_spectral(query: KernelQuery, tol: float = 1e-10):
+    """Blockwise route: sum_pi (dim/vol) e^{-lambda t} (c+lambda)^{-2n} chi_pi(gh^*).
+
+    A complex for one pair, an array for a batch (one cutoff for the batch).
+    """
     spec = query.spec
     gh = pair_point(spec, query.g, query.h)
     value = _sum_series(spec, 2.0 * query.t, gh, tol, lambda lam: (query.c + lam) ** (-2 * query.n))[0]
-    return complex(value)
+    return complex(value) if np.ndim(value) == 0 else value
 
 
 def k_sobolev_integral(query: KernelQuery, q: QuadSpec | None = None, tol: float = 1e-10):
@@ -72,15 +78,18 @@ def k_sobolev_integral(query: KernelQuery, q: QuadSpec | None = None, tol: float
 
     k_t^{2n}(g,h) = 1/(2n-1)! * int_0^inf s^{2n-1} e^{-cs} rho_{2(t+s)}(gh^*) ds,
 
-    with one rho_eval call per quadrature level, on all of its nodes.
+    with one rho_eval call per quadrature level, on all of its nodes (and
+    on every pair of a batch: value and gap are then arrays).
     """
     if query.n < 1:
         raise ValueError("the integral route needs n >= 1")
     spec = query.spec
     gh = pair_point(spec, query.g, query.h)
+    batched = query.g.y.ndim > 1
 
     def f(s):
-        return rho_eval(spec, 2.0 * (query.t + s), gh, tol)[0]
+        # on a batch the nodes run down the rows and the pairs along the columns
+        return rho_eval(spec, 2.0 * (query.t + (s[:, None] if batched else s)), gh, tol)[0]
 
     res = integrate_laguerre(query.c, query.n, f, q)
     return res.value / math.factorial(2 * query.n - 1), res

@@ -210,7 +210,7 @@ class QuadSpec:
 
 @dataclass(frozen=True)
 class QuadResult:
-    value: complex
+    value: complex  # value and gap are arrays when the level values are
     gap: float
     tolerance: float
     by_level: tuple
@@ -327,11 +327,23 @@ def integrate_levels(q: QuadSpec, value_at, floor: float = 0.0) -> QuadResult:
 
     The gap is |a - b| / max(|a|, |b|, floor) over the two finest levels;
     floor is the natural size of a value that may vanish (0 if none).
+    value_at returns a number (value complex, gap float) or an array of
+    values (value, gap and each level an array, element by element).  The
+    gap is formed on Python numbers, so an element's gap has the bits of a
+    one-value call.
     """
-    values = tuple(complex(value_at(level)) for level in q.levels)
+
+    def gap(a, b):
+        return abs(a - b) / max(abs(a), abs(b), floor, 1e-300)
+
+    values = tuple(value_at(level) for level in q.levels)
+    if getattr(values[-1], "ndim", 0) == 0:  # a Python or numpy number
+        values = tuple(complex(v) for v in values)
+        return QuadResult(values[-1], gap(values[-1], values[-2]), q.tolerance, values)
+    values = tuple(np.asarray(v, dtype=complex) for v in values)
     a, b = values[-1], values[-2]
-    gap = abs(a - b) / max(abs(a), abs(b), floor, 1e-300)
-    return QuadResult(a, gap, q.tolerance, values)
+    gaps = [gap(x, y) for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
+    return QuadResult(a, np.reshape(gaps, a.shape), q.tolerance, values)
 
 
 def integrate_kspace(spec: GroupSpec, t: float, integrand, q: QuadSpec) -> QuadResult:
@@ -351,14 +363,16 @@ def integrate_laguerre(c: float, n: int, f, q: QuadSpec | None = None) -> QuadRe
     """int_0^inf s^{2n-1} e^{-cs} f(s) ds by generalized Gauss-Laguerre.
 
     The substitution u = c s moves the weight to u^{2n-1} e^{-u}.
-    f maps an array of s values to an array of values; each level calls it once.
+    f maps an (L,) array of s values to (L,) values, or to (L, B) values for
+    a batch of B integrands (value and gap are then (B,) arrays); each level
+    calls it once.
     """
     if c <= 0 or n < 1:
         raise ValueError("need c > 0 and n >= 1")
 
     def value_at(level):
         u, w = roots_genlaguerre(level, 2 * n - 1)
-        return complex(np.dot(w, np.asarray(f(u / c)))) / c ** (2 * n)
+        return np.dot(w, np.asarray(f(u / c))) / c ** (2 * n)
 
     return integrate_levels(q or QuadSpec(levels=(16, 32, 64), tolerance=1e-8), value_at)
 

@@ -184,23 +184,26 @@ def _torus_profiles(t: float, level: int, rank: int, nsq: int):
     return u, a, zeta
 
 
-def _profiles(spec: GroupSpec, t: float, level: int, label):
-    """(u, a, b) of one label: for blocks B1, B2 with the damping undone,
+def _profiles(spec: GroupSpec, t: float, level: int, label, first_order: bool = False):
+    """(u, a) of one label, or (u, b) if first_order: for blocks B1, B2 with
+    the damping undone,
 
         e^{-lam t} int rho tr(B1^* pi(e^{2iY}) B2) dmu_t     ~ tr(B1^* B2) sum_i a_i rho(u_i),
         e^{-lam t} int y_k rho tr(B1^* pi(e^{2iY}) B2) dmu_t ~ tr(B1^* dpi(E_k) B2) sum_i b_i rho(u_i),
 
     rho a function of u = |Y|^2.  On SU(2) these are _schur_profiles with
     u = r^2; on a torus pi(e^{2iY}) = e^{-2 n.Y} and dpi(E_k) = i n_k, so
-    b = (-i/|n|) zeta a, and b = 0 at n = 0.
+    b = (-i/|n|) zeta a, and b = 0 at n = 0.  The torus b is a new array of
+    the rule's size on each call, so it is formed only when asked for.
     """
     if spec.kind == "su2":
         r, a, b = _schur_profiles(t, level, label)
-        return r * r, a, b
+        return r * r, (b if first_order else a)
     nsq = int(np.dot(label, label))
     u, a, zeta = _torus_profiles(t, level, spec.rank, nsq)
-    b = (-1j / math.sqrt(nsq)) * zeta * a if nsq else np.zeros(a.shape)
-    return u, a, b
+    if not first_order:
+        return u, a
+    return u, ((-1j / math.sqrt(nsq)) * zeta * a if nsq else np.zeros(a.shape))
 
 
 def _inner_level(F1: HoloFunc, F2: HoloFunc, level: int, weight, axis_weight) -> complex:
@@ -216,14 +219,13 @@ def _inner_level(F1: HoloFunc, F2: HoloFunc, level: int, weight, axis_weight) ->
         undo = min(half_lam, 700.0)
         b1 = math.exp(undo) * F1.coefs.entries[label]
         b2 = math.exp(undo) * F2.coefs.entries[label]
-        u, a, b = _profiles(spec, t, level, label)
+        u, prof = _profiles(spec, t, level, label, first_order=axis_weight is not None)
         if axis_weight is None:
             trace = np.sum(b1.conj() * b2)
-            prof = a
         else:
             gen = rep_generator(spec, label, direction)
             trace = np.sum(b1.conj() * (gen @ b2))
-            prof = b * axis_weight.radial(u)
+            prof = prof * axis_weight.radial(u)
         if weight is not None:
             prof = prof * weight(u)
         total += (spec.volume / irrep_dim(spec, label)) * trace * np.sum(prof) * math.exp(2.0 * (half_lam - undo))

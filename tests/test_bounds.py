@@ -82,6 +82,41 @@ def test_smoothness_report_stable(spec):
         assert by_n[n][6.0] <= by_n[n + 1][6.0] * (1 + 1e-9)
 
 
+def _two_label_function(spec):
+    label = (2, -1) if spec.kind == "torus" else 3
+    f = basis_entry(spec, label, 0, 0) + basis_entry(spec, (0,) * spec.rank if spec.kind == "torus" else 1, 0, 0)
+    return ct_forward(f, 1.0)
+
+
+@pytest.mark.parametrize("spec", [torus(2), su2()], ids=str)
+def test_growth_functional_orders_match_one_order_calls(spec):
+    F = _two_label_function(spec)
+    grid = polar_grid(spec, 4.0, n_radial=12, n_angular=8)
+    sups = growth_functional(F, 1.0, range(5), grid)
+    assert len(sups) == 5
+    for n, (value, arg) in enumerate(sups):
+        one_value, one_arg = growth_functional(F, 1.0, n, grid)
+        assert value == one_value
+        assert np.array_equal(arg, one_arg)
+
+
+@pytest.mark.parametrize("n_max", [0, 4])
+def test_smoothness_report_evaluates_F_once_per_grid(monkeypatch, n_max):
+    from gsb.coeffs import CoefVec
+
+    calls = []
+    eval_k_batch = CoefVec.eval_k_batch
+
+    def counted(self, g):
+        calls.append(len(g))
+        return eval_k_batch(self, g)
+
+    monkeypatch.setattr(CoefVec, "eval_k_batch", counted)
+    rep = smoothness_report(_two_label_function(su2()), 1.0, n_max=n_max, n_radial=12, n_angular=8)
+    assert len(rep.rows) == 2 * (n_max + 1)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("spec", [torus(1), su2()])
 def test_kernel_bound(spec):
     rows, ok = kernel_bound_check(spec, 1.0)

@@ -158,8 +158,9 @@ def _main_in_process(args, capsys):
 
 
 def test_kernel_tworoute_composes_each_point_once_per_route(tmp_path, capsys, monkeypatch):
-    # each route composes g and h once into the element g h^*, and both use
-    # that element as it is: 15 queries x 2 routes x 2 points
+    # the 15 queries of one (t, n) form one batch; each route composes the
+    # batch of g and the batch of h once into the elements g h^*, and uses
+    # them as they are: 2 routes x 2 batches of 15 points
     import gsb.polar
 
     calls = []
@@ -173,7 +174,31 @@ def test_kernel_tworoute_composes_each_point_once_per_route(tmp_path, capsys, mo
     args = ["verify", "kernel-tworoute", "--group", "su2", "--t", "1", "--n", "1", "--out", str(tmp_path / "o")]
     code, captured = _main_in_process(args, capsys)
     assert code == 0, captured.err
-    assert 0 < len(calls) <= 60
+    assert 0 < len(calls) <= 4
+    assert sum(calls) == 2 * 2 * 15
+
+
+def test_suites_that_draw_nothing_leave_numpy_random_unimported(tmp_path):
+    # a generator imports numpy.random (with secrets and hmac); only the
+    # suites that sample points build one.  reproducing is the control.
+    code = (
+        "import sys\n"
+        "from gsb.cli import main\n"
+        "for suite in sys.argv[1:]:\n"
+        "    main(['verify', suite, '--group', 'torus:1', '--t', '1', '--cutoff', '1', '--out', 'o'])\n"
+        "    print('numpy.random', suite, 'numpy.random' in sys.modules)\n"
+    )
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH", "")) if p)
+    r = subprocess.run(
+        [sys.executable, "-c", code, "unitarity", "mass", "reproducing"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert r.returncode == 0, r.stderr
+    seen = [line.split()[1:] for line in r.stdout.splitlines() if line.startswith("numpy.random ")]
+    assert seen == [["unitarity", "False"], ["mass", "False"], ["reproducing", "True"]]
 
 
 def test_kernel_tworoute_judges_laguerre_gap(tmp_path, capsys):

@@ -90,6 +90,32 @@ def test_two_route_agreement(spec, n):
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))
 
 
+@pytest.mark.parametrize("spec", [su2(), torus(1), torus(2)], ids=str)
+@pytest.mark.parametrize("t", [1.0, 2.0])
+@pytest.mark.parametrize("n", [1, 2])
+def test_batched_routes_match_single_queries(spec, t, n):
+    # one query on 15 pairs against 15 one-pair queries; the batch takes one
+    # series cutoff (largest |Y|, smallest time), which only adds terms whose
+    # tail bound was already under tol.  The gap is itself relative, so it is
+    # compared in absolute terms.
+    rng = np.random.default_rng(7)
+    draws = [(random_k(spec, rng), random_algebra(spec, rng, 0.6)) for _ in range(30)]
+    xs, ys = (np.stack(part) for part in zip(*draws))
+    c = spec.delta_sq + 1.0
+    batch = KernelQuery(PointKC(spec, xs[0::2], ys[0::2]), PointKC(spec, xs[1::2], ys[1::2]), t, n, c)
+    lhs = k_sobolev_spectral(batch)
+    rhs, res = k_sobolev_integral(batch)
+    assert lhs.shape == rhs.shape == res.gap.shape == (15,)
+    for k in range(15):
+        one = KernelQuery(PointKC(spec, xs[2 * k], ys[2 * k]), PointKC(spec, xs[2 * k + 1], ys[2 * k + 1]), t, n, c)
+        one_lhs = k_sobolev_spectral(one)
+        one_rhs, one_res = k_sobolev_integral(one)
+        assert type(one_lhs) is complex and type(one_rhs) is complex and type(one_res.gap) is float
+        assert abs(lhs[k] - one_lhs) <= 1e-11 * abs(one_lhs)
+        assert abs(rhs[k] - one_rhs) <= 1e-11 * abs(one_rhs)
+        assert abs(res.gap[k] - one_res.gap) <= 1e-11
+
+
 def test_integral_route_rejects_n0():
     spec = torus(1)
     e = identity_point(spec)

@@ -13,6 +13,7 @@ from gsb.quadrature import (
     integrate_K,
     integrate_kspace,
     integrate_laguerre,
+    integrate_levels,
     kspace_rule,
     roots_genlaguerre,
     roots_hermite,
@@ -78,6 +79,29 @@ def test_laguerre_rational_against_adaptive():
     res = integrate_laguerre(c, n, lambda s: 1.0 / (s + t))
     assert res.ok
     assert res.value == pytest.approx(ref, rel=1e-8)
+
+
+@pytest.mark.parametrize("floor", [0.0, 1e-3])
+def test_integrate_levels_array_values_match_scalar_calls(floor):
+    # one call on a length-5 array gives, element by element, the bits of a
+    # one-value call; element 1 vanishes on every level (gap 0), element 2
+    # is below the floor of 1e-3, element 3 is real
+    q = QuadSpec(levels=(8, 12, 16))
+    base = np.array([1.0 + 2.0j, 0.0, 3e-7 - 1e-7j, -2.5, 4e5j])
+
+    def value_at(level):
+        return base * (1.0 + np.array([1e-9, 0.0, 0.3, 1e-13, -2e-8]) / level)
+
+    res = integrate_levels(q, value_at, floor)
+    assert res.value.shape == res.gap.shape == (5,)
+    assert res.gap[1] == 0.0
+    for k in range(5):
+        one = integrate_levels(q, lambda level: value_at(level)[k], floor)
+        assert type(one.value) is complex and type(one.gap) is float
+        assert res.value[k] == one.value
+        assert res.gap[k] == one.gap
+        assert tuple(complex(v[k]) for v in res.by_level) == one.by_level
+    assert list(res.ok) == [res.gap[k] <= q.tolerance for k in range(5)]
 
 
 def test_integrate_K_volume():
