@@ -77,11 +77,11 @@ def lattice_points(spec: GroupSpec, radius: float) -> np.ndarray:
     return (step * np.arange(0, kmax + 1)).reshape(-1, 1)
 
 
-def lattice_sum(spec: GroupSpec, tau: float, P: LatticePoly | None = None, radius_cut: float | None = None) -> float:
+def lattice_sum(spec: GroupSpec, tau: float, P: LatticePoly | None = None) -> float:
     """sum over chamber lattice points of P(|gamma|/sqrt(tau)) e^{-|gamma|^2/tau}.
 
-    With radius_cut=None the radius doubles until the sum is stable to 1e-12
-    relative (Gaussian tails decay fast enough that two levels suffice).
+    The radius doubles until the sum is stable to 1e-12 relative (Gaussian
+    tails decay fast enough that two levels suffice).
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -98,8 +98,6 @@ def lattice_sum(spec: GroupSpec, tau: float, P: LatticePoly | None = None, radiu
             terms = np.where(norms == 0.0, 0.5 * terms, terms)
         return float(np.sum(terms))
 
-    if radius_cut is not None:
-        return partial(radius_cut)
     radius = 8.0 * math.sqrt(tau) + spec.lattice_step
     value = partial(radius)
     for _ in range(40):
@@ -128,25 +126,21 @@ def _chamber_gaussian_integral(spec: GroupSpec, P: LatticePoly) -> float:
     return radial / step
 
 
-def lattice_limit_check(spec: GroupSpec, P: LatticePoly | None = None, tau_list=(16.0, 64.0, 256.0)):
-    """Rows (tau, tau^{-r/2} * lattice_sum, target, relative gap)."""
-    P = P or LatticePoly()
-    target = _chamber_gaussian_integral(spec, P)
+def lattice_limit_check(spec: GroupSpec, tau_list=(16.0, 64.0, 256.0)):
+    """Rows (tau, tau^{-r/2} * lattice_sum, target, relative gap) for P = 1."""
+    target = _chamber_gaussian_integral(spec, LatticePoly())
     rows = []
     for tau in tau_list:
-        scaled = lattice_sum(spec, tau, P) / tau ** (spec.rank / 2.0)
+        scaled = lattice_sum(spec, tau) / tau ** (spec.rank / 2.0)
         rows.append((tau, scaled, target, abs(scaled - target) / abs(target)))
     return rows
 
 
-def alpha_t_estimate(spec: GroupSpec, t: float, P: LatticePoly | None = None, tau_grid=None) -> float:
-    """Empirical sup over the tau grid of lattice_sum(tau) / tau^{r/2}."""
+def alpha_t_estimate(spec: GroupSpec, t: float) -> float:
+    """Empirical sup of lattice_sum(tau) / tau^{r/2} (P = 1) over tau = t 2^k, k = 0..8."""
     if t <= 0:
         raise ValueError("t must be positive")
-    P = P or LatticePoly()
-    if tau_grid is None:
-        tau_grid = [t * 2.0**k for k in range(9)]
-    return max(lattice_sum(spec, tau, P) / tau ** (spec.rank / 2.0) for tau in tau_grid)
+    return max(lattice_sum(spec, tau) / tau ** (spec.rank / 2.0) for tau in (t * 2.0**k for k in range(9)))
 
 
 def _unit_directions(dim: int, n_angular: int) -> np.ndarray:
@@ -209,9 +203,9 @@ def smoothness_report(
     radius: float = 6.0,
     n_radial: int = 40,
     n_angular: int = 16,
-    stability_tol: float = 0.10,
 ) -> BoundReport:
-    """Growth functionals at a radius and its double, with stability flags."""
+    """Growth functionals at a radius and its double; order n is stable when
+    the two agree to 10% of the value at the radius."""
     report = BoundReport(F.spec, t)
     grids = {r: polar_grid(F.spec, r, n_radial, n_angular) for r in (radius, 2.0 * radius)}
     orders = range(n_max + 1)
@@ -219,39 +213,31 @@ def smoothness_report(
     for n in orders:
         report.rows += [(n, r, values[n]) for r, values in sups.items()]
         base = sups[radius][n]
-        report.stable[n] = abs(sups[2.0 * radius][n] - base) <= stability_tol * max(base, 1e-300)
+        report.stable[n] = abs(sups[2.0 * radius][n] - base) <= 0.10 * max(base, 1e-300)
     report.rows = report.sorted_rows()
     return report
 
 
-def kernel_bound_check(
-    spec: GroupSpec,
-    t: float,
-    taus=None,
-    y_points: np.ndarray | None = None,
-    P: LatticePoly | None = None,
-    slack: float = 0.05,
-):
+def kernel_bound_check(spec: GroupSpec, t: float):
     """Envelope consistency of the analytically continued heat kernel:
 
     rho_{2 tau}(g g^*) <= alpha_t tau^{(r-d)/2} e^{|delta|^2 tau}
                           e^{|Y|^2/tau} Phi(Y) (1 + slack)
 
-    on the grid, with g = e^{iY} (so g g^* = e^{2iY}).  Returns (rows, ok)
-    where rows are (tau, max ratio of left side to the slack-free bound).
+    for tau = t, 2t, 4t and slack 0.05, on the radius-4 polar grid of 16
+    radii by 8 angles, with g = e^{iY} (so g g^* = e^{2iY}).  Returns
+    (rows, ok) where rows are (tau, max ratio of left side to the slack-free
+    bound).
     """
-    taus = list(taus) if taus is not None else [t, 2.0 * t, 4.0 * t]
-    if y_points is None:
-        y_points = polar_grid(spec, 4.0, n_radial=16, n_angular=8)
-    alpha = alpha_t_estimate(spec, t, P)
-    ys = np.asarray(y_points, dtype=float)
+    alpha = alpha_t_estimate(spec, t)
+    ys = polar_grid(spec, 4.0, n_radial=16, n_angular=8)
     g2 = exp_iy_batch(spec, 2.0 * ys)
     u, log_phis = np.sum(ys**2, axis=1), log_phi(spec, ys)
     rows = []
-    for tau in taus:
+    for tau in (t, 2.0 * t, 4.0 * t):
         value, _ = rho_eval(spec, 2.0 * tau, g2)
         log_bound = (
             math.log(alpha) + (spec.rank - spec.dim) / 2.0 * math.log(tau) + spec.delta_sq * tau + u / tau + log_phis
         )
         rows.append((tau, float(np.max(np.abs(value) / np.exp(log_bound)))))
-    return rows, all(worst <= 1.0 + slack for _, worst in rows)
+    return rows, all(worst <= 1.05 for _, worst in rows)

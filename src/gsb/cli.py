@@ -14,17 +14,11 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .bounds import (
-    LatticePoly,
-    alpha_t_estimate,
-    kernel_bound_check,
-    lattice_limit_check,
-    smoothness_report,
-)
+from .bounds import alpha_t_estimate, kernel_bound_check, lattice_limit_check, smoothness_report
 from .coeffs import CoefVec, basis_entry
 from .groups import (
     GroupSpec,
@@ -39,7 +33,7 @@ from .groups import (
 from .heat import TailBoundError, log_nu_t
 from .kernels import KernelQuery, k_sobolev_integral, k_sobolev_spectral, reproduce_check
 from .polar import MAX_ABS_Y, PointKC, log_phi
-from .quadrature import MAX_ORDER, QuadSpec, integrate_levels
+from .quadrature import MAX_ORDER, QuadSpec, integrate_levels, rel_gap
 from .sobolev import (
     first_order_forms,
     laplacian_apply,
@@ -52,15 +46,6 @@ from .sobolev import (
 )
 from .transform import QuadratureError, _ball_radii, ct_forward, holo_inner, inverse_integral_trace
 
-VERIFY_SUITES = (
-    "unitarity",
-    "mass",
-    "reproducing",
-    "sobolev-isometry",
-    "kernel-tworoute",
-    "toeplitz",
-    "weighted-norm",
-)
 REPORT_KINDS = ("bounds", "smoothness", "lattice", "symbol")
 
 VERIFY_COLUMNS = ["case-id", "lhs", "rhs", "rel-err", "tol", "pass", "gap"]
@@ -70,21 +55,6 @@ class ConfigError(ValueError):
     pass
 
 
-# element type of each RunConfig field; a tuple field is checked element-wise
-_FIELD_TYPES = {
-    "group": str,
-    "t": float,
-    "n": int,
-    "c": float,
-    "cutoff": int,
-    "levels": int,
-    "radii": float,
-    "tau": float,
-    "tolerance": float,
-    "seed": int,
-    "out": str,
-    "fmt": str,
-}
 _TYPE_NAMES = {str: ("a string", "strings"), int: ("an integer", "integers"), float: ("a number", "numbers")}
 
 
@@ -95,29 +65,37 @@ def _has_type(value, kind) -> bool:
     return isinstance(value, base) and not isinstance(value, bool)
 
 
+def _flag(default, kind, help: str):
+    """A RunConfig field and its --flag: kind is the element type (of each
+    entry, when the default is a tuple and the flag a comma list)."""
+    return field(default=default, metadata={"kind": kind, "help": help})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    group: str = "torus:1"
-    t: tuple = (1.0,)
-    n: tuple = (1, 2)
-    c: float | None = None
-    cutoff: int = 4
-    levels: tuple = (64, 96)
-    radii: tuple = (4.0, 7.0, 10.0)
-    tau: tuple = (1.0, 4.0, 16.0, 64.0, 256.0)
-    tolerance: float | None = None
-    seed: int = 0
-    out: str = "reports"
-    fmt: str = "csv"
+    group: str = _flag("torus:1", str, "torus:r or su2")
+    t: tuple = _flag((1.0,), float, "comma list of times")
+    n: tuple = _flag((1, 2), int, "comma list of Sobolev orders")
+    c: float | None = _flag(None, float, "spectral shift (default: positivity threshold)")
+    cutoff: int = _flag(4, int, "irrep label cutoff (max 64)")
+    levels: tuple = _flag((64, 96), int, "comma list of quadrature levels")
+    radii: tuple = _flag((4.0, 7.0, 10.0), float, "comma list of inversion/grid radii")
+    tau: tuple = _flag((1.0, 4.0, 16.0, 64.0, 256.0), float, "comma list of lattice scales")
+    tolerance: float | None = _flag(None, float, "override the per-suite tolerance")
+    seed: int = _flag(0, int, "RNG seed for sampled cases")
+    out: str = _flag("reports", str, "output directory (default: reports)")
+    fmt: str = _flag("csv", str, "report format: csv or json")
 
     def validate(self) -> "RunConfig":
         for f in fields(self):
-            value, kind = getattr(self, f.name), _FIELD_TYPES[f.name]
+            value, kind = getattr(self, f.name), f.metadata["kind"]
             if value is None and f.default is None:
                 continue
             if isinstance(f.default, tuple):
                 if not isinstance(value, tuple) or not all(_has_type(v, kind) for v in value):
                     raise ConfigError(f"{f.name} must be a list of {_TYPE_NAMES[kind][1]}")
+                if not value:
+                    raise ConfigError(f"{f.name} must not be empty")
             elif not _has_type(value, kind):
                 raise ConfigError(f"{f.name} must be {_TYPE_NAMES[kind][0]}")
         # written so that nan fails every comparison and is rejected
@@ -125,7 +103,7 @@ class RunConfig:
             spec = self.spec
         except ValueError as exc:
             raise ConfigError(str(exc))
-        if not self.t or not all(0 < t < math.inf for t in self.t):
+        if not all(0 < t < math.inf for t in self.t):
             raise ConfigError("t values must be positive and finite")
         if not (1 <= self.cutoff <= 64):
             raise ConfigError("cutoff must be in 1..64")
@@ -164,6 +142,7 @@ class RunConfig:
         return parse_group(self.group)
 
     def quad(self, tol: float | None = None) -> QuadSpec:
+        """Quadrature levels with tol, else the configured tolerance, else 1e-8."""
         if tol is None:
             tol = self.tolerance
         if tol is None:
@@ -182,34 +161,27 @@ class RunConfig:
 
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fp:
             data = json.load(fp)
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        allowed = {f.name for f in fields(RunConfig)}
-        unknown = set(data) - allowed
+        unknown = set(data) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("t", "n", "levels", "radii", "tau"):
-            if isinstance(data.get(key), list):
-                data[key] = tuple(data[key])
-        cfg = replace(cfg, **data)
+        cfg = replace(cfg, **{key: tuple(v) if isinstance(v, list) else v for key, v in data.items()})
     overrides = {}
-    for name in ("group", "c", "cutoff", "tolerance", "seed", "out", "fmt"):
-        value = getattr(args, name.replace("-", "_"), None)
-        if value is not None:
-            overrides[name] = value
-    for name, cast in (("t", float), ("n", int), ("levels", int), ("radii", float), ("tau", float)):
-        raw = getattr(args, name, None)
-        if raw is not None:
-            try:
-                overrides[name] = tuple(cast(part) for part in str(raw).split(","))
-            except ValueError:
-                raise ConfigError(f"--{name} expects a comma list of {_TYPE_NAMES[cast][1]}, got {raw!r}") from None
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg.validate()
+    for f in fields(RunConfig):
+        raw, kind = getattr(args, f.name), f.metadata["kind"]
+        if raw is None:
+            continue
+        is_list = isinstance(f.default, tuple)
+        try:
+            overrides[f.name] = tuple(kind(part) for part in raw.split(",")) if is_list else kind(raw)
+        except ValueError:
+            expected = f"a comma list of {_TYPE_NAMES[kind][1]}" if is_list else _TYPE_NAMES[kind][0]
+            raise ConfigError(f"--{f.name} expects {expected}, got {raw!r}") from None
+    return replace(cfg, **overrides).validate()
 
 
 def _fmt_num(x) -> str:
@@ -266,17 +238,14 @@ def _basis(spec: GroupSpec, cutoff: int, limit: int | None = None):
     return out
 
 
-def _rel_err(lhs, rhs) -> float:
-    scale = max(abs(lhs), abs(rhs))
-    if scale == 0:
-        return 0.0
-    return abs(lhs - rhs) / scale
+def _row(cid, lhs, rhs, err, tol, gap):
+    """A verify row: it passes when both its error and its level gap are within tol."""
+    return (cid, lhs, rhs, err, tol, err <= tol and gap <= tol, gap)
 
 
-def _gap(res, q: QuadSpec, floor: float) -> float:
-    """Gap of a QuadResult on q's levels, relative to the larger of its two
-    finest values or to floor, the natural size of a form that may vanish."""
-    return integrate_levels(q, dict(zip(q.levels, res.by_level)).__getitem__, floor).gap
+def _orders(cfg: RunConfig) -> list:
+    """The configured Sobolev orders n >= 1 (n = 0 has no Sobolev identity to check)."""
+    return [n for n in cfg.n if n >= 1]
 
 
 def _mass_level(spec: GroupSpec, t: float, radius: float, level: int) -> complex:
@@ -289,154 +258,143 @@ def _mass_level(spec: GroupSpec, t: float, radius: float, level: int) -> complex
     return np.dot(weights, np.exp(log_nu_t(spec, t, nodes) - 2.0 * log_phi(spec, nodes)))
 
 
-def _default_tol(suite: str) -> float:
-    if suite in ("unitarity", "reproducing", "sobolev-isometry", "mass", "kernel-tworoute"):
-        return 1e-6
-    if suite == "toeplitz":
-        return 1e-3
-    if suite == "weighted-norm":
-        return 50.0
-    raise ConfigError(f"unknown suite {suite!r}")
+# Each suite maps (cfg, t, tol, q) to its rows for one time t.
 
 
-def _suite_rows(suite: str, cfg: RunConfig, t: float):
+def _mass_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
+    # nu_t against the polar Haar density 1/Phi^2 has total mass 1; the
+    # Gaussian factor e^{-(r - t/2)^2/t} on SU(2) is below e^-64 past R
     spec = cfg.spec
-    tol = cfg.tolerance if cfg.tolerance is not None else _default_tol(suite)
-    q = cfg.quad(None if cfg.tolerance is None else cfg.tolerance)
+    radius = 8.0 * math.sqrt(t) + (t / 2.0 if spec.kind == "su2" else 0.0)
+    res = integrate_levels(q, lambda level: _mass_level(spec, t, radius, level))
+    lhs = spec.volume * res.value.real
+    return [_row("mass", lhs, spec.volume, rel_gap(lhs, spec.volume), tol, res.gap)]
+
+
+def _unitarity_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     rows = []
+    for cid, f in _basis(cfg.spec, cfg.cutoff):
+        F = ct_forward(f, t)
+        res = holo_inner(F, F, q)
+        lhs, rhs = math.sqrt(max(res.value.real, 0.0)), f.plancherel_norm()
+        rows.append(_row(cid, lhs, rhs, rel_gap(lhs, rhs), tol, res.gap))
+    return rows
 
-    if suite == "mass":
-        # nu_t against the polar Haar density 1/Phi^2 has total mass 1; the
-        # Gaussian factor e^{-(r - t/2)^2/t} on SU(2) is below e^-64 past R
-        radius = 8.0 * math.sqrt(t) + (t / 2.0 if spec.kind == "su2" else 0.0)
-        res = integrate_levels(q, lambda level: _mass_level(spec, t, radius, level))
-        lhs = spec.volume * res.value.real
-        rhs = spec.volume
-        err = _rel_err(lhs, rhs)
-        rows.append(("mass", lhs, rhs, err, tol, err <= tol and res.gap <= tol, res.gap))
-        return rows
 
-    if suite == "unitarity":
-        for cid, f in _basis(spec, cfg.cutoff):
-            res = holo_inner(ct_forward(f, t), ct_forward(f, t), q)
-            lhs = math.sqrt(max(res.value.real, 0.0))
-            rhs = f.plancherel_norm()
-            err = _rel_err(lhs, rhs)
-            rows.append((cid, lhs, rhs, err, tol, err <= tol and res.gap <= tol, res.gap))
-        return rows
+def _reproducing_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
+    spec = cfg.spec
+    rng = np.random.default_rng(cfg.seed)
+    points = []
+    for _ in range(20):
+        y = random_algebra(spec, rng)
+        y *= rng.uniform(0.0, 3.0) / max(np.linalg.norm(y), 1e-12)
+        points.append(PointKC(spec, random_k(spec, rng), y))
+    rows = []
+    for cid, f in _basis(spec, cfg.cutoff, limit=5):
+        F = ct_forward(f, t)
+        for k, p in enumerate(points):
+            residual, gap = reproduce_check(F, p, q)
+            rows.append(_row(f"{cid}@p{k}", residual, 0.0, residual, tol, gap))
+    return rows
 
-    if suite == "reproducing":
-        basis = _basis(spec, cfg.cutoff, limit=5)
-        rng = np.random.default_rng(cfg.seed)
-        points = []
-        for _ in range(20):
-            y = random_algebra(spec, rng)
-            y *= rng.uniform(0.0, 3.0) / max(np.linalg.norm(y), 1e-12)
-            points.append(PointKC(spec, random_k(spec, rng), y))
+
+def _sobolev_isometry_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
+    spec = cfg.spec
+    basis = _basis(spec, cfg.cutoff)
+    rows = []
+    for n in _orders(cfg):
+        c = cfg.c_value(spec, t, n)
+        for cid, f in basis:
+            G = sobolev_shift(ct_forward(f, t), n, c)
+            res = holo_inner(G, G, q)
+            lhs, rhs = math.sqrt(max(res.value.real, 0.0)), sobolev_norm(f, n, c)
+            rows.append(_row(f"n={n}:{cid}", lhs, rhs, rel_gap(lhs, rhs), tol, res.gap))
+        # commutation of the Laplacian power with the transform, bit-exact
+        f = basis[-1][1]
+        a = ct_forward(laplacian_apply(f, n), t).coefs
+        b = laplacian_apply(ct_forward(f, t), n).coefs
+        same = a.support == b.support and all(np.array_equal(a.entries[lb], b.entries[lb]) for lb in a.support)
+        rows.append(_row(f"n={n}:commutation", float(same), 1.0, float(not same), 0.0, 0.0))
+    return rows
+
+
+def _kernel_tworoute_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
+    spec = cfg.spec
+    rng = np.random.default_rng(cfg.seed)
+    rows = []
+    for n in _orders(cfg):
+        c = spec.delta_sq + 1.0 if cfg.c is None else cfg.c
+        # 15 pairs (g, h), drawn g, h, g, h, ..., each as (x, Y): one batched query
+        draws = [(random_k(spec, rng), random_algebra(spec, rng, 0.6)) for _ in range(30)]
+        xs, ys = (np.stack(part) for part in zip(*draws))
+        query = KernelQuery(PointKC(spec, xs[0::2], ys[0::2]), PointKC(spec, xs[1::2], ys[1::2]), t, n, c)
+        lhs = k_sobolev_spectral(query)
+        rhs, res = k_sobolev_integral(query)
+        for k, (left, right, gap) in enumerate(zip(lhs.tolist(), rhs.tolist(), res.gap.tolist())):
+            rows.append(_row(f"n={n}:q{k}", left, right, rel_gap(left, right), tol, gap))
+    return rows
+
+
+def _toeplitz_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
+    spec = cfg.spec
+    basis = _basis(spec, min(cfg.cutoff, 3))
+    pairs = [(cid, f, cid, f) for cid, f in basis]
+    pairs += [(cid1, f1, cid2, f2) for (cid1, f1), (cid2, f2) in zip(basis[:-1], basis[1:])]
+
+    def form_row(cid, f1, f2, lhs_res, rhs_res):
+        # forms that vanish identically leave only rounding noise, so the
+        # zero floor is scaled to the natural size of the form
+        floor = 1e-6 * f1.plancherel_norm() * f2.plancherel_norm()
+        gap = max(rel_gap(res.by_level[-1], res.by_level[-2], floor) for res in (lhs_res, rhs_res))
+        lhs, rhs = lhs_res.value, rhs_res.value
+        return _row(cid, abs(lhs), abs(rhs), rel_gap(lhs, rhs, floor), tol, gap)
+
+    rows = []
+    for n in _orders(cfg):
+        c = cfg.c_value(spec, t, n)
+        sym = toeplitz_symbol(spec, t, c, n)
+        for cid1, f1, cid2, f2 in pairs:
+            F1, F2 = ct_forward(f1, t), ct_forward(f2, t)
+            spectral = holo_inner(F1, sobolev_shift(F2, n, c), q)
+            rows.append(form_row(f"n={n}:<{cid1},{cid2}>", f1, f2, toeplitz_quadratic_form(F1, F2, sym, q), spectral))
+    for k in range(spec.dim):
         for cid, f in basis:
             F = ct_forward(f, t)
-            for k, p in enumerate(points):
-                residual, gap = reproduce_check(F, p, q)
-                ok = residual <= tol and gap <= tol
-                rows.append((f"{cid}@p{k}", residual, 0.0, residual, tol, ok, gap))
-        return rows
+            rows.append(form_row(f"X{k}:<{cid},{cid}>", f, f, *first_order_forms(F, F, k, q)))
+    return rows
 
-    if suite == "sobolev-isometry":
-        basis = _basis(spec, cfg.cutoff)
-        for n in cfg.n:
-            if n < 1:
-                continue
-            c = cfg.c_value(spec, t, n)
-            for cid, f in basis:
-                G = sobolev_shift(ct_forward(f, t), n, c)
-                res = holo_inner(G, G, q)
-                lhs = math.sqrt(max(res.value.real, 0.0))
-                rhs = sobolev_norm(f, n, c)
-                err = _rel_err(lhs, rhs)
-                rows.append((f"n={n}:{cid}", lhs, rhs, err, tol, err <= tol and res.gap <= tol, res.gap))
-            # commutation of the Laplacian power with the transform, bit-exact
-            f = basis[-1][1]
-            a = ct_forward(laplacian_apply(f, n), t).coefs
-            b = laplacian_apply(ct_forward(f, t), n).coefs
-            same = a.support == b.support and all(
-                np.array_equal(a.entries[lb], b.entries[lb]) for lb in a.support
-            )
-            rows.append((f"n={n}:commutation", 1.0 if same else 0.0, 1.0, 0.0 if same else 1.0, 0.0, same, 0.0))
-        return rows
 
-    if suite == "kernel-tworoute":
-        rng = np.random.default_rng(cfg.seed)
-        for n in cfg.n:
-            if n < 1:
-                continue
-            c = spec.delta_sq + 1.0 if cfg.c is None else cfg.c
-            # 15 pairs (g, h), drawn g, h, g, h, ..., each as (x, Y): one batched query
-            draws = [(random_k(spec, rng), random_algebra(spec, rng, 0.6)) for _ in range(30)]
-            xs, ys = (np.stack(part) for part in zip(*draws))
-            query = KernelQuery(PointKC(spec, xs[0::2], ys[0::2]), PointKC(spec, xs[1::2], ys[1::2]), t, n, c)
-            lhs = k_sobolev_spectral(query)
-            rhs, res = k_sobolev_integral(query)
-            for k, (left, right, gap) in enumerate(zip(lhs.tolist(), rhs.tolist(), res.gap.tolist())):
-                err = _rel_err(left, right)
-                rows.append((f"n={n}:q{k}", left, right, err, tol, err <= tol and gap <= tol, gap))
-        return rows
+def _weighted_norm_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
+    spec = cfg.spec
+    n = min(_orders(cfg), default=1)
+    c = cfg.c_value(spec, t, n)
+    rows = []
+    for cid, f in _basis(spec, cfg.cutoff):
+        F = ct_forward(f, t)
+        G = sobolev_shift(F, 2 * n, c)
+        lhs_res, rhs_res = weighted_form(F, n, q), holo_inner(G, G, q)
+        lhs = math.sqrt(max(lhs_res.value.real, 0.0))
+        rhs = math.sqrt(max(rhs_res.value.real, 0.0))
+        ratio = lhs / rhs if rhs > 0 else math.inf
+        # the row's tol bounds the ratio spread; the quadrature tolerance bounds the gap
+        gap = max(lhs_res.gap, rhs_res.gap)
+        rows.append((f"n={n}:{cid}", lhs, rhs, ratio, tol, math.isfinite(ratio) and gap <= q.tolerance, gap))
+    ratios = [row[3] for row in rows]
+    spread = max(ratios) / min(ratios)
+    rows.append(_row(f"n={n}:ratio-spread", spread, tol, spread, tol, 0.0))
+    return rows
 
-    if suite == "toeplitz":
-        cutoff = min(cfg.cutoff, 3)
-        basis = _basis(spec, cutoff)
-        pairs = [(cid, f, cid, f) for cid, f in basis]
-        for (cid1, f1), (cid2, f2) in zip(basis[:-1], basis[1:]):
-            pairs.append((cid1, f1, cid2, f2))
-        for n in cfg.n:
-            if n < 1:
-                continue
-            c = cfg.c_value(spec, t, n)
-            sym = toeplitz_symbol(spec, t, c, n)
-            for cid1, f1, cid2, f2 in pairs:
-                F1, F2 = ct_forward(f1, t), ct_forward(f2, t)
-                res = toeplitz_quadratic_form(F1, F2, sym, q)
-                spec_res = holo_inner(F1, sobolev_shift(F2, n, c), q)
-                spectral = spec_res.value
-                # forms that vanish identically leave only rounding noise, so
-                # the zero floor is scaled to the natural size of the form
-                floor = 1e-6 * f1.plancherel_norm() * f2.plancherel_norm()
-                err = abs(res.value - spectral) / max(abs(spectral), abs(res.value), floor)
-                gap = max(_gap(res, q, floor), _gap(spec_res, q, floor))
-                ok = err <= tol and gap <= tol
-                rows.append((f"n={n}:<{cid1},{cid2}>", abs(res.value), abs(spectral), err, tol, ok, gap))
-        for k in range(spec.dim):
-            for cid1, f1, cid2, f2 in pairs[: len(basis)]:
-                F1, F2 = ct_forward(f1, t), ct_forward(f2, t)
-                lhs_res, rhs_res = first_order_forms(F1, F2, k, q)
-                lhs, rhs = lhs_res.value, rhs_res.value
-                floor = 1e-6 * f1.plancherel_norm() * f2.plancherel_norm()
-                err = abs(lhs - rhs) / max(abs(lhs), abs(rhs), floor)
-                gap = max(_gap(lhs_res, q, floor), _gap(rhs_res, q, floor))
-                ok = err <= tol and gap <= tol
-                rows.append((f"X{k}:<{cid1},{cid2}>", abs(lhs), abs(rhs), err, tol, ok, gap))
-        return rows
 
-    if suite == "weighted-norm":
-        n = min((m for m in cfg.n if m >= 1), default=1)
-        c = cfg.c_value(spec, t, n)
-        ratios = []
-        for cid, f in _basis(spec, cfg.cutoff):
-            F = ct_forward(f, t)
-            G = sobolev_shift(F, 2 * n, c)
-            lhs_res, rhs_res = weighted_form(F, n, q), holo_inner(G, G, q)
-            lhs = math.sqrt(max(lhs_res.value.real, 0.0))
-            rhs = math.sqrt(max(rhs_res.value.real, 0.0))
-            ratio = lhs / rhs if rhs > 0 else math.inf
-            ratios.append(ratio)
-            # the row's tol bounds the ratio spread; the quadrature tolerance bounds the gap
-            gap = max(lhs_res.gap, rhs_res.gap)
-            ok = math.isfinite(ratio) and gap <= q.tolerance
-            rows.append((f"n={n}:{cid}", lhs, rhs, ratio, tol, ok, gap))
-        spread = max(ratios) / min(ratios)
-        rows.append((f"n={n}:ratio-spread", spread, tol, spread, tol, spread <= tol, 0.0))
-        return rows
-
-    raise ConfigError(f"unknown suite {suite!r}")
+# suite name -> (rows function, default tolerance)
+SUITES = {
+    "unitarity": (_unitarity_rows, 1e-6),
+    "mass": (_mass_rows, 1e-6),
+    "reproducing": (_reproducing_rows, 1e-6),
+    "sobolev-isometry": (_sobolev_isometry_rows, 1e-6),
+    "kernel-tworoute": (_kernel_tworoute_rows, 1e-6),
+    "toeplitz": (_toeplitz_rows, 1e-3),
+    "weighted-norm": (_weighted_norm_rows, 50.0),
+}
 
 
 def _group_tag(cfg: RunConfig) -> str:
@@ -444,13 +402,16 @@ def _group_tag(cfg: RunConfig) -> str:
 
 
 def cmd_verify(suite: str, cfg: RunConfig) -> int:
-    all_pass = True
+    rows_fn, default_tol = SUITES[suite]
+    tol = default_tol if cfg.tolerance is None else cfg.tolerance
     reports = []
     for t in cfg.t:
-        rows = _suite_rows(suite, cfg, t)
-        all_pass = all_pass and all(row[5] for row in rows)
+        rows = rows_fn(cfg, t, tol, cfg.quad())
+        if not rows:
+            raise ConfigError(f"{suite} has no case to check at n = {','.join(map(str, cfg.n))}")
         path = os.path.join(cfg.out, f"verify_{suite}_{_group_tag(cfg)}_t{_name_num(t)}.{cfg.fmt}")
         reports.append((path, rows))
+    all_pass = all(row[5] for _, rows in reports for row in rows)
     for path, rows in reports:
         write_report(path, VERIFY_COLUMNS, rows, cfg.fmt)
         print(f"wrote {path}")
@@ -472,7 +433,7 @@ def cmd_report(kind: str, cfg: RunConfig) -> int:
                 rows.append((n, sym.degree, k, coef))
     elif kind == "lattice":
         columns = ["tau", "scaled-sum", "target", "rel-gap"]
-        rows = lattice_limit_check(spec, LatticePoly(), cfg.tau)
+        rows = lattice_limit_check(spec, cfg.tau)
     elif kind == "smoothness":
         columns = ["n", "radius", "G_n", "stable"]
         f = CoefVec(
@@ -557,22 +518,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--group", help="torus:r or su2")
-        p.add_argument("--t", help="comma list of times")
-        p.add_argument("--n", help="comma list of Sobolev orders")
-        p.add_argument("--c", type=float, help="spectral shift (default: positivity threshold)")
-        p.add_argument("--cutoff", type=int, help="irrep label cutoff (max 64)")
-        p.add_argument("--levels", help="comma list of quadrature levels")
-        p.add_argument("--radii", help="comma list of inversion/grid radii")
-        p.add_argument("--tau", help="comma list of lattice scales")
-        p.add_argument("--tolerance", type=float, help="override the per-suite tolerance")
-        p.add_argument("--seed", type=int, help="RNG seed for sampled cases")
-        p.add_argument("--out", help="output directory (default: reports)")
-        p.add_argument("--fmt", choices=("csv", "json"), help="report format")
+        for f in fields(RunConfig):
+            p.add_argument(f"--{f.name}", help=f.metadata["help"])
         p.add_argument("--config", help="JSON config file; flags override it")
 
     p_verify = sub.add_parser("verify", help="run a pass/fail verification suite")
-    p_verify.add_argument("suite", choices=VERIFY_SUITES)
+    p_verify.add_argument("suite", choices=SUITES)
     add_common(p_verify)
 
     p_report = sub.add_parser("report", help="emit a diagnostic table")

@@ -62,24 +62,26 @@ def pair_point(spec: GroupSpec, g: PointKC, h: PointKC):
     return gm @ np.swapaxes(hm.conj(), -1, -2)
 
 
-def k_sobolev_spectral(query: KernelQuery, tol: float = 1e-10):
-    """Blockwise route: sum_pi (dim/vol) e^{-lambda t} (c+lambda)^{-2n} chi_pi(gh^*).
+def k_sobolev_spectral(query: KernelQuery):
+    """Blockwise route: sum_pi (dim/vol) e^{-lambda t} (c+lambda)^{-2n} chi_pi(gh^*),
+    cut where the series' tail bound meets 1e-10.
 
     A complex for one pair, an array for a batch (one cutoff for the batch).
     """
     spec = query.spec
     gh = pair_point(spec, query.g, query.h)
-    value = _sum_series(spec, 2.0 * query.t, gh, tol, lambda lam: (query.c + lam) ** (-2 * query.n))[0]
+    value = _sum_series(spec, 2.0 * query.t, gh, 1e-10, lambda lam: (query.c + lam) ** (-2 * query.n))[0]
     return complex(value) if np.ndim(value) == 0 else value
 
 
-def k_sobolev_integral(query: KernelQuery, q: QuadSpec | None = None, tol: float = 1e-10):
+def k_sobolev_integral(query: KernelQuery, q: QuadSpec | None = None):
     """Gamma-integral route:
 
     k_t^{2n}(g,h) = 1/(2n-1)! * int_0^inf s^{2n-1} e^{-cs} rho_{2(t+s)}(gh^*) ds,
 
-    with one rho_eval call per quadrature level, on all of its nodes (and
-    on every pair of a batch: value and gap are then arrays).
+    with one rho_eval call (at its tail tolerance 1e-10) per quadrature level,
+    on all of its nodes (and on every pair of a batch: value and gap are then
+    arrays).
     """
     if query.n < 1:
         raise ValueError("the integral route needs n >= 1")
@@ -89,7 +91,7 @@ def k_sobolev_integral(query: KernelQuery, q: QuadSpec | None = None, tol: float
 
     def f(s):
         # on a batch the nodes run down the rows and the pairs along the columns
-        return rho_eval(spec, 2.0 * (query.t + (s[:, None] if batched else s)), gh, tol)[0]
+        return rho_eval(spec, 2.0 * (query.t + (s[:, None] if batched else s)), gh)[0]
 
     res = integrate_laguerre(query.c, query.n, f, q)
     return res.value / math.factorial(2 * query.n - 1), res

@@ -40,6 +40,7 @@ __all__ = [
     "kspace_rule",
     "su2_radial_rule",
     "integrate_levels",
+    "rel_gap",
     "integrate_kspace",
     "integrate_laguerre",
     "integrate_K",
@@ -322,27 +323,29 @@ def kspace_rule(spec: GroupSpec, t: float, level: int) -> KSpaceRule:
     return _kspace_rule_cached(spec.kind, spec.rank, float(t), int(level))
 
 
+def rel_gap(a, b, floor: float = 0.0) -> float:
+    """|a - b| / max(|a|, |b|, floor): the relative difference of two numbers,
+    floor the natural size of a value that may vanish (0 if none); 0 when a,
+    b and floor are all 0."""
+    return abs(a - b) / max(abs(a), abs(b), floor, 1e-300)
+
+
 def integrate_levels(q: QuadSpec, value_at, floor: float = 0.0) -> QuadResult:
     """Evaluate value_at(level) on every level of q and measure the gap.
 
-    The gap is |a - b| / max(|a|, |b|, floor) over the two finest levels;
-    floor is the natural size of a value that may vanish (0 if none).
+    The gap is rel_gap of the two finest levels with the given floor.
     value_at returns a number (value complex, gap float) or an array of
     values (value, gap and each level an array, element by element).  The
     gap is formed on Python numbers, so an element's gap has the bits of a
     one-value call.
     """
-
-    def gap(a, b):
-        return abs(a - b) / max(abs(a), abs(b), floor, 1e-300)
-
     values = tuple(value_at(level) for level in q.levels)
     if getattr(values[-1], "ndim", 0) == 0:  # a Python or numpy number
         values = tuple(complex(v) for v in values)
-        return QuadResult(values[-1], gap(values[-1], values[-2]), q.tolerance, values)
+        return QuadResult(values[-1], rel_gap(values[-1], values[-2], floor), q.tolerance, values)
     values = tuple(np.asarray(v, dtype=complex) for v in values)
     a, b = values[-1], values[-2]
-    gaps = [gap(x, y) for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
+    gaps = [rel_gap(x, y, floor) for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
     return QuadResult(a, np.reshape(gaps, a.shape), q.tolerance, values)
 
 

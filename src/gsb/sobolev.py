@@ -207,7 +207,7 @@ def first_order_forms(F1: HoloFunc, F2: HoloFunc, k: int, q: QuadSpec | None = N
     """
     q = q or QuadSpec()
     lhs = holo_inner(F1, apply_vector_field(F2, k), q)
-    rhs = holo_inner(F1, F2, q, weight_nodes=phi_x_weight(F1.spec, F1.t, k))
+    rhs = holo_inner(F1, F2, q, weight=phi_x_weight(F1.spec, F1.t, k))
     return lhs, rhs
 
 

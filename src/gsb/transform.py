@@ -206,11 +206,13 @@ def _profiles(spec: GroupSpec, t: float, level: int, label, first_order: bool = 
     return u, ((-1j / math.sqrt(nsq)) * zeta * a if nsq else np.zeros(a.shape))
 
 
-def _inner_level(F1: HoloFunc, F2: HoloFunc, level: int, weight, axis_weight) -> complex:
+def _inner_level(F1: HoloFunc, F2: HoloFunc, level: int, weight) -> complex:
     """One level of holo_inner: one sum per common label."""
     spec, t = F1.spec, F1.t
-    if axis_weight is not None:
-        direction = SU2_BASIS[axis_weight.axis] if spec.kind == "su2" else np.eye(spec.rank)[axis_weight.axis]
+    first_order = isinstance(weight, AxisWeight)
+    if first_order:
+        direction = SU2_BASIS[weight.axis] if spec.kind == "su2" else np.eye(spec.rank)[weight.axis]
+    radial = weight.radial if first_order else weight
     total = 0.0 + 0.0j
     for label in sorted(set(F1.coefs.entries) & set(F2.coefs.entries)):
         # undo the damping of both blocks (up to e^700, past which the rest
@@ -219,33 +221,28 @@ def _inner_level(F1: HoloFunc, F2: HoloFunc, level: int, weight, axis_weight) ->
         undo = min(half_lam, 700.0)
         b1 = math.exp(undo) * F1.coefs.entries[label]
         b2 = math.exp(undo) * F2.coefs.entries[label]
-        u, prof = _profiles(spec, t, level, label, first_order=axis_weight is not None)
-        if axis_weight is None:
-            trace = np.sum(b1.conj() * b2)
-        else:
-            gen = rep_generator(spec, label, direction)
-            trace = np.sum(b1.conj() * (gen @ b2))
-            prof = prof * axis_weight.radial(u)
-        if weight is not None:
-            prof = prof * weight(u)
+        if first_order:
+            b2 = rep_generator(spec, label, direction) @ b2
+        u, prof = _profiles(spec, t, level, label, first_order)
+        if radial is not None:
+            prof = prof * radial(u)
+        trace = np.sum(b1.conj() * b2)
         total += (spec.volume / irrep_dim(spec, label)) * trace * np.sum(prof) * math.exp(2.0 * (half_lam - undo))
     return complex(total)
 
 
-def holo_inner(F1: HoloFunc, F2: HoloFunc, q: QuadSpec, weight=None, weight_nodes=None) -> QuadResult:
-    """<F1, F2> against weight(|Y|^2) * nu_t(g) dg, K-part exact.
+def holo_inner(F1: HoloFunc, F2: HoloFunc, q: QuadSpec, weight=None) -> QuadResult:
+    """<F1, F2> against a weight times nu_t(g) dg, K-part exact.
 
-    weight maps u = |Y|^2 (vectorized) to a factor; None means 1.
-    weight_nodes, if given, is an AxisWeight: a weight y_k * radial(|Y|^2)
-    that depends on the direction of Y, not just its length.
+    weight is None (the weight 1), a vectorized map of u = |Y|^2 to a
+    factor, or an AxisWeight: y_k * radial(|Y|^2), which depends on the
+    direction of Y, not just its length.
     """
     if F1.spec != F2.spec:
         raise ValueError("mismatched group specs")
     if abs(F1.t - F2.t) > 0:
         raise ValueError("mismatched transform times")
-    if weight_nodes is not None and not isinstance(weight_nodes, AxisWeight):
-        raise TypeError("a direction-dependent weight must be an AxisWeight")
-    return integrate_levels(q, lambda level: _inner_level(F1, F2, level, weight, weight_nodes))
+    return integrate_levels(q, lambda level: _inner_level(F1, F2, level, weight))
 
 
 def holo_l2_norm(F: HoloFunc, q: QuadSpec | None = None) -> float:

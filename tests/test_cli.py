@@ -41,13 +41,16 @@ def test_outputs_deterministic(tmp_path):
     assert fa == fb
 
 
-def test_impossible_tolerance_fails(tmp_path):
-    r = run_cli(
-        ["verify", "reproducing", "--group", "torus:1", "--t", "1", "--tolerance", "1e-300", "--out", "o"],
-        tmp_path,
-    )
-    assert r.returncode == 1
-    assert "FAIL" in r.stdout
+SUITE_NAMES = ["unitarity", "mass", "reproducing", "sobolev-isometry", "kernel-tworoute", "toeplitz", "weighted-norm"]
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_impossible_tolerance_fails(tmp_path, capsys, suite):
+    # no row of any suite meets a tolerance of 1e-300, so each one must fail
+    args = ["verify", suite, "--group", "torus:1", "--t", "1", "--tolerance", "1e-300", "--out", str(tmp_path / "o")]
+    code, captured = _main_in_process(args, capsys)
+    assert code == 1, captured.err
+    assert captured.out.splitlines()[-1] == f"{suite}: FAIL"
 
 
 def test_malformed_config_exits_2(tmp_path):
@@ -234,6 +237,11 @@ def test_kernel_tworoute_judges_laguerre_gap(tmp_path, capsys):
         (["verify", "mass", "--config", {"seed": "1"}], "seed must be an integer"),
         (["verify", "mass", "--config", {"t": "1"}], "t must be a list of numbers"),
         (["verify", "mass", "--levels", "64,151"], "each in 2..150"),
+        (["verify", "sobolev-isometry", "--n", "0"], "sobolev-isometry has no case to check at n = 0"),
+        (["verify", "kernel-tworoute", "--t", "1,2", "--n", "0"], "kernel-tworoute has no case to check at n = 0"),
+        (["report", "smoothness", "--config", {"n": []}], "n must not be empty"),
+        (["invert", "--coeffs", "c.json", "--points", "p.json", "--config", {"radii": []}], "radii must not be empty"),
+        (["verify", "mass", "--fmt", "xml"], "format must be csv or json"),
     ],
 )
 def test_bad_input_exits_2_before_work(tmp_path, capsys, args, message):
@@ -248,6 +256,46 @@ def test_bad_input_exits_2_before_work(tmp_path, capsys, args, message):
     assert code == 2
     assert message in captured.err
     assert not out.exists()
+
+
+def test_every_config_field_has_one_flag_and_one_parse_path(tmp_path, capsys):
+    # each RunConfig field is a --flag of every command; a numeric value that
+    # does not parse is one error line, not argparse's usage block
+    from dataclasses import fields
+
+    from gsb.cli import RunConfig, build_parser
+
+    parser = build_parser()
+    heads = (["verify", "mass"], ["report", "lattice"], ["invert", "--coeffs", "c.json", "--points", "p.json"])
+    for field in fields(RunConfig):
+        for head in heads:
+            assert getattr(parser.parse_args([*head, f"--{field.name}", "v"]), field.name) == "v"
+        if field.metadata["kind"] is str:
+            continue
+        out = tmp_path / "o"
+        code, captured = _main_in_process(["verify", "mass", f"--{field.name}", "x", "--out", str(out)], capsys)
+        assert code == 2
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith(f"error: --{field.name} expects ")
+        assert captured.err.strip().endswith("got 'x'")
+        assert "usage:" not in captured.err + captured.out
+        assert not out.exists()
+
+
+def _readme_section(start, end):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text[text.index(start) : text.index(end, text.index(start))]
+
+
+def test_readme_names_every_suite_and_flag():
+    from dataclasses import fields
+
+    from gsb.cli import SUITES, RunConfig
+
+    suites = re.findall(r"`([a-z-]+)`", _readme_section("Suites:", "Report kinds:"))
+    assert suites == list(SUITES)
+    flags = re.findall(r"`--([a-z]+)", _readme_section("Common flags", "\n\n"))
+    assert sorted(flags) == sorted([f.name for f in fields(RunConfig)] + ["config"])
 
 
 @pytest.mark.parametrize("group", ["su2", "torus:2"])

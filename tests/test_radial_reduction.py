@@ -59,7 +59,7 @@ def test_holo_inner_matches_tensor_oracle(t):
     for k in range(3):
         weight = phi_x_weight(SPEC, t, k)
         XF2 = apply_vector_field(F2, k)
-        cases.append((holo_inner(F1, F2, Q, weight_nodes=weight), F2, weight))
+        cases.append((holo_inner(F1, F2, Q, weight=weight), F2, weight))
         cases.append((holo_inner(F1, XF2, Q), XF2, None))
     for res, second, weight in cases:
         for level, value in zip(LEVELS, res.by_level):

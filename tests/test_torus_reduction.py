@@ -78,18 +78,19 @@ def test_holo_inner_matches_tensor_oracle(rank, t):
     rng = np.random.default_rng(100 * rank + int(10 * t))
     labels = _labels(rank, rng)
     F1, F2 = _random_holo(rank, t, labels, rng), _random_holo(rank, t, labels, rng)
+    # (weight of holo_inner, the same weight on a node batch)
     cases = [
-        (None, None, None),
-        (lambda u: u, None, _u),
-        (lambda u: (1.0 + u) ** 4, None, lambda ys: (1.0 + _u(ys)) ** 4),
+        (None, None),
+        (lambda u: u, _u),
+        (lambda u: (1.0 + u) ** 4, lambda ys: (1.0 + _u(ys)) ** 4),
     ]
     for k in range(rank):
-        cases.append((None, phi_x_weight(F1.spec, t, k), phi_x_weight(F1.spec, t, k)))
+        cases.append((phi_x_weight(F1.spec, t, k), phi_x_weight(F1.spec, t, k)))
         axis = AxisWeight(k, lambda u: 1.0 + u)
-        cases.append((None, axis, axis))
+        cases.append((axis, axis))
     k11, k22, k12 = _k_part(F1, F1), _k_part(F2, F2), _k_part(F1, F2)
-    for weight, axis_weight, node_weight in cases:
-        res = holo_inner(F1, F2, Q, weight=weight, weight_nodes=axis_weight)
+    for weight, node_weight in cases:
+        res = holo_inner(F1, F2, Q, weight=weight)
         size = None if node_weight is None else (lambda ys, w=node_weight: np.abs(w(ys)))
         # the Cauchy-Schwarz bound of the form, the size its rounding is judged by
         scale = math.sqrt(abs(_oracle(k11, size) * _oracle(k22, size)))
