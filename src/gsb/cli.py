@@ -81,7 +81,7 @@ class RunConfig:
     levels: tuple = _flag((64, 96), int, "comma list of quadrature levels")
     radii: tuple = _flag((4.0, 7.0, 10.0), float, "comma list of inversion/grid radii")
     tau: tuple = _flag((1.0, 4.0, 16.0, 64.0, 256.0), float, "comma list of lattice scales")
-    tolerance: float | None = _flag(None, float, "override the per-suite tolerance")
+    tolerance: float | None = _flag(None, float, "override the suite or invert tolerance")
     seed: int = _flag(0, int, "RNG seed for sampled cases")
     out: str = _flag("reports", str, "output directory (default: reports)")
     fmt: str = _flag("csv", str, "report format: csv or json")
@@ -141,13 +141,9 @@ class RunConfig:
     def spec(self) -> GroupSpec:
         return parse_group(self.group)
 
-    def quad(self, tol: float | None = None) -> QuadSpec:
-        """Quadrature levels with tol, else the configured tolerance, else 1e-8."""
-        if tol is None:
-            tol = self.tolerance
-        if tol is None:
-            tol = 1e-8
-        return QuadSpec(levels=tuple(self.levels), tolerance=tol)
+    def quad(self, default: float = 1e-8) -> QuadSpec:
+        """Quadrature levels with the configured tolerance, else the default."""
+        return QuadSpec(levels=tuple(self.levels), tolerance=default if self.tolerance is None else self.tolerance)
 
     def c_value(self, spec: GroupSpec, t: float, n: int) -> float:
         """Configured c, or the positivity threshold (floored at |delta|^2+1)."""
@@ -271,14 +267,23 @@ def _mass_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     return [_row("mass", lhs, spec.volume, rel_gap(lhs, spec.volume), tol, res.gap)]
 
 
+def _norms(res):
+    """sqrt of the real part of each value of a batch of K_C forms."""
+    return [math.sqrt(max(value.real, 0.0)) for value in res.value.tolist()]
+
+
+def _norm_rows(prefix, basis, res, rhs, tol):
+    """One row per basis function: its K_C norm from the batch res against rhs."""
+    return [
+        _row(prefix + cid, lhs, r, rel_gap(lhs, r), tol, gap)
+        for (cid, _), lhs, r, gap in zip(basis, _norms(res), rhs, res.gap.tolist())
+    ]
+
+
 def _unitarity_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
-    rows = []
-    for cid, f in _basis(cfg.spec, cfg.cutoff):
-        F = ct_forward(f, t)
-        res = holo_inner(F, F, q)
-        lhs, rhs = math.sqrt(max(res.value.real, 0.0)), f.plancherel_norm()
-        rows.append(_row(cid, lhs, rhs, rel_gap(lhs, rhs), tol, res.gap))
-    return rows
+    basis = _basis(cfg.spec, cfg.cutoff)
+    Fs = [ct_forward(f, t) for _, f in basis]
+    return _norm_rows("", basis, holo_inner(Fs, Fs, q), [f.plancherel_norm() for _, f in basis], tol)
 
 
 def _reproducing_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
@@ -288,31 +293,28 @@ def _reproducing_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     for _ in range(20):
         y = random_algebra(spec, rng)
         y *= rng.uniform(0.0, 3.0) / max(np.linalg.norm(y), 1e-12)
-        points.append(PointKC(spec, random_k(spec, rng), y))
-    rows = []
-    for cid, f in _basis(spec, cfg.cutoff, limit=5):
-        F = ct_forward(f, t)
-        for k, p in enumerate(points):
-            residual, gap = reproduce_check(F, p, q)
-            rows.append(_row(f"{cid}@p{k}", residual, 0.0, residual, tol, gap))
-    return rows
+        points.append((random_k(spec, rng), y))
+    basis = _basis(spec, cfg.cutoff, limit=5)
+    # one batch of every (function, point) pair, function by function
+    xs, ys = (np.concatenate([np.stack(part)] * len(basis)) for part in zip(*points))
+    Fs = [ct_forward(f, t) for _, f in basis]
+    residual, gap = reproduce_check([F for F in Fs for _ in points], PointKC(spec, xs, ys), q)
+    cids = [f"{cid}@p{k}" for cid, _ in basis for k in range(len(points))]
+    return [_row(cid, r, 0.0, r, tol, g) for cid, r, g in zip(cids, residual.tolist(), gap.tolist())]
 
 
 def _sobolev_isometry_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     spec = cfg.spec
     basis = _basis(spec, cfg.cutoff)
+    Fs = [ct_forward(f, t) for _, f in basis]
     rows = []
     for n in _orders(cfg):
         c = cfg.c_value(spec, t, n)
-        for cid, f in basis:
-            G = sobolev_shift(ct_forward(f, t), n, c)
-            res = holo_inner(G, G, q)
-            lhs, rhs = math.sqrt(max(res.value.real, 0.0)), sobolev_norm(f, n, c)
-            rows.append(_row(f"n={n}:{cid}", lhs, rhs, rel_gap(lhs, rhs), tol, res.gap))
+        Gs = [sobolev_shift(F, n, c) for F in Fs]
+        rows += _norm_rows(f"n={n}:", basis, holo_inner(Gs, Gs, q), [sobolev_norm(f, n, c) for _, f in basis], tol)
         # commutation of the Laplacian power with the transform, bit-exact
-        f = basis[-1][1]
-        a = ct_forward(laplacian_apply(f, n), t).coefs
-        b = laplacian_apply(ct_forward(f, t), n).coefs
+        a = ct_forward(laplacian_apply(basis[-1][1], n), t).coefs
+        b = laplacian_apply(Fs[-1], n).coefs
         same = a.support == b.support and all(np.array_equal(a.entries[lb], b.entries[lb]) for lb in a.support)
         rows.append(_row(f"n={n}:commutation", float(same), 1.0, float(not same), 0.0, 0.0))
     return rows
@@ -338,29 +340,28 @@ def _kernel_tworoute_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
 def _toeplitz_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     spec = cfg.spec
     basis = _basis(spec, min(cfg.cutoff, 3))
-    pairs = [(cid, f, cid, f) for cid, f in basis]
-    pairs += [(cid1, f1, cid2, f2) for (cid1, f1), (cid2, f2) in zip(basis[:-1], basis[1:])]
-
-    def form_row(cid, f1, f2, lhs_res, rhs_res):
-        # forms that vanish identically leave only rounding noise, so the
-        # zero floor is scaled to the natural size of the form
-        floor = 1e-6 * f1.plancherel_norm() * f2.plancherel_norm()
-        gap = max(rel_gap(res.by_level[-1], res.by_level[-2], floor) for res in (lhs_res, rhs_res))
-        lhs, rhs = lhs_res.value, rhs_res.value
-        return _row(cid, abs(lhs), abs(rhs), rel_gap(lhs, rhs, floor), tol, gap)
-
-    rows = []
+    Fs = [ct_forward(f, t) for _, f in basis]
+    norms = [f.plancherel_norm() for _, f in basis]
+    same = list(range(len(basis)))
+    # (tag, basis index pairs, lhs, rhs): the quadratic forms on the pairs
+    # (f_i, f_i) and (f_i, f_{i+1}), the first-order forms on (f_i, f_i)
+    forms, first, second = [], same + same[:-1], same + same[1:]
     for n in _orders(cfg):
         c = cfg.c_value(spec, t, n)
-        sym = toeplitz_symbol(spec, t, c, n)
-        for cid1, f1, cid2, f2 in pairs:
-            F1, F2 = ct_forward(f1, t), ct_forward(f2, t)
-            spectral = holo_inner(F1, sobolev_shift(F2, n, c), q)
-            rows.append(form_row(f"n={n}:<{cid1},{cid2}>", f1, f2, toeplitz_quadratic_form(F1, F2, sym, q), spectral))
-    for k in range(spec.dim):
-        for cid, f in basis:
-            F = ct_forward(f, t)
-            rows.append(form_row(f"X{k}:<{cid},{cid}>", f, f, *first_order_forms(F, F, k, q)))
+        F1s, F2s = [Fs[i] for i in first], [Fs[j] for j in second]
+        quad = toeplitz_quadratic_form(F1s, F2s, toeplitz_symbol(spec, t, c, n), q)
+        shifted = [sobolev_shift(F, n, c) for F in Fs]
+        forms.append((f"n={n}", zip(first, second), quad, holo_inner(F1s, [shifted[j] for j in second], q)))
+    forms += [(f"X{k}", zip(same, same), *first_order_forms(Fs, Fs, k, q)) for k in range(spec.dim)]
+    rows = []
+    for tag, pairs, lhs_res, rhs_res in forms:
+        levels = zip(*(res.by_level[k].tolist() for res in (lhs_res, rhs_res) for k in (-1, -2)))
+        for (i, j), (lhs, lhs_prev, rhs, rhs_prev) in zip(pairs, levels):
+            # forms that vanish identically leave only rounding noise, so the
+            # zero floor is scaled to the natural size of the form
+            floor = 1e-6 * norms[i] * norms[j]
+            gap = max(rel_gap(lhs, lhs_prev, floor), rel_gap(rhs, rhs_prev, floor))
+            rows.append(_row(f"{tag}:<{basis[i][0]},{basis[j][0]}>", abs(lhs), abs(rhs), rel_gap(lhs, rhs, floor), tol, gap))
     return rows
 
 
@@ -368,16 +369,16 @@ def _weighted_norm_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     spec = cfg.spec
     n = min(_orders(cfg), default=1)
     c = cfg.c_value(spec, t, n)
+    basis = _basis(spec, cfg.cutoff)
+    Fs = [ct_forward(f, t) for _, f in basis]
+    Gs = [sobolev_shift(F, 2 * n, c) for F in Fs]
+    lhs_res, rhs_res = weighted_form(Fs, n, q), holo_inner(Gs, Gs, q)
     rows = []
-    for cid, f in _basis(spec, cfg.cutoff):
-        F = ct_forward(f, t)
-        G = sobolev_shift(F, 2 * n, c)
-        lhs_res, rhs_res = weighted_form(F, n, q), holo_inner(G, G, q)
-        lhs = math.sqrt(max(lhs_res.value.real, 0.0))
-        rhs = math.sqrt(max(rhs_res.value.real, 0.0))
+    forms = zip(basis, _norms(lhs_res), _norms(rhs_res), lhs_res.gap.tolist(), rhs_res.gap.tolist())
+    for (cid, _), lhs, rhs, lhs_gap, rhs_gap in forms:
         ratio = lhs / rhs if rhs > 0 else math.inf
         # the row's tol bounds the ratio spread; the quadrature tolerance bounds the gap
-        gap = max(lhs_res.gap, rhs_res.gap)
+        gap = max(lhs_gap, rhs_gap)
         rows.append((f"n={n}:{cid}", lhs, rhs, ratio, tol, math.isfinite(ratio) and gap <= q.tolerance, gap))
     ratios = [row[3] for row in rows]
     spread = max(ratios) / min(ratios)

@@ -134,6 +134,11 @@ def laplacian_eigenvalue(spec: GroupSpec, label) -> float:
     return (m * m - 1) / 4.0
 
 
+def algebra_basis(spec: GroupSpec, k: int) -> np.ndarray:
+    """The k-th orthonormal basis vector of the Lie algebra: E_k on SU(2), e_k on a torus."""
+    return SU2_BASIS[k] if spec.kind == "su2" else np.eye(spec.rank)[k]
+
+
 def _check_torus_label(spec, label):
     label = tuple(int(n) for n in np.atleast_1d(label))
     if len(label) != spec.rank:

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupSpec, rep_matrix
+from .groups import GroupSpec, rep_matrix_batch
 from .heat import _sum_series, rho_eval
 from .polar import PointKC, polar_compose
-from .quadrature import QuadSpec, integrate_laguerre, integrate_levels
-from .transform import HoloFunc, _profiles
+from .quadrature import QuadSpec, integrate_laguerre
+from .transform import HoloFunc, _integrate_profiles
 
 __all__ = [
     "KernelQuery",
@@ -97,7 +97,7 @@ def k_sobolev_integral(query: KernelQuery, q: QuadSpec | None = None):
     return res.value / math.factorial(2 * query.n - 1), res
 
 
-def reproduce_check(F: HoloFunc, g: PointKC, q: QuadSpec | None = None):
+def reproduce_check(F, g: PointKC, q: QuadSpec | None = None):
     """Relative residual of the reproducing identity at g, and its level gap:
 
     |F(g) - int k_t(g,h) F(h) nu_t(h) dh| / (1 + |F(g)|).
@@ -109,19 +109,23 @@ def reproduce_check(F: HoloFunc, g: PointKC, q: QuadSpec | None = None):
     contributes trace(pi(g) B_pi) times the sum of its profile a (which
     should be exactly 1).  Returns (residual, gap), the gap between the two
     finest levels relative to the larger of them and the residual's scale
-    1 + |F(g)|.
+    1 + |F(g)|; arrays with each pair's one-call bits when g is a batch of
+    points (one leading axis) and F one function or one per point.
     """
-    q = q or QuadSpec()
-    spec, t = F.spec, F.t
-    g_mat = polar_compose(spec, g)
-    traces = [
-        (label, np.trace(rep_matrix(spec, label, g_mat) @ block)) for label, block in sorted(F.coefs.entries.items())
-    ]
-
-    def value_at(level):
-        return sum(tr * np.sum(_profiles(spec, t, level, label)[1]) for label, tr in traces)
-
-    fg = F.coefs.eval_k(g_mat)
-    scale = 1.0 + abs(fg)
-    res = integrate_levels(q, value_at, scale)
-    return abs(fg - res.value) / scale, res.gap
+    spec, size = g.spec, (len(g.y) if g.y.ndim > 1 else None)
+    g_mats = polar_compose(spec, g if size is not None else PointKC(spec, g.x[None], g.y[None]))
+    Fs = [F] * len(g_mats) if isinstance(F, HoloFunc) else list(F)
+    if len(Fs) != len(g_mats):
+        raise ValueError("need one function per point")
+    fg, terms = np.empty(len(Fs), dtype=complex), []
+    for G in {id(G): G for G in Fs}.values():  # each function on all of its points at once
+        idx = [i for i, H in enumerate(Fs) if H is G]
+        fg[idx] = G.coefs.eval_k_batch(g_mats[idx])
+        for label, block in sorted(G.coefs.entries.items()):
+            traces = np.trace(rep_matrix_batch(spec, label, g_mats[idx]) @ block, axis1=1, axis2=2)
+            terms += [(i, label, tr, 1.0) for i, tr in zip(idx, traces)]
+    fg = fg.tolist()
+    scale = [1.0 + abs(v) for v in fg]
+    res = _integrate_profiles(spec, Fs[0].t, q or QuadSpec(), terms, size, floor=scale[0] if size is None else scale)
+    residual = [abs(v - w) / s for v, w, s in zip(fg, np.atleast_1d(res.value).tolist(), scale)]
+    return (residual[0], res.gap) if size is None else (np.array(residual), res.gap)

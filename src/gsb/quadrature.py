@@ -335,9 +335,9 @@ def integrate_levels(q: QuadSpec, value_at, floor: float = 0.0) -> QuadResult:
 
     The gap is rel_gap of the two finest levels with the given floor.
     value_at returns a number (value complex, gap float) or an array of
-    values (value, gap and each level an array, element by element).  The
-    gap is formed on Python numbers, so an element's gap has the bits of a
-    one-value call.
+    values (value, gap, each level and floor may be arrays, element by
+    element).  The gap is formed on Python numbers, so an element's gap has
+    the bits of a one-value call.
     """
     values = tuple(value_at(level) for level in q.levels)
     if getattr(values[-1], "ndim", 0) == 0:  # a Python or numpy number
@@ -345,7 +345,8 @@ def integrate_levels(q: QuadSpec, value_at, floor: float = 0.0) -> QuadResult:
         return QuadResult(values[-1], rel_gap(values[-1], values[-2], floor), q.tolerance, values)
     values = tuple(np.asarray(v, dtype=complex) for v in values)
     a, b = values[-1], values[-2]
-    gaps = [rel_gap(x, y, floor) for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
+    floors = np.broadcast_to(floor, a.shape).ravel().tolist()
+    gaps = [rel_gap(x, y, f) for x, y, f in zip(a.ravel().tolist(), b.ravel().tolist(), floors)]
     return QuadResult(a, np.reshape(gaps, a.shape), q.tolerance, values)
 
 

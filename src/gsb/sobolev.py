@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coeffs import CoefVec
-from .groups import SU2_BASIS, GroupSpec, rep_generator
+from .groups import GroupSpec, algebra_basis, rep_generator
 from .quadrature import QuadResult, QuadSpec
 from .transform import AxisWeight, HoloFunc, holo_inner, holo_l2_norm
 
@@ -68,9 +68,7 @@ def _as_coefs(f) -> CoefVec:
 
 
 def _rewrap(f, coefs: CoefVec):
-    if isinstance(f, HoloFunc):
-        return HoloFunc(coefs, f.t)
-    return coefs
+    return HoloFunc(coefs, f.t) if isinstance(f, HoloFunc) else coefs
 
 
 def laplacian_apply(f, n: int = 1):
@@ -150,20 +148,9 @@ def symbol_positivity_threshold(spec: GroupSpec, t: float, n: int, c_grid):
 def apply_vector_field(f, k: int):
     """Left-invariant derivative along the k-th algebra basis direction."""
     coefs = _as_coefs(f)
-    spec = coefs.spec
-    if spec.kind == "torus":
-        direction = np.zeros(spec.rank)
-        direction[k] = 1.0
-    else:
-        direction = SU2_BASIS[k]
-    out = CoefVec(
-        spec,
-        {
-            label: rep_generator(spec, label, direction) @ block
-            for label, block in coefs.entries.items()
-        },
-    )
-    return _rewrap(f, out)
+    direction = algebra_basis(coefs.spec, k)
+    blocks = {label: rep_generator(coefs.spec, label, direction) @ block for label, block in coefs.entries.items()}
+    return _rewrap(f, CoefVec(coefs.spec, blocks))
 
 
 def _grad_log_radial(t: float, r: np.ndarray) -> np.ndarray:
@@ -193,26 +180,26 @@ def phi_x_weight(spec: GroupSpec, t: float, k: int):
     return AxisWeight(k, lambda u: 0.5j * _grad_log_radial(t, np.sqrt(u)))
 
 
-def toeplitz_quadratic_form(F1: HoloFunc, F2: HoloFunc, sym: PolyU, q: QuadSpec | None = None) -> QuadResult:
-    """int conj(F1) sym(|Y|^2) F2 nu_t dg, K-part exact."""
+def toeplitz_quadratic_form(F1, F2, sym: PolyU, q: QuadSpec | None = None) -> QuadResult:
+    """int conj(F1) sym(|Y|^2) F2 nu_t dg, K-part exact (F1, F2 as holo_inner)."""
     return holo_inner(F1, F2, q or QuadSpec(), weight=sym)
 
 
-def first_order_forms(F1: HoloFunc, F2: HoloFunc, k: int, q: QuadSpec | None = None):
+def first_order_forms(F1, F2, k: int, q: QuadSpec | None = None):
     """Both sides of the first-order Toeplitz identity for X_k.
 
     Returns (lhs, rhs) as QuadResults: lhs = <F1, X_k F2> in L^2(nu_t), rhs
     the quadratic form against phi_X.  Equality is the operator identity
-    under test.
+    under test.  F1 and F2 are a pair or two sequences, a batch of pairs.
     """
     q = q or QuadSpec()
-    lhs = holo_inner(F1, apply_vector_field(F2, k), q)
-    rhs = holo_inner(F1, F2, q, weight=phi_x_weight(F1.spec, F1.t, k))
-    return lhs, rhs
+    F = F2 if isinstance(F2, HoloFunc) else F2[0]
+    XF2 = apply_vector_field(F2, k) if F is F2 else [apply_vector_field(G, k) for G in F2]
+    return holo_inner(F1, XF2, q), holo_inner(F1, F2, q, weight=phi_x_weight(F.spec, F.t, k))
 
 
-def weighted_form(F: HoloFunc, n: int, q: QuadSpec | None = None) -> QuadResult:
-    """int |F|^2 (1 + |Y|^2)^{2n} nu_t dg, K-part exact."""
+def weighted_form(F, n: int, q: QuadSpec | None = None) -> QuadResult:
+    """int |F|^2 (1 + |Y|^2)^{2n} nu_t dg, K-part exact; F may be a sequence."""
     return holo_inner(F, F, q or QuadSpec(), weight=lambda u: (1.0 + u) ** (2 * n))
 
 

@@ -27,7 +27,7 @@ e^{-2 n.Y} dmu_t into e^{t |n|^2} N(-t n, t/2), and the block damping
 e^{-t |n|^2} cancels the first factor.  With zeta = Y.nhat and s = |Y_perp|^2,
 a weight rho(|Y|^2) sees only u = zeta^2 + s, and y_k rho only its mean
 nhat_k zeta rho along the shift, so every torus K_C integral is one sum over
-a rule in (zeta, s) per label.  The inversion integral factors over the axes.
+a rule in (zeta, s) per |n|^2.  The inversion integral factors over the axes.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ import numpy as np
 
 from .coeffs import CoefVec
 from .groups import (
-    SU2_BASIS,
     GroupSpec,
+    algebra_basis,
     irrep_dim,
     laplacian_eigenvalue,
     rep_generator,
@@ -184,71 +184,73 @@ def _torus_profiles(t: float, level: int, rank: int, nsq: int):
     return u, a, zeta
 
 
-def _profiles(spec: GroupSpec, t: float, level: int, label, first_order: bool = False):
-    """(u, a) of one label, or (u, b) if first_order: for blocks B1, B2 with
-    the damping undone,
-
-        e^{-lam t} int rho tr(B1^* pi(e^{2iY}) B2) dmu_t     ~ tr(B1^* B2) sum_i a_i rho(u_i),
-        e^{-lam t} int y_k rho tr(B1^* pi(e^{2iY}) B2) dmu_t ~ tr(B1^* dpi(E_k) B2) sum_i b_i rho(u_i),
-
-    rho a function of u = |Y|^2.  On SU(2) these are _schur_profiles with
-    u = r^2; on a torus pi(e^{2iY}) = e^{-2 n.Y} and dpi(E_k) = i n_k, so
-    b = (-i/|n|) zeta a, and b = 0 at n = 0.  The torus b is a new array of
-    the rule's size on each call, so it is formed only when asked for.
+def _integrate_profiles(spec: GroupSpec, t: float, q: QuadSpec, terms, size, weight=None, floor=0.0):
+    """integrate_levels of value p = sum coef * S * rest over its terms (p,
+    label, coef, rest): size values, or one if size is None.  S, the label's
+    profile sum against the weight, is that of a (b for an AxisWeight) of
+    _schur_profiles on SU(2), and on a torus of a (b = (-i/|n|) zeta a, 0 at
+    n = 0) of _torus_profiles.  It sees the label only through its key (m,
+    or |n|^2), and each level sums each key once for the batch; the terms
+    run in order on numbers, so a value has the bits of its one-pair call.
     """
-    if spec.kind == "su2":
-        r, a, b = _schur_profiles(t, level, label)
-        return r * r, (b if first_order else a)
-    nsq = int(np.dot(label, label))
-    u, a, zeta = _torus_profiles(t, level, spec.rank, nsq)
-    if not first_order:
-        return u, a
-    return u, ((-1j / math.sqrt(nsq)) * zeta * a if nsq else np.zeros(a.shape))
-
-
-def _inner_level(F1: HoloFunc, F2: HoloFunc, level: int, weight) -> complex:
-    """One level of holo_inner: one sum per common label."""
-    spec, t = F1.spec, F1.t
     first_order = isinstance(weight, AxisWeight)
-    if first_order:
-        direction = SU2_BASIS[weight.axis] if spec.kind == "su2" else np.eye(spec.rank)[weight.axis]
     radial = weight.radial if first_order else weight
-    total = 0.0 + 0.0j
-    for label in sorted(set(F1.coefs.entries) & set(F2.coefs.entries)):
-        # undo the damping of both blocks (up to e^700, past which the rest
-        # goes on the sum) so the product and the profile stay O(1)
-        half_lam = laplacian_eigenvalue(spec, label) * t / 2.0
-        undo = min(half_lam, 700.0)
-        b1 = math.exp(undo) * F1.coefs.entries[label]
-        b2 = math.exp(undo) * F2.coefs.entries[label]
-        if first_order:
-            b2 = rep_generator(spec, label, direction) @ b2
-        u, prof = _profiles(spec, t, level, label, first_order)
-        if radial is not None:
-            prof = prof * radial(u)
-        trace = np.sum(b1.conj() * b2)
-        total += (spec.volume / irrep_dim(spec, label)) * trace * np.sum(prof) * math.exp(2.0 * (half_lam - undo))
-    return complex(total)
+    keys = {label: label if spec.kind == "su2" else sum(k * k for k in label) for _, label, _, _ in terms}
+
+    def profile_sum(level, key):
+        if spec.kind == "su2":
+            r, a, b = _schur_profiles(t, level, key)
+            u, prof = r * r, (b if first_order else a)
+        else:
+            u, prof, zeta = _torus_profiles(t, level, spec.rank, key)
+            if first_order:
+                prof = (-1j / math.sqrt(key)) * zeta * prof if key else np.zeros(prof.shape)
+        return np.sum(prof if radial is None else prof * radial(u))
+
+    def value_at(level):
+        sums = {key: profile_sum(level, key) for key in set(keys.values())}
+        total = [0j] * (size or 1)
+        for p, label, coef, rest in terms:
+            total[p] += coef * sums[keys[label]] * rest
+        return total[0] if size is None else np.array(total, dtype=complex)
+
+    return integrate_levels(q, value_at, floor)
 
 
-def holo_inner(F1: HoloFunc, F2: HoloFunc, q: QuadSpec, weight=None) -> QuadResult:
+def holo_inner(F1, F2, q: QuadSpec, weight=None) -> QuadResult:
     """<F1, F2> against a weight times nu_t(g) dg, K-part exact.
 
     weight is None (the weight 1), a vectorized map of u = |Y|^2 to a
     factor, or an AxisWeight: y_k * radial(|Y|^2), which depends on the
-    direction of Y, not just its length.
+    direction of Y, not just its length.  F1 and F2 may be equal-length
+    sequences, a batch of pairs: value, gap and levels are then arrays with
+    each pair's one-call bits.  A common label contributes (vol/d)
+    tr(B1^* B2) (B2 -> dpi(E_k) B2 for an AxisWeight) times its profile sum.
     """
-    if F1.spec != F2.spec:
-        raise ValueError("mismatched group specs")
-    if abs(F1.t - F2.t) > 0:
-        raise ValueError("mismatched transform times")
-    return integrate_levels(q, lambda level: _inner_level(F1, F2, level, weight))
+    size = None if isinstance(F1, HoloFunc) else len(F1)
+    F1s, F2s = ([F1], [F2]) if size is None else (list(F1), list(F2))
+    spec, t = F1s[0].spec, F1s[0].t
+    if len(F1s) != len(F2s) or any(F.spec != spec or F.t != t for F in F1s + F2s):
+        raise ValueError("need pairs of functions of one group spec and one transform time")
+    axis = algebra_basis(spec, weight.axis) if isinstance(weight, AxisWeight) else None
+    terms = []
+    for p, (G1, G2) in enumerate(zip(F1s, F2s)):
+        for label in sorted(G1.coefs.entries.keys() & G2.coefs.entries.keys()):
+            # undo the damping of both blocks (up to e^700, past which the
+            # rest goes on the sum) so the product and the profile stay O(1)
+            half_lam = laplacian_eigenvalue(spec, label) * t / 2.0
+            undo = min(half_lam, 700.0)
+            b1, b2 = math.exp(undo) * G1.coefs.entries[label], math.exp(undo) * G2.coefs.entries[label]
+            if axis is not None:
+                b2 = rep_generator(spec, label, axis) @ b2
+            trace = (b1.conj() * b2).sum()
+            terms.append((p, label, (spec.volume / irrep_dim(spec, label)) * trace, math.exp(2.0 * (half_lam - undo))))
+    return _integrate_profiles(spec, t, q, terms, size, weight)
 
 
 def holo_l2_norm(F: HoloFunc, q: QuadSpec | None = None) -> float:
     """Norm in the weighted holomorphic L^2 space over K_C."""
-    q = q or QuadSpec()
-    res = holo_inner(F, F, q)
+    res = holo_inner(F, F, q or QuadSpec())
     if not res.ok:
         raise QuadratureError(
             f"k-space quadrature gap {res.gap:.3e} exceeds {res.tolerance:.3e}; trace {res.by_level}",

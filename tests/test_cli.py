@@ -13,16 +13,13 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+def child_env():
+    # a child runs in its own cwd, so the package path must be absolute
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH", "")) if p))
+
+
 def run_cli(args, cwd):
-    # the child runs in cwd, so the package path must be absolute
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH", "")) if p)
-    return subprocess.run(
-        [sys.executable, "-m", "gsb.cli", *args],
-        cwd=cwd,
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    return subprocess.run([sys.executable, "-m", "gsb.cli", *args], cwd=cwd, capture_output=True, text=True, env=child_env())
 
 
 def test_verify_mass_passes(tmp_path):
@@ -181,6 +178,65 @@ def test_kernel_tworoute_composes_each_point_once_per_route(tmp_path, capsys, mo
     assert sum(calls) == 2 * 2 * 15
 
 
+def _count_calls(monkeypatch, module, name):
+    # wrap the function in every gsb module that bound it; returns the call log
+    import gsb.cli  # noqa: F401  (loads every gsb module before the scan)
+
+    orig, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for mod in [m for key, m in sys.modules.items() if key == "gsb" or key.startswith("gsb.")]:
+        if getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "suite, group, layer, most",
+    [
+        # one call per (n, form) and per (axis, side): 2 x 2 + 2 x 2
+        ("toeplitz", "torus:2", "holo_inner", 8),
+        ("unitarity", "torus:2", "holo_inner", 1),
+        ("unitarity", "su2", "holo_inner", 1),
+        ("reproducing", "torus:2", "reproduce_check", 1),
+        ("reproducing", "su2", "reproduce_check", 1),
+    ],
+)
+def test_kc_suites_batch_their_forms(tmp_path, capsys, monkeypatch, suite, group, layer, most):
+    # each suite hands a K_C form the whole basis (every function-point pair
+    # for reproducing): calls per t stay fixed however large the basis is
+    import gsb.kernels
+    import gsb.transform
+
+    module = gsb.kernels if layer == "reproduce_check" else gsb.transform
+    calls = _count_calls(monkeypatch, module, layer)
+    args = ["verify", suite, "--group", group, "--t", "0.5,1", "--n", "1,2", "--levels", "16,24", "--out", str(tmp_path / "o")]
+    code, captured = _main_in_process(args, capsys)
+    assert code in (0, 1), captured.err
+    assert 2 <= len(calls) <= 2 * most
+
+
+def test_invert_reads_the_configured_tolerance(tmp_path, capsys):
+    # at t = 4 the inversion integrand of label 3 peaks near |Y| = t|n| = 12,
+    # past the radii 4, 7, 10: the last two values differ by more than the
+    # default 1e-6, but by less than 0.5
+    coeffs = {"group": "torus:1", "entries": [{"label": [3], "matrix": [[[1.0, 0.0]]]}, {"label": [0], "matrix": [[[0.5, 0.0]]]}]}
+    (tmp_path / "c.json").write_text(json.dumps(coeffs))
+    (tmp_path / "p.json").write_text(json.dumps([[0.3], [1.1]]))
+    head = ["invert", "--coeffs", str(tmp_path / "c.json"), "--points", str(tmp_path / "p.json"), "--group", "torus:1", "--t", "4"]
+    stabilized = {}
+    for extra in ([], ["--tolerance", "0.5"]):
+        out = tmp_path / ("o" + "".join(extra))
+        code, captured = _main_in_process([*head, *extra, "--out", str(out)], capsys)
+        assert code == 0, captured.err
+        with open(out / "invert_torus-1.csv", newline="") as fp:
+            stabilized[tuple(extra)] = [row["stabilized"] for row in csv.DictReader(fp)]
+    assert stabilized == {(): ["0", "0"], ("--tolerance", "0.5"): ["1", "1"]}
+
+
 def test_suites_that_draw_nothing_leave_numpy_random_unimported(tmp_path):
     # a generator imports numpy.random (with secrets and hmac); only the
     # suites that sample points build one.  reproducing is the control.
@@ -191,13 +247,12 @@ def test_suites_that_draw_nothing_leave_numpy_random_unimported(tmp_path):
         "    main(['verify', suite, '--group', 'torus:1', '--t', '1', '--cutoff', '1', '--out', 'o'])\n"
         "    print('numpy.random', suite, 'numpy.random' in sys.modules)\n"
     )
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH", "")) if p)
     r = subprocess.run(
         [sys.executable, "-c", code, "unitarity", "mass", "reproducing"],
         cwd=tmp_path,
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(),
     )
     assert r.returncode == 0, r.stderr
     seen = [line.split()[1:] for line in r.stdout.splitlines() if line.startswith("numpy.random ")]
@@ -332,10 +387,7 @@ def test_symbols_need_no_sympy(tmp_path):
         f"assert main(['verify', 'toeplitz', '--group', 'su2', '--cutoff', '1', '--out', {str(tmp_path)!r}]) == 0\n"
         "assert 'sympy' not in sys.modules\n"
     )
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH", "")) if p)
-    r = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path)
-    )
+    r = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, env=child_env())
     assert r.returncode == 0, r.stderr
 
 
@@ -367,10 +419,7 @@ def test_commands_need_no_scipy(tmp_path):
     script = "import sys\nfrom gsb.cli import main\n" + "".join(
         f"assert main({[*args, '--out', out]!r}) == 0\n" for args in runs
     ) + "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules), sorted(sys.modules)\n"
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH", "")) if p)
-    r = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path)
-    )
+    r = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, env=child_env())
     assert r.returncode == 0, r.stderr
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gsb.bounds import growth_functional
-from gsb.coeffs import basis_entry
-from gsb.groups import random_algebra, random_k, su2, torus
+from gsb.coeffs import CoefVec, basis_entry
+from gsb.groups import enumerate_irreps, irrep_dim, random_algebra, random_k, su2, torus
 from gsb.heat import rho_eval
 from gsb.kernels import (
     KernelQuery,
@@ -159,3 +159,27 @@ def test_reproducing_identity(spec):
         residual, gap = reproduce_check(F, p, QuadSpec())
         assert residual < 1e-9
         assert gap < 1e-9
+
+
+@pytest.mark.parametrize("spec", [torus(1), torus(2), torus(3), su2()], ids=str)
+def test_reproduce_check_batch_equals_one_point_calls(spec):
+    # a batch of (function, point) pairs, and one function on a point batch,
+    # are their one-point calls, bit for bit
+    rng = np.random.default_rng(11)
+    labels = enumerate_irreps(spec, 2)
+    Fs = []
+    for _ in range(3):
+        blocks = {}
+        for k in rng.choice(len(labels), size=2, replace=False):
+            d = irrep_dim(spec, labels[k])
+            blocks[labels[k]] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        Fs.append(ct_forward(CoefVec(spec, blocks), 0.8))
+    draws = [(random_k(spec, rng), random_algebra(spec, rng)) for _ in range(6)]
+    xs, ys = (np.stack(part) for part in zip(*draws))
+    q = QuadSpec(levels=(12, 16, 24))
+    for F in ([Fs[k // 2] for k in range(6)], Fs[0]):
+        residual, gap = reproduce_check(F, PointKC(spec, xs, ys), q)
+        assert residual.shape == gap.shape == (6,)
+        for k, (x, y) in enumerate(draws):
+            one = reproduce_check(F if F is Fs[0] else F[k], PointKC(spec, x, y), q)
+            assert (residual[k], gap[k]) == one

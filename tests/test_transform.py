@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from gsb.coeffs import CoefVec, basis_entry
-from gsb.groups import random_algebra, random_k, su2, torus
+from gsb.groups import enumerate_irreps, irrep_dim, random_algebra, random_k, su2, torus
 from gsb.polar import PointKC, polar_compose
 from gsb.quadrature import QuadSpec
+from gsb.sobolev import phi_x_weight, toeplitz_symbol
 from gsb.transform import (
     QuadratureError,
     ct_forward,
@@ -80,6 +81,48 @@ def test_holo_inner_weight_is_expectation():
     F = ct_forward(basis_entry(spec, (0,)), t)
     res = holo_inner(F, F, QuadSpec(), weight=lambda u: u)
     assert res.value.real == pytest.approx(2 * math.pi * t / 2.0, rel=1e-12)
+
+
+def _random_functions(spec, t, rng, count=4):
+    # functions on overlapping random label sets, so pairs share one or more
+    # labels, and one on a label of its own, which shares none
+    labels = enumerate_irreps(spec, 3)
+    label_sets = [[labels[k] for k in rng.choice(len(labels), size=2, replace=False)] for _ in range(count)]
+    label_sets.append([enumerate_irreps(spec, 4)[-1]])
+    out = []
+    for chosen in label_sets:
+        blocks = {}
+        for label in chosen:
+            d = irrep_dim(spec, label)
+            blocks[label] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        out.append(ct_forward(CoefVec(spec, blocks), t))
+    return out
+
+
+@pytest.mark.parametrize("spec", [torus(1), torus(2), torus(3), su2()], ids=str)
+@pytest.mark.parametrize("weight", ["none", "symbol", "power", "axis"])
+def test_holo_inner_batch_equals_one_pair_calls(spec, weight):
+    # a batch of pairs is its one-pair calls, bit for bit: value, gap and
+    # every level
+    t, n = 0.7, 2
+    weight = {
+        "none": None,
+        "symbol": toeplitz_symbol(spec, t, 3.0, n),
+        "power": lambda u: (1.0 + u) ** (2 * n),
+        "axis": phi_x_weight(spec, t, spec.dim - 1),
+    }[weight]
+    Fs = _random_functions(spec, t, np.random.default_rng(5))
+    F1s = [F for F in Fs for _ in Fs]
+    F2s = [G for _ in Fs for G in Fs]
+    q = QuadSpec(levels=(12, 16, 24))
+    batch = holo_inner(F1s, F2s, q, weight)
+    assert batch.value.shape == batch.gap.shape == (len(F1s),)
+    for i, (F1, F2) in enumerate(zip(F1s, F2s)):
+        one = holo_inner(F1, F2, q, weight)
+        assert batch.value[i] == one.value
+        assert batch.gap[i] == one.gap
+        assert [level[i] for level in batch.by_level] == list(one.by_level)
+    assert 0 < np.count_nonzero(batch.value) < len(F1s)
 
 
 def test_quadrature_error_raised():
