@@ -10,6 +10,7 @@ polar grid and classifies smoothness by stability under radius doubling.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,8 @@ __all__ = [
     "smoothness_report",
     "kernel_bound_check",
 ]
+
+GRID_BLOCK = 1024  # growth-functional grid points whose group elements are formed at once
 
 
 @dataclass(frozen=True)
@@ -161,8 +164,8 @@ def _unit_directions(dim: int, n_angular: int) -> np.ndarray:
             ],
             axis=-1,
         )
-    rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((n_angular * n_angular, dim))
+    rng = random.Random(0)
+    dirs = np.array([[rng.gauss(0.0, 1.0) for _ in range(dim)] for _ in range(n_angular * n_angular)])
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
@@ -178,11 +181,13 @@ def growth_functional(F: HoloFunc, t: float, n, grid: np.ndarray):
     """sup over the grid of |F(e^{iY})|^2 (1+|Y|^2)^{2n} / (Phi(Y) e^{|Y|^2/t}).
 
     Worked in log space; returns (value, argmax Y).  For a sequence of
-    orders n, F, |Y|^2 and log Phi are evaluated once and the result is a
-    list with one (value, argmax Y) per order.
+    orders n, F (in blocks of GRID_BLOCK points), |Y|^2 and log Phi are
+    evaluated once and the result is a list with one (value, argmax Y) per
+    order.
     """
     spec = F.spec
-    vals = F.coefs.eval_k_batch(exp_iy_batch(spec, grid))
+    blocks = [grid[i : i + GRID_BLOCK] for i in range(0, len(grid), GRID_BLOCK)]
+    vals = np.concatenate([F.coefs.eval_k_batch(exp_iy_batch(spec, block)) for block in blocks])
     u = np.sum(grid**2, axis=1)
     log_env = log_phi(spec, grid) + u / t
     with np.errstate(divide="ignore"):

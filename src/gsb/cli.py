@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 import os
+import random
 import sys
 from dataclasses import dataclass, field, fields, replace
 
@@ -288,7 +289,7 @@ def _unitarity_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
 
 def _reproducing_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     spec = cfg.spec
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     points = []
     for _ in range(20):
         y = random_algebra(spec, rng)
@@ -322,7 +323,7 @@ def _sobolev_isometry_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
 
 def _kernel_tworoute_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     spec = cfg.spec
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     rows = []
     for n in _orders(cfg):
         c = spec.delta_sq + 1.0 if cfg.c is None else cfg.c

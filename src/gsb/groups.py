@@ -15,6 +15,7 @@ the metric conventions are fixed here once:
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -280,15 +281,15 @@ def su2_euler(phi, theta, psi) -> np.ndarray:
     return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
 
 
-def random_k(spec: GroupSpec, rng: np.random.Generator):
-    """A Haar-ish random element of K (for tests and sample grids)."""
+def random_k(spec: GroupSpec, rng: random.Random):
+    """A Haar-random element of K (for tests and sample grids)."""
     if spec.kind == "torus":
-        return rng.uniform(0.0, 2.0 * math.pi, size=spec.rank)
-    q = rng.normal(size=4)
+        return np.array([rng.uniform(0.0, 2.0 * math.pi) for _ in range(spec.rank)])
+    q = np.array([rng.gauss(0.0, 1.0) for _ in range(4)])
     q /= np.linalg.norm(q)
     return q[0] * np.eye(2) + 1j * (q[1] * PAULI[0] + q[2] * PAULI[1] + q[3] * PAULI[2])
 
 
-def random_algebra(spec: GroupSpec, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_algebra(spec: GroupSpec, rng: random.Random, scale: float = 1.0) -> np.ndarray:
     """Random Y coordinates in the fixed orthonormal basis of the Lie algebra."""
-    return rng.normal(scale=scale, size=spec.dim)
+    return np.array([rng.gauss(0.0, scale) for _ in range(spec.dim)])

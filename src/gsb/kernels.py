@@ -79,9 +79,9 @@ def k_sobolev_integral(query: KernelQuery, q: QuadSpec | None = None):
 
     k_t^{2n}(g,h) = 1/(2n-1)! * int_0^inf s^{2n-1} e^{-cs} rho_{2(t+s)}(gh^*) ds,
 
-    with one rho_eval call (at its tail tolerance 1e-10) per quadrature level,
-    on all of its nodes (and on every pair of a batch: value and gap are then
-    arrays).
+    on integrate_laguerre's rule for a singularity at s = -t, with one
+    rho_eval call (at its tail tolerance 1e-10) per level, on all of its
+    nodes (and on every pair of a batch: value and gap are then arrays).
     """
     if query.n < 1:
         raise ValueError("the integral route needs n >= 1")
@@ -93,7 +93,7 @@ def k_sobolev_integral(query: KernelQuery, q: QuadSpec | None = None):
         # on a batch the nodes run down the rows and the pairs along the columns
         return rho_eval(spec, 2.0 * (query.t + (s[:, None] if batched else s)), gh)[0]
 
-    res = integrate_laguerre(query.c, query.n, f, q)
+    res = integrate_laguerre(query.c, query.n, f, query.t, q)
     return res.value / math.factorial(2 * query.n - 1), res
 
 

@@ -11,7 +11,7 @@ Three families:
   e^{k r} of the sphere means.  A product sphere rule on top gives the tensor nodes that
   integrate_kspace hands to integrands with no such structure (the torus
   K_C integrals of transform run on a shifted rule per label instead);
-* generalized Gauss-Laguerre for integrals with weight s^{2n-1} e^{-cs};
+* log-spaced Gauss-Legendre plus a Laguerre tail for weight s^{2n-1} e^{-cs};
 * sampling rules on K itself (exact trigonometric on tori, Euler-angle
   product rule on SU(2)).
 
@@ -57,6 +57,9 @@ MAX_ORDER = 150
 
 # a tensor rule holds level^rank nodes of some tens of bytes each
 MAX_TENSOR_NODES = 2_000_000
+
+# integrate_laguerre's tail starts where e^{-cs} = TAIL_BOUND, on TAIL_NODES nodes
+TAIL_BOUND, TAIL_NODES = 1e-17, 32
 
 
 def _golub_welsch(n: int, mu0: float, diag, offdiag, f, df, symmetric: bool):
@@ -363,22 +366,32 @@ def integrate_kspace(spec: GroupSpec, t: float, integrand, q: QuadSpec) -> QuadR
     return integrate_levels(q, value_at)
 
 
-def integrate_laguerre(c: float, n: int, f, q: QuadSpec | None = None) -> QuadResult:
-    """int_0^inf s^{2n-1} e^{-cs} f(s) ds by generalized Gauss-Laguerre.
+def integrate_laguerre(c: float, n: int, f, t: float | None = None, q: QuadSpec | None = None) -> QuadResult:
+    """int_0^inf s^{2n-1} e^{-cs} f(s) ds for an f that may be singular at s = -t.
 
-    The substitution u = c s moves the weight to u^{2n-1} e^{-u}.
-    f maps an (L,) array of s values to (L,) values, or to (L, B) values for
-    a batch of B integrands (value and gap are then (B,) arrays); each level
-    calls it once.
+    The head [0, S] takes Gauss-Legendre in v = log(1 + s/t), spacing the
+    nodes like the distance to -t (t defaults to the weight's scale 1/c),
+    and the tail s = S + u/c, with e^{-cS} = TAIL_BOUND, a fixed Gauss-Laguerre
+    rule in u.  Each level calls f once on all its nodes: f maps an (L,) array
+    of s to (L,) values, or to (L, B) for a batch of B integrands (value and
+    gap are then (B,) arrays).
     """
     if c <= 0 or n < 1:
         raise ValueError("need c > 0 and n >= 1")
+    t = 1.0 / c if t is None else t
+    split = -math.log(TAIL_BOUND) / c
+    half = 0.5 * math.log1p(split / t)
+    u, wu = roots_genlaguerre(TAIL_NODES, 0)
 
     def value_at(level):
-        u, w = roots_genlaguerre(level, 2 * n - 1)
-        return np.dot(w, np.asarray(f(u / c))) / c ** (2 * n)
+        x, wx = roots_legendre(level)
+        v = half * (x + 1.0)
+        head = t * np.expm1(v)
+        s = np.concatenate([head, split + u / c])
+        w = np.concatenate([half * t * wx * np.exp(v - c * head), wu * (TAIL_BOUND / c)])
+        return np.dot(w * s ** (2 * n - 1), np.asarray(f(s)))
 
-    return integrate_levels(q or QuadSpec(levels=(16, 32, 64), tolerance=1e-8), value_at)
+    return integrate_levels(q or QuadSpec(levels=(48, 64), tolerance=1e-8), value_at)
 
 
 @lru_cache(maxsize=32)

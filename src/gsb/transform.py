@@ -148,26 +148,26 @@ def _schur_profiles(t: float, level: int, m: int):
     return r, a, b
 
 
-# a rule holds L^3 nodes on torus:4 (21 MB at L = 96), so few are kept
-@lru_cache(maxsize=64)
-def _torus_profiles(t: float, level: int, rank: int, nsq: int):
-    """Rule for a torus label n with |n|^2 = nsq, the Gaussian shifted by -t n.
-
-    Returns read-only (u, a, zeta) such that, for a radial factor rho(u),
-    u = |Y|^2,
+# a base rule holds L^3 weights on torus:4 (7 MB at L = 96)
+@lru_cache(maxsize=16)
+def _torus_base_rule(t: float, level: int, rank: int):
+    """The torus label rule, less its shift: read-only (hx, s, a) such that a
+    label n gives zeta = -t |n| + hx and u = zeta^2 + s (raveled, zeta along
+    the rows) with, for a radial factor rho(u), u = |Y|^2,
 
         e^{-t |n|^2} int rho e^{-2 n.Y} dmu_t     ~ sum_i a_i rho(u_i),
         e^{-t |n|^2} int y_k rho e^{-2 n.Y} dmu_t ~ nhat_k sum_i a_i zeta_i rho(u_i).
 
-    zeta = Y.nhat ~ N(-t |n|, t/2) takes the level-point Gauss-Hermite rule;
-    s = |Y_perp|^2 ~ (t/2) chi^2_{r-1} is t x^2 on a Gauss-Hermite node x for
-    one of its r - 1 squares when r is even, plus t v on a generalized
-    Gauss-Laguerre node v (alpha = (r-1)//2 - 1, mass alpha!) for the rest
-    when r >= 3.  Polynomial weights rho are integrated exactly.
+    zeta = Y.nhat ~ N(-t |n|, t/2) takes the level-point Gauss-Hermite rule
+    (hx = sqrt(t) x on its nodes x); s = |Y_perp|^2 ~ (t/2) chi^2_{r-1} is
+    t x^2 on a Gauss-Hermite node x for one of its r - 1 squares when r is
+    even, plus t v on a generalized Gauss-Laguerre node v (alpha = (r-1)//2
+    - 1, mass alpha!) for the rest when r >= 3.  Polynomial weights rho are
+    integrated exactly.
     """
     x, h = roots_hermite(level)
     gauss = h / math.sqrt(math.pi)
-    zeta = -t * math.sqrt(nsq) + math.sqrt(t) * x
+    hx = math.sqrt(t) * x
     s, v = np.zeros(1), np.ones(1)
     if rank % 2 == 0:
         s, v = t * x**2, gauss
@@ -176,12 +176,10 @@ def _torus_profiles(t: float, level: int, rank: int, nsq: int):
         xl, wl = roots_genlaguerre(level, alpha)
         s = (s[:, None] + t * xl[None, :]).ravel()
         v = (v[:, None] * (wl / math.factorial(alpha))[None, :]).ravel()
-    u = (zeta[:, None] ** 2 + s[None, :]).ravel()
     a = (gauss[:, None] * v[None, :]).ravel()
-    zeta = np.repeat(zeta, s.size)
-    for arr in (u, a, zeta):
+    for arr in (hx, s, a):
         arr.setflags(write=False)
-    return u, a, zeta
+    return hx, s, a
 
 
 def _integrate_profiles(spec: GroupSpec, t: float, q: QuadSpec, terms, size, weight=None, floor=0.0):
@@ -189,9 +187,10 @@ def _integrate_profiles(spec: GroupSpec, t: float, q: QuadSpec, terms, size, wei
     label, coef, rest): size values, or one if size is None.  S, the label's
     profile sum against the weight, is that of a (b for an AxisWeight) of
     _schur_profiles on SU(2), and on a torus of a (b = (-i/|n|) zeta a, 0 at
-    n = 0) of _torus_profiles.  It sees the label only through its key (m,
-    or |n|^2), and each level sums each key once for the batch; the terms
-    run in order on numbers, so a value has the bits of its one-pair call.
+    n = 0) of _torus_base_rule at the label's shift.  It sees the label only
+    through its key (m, or |n|^2), and each level sums each key once for the
+    batch; the terms run in order on numbers, so a value has the bits of its
+    one-pair call.
     """
     first_order = isinstance(weight, AxisWeight)
     radial = weight.radial if first_order else weight
@@ -202,9 +201,11 @@ def _integrate_profiles(spec: GroupSpec, t: float, q: QuadSpec, terms, size, wei
             r, a, b = _schur_profiles(t, level, key)
             u, prof = r * r, (b if first_order else a)
         else:
-            u, prof, zeta = _torus_profiles(t, level, spec.rank, key)
+            hx, s, prof = _torus_base_rule(t, level, spec.rank)
+            zeta = -t * math.sqrt(key) + hx
             if first_order:
-                prof = (-1j / math.sqrt(key)) * zeta * prof if key else np.zeros(prof.shape)
+                prof = (-1j / math.sqrt(key)) * np.repeat(zeta, s.size) * prof if key else np.zeros(prof.shape)
+            u = None if radial is None else (zeta[:, None] ** 2 + s[None, :]).ravel()
         return np.sum(prof if radial is None else prof * radial(u))
 
     def value_at(level):

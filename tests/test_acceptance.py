@@ -7,6 +7,7 @@ radial sums that are exact for polynomial weights.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -94,7 +95,7 @@ def test_criterion_02_density_mass():
 
 
 def test_criterion_03_reproducing_property():
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     ok = True
     worst = 0.0
     for spec, tol in ((TORUS, 1e-6), (SU2, 1e-6)):
@@ -129,7 +130,7 @@ def test_criterion_04_sobolev_isometry_and_commutation():
 
 
 def test_criterion_05_kernel_two_routes_agree():
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     worst = 0.0
     q = QuadSpec(levels=(48, 64, 96))
     for spec in (TORUS, SU2):
@@ -146,7 +147,7 @@ def test_criterion_05_kernel_two_routes_agree():
 
 
 def test_criterion_06_pointwise_bound_and_envelope():
-    rng = np.random.default_rng(6)
+    rng = random.Random(6)
     ok = True
     t, n = 1.0, 1
     for spec in (TORUS, SU2):

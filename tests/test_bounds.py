@@ -117,6 +117,38 @@ def test_smoothness_report_evaluates_F_once_per_grid(monkeypatch, n_max):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("spec, n_radial", [(torus(2), 100), (su2(), 40)], ids=str)
+def test_blocked_growth_functional_equals_one_evaluation(monkeypatch, spec, n_radial):
+    # 1,601 and 10,241 grid points, neither a multiple of the block: F is
+    # evaluated on ceil(N / GRID_BLOCK) blocks, whose values are those of one
+    # evaluation on the whole grid, bit for bit
+    from gsb import bounds
+    from gsb.coeffs import CoefVec
+    from gsb.polar import exp_iy_batch
+
+    F = _two_label_function(spec)
+    grid = polar_grid(spec, 6.0, n_radial=n_radial, n_angular=16)
+    assert len(grid) % bounds.GRID_BLOCK != 0
+    whole = F.coefs.eval_k_batch(exp_iy_batch(spec, grid))
+    blocks = []
+    eval_k_batch = CoefVec.eval_k_batch
+
+    def recorded(self, g):
+        blocks.append(eval_k_batch(self, g))
+        return blocks[-1]
+
+    monkeypatch.setattr(CoefVec, "eval_k_batch", recorded)
+    blocked = growth_functional(F, 1.0, range(5), grid)
+    assert len(blocks) == -(-len(grid) // bounds.GRID_BLOCK) > 1
+    assert np.array_equal(np.concatenate(blocks), whole)
+    monkeypatch.setattr(bounds, "GRID_BLOCK", len(grid))
+    unblocked = growth_functional(F, 1.0, range(5), grid)
+    assert len(blocks) == -(-len(grid) // 1024) + 1
+    for (value, arg), (one_value, one_arg) in zip(blocked, unblocked):
+        assert value == one_value
+        assert np.array_equal(arg, one_arg)
+
+
 @pytest.mark.parametrize("spec", [torus(1), su2()])
 def test_kernel_bound(spec):
     rows, ok = kernel_bound_check(spec, 1.0)

@@ -237,40 +237,95 @@ def test_invert_reads_the_configured_tolerance(tmp_path, capsys):
     assert stabilized == {(): ["0", "0"], ("--tolerance", "0.5"): ["1", "1"]}
 
 
-def test_suites_that_draw_nothing_leave_numpy_random_unimported(tmp_path):
-    # a generator imports numpy.random (with secrets and hmac); only the
-    # suites that sample points build one.  reproducing is the control.
+def test_no_command_imports_numpy_random(tmp_path):
+    # numpy.random (with secrets, hashlib and OpenSSL) adds about 6 MB to a
+    # process; the sampled suites draw from the stdlib's random.Random
+    from gsb.cli import REPORT_KINDS, SUITES
+
+    commands = []
+    for group, label, point in (("torus:1", [1], [0.3]), ("su2", 2, [0.3, 0.5, 0.7])):
+        d = 1 if group.startswith("torus") else label
+        coeffs, points = tmp_path / f"c_{d}.json", tmp_path / f"p_{d}.json"
+        matrix = [[[1.0 if i == j else 0.0, 0.0] for j in range(d)] for i in range(d)]
+        coeffs.write_text(json.dumps({"group": group, "entries": [{"label": label, "matrix": matrix}]}))
+        points.write_text(json.dumps([point]))
+        flags = ["--group", group, "--out", "o"]
+        commands += [["verify", suite, *flags] for suite in SUITES]
+        commands += [["report", kind, *flags] for kind in REPORT_KINDS]
+        commands.append(["invert", "--coeffs", str(coeffs), "--points", str(points), *flags])
     code = (
-        "import sys\n"
+        "import json, sys\n"
         "from gsb.cli import main\n"
-        "for suite in sys.argv[1:]:\n"
-        "    main(['verify', suite, '--group', 'torus:1', '--t', '1', '--cutoff', '1', '--out', 'o'])\n"
-        "    print('numpy.random', suite, 'numpy.random' in sys.modules)\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    print('exit', main(argv), 'numpy.random' in sys.modules, *argv[:2])\n"
     )
     r = subprocess.run(
-        [sys.executable, "-c", code, "unitarity", "mass", "reproducing"],
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-        env=child_env(),
+        [sys.executable, "-c", code, json.dumps(commands)], cwd=tmp_path, capture_output=True, text=True, env=child_env()
     )
     assert r.returncode == 0, r.stderr
-    seen = [line.split()[1:] for line in r.stdout.splitlines() if line.startswith("numpy.random ")]
-    assert seen == [["unitarity", "False"], ["mass", "False"], ["reproducing", "True"]]
+    seen = [line.split() for line in r.stdout.splitlines() if line.startswith("exit ")]
+    assert len(seen) == len(commands) == 24
+    assert all(exit_code == "0" and loaded == "False" for _, exit_code, loaded, *_ in seen), seen
 
 
-def test_kernel_tworoute_judges_laguerre_gap(tmp_path, capsys):
-    # row n=1:q14 agrees to rel-err <= tol, but its Laguerre gap is above tol
+# A child's ru_maxrss is at least the peak of the process it was spawned
+# from (the kernel carries the spawning address space's high-water mark
+# across exec), so each child is started by a small launcher, not by the
+# test process, which holds numpy and scipy.
+_LAUNCH = (
+    "import os, subprocess, sys\n"
+    "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(p.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def _peak_rss_mb(argv, cwd):
+    """Exit code and peak RSS (MB) of a fresh `python argv` process."""
+    r = subprocess.run(
+        [sys.executable, "-c", _LAUNCH, sys.executable, *argv], cwd=cwd, capture_output=True, text=True, env=child_env()
+    )
+    assert r.returncode == 0, r.stderr
+    code, kb = r.stdout.split()
+    return int(code), int(kb) / 1024.0
+
+
+def test_pointwise_commands_stay_near_the_import_floor(tmp_path):
+    # the smoothness grid is evaluated in blocks and the sampled suites draw
+    # without numpy.random, so neither command holds more than a few MB
+    # beyond `import gsb.cli`
+    _, floor = _peak_rss_mb(["-c", "import gsb.cli"], tmp_path)
+    # the su2-pointwise benchmark workload's two largest commands
+    base = ["--group", "su2", "--cutoff", "4", "--out", "o"]
+    commands = {
+        "smoothness": ["report", "smoothness", *base, "--t", "1", "--n", "1,2"],
+        "kernel-tworoute": ["verify", "kernel-tworoute", *base, "--t", "0.25,0.5,1,2", "--n", "1,2,3", "--seed", "0"],
+    }
+    for name, argv in commands.items():
+        code, peak = _peak_rss_mb(["-m", "gsb.cli", *argv], tmp_path)
+        assert code == 0, name
+        assert peak <= floor + 5.0, f"{name}: {peak:.1f} MB against an import floor of {floor:.1f} MB"
+
+
+def test_kernel_tworoute_judges_laguerre_gap(tmp_path, capsys, monkeypatch):
+    # with the Gamma route's levels forced to (3, 32) the finer level still
+    # agrees with the spectral route, but the level gap is far above tol:
+    # every row has rel-err <= tol < gap and must fail
+    from gsb import kernels
+    from gsb.quadrature import QuadSpec
+
+    route = kernels.integrate_laguerre
+    monkeypatch.setattr(kernels, "integrate_laguerre", lambda c, n, f, t, q=None: route(c, n, f, t, QuadSpec(levels=(3, 32))))
     out = tmp_path / "o"
-    args = ["verify", "kernel-tworoute", "--group", "torus:2", "--seed", "3", "--out", str(out)]
-    code, captured = _main_in_process(args, capsys)
+    code, captured = _main_in_process(["verify", "kernel-tworoute", "--group", "torus:2", "--out", str(out)], capsys)
     assert code == 1
     assert "FAIL" in captured.out
     with open(out / "verify_kernel-tworoute_torus-2_t1.csv", newline="") as fp:
-        rows = {row["case-id"]: row for row in csv.DictReader(fp)}
-    row = rows["n=1:q14"]
-    assert row["pass"] == "0"
-    assert float(row["rel-err"]) <= float(row["tol"]) < float(row["gap"])
+        rows = list(csv.DictReader(fp))
+    assert len(rows) == 30
+    for row in rows:
+        assert row["pass"] == "0"
+        assert float(row["rel-err"]) <= float(row["tol"]) < float(row["gap"])
 
 
 @pytest.mark.parametrize(

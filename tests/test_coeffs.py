@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def test_inner_linear_second_slot():
 
 
 def test_basis_entry_evaluates_to_matrix_entry():
-    rng = np.random.default_rng(1)
+    rng = random.Random(1)
     spec = su2()
     g = random_k(spec, rng)
     for (i, j) in ((0, 0), (0, 2), (2, 1)):
@@ -47,9 +48,10 @@ def test_basis_entry_evaluates_to_matrix_entry():
 
 def test_eval_k_batch_matches_scalar():
     rng = np.random.default_rng(2)
+    draw = random.Random(2)
     spec = su2()
     f = CoefVec(spec, {2: rng.normal(size=(2, 2)), 4: rng.normal(size=(4, 4))})
-    gs = np.stack([random_k(spec, rng) for _ in range(6)])
+    gs = np.stack([random_k(spec, draw) for _ in range(6)])
     batch = f.eval_k_batch(gs)
     for k in range(6):
         direct = sum(np.trace(rep_matrix(spec, m, gs[k]) @ block) for m, block in f.entries.items())

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ def test_eigenvalues():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_rep_matrix_unitary_homomorphism(m):
-    rng = np.random.default_rng(m)
+    rng = random.Random(m)
     g = random_k(su2(), rng)
     h = random_k(su2(), rng)
     pg = rep_matrix(su2(), m, g)
@@ -63,7 +64,7 @@ def test_rep_matrix_unitary_homomorphism(m):
 
 
 def test_rep_matrix_batch_matches_single():
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     gs = np.stack([random_k(su2(), rng) for _ in range(7)])
     for m in (1, 2, 3, 4):
         batch = rep_matrix_batch(su2(), m, gs)

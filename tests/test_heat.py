@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def test_rho_matches_series(spec):
     # independent direct summation of dim * exp(-lambda t/2) * trace(pi(x))
     from gsb.groups import laplacian_eigenvalue
 
-    rng = np.random.default_rng(4)
+    rng = random.Random(4)
     x = random_k(spec, rng)
     t = 0.8
     direct = 0.0 + 0.0j
@@ -145,7 +146,7 @@ def _term_scale(spec, t, y):
 def test_rho_eval_batch_matches_points(spec):
     # one batch call over points, and one over times, agree with one-point
     # calls to within the two calls' tail bounds and the rounding of the terms
-    rng = np.random.default_rng(6)
+    rng = random.Random(6)
     xs = np.stack([random_k(spec, rng) for _ in range(6)])
     ys = np.stack([random_algebra(spec, rng, 0.8) for _ in range(6)])
     gs = polar_compose(spec, PointKC(spec, xs, ys))
@@ -172,7 +173,7 @@ def test_su2_series_matches_mpmath(t):
 
     mpmath.mp.dps = 50
     spec = su2()
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for _ in range(4):
         g = polar_compose(spec, PointKC(spec, random_k(spec, rng), random_algebra(spec, rng, 1.0)))
         value, report = rho_eval(spec, t, g)

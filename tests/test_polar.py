@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ def test_abs_y_reads_back_the_composed_norm(spec):
     # |Y| from the element alone, absolute below 1 and relative above; the
     # shortcut arccosh(||g||_F^2 / 2) on SU(2) loses half the digits near 0
     # (3e-8 off at |Y| = 1e-6, 0 at 1e-9) and fails here
-    rng = np.random.default_rng(8)
+    rng = random.Random(8)
     sizes = (0.0, 1e-9, 1e-6, 0.5, 2.0, 10.0, MAX_ABS_Y)
     ys = []
     for size in sizes:
@@ -62,10 +63,11 @@ def test_polar_compose_matches_expm():
 
     spec = su2()
     rng = np.random.default_rng(11)
+    draw = random.Random(11)
     for k in range(200):
         direction = rng.standard_normal(3)
         y = direction / np.linalg.norm(direction) * MAX_ABS_Y * rng.uniform() if k else np.zeros(3)
-        x = random_k(spec, rng)
+        x = random_k(spec, draw)
         exact = x @ expm(1j * np.tensordot(y, SU2_BASIS, axes=(0, 0)))
         got = polar_compose(spec, PointKC(spec, x, y))
         assert np.max(np.abs(got - exact)) <= 5e-14 * np.max(np.abs(exact)), y

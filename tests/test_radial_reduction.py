@@ -7,6 +7,7 @@ every node of a radial x sphere tensor rule, as pi_m(e^{iY}) matrices.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -87,13 +88,14 @@ def test_schur_profile_matches_tensor_sphere_means():
 
 def test_reproduce_check_matches_tensor_oracle():
     rng = np.random.default_rng(5)
+    draw = random.Random(5)
     t = 1.0
     F = _random_holo(rng, t)
     damped = F.coefs.spectral(lambda lam: math.exp(-lam * t))
     rule = kspace_rule(SPEC, t, LEVELS[-1])
     for _ in range(3):
-        y = random_algebra(SPEC, rng)
-        g = PointKC(SPEC, random_k(SPEC, rng), y * (1.5 / np.linalg.norm(y)))
+        y = random_algebra(SPEC, draw)
+        g = PointKC(SPEC, random_k(SPEC, draw), y * (1.5 / np.linalg.norm(y)))
         g_mat = polar_compose(SPEC, g)
         gs = np.asarray(g_mat)[None] @ exp_iy_batch(SPEC, 2.0 * rule.nodes)
         oracle = complex(np.dot(rule.weights, damped.eval_k_batch(gs)))
@@ -129,7 +131,8 @@ def _oracle_inverse(F, x, radius, level):
 @pytest.mark.parametrize("radius", [4.0, 7.0])
 def test_ct_inverse_integral_matches_tensor_oracle(radius):
     rng = np.random.default_rng(9)
+    draw = random.Random(9)
     F = _random_holo(rng, 1.0)
-    x = random_k(SPEC, rng)
+    x = random_k(SPEC, draw)
     reduced = ct_inverse_integral(F, x, radius, QuadSpec(levels=(32, 48)))
     _close(reduced, _oracle_inverse(F, x, radius, 48), 1.0)

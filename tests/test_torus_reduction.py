@@ -10,6 +10,7 @@ tensor Gauss-Legendre rule on the cube).
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -119,12 +120,13 @@ def test_shifted_rule_moments_every_rank(rank):
 @pytest.mark.parametrize("rank", RANKS)
 def test_reproduce_check_matches_tensor_oracle(rank, t):
     rng = np.random.default_rng(7 * rank + int(10 * t))
+    draw = random.Random(7 * rank + int(10 * t))
     spec = torus(rank)
     F = _random_holo(rank, t, _labels(rank, rng), rng)
     damped = F.coefs.spectral(lambda lam: math.exp(-lam * t))
     for _ in range(3):
-        y = random_algebra(spec, rng)
-        g = PointKC(spec, random_k(spec, rng), y * (1.5 / np.linalg.norm(y)))
+        y = random_algebra(spec, draw)
+        g = PointKC(spec, random_k(spec, draw), y * (1.5 / np.linalg.norm(y)))
         fg = F.coefs.eval_kc(g)
         residual, gap = reproduce_check(F, g, Q)
         rule = kspace_rule(spec, t, ORACLE_LEVEL[rank])
@@ -152,9 +154,10 @@ def _oracle_inverse(F, x, radius, level):
 @pytest.mark.parametrize("rank", RANKS)
 def test_ct_inverse_integral_matches_tensor_oracle(rank, t):
     rng = np.random.default_rng(31 * rank + int(10 * t))
+    draw = random.Random(31 * rank + int(10 * t))
     spec = torus(rank)
     F = _random_holo(rank, t, _labels(rank, rng), rng)
-    x = random_k(spec, rng)
+    x = random_k(spec, draw)
     levels = (20, 24)
     reduced = ct_inverse_integral(F, x, 4.0, QuadSpec(levels=levels, tolerance=1e-6))
     scale = sum(abs(b[0, 0]) * math.exp(t * sum(k * k for k in n) / 2.0) for n, b in F.coefs.entries.items())

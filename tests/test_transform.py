@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def test_spectral_inverse_exact():
 
 def test_eval_holo_restricts_to_K():
     spec = su2()
-    rng = np.random.default_rng(1)
+    rng = random.Random(1)
     f = basis_entry(spec, 2, 1, 0)
     F = ct_forward(f, 1.0)
     x = random_k(spec, rng)
@@ -139,7 +140,7 @@ def test_inverse_integral_torus():
     spec = torus(1)
     f = basis_entry(spec, (1,)) + basis_entry(spec, (-2,)) * (0.5 + 0.5j)
     F = ct_forward(f, 1.0)
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     for _ in range(3):
         x = random_k(spec, rng)
         rec = ct_inverse_integral(F, x, 10.0)
@@ -150,7 +151,7 @@ def test_inverse_integral_su2_character():
     spec = su2()
     f = CoefVec(spec, {2: np.eye(2)})
     F = ct_forward(f, 1.0)
-    rng = np.random.default_rng(4)
+    rng = random.Random(4)
     x = random_k(spec, rng)
     values, stabilized = inverse_integral_trace(F, x, [4.0, 7.0, 10.0])
     assert stabilized
