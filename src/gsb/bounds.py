@@ -21,7 +21,6 @@ from .polar import exp_iy_batch, log_phi
 from .transform import HoloFunc
 
 __all__ = [
-    "LatticePoly",
     "BoundReport",
     "lattice_points",
     "lattice_sum",
@@ -34,20 +33,6 @@ __all__ = [
 ]
 
 GRID_BLOCK = 1024  # growth-functional grid points whose group elements are formed at once
-
-
-@dataclass(frozen=True)
-class LatticePoly:
-    """Univariate polynomial applied to |gamma|; coefficients ascending."""
-
-    coefficients: tuple = (1.0,)
-
-    def __call__(self, s):
-        return np.polyval(list(reversed(self.coefficients)), s)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
 
 @dataclass
@@ -80,20 +65,19 @@ def lattice_points(spec: GroupSpec, radius: float) -> np.ndarray:
     return (step * np.arange(0, kmax + 1)).reshape(-1, 1)
 
 
-def lattice_sum(spec: GroupSpec, tau: float, P: LatticePoly | None = None) -> float:
-    """sum over chamber lattice points of P(|gamma|/sqrt(tau)) e^{-|gamma|^2/tau}.
+def lattice_sum(spec: GroupSpec, tau: float) -> float:
+    """sum over chamber lattice points of e^{-|gamma|^2/tau}.
 
     The radius doubles until the sum is stable to 1e-12 relative (Gaussian
     tails decay fast enough that two levels suffice).
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    P = P or LatticePoly()
 
     def partial(radius: float) -> float:
         pts = lattice_points(spec, radius)
         norms = np.linalg.norm(pts, axis=1)
-        terms = P(norms / math.sqrt(tau)) * np.exp(-(norms**2) / tau)
+        terms = np.exp(-(norms**2) / tau)
         if spec.kind == "su2":
             # chamber-wall points are shared between Weyl reflections and
             # count half, which is what makes the tau->inf limit match the
@@ -112,15 +96,14 @@ def lattice_sum(spec: GroupSpec, tau: float, P: LatticePoly | None = None) -> fl
     raise RuntimeError("lattice sum failed to stabilize")
 
 
-def _chamber_gaussian_integral(spec: GroupSpec, P: LatticePoly) -> float:
-    """(1/A) int over the closed chamber of P(|x|) e^{-|x|^2} dx,
+def _chamber_gaussian_integral(spec: GroupSpec) -> float:
+    """(1/A) int over the closed chamber of e^{-|x|^2} dx,
 
-    A = covolume of the lattice.  In polar form each coefficient c_k of P
-    contributes c_k int_0^inf rho^{r-1+k} e^{-rho^2} d rho
-    = c_k Gamma((r + k)/2) / 2, exactly, whatever the degree of P.
+    A = covolume of the lattice.  In polar form the radial factor is
+    int_0^inf rho^{r-1} e^{-rho^2} d rho = Gamma(r/2) / 2.
     """
     r = spec.rank
-    radial = 0.5 * sum(c * math.gamma((r + k) / 2.0) for k, c in enumerate(P.coefficients))
+    radial = 0.5 * math.gamma(r / 2.0)
     step = spec.lattice_step
     if spec.kind == "torus":
         surface = 2.0 * math.pi ** (r / 2.0) / math.gamma(r / 2.0)
@@ -129,9 +112,9 @@ def _chamber_gaussian_integral(spec: GroupSpec, P: LatticePoly) -> float:
     return radial / step
 
 
-def lattice_limit_check(spec: GroupSpec, tau_list=(16.0, 64.0, 256.0)):
-    """Rows (tau, tau^{-r/2} * lattice_sum, target, relative gap) for P = 1."""
-    target = _chamber_gaussian_integral(spec, LatticePoly())
+def lattice_limit_check(spec: GroupSpec, tau_list):
+    """Rows (tau, tau^{-r/2} * lattice_sum, target, relative gap)."""
+    target = _chamber_gaussian_integral(spec)
     rows = []
     for tau in tau_list:
         scaled = lattice_sum(spec, tau) / tau ** (spec.rank / 2.0)
@@ -140,7 +123,7 @@ def lattice_limit_check(spec: GroupSpec, tau_list=(16.0, 64.0, 256.0)):
 
 
 def alpha_t_estimate(spec: GroupSpec, t: float) -> float:
-    """Empirical sup of lattice_sum(tau) / tau^{r/2} (P = 1) over tau = t 2^k, k = 0..8."""
+    """Empirical sup of lattice_sum(tau) / tau^{r/2} over tau = t 2^k, k = 0..8."""
     if t <= 0:
         raise ValueError("t must be positive")
     return max(lattice_sum(spec, tau) / tau ** (spec.rank / 2.0) for tau in (t * 2.0**k for k in range(9)))

@@ -41,13 +41,17 @@ from .sobolev import (
     sobolev_norm,
     sobolev_shift,
     symbol_positivity_threshold,
-    toeplitz_quadratic_form,
     toeplitz_symbol,
     weighted_form,
 )
 from .transform import QuadratureError, _ball_radii, ct_forward, holo_inner, inverse_integral_trace
 
-REPORT_KINDS = ("bounds", "smoothness", "lattice", "symbol")
+REPORT_COLUMNS = {
+    "bounds": ["tau", "max-ratio", "alpha_t", "chamber"],
+    "smoothness": ["n", "radius", "G_n", "stable"],
+    "lattice": ["tau", "scaled-sum", "target", "rel-gap"],
+    "symbol": ["n", "degree", "power-of-u", "coefficient"],
+}
 
 VERIFY_COLUMNS = ["case-id", "lhs", "rhs", "rel-err", "tol", "pass", "gap"]
 
@@ -80,7 +84,7 @@ class RunConfig:
     c: float | None = _flag(None, float, "spectral shift (default: positivity threshold)")
     cutoff: int = _flag(4, int, "irrep label cutoff (max 64)")
     levels: tuple = _flag((64, 96), int, "comma list of quadrature levels")
-    radii: tuple = _flag((4.0, 7.0, 10.0), float, "comma list of inversion/grid radii")
+    radii: tuple = _flag((4.0, 7.0, 10.0), float, "comma list of inversion radii")
     tau: tuple = _flag((1.0, 4.0, 16.0, 64.0, 256.0), float, "comma list of lattice scales")
     tolerance: float | None = _flag(None, float, "override the suite or invert tolerance")
     seed: int = _flag(0, int, "RNG seed for sampled cases")
@@ -350,7 +354,7 @@ def _toeplitz_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     for n in _orders(cfg):
         c = cfg.c_value(spec, t, n)
         F1s, F2s = [Fs[i] for i in first], [Fs[j] for j in second]
-        quad = toeplitz_quadratic_form(F1s, F2s, toeplitz_symbol(spec, t, c, n), q)
+        quad = holo_inner(F1s, F2s, q, weight=toeplitz_symbol(spec, t, c, n))
         shifted = [sobolev_shift(F, n, c) for F in Fs]
         forms.append((f"n={n}", zip(first, second), quad, holo_inner(F1s, [shifted[j] for j in second], q)))
     forms += [(f"X{k}", zip(same, same), *first_order_forms(Fs, Fs, k, q)) for k in range(spec.dim)]
@@ -399,63 +403,57 @@ SUITES = {
 }
 
 
-def _group_tag(cfg: RunConfig) -> str:
-    return cfg.group.replace(":", "-")
+def _write_reports(cfg: RunConfig, stem: str, columns, result_at) -> bool:
+    """result_at(t) -> (rows, ok) at every configured t, then one report
+    per t, <stem>_<group>_t<t>.<fmt>, each path printed; nothing is written
+    unless every t ran.  Returns whether every t was ok."""
+    results = [(t, *result_at(t)) for t in cfg.t]
+    for t, rows, _ in results:
+        path = os.path.join(cfg.out, f"{stem}_{cfg.group.replace(':', '-')}_t{_name_num(t)}.{cfg.fmt}")
+        write_report(path, columns, rows, cfg.fmt)
+        print(f"wrote {path}")
+    return all(ok for _, _, ok in results)
 
 
 def cmd_verify(suite: str, cfg: RunConfig) -> int:
     rows_fn, default_tol = SUITES[suite]
     tol = default_tol if cfg.tolerance is None else cfg.tolerance
-    reports = []
-    for t in cfg.t:
+
+    def result_at(t):
         rows = rows_fn(cfg, t, tol, cfg.quad())
         if not rows:
             raise ConfigError(f"{suite} has no case to check at n = {','.join(map(str, cfg.n))}")
-        path = os.path.join(cfg.out, f"verify_{suite}_{_group_tag(cfg)}_t{_name_num(t)}.{cfg.fmt}")
-        reports.append((path, rows))
-    all_pass = all(row[5] for _, rows in reports for row in rows)
-    for path, rows in reports:
-        write_report(path, VERIFY_COLUMNS, rows, cfg.fmt)
-        print(f"wrote {path}")
+        return rows, all(row[5] for row in rows)
+
+    all_pass = _write_reports(cfg, f"verify_{suite}", VERIFY_COLUMNS, result_at)
     print(f"{suite}: {'PASS' if all_pass else 'FAIL'}")
     return 0 if all_pass else 1
 
 
-def cmd_report(kind: str, cfg: RunConfig) -> int:
+def _report_rows(kind: str, cfg: RunConfig, t: float):
+    """(rows, ok) of one report kind at time t; only the bounds report carries a verdict."""
     spec = cfg.spec
-    t = cfg.t[0]
-    ok = True  # only the bounds report carries a verdict
     if kind == "symbol":
-        columns = ["n", "degree", "power-of-u", "coefficient"]
         rows = []
         for n in cfg.n:
-            c = cfg.c_value(spec, t, n)
-            sym = toeplitz_symbol(spec, t, c, n)
-            for k, coef in enumerate(sym.coefficients):
-                rows.append((n, sym.degree, k, coef))
-    elif kind == "lattice":
-        columns = ["tau", "scaled-sum", "target", "rel-gap"]
-        rows = lattice_limit_check(spec, cfg.tau)
-    elif kind == "smoothness":
-        columns = ["n", "radius", "G_n", "stable"]
-        f = CoefVec(
-            spec,
-            {label: np.eye(irrep_dim(spec, label)) for label in enumerate_irreps(spec, cfg.cutoff)},
-        )
+            sym = toeplitz_symbol(spec, t, cfg.c_value(spec, t, n), n)
+            rows += [(n, sym.degree, k, coef) for k, coef in enumerate(sym.coefficients)]
+        return rows, True
+    if kind == "lattice":
+        return lattice_limit_check(spec, cfg.tau), True
+    if kind == "smoothness":
+        f = CoefVec(spec, {label: np.eye(irrep_dim(spec, label)) for label in enumerate_irreps(spec, cfg.cutoff)})
         report = smoothness_report(ct_forward(f, t), t, n_max=max(cfg.n))
-        rows = [(n, r, v, report.stable[n]) for n, r, v in report.sorted_rows()]
-    elif kind == "bounds":
-        columns = ["tau", "max-ratio", "alpha_t", "chamber"]
-        alpha = alpha_t_estimate(spec, t)
-        checked, ok = kernel_bound_check(spec, t)
-        chamber = "full-lattice" if spec.kind == "torus" else "halfline"
-        rows = [(tau, ratio, alpha, chamber) for tau, ratio in checked]
-    else:
-        raise ConfigError(f"unknown report kind {kind!r}")
-    path = os.path.join(cfg.out, f"report_{kind}_{_group_tag(cfg)}.{cfg.fmt}")
-    write_report(path, columns, rows, cfg.fmt)
-    print(f"wrote {path}")
-    if not ok:
+        return [(n, r, v, report.stable[n]) for n, r, v in report.sorted_rows()], True
+    # bounds
+    alpha = alpha_t_estimate(spec, t)
+    checked, ok = kernel_bound_check(spec, t)
+    chamber = "full-lattice" if spec.kind == "torus" else "halfline"
+    return [(tau, ratio, alpha, chamber) for tau, ratio in checked], ok
+
+
+def cmd_report(kind: str, cfg: RunConfig) -> int:
+    if not _write_reports(cfg, f"report_{kind}", REPORT_COLUMNS[kind], lambda t: _report_rows(kind, cfg, t)):
         print(f"{kind}: FAIL")
         return 1
     return 0
@@ -479,6 +477,8 @@ def load_coefficients(path: str) -> CoefVec:
             [[complex(cell[0], cell[1]) for cell in row] for row in entry["matrix"]],
             dtype=complex,
         )
+        if not np.all(np.isfinite(mat)):
+            raise ConfigError(f"coefficient block {label} is not finite")
         blocks[label] = mat
     return CoefVec(spec, blocks)
 
@@ -488,6 +488,8 @@ def _parse_points(spec: GroupSpec, path: str):
         data = json.load(fp)
     # torus: one angle per axis; su2: Euler triples [phi, theta, psi]
     points = np.asarray(data, dtype=float).reshape(len(data), spec.dim)
+    if not len(points) or not np.all(np.isfinite(points)):
+        raise ConfigError("point file must hold a nonempty list of finite points")
     return list(points if spec.kind == "torus" else su2_euler(*points.T))
 
 
@@ -500,18 +502,19 @@ def cmd_invert(cfg: RunConfig, coeff_path: str, points_path: str) -> int:
     except (ConfigError, KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    t = cfg.t[0]
-    F = ct_forward(f, t)
     columns = ["point", "value-re", "value-im", "exact-re", "exact-im", "abs-err", "stabilized"]
-    rows = []
-    for k, x in enumerate(points):
-        values, stabilized = inverse_integral_trace(F, x, cfg.radii, cfg.quad(1e-6))
-        rec = values[-1]
-        exact = f.eval_k(x)
-        rows.append((f"p{k}", rec.real, rec.imag, exact.real, exact.imag, abs(rec - exact), stabilized))
-    path = os.path.join(cfg.out, f"invert_{_group_tag(cfg)}.{cfg.fmt}")
-    write_report(path, columns, rows, cfg.fmt)
-    print(f"wrote {path}")
+
+    def result_at(t):
+        F = ct_forward(f, t)
+        rows = []
+        for k, x in enumerate(points):
+            values, stabilized = inverse_integral_trace(F, x, cfg.radii, cfg.quad(1e-6))
+            rec = values[-1]
+            exact = f.eval_k(x)
+            rows.append((f"p{k}", rec.real, rec.imag, exact.real, exact.imag, abs(rec - exact), stabilized))
+        return rows, True
+
+    _write_reports(cfg, "invert", columns, result_at)
     return 0
 
 
@@ -529,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_verify)
 
     p_report = sub.add_parser("report", help="emit a diagnostic table")
-    p_report.add_argument("kind", choices=REPORT_KINDS)
+    p_report.add_argument("kind", choices=REPORT_COLUMNS)
     add_common(p_report)
 
     p_invert = sub.add_parser("invert", help="pointwise inversion from a coefficient file")

@@ -19,7 +19,6 @@ from .groups import (
     laplacian_eigenvalue,
     rep_matrix_batch,
 )
-from .polar import PointKC, polar_compose
 
 __all__ = ["CoefVec", "basis_entry"]
 
@@ -45,10 +44,6 @@ class CoefVec:
     def support(self):
         return sorted(self.entries.keys())
 
-    def block(self, label) -> np.ndarray:
-        d = irrep_dim(self.spec, label)
-        return self.entries.get(label, np.zeros((d, d), dtype=complex))
-
     def spectral(self, fn) -> "CoefVec":
         """New CoefVec with block pi scaled by fn(lambda_pi), lambda_pi the
         Laplacian eigenvalue of pi."""
@@ -57,19 +52,6 @@ class CoefVec:
             {label: fn(laplacian_eigenvalue(self.spec, label)) * block for label, block in self.entries.items()},
         )
 
-    def __add__(self, other: "CoefVec") -> "CoefVec":
-        if other.spec != self.spec:
-            raise ValueError("mismatched group specs")
-        out = {label: block.copy() for label, block in self.entries.items()}
-        for label, block in other.entries.items():
-            out[label] = out.get(label, 0) + block
-        return CoefVec(self.spec, out)
-
-    def __mul__(self, scalar) -> "CoefVec":
-        return CoefVec(self.spec, {label: scalar * block for label, block in self.entries.items()})
-
-    __rmul__ = __mul__
-
     def plancherel_norm(self) -> float:
         vol = self.spec.volume
         total = 0.0
@@ -77,23 +59,9 @@ class CoefVec:
             total += vol / irrep_dim(self.spec, label) * float(np.sum(np.abs(block) ** 2))
         return math.sqrt(total)
 
-    def inner(self, other: "CoefVec") -> complex:
-        """<f, g> = integral of conj(f) g over K, linear in the second slot."""
-        vol = self.spec.volume
-        total = 0.0 + 0.0j
-        for label, block in self.entries.items():
-            ob = other.entries.get(label)
-            if ob is not None:
-                total += vol / irrep_dim(self.spec, label) * np.sum(block.conj() * ob)
-        return total
-
     def eval_k(self, x) -> complex:
         """Evaluate f at a point of K (torus angles / 2x2 unitary), a batch of one."""
         return complex(self.eval_k_batch(np.atleast_1d(x)[None])[0])
-
-    def eval_kc(self, p: PointKC) -> complex:
-        """Evaluate the analytic continuation at a polar point of K_C."""
-        return self.eval_k(polar_compose(self.spec, p))
 
     def eval_k_batch(self, xs: np.ndarray) -> np.ndarray:
         out = None

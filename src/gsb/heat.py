@@ -15,7 +15,7 @@ import numpy as np
 from .groups import GroupSpec, enumerate_irreps
 from .polar import abs_y, log_phi
 
-__all__ = ["TruncationReport", "TailBoundError", "rho_eval", "nu_t", "log_nu_t"]
+__all__ = ["TruncationReport", "TailBoundError", "rho_eval", "log_nu_t"]
 
 MAX_CUTOFF = 4000
 
@@ -29,10 +29,6 @@ class TruncationReport:
     cutoff: int
     tail_bound: float
     tolerance: float
-
-    @property
-    def ok(self) -> bool:
-        return self.tail_bound <= self.tolerance
 
 
 def _tail_bound(spec: GroupSpec, t: float, cutoff: int, s: float) -> float:
@@ -155,16 +151,12 @@ def rho_eval(spec: GroupSpec, t, g, tol: float = 1e-10):
     return (complex(value) if np.ndim(value) == 0 else value), report
 
 
-def nu_t(spec: GroupSpec, t: float, y):
-    """Gangolli density: c_t Phi(Y) exp(-|Y|^2/t), c_t = (pi t)^{-d/2} e^{-|delta|^2 t},
-    as exp(log_nu_t)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    return np.exp(log_nu_t(spec, t, y))
-
-
 def log_nu_t(spec: GroupSpec, t: float, y):
-    """log nu_t(Y) at one point (a float) or on an (N, dim) batch (an (N,) array)."""
+    """log nu_t(Y) at one point (a float) or on an (N, dim) batch (an (N,) array).
+
+    nu_t is the Gangolli density c_t Phi(Y) exp(-|Y|^2/t) on the Lie
+    algebra, c_t = (pi t)^{-d/2} e^{-|delta|^2 t}.
+    """
     y = np.asarray(y, dtype=float)
     s2 = np.sum(y * y, axis=-1)
     ct = -0.5 * spec.dim * math.log(math.pi * t) - spec.delta_sq * t

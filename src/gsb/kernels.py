@@ -97,7 +97,7 @@ def k_sobolev_integral(query: KernelQuery, q: QuadSpec | None = None):
     return res.value / math.factorial(2 * query.n - 1), res
 
 
-def reproduce_check(F, g: PointKC, q: QuadSpec | None = None):
+def reproduce_check(F, g: PointKC, q: QuadSpec):
     """Relative residual of the reproducing identity at g, and its level gap:
 
     |F(g) - int k_t(g,h) F(h) nu_t(h) dh| / (1 + |F(g)|).
@@ -126,6 +126,6 @@ def reproduce_check(F, g: PointKC, q: QuadSpec | None = None):
             terms += [(i, label, tr, 1.0) for i, tr in zip(idx, traces)]
     fg = fg.tolist()
     scale = [1.0 + abs(v) for v in fg]
-    res = _integrate_profiles(spec, Fs[0].t, q or QuadSpec(), terms, size, floor=scale[0] if size is None else scale)
+    res = _integrate_profiles(spec, Fs[0].t, q, terms, size, floor=scale[0] if size is None else scale)
     residual = [abs(v - w) / s for v, w, s in zip(fg, np.atleast_1d(res.value).tolist(), scale)]
     return (residual[0], res.gap) if size is None else (np.array(residual), res.gap)

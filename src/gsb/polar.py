@@ -17,11 +17,9 @@ from .groups import PAULI, GroupSpec
 
 __all__ = [
     "PointKC",
-    "identity_point",
     "polar_compose",
     "exp_iy_batch",
     "abs_y",
-    "phi",
 ]
 
 MAX_ABS_Y = 50.0  # overflow guard on |Y| for the sinh factors and inversion radii
@@ -39,12 +37,6 @@ class PointKC:
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-
-
-def identity_point(spec: GroupSpec) -> PointKC:
-    if spec.kind == "torus":
-        return PointKC(spec, np.zeros(spec.rank), np.zeros(spec.rank))
-    return PointKC(spec, np.eye(2, dtype=complex), np.zeros(3))
 
 
 def exp_iy_batch(spec: GroupSpec, ys: np.ndarray) -> np.ndarray:
@@ -83,13 +75,11 @@ def abs_y(spec: GroupSpec, g):
     return 2.0 * np.log(np.linalg.svd(g, compute_uv=False)[..., 0])
 
 
-def phi(spec: GroupSpec, y):
-    """Product of alpha(Y)/sinh(alpha(Y)) over positive roots (1 on tori), as exp(log_phi)."""
-    return np.exp(log_phi(spec, y))
-
-
 def log_phi(spec: GroupSpec, y):
     """log Phi(Y), safe for large |Y| (used by envelope code in log space).
+
+    Phi is the product of alpha(Y)/sinh(alpha(Y)) over the positive roots
+    alpha: 1 on a torus, |Y|/sinh|Y| on SU(2).
 
     y is an (N, dim) batch (returns (N,)) or one point, a batch of one
     (returns a float).

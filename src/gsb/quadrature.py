@@ -216,22 +216,14 @@ class QuadSpec:
 class QuadResult:
     value: complex  # value and gap are arrays when the level values are
     gap: float
-    tolerance: float
     by_level: tuple
-
-    @property
-    def ok(self) -> bool:
-        return self.gap <= self.tolerance
 
 
 @dataclass(frozen=True)
 class KSpaceRule:
     """Nodes Y_i and weights w_i with sum_i w_i f(Y_i) ~ integral f dmu_t.
 
-    On SU(2) the rule is a radial rule times a sphere rule; radii r_i and
-    radial_weights W_i (which carry the 4 pi sphere mass) integrate any f
-    through its sphere means: integral f dmu_t ~ sum_i W_i mean_{|Y|=r_i} f.
-    Both are None on tori.
+    On SU(2) the rule is su2_radial_rule times a sphere rule.
     """
 
     spec: GroupSpec
@@ -239,8 +231,6 @@ class KSpaceRule:
     level: int
     nodes: np.ndarray  # (N, dim)
     weights: np.ndarray  # (N,)
-    radii: np.ndarray | None = None
-    radial_weights: np.ndarray | None = None
 
 
 @lru_cache(maxsize=1024)
@@ -319,7 +309,7 @@ def _kspace_rule_cached(kind: str, rank: int, t: float, level: int) -> KSpaceRul
     dirs, ang_w = _sphere_rule(level)
     nodes = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
     weights = (radial_w[:, None] * ang_w[None, :]).ravel()
-    return KSpaceRule(spec, t, level, nodes, weights, r, radial_w)
+    return KSpaceRule(spec, t, level, nodes, weights)
 
 
 def kspace_rule(spec: GroupSpec, t: float, level: int) -> KSpaceRule:
@@ -345,12 +335,12 @@ def integrate_levels(q: QuadSpec, value_at, floor: float = 0.0) -> QuadResult:
     values = tuple(value_at(level) for level in q.levels)
     if getattr(values[-1], "ndim", 0) == 0:  # a Python or numpy number
         values = tuple(complex(v) for v in values)
-        return QuadResult(values[-1], rel_gap(values[-1], values[-2], floor), q.tolerance, values)
+        return QuadResult(values[-1], rel_gap(values[-1], values[-2], floor), values)
     values = tuple(np.asarray(v, dtype=complex) for v in values)
     a, b = values[-1], values[-2]
     floors = np.broadcast_to(floor, a.shape).ravel().tolist()
     gaps = [rel_gap(x, y, f) for x, y, f in zip(a.ravel().tolist(), b.ravel().tolist(), floors)]
-    return QuadResult(a, np.reshape(gaps, a.shape), q.tolerance, values)
+    return QuadResult(a, np.reshape(gaps, a.shape), values)
 
 
 def integrate_kspace(spec: GroupSpec, t: float, integrand, q: QuadSpec) -> QuadResult:

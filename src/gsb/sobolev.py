@@ -1,4 +1,4 @@
-"""Sobolev norms, Toeplitz symbol polynomials, and weighted norms.
+"""Sobolev norms, Toeplitz symbol polynomials, and weighted forms.
 
 The K-side Sobolev norm is the Plancherel norm after the blockwise factor
 (c + lambda_pi)^n; its holomorphic image uses the same factor before the
@@ -9,7 +9,6 @@ the density nu_t.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,23 +19,20 @@ import numpy as np
 from .coeffs import CoefVec
 from .groups import GroupSpec, algebra_basis, rep_generator
 from .quadrature import QuadResult, QuadSpec
-from .transform import AxisWeight, HoloFunc, holo_inner, holo_l2_norm
+from .transform import AxisWeight, HoloFunc, holo_inner
 
 __all__ = [
     "PolyU",
     "laplacian_apply",
     "sobolev_shift",
     "sobolev_norm",
-    "holo_sobolev_norm",
     "toeplitz_symbol",
     "symbol_coefficients",
     "symbol_positivity_threshold",
     "apply_vector_field",
     "phi_x_weight",
-    "toeplitz_quadratic_form",
     "first_order_forms",
     "weighted_form",
-    "weighted_norm",
 ]
 
 
@@ -45,14 +41,6 @@ class PolyU:
     """Polynomial in u = |Y|^2, coefficients ascending in u."""
 
     coefficients: tuple
-    n: int
-    c: float
-    t: float
-    spec: GroupSpec
-
-    def __post_init__(self):
-        if len(self.coefficients) != self.n + 1:
-            raise ValueError("degree must equal n")
 
     @property
     def degree(self) -> int:
@@ -85,12 +73,6 @@ def sobolev_norm(f: CoefVec, n: int, c: float) -> float:
     if c <= 0:
         raise ValueError("c must be positive")
     return sobolev_shift(f, n, c).plancherel_norm()
-
-
-def holo_sobolev_norm(F: HoloFunc, n: int, c: float, q: QuadSpec | None = None) -> float:
-    if c <= 0:
-        raise ValueError("c must be positive")
-    return holo_l2_norm(sobolev_shift(F, n, c), q)
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +111,7 @@ def toeplitz_symbol(spec: GroupSpec, t: float, c: float, n: int) -> PolyU:
     coeffs = tuple(
         float(sum(x * cf**b * s**e for (b, e), x in coef.items())) for coef in symbol_coefficients(spec, n)
     )
-    return PolyU(coeffs, n, c, t, spec)
+    return PolyU(coeffs)
 
 
 def symbol_positivity_threshold(spec: GroupSpec, t: float, n: int, c_grid):
@@ -180,29 +162,18 @@ def phi_x_weight(spec: GroupSpec, t: float, k: int):
     return AxisWeight(k, lambda u: 0.5j * _grad_log_radial(t, np.sqrt(u)))
 
 
-def toeplitz_quadratic_form(F1, F2, sym: PolyU, q: QuadSpec | None = None) -> QuadResult:
-    """int conj(F1) sym(|Y|^2) F2 nu_t dg, K-part exact (F1, F2 as holo_inner)."""
-    return holo_inner(F1, F2, q or QuadSpec(), weight=sym)
-
-
-def first_order_forms(F1, F2, k: int, q: QuadSpec | None = None):
+def first_order_forms(F1, F2, k: int, q: QuadSpec):
     """Both sides of the first-order Toeplitz identity for X_k.
 
     Returns (lhs, rhs) as QuadResults: lhs = <F1, X_k F2> in L^2(nu_t), rhs
     the quadratic form against phi_X.  Equality is the operator identity
     under test.  F1 and F2 are a pair or two sequences, a batch of pairs.
     """
-    q = q or QuadSpec()
     F = F2 if isinstance(F2, HoloFunc) else F2[0]
     XF2 = apply_vector_field(F2, k) if F is F2 else [apply_vector_field(G, k) for G in F2]
     return holo_inner(F1, XF2, q), holo_inner(F1, F2, q, weight=phi_x_weight(F.spec, F.t, k))
 
 
-def weighted_form(F, n: int, q: QuadSpec | None = None) -> QuadResult:
+def weighted_form(F, n: int, q: QuadSpec) -> QuadResult:
     """int |F|^2 (1 + |Y|^2)^{2n} nu_t dg, K-part exact; F may be a sequence."""
-    return holo_inner(F, F, q or QuadSpec(), weight=lambda u: (1.0 + u) ** (2 * n))
-
-
-def weighted_norm(F: HoloFunc, n: int, q: QuadSpec | None = None) -> float:
-    """sqrt of int |F|^2 (1 + |Y|^2)^{2n} nu_t dg."""
-    return math.sqrt(max(weighted_form(F, n, q).value.real, 0.0))
+    return holo_inner(F, F, q, weight=lambda u: (1.0 + u) ** (2 * n))

@@ -1,4 +1,4 @@
-"""The heat-kernel transform C_t, its norms, and its two inverses.
+"""The heat-kernel transform C_t, its norms, and its inversion integral.
 
 C_t f is the analytic continuation of exp(t*Delta/2) f, realized here as
 blockwise damping of a coefficient vector.  Norms over the complexified
@@ -65,8 +65,6 @@ __all__ = [
     "QuadratureError",
     "ct_forward",
     "holo_inner",
-    "holo_l2_norm",
-    "ct_inverse_spectral",
     "ct_inverse_integral",
     "inverse_integral_trace",
     "exp_iy_batch",
@@ -249,22 +247,6 @@ def holo_inner(F1, F2, q: QuadSpec, weight=None) -> QuadResult:
     return _integrate_profiles(spec, t, q, terms, size, weight)
 
 
-def holo_l2_norm(F: HoloFunc, q: QuadSpec | None = None) -> float:
-    """Norm in the weighted holomorphic L^2 space over K_C."""
-    res = holo_inner(F, F, q or QuadSpec())
-    if not res.ok:
-        raise QuadratureError(
-            f"k-space quadrature gap {res.gap:.3e} exceeds {res.tolerance:.3e}; trace {res.by_level}",
-            res,
-        )
-    return math.sqrt(max(res.value.real, 0.0))
-
-
-def ct_inverse_spectral(F: HoloFunc) -> CoefVec:
-    """Exact left inverse of ct_forward on finite supports (undoes the damping)."""
-    return F.coefs.spectral(lambda lam: math.exp(lam * F.t / 2.0))
-
-
 def _ball_radii(radius: float, level: int, dim: int):
     """Radii r_i and weights (R/2) w_i |S^{dim-1}| r_i^{dim-1} of the
     Gauss-Legendre rule on [0, R]: sum_i W_i f(r_i) ~ int_{|Y|<=R} f(|Y|) dY
@@ -314,7 +296,7 @@ def _su2_inverse_level(F: HoloFunc, x, radius: float, level: int) -> complex:
     return complex(total)
 
 
-def ct_inverse_integral(F: HoloFunc, x, radius: float, q: QuadSpec | None = None) -> complex:
+def ct_inverse_integral(F: HoloFunc, x, radius: float, q: QuadSpec) -> complex:
     """Ball-truncated inversion integral at a point x of K:
 
     (2 pi t)^{-d/2} e^{-|delta|^2 t/2} int_{|Y|<=R} F(x e^{iY})
@@ -326,7 +308,6 @@ def ct_inverse_integral(F: HoloFunc, x, radius: float, q: QuadSpec | None = None
     """
     if radius > MAX_ABS_Y:
         raise ValueError("radius exceeds the |Y| overflow guard")
-    q = q or QuadSpec(levels=(32, 48))
     spec, t = F.spec, F.t
     level_value = _su2_inverse_level if spec.kind == "su2" else _torus_inverse_level
     res = integrate_levels(q, lambda level: level_value(F, x, radius, level))
@@ -336,7 +317,7 @@ def ct_inverse_integral(F: HoloFunc, x, radius: float, q: QuadSpec | None = None
     return pref * res.value
 
 
-def inverse_integral_trace(F: HoloFunc, x, radii, q: QuadSpec | None = None):
+def inverse_integral_trace(F: HoloFunc, x, radii, q: QuadSpec):
     """Inversion values over an increasing radius list, with a stability flag.
 
     Returns (values, stabilized): stabilized means the last two radii agree
@@ -344,7 +325,7 @@ def inverse_integral_trace(F: HoloFunc, x, radii, q: QuadSpec | None = None):
     """
     radii = sorted(radii)
     values = [ct_inverse_integral(F, x, r, q) for r in radii]
-    tol = (q or QuadSpec()).tolerance
+    tol = q.tolerance
     if len(values) >= 2:
         stabilized = abs(values[-1] - values[-2]) <= max(tol, tol * abs(values[-1]))
     else:

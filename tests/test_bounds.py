@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gsb.bounds import (
-    LatticePoly,
     alpha_t_estimate,
     growth_functional,
     kernel_bound_check,
@@ -14,7 +13,7 @@ from gsb.bounds import (
     polar_grid,
     smoothness_report,
 )
-from gsb.coeffs import basis_entry
+from gsb.coeffs import CoefVec, basis_entry
 from gsb.groups import su2, torus
 from gsb.transform import ct_forward
 
@@ -30,9 +29,8 @@ def test_lattice_points_structure():
 
 def test_lattice_sum_small_tau():
     # only gamma = 0 survives; on the chamber half line it counts 1/2
-    P = LatticePoly((2.0, 0.0, 3.0))
-    assert lattice_sum(torus(1), 1e-4, P) == pytest.approx(2.0, rel=1e-12)
-    assert lattice_sum(su2(), 1e-4, P) == pytest.approx(1.0, rel=1e-12)
+    assert lattice_sum(torus(1), 1e-4) == pytest.approx(1.0, rel=1e-12)
+    assert lattice_sum(su2(), 1e-4) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_lattice_sum_torus_theta_value():
@@ -71,7 +69,7 @@ def test_growth_functional_constant():
 @pytest.mark.parametrize("spec", [torus(1), su2()])
 def test_smoothness_report_stable(spec):
     label = (2,) if spec.kind == "torus" else 3
-    f = basis_entry(spec, label, 0, 0) + basis_entry(spec, (0,) if spec.kind == "torus" else 1, 0, 0)
+    f = CoefVec(spec, {**basis_entry(spec, label).entries, **basis_entry(spec, (0,) if spec.kind == "torus" else 1).entries})
     rep = smoothness_report(ct_forward(f, 1.0), 1.0, n_max=3, n_radial=20, n_angular=8)
     assert len(rep.rows) == 4 * 2
     assert all(rep.stable[n] for n in range(4))
@@ -84,8 +82,8 @@ def test_smoothness_report_stable(spec):
 
 def _two_label_function(spec):
     label = (2, -1) if spec.kind == "torus" else 3
-    f = basis_entry(spec, label, 0, 0) + basis_entry(spec, (0,) * spec.rank if spec.kind == "torus" else 1, 0, 0)
-    return ct_forward(f, 1.0)
+    other = (0,) * spec.rank if spec.kind == "torus" else 1
+    return ct_forward(CoefVec(spec, {**basis_entry(spec, label).entries, **basis_entry(spec, other).entries}), 1.0)
 
 
 @pytest.mark.parametrize("spec", [torus(2), su2()], ids=str)
@@ -155,8 +153,3 @@ def test_kernel_bound(spec):
     assert ok
     assert all(ratio <= 1.05 for _, ratio in rows)
 
-
-def test_lattice_poly_eval():
-    P = LatticePoly((1.0, 0.0, 2.0))
-    x = np.array([0.0, 1.0, 2.0])
-    assert np.allclose(P(x), [1.0, 3.0, 9.0])

@@ -105,28 +105,38 @@ def test_invert_roundtrip(tmp_path):
 
 
 def test_invert_empty_points(tmp_path):
+    # an empty point list is bad input: no header-only report
     (tmp_path / "c.json").write_text(json.dumps({"group": "su2", "entries": []}))
     (tmp_path / "p.json").write_text("[]")
     r = run_cli(
         ["invert", "--coeffs", "c.json", "--points", "p.json", "--group", "su2", "--t", "1", "--out", "o"],
         tmp_path,
     )
-    assert r.returncode == 0, r.stderr
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_invert_malformed_coeffs_exits_2(tmp_path):
-    (tmp_path / "c.json").write_text(json.dumps({"group": "su2", "entries": [{"label": 99}]}))
-    (tmp_path / "p.json").write_text("[]")
-    r = run_cli(
-        ["invert", "--coeffs", "c.json", "--points", "p.json", "--group", "su2", "--t", "1", "--out", "o"],
-        tmp_path,
-    )
-    assert r.returncode == 2
+    # a block with no matrix, and a block holding NaN (JSON's NaN token)
+    for entry in ({"label": 99}, {"label": 1, "matrix": [[[math.nan, 0.0]]]}):
+        (tmp_path / "c.json").write_text(json.dumps({"group": "su2", "entries": [entry]}))
+        (tmp_path / "p.json").write_text("[[0.1, 0.2, 0.3]]")
+        r = run_cli(
+            ["invert", "--coeffs", "c.json", "--points", "p.json", "--group", "su2", "--t", "1", "--out", "o"],
+            tmp_path,
+        )
+        assert r.returncode == 2
+        assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("group, points", [("torus:1", [[0.1, 0.2]]), ("torus:2", [[0.1], [0.2, 0.3]]), ("su2", [[0.1, 0.2]])])
+@pytest.mark.parametrize(
+    "group, points",
+    [("torus:1", [[0.1, 0.2]]), ("torus:2", [[0.1], [0.2, 0.3]]), ("su2", [[0.1, 0.2]]), ("torus:1", [[math.nan]])],
+)
 def test_invert_malformed_points_exits_2(tmp_path, capsys, group, points):
-    # a point with the wrong number of coordinates is bad input, not a traceback
+    # a point with the wrong number of coordinates, or a non-finite one, is
+    # bad input, not a traceback or a row of nan
     label = 1 if group == "su2" else [1] * int(group.split(":")[1])
     coeffs, pts = tmp_path / "c.json", tmp_path / "p.json"
     coeffs.write_text(json.dumps({"group": group, "entries": [{"label": label, "matrix": [[[1.0, 0.0]]]}]}))
@@ -135,6 +145,7 @@ def test_invert_malformed_points_exits_2(tmp_path, capsys, group, points):
     code, captured = _main_in_process(args, capsys)
     assert code == 2
     assert captured.err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_su2_unitarity_high_irreps_tight_gaps(tmp_path):
@@ -232,7 +243,7 @@ def test_invert_reads_the_configured_tolerance(tmp_path, capsys):
         out = tmp_path / ("o" + "".join(extra))
         code, captured = _main_in_process([*head, *extra, "--out", str(out)], capsys)
         assert code == 0, captured.err
-        with open(out / "invert_torus-1.csv", newline="") as fp:
+        with open(out / "invert_torus-1_t4.csv", newline="") as fp:
             stabilized[tuple(extra)] = [row["stabilized"] for row in csv.DictReader(fp)]
     assert stabilized == {(): ["0", "0"], ("--tolerance", "0.5"): ["1", "1"]}
 
@@ -240,7 +251,7 @@ def test_invert_reads_the_configured_tolerance(tmp_path, capsys):
 def test_no_command_imports_numpy_random(tmp_path):
     # numpy.random (with secrets, hashlib and OpenSSL) adds about 6 MB to a
     # process; the sampled suites draw from the stdlib's random.Random
-    from gsb.cli import REPORT_KINDS, SUITES
+    from gsb.cli import REPORT_COLUMNS, SUITES
 
     commands = []
     for group, label, point in (("torus:1", [1], [0.3]), ("su2", 2, [0.3, 0.5, 0.7])):
@@ -251,7 +262,7 @@ def test_no_command_imports_numpy_random(tmp_path):
         points.write_text(json.dumps([point]))
         flags = ["--group", group, "--out", "o"]
         commands += [["verify", suite, *flags] for suite in SUITES]
-        commands += [["report", kind, *flags] for kind in REPORT_KINDS]
+        commands += [["report", kind, *flags] for kind in REPORT_COLUMNS]
         commands.append(["invert", "--coeffs", str(coeffs), "--points", str(points), *flags])
     code = (
         "import json, sys\n"
@@ -400,12 +411,15 @@ def _readme_section(start, end):
 def test_readme_names_every_suite_and_flag():
     from dataclasses import fields
 
+    import gsb
     from gsb.cli import SUITES, RunConfig
 
     suites = re.findall(r"`([a-z-]+)`", _readme_section("Suites:", "Report kinds:"))
     assert suites == list(SUITES)
     flags = re.findall(r"`--([a-z]+)", _readme_section("Common flags", "\n\n"))
     assert sorted(flags) == sorted([f.name for f in fields(RunConfig)] + ["config"])
+    exports = re.findall(r"`(\w+)`", _readme_section("exports `", ";"))
+    assert sorted(exports) == sorted(gsb.__all__)
 
 
 @pytest.mark.parametrize("group", ["su2", "torus:2"])
@@ -519,6 +533,22 @@ def test_report_names_use_shortest_form_of_t(tmp_path, capsys):
     assert row["tol"] == "9.9999999999999995e-07"
 
 
+def test_report_and_invert_write_one_file_per_t(tmp_path, capsys):
+    # report and invert read every --t, as verify does, and name each file by it
+    coeffs, pts = tmp_path / "c.json", tmp_path / "p.json"
+    coeffs.write_text(json.dumps({"group": "torus:1", "entries": [{"label": [1], "matrix": [[[1.0, 0.0]]]}]}))
+    pts.write_text(json.dumps([[0.3]]))
+    invert = ["invert", "--coeffs", str(coeffs), "--points", str(pts)]
+    for head, stem in ((["report", "smoothness"], "report_smoothness"), (invert, "invert")):
+        out = tmp_path / stem
+        code, captured = _main_in_process([*head, "--t", "1,2", "--out", str(out)], capsys)
+        assert code == 0, captured.err
+        paths = [out / f"{stem}_torus-1_t{t}.csv" for t in ("1", "2")]
+        assert sorted(out.iterdir()) == paths
+        assert captured.out == "".join(f"wrote {path}\n" for path in paths)
+        assert paths[0].read_bytes() != paths[1].read_bytes()
+
+
 @pytest.mark.parametrize("group", ["su2", "torus:2"])
 def test_report_bounds_numeric_failure_exits_1_without_traceback(tmp_path, group):
     # at t = 0.01 the heat series at the grid's largest |Y| leaves the double
@@ -538,20 +568,22 @@ def test_report_bounds_numeric_failure_exits_1_without_traceback(tmp_path, group
 
 
 def test_report_bounds_writes_report_then_fails_on_failed_check(tmp_path, capsys, monkeypatch):
+    # the check fails at t = 2 only: both reports are written, the run fails
     import gsb.cli
 
-    monkeypatch.setattr(gsb.cli, "kernel_bound_check", lambda spec, t: ([(1.0, 2.0)], False))
+    monkeypatch.setattr(gsb.cli, "kernel_bound_check", lambda spec, t: ([(t, 2.0 if t == 2 else 0.5)], t != 2))
     out = tmp_path / "o"
-    code, captured = _main_in_process(["report", "bounds", "--out", str(out)], capsys)
+    code, captured = _main_in_process(["report", "bounds", "--t", "1,2", "--out", str(out)], capsys)
     assert code == 1
     assert captured.out.splitlines()[-1] == "bounds: FAIL"
-    with open(out / "report_bounds_torus-1.csv", newline="") as fp:
-        (row,) = list(csv.DictReader(fp))
-    assert float(row["max-ratio"]) == 2.0
+    for t, ratio in (("1", 0.5), ("2", 2.0)):
+        with open(out / f"report_bounds_torus-1_t{t}.csv", newline="") as fp:
+            (row,) = list(csv.DictReader(fp))
+        assert float(row["max-ratio"]) == ratio
 
 
 def test_report_bounds_passing_run_prints_no_verdict(tmp_path, capsys):
     out = tmp_path / "o"
     code, captured = _main_in_process(["report", "bounds", "--out", str(out)], capsys)
     assert code == 0, captured.err
-    assert captured.out == f"wrote {out / 'report_bounds_torus-1.csv'}\n"
+    assert captured.out == f"wrote {out / 'report_bounds_torus-1_t1.csv'}\n"

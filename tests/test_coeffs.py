@@ -1,4 +1,3 @@
-import math
 import random
 
 import numpy as np
@@ -29,14 +28,6 @@ def test_plancherel_matches_haar_integral():
     assert f.plancherel_norm() ** 2 == pytest.approx(direct.real, rel=1e-8)
 
 
-def test_inner_linear_second_slot():
-    spec = torus(1)
-    f = basis_entry(spec, (1,))
-    g = basis_entry(spec, (1,)) * (2.0 + 1j)
-    assert f.inner(g) == pytest.approx((2.0 + 1j) * 2 * math.pi)
-    assert g.inner(f) == pytest.approx((2.0 - 1j) * 2 * math.pi)
-
-
 def test_basis_entry_evaluates_to_matrix_entry():
     rng = random.Random(1)
     spec = su2()
@@ -58,9 +49,3 @@ def test_eval_k_batch_matches_scalar():
         assert batch[k] == pytest.approx(direct, abs=1e-12)
         assert f.eval_k(gs[k]) == pytest.approx(batch[k], abs=1e-12)
 
-
-def test_addition_and_scaling():
-    spec = torus(1)
-    f = basis_entry(spec, (1,)) + basis_entry(spec, (2,)) * 3.0
-    assert f.block((2,))[0, 0] == pytest.approx(3.0)
-    assert f.plancherel_norm() == pytest.approx(math.sqrt(2 * math.pi * 10))

@@ -5,7 +5,6 @@ import pytest
 import scipy.special as sps
 from scipy.integrate import quad
 
-from gsb.bounds import LatticePoly, _chamber_gaussian_integral
 from gsb.groups import rep_matrix_batch, su2, torus
 from gsb.quadrature import (
     MAX_ORDER,
@@ -18,6 +17,7 @@ from gsb.quadrature import (
     roots_genlaguerre,
     roots_hermite,
     roots_legendre,
+    su2_radial_rule,
 )
 
 
@@ -30,9 +30,10 @@ def test_quadspec_validation():
 
 @pytest.mark.parametrize("spec", [torus(1), torus(2), su2()])
 def test_kspace_mass_one(spec):
-    res = integrate_kspace(spec, 0.7, lambda ys: np.ones(ys.shape[0]), QuadSpec())
+    q = QuadSpec()
+    res = integrate_kspace(spec, 0.7, lambda ys: np.ones(ys.shape[0]), q)
     assert res.value.real == pytest.approx(1.0, abs=1e-12)
-    assert res.ok
+    assert res.gap <= q.tolerance
 
 
 @pytest.mark.parametrize("spec", [torus(2), su2()])
@@ -77,7 +78,7 @@ def test_laguerre_rational_against_adaptive():
     c, n, t = 1.5, 2, 0.8
     ref = quad(lambda s: s**3 * math.exp(-c * s) / (s + t), 0, 200, epsabs=1e-13)[0]
     res = integrate_laguerre(c, n, lambda s: 1.0 / (s + t))
-    assert res.ok
+    assert res.gap <= 1e-8  # integrate_laguerre's default tolerance
     assert res.value == pytest.approx(ref, rel=1e-8)
 
 
@@ -101,7 +102,6 @@ def test_integrate_levels_array_values_match_scalar_calls(floor):
         assert res.value[k] == one.value
         assert res.gap[k] == one.gap
         assert tuple(complex(v[k]) for v in res.by_level) == one.by_level
-    assert list(res.ok) == [res.gap[k] <= q.tolerance for k in range(5)]
 
 
 def test_integrate_K_volume():
@@ -151,11 +151,10 @@ def test_rules_deterministic():
 def test_su2_rule_is_radial_times_sphere():
     # the radial weights carry the whole mass; a radial integrand needs only them
     t = 0.8
-    rule = kspace_rule(su2(), t, 24)
-    assert rule.radial_weights.sum() == pytest.approx(1.0, abs=1e-14)
+    radii, weights = su2_radial_rule(t, 24)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-14)
     res = integrate_kspace(su2(), t, lambda ys: np.exp(-np.sum(ys**2, axis=1)), QuadSpec(levels=(16, 24)))
-    assert res.value.real == pytest.approx(np.dot(rule.radial_weights, np.exp(-rule.radii**2)), rel=1e-14)
-    assert kspace_rule(torus(2), t, 8).radii is None
+    assert res.value.real == pytest.approx(np.dot(weights, np.exp(-(radii**2))), rel=1e-14)
 
 
 def _same_bits(rule, reference):
@@ -199,16 +198,3 @@ def test_rules_refuse_orders_above_max(rule):
     with pytest.raises(ValueError):
         rule(MAX_ORDER + 1)
 
-
-@pytest.mark.parametrize(
-    "spec, exact",
-    [
-        # (1/A) int over the chamber of (1 + |x|) e^{-|x|^2} dx in closed form
-        (torus(1), (math.sqrt(math.pi) + 1.0) / (2 * math.pi)),
-        (torus(2), (math.pi + math.pi**1.5 / 2.0) / (2 * math.pi) ** 2),
-        (torus(3), (math.pi**1.5 + 2.0 * math.pi) / (2 * math.pi) ** 3),
-        (su2(), (math.sqrt(math.pi) / 2.0 + 0.5) / (4 * math.pi)),
-    ],
-)
-def test_chamber_integral_odd_degree(spec, exact):
-    assert _chamber_gaussian_integral(spec, LatticePoly((1.0, 1.0))) == pytest.approx(exact, rel=1e-15)

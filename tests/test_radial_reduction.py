@@ -99,7 +99,7 @@ def test_reproduce_check_matches_tensor_oracle():
         g_mat = polar_compose(SPEC, g)
         gs = np.asarray(g_mat)[None] @ exp_iy_batch(SPEC, 2.0 * rule.nodes)
         oracle = complex(np.dot(rule.weights, damped.eval_k_batch(gs)))
-        fg = F.coefs.eval_kc(g)
+        fg = F.coefs.eval_k(g_mat)
         oracle_residual = abs(fg - oracle) / (1.0 + abs(fg))
         residual, gap = reproduce_check(F, g, Q)
         assert oracle_residual <= 1e-12

@@ -4,22 +4,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gsb.coeffs import basis_entry
+from gsb.coeffs import CoefVec, basis_entry
 from gsb.groups import laplacian_eigenvalue, su2, torus
+from gsb.quadrature import QuadSpec
 from gsb.sobolev import (
     apply_vector_field,
     first_order_forms,
-    holo_sobolev_norm,
     laplacian_apply,
     sobolev_norm,
     sobolev_shift,
     symbol_coefficients,
     symbol_positivity_threshold,
-    toeplitz_quadratic_form,
     toeplitz_symbol,
-    weighted_norm,
+    weighted_form,
 )
-from gsb.transform import ct_forward, holo_l2_norm
+from gsb.transform import ct_forward, holo_inner
 
 
 def test_symbol_phi1_torus_closed_form():
@@ -85,19 +84,19 @@ def test_laplacian_and_shift_on_basis():
     f = basis_entry(spec, 3, 0, 1)
     lam = laplacian_eigenvalue(spec, 3)
     g = laplacian_apply(f, 2)
-    assert np.allclose(g.block(3), lam**2 * f.block(3))
+    assert np.allclose(g.entries[3], lam**2 * f.entries[3])
     h = sobolev_shift(f, 1, 2.0)
-    assert np.allclose(h.block(3), (2.0 + lam) * f.block(3))
+    assert np.allclose(h.entries[3], (2.0 + lam) * f.entries[3])
 
 
 def test_shift_commutes_with_transform_bitwise():
     spec = su2()
-    f = basis_entry(spec, 2, 0, 0) + basis_entry(spec, 4, 1, 1) * 0.5
+    f = CoefVec(spec, {2: np.diag([1.0, 0.0]), 4: np.diag([0.0, 0.5, 0.0, 0.0])})
     t, n, c = 1.0, 2, 1.5
     a = ct_forward(sobolev_shift(f, n, c), t)
     b = sobolev_shift(ct_forward(f, t), n, c)
     for lbl in a.coefs.support:
-        assert np.array_equal(a.coefs.block(lbl), b.coefs.block(lbl))
+        assert np.array_equal(a.coefs.entries[lbl], b.coefs.entries[lbl])
 
 
 def test_sobolev_norm_torus_closed_form():
@@ -113,8 +112,10 @@ def test_sobolev_isometry(spec):
     label = (2,) if spec.kind == "torus" else 3
     f = basis_entry(spec, label, 0, 0)
     t, n, c = 1.0, 1, spec.delta_sq + 1.0
-    F = ct_forward(f, t)
-    assert holo_sobolev_norm(F, n, c) == pytest.approx(sobolev_norm(f, n, c), rel=1e-8)
+    G, q = sobolev_shift(ct_forward(f, t), n, c), QuadSpec()
+    res = holo_inner(G, G, q)
+    assert res.gap <= q.tolerance
+    assert math.sqrt(res.value.real) == pytest.approx(sobolev_norm(f, n, c), rel=1e-8)
 
 
 @pytest.mark.parametrize("spec", [torus(1), su2()])
@@ -124,7 +125,7 @@ def test_toeplitz_identity(spec):
     t, n, c = 1.0, 1, spec.delta_sq + 1.0
     F = ct_forward(f, t)
     lhs = sobolev_shift(f, n, c).plancherel_norm() ** 2
-    rhs = toeplitz_quadratic_form(sobolev_shift(F, n, c), F, toeplitz_symbol(spec, t, c, n)).value
+    rhs = holo_inner(sobolev_shift(F, n, c), F, QuadSpec(), weight=toeplitz_symbol(spec, t, c, n)).value
     assert rhs.real == pytest.approx(lhs, rel=1e-8)
     assert abs(rhs.imag) < 1e-8 * lhs
 
@@ -134,9 +135,9 @@ def test_toeplitz_identity(spec):
 def test_first_order_identity(spec, k):
     labels = [(1,), (2,)] if spec.kind == "torus" else [2, 3]
     f1 = basis_entry(spec, labels[0], 0, 0)
-    f2 = basis_entry(spec, labels[1], 0, 0) + f1 * 0.3
+    f2 = CoefVec(spec, {**basis_entry(spec, labels[1], 0, 0).entries, labels[0]: 0.3 * f1.entries[labels[0]]})
     F1, F2 = ct_forward(f1, 1.0), ct_forward(f2, 1.0)
-    lhs, rhs = (res.value for res in first_order_forms(F1, F2, k))
+    lhs, rhs = (res.value for res in first_order_forms(F1, F2, k, QuadSpec()))
     scale = f1.plancherel_norm() * f2.plancherel_norm()
     assert abs(lhs - rhs) <= 1e-8 * scale
 
@@ -145,12 +146,14 @@ def test_vector_field_torus_eigen():
     spec = torus(2)
     f = basis_entry(spec, (2, -1), 0, 0)
     g = apply_vector_field(f, 1)
-    assert np.allclose(g.block((2, -1)), -1j * f.block((2, -1)))
+    assert np.allclose(g.entries[(2, -1)], -1j * f.entries[(2, -1)])
 
 
 def test_weighted_norm_n0_is_l2():
     spec = su2()
-    F = ct_forward(basis_entry(spec, 3, 1, 0), 1.0)
-    base = holo_l2_norm(F)
-    assert weighted_norm(F, 0) == pytest.approx(base, rel=1e-10)
-    assert weighted_norm(F, 1) > base
+    F, q = ct_forward(basis_entry(spec, 3, 1, 0), 1.0), QuadSpec()
+    res = holo_inner(F, F, q)
+    assert res.gap <= q.tolerance
+    base = math.sqrt(res.value.real)
+    assert math.sqrt(weighted_form(F, 0, q).value.real) == pytest.approx(base, rel=1e-10)
+    assert math.sqrt(weighted_form(F, 1, q).value.real) > base

@@ -127,7 +127,7 @@ def test_reproduce_check_matches_tensor_oracle(rank, t):
     for _ in range(3):
         y = random_algebra(spec, draw)
         g = PointKC(spec, random_k(spec, draw), y * (1.5 / np.linalg.norm(y)))
-        fg = F.coefs.eval_kc(g)
+        fg = F.coefs.eval_k(polar_compose(spec, g))
         residual, gap = reproduce_check(F, g, Q)
         rule = kspace_rule(spec, t, ORACLE_LEVEL[rank])
         zs = np.asarray(polar_compose(spec, g))[None, :] + 2j * rule.nodes

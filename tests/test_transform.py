@@ -13,11 +13,12 @@ from gsb.transform import (
     QuadratureError,
     ct_forward,
     ct_inverse_integral,
-    ct_inverse_spectral,
     holo_inner,
-    holo_l2_norm,
     inverse_integral_trace,
 )
+
+# the inversion integral's quadrature levels
+INVERSE_Q = QuadSpec(levels=(32, 48))
 
 
 def _random_point(spec, rng, scale=1.0):
@@ -28,19 +29,9 @@ def test_forward_damps_blocks():
     spec = su2()
     f = basis_entry(spec, 3, 0, 0)
     F = ct_forward(f, 2.0)
-    assert F.coefs.block(3)[0, 0] == pytest.approx(math.exp(-2.0))
+    assert F.coefs.entries[3][0, 0] == pytest.approx(math.exp(-2.0))
     with pytest.raises(ValueError):
         ct_forward(f, 0.0)
-
-
-def test_spectral_inverse_exact():
-    spec = su2()
-    rng = np.random.default_rng(0)
-    f = CoefVec(spec, {2: rng.normal(size=(2, 2)), 3: rng.normal(size=(3, 3))})
-    g = ct_inverse_spectral(ct_forward(f, 1.3))
-    assert g.support == f.support
-    for label in f.support:
-        assert np.allclose(g.block(label), f.block(label), rtol=0, atol=1e-15)
 
 
 def test_eval_holo_restricts_to_K():
@@ -50,7 +41,7 @@ def test_eval_holo_restricts_to_K():
     F = ct_forward(f, 1.0)
     x = random_k(spec, rng)
     p = PointKC(spec, x, np.zeros(3))
-    assert F.coefs.eval_kc(p) == pytest.approx(F.coefs.eval_k(x), abs=1e-12)
+    assert F.coefs.eval_k(polar_compose(spec, p)) == pytest.approx(F.coefs.eval_k(x), abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -58,10 +49,12 @@ def test_eval_holo_restricts_to_K():
 )
 def test_unitarity_single_entries(spec, label):
     f = basis_entry(spec, label, 0, 0)
+    q = QuadSpec(tolerance=1e-6)
     for t in (0.5, 2.0):
-        lhs = holo_l2_norm(ct_forward(f, t), QuadSpec(tolerance=1e-6))
-        rhs = f.plancherel_norm()
-        assert lhs == pytest.approx(rhs, rel=1e-9)
+        F = ct_forward(f, t)
+        res = holo_inner(F, F, q)
+        assert res.gap <= q.tolerance
+        assert math.sqrt(res.value.real) == pytest.approx(f.plancherel_norm(), rel=1e-9)
 
 
 def test_holo_inner_orthogonality():
@@ -132,18 +125,20 @@ def test_quadrature_error_raised():
     # the shifted rule is exact here, so the two levels differ only by rounding
     gap = holo_inner(F, F, QuadSpec(levels=(8, 12))).gap
     assert 0.0 < gap <= 1e-14
-    with pytest.raises(QuadratureError):
-        holo_l2_norm(F, QuadSpec(levels=(8, 12), tolerance=gap / 2.0))
+    # the inversion integral refuses a level gap above its tolerance
+    with pytest.raises(QuadratureError) as info:
+        ct_inverse_integral(F, np.zeros(1), 10.0, QuadSpec(levels=(4, 6)))
+    assert info.value.result.gap > 1e-6
 
 
 def test_inverse_integral_torus():
     spec = torus(1)
-    f = basis_entry(spec, (1,)) + basis_entry(spec, (-2,)) * (0.5 + 0.5j)
+    f = CoefVec(spec, {(1,): [[1.0]], (-2,): [[0.5 + 0.5j]]})
     F = ct_forward(f, 1.0)
     rng = random.Random(3)
     for _ in range(3):
         x = random_k(spec, rng)
-        rec = ct_inverse_integral(F, x, 10.0)
+        rec = ct_inverse_integral(F, x, 10.0, INVERSE_Q)
         assert abs(rec - f.eval_k(x)) < 1e-10
 
 
@@ -153,7 +148,7 @@ def test_inverse_integral_su2_character():
     F = ct_forward(f, 1.0)
     rng = random.Random(4)
     x = random_k(spec, rng)
-    values, stabilized = inverse_integral_trace(F, x, [4.0, 7.0, 10.0])
+    values, stabilized = inverse_integral_trace(F, x, [4.0, 7.0, 10.0], INVERSE_Q)
     assert stabilized
     assert abs(values[-1] - f.eval_k(x)) < 1e-6
 
@@ -162,4 +157,4 @@ def test_inverse_radius_guard():
     spec = torus(1)
     F = ct_forward(basis_entry(spec, (1,)), 1.0)
     with pytest.raises(ValueError):
-        ct_inverse_integral(F, np.zeros(1), 60.0)
+        ct_inverse_integral(F, np.zeros(1), 60.0, INVERSE_Q)
