@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .polar import exp_iy_batch, log_phi
 from .transform import HoloFunc
 
 __all__ = [
-    "BoundReport",
     "lattice_points",
     "lattice_sum",
     "lattice_limit_check",
@@ -33,19 +31,7 @@ __all__ = [
 ]
 
 GRID_BLOCK = 1024  # growth-functional grid points whose group elements are formed at once
-
-
-@dataclass
-class BoundReport:
-    """Rows (n, grid radius, G_n value), sorted, plus stability flags."""
-
-    spec: GroupSpec
-    t: float
-    rows: list = field(default_factory=list)
-    stable: dict = field(default_factory=dict)
-
-    def sorted_rows(self):
-        return sorted(self.rows, key=lambda row: (row[0], row[1]))
+GRID_RADIUS = 6.0  # smoothness_report's radius; it also evaluates twice that
 
 
 def lattice_points(spec: GroupSpec, radius: float) -> np.ndarray:
@@ -160,13 +146,13 @@ def polar_grid(spec: GroupSpec, radius: float, n_radial: int = 40, n_angular: in
     return np.vstack([np.zeros((1, spec.dim)), pts])
 
 
-def growth_functional(F: HoloFunc, t: float, n, grid: np.ndarray):
-    """sup over the grid of |F(e^{iY})|^2 (1+|Y|^2)^{2n} / (Phi(Y) e^{|Y|^2/t}).
+def growth_functional(F: HoloFunc, t: float, orders, grid: np.ndarray):
+    """sup over the grid of |F(e^{iY})|^2 (1+|Y|^2)^{2n} / (Phi(Y) e^{|Y|^2/t})
+    for each order n of a sequence.
 
-    Worked in log space; returns (value, argmax Y).  For a sequence of
-    orders n, F (in blocks of GRID_BLOCK points), |Y|^2 and log Phi are
-    evaluated once and the result is a list with one (value, argmax Y) per
-    order.
+    Worked in log space.  F (in blocks of GRID_BLOCK points), |Y|^2 and
+    log Phi are evaluated once; returns a list with one (value, argmax Y)
+    per order.
     """
     spec = F.spec
     blocks = [grid[i : i + GRID_BLOCK] for i in range(0, len(grid), GRID_BLOCK)]
@@ -177,33 +163,25 @@ def growth_functional(F: HoloFunc, t: float, n, grid: np.ndarray):
         log_f2 = 2.0 * np.log(np.abs(vals))
     log_w = np.log1p(u)
     sups = []
-    for order in [n] if np.ndim(n) == 0 else n:
+    for order in orders:
         logs = log_f2 + 2.0 * order * log_w - log_env
         i = int(np.argmax(logs))
         sups.append((float(np.exp(logs[i])), grid[i]))
-    return sups[0] if np.ndim(n) == 0 else sups
+    return sups
 
 
-def smoothness_report(
-    F: HoloFunc,
-    t: float,
-    n_max: int = 4,
-    radius: float = 6.0,
-    n_radial: int = 40,
-    n_angular: int = 16,
-) -> BoundReport:
-    """Growth functionals at a radius and its double; order n is stable when
-    the two agree to 10% of the value at the radius."""
-    report = BoundReport(F.spec, t)
-    grids = {r: polar_grid(F.spec, r, n_radial, n_angular) for r in (radius, 2.0 * radius)}
+def smoothness_report(F: HoloFunc, t: float, n_max: int = 4) -> list:
+    """Rows (n, radius, G_n, stable) for n = 0..n_max, sorted, on the polar
+    grids of radius GRID_RADIUS and its double; order n is stable when its
+    two growth functionals agree to 10% of the value at GRID_RADIUS."""
+    radii = (GRID_RADIUS, 2.0 * GRID_RADIUS)
     orders = range(n_max + 1)
-    sups = {r: [value for value, _ in growth_functional(F, t, orders, grid)] for r, grid in grids.items()}
+    base, double = ([value for value, _ in growth_functional(F, t, orders, polar_grid(F.spec, r))] for r in radii)
+    rows = []
     for n in orders:
-        report.rows += [(n, r, values[n]) for r, values in sups.items()]
-        base = sups[radius][n]
-        report.stable[n] = abs(sups[2.0 * radius][n] - base) <= 0.10 * max(base, 1e-300)
-    report.rows = report.sorted_rows()
-    return report
+        stable = abs(double[n] - base[n]) <= 0.10 * max(base[n], 1e-300)
+        rows += [(n, radii[0], base[n], stable), (n, radii[1], double[n], stable)]
+    return rows
 
 
 def kernel_bound_check(spec: GroupSpec, t: float):

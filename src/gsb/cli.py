@@ -268,8 +268,8 @@ def _mass_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     spec = cfg.spec
     radius = 8.0 * math.sqrt(t) + (t / 2.0 if spec.kind == "su2" else 0.0)
     res = integrate_levels(q, lambda level: _mass_level(spec, t, radius, level))
-    lhs = spec.volume * res.value.real
-    return [_row("mass", lhs, spec.volume, rel_gap(lhs, spec.volume), tol, res.gap)]
+    lhs = spec.volume * res.value.item().real
+    return [_row("mass", lhs, spec.volume, rel_gap(lhs, spec.volume), tol, res.gap.item())]
 
 
 def _norms(res):
@@ -403,16 +403,21 @@ SUITES = {
 }
 
 
-def _write_reports(cfg: RunConfig, stem: str, columns, result_at) -> bool:
+def _write_reports(cfg: RunConfig, stem: str, columns, result_at) -> int:
     """result_at(t) -> (rows, ok) at every configured t, then one report
     per t, <stem>_<group>_t<t>.<fmt>, each path printed; nothing is written
-    unless every t ran.  Returns whether every t was ok."""
+    unless every t ran.  Prints the verdict line `<name>: PASS|FAIL`, name
+    the stem less its `verify_` or `report_` prefix (suite and kind names
+    hold no underscore), and returns the exit code: 0 when every t was ok,
+    else 1."""
     results = [(t, *result_at(t)) for t in cfg.t]
     for t, rows, _ in results:
         path = os.path.join(cfg.out, f"{stem}_{cfg.group.replace(':', '-')}_t{_name_num(t)}.{cfg.fmt}")
         write_report(path, columns, rows, cfg.fmt)
         print(f"wrote {path}")
-    return all(ok for _, _, ok in results)
+    ok = all(ok for _, _, ok in results)
+    print(f"{stem.split('_', 1)[-1]}: {'PASS' if ok else 'FAIL'}")
+    return 0 if ok else 1
 
 
 def cmd_verify(suite: str, cfg: RunConfig) -> int:
@@ -425,9 +430,7 @@ def cmd_verify(suite: str, cfg: RunConfig) -> int:
             raise ConfigError(f"{suite} has no case to check at n = {','.join(map(str, cfg.n))}")
         return rows, all(row[5] for row in rows)
 
-    all_pass = _write_reports(cfg, f"verify_{suite}", VERIFY_COLUMNS, result_at)
-    print(f"{suite}: {'PASS' if all_pass else 'FAIL'}")
-    return 0 if all_pass else 1
+    return _write_reports(cfg, f"verify_{suite}", VERIFY_COLUMNS, result_at)
 
 
 def _report_rows(kind: str, cfg: RunConfig, t: float):
@@ -443,8 +446,7 @@ def _report_rows(kind: str, cfg: RunConfig, t: float):
         return lattice_limit_check(spec, cfg.tau), True
     if kind == "smoothness":
         f = CoefVec(spec, {label: np.eye(irrep_dim(spec, label)) for label in enumerate_irreps(spec, cfg.cutoff)})
-        report = smoothness_report(ct_forward(f, t), t, n_max=max(cfg.n))
-        return [(n, r, v, report.stable[n]) for n, r, v in report.sorted_rows()], True
+        return smoothness_report(ct_forward(f, t), t, n_max=max(cfg.n)), True
     # bounds
     alpha = alpha_t_estimate(spec, t)
     checked, ok = kernel_bound_check(spec, t)
@@ -453,10 +455,7 @@ def _report_rows(kind: str, cfg: RunConfig, t: float):
 
 
 def cmd_report(kind: str, cfg: RunConfig) -> int:
-    if not _write_reports(cfg, f"report_{kind}", REPORT_COLUMNS[kind], lambda t: _report_rows(kind, cfg, t)):
-        print(f"{kind}: FAIL")
-        return 1
-    return 0
+    return _write_reports(cfg, f"report_{kind}", REPORT_COLUMNS[kind], lambda t: _report_rows(kind, cfg, t))
 
 
 def load_coefficients(path: str) -> CoefVec:
@@ -490,7 +489,7 @@ def _parse_points(spec: GroupSpec, path: str):
     points = np.asarray(data, dtype=float).reshape(len(data), spec.dim)
     if not len(points) or not np.all(np.isfinite(points)):
         raise ConfigError("point file must hold a nonempty list of finite points")
-    return list(points if spec.kind == "torus" else su2_euler(*points.T))
+    return points if spec.kind == "torus" else su2_euler(*points.T)
 
 
 def cmd_invert(cfg: RunConfig, coeff_path: str, points_path: str) -> int:
@@ -502,20 +501,20 @@ def cmd_invert(cfg: RunConfig, coeff_path: str, points_path: str) -> int:
     except (ConfigError, KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    columns = ["point", "value-re", "value-im", "exact-re", "exact-im", "abs-err", "stabilized"]
+    columns = ["point", "value-re", "value-im", "exact-re", "exact-im", "abs-err", "stabilized", "tol", "pass"]
+    q = cfg.quad(1e-6)
+    exact = f.eval_k_batch(points).tolist()
 
     def result_at(t):
-        F = ct_forward(f, t)
+        values, stabilized = inverse_integral_trace(ct_forward(f, t), points, cfg.radii, q)
         rows = []
-        for k, x in enumerate(points):
-            values, stabilized = inverse_integral_trace(F, x, cfg.radii, cfg.quad(1e-6))
-            rec = values[-1]
-            exact = f.eval_k(x)
-            rows.append((f"p{k}", rec.real, rec.imag, exact.real, exact.imag, abs(rec - exact), stabilized))
-        return rows, True
+        for k, (rec, ex, stable) in enumerate(zip(values[-1].tolist(), exact, stabilized.tolist())):
+            err = abs(rec - ex)
+            passed = stable and err <= q.tolerance * max(1.0, abs(ex))
+            rows.append((f"p{k}", rec.real, rec.imag, ex.real, ex.imag, err, stable, q.tolerance, passed))
+        return rows, all(row[-1] for row in rows)
 
-    _write_reports(cfg, "invert", columns, result_at)
-    return 0
+    return _write_reports(cfg, "invert", columns, result_at)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -59,11 +59,9 @@ class CoefVec:
             total += vol / irrep_dim(self.spec, label) * float(np.sum(np.abs(block) ** 2))
         return math.sqrt(total)
 
-    def eval_k(self, x) -> complex:
-        """Evaluate f at a point of K (torus angles / 2x2 unitary), a batch of one."""
-        return complex(self.eval_k_batch(np.atleast_1d(x)[None])[0])
-
     def eval_k_batch(self, xs: np.ndarray) -> np.ndarray:
+        """f at each element of a batch: (N, r) torus angles, or (N, 2, 2)
+        matrices on SU(2); holomorphic, so K_C elements work alike."""
         out = None
         for label, block in self.entries.items():
             mats = rep_matrix_batch(self.spec, label, xs)

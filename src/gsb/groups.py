@@ -28,7 +28,6 @@ __all__ = [
     "enumerate_irreps",
     "laplacian_eigenvalue",
     "irrep_dim",
-    "rep_matrix",
     "rep_matrix_batch",
     "rep_generator",
     "su2_euler",
@@ -147,20 +146,6 @@ def _check_torus_label(spec, label):
     return label
 
 
-def rep_matrix(spec: GroupSpec, label, g) -> np.ndarray:
-    """Representation matrix pi(g), holomorphic in g over the complexified group.
-
-    Torus: g is a complex vector z (mod 2*pi*Z^r), returns [[exp(i n.z)]].
-    SU(2): g is a 2x2 complex matrix with det 1; the m-dimensional irrep is
-    realized on degree-(m-1) polynomials with an orthonormal monomial basis,
-    so pi(g) is unitary for unitary g and pi = id on the defining rep.
-    """
-    g = np.asarray(g, dtype=complex)
-    if spec.kind == "torus":
-        g = np.atleast_1d(g)
-    return rep_matrix_batch(spec, label, g[None])[0]
-
-
 @lru_cache(maxsize=None)
 def _sym_power_tables(n: int):
     """Index tables for the symmetric-power expansion of pi_m, m = n+1."""
@@ -173,17 +158,23 @@ def _sym_power_tables(n: int):
 
 
 def rep_matrix_batch(spec: GroupSpec, label, gs: np.ndarray) -> np.ndarray:
-    """Vectorized rep_matrix over a batch of group elements.
+    """Representation matrices pi(g) of a batch of elements g, holomorphic
+    in g over the complexified group.
 
-    Torus: gs is (N, r) complex, returns (N, 1, 1).  SU(2): gs is (N, 2, 2),
-    returns (N, m, m).
+    Torus: gs is (N, r) complex vectors z (mod 2*pi*Z^r), returns the
+    (N, 1, 1) values exp(i n.z).  SU(2): gs is (N, 2, 2) complex matrices
+    with det 1, returns (N, m, m); the m-dimensional irrep is realized on
+    degree-(m-1) polynomials with an orthonormal monomial basis, so pi(g) is
+    unitary for unitary g and pi = id on the defining rep.
     """
     if spec.kind == "torus":
         label = _check_torus_label(spec, label)
         zs = np.asarray(gs, dtype=complex)
         if zs.ndim != 2 or zs.shape[1] != spec.rank:
             raise ValueError("torus batch must have shape (N, r)")
-        vals = np.exp(1j * zs @ np.asarray(label))
+        # n.z summed axis by axis, not by a BLAS product, whose rounding
+        # depends on the batch size: each element keeps its batch-of-one bits
+        vals = np.exp(1j * sum(n * zs[:, k] for k, n in enumerate(label)))
         return vals.reshape(-1, 1, 1)
 
     m = int(label)

@@ -140,19 +140,18 @@ def _sum_series(spec: GroupSpec, tau, g, tol: float, weight=None):
 def rho_eval(spec: GroupSpec, t, g, tol: float = 1e-10):
     """Analytically continued heat kernel rho_t(g) at K_C elements, with tail report.
 
-    g is one element or a batch ((..., 2, 2) on SU(2), (..., r) complex on a
-    torus) and t an array of times that broadcasts against it.  One cutoff,
-    taken at the largest |Y| and the smallest t, serves the whole batch, so
-    the report bounds the tail at every point.  Returns a complex for one
-    element at one time, else an array.
+    g is a batch ((..., 2, 2) on SU(2), (..., r) complex on a torus) and t
+    an array of times that broadcasts against it; the value is an array of
+    the broadcast shape.  One cutoff, taken at the largest |Y| and the
+    smallest t, serves the whole batch, so the report bounds the tail at
+    every point.
     """
     value, cutoff, t_min, s = _sum_series(spec, t, g, tol)
-    report = TruncationReport(cutoff, _tail_bound(spec, t_min, cutoff, s), tol)
-    return (complex(value) if np.ndim(value) == 0 else value), report
+    return value, TruncationReport(cutoff, _tail_bound(spec, t_min, cutoff, s), tol)
 
 
 def log_nu_t(spec: GroupSpec, t: float, y):
-    """log nu_t(Y) at one point (a float) or on an (N, dim) batch (an (N,) array).
+    """log nu_t(Y) on an (N, dim) batch of points, an (N,) array.
 
     nu_t is the Gangolli density c_t Phi(Y) exp(-|Y|^2/t) on the Lie
     algebra, c_t = (pi t)^{-d/2} e^{-|delta|^2 t}.

@@ -18,7 +18,7 @@ from .groups import GroupSpec, rep_matrix_batch
 from .heat import _sum_series, rho_eval
 from .polar import PointKC, polar_compose
 from .quadrature import QuadSpec, integrate_laguerre
-from .transform import HoloFunc, _integrate_profiles
+from .transform import _integrate_profiles
 
 __all__ = [
     "KernelQuery",
@@ -31,8 +31,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KernelQuery:
-    """Kernel at (g, h), or at each pair of a batch: g and h then carry one
-    leading axis of the same length."""
+    """Kernel at each pair (g, h) of a batch: g and h carry one leading axis
+    of the same length (one pair is a batch of one)."""
 
     g: PointKC
     h: PointKC
@@ -55,7 +55,7 @@ class KernelQuery:
 
 def pair_point(spec: GroupSpec, g: PointKC, h: PointKC):
     """The element g h^* of K_C: G H^* on SU(2), z_g - conj(z_h) on a torus,
-    where (x + iy)^* = -x + iy.  For batches of points, one element per pair."""
+    where (x + iy)^* = -x + iy.  One element per pair of the two batches."""
     gm, hm = polar_compose(spec, g), polar_compose(spec, h)
     if spec.kind == "torus":
         return gm - np.conj(hm)
@@ -64,14 +64,12 @@ def pair_point(spec: GroupSpec, g: PointKC, h: PointKC):
 
 def k_sobolev_spectral(query: KernelQuery):
     """Blockwise route: sum_pi (dim/vol) e^{-lambda t} (c+lambda)^{-2n} chi_pi(gh^*),
-    cut where the series' tail bound meets 1e-10.
-
-    A complex for one pair, an array for a batch (one cutoff for the batch).
+    cut where the series' tail bound meets 1e-10: one value per pair, at
+    one cutoff for the batch.
     """
     spec = query.spec
     gh = pair_point(spec, query.g, query.h)
-    value = _sum_series(spec, 2.0 * query.t, gh, 1e-10, lambda lam: (query.c + lam) ** (-2 * query.n))[0]
-    return complex(value) if np.ndim(value) == 0 else value
+    return _sum_series(spec, 2.0 * query.t, gh, 1e-10, lambda lam: (query.c + lam) ** (-2 * query.n))[0]
 
 
 def k_sobolev_integral(query: KernelQuery, q: QuadSpec | None = None):
@@ -81,24 +79,25 @@ def k_sobolev_integral(query: KernelQuery, q: QuadSpec | None = None):
 
     on integrate_laguerre's rule for a singularity at s = -t, with one
     rho_eval call (at its tail tolerance 1e-10) per level, on all of its
-    nodes (and on every pair of a batch: value and gap are then arrays).
+    nodes and every pair: value and gap hold one entry per pair.
     """
     if query.n < 1:
         raise ValueError("the integral route needs n >= 1")
     spec = query.spec
     gh = pair_point(spec, query.g, query.h)
-    batched = query.g.y.ndim > 1
 
     def f(s):
-        # on a batch the nodes run down the rows and the pairs along the columns
-        return rho_eval(spec, 2.0 * (query.t + (s[:, None] if batched else s)), gh)[0]
+        # the nodes run down the rows and the pairs along the columns
+        return rho_eval(spec, 2.0 * (query.t + s[:, None]), gh)[0]
 
     res = integrate_laguerre(query.c, query.n, f, query.t, q)
     return res.value / math.factorial(2 * query.n - 1), res
 
 
-def reproduce_check(F, g: PointKC, q: QuadSpec):
-    """Relative residual of the reproducing identity at g, and its level gap:
+def reproduce_check(Fs, g: PointKC, q: QuadSpec):
+    """Relative residual of the reproducing identity at each point g of a
+    batch (one leading axis), for its own function F of the sequence Fs,
+    and its level gap:
 
     |F(g) - int k_t(g,h) F(h) nu_t(h) dh| / (1 + |F(g)|).
 
@@ -109,12 +108,10 @@ def reproduce_check(F, g: PointKC, q: QuadSpec):
     contributes trace(pi(g) B_pi) times the sum of its profile a (which
     should be exactly 1).  Returns (residual, gap), the gap between the two
     finest levels relative to the larger of them and the residual's scale
-    1 + |F(g)|; arrays with each pair's one-call bits when g is a batch of
-    points (one leading axis) and F one function or one per point.
+    1 + |F(g)|: arrays with each pair's bits of its batch of one.
     """
-    spec, size = g.spec, (len(g.y) if g.y.ndim > 1 else None)
-    g_mats = polar_compose(spec, g if size is not None else PointKC(spec, g.x[None], g.y[None]))
-    Fs = [F] * len(g_mats) if isinstance(F, HoloFunc) else list(F)
+    spec, Fs = g.spec, list(Fs)
+    g_mats = polar_compose(spec, g)
     if len(Fs) != len(g_mats):
         raise ValueError("need one function per point")
     fg, terms = np.empty(len(Fs), dtype=complex), []
@@ -126,6 +123,6 @@ def reproduce_check(F, g: PointKC, q: QuadSpec):
             terms += [(i, label, tr, 1.0) for i, tr in zip(idx, traces)]
     fg = fg.tolist()
     scale = [1.0 + abs(v) for v in fg]
-    res = _integrate_profiles(spec, Fs[0].t, q, terms, size, floor=scale[0] if size is None else scale)
-    residual = [abs(v - w) / s for v, w, s in zip(fg, np.atleast_1d(res.value).tolist(), scale)]
-    return (residual[0], res.gap) if size is None else (np.array(residual), res.gap)
+    res = _integrate_profiles(spec, Fs[0].t, q, terms, len(Fs), floor=scale)
+    residual = [abs(v - w) / s for v, w, s in zip(fg, res.value.tolist(), scale)]
+    return np.array(residual), res.gap

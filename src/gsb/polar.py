@@ -79,10 +79,8 @@ def log_phi(spec: GroupSpec, y):
     """log Phi(Y), safe for large |Y| (used by envelope code in log space).
 
     Phi is the product of alpha(Y)/sinh(alpha(Y)) over the positive roots
-    alpha: 1 on a torus, |Y|/sinh|Y| on SU(2).
-
-    y is an (N, dim) batch (returns (N,)) or one point, a batch of one
-    (returns a float).
+    alpha: 1 on a torus, |Y|/sinh|Y| on SU(2).  y is an (N, dim) batch;
+    returns (N,).
     """
     ys = np.asarray(y, dtype=float)
     if spec.kind == "torus":
@@ -94,4 +92,4 @@ def log_phi(spec: GroupSpec, y):
         big = np.maximum(s, 1e-4)
         # log(s/sinh s) = log(2s) - s - log1p(-exp(-2s))
         out = np.where(s < 1e-4, series, np.log(2.0 * big) - big - np.log1p(-np.exp(-2.0 * big)))
-    return out if ys.ndim > 1 else float(out)
+    return out

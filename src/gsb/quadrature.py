@@ -214,8 +214,8 @@ class QuadSpec:
 
 @dataclass(frozen=True)
 class QuadResult:
-    value: complex  # value and gap are arrays when the level values are
-    gap: float
+    value: np.ndarray  # complex, one per integral of the batch
+    gap: np.ndarray  # float, of the same shape
     by_level: tuple
 
 
@@ -326,17 +326,13 @@ def rel_gap(a, b, floor: float = 0.0) -> float:
 def integrate_levels(q: QuadSpec, value_at, floor: float = 0.0) -> QuadResult:
     """Evaluate value_at(level) on every level of q and measure the gap.
 
-    The gap is rel_gap of the two finest levels with the given floor.
-    value_at returns a number (value complex, gap float) or an array of
-    values (value, gap, each level and floor may be arrays, element by
-    element).  The gap is formed on Python numbers, so an element's gap has
-    the bits of a one-value call.
+    value_at returns an array of values (0-d for one value); value, gap and
+    each level are arrays of its shape.  The gap is rel_gap of the two
+    finest levels, element by element, with the floor broadcast against
+    them.  It is formed on Python numbers, so an element's gap has the bits
+    of its batch of one.
     """
-    values = tuple(value_at(level) for level in q.levels)
-    if getattr(values[-1], "ndim", 0) == 0:  # a Python or numpy number
-        values = tuple(complex(v) for v in values)
-        return QuadResult(values[-1], rel_gap(values[-1], values[-2], floor), values)
-    values = tuple(np.asarray(v, dtype=complex) for v in values)
+    values = tuple(np.asarray(value_at(level), dtype=complex) for level in q.levels)
     a, b = values[-1], values[-2]
     floors = np.broadcast_to(floor, a.shape).ravel().tolist()
     gaps = [rel_gap(x, y, f) for x, y, f in zip(a.ravel().tolist(), b.ravel().tolist(), floors)]
@@ -363,8 +359,8 @@ def integrate_laguerre(c: float, n: int, f, t: float | None = None, q: QuadSpec 
     nodes like the distance to -t (t defaults to the weight's scale 1/c),
     and the tail s = S + u/c, with e^{-cS} = TAIL_BOUND, a fixed Gauss-Laguerre
     rule in u.  Each level calls f once on all its nodes: f maps an (L,) array
-    of s to (L,) values, or to (L, B) for a batch of B integrands (value and
-    gap are then (B,) arrays).
+    of s to (L, ...) values, a batch of integrands, and value and gap have
+    the batch shape (...).
     """
     if c <= 0 or n < 1:
         raise ValueError("need c > 0 and n >= 1")

@@ -162,18 +162,19 @@ def phi_x_weight(spec: GroupSpec, t: float, k: int):
     return AxisWeight(k, lambda u: 0.5j * _grad_log_radial(t, np.sqrt(u)))
 
 
-def first_order_forms(F1, F2, k: int, q: QuadSpec):
-    """Both sides of the first-order Toeplitz identity for X_k.
+def first_order_forms(F1s, F2s, k: int, q: QuadSpec):
+    """Both sides of the first-order Toeplitz identity for X_k, on each pair
+    (F1, F2) of two equal-length sequences.
 
     Returns (lhs, rhs) as QuadResults: lhs = <F1, X_k F2> in L^2(nu_t), rhs
     the quadratic form against phi_X.  Equality is the operator identity
-    under test.  F1 and F2 are a pair or two sequences, a batch of pairs.
+    under test.
     """
-    F = F2 if isinstance(F2, HoloFunc) else F2[0]
-    XF2 = apply_vector_field(F2, k) if F is F2 else [apply_vector_field(G, k) for G in F2]
-    return holo_inner(F1, XF2, q), holo_inner(F1, F2, q, weight=phi_x_weight(F.spec, F.t, k))
+    F = F2s[0]
+    XF2s = [apply_vector_field(G, k) for G in F2s]
+    return holo_inner(F1s, XF2s, q), holo_inner(F1s, F2s, q, weight=phi_x_weight(F.spec, F.t, k))
 
 
-def weighted_form(F, n: int, q: QuadSpec) -> QuadResult:
-    """int |F|^2 (1 + |Y|^2)^{2n} nu_t dg, K-part exact; F may be a sequence."""
-    return holo_inner(F, F, q, weight=lambda u: (1.0 + u) ** (2 * n))
+def weighted_form(Fs, n: int, q: QuadSpec) -> QuadResult:
+    """int |F|^2 (1 + |Y|^2)^{2n} nu_t dg, K-part exact, for each F of a sequence."""
+    return holo_inner(Fs, Fs, q, weight=lambda u: (1.0 + u) ** (2 * n))

@@ -45,7 +45,7 @@ from .groups import (
     irrep_dim,
     laplacian_eigenvalue,
     rep_generator,
-    rep_matrix,
+    rep_matrix_batch,
 )
 from .polar import MAX_ABS_Y, log_phi
 from .polar import exp_iy_batch  # bound here because bench/trace_layers.LAYERS resolves it here
@@ -180,15 +180,15 @@ def _torus_base_rule(t: float, level: int, rank: int):
     return hx, s, a
 
 
-def _integrate_profiles(spec: GroupSpec, t: float, q: QuadSpec, terms, size, weight=None, floor=0.0):
-    """integrate_levels of value p = sum coef * S * rest over its terms (p,
-    label, coef, rest): size values, or one if size is None.  S, the label's
+def _integrate_profiles(spec: GroupSpec, t: float, q: QuadSpec, terms, size: int, weight=None, floor=0.0):
+    """integrate_levels of the values p = 0, ..., size - 1, each the sum of
+    coef * S * rest over its terms (p, label, coef, rest).  S, the label's
     profile sum against the weight, is that of a (b for an AxisWeight) of
     _schur_profiles on SU(2), and on a torus of a (b = (-i/|n|) zeta a, 0 at
     n = 0) of _torus_base_rule at the label's shift.  It sees the label only
     through its key (m, or |n|^2), and each level sums each key once for the
     batch; the terms run in order on numbers, so a value has the bits of its
-    one-pair call.
+    batch of one.
     """
     first_order = isinstance(weight, AxisWeight)
     radial = weight.radial if first_order else weight
@@ -208,26 +208,26 @@ def _integrate_profiles(spec: GroupSpec, t: float, q: QuadSpec, terms, size, wei
 
     def value_at(level):
         sums = {key: profile_sum(level, key) for key in set(keys.values())}
-        total = [0j] * (size or 1)
+        total = [0j] * size
         for p, label, coef, rest in terms:
             total[p] += coef * sums[keys[label]] * rest
-        return total[0] if size is None else np.array(total, dtype=complex)
+        return np.array(total, dtype=complex)
 
     return integrate_levels(q, value_at, floor)
 
 
-def holo_inner(F1, F2, q: QuadSpec, weight=None) -> QuadResult:
-    """<F1, F2> against a weight times nu_t(g) dg, K-part exact.
+def holo_inner(F1s, F2s, q: QuadSpec, weight=None) -> QuadResult:
+    """<F1, F2> against a weight times nu_t(g) dg, K-part exact, for each
+    pair (F1, F2) of two equal-length sequences.
 
     weight is None (the weight 1), a vectorized map of u = |Y|^2 to a
     factor, or an AxisWeight: y_k * radial(|Y|^2), which depends on the
-    direction of Y, not just its length.  F1 and F2 may be equal-length
-    sequences, a batch of pairs: value, gap and levels are then arrays with
-    each pair's one-call bits.  A common label contributes (vol/d)
-    tr(B1^* B2) (B2 -> dpi(E_k) B2 for an AxisWeight) times its profile sum.
+    direction of Y, not just its length.  Value, gap and levels are arrays
+    with one entry per pair, each with the bits of its batch of one.  A
+    common label contributes (vol/d) tr(B1^* B2) (B2 -> dpi(E_k) B2 for an
+    AxisWeight) times its profile sum.
     """
-    size = None if isinstance(F1, HoloFunc) else len(F1)
-    F1s, F2s = ([F1], [F2]) if size is None else (list(F1), list(F2))
+    F1s, F2s = list(F1s), list(F2s)
     spec, t = F1s[0].spec, F1s[0].t
     if len(F1s) != len(F2s) or any(F.spec != spec or F.t != t for F in F1s + F2s):
         raise ValueError("need pairs of functions of one group spec and one transform time")
@@ -244,7 +244,7 @@ def holo_inner(F1, F2, q: QuadSpec, weight=None) -> QuadResult:
                 b2 = rep_generator(spec, label, axis) @ b2
             trace = (b1.conj() * b2).sum()
             terms.append((p, label, (spec.volume / irrep_dim(spec, label)) * trace, math.exp(2.0 * (half_lam - undo))))
-    return _integrate_profiles(spec, t, q, terms, size, weight)
+    return _integrate_profiles(spec, t, q, terms, len(F1s), weight)
 
 
 def _ball_radii(radius: float, level: int, dim: int):
@@ -257,8 +257,9 @@ def _ball_radii(radius: float, level: int, dim: int):
     return r, half_sphere * radius * w * r ** (dim - 1)
 
 
-def _torus_inverse_level(F: HoloFunc, x, radius: float, level: int) -> complex:
-    """int over the cube |y_i| <= R of F(x e^{iY}) e^{-|Y|^2/2t} dY on a torus (Phi = 1).
+def _torus_inverse_level(F: HoloFunc, xs, radius: float, level: int):
+    """int over the cube |y_i| <= R of F(x e^{iY}) e^{-|Y|^2/2t} dY on a
+    torus (Phi = 1), at each point x of the (N, r) batch xs.
 
     Label n contributes tr(pi_n(x) B_n) times e^{-n.Y} e^{-|Y|^2/2t}, a
     product over the axes, so the Gauss-Legendre tensor rule on the cube
@@ -270,12 +271,13 @@ def _torus_inverse_level(F: HoloFunc, x, radius: float, level: int) -> complex:
     total = 0.0 + 0.0j
     for label, block in F.coefs.entries.items():
         axes = math.prod(np.dot(w, np.exp(-nk * y)) for nk in label)
-        total += np.trace(rep_matrix(F.spec, label, x) @ block) * axes
-    return complex(total)
+        total = total + np.trace(rep_matrix_batch(F.spec, label, xs) @ block, axis1=1, axis2=2) * axes
+    return total
 
 
-def _su2_inverse_level(F: HoloFunc, x, radius: float, level: int) -> complex:
-    """int_{|Y|<=R} F(x e^{iY}) e^{-|Y|^2/2t} / Phi(Y/2) dY on SU(2).
+def _su2_inverse_level(F: HoloFunc, xs, radius: float, level: int):
+    """int_{|Y|<=R} F(x e^{iY}) e^{-|Y|^2/2t} / Phi(Y/2) dY on SU(2), at
+    each point x of the (N, 2, 2) batch xs.
 
     The sphere mean of F(x e^{iY}) is sum_m tr(pi_m(x) B_m) sinh(m r/2) /
     (m sinh(r/2)), so one radial Gauss-Legendre sum per irrep remains; the
@@ -289,45 +291,49 @@ def _su2_inverse_level(F: HoloFunc, x, radius: float, level: int) -> complex:
     total = 0.0 + 0.0j
     for m, block in F.coefs.entries.items():
         undo = min(laplacian_eigenvalue(spec, m) * t / 2.0, 700.0)
-        trace = np.trace(rep_matrix(spec, m, x) @ (math.exp(undo) * block))
+        traces = np.trace(rep_matrix_batch(spec, m, xs) @ (math.exp(undo) * block), axis1=1, axis2=2)
         k = m - 1 - 2.0 * np.arange(m)
         prof = np.exp(log_w[:, None] + 0.5 * r[:, None] * k[None, :] - undo).sum()
-        total += trace * prof / m
-    return complex(total)
+        total = total + traces * prof / m
+    return total
 
 
-def ct_inverse_integral(F: HoloFunc, x, radius: float, q: QuadSpec) -> complex:
-    """Ball-truncated inversion integral at a point x of K:
+def ct_inverse_integral(F: HoloFunc, xs, radius: float, q: QuadSpec):
+    """Truncated inversion integral at each point x of a batch xs of K
+    ((N, r) angles on a torus, (N, 2, 2) matrices on SU(2)):
 
     (2 pi t)^{-d/2} e^{-|delta|^2 t/2} int_{|Y|<=R} F(x e^{iY})
         e^{-|Y|^2/2t} / Phi(Y/2) dY.
 
-    Tori integrate over the cube |y_i| <= R with a Gauss-Legendre rule per
-    axis (_torus_inverse_level); SU(2) integrates over the ball by the
-    radial reduction of _su2_inverse_level.
+    SU(2) integrates over the ball |Y| <= R by the radial reduction of
+    _su2_inverse_level.  Tori integrate over the cube |y_i| <= R instead,
+    with a Gauss-Legendre rule per axis (_torus_inverse_level).  Returns
+    an (N,) array; raises QuadratureError when the largest level gap
+    exceeds the tolerance.
     """
     if radius > MAX_ABS_Y:
         raise ValueError("radius exceeds the |Y| overflow guard")
     spec, t = F.spec, F.t
     level_value = _su2_inverse_level if spec.kind == "su2" else _torus_inverse_level
-    res = integrate_levels(q, lambda level: level_value(F, x, radius, level))
-    if res.gap > max(q.tolerance, 1e-9):
-        raise QuadratureError(f"inversion quadrature gap {res.gap:.3e} exceeds {q.tolerance:.3e}", res)
+    res = integrate_levels(q, lambda level: level_value(F, xs, radius, level))
+    worst = float(np.max(res.gap))
+    if worst > max(q.tolerance, 1e-9):
+        raise QuadratureError(f"inversion quadrature gap {worst:.3e} exceeds {q.tolerance:.3e}", res)
     pref = (2.0 * math.pi * t) ** (-spec.dim / 2.0) * math.exp(-spec.delta_sq * t / 2.0)
     return pref * res.value
 
 
-def inverse_integral_trace(F: HoloFunc, x, radii, q: QuadSpec):
-    """Inversion values over an increasing radius list, with a stability flag.
+def inverse_integral_trace(F: HoloFunc, xs, radii, q: QuadSpec):
+    """Inversion values at a batch of points over an increasing radius list,
+    with one stability flag per point.
 
-    Returns (values, stabilized): stabilized means the last two radii agree
-    to the quadrature tolerance relative to the final value.
+    Returns (values, stabilized): one (N,) array per radius, and an (N,)
+    boolean array; a point is stabilized when its last two radii agree to
+    the quadrature tolerance relative to its final value.
     """
     radii = sorted(radii)
-    values = [ct_inverse_integral(F, x, r, q) for r in radii]
+    values = [ct_inverse_integral(F, xs, r, q) for r in radii]
     tol = q.tolerance
-    if len(values) >= 2:
-        stabilized = abs(values[-1] - values[-2]) <= max(tol, tol * abs(values[-1]))
-    else:
-        stabilized = False
-    return values, stabilized
+    if len(values) < 2:
+        return values, np.zeros(len(values[-1]), dtype=bool)
+    return values, np.abs(values[-1] - values[-2]) <= np.maximum(tol, tol * np.abs(values[-1]))

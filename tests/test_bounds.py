@@ -61,7 +61,7 @@ def test_growth_functional_constant():
     # F is the constant 1; at Y = 0 the functional equals 1 and the
     # Gaussian envelope beats polynomial growth elsewhere
     grid = polar_grid(spec, 6.0)
-    value, arg = growth_functional(F, 1.0, 0, grid)
+    ((value, arg),) = growth_functional(F, 1.0, [0], grid)
     assert value == pytest.approx(1.0, rel=1e-10)
     assert np.allclose(arg, 0.0)
 
@@ -70,11 +70,12 @@ def test_growth_functional_constant():
 def test_smoothness_report_stable(spec):
     label = (2,) if spec.kind == "torus" else 3
     f = CoefVec(spec, {**basis_entry(spec, label).entries, **basis_entry(spec, (0,) if spec.kind == "torus" else 1).entries})
-    rep = smoothness_report(ct_forward(f, 1.0), 1.0, n_max=3, n_radial=20, n_angular=8)
-    assert len(rep.rows) == 4 * 2
-    assert all(rep.stable[n] for n in range(4))
+    rows = smoothness_report(ct_forward(f, 1.0), 1.0, n_max=3)
+    assert len(rows) == 4 * 2
+    assert rows == sorted(rows, key=lambda row: (row[0], row[1]))
+    assert all(stable for _, _, _, stable in rows)
     by_n = {}
-    for n, r, v in rep.rows:
+    for n, r, v, _ in rows:
         by_n.setdefault(n, {})[r] = v
     for n in range(3):
         assert by_n[n][6.0] <= by_n[n + 1][6.0] * (1 + 1e-9)
@@ -93,13 +94,16 @@ def test_growth_functional_orders_match_one_order_calls(spec):
     sups = growth_functional(F, 1.0, range(5), grid)
     assert len(sups) == 5
     for n, (value, arg) in enumerate(sups):
-        one_value, one_arg = growth_functional(F, 1.0, n, grid)
+        ((one_value, one_arg),) = growth_functional(F, 1.0, [n], grid)
         assert value == one_value
         assert np.array_equal(arg, one_arg)
 
 
 @pytest.mark.parametrize("n_max", [0, 4])
 def test_smoothness_report_evaluates_F_once_per_grid(monkeypatch, n_max):
+    # every point of the two grids is evaluated once, in blocks of
+    # GRID_BLOCK, whatever the number of orders
+    from gsb import bounds
     from gsb.coeffs import CoefVec
 
     calls = []
@@ -110,9 +114,11 @@ def test_smoothness_report_evaluates_F_once_per_grid(monkeypatch, n_max):
         return eval_k_batch(self, g)
 
     monkeypatch.setattr(CoefVec, "eval_k_batch", counted)
-    rep = smoothness_report(_two_label_function(su2()), 1.0, n_max=n_max, n_radial=12, n_angular=8)
-    assert len(rep.rows) == 2 * (n_max + 1)
-    assert len(calls) == 2
+    rows = smoothness_report(_two_label_function(su2()), 1.0, n_max=n_max)
+    assert len(rows) == 2 * (n_max + 1)
+    points = len(polar_grid(su2(), bounds.GRID_RADIUS))  # the doubled grid has as many
+    assert sum(calls) == 2 * points
+    assert len(calls) == 2 * -(-points // bounds.GRID_BLOCK)
 
 
 @pytest.mark.parametrize("spec, n_radial", [(torus(2), 100), (su2(), 40)], ids=str)

@@ -230,22 +230,45 @@ def test_kc_suites_batch_their_forms(tmp_path, capsys, monkeypatch, suite, group
     assert 2 <= len(calls) <= 2 * most
 
 
+def _invert_label_3_at_t4(tmp_path, capsys, points, extra):
+    """invert of e_3 + 0.5 on torus:1 at t = 4: (exit code, stdout, report rows)."""
+    coeffs = {"group": "torus:1", "entries": [{"label": [3], "matrix": [[[1.0, 0.0]]]}, {"label": [0], "matrix": [[[0.5, 0.0]]]}]}
+    (tmp_path / "c.json").write_text(json.dumps(coeffs))
+    (tmp_path / "p.json").write_text(json.dumps(points))
+    head = ["invert", "--coeffs", str(tmp_path / "c.json"), "--points", str(tmp_path / "p.json"), "--group", "torus:1", "--t", "4"]
+    out = tmp_path / ("o" + "".join(extra))
+    code, captured = _main_in_process([*head, *extra, "--out", str(out)], capsys)
+    with open(out / "invert_torus-1_t4.csv", newline="") as fp:
+        return code, captured.out, list(csv.DictReader(fp))
+
+
 def test_invert_reads_the_configured_tolerance(tmp_path, capsys):
     # at t = 4 the inversion integrand of label 3 peaks near |Y| = t|n| = 12,
     # past the radii 4, 7, 10: the last two values differ by more than the
-    # default 1e-6, but by less than 0.5
-    coeffs = {"group": "torus:1", "entries": [{"label": [3], "matrix": [[[1.0, 0.0]]]}, {"label": [0], "matrix": [[[0.5, 0.0]]]}]}
-    (tmp_path / "c.json").write_text(json.dumps(coeffs))
-    (tmp_path / "p.json").write_text(json.dumps([[0.3], [1.1]]))
-    head = ["invert", "--coeffs", str(tmp_path / "c.json"), "--points", str(tmp_path / "p.json"), "--group", "torus:1", "--t", "4"]
+    # default 1e-6, but by less than 0.5; the values are off by about 0.84,
+    # more than 0.5 |f(x)|, so every point fails at either tolerance
     stabilized = {}
     for extra in ([], ["--tolerance", "0.5"]):
-        out = tmp_path / ("o" + "".join(extra))
-        code, captured = _main_in_process([*head, *extra, "--out", str(out)], capsys)
-        assert code == 0, captured.err
-        with open(out / "invert_torus-1_t4.csv", newline="") as fp:
-            stabilized[tuple(extra)] = [row["stabilized"] for row in csv.DictReader(fp)]
+        code, _, rows = _invert_label_3_at_t4(tmp_path, capsys, [[0.3], [1.1]], extra)
+        assert code == 1
+        assert [row["tol"] for row in rows] == [format(0.5 if extra else 1e-6, ".17g")] * 2
+        assert [row["pass"] for row in rows] == ["0", "0"]
+        stabilized[tuple(extra)] = [row["stabilized"] for row in rows]
     assert stabilized == {(): ["0", "0"], ("--tolerance", "0.5"): ["1", "1"]}
+
+
+def test_invert_fails_unconverged_points_and_passes_at_larger_radii(tmp_path, capsys):
+    # the default radii 4, 7, 10 miss the integrand's peak near |Y| = 12:
+    # the values are off by 0.84 (56 %) and not stabilized, so invert fails;
+    # radii 20, 24, 28 take in the peak and recover f to rounding
+    code, out, rows = _invert_label_3_at_t4(tmp_path, capsys, [[0.3], [1.7]], [])
+    assert code == 1 and out.splitlines()[-1] == "invert: FAIL"
+    assert [(row["stabilized"], row["pass"]) for row in rows] == [("0", "0")] * 2
+    assert all(0.8 < float(row["abs-err"]) < 0.9 for row in rows)
+    code, out, rows = _invert_label_3_at_t4(tmp_path, capsys, [[0.3], [1.7]], ["--radii", "20,24,28"])
+    assert code == 0 and out.splitlines()[-1] == "invert: PASS"
+    assert [(row["stabilized"], row["pass"]) for row in rows] == [("1", "1")] * 2
+    assert all(float(row["abs-err"]) <= 1e-13 for row in rows)
 
 
 def test_no_command_imports_numpy_random(tmp_path):
@@ -534,18 +557,21 @@ def test_report_names_use_shortest_form_of_t(tmp_path, capsys):
 
 
 def test_report_and_invert_write_one_file_per_t(tmp_path, capsys):
-    # report and invert read every --t, as verify does, and name each file by it
+    # report and invert read every --t, as verify does, name each file by it,
+    # and end on one verdict over every t: at t = 2 the inversion integrand
+    # peaks at |Y| = 2, and radii 7 and 10 differ by more than 1e-6, so the
+    # point is not stabilized and invert fails
     coeffs, pts = tmp_path / "c.json", tmp_path / "p.json"
     coeffs.write_text(json.dumps({"group": "torus:1", "entries": [{"label": [1], "matrix": [[[1.0, 0.0]]]}]}))
     pts.write_text(json.dumps([[0.3]]))
     invert = ["invert", "--coeffs", str(coeffs), "--points", str(pts)]
-    for head, stem in ((["report", "smoothness"], "report_smoothness"), (invert, "invert")):
+    for head, stem, verdict in ((["report", "smoothness"], "report_smoothness", "smoothness: PASS"), (invert, "invert", "invert: FAIL")):
         out = tmp_path / stem
         code, captured = _main_in_process([*head, "--t", "1,2", "--out", str(out)], capsys)
-        assert code == 0, captured.err
+        assert code == (0 if verdict.endswith("PASS") else 1), captured.err
         paths = [out / f"{stem}_torus-1_t{t}.csv" for t in ("1", "2")]
         assert sorted(out.iterdir()) == paths
-        assert captured.out == "".join(f"wrote {path}\n" for path in paths)
+        assert captured.out == "".join(f"wrote {path}\n" for path in paths) + verdict + "\n"
         assert paths[0].read_bytes() != paths[1].read_bytes()
 
 
@@ -582,8 +608,8 @@ def test_report_bounds_writes_report_then_fails_on_failed_check(tmp_path, capsys
         assert float(row["max-ratio"]) == ratio
 
 
-def test_report_bounds_passing_run_prints_no_verdict(tmp_path, capsys):
+def test_report_bounds_passing_run_prints_pass_verdict(tmp_path, capsys):
     out = tmp_path / "o"
     code, captured = _main_in_process(["report", "bounds", "--out", str(out)], capsys)
     assert code == 0, captured.err
-    assert captured.out == f"wrote {out / 'report_bounds_torus-1_t1.csv'}\n"
+    assert captured.out == f"wrote {out / 'report_bounds_torus-1_t1.csv'}\nbounds: PASS\n"

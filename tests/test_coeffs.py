@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gsb.coeffs import CoefVec, basis_entry
-from gsb.groups import random_k, rep_matrix, su2, torus
+from gsb.groups import random_k, rep_matrix_batch, su2, torus
 from gsb.quadrature import integrate_K
 
 
@@ -12,7 +12,7 @@ def test_block_shape_validation():
     with pytest.raises(ValueError):
         CoefVec(su2(), {3: np.eye(2)})
     with pytest.raises(ValueError):
-        basis_entry(torus(1), (1,)).eval_k([0.1, 0.2])  # a point of the wrong rank
+        basis_entry(torus(1), (1,)).eval_k_batch(np.array([[0.1, 0.2]]))  # a point of the wrong rank
 
 
 def test_zero_blocks_dropped():
@@ -31,10 +31,10 @@ def test_plancherel_matches_haar_integral():
 def test_basis_entry_evaluates_to_matrix_entry():
     rng = random.Random(1)
     spec = su2()
-    g = random_k(spec, rng)
+    g = random_k(spec, rng)[None]
     for (i, j) in ((0, 0), (0, 2), (2, 1)):
         f = basis_entry(spec, 3, i, j)
-        assert f.eval_k(g) == pytest.approx(rep_matrix(spec, 3, g)[i, j], abs=1e-12)
+        assert f.eval_k_batch(g)[0] == pytest.approx(rep_matrix_batch(spec, 3, g)[0, i, j], abs=1e-12)
 
 
 def test_eval_k_batch_matches_scalar():
@@ -45,7 +45,8 @@ def test_eval_k_batch_matches_scalar():
     gs = np.stack([random_k(spec, draw) for _ in range(6)])
     batch = f.eval_k_batch(gs)
     for k in range(6):
-        direct = sum(np.trace(rep_matrix(spec, m, gs[k]) @ block) for m, block in f.entries.items())
+        one = gs[k : k + 1]
+        direct = sum(np.trace(rep_matrix_batch(spec, m, one)[0] @ block) for m, block in f.entries.items())
         assert batch[k] == pytest.approx(direct, abs=1e-12)
-        assert f.eval_k(gs[k]) == pytest.approx(batch[k], abs=1e-12)
+        assert f.eval_k_batch(one)[0] == batch[k]  # a batch of one has the batch's bits
 

@@ -12,7 +12,6 @@ from gsb.groups import (
     parse_group,
     random_k,
     rep_generator,
-    rep_matrix,
     rep_matrix_batch,
     su2,
     su2_euler,
@@ -57,25 +56,27 @@ def test_rep_matrix_unitary_homomorphism(m):
     rng = random.Random(m)
     g = random_k(su2(), rng)
     h = random_k(su2(), rng)
-    pg = rep_matrix(su2(), m, g)
-    ph = rep_matrix(su2(), m, h)
+    pg, ph, pgh = rep_matrix_batch(su2(), m, np.stack([g, h, g @ h]))
     assert np.allclose(pg.conj().T @ pg, np.eye(m), atol=1e-12)
-    assert np.allclose(rep_matrix(su2(), m, g @ h), pg @ ph, atol=1e-12)
+    assert np.allclose(pgh, pg @ ph, atol=1e-12)
 
 
 def test_rep_matrix_batch_matches_single():
+    # a batch equals its batches of one, bit for bit: on a torus too, where
+    # n.z as a BLAS matrix-vector product rounds differently by batch size
     rng = random.Random(0)
-    gs = np.stack([random_k(su2(), rng) for _ in range(7)])
-    for m in (1, 2, 3, 4):
-        batch = rep_matrix_batch(su2(), m, gs)
-        for k in range(7):
-            assert np.allclose(batch[k], rep_matrix(su2(), m, gs[k]), atol=1e-12)
+    for spec, labels in ((su2(), (1, 2, 3, 4)), (torus(2), ((2, -3), (1, 1), (-5, 7)))):
+        gs = np.stack([random_k(spec, rng) for _ in range(7)])
+        for label in labels:
+            batch = rep_matrix_batch(spec, label, gs)
+            for k in range(7):
+                assert np.array_equal(batch[k], rep_matrix_batch(spec, label, gs[k : k + 1])[0])
 
 
 def test_torus_rep_is_exponential():
     spec = torus(2)
-    x = np.array([0.3, -1.2])
-    val = rep_matrix(spec, (2, -1), x)[0, 0]
+    x = np.array([[0.3, -1.2]])
+    val = rep_matrix_batch(spec, (2, -1), x)[0, 0, 0]
     assert val == pytest.approx(np.exp(1j * (2 * 0.3 + 1.2)))
 
 
@@ -104,7 +105,8 @@ def test_rep_generator_is_derivative(m):
     for k in range(3):
         X = SU2_BASIS[k]
         h = 1e-6
-        num = (rep_matrix(su2(), m, expm(h * X)) - rep_matrix(su2(), m, expm(-h * X))) / (2 * h)
+        plus, minus = rep_matrix_batch(su2(), m, np.stack([expm(h * X), expm(-h * X)]))
+        num = (plus - minus) / (2 * h)
         assert np.allclose(rep_generator(su2(), m, X), num, atol=1e-8)
 
 

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from gsb.groups import enumerate_irreps, irrep_dim, random_algebra, random_k, rep_matrix, rep_matrix_batch, su2, torus
+from gsb.groups import enumerate_irreps, irrep_dim, random_algebra, random_k, rep_matrix_batch, su2, torus
 from gsb.heat import TailBoundError, _su2_characters, log_nu_t, rho_eval
 from gsb.polar import PointKC, exp_iy_batch, polar_compose
 from gsb.quadrature import integrate_K
@@ -60,18 +60,18 @@ def test_rho_matches_series(spec):
     from gsb.groups import laplacian_eigenvalue
 
     rng = random.Random(4)
-    x = random_k(spec, rng)
+    x = random_k(spec, rng)[None]
     t = 0.8
     direct = 0.0 + 0.0j
     for label in enumerate_irreps(spec, 25):
         lam = laplacian_eigenvalue(spec, label)
         direct += (
-            irrep_dim(spec, label) * math.exp(-lam * t / 2.0) * np.trace(rep_matrix(spec, label, x))
+            irrep_dim(spec, label) * math.exp(-lam * t / 2.0) * np.trace(rep_matrix_batch(spec, label, x)[0])
         )
     direct /= spec.volume
     value, report = rho_eval(spec, t, x)
     assert report.tail_bound <= report.tolerance
-    assert value == pytest.approx(direct, rel=1e-10)
+    assert value[0] == pytest.approx(direct, rel=1e-10)
 
 
 def test_rho_semigroup_at_identity():
@@ -97,8 +97,10 @@ def test_nu_t_closed_form():
         * (r / math.sinh(r))
         * math.exp(-r * r / t)
     )
-    assert np.exp(log_nu_t(spec, t, y)) == pytest.approx(expected, rel=1e-12)
-    assert log_nu_t(spec, t, y) == pytest.approx(math.log(expected), rel=1e-12)
+    value = log_nu_t(spec, t, y[None])
+    assert value.shape == (1,)
+    assert np.exp(value[0]) == pytest.approx(expected, rel=1e-12)
+    assert value[0] == pytest.approx(math.log(expected), rel=1e-12)
 
 
 def test_nu_t_mass():

@@ -24,9 +24,14 @@ def _random_point(spec, rng, scale=0.6):
     return PointKC(spec, random_k(spec, rng), random_algebra(spec, rng, scale))
 
 
+def _one(p):
+    """The point p as a batch of one."""
+    return PointKC(p.spec, p.x[None], p.y[None])
+
+
 def test_query_validation():
     spec = su2()
-    e = PointKC(spec, np.eye(2, dtype=complex), np.zeros(3))
+    e = PointKC(spec, np.eye(2, dtype=complex)[None], np.zeros((1, 3)))
     with pytest.raises(ValueError):
         KernelQuery(e, e, -1.0)
     with pytest.raises(ValueError):
@@ -50,7 +55,7 @@ def test_k_t_is_heat_kernel_at_double_time():
     # with g h^* composed here from scipy's expm
     from scipy.linalg import expm
 
-    from gsb.groups import SU2_BASIS, enumerate_irreps, irrep_dim, laplacian_eigenvalue, rep_matrix
+    from gsb.groups import SU2_BASIS, enumerate_irreps, irrep_dim, laplacian_eigenvalue, rep_matrix_batch
 
     def compose(p):
         return p.x @ expm(1j * np.tensordot(p.y, SU2_BASIS, axes=(0, 0)))
@@ -61,21 +66,23 @@ def test_k_t_is_heat_kernel_at_double_time():
         h = _random_point(spec, rng)
         gh = (g.x + 1j * g.y) - (h.x - 1j * h.y) if spec.kind == "torus" else compose(g) @ compose(h).conj().T
         expected = sum(
-            irrep_dim(spec, pi) * math.exp(-laplacian_eigenvalue(spec, pi) * 0.7) * np.trace(rep_matrix(spec, pi, gh))
+            irrep_dim(spec, pi)
+            * math.exp(-laplacian_eigenvalue(spec, pi) * 0.7)
+            * np.trace(rep_matrix_batch(spec, pi, gh[None])[0])
             for pi in enumerate_irreps(spec, 40)
         )
-        value, _ = rho_eval(spec, 1.4, pair_point(spec, g, h))
-        assert value == pytest.approx(expected / spec.volume, rel=1e-10)
+        value, _ = rho_eval(spec, 1.4, pair_point(spec, _one(g), _one(h)))
+        assert value[0] == pytest.approx(expected / spec.volume, rel=1e-10)
 
 
 def test_sobolev_kernel_n0_reduces_to_k_t():
     # at n = 0 the spectral Sobolev kernel is k_t(g, h) = rho_{2t}(g h^*)
     spec = su2()
     rng = random.Random(1)
-    g, h = _random_point(spec, rng), _random_point(spec, rng)
+    g, h = _one(_random_point(spec, rng)), _one(_random_point(spec, rng))
     q = KernelQuery(g, h, 1.0, n=0, c=1.0)
     expected, _ = rho_eval(spec, 2.0, pair_point(spec, g, h))
-    assert k_sobolev_spectral(q) == pytest.approx(expected, rel=1e-9)
+    assert k_sobolev_spectral(q)[0] == pytest.approx(expected[0], rel=1e-9)
 
 
 @pytest.mark.parametrize("spec", [torus(1), torus(2), su2()])
@@ -84,10 +91,10 @@ def test_two_route_agreement(spec, n):
     rng = random.Random(10 * n)
     c = spec.delta_sq + 1.0
     for _ in range(5):
-        q = KernelQuery(_random_point(spec, rng), _random_point(spec, rng), 1.0, n, c)
-        lhs = k_sobolev_spectral(q)
-        rhs, res = k_sobolev_integral(q, QuadSpec(levels=(48, 64, 96)))
-        assert res.gap < 1e-7
+        q = KernelQuery(_one(_random_point(spec, rng)), _one(_random_point(spec, rng)), 1.0, n, c)
+        (lhs,) = k_sobolev_spectral(q)
+        (rhs,), res = k_sobolev_integral(q, QuadSpec(levels=(48, 64, 96)))
+        assert res.gap[0] < 1e-7
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))
 
 
@@ -95,7 +102,7 @@ def test_two_route_agreement(spec, n):
 @pytest.mark.parametrize("t", [1.0, 2.0])
 @pytest.mark.parametrize("n", [1, 2])
 def test_batched_routes_match_single_queries(spec, t, n):
-    # one query on 15 pairs against 15 one-pair queries; the batch takes one
+    # one query on 15 pairs against its 15 batches of one; the batch takes one
     # series cutoff (largest |Y|, smallest time), which only adds terms whose
     # tail bound was already under tol.  The gap is itself relative, so it is
     # compared in absolute terms.
@@ -108,13 +115,14 @@ def test_batched_routes_match_single_queries(spec, t, n):
     rhs, res = k_sobolev_integral(batch)
     assert lhs.shape == rhs.shape == res.gap.shape == (15,)
     for k in range(15):
-        one = KernelQuery(PointKC(spec, xs[2 * k], ys[2 * k]), PointKC(spec, xs[2 * k + 1], ys[2 * k + 1]), t, n, c)
+        g, h = slice(2 * k, 2 * k + 1), slice(2 * k + 1, 2 * k + 2)
+        one = KernelQuery(PointKC(spec, xs[g], ys[g]), PointKC(spec, xs[h], ys[h]), t, n, c)
         one_lhs = k_sobolev_spectral(one)
         one_rhs, one_res = k_sobolev_integral(one)
-        assert type(one_lhs) is complex and type(one_rhs) is complex and type(one_res.gap) is float
-        assert abs(lhs[k] - one_lhs) <= 1e-11 * abs(one_lhs)
-        assert abs(rhs[k] - one_rhs) <= 1e-11 * abs(one_rhs)
-        assert abs(res.gap[k] - one_res.gap) <= 1e-11
+        assert one_lhs.shape == one_rhs.shape == one_res.gap.shape == (1,)
+        assert abs(lhs[k] - one_lhs[0]) <= 1e-11 * abs(one_lhs[0])
+        assert abs(rhs[k] - one_rhs[0]) <= 1e-11 * abs(one_rhs[0])
+        assert abs(res.gap[k] - one_res.gap[0]) <= 1e-11
 
 
 @pytest.mark.parametrize("spec", [su2(), torus(2)], ids=str)
@@ -136,7 +144,7 @@ def test_gamma_route_matches_spectral_at_small_t(spec, t, n):
 
 def test_integral_route_rejects_n0():
     spec = torus(1)
-    e = PointKC(spec, np.zeros(1), np.zeros(1))
+    e = PointKC(spec, np.zeros((1, 1)), np.zeros((1, 1)))
     with pytest.raises(ValueError):
         k_sobolev_integral(KernelQuery(e, e, 1.0, n=0))
 
@@ -144,9 +152,9 @@ def test_integral_route_rejects_n0():
 def test_diagonal_kernel_positive():
     spec = su2()
     rng = random.Random(2)
-    g = _random_point(spec, rng, scale=1.0)
+    g = _one(_random_point(spec, rng, scale=1.0))
     q = KernelQuery(g, g, 1.0, n=1, c=1.25)
-    val = k_sobolev_spectral(q)
+    (val,) = k_sobolev_spectral(q)
     assert val.real > 0
     assert abs(val.imag) < 1e-10 * val.real
 
@@ -158,10 +166,10 @@ def test_envelopes():
     y = np.array([0.0, 0.0, 1.5])
     t = 1.0
     F = ct_forward(basis_entry(spec, 2, 0, 0), t)
-    value = abs(F.coefs.eval_k(polar_compose(spec, PointKC(spec, np.eye(2, dtype=complex), y)))) ** 2
-    g0, _ = growth_functional(F, t, 0, y[None, :])
-    g2, _ = growth_functional(F, t, 2, y[None, :])
-    assert g0 == pytest.approx(value / (np.exp(log_phi(spec, y)) * math.exp(2.25 / t)), rel=1e-12)
+    g = polar_compose(spec, PointKC(spec, np.eye(2, dtype=complex)[None], y[None]))
+    value = abs(F.coefs.eval_k_batch(g)[0]) ** 2
+    (g0, _), (g2, _) = growth_functional(F, t, [0, 2], y[None, :])
+    assert g0 == pytest.approx(value / (np.exp(log_phi(spec, y[None])[0]) * math.exp(2.25 / t)), rel=1e-12)
     assert g2 == pytest.approx(g0 * (1 + 2.25) ** 4, rel=1e-12)
 
 
@@ -173,16 +181,16 @@ def test_reproducing_identity(spec):
     for _ in range(5):
         y = random_algebra(spec, rng)
         y *= rng.uniform(0.0, 3.0) / np.linalg.norm(y)
-        p = PointKC(spec, random_k(spec, rng), y)
-        residual, gap = reproduce_check(F, p, QuadSpec())
+        p = PointKC(spec, random_k(spec, rng)[None], y[None])
+        (residual,), (gap,) = reproduce_check([F], p, QuadSpec())
         assert residual < 1e-9
         assert gap < 1e-9
 
 
 @pytest.mark.parametrize("spec", [torus(1), torus(2), torus(3), su2()], ids=str)
 def test_reproduce_check_batch_equals_one_point_calls(spec):
-    # a batch of (function, point) pairs, and one function on a point batch,
-    # are their one-point calls, bit for bit
+    # a batch of (function, point) pairs, with three functions or with one
+    # function on every point, is its batches of one, bit for bit
     rng = np.random.default_rng(11)
     draw = random.Random(11)
     labels = enumerate_irreps(spec, 2)
@@ -196,9 +204,9 @@ def test_reproduce_check_batch_equals_one_point_calls(spec):
     draws = [(random_k(spec, draw), random_algebra(spec, draw)) for _ in range(6)]
     xs, ys = (np.stack(part) for part in zip(*draws))
     q = QuadSpec(levels=(12, 16, 24))
-    for F in ([Fs[k // 2] for k in range(6)], Fs[0]):
+    for F in ([Fs[k // 2] for k in range(6)], [Fs[0]] * 6):
         residual, gap = reproduce_check(F, PointKC(spec, xs, ys), q)
         assert residual.shape == gap.shape == (6,)
-        for k, (x, y) in enumerate(draws):
-            one = reproduce_check(F if F is Fs[0] else F[k], PointKC(spec, x, y), q)
-            assert (residual[k], gap[k]) == one
+        for k in range(6):
+            one_residual, one_gap = reproduce_check(F[k : k + 1], PointKC(spec, xs[k : k + 1], ys[k : k + 1]), q)
+            assert (residual[k], gap[k]) == (one_residual[0], one_gap[0])

@@ -36,14 +36,14 @@ def test_abs_y_reads_back_the_composed_norm(spec):
 
 
 def test_phi_values():
-    assert np.exp(log_phi(torus(3), np.ones(3))) == 1.0
-    y = np.array([0.0, 0.0, 2.0])
-    assert np.exp(log_phi(su2(), y)) == pytest.approx(2.0 / math.sinh(2.0))
-    assert np.exp(log_phi(su2(), np.zeros(3))) == pytest.approx(1.0)
-    # log form stays finite far beyond double overflow of sinh
-    assert log_phi(su2(), np.array([40.0, 0.0, 0.0])) == pytest.approx(
-        math.log(40.0) + math.log(2.0) - 40.0, rel=1e-12
-    )
+    assert np.array_equal(np.exp(log_phi(torus(3), np.ones((2, 3)))), np.ones(2))
+    # the origin, |Y| = 2, and |Y| = 40, where the log form stays finite far
+    # beyond double overflow of sinh
+    values = log_phi(su2(), np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0], [40.0, 0.0, 0.0]]))
+    assert values.shape == (3,)
+    assert np.exp(values[0]) == pytest.approx(1.0)
+    assert np.exp(values[1]) == pytest.approx(2.0 / math.sinh(2.0))
+    assert values[2] == pytest.approx(math.log(40.0) + math.log(2.0) - 40.0, rel=1e-12)
 
 
 def test_polar_compose_matches_expm():

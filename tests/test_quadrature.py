@@ -84,8 +84,8 @@ def test_laguerre_rational_against_adaptive():
 
 @pytest.mark.parametrize("floor", [0.0, 1e-3])
 def test_integrate_levels_array_values_match_scalar_calls(floor):
-    # one call on a length-5 array gives, element by element, the bits of a
-    # one-value call; element 1 vanishes on every level (gap 0), element 2
+    # one call on a length-5 array gives, element by element, the bits of
+    # its batch of one; element 1 vanishes on every level (gap 0), element 2
     # is below the floor of 1e-3, element 3 is real
     q = QuadSpec(levels=(8, 12, 16))
     base = np.array([1.0 + 2.0j, 0.0, 3e-7 - 1e-7j, -2.5, 4e5j])
@@ -97,11 +97,11 @@ def test_integrate_levels_array_values_match_scalar_calls(floor):
     assert res.value.shape == res.gap.shape == (5,)
     assert res.gap[1] == 0.0
     for k in range(5):
-        one = integrate_levels(q, lambda level: value_at(level)[k], floor)
-        assert type(one.value) is complex and type(one.gap) is float
-        assert res.value[k] == one.value
-        assert res.gap[k] == one.gap
-        assert tuple(complex(v[k]) for v in res.by_level) == one.by_level
+        one = integrate_levels(q, lambda level: value_at(level)[k : k + 1], floor)
+        assert one.value.shape == one.gap.shape == (1,)
+        assert res.value[k] == one.value[0]
+        assert res.gap[k] == one.gap[0]
+        assert all(v[k] == w[0] for v, w in zip(res.by_level, one.by_level))
 
 
 def test_integrate_K_volume():

@@ -113,9 +113,9 @@ def test_sobolev_isometry(spec):
     f = basis_entry(spec, label, 0, 0)
     t, n, c = 1.0, 1, spec.delta_sq + 1.0
     G, q = sobolev_shift(ct_forward(f, t), n, c), QuadSpec()
-    res = holo_inner(G, G, q)
-    assert res.gap <= q.tolerance
-    assert math.sqrt(res.value.real) == pytest.approx(sobolev_norm(f, n, c), rel=1e-8)
+    res = holo_inner([G], [G], q)
+    assert res.gap[0] <= q.tolerance
+    assert math.sqrt(res.value[0].real) == pytest.approx(sobolev_norm(f, n, c), rel=1e-8)
 
 
 @pytest.mark.parametrize("spec", [torus(1), su2()])
@@ -125,7 +125,7 @@ def test_toeplitz_identity(spec):
     t, n, c = 1.0, 1, spec.delta_sq + 1.0
     F = ct_forward(f, t)
     lhs = sobolev_shift(f, n, c).plancherel_norm() ** 2
-    rhs = holo_inner(sobolev_shift(F, n, c), F, QuadSpec(), weight=toeplitz_symbol(spec, t, c, n)).value
+    (rhs,) = holo_inner([sobolev_shift(F, n, c)], [F], QuadSpec(), weight=toeplitz_symbol(spec, t, c, n)).value
     assert rhs.real == pytest.approx(lhs, rel=1e-8)
     assert abs(rhs.imag) < 1e-8 * lhs
 
@@ -137,7 +137,7 @@ def test_first_order_identity(spec, k):
     f1 = basis_entry(spec, labels[0], 0, 0)
     f2 = CoefVec(spec, {**basis_entry(spec, labels[1], 0, 0).entries, labels[0]: 0.3 * f1.entries[labels[0]]})
     F1, F2 = ct_forward(f1, 1.0), ct_forward(f2, 1.0)
-    lhs, rhs = (res.value for res in first_order_forms(F1, F2, k, QuadSpec()))
+    lhs, rhs = (res.value[0] for res in first_order_forms([F1], [F2], k, QuadSpec()))
     scale = f1.plancherel_norm() * f2.plancherel_norm()
     assert abs(lhs - rhs) <= 1e-8 * scale
 
@@ -152,8 +152,8 @@ def test_vector_field_torus_eigen():
 def test_weighted_norm_n0_is_l2():
     spec = su2()
     F, q = ct_forward(basis_entry(spec, 3, 1, 0), 1.0), QuadSpec()
-    res = holo_inner(F, F, q)
-    assert res.gap <= q.tolerance
-    base = math.sqrt(res.value.real)
-    assert math.sqrt(weighted_form(F, 0, q).value.real) == pytest.approx(base, rel=1e-10)
-    assert math.sqrt(weighted_form(F, 1, q).value.real) > base
+    res = holo_inner([F], [F], q)
+    assert res.gap[0] <= q.tolerance
+    base = math.sqrt(res.value[0].real)
+    assert math.sqrt(weighted_form([F], 0, q).value[0].real) == pytest.approx(base, rel=1e-10)
+    assert math.sqrt(weighted_form([F], 1, q).value[0].real) > base

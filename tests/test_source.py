@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -28,3 +29,11 @@ def test_no_unused_imports(path):
             imported |= {alias.asname or alias.name for alias in node.names}
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - read - _exported(tree)) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_exported_name_resolves(path):
+    # a name left in __all__ after its definition was deleted passes the
+    # import check above, so each module is imported and every name looked up
+    module = importlib.import_module("gsb" if path.stem == "__init__" else f"gsb.{path.stem}")
+    assert sorted(name for name in _exported(ast.parse(path.read_text())) if not hasattr(module, name)) == []

@@ -91,12 +91,12 @@ def test_holo_inner_matches_tensor_oracle(rank, t):
         cases.append((axis, axis))
     k11, k22, k12 = _k_part(F1, F1), _k_part(F2, F2), _k_part(F1, F2)
     for weight, node_weight in cases:
-        res = holo_inner(F1, F2, Q, weight=weight)
+        res = holo_inner([F1], [F2], Q, weight=weight)
         size = None if node_weight is None else (lambda ys, w=node_weight: np.abs(w(ys)))
         # the Cauchy-Schwarz bound of the form, the size its rounding is judged by
         scale = math.sqrt(abs(_oracle(k11, size) * _oracle(k22, size)))
         oracle = _oracle(k12, node_weight)
-        for value in res.by_level:
+        for (value,) in res.by_level:
             _close(value, oracle, scale)
 
 
@@ -108,11 +108,11 @@ def test_shifted_rule_moments_every_rank(rank):
     nsq = sum(k * k for k in n)
     F = ct_forward(CoefVec(torus(rank), {n: np.array([[1.0 + 0.0j]])}), t)
     vol = torus(rank).volume
-    mass = holo_inner(F, F, Q)
-    second = holo_inner(F, F, Q, weight=lambda u: u)
-    for value in mass.by_level:
+    mass = holo_inner([F], [F], Q)
+    second = holo_inner([F], [F], Q, weight=lambda u: u)
+    for (value,) in mass.by_level:
         assert value == pytest.approx(vol, rel=1e-13)
-    for value in second.by_level:
+    for (value,) in second.by_level:
         assert value == pytest.approx(vol * (t * t * nsq + rank * t / 2.0), rel=1e-13)
 
 
@@ -126,11 +126,11 @@ def test_reproduce_check_matches_tensor_oracle(rank, t):
     damped = F.coefs.spectral(lambda lam: math.exp(-lam * t))
     for _ in range(3):
         y = random_algebra(spec, draw)
-        g = PointKC(spec, random_k(spec, draw), y * (1.5 / np.linalg.norm(y)))
-        fg = F.coefs.eval_k(polar_compose(spec, g))
-        residual, gap = reproduce_check(F, g, Q)
+        g = PointKC(spec, random_k(spec, draw)[None], (y * (1.5 / np.linalg.norm(y)))[None])
+        fg = F.coefs.eval_k_batch(polar_compose(spec, g))[0]
+        (residual,), (gap,) = reproduce_check([F], g, Q)
         rule = kspace_rule(spec, t, ORACLE_LEVEL[rank])
-        zs = np.asarray(polar_compose(spec, g))[None, :] + 2j * rule.nodes
+        zs = polar_compose(spec, g) + 2j * rule.nodes
         oracle = complex(np.dot(rule.weights, damped.eval_k_batch(zs)))
         oracle_residual = abs(fg - oracle) / (1.0 + abs(fg))
         assert oracle_residual <= 1e-12
@@ -159,6 +159,6 @@ def test_ct_inverse_integral_matches_tensor_oracle(rank, t):
     F = _random_holo(rank, t, _labels(rank, rng), rng)
     x = random_k(spec, draw)
     levels = (20, 24)
-    reduced = ct_inverse_integral(F, x, 4.0, QuadSpec(levels=levels, tolerance=1e-6))
+    (reduced,) = ct_inverse_integral(F, x[None], 4.0, QuadSpec(levels=levels, tolerance=1e-6))
     scale = sum(abs(b[0, 0]) * math.exp(t * sum(k * k for k in n) / 2.0) for n, b in F.coefs.entries.items())
     _close(reduced, _oracle_inverse(F, x, 4.0, levels[-1]), scale)

@@ -39,9 +39,9 @@ def test_eval_holo_restricts_to_K():
     rng = random.Random(1)
     f = basis_entry(spec, 2, 1, 0)
     F = ct_forward(f, 1.0)
-    x = random_k(spec, rng)
-    p = PointKC(spec, x, np.zeros(3))
-    assert F.coefs.eval_k(polar_compose(spec, p)) == pytest.approx(F.coefs.eval_k(x), abs=1e-12)
+    x = random_k(spec, rng)[None]
+    p = PointKC(spec, x, np.zeros((1, 3)))
+    assert F.coefs.eval_k_batch(polar_compose(spec, p))[0] == pytest.approx(F.coefs.eval_k_batch(x)[0], abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -52,9 +52,9 @@ def test_unitarity_single_entries(spec, label):
     q = QuadSpec(tolerance=1e-6)
     for t in (0.5, 2.0):
         F = ct_forward(f, t)
-        res = holo_inner(F, F, q)
-        assert res.gap <= q.tolerance
-        assert math.sqrt(res.value.real) == pytest.approx(f.plancherel_norm(), rel=1e-9)
+        res = holo_inner([F], [F], q)
+        assert res.gap[0] <= q.tolerance
+        assert math.sqrt(res.value[0].real) == pytest.approx(f.plancherel_norm(), rel=1e-9)
 
 
 def test_holo_inner_orthogonality():
@@ -62,10 +62,10 @@ def test_holo_inner_orthogonality():
     q = QuadSpec(tolerance=1e-6)
     F1 = ct_forward(basis_entry(spec, 2, 0, 0), 1.0)
     F2 = ct_forward(basis_entry(spec, 2, 0, 1), 1.0)
-    res = holo_inner(F1, F2, q)
-    assert abs(res.value) < 1e-10
+    res = holo_inner([F1], [F2], q)
+    assert abs(res.value[0]) < 1e-10
     with pytest.raises(ValueError):
-        holo_inner(F1, ct_forward(basis_entry(spec, 2, 0, 0), 2.0), q)
+        holo_inner([F1], [ct_forward(basis_entry(spec, 2, 0, 0), 2.0)], q)
 
 
 def test_holo_inner_weight_is_expectation():
@@ -73,8 +73,8 @@ def test_holo_inner_weight_is_expectation():
     spec = torus(1)
     t = 0.9
     F = ct_forward(basis_entry(spec, (0,)), t)
-    res = holo_inner(F, F, QuadSpec(), weight=lambda u: u)
-    assert res.value.real == pytest.approx(2 * math.pi * t / 2.0, rel=1e-12)
+    res = holo_inner([F], [F], QuadSpec(), weight=lambda u: u)
+    assert res.value[0].real == pytest.approx(2 * math.pi * t / 2.0, rel=1e-12)
 
 
 def _random_functions(spec, t, rng, count=4):
@@ -96,8 +96,8 @@ def _random_functions(spec, t, rng, count=4):
 @pytest.mark.parametrize("spec", [torus(1), torus(2), torus(3), su2()], ids=str)
 @pytest.mark.parametrize("weight", ["none", "symbol", "power", "axis"])
 def test_holo_inner_batch_equals_one_pair_calls(spec, weight):
-    # a batch of pairs is its one-pair calls, bit for bit: value, gap and
-    # every level
+    # a batch of pairs is its batches of one pair, bit for bit: value, gap
+    # and every level
     t, n = 0.7, 2
     weight = {
         "none": None,
@@ -112,10 +112,10 @@ def test_holo_inner_batch_equals_one_pair_calls(spec, weight):
     batch = holo_inner(F1s, F2s, q, weight)
     assert batch.value.shape == batch.gap.shape == (len(F1s),)
     for i, (F1, F2) in enumerate(zip(F1s, F2s)):
-        one = holo_inner(F1, F2, q, weight)
-        assert batch.value[i] == one.value
-        assert batch.gap[i] == one.gap
-        assert [level[i] for level in batch.by_level] == list(one.by_level)
+        one = holo_inner([F1], [F2], q, weight)
+        assert batch.value[i] == one.value[0]
+        assert batch.gap[i] == one.gap[0]
+        assert [level[i] for level in batch.by_level] == [level[0] for level in one.by_level]
     assert 0 < np.count_nonzero(batch.value) < len(F1s)
 
 
@@ -123,12 +123,12 @@ def test_quadrature_error_raised():
     spec = torus(1)
     F = ct_forward(basis_entry(spec, (5,)), 2.0)
     # the shifted rule is exact here, so the two levels differ only by rounding
-    gap = holo_inner(F, F, QuadSpec(levels=(8, 12))).gap
+    (gap,) = holo_inner([F], [F], QuadSpec(levels=(8, 12))).gap
     assert 0.0 < gap <= 1e-14
     # the inversion integral refuses a level gap above its tolerance
     with pytest.raises(QuadratureError) as info:
-        ct_inverse_integral(F, np.zeros(1), 10.0, QuadSpec(levels=(4, 6)))
-    assert info.value.result.gap > 1e-6
+        ct_inverse_integral(F, np.zeros((1, 1)), 10.0, QuadSpec(levels=(4, 6)))
+    assert info.value.result.gap[0] > 1e-6
 
 
 def test_inverse_integral_torus():
@@ -136,10 +136,10 @@ def test_inverse_integral_torus():
     f = CoefVec(spec, {(1,): [[1.0]], (-2,): [[0.5 + 0.5j]]})
     F = ct_forward(f, 1.0)
     rng = random.Random(3)
-    for _ in range(3):
-        x = random_k(spec, rng)
-        rec = ct_inverse_integral(F, x, 10.0, INVERSE_Q)
-        assert abs(rec - f.eval_k(x)) < 1e-10
+    xs = np.stack([random_k(spec, rng) for _ in range(3)])
+    rec = ct_inverse_integral(F, xs, 10.0, INVERSE_Q)
+    assert rec.shape == (3,)
+    assert np.all(np.abs(rec - f.eval_k_batch(xs)) < 1e-10)
 
 
 def test_inverse_integral_su2_character():
@@ -147,14 +147,31 @@ def test_inverse_integral_su2_character():
     f = CoefVec(spec, {2: np.eye(2)})
     F = ct_forward(f, 1.0)
     rng = random.Random(4)
-    x = random_k(spec, rng)
+    x = random_k(spec, rng)[None]
     values, stabilized = inverse_integral_trace(F, x, [4.0, 7.0, 10.0], INVERSE_Q)
-    assert stabilized
-    assert abs(values[-1] - f.eval_k(x)) < 1e-6
+    assert stabilized.tolist() == [True]
+    assert abs(values[-1][0] - f.eval_k_batch(x)[0]) < 1e-6
 
 
 def test_inverse_radius_guard():
     spec = torus(1)
     F = ct_forward(basis_entry(spec, (1,)), 1.0)
     with pytest.raises(ValueError):
-        ct_inverse_integral(F, np.zeros(1), 60.0, INVERSE_Q)
+        ct_inverse_integral(F, np.zeros((1, 1)), 60.0, INVERSE_Q)
+
+
+@pytest.mark.parametrize("spec", [torus(1), torus(2), su2()], ids=str)
+def test_ct_inverse_integral_batch_equals_one_point_calls(spec):
+    # a point batch is its batches of one, bit for bit, and so is the
+    # stability flag of each point
+    Fs = _random_functions(spec, 0.8, np.random.default_rng(9), count=1)
+    rng = random.Random(9)
+    xs = np.stack([random_k(spec, rng) for _ in range(5)])
+    batch = ct_inverse_integral(Fs[0], xs, 7.0, INVERSE_Q)
+    values, stabilized = inverse_integral_trace(Fs[0], xs, [4.0, 7.0], INVERSE_Q)
+    assert batch.shape == stabilized.shape == (5,)
+    assert np.array_equal(values[-1], batch)
+    for k in range(5):
+        one = ct_inverse_integral(Fs[0], xs[k : k + 1], 7.0, INVERSE_Q)
+        assert one.shape == (1,) and one[0] == batch[k]
+        assert inverse_integral_trace(Fs[0], xs[k : k + 1], [4.0, 7.0], INVERSE_Q)[1][0] == stabilized[k]
