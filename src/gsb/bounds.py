@@ -191,9 +191,9 @@ def kernel_bound_check(spec: GroupSpec, t: float):
                           e^{|Y|^2/tau} Phi(Y) (1 + slack)
 
     for tau = t, 2t, 4t and slack 0.05, on the radius-4 polar grid of 16
-    radii by 8 angles, with g = e^{iY} (so g g^* = e^{2iY}).  Returns
-    (rows, ok) where rows are (tau, max ratio of left side to the slack-free
-    bound).
+    radii by 8 angles, with g = e^{iY} (so g g^* = e^{2iY}).  Returns one
+    row (tau, max ratio of left side to the slack-free bound, ratio <= 1 +
+    slack) per tau.
     """
     alpha = alpha_t_estimate(spec, t)
     ys = polar_grid(spec, 4.0, n_radial=16, n_angular=8)
@@ -206,4 +206,4 @@ def kernel_bound_check(spec: GroupSpec, t: float):
             math.log(alpha) + (spec.rank - spec.dim) / 2.0 * math.log(tau) + spec.delta_sq * tau + u / tau + log_phis
         )
         rows.append((tau, float(np.max(np.abs(value) / np.exp(log_bound)))))
-    return rows, all(worst <= 1.05 for _, worst in rows)
+    return [(tau, worst, worst <= 1.05) for tau, worst in rows]

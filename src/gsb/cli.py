@@ -33,8 +33,8 @@ from .groups import (
 )
 from .heat import TailBoundError, log_nu_t
 from .kernels import KernelQuery, k_sobolev_integral, k_sobolev_spectral, reproduce_check
-from .polar import MAX_ABS_Y, PointKC, log_phi
-from .quadrature import MAX_ORDER, QuadSpec, integrate_levels, rel_gap
+from .polar import PointKC, log_phi
+from .quadrature import MAX_ORDER, QuadSpec, integrate_levels, rel_gap, roots_legendre
 from .sobolev import (
     first_order_forms,
     laplacian_apply,
@@ -44,10 +44,10 @@ from .sobolev import (
     toeplitz_symbol,
     weighted_form,
 )
-from .transform import QuadratureError, _ball_radii, ct_forward, holo_inner, inverse_integral_trace
+from .transform import ct_forward, ct_inverse_integral, holo_inner, inversion_radii
 
 REPORT_COLUMNS = {
-    "bounds": ["tau", "max-ratio", "alpha_t", "chamber"],
+    "bounds": ["tau", "max-ratio", "alpha_t", "chamber", "pass"],
     "smoothness": ["n", "radius", "G_n", "stable"],
     "lattice": ["tau", "scaled-sum", "target", "rel-gap"],
     "symbol": ["n", "degree", "power-of-u", "coefficient"],
@@ -84,7 +84,6 @@ class RunConfig:
     c: float | None = _flag(None, float, "spectral shift (default: positivity threshold)")
     cutoff: int = _flag(4, int, "irrep label cutoff (max 64)")
     levels: tuple = _flag((64, 96), int, "comma list of quadrature levels")
-    radii: tuple = _flag((4.0, 7.0, 10.0), float, "comma list of inversion radii")
     tau: tuple = _flag((1.0, 4.0, 16.0, 64.0, 256.0), float, "comma list of lattice scales")
     tolerance: float | None = _flag(None, float, "override the suite or invert tolerance")
     seed: int = _flag(0, int, "RNG seed for sampled cases")
@@ -112,8 +111,6 @@ class RunConfig:
             raise ConfigError("t values must be positive and finite")
         if not (1 <= self.cutoff <= 64):
             raise ConfigError("cutoff must be in 1..64")
-        if not all(0 < r <= MAX_ABS_Y for r in self.radii):
-            raise ConfigError(f"radii must lie in (0, {MAX_ABS_Y}]")
         if any(n < 0 for n in self.n):
             raise ConfigError("n values must be nonnegative")
         if not all(0 < tau < math.inf for tau in self.tau):
@@ -254,7 +251,9 @@ def _mass_level(spec: GroupSpec, t: float, radius: float, level: int) -> complex
     rule on [0, R] with weight |S^{dim-1}| r^{dim-1}: the integrand is radial on
     every group, so it is evaluated along one unit direction with every
     coordinate nonzero (a density that ignored a coordinate would fail)."""
-    r, weights = _ball_radii(radius, level, spec.dim)
+    x, w = roots_legendre(level)
+    r = radius * (x + 1.0) / 2.0
+    weights = math.pi ** (spec.dim / 2.0) / math.gamma(spec.dim / 2.0) * radius * w * r ** (spec.dim - 1)
     nodes = r[:, None] * np.full(spec.dim, 1.0 / math.sqrt(spec.dim))
     return np.dot(weights, np.exp(log_nu_t(spec, t, nodes) - 2.0 * log_phi(spec, nodes)))
 
@@ -449,9 +448,9 @@ def _report_rows(kind: str, cfg: RunConfig, t: float):
         return smoothness_report(ct_forward(f, t), t, n_max=max(cfg.n)), True
     # bounds
     alpha = alpha_t_estimate(spec, t)
-    checked, ok = kernel_bound_check(spec, t)
     chamber = "full-lattice" if spec.kind == "torus" else "halfline"
-    return [(tau, ratio, alpha, chamber) for tau, ratio in checked], ok
+    rows = [(tau, ratio, alpha, chamber, ok) for tau, ratio, ok in kernel_bound_check(spec, t)]
+    return rows, all(row[-1] for row in rows)
 
 
 def cmd_report(kind: str, cfg: RunConfig) -> int:
@@ -498,21 +497,23 @@ def cmd_invert(cfg: RunConfig, coeff_path: str, points_path: str) -> int:
         if f.spec != cfg.spec:
             raise ConfigError("coefficient file group does not match --group")
         points = _parse_points(f.spec, points_path)
+        inversion_radii(f.spec, max(cfg.t), f.support)  # refuses a radius past |Y| = MAX_ABS_Y
     except (ConfigError, KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    columns = ["point", "value-re", "value-im", "exact-re", "exact-im", "abs-err", "stabilized", "tol", "pass"]
-    q = cfg.quad(1e-6)
+    columns = ["point", "value-re", "value-im", "exact-re", "exact-im", "abs-err", "stabilized", "tol", "pass", "gap"]
+    tol = cfg.quad(1e-6).tolerance
     exact = f.eval_k_batch(points).tolist()
 
     def result_at(t):
-        values, stabilized = inverse_integral_trace(ct_forward(f, t), points, cfg.radii, q)
+        radii = inversion_radii(f.spec, t, f.support)
+        (inner, outer), gap = ct_inverse_integral(ct_forward(f, t), points, radii, cfg.quad(1e-6))
         rows = []
-        for k, (rec, ex, stable) in enumerate(zip(values[-1].tolist(), exact, stabilized.tolist())):
-            err = abs(rec - ex)
-            passed = stable and err <= q.tolerance * max(1.0, abs(ex))
-            rows.append((f"p{k}", rec.real, rec.imag, ex.real, ex.imag, err, stable, q.tolerance, passed))
-        return rows, all(row[-1] for row in rows)
+        for k, (a, rec, ex, g) in enumerate(zip(inner.tolist(), outer.tolist(), exact, gap.tolist())):
+            stable, err = abs(rec - a) <= tol * max(1.0, abs(rec)), abs(rec - ex)
+            passed = stable and g <= tol and err <= tol * max(1.0, abs(ex))
+            rows.append((f"p{k}", rec.real, rec.imag, ex.real, ex.imag, err, stable, tol, passed, g))
+        return rows, all(row[8] for row in rows)
 
     return _write_reports(cfg, "invert", columns, result_at)
 
@@ -559,7 +560,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TailBoundError, QuadratureError, OverflowError, FloatingPointError) as exc:
+    except (TailBoundError, OverflowError, FloatingPointError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -59,18 +59,18 @@ class CoefVec:
             total += vol / irrep_dim(self.spec, label) * float(np.sum(np.abs(block) ** 2))
         return math.sqrt(total)
 
+    def label_traces(self, xs: np.ndarray) -> dict:
+        """tr(pi(x) B_pi) at each element x of a batch ((N, r) torus angles or
+        (N, 2, 2) matrices, in K or K_C): one (N,) array per label."""
+        return {
+            label: np.einsum("nij,ji->n", rep_matrix_batch(self.spec, label, xs), block)
+            for label, block in self.entries.items()
+        }
+
     def eval_k_batch(self, xs: np.ndarray) -> np.ndarray:
-        """f at each element of a batch: (N, r) torus angles, or (N, 2, 2)
-        matrices on SU(2); holomorphic, so K_C elements work alike."""
-        out = None
-        for label, block in self.entries.items():
-            mats = rep_matrix_batch(self.spec, label, xs)
-            vals = np.einsum("nij,ji->n", mats, block)
-            out = vals if out is None else out + vals
-        if out is None:
-            n = xs.shape[0] if hasattr(xs, "shape") else len(xs)
-            return np.zeros(n, dtype=complex)
-        return out
+        """f at each element of a batch: the sum of its label traces."""
+        traces = list(self.label_traces(xs).values())
+        return sum(traces[1:], traces[0]) if traces else np.zeros(len(xs), dtype=complex)
 
 
 def basis_entry(spec: GroupSpec, label, i: int = 0, j: int = 0) -> CoefVec:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupSpec, rep_matrix_batch
+from .groups import GroupSpec
 from .heat import _sum_series, rho_eval
 from .polar import PointKC, polar_compose
 from .quadrature import QuadSpec, integrate_laguerre
@@ -114,12 +114,11 @@ def reproduce_check(Fs, g: PointKC, q: QuadSpec):
     g_mats = polar_compose(spec, g)
     if len(Fs) != len(g_mats):
         raise ValueError("need one function per point")
-    fg, terms = np.empty(len(Fs), dtype=complex), []
+    fg, terms = np.zeros(len(Fs), dtype=complex), []
     for G in {id(G): G for G in Fs}.values():  # each function on all of its points at once
         idx = [i for i, H in enumerate(Fs) if H is G]
-        fg[idx] = G.coefs.eval_k_batch(g_mats[idx])
-        for label, block in sorted(G.coefs.entries.items()):
-            traces = np.trace(rep_matrix_batch(spec, label, g_mats[idx]) @ block, axis1=1, axis2=2)
+        for label, traces in sorted(G.coefs.label_traces(g_mats[idx]).items()):
+            fg[idx] += traces
             terms += [(i, label, tr, 1.0) for i, tr in zip(idx, traces)]
     fg = fg.tolist()
     scale = [1.0 + abs(v) for v in fg]

@@ -45,9 +45,8 @@ from .groups import (
     irrep_dim,
     laplacian_eigenvalue,
     rep_generator,
-    rep_matrix_batch,
 )
-from .polar import MAX_ABS_Y, log_phi
+from .polar import MAX_ABS_Y
 from .polar import exp_iy_batch  # bound here because bench/trace_layers.LAYERS resolves it here
 from .quadrature import (
     QuadResult,
@@ -62,21 +61,12 @@ from .quadrature import (
 __all__ = [
     "AxisWeight",
     "HoloFunc",
-    "QuadratureError",
     "ct_forward",
     "holo_inner",
     "ct_inverse_integral",
-    "inverse_integral_trace",
+    "inversion_radii",
     "exp_iy_batch",
 ]
-
-
-class QuadratureError(RuntimeError):
-    """Inter-level quadrature agreement failed; carries the level trace."""
-
-    def __init__(self, message: str, result: QuadResult):
-        super().__init__(message)
-        self.result = result
 
 
 @dataclass(frozen=True)
@@ -247,93 +237,76 @@ def holo_inner(F1s, F2s, q: QuadSpec, weight=None) -> QuadResult:
     return _integrate_profiles(spec, t, q, terms, len(F1s), weight)
 
 
-def _ball_radii(radius: float, level: int, dim: int):
-    """Radii r_i and weights (R/2) w_i |S^{dim-1}| r_i^{dim-1} of the
-    Gauss-Legendre rule on [0, R]: sum_i W_i f(r_i) ~ int_{|Y|<=R} f(|Y|) dY
-    on R^dim."""
-    x, w = roots_legendre(level)
-    r = radius * (x + 1.0) / 2.0
-    half_sphere = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
-    return r, half_sphere * radius * w * r ** (dim - 1)
+def inversion_radii(spec: GroupSpec, t: float, labels):
+    """The truncation radii R = t reach + sqrt(2t ln 2^52) and R' = R +
+    sqrt(2t) of the inversion integral of a function with these labels,
+    reach = max |n_k| on a torus and m/2 on SU(2); a ValueError names the
+    largest t the labels allow when R' passes MAX_ABS_Y.
+
+    Past R a label keeps at most 2^-52 of its integral per torus axis, and
+    2^-52 (1/2 + 1/(m sqrt(pi t/2))) on SU(2).  Its share inside R
+    (_inverse_profiles) is int_{-R}^{R} p(y) e^{-(y - c)^2/2t} dy over the
+    whole line's: p = 1, c = -t n_k per torus axis; p = y, c = mt/2 on SU(2)
+    (r -> -r in the term at -c).  Each end lies d >= sqrt(2t ln 2^52) from
+    c, as |c| <= t reach, and (u + d)^2 >= u^2 + d^2 gives int_d^inf
+    e^{-u^2/2t} du <= e^{-d^2/2t} sqrt(pi t/2), while int_d^inf u e^{-u^2/2t}
+    du = t e^{-d^2/2t}: against the whole integrals sqrt(2 pi t) and
+    c sqrt(2 pi t), with e^{-d^2/2t} = 2^-52, that is the bound.
+    """
+    reach = max((m / 2.0 if spec.kind == "su2" else max(map(abs, m)) for m in labels), default=0.0)
+    tail = math.sqrt(2.0 * 52.0 * math.log(2.0))
+    radius = t * reach + tail * math.sqrt(t)
+    if radius + math.sqrt(2.0 * t) > MAX_ABS_Y:
+        b = tail + math.sqrt(2.0)  # R' = reach t + b sqrt(t), so sqrt(t_max) solves reach s^2 + b s = MAX_ABS_Y
+        t_max = (2.0 * MAX_ABS_Y / (b + math.sqrt(b * b + 4.0 * reach * MAX_ABS_Y))) ** 2
+        raise ValueError(f"the inversion radius passes |Y| = {MAX_ABS_Y:g}; the largest t these labels allow is {t_max:.6g}")
+    return radius, radius + math.sqrt(2.0 * t)
 
 
-def _torus_inverse_level(F: HoloFunc, xs, radius: float, level: int):
-    """int over the cube |y_i| <= R of F(x e^{iY}) e^{-|Y|^2/2t} dY on a
-    torus (Phi = 1), at each point x of the (N, r) batch xs.
-
-    Label n contributes tr(pi_n(x) B_n) times e^{-n.Y} e^{-|Y|^2/2t}, a
-    product over the axes, so the Gauss-Legendre tensor rule on the cube
-    is one 1-D sum per axis.
+def _inverse_profiles(spec: GroupSpec, t: float, radius: float, level: int, labels):
+    """The share of each label's inversion integral that lies in |Y| <= R,
+    on Gauss-Legendre rules.  On a torus (Phi = 1) label n gives prod_k
+    e^{-(y_k + t n_k)^2/2t}: one sum per axis of the cube.  On SU(2) the
+    sphere mean sinh(mr/2)/(m sinh(r/2)) of pi_m(e^{iY}) times 4 pi r^2 /
+    Phi(Y/2) = 8 pi r sinh(r/2) is (8 pi/m) r sinh(mr/2), and with
+    e^{-r^2/2t} a multiple of r (e^{-(r - c)^2/2t} - e^{-(r + c)^2/2t}),
+    c = mt/2: one radial sum on [0, R], of integral c sqrt(2 pi t) on r >= 0.
     """
     y, w = roots_legendre(level)
-    y = radius * y
-    w = radius * w * np.exp(-(y**2) / (2.0 * F.t))
-    total = 0.0 + 0.0j
-    for label, block in F.coefs.entries.items():
-        axes = math.prod(np.dot(w, np.exp(-nk * y)) for nk in label)
-        total = total + np.trace(rep_matrix_batch(F.spec, label, xs) @ block, axis1=1, axis2=2) * axes
-    return total
+    if spec.kind == "torus":
+        y, w = radius * y, radius * w / math.sqrt(2.0 * math.pi * t)
+        return [math.prod(np.dot(w, np.exp(-((y + t * k) ** 2) / (2.0 * t))) for k in n) for n in labels]
+    r, w = radius * (y + 1.0) / 2.0, radius * w / 2.0 / math.sqrt(2.0 * math.pi * t)
+    c = np.array(list(labels), dtype=float)[:, None] * (t / 2.0)  # one row per label
+    return ((np.exp(-((r - c) ** 2) / (2.0 * t)) - np.exp(-((r + c) ** 2) / (2.0 * t))) @ (w * r) / c[:, 0]).tolist()
 
 
-def _su2_inverse_level(F: HoloFunc, xs, radius: float, level: int):
-    """int_{|Y|<=R} F(x e^{iY}) e^{-|Y|^2/2t} / Phi(Y/2) dY on SU(2), at
-    each point x of the (N, 2, 2) batch xs.
-
-    The sphere mean of F(x e^{iY}) is sum_m tr(pi_m(x) B_m) sinh(m r/2) /
-    (m sinh(r/2)), so one radial Gauss-Legendre sum per irrep remains; the
-    profile is summed term by term in log space with the damping of B_m
-    undone, which keeps every term O(1).
-    """
-    spec, t = F.spec, F.t
-    r, w = _ball_radii(radius, level, spec.dim)
-    log_w = np.log(w)
-    log_w -= r**2 / (2.0 * t) + log_phi(spec, (r / 2.0)[:, None] * np.array([0.0, 0.0, 1.0]))
-    total = 0.0 + 0.0j
-    for m, block in F.coefs.entries.items():
-        undo = min(laplacian_eigenvalue(spec, m) * t / 2.0, 700.0)
-        traces = np.trace(rep_matrix_batch(spec, m, xs) @ (math.exp(undo) * block), axis1=1, axis2=2)
-        k = m - 1 - 2.0 * np.arange(m)
-        prof = np.exp(log_w[:, None] + 0.5 * r[:, None] * k[None, :] - undo).sum()
-        total = total + traces * prof / m
-    return total
-
-
-def ct_inverse_integral(F: HoloFunc, xs, radius: float, q: QuadSpec):
+def ct_inverse_integral(F: HoloFunc, xs, radii, q: QuadSpec):
     """Truncated inversion integral at each point x of a batch xs of K
-    ((N, r) angles on a torus, (N, 2, 2) matrices on SU(2)):
+    ((N, r) angles on a torus, (N, 2, 2) matrices on SU(2)) and each radius
+    R of radii, over the ball |Y| <= R on SU(2), the cube |y_k| <= R on a torus:
 
-    (2 pi t)^{-d/2} e^{-|delta|^2 t/2} int_{|Y|<=R} F(x e^{iY})
-        e^{-|Y|^2/2t} / Phi(Y/2) dY.
+    (2 pi t)^{-d/2} e^{-|delta|^2 t/2} int F(x e^{iY}) e^{-|Y|^2/2t} / Phi(Y/2) dY,
 
-    SU(2) integrates over the ball |Y| <= R by the radial reduction of
-    _su2_inverse_level.  Tori integrate over the cube |y_i| <= R instead,
-    with a Gauss-Legendre rule per axis (_torus_inverse_level).  Returns
-    an (N,) array; raises QuadratureError when the largest level gap
-    exceeds the tolerance.
+    the sum over labels of tr(pi(x) B) e^{lambda t/2}, traces formed once
+    for the batch, times the label's share inside R.  Returns (values of
+    shape (len(radii), N), each point's largest level gap over the radii
+    relative to max(1, |value|)); a gap is reported, never raised.
     """
-    if radius > MAX_ABS_Y:
+    if max(radii) > MAX_ABS_Y:
         raise ValueError("radius exceeds the |Y| overflow guard")
     spec, t = F.spec, F.t
-    level_value = _su2_inverse_level if spec.kind == "su2" else _torus_inverse_level
-    res = integrate_levels(q, lambda level: level_value(F, xs, radius, level))
-    worst = float(np.max(res.gap))
-    if worst > max(q.tolerance, 1e-9):
-        raise QuadratureError(f"inversion quadrature gap {worst:.3e} exceeds {q.tolerance:.3e}", res)
-    pref = (2.0 * math.pi * t) ** (-spec.dim / 2.0) * math.exp(-spec.delta_sq * t / 2.0)
-    return pref * res.value
+    traces = F.coefs.label_traces(xs)
+    for label, trace in traces.items():
+        half_lam = laplacian_eigenvalue(spec, label) * t / 2.0  # undone in two steps: no overflow while B != 0
+        traces[label] = math.exp(min(half_lam, 700.0)) * trace * math.exp(max(half_lam - 700.0, 0.0))
 
+    def value_at(level):
+        total = np.zeros((len(radii), len(xs)), dtype=complex)
+        for radius, row in zip(radii, total):
+            for trace, share in zip(traces.values(), _inverse_profiles(spec, t, radius, level, traces)):
+                row += share * trace
+        return total
 
-def inverse_integral_trace(F: HoloFunc, xs, radii, q: QuadSpec):
-    """Inversion values at a batch of points over an increasing radius list,
-    with one stability flag per point.
-
-    Returns (values, stabilized): one (N,) array per radius, and an (N,)
-    boolean array; a point is stabilized when its last two radii agree to
-    the quadrature tolerance relative to its final value.
-    """
-    radii = sorted(radii)
-    values = [ct_inverse_integral(F, xs, r, q) for r in radii]
-    tol = q.tolerance
-    if len(values) < 2:
-        return values, np.zeros(len(values[-1]), dtype=bool)
-    return values, np.abs(values[-1] - values[-2]) <= np.maximum(tol, tol * np.abs(values[-1]))
+    res = integrate_levels(q, value_at, floor=1.0)
+    return res.value, res.gap.max(axis=0)

@@ -155,7 +155,7 @@ def test_blocked_growth_functional_equals_one_evaluation(monkeypatch, spec, n_ra
 
 @pytest.mark.parametrize("spec", [torus(1), su2()])
 def test_kernel_bound(spec):
-    rows, ok = kernel_bound_check(spec, 1.0)
-    assert ok
-    assert all(ratio <= 1.05 for _, ratio in rows)
+    rows = kernel_bound_check(spec, 1.0)
+    assert [passed for _, _, passed in rows] == [True] * 3
+    assert all(ratio <= 1.05 for _, ratio, _ in rows)
 

@@ -230,23 +230,38 @@ def test_kc_suites_batch_their_forms(tmp_path, capsys, monkeypatch, suite, group
     assert 2 <= len(calls) <= 2 * most
 
 
-def _invert_label_3_at_t4(tmp_path, capsys, points, extra):
-    """invert of e_3 + 0.5 on torus:1 at t = 4: (exit code, stdout, report rows)."""
-    coeffs = {"group": "torus:1", "entries": [{"label": [3], "matrix": [[[1.0, 0.0]]]}, {"label": [0], "matrix": [[[0.5, 0.0]]]}]}
-    (tmp_path / "c.json").write_text(json.dumps(coeffs))
+def _invert(tmp_path, capsys, labels, t, points, extra=()):
+    """invert on torus:1 of sum_k c_k e_{n_k}, labels {n_k: c_k}, at one t:
+    (exit code, captured output, report path)."""
+    entries = [{"label": [n], "matrix": [[[c, 0.0]]]} for n, c in labels.items()]
+    (tmp_path / "c.json").write_text(json.dumps({"group": "torus:1", "entries": entries}))
     (tmp_path / "p.json").write_text(json.dumps(points))
-    head = ["invert", "--coeffs", str(tmp_path / "c.json"), "--points", str(tmp_path / "p.json"), "--group", "torus:1", "--t", "4"]
+    head = ["invert", "--coeffs", str(tmp_path / "c.json"), "--points", str(tmp_path / "p.json"), "--t", str(t)]
     out = tmp_path / ("o" + "".join(extra))
     code, captured = _main_in_process([*head, *extra, "--out", str(out)], capsys)
-    with open(out / "invert_torus-1_t4.csv", newline="") as fp:
+    return code, captured, out / f"invert_torus-1_t{t}.csv"
+
+
+def _invert_label_3_at_t4(tmp_path, capsys, points, extra=()):
+    """invert of e_3 + 0.5 on torus:1 at t = 4: (exit code, stdout, report rows)."""
+    code, captured, path = _invert(tmp_path, capsys, {3: 1.0, 0: 0.5}, 4, points, extra)
+    with open(path, newline="") as fp:
         return code, captured.out, list(csv.DictReader(fp))
 
 
-def test_invert_reads_the_configured_tolerance(tmp_path, capsys):
+def _old_radii(monkeypatch):
+    # the radii 7, 10 that the --radii default 4,7,10 ended on, whatever t
+    import gsb.cli
+
+    monkeypatch.setattr(gsb.cli, "inversion_radii", lambda spec, t, labels: (7.0, 10.0))
+
+
+def test_invert_reads_the_configured_tolerance(tmp_path, capsys, monkeypatch):
     # at t = 4 the inversion integrand of label 3 peaks near |Y| = t|n| = 12,
-    # past the radii 4, 7, 10: the last two values differ by more than the
-    # default 1e-6, but by less than 0.5; the values are off by about 0.84,
-    # more than 0.5 |f(x)|, so every point fails at either tolerance
+    # past the radii 7, 10: the two values differ by more than the default
+    # 1e-6, but by less than 0.5; the values are off by about 0.84, more than
+    # 0.5 |f(x)|, so every point fails at either tolerance
+    _old_radii(monkeypatch)
     stabilized = {}
     for extra in ([], ["--tolerance", "0.5"]):
         code, _, rows = _invert_label_3_at_t4(tmp_path, capsys, [[0.3], [1.1]], extra)
@@ -257,18 +272,61 @@ def test_invert_reads_the_configured_tolerance(tmp_path, capsys):
     assert stabilized == {(): ["0", "0"], ("--tolerance", "0.5"): ["1", "1"]}
 
 
-def test_invert_fails_unconverged_points_and_passes_at_larger_radii(tmp_path, capsys):
-    # the default radii 4, 7, 10 miss the integrand's peak near |Y| = 12:
-    # the values are off by 0.84 (56 %) and not stabilized, so invert fails;
-    # radii 20, 24, 28 take in the peak and recover f to rounding
-    code, out, rows = _invert_label_3_at_t4(tmp_path, capsys, [[0.3], [1.7]], [])
+def test_invert_fails_unconverged_points_and_passes_at_larger_radii(tmp_path, capsys, monkeypatch):
+    # the derived radii R = t|n| + sqrt(2t ln 2^52) = 28.98 and R + sqrt(2t)
+    # take in the integrand's peak near |Y| = 12 and recover f to rounding;
+    # the old radii 7, 10 miss it: the values are off by 0.84 (56 %) and not
+    # stabilized, so the stability check still fails such a run
+    code, out, rows = _invert_label_3_at_t4(tmp_path, capsys, [[0.3], [1.7]])
+    assert code == 0 and out.splitlines()[-1] == "invert: PASS"
+    assert [(row["stabilized"], row["pass"]) for row in rows] == [("1", "1")] * 2
+    assert all(float(row["abs-err"]) <= 1e-13 and float(row["gap"]) <= 1e-6 for row in rows)
+    _old_radii(monkeypatch)
+    code, out, rows = _invert_label_3_at_t4(tmp_path, capsys, [[0.3], [1.7]])
     assert code == 1 and out.splitlines()[-1] == "invert: FAIL"
     assert [(row["stabilized"], row["pass"]) for row in rows] == [("0", "0")] * 2
     assert all(0.8 < float(row["abs-err"]) < 0.9 for row in rows)
-    code, out, rows = _invert_label_3_at_t4(tmp_path, capsys, [[0.3], [1.7]], ["--radii", "20,24,28"])
-    assert code == 0 and out.splitlines()[-1] == "invert: PASS"
-    assert [(row["stabilized"], row["pass"]) for row in rows] == [("1", "1")] * 2
+
+
+@pytest.mark.parametrize("labels, t", [({1: 1.0}, 2), ({3: 1.0, 0: 0.5}, 4)])
+def test_invert_passes_at_default_flags_where_fixed_radii_failed(tmp_path, capsys, labels, t):
+    # the integrand of label n peaks near |Y| = t|n|; the radii follow it, so
+    # e_1 at t = 2 and e_3 + 0.5 at t = 4 recover f to rounding
+    code, captured, path = _invert(tmp_path, capsys, labels, t, [[0.3], [1.7], [4.0]])
+    assert code == 0, captured.err
+    assert captured.out.splitlines()[-1] == "invert: PASS"
+    with open(path, newline="") as fp:
+        rows = list(csv.DictReader(fp))
+    assert [(row["stabilized"], row["pass"]) for row in rows] == [("1", "1")] * 3
     assert all(float(row["abs-err"]) <= 1e-13 for row in rows)
+
+
+def test_invert_level_gap_is_a_fail_row_not_an_error(tmp_path, capsys):
+    # at levels 4, 6 the inversion rule is far from converged at every
+    # point: each row carries its gap and fails, the report is written, and
+    # the run ends on the verdict line with exit 1, not on an error line
+    code, captured, path = _invert(tmp_path, capsys, {3: 1.0, 0: 0.5}, 4, [[0.3], [1.7]], ["--levels", "4,6"])
+    assert code == 1
+    assert captured.out.splitlines()[-1] == "invert: FAIL"
+    assert "error:" not in captured.err + captured.out
+    with open(path, newline="") as fp:
+        rows = list(csv.DictReader(fp))
+    assert len(rows) == 2
+    assert all(float(row["gap"]) > 1e-6 and row["pass"] == "0" for row in rows)
+
+
+def test_reproducing_forms_each_label_trace_once(tmp_path, capsys, monkeypatch):
+    # reproduce_check takes f(g) and the label traces from one label_traces
+    # pass: one representation batch per label of each of the 5 functions
+    import gsb.groups
+
+    calls = _count_calls(monkeypatch, gsb.groups, "rep_matrix_batch")
+    for group in ("su2", "torus:2"):
+        calls.clear()
+        args = ["verify", "reproducing", "--group", group, "--levels", "16,24", "--out", str(tmp_path / "o")]
+        code, captured = _main_in_process(args, capsys)
+        assert code == 0, captured.err
+        assert len(calls) == 5
 
 
 def test_no_command_imports_numpy_random(tmp_path):
@@ -362,6 +420,9 @@ def test_kernel_tworoute_judges_laguerre_gap(tmp_path, capsys, monkeypatch):
         assert float(row["rel-err"]) <= float(row["tol"]) < float(row["gap"])
 
 
+_LABEL_3 = {"group": "torus:1", "entries": [{"label": [3], "matrix": [[[1.0, 0.0]]]}]}
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -369,7 +430,8 @@ def test_kernel_tworoute_judges_laguerre_gap(tmp_path, capsys, monkeypatch):
         (["verify", "mass", "--t", "inf"], "t values"),
         (["verify", "unitarity", "--group", "su2", "--c", "nan"], "c must"),
         (["verify", "mass", "--c", "inf"], "c must"),
-        (["invert", "--coeffs", "c.json", "--points", "p.json", "--radii", "4,nan"], "radii"),
+        # the radii follow from t and the labels: a config that sets them is refused
+        (["invert", "--coeffs", "c.json", "--points", "p.json", "--config", {"radii": [4.0, 7.0, 10.0]}], "radii"),
         (["report", "lattice", "--tau", "1,inf"], "tau values"),
         (["verify", "mass", "--tolerance", "nan"], "tolerance"),
         (["verify", "reproducing", "--seed", "-1"], "seed"),
@@ -384,17 +446,17 @@ def test_kernel_tworoute_judges_laguerre_gap(tmp_path, capsys, monkeypatch):
         (["verify", "sobolev-isometry", "--n", "0"], "sobolev-isometry has no case to check at n = 0"),
         (["verify", "kernel-tworoute", "--t", "1,2", "--n", "0"], "kernel-tworoute has no case to check at n = 0"),
         (["report", "smoothness", "--config", {"n": []}], "n must not be empty"),
-        (["invert", "--coeffs", "c.json", "--points", "p.json", "--config", {"radii": []}], "radii must not be empty"),
+        # label 3 at t = 10 needs R' = 30 + 9.90 sqrt(10) = 61.3 > MAX_ABS_Y = 50
+        (["invert", "--coeffs", _LABEL_3, "--points", [[0.3]], "--t", "10"], "largest t these labels allow is 7.578"),
         (["verify", "mass", "--fmt", "xml"], "format must be csv or json"),
     ],
 )
 def test_bad_input_exits_2_before_work(tmp_path, capsys, args, message):
-    # a dict in args stands for a config file with that content
-    cfg = tmp_path / "cfg.json"
-    for arg in args:
-        if isinstance(arg, dict):
-            cfg.write_text(json.dumps(arg))
-    args = [str(cfg) if isinstance(arg, dict) else arg for arg in args]
+    # a dict or list in args stands for a JSON file with that content
+    files = {k: tmp_path / f"arg{k}.json" for k, arg in enumerate(args) if not isinstance(arg, str)}
+    for k, path in files.items():
+        path.write_text(json.dumps(args[k]))
+    args = [str(files[k]) if k in files else arg for k, arg in enumerate(args)]
     out = tmp_path / "o"
     code, captured = _main_in_process([*args, "--out", str(out)], capsys)
     assert code == 2
@@ -558,14 +620,13 @@ def test_report_names_use_shortest_form_of_t(tmp_path, capsys):
 
 def test_report_and_invert_write_one_file_per_t(tmp_path, capsys):
     # report and invert read every --t, as verify does, name each file by it,
-    # and end on one verdict over every t: at t = 2 the inversion integrand
-    # peaks at |Y| = 2, and radii 7 and 10 differ by more than 1e-6, so the
-    # point is not stabilized and invert fails
+    # and end on one verdict over every t: the inversion radii follow t, so
+    # the point passes at t = 1 and at t = 2
     coeffs, pts = tmp_path / "c.json", tmp_path / "p.json"
     coeffs.write_text(json.dumps({"group": "torus:1", "entries": [{"label": [1], "matrix": [[[1.0, 0.0]]]}]}))
     pts.write_text(json.dumps([[0.3]]))
     invert = ["invert", "--coeffs", str(coeffs), "--points", str(pts)]
-    for head, stem, verdict in ((["report", "smoothness"], "report_smoothness", "smoothness: PASS"), (invert, "invert", "invert: FAIL")):
+    for head, stem, verdict in ((["report", "smoothness"], "report_smoothness", "smoothness: PASS"), (invert, "invert", "invert: PASS")):
         out = tmp_path / stem
         code, captured = _main_in_process([*head, "--t", "1,2", "--out", str(out)], capsys)
         assert code == (0 if verdict.endswith("PASS") else 1), captured.err
@@ -597,15 +658,15 @@ def test_report_bounds_writes_report_then_fails_on_failed_check(tmp_path, capsys
     # the check fails at t = 2 only: both reports are written, the run fails
     import gsb.cli
 
-    monkeypatch.setattr(gsb.cli, "kernel_bound_check", lambda spec, t: ([(t, 2.0 if t == 2 else 0.5)], t != 2))
+    monkeypatch.setattr(gsb.cli, "kernel_bound_check", lambda spec, t: [(t, 2.0 if t == 2 else 0.5, t != 2)])
     out = tmp_path / "o"
     code, captured = _main_in_process(["report", "bounds", "--t", "1,2", "--out", str(out)], capsys)
     assert code == 1
     assert captured.out.splitlines()[-1] == "bounds: FAIL"
-    for t, ratio in (("1", 0.5), ("2", 2.0)):
+    for t, ratio, passed in (("1", 0.5, "1"), ("2", 2.0, "0")):
         with open(out / f"report_bounds_torus-1_t{t}.csv", newline="") as fp:
             (row,) = list(csv.DictReader(fp))
-        assert float(row["max-ratio"]) == ratio
+        assert float(row["max-ratio"]) == ratio and row["pass"] == passed
 
 
 def test_report_bounds_passing_run_prints_pass_verdict(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gsb.coeffs import CoefVec, basis_entry
-from gsb.groups import random_k, rep_matrix_batch, su2, torus
+from gsb.groups import irrep_dim, random_k, rep_matrix_batch, su2, torus
 from gsb.quadrature import integrate_K
 
 
@@ -50,3 +50,19 @@ def test_eval_k_batch_matches_scalar():
         assert batch[k] == pytest.approx(direct, abs=1e-12)
         assert f.eval_k_batch(one)[0] == batch[k]  # a batch of one has the batch's bits
 
+
+
+@pytest.mark.parametrize("spec, labels", [(su2(), (1, 2, 4)), (torus(2), ((0, 0), (1, -1), (-2, 3)))], ids=str)
+def test_eval_k_batch_is_the_sum_of_label_traces(spec, labels):
+    # f is its label traces summed in label order, bit for bit; one trace per label
+    rng = np.random.default_rng(5)
+    draw = random.Random(5)
+    shapes = {label: (irrep_dim(spec, label),) * 2 for label in labels}
+    f = CoefVec(spec, {label: rng.normal(size=shape) + 1j * rng.normal(size=shape) for label, shape in shapes.items()})
+    gs = np.stack([random_k(spec, draw) for _ in range(7)])
+    traces = f.label_traces(gs)
+    assert list(traces) == list(labels) and all(trace.shape == (7,) for trace in traces.values())
+    total = traces[labels[0]]
+    for label in labels[1:]:
+        total = total + traces[label]
+    assert np.array_equal(f.eval_k_batch(gs), total)

@@ -134,5 +134,5 @@ def test_ct_inverse_integral_matches_tensor_oracle(radius):
     draw = random.Random(9)
     F = _random_holo(rng, 1.0)
     x = random_k(SPEC, draw)
-    (reduced,) = ct_inverse_integral(F, x[None], radius, QuadSpec(levels=(32, 48)))
+    ((reduced,),), _ = ct_inverse_integral(F, x[None], (radius,), QuadSpec(levels=(32, 48)))
     _close(reduced, _oracle_inverse(F, x, radius, 48), 1.0)

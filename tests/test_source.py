@@ -37,3 +37,19 @@ def test_every_exported_name_resolves(path):
     # import check above, so each module is imported and every name looked up
     module = importlib.import_module("gsb" if path.stem == "__init__" else f"gsb.{path.stem}")
     assert sorted(name for name in _exported(ast.parse(path.read_text())) if not hasattr(module, name)) == []
+
+
+def test_every_config_field_is_read():
+    # a RunConfig field that only validate reads is a knob nothing uses: each
+    # one must be read as cfg.<name> or self.<name> somewhere else in cli.py
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    (config,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "RunConfig"]
+    names = {node.target.id for node in config.body if isinstance(node, ast.AnnAssign)}
+    validate = {id(node) for fn in ast.walk(config) if getattr(fn, "name", None) == "validate" for node in ast.walk(fn)}
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("cfg", "self")
+        and id(node) not in validate
+    }
+    assert sorted(names - read) == []

@@ -159,6 +159,6 @@ def test_ct_inverse_integral_matches_tensor_oracle(rank, t):
     F = _random_holo(rank, t, _labels(rank, rng), rng)
     x = random_k(spec, draw)
     levels = (20, 24)
-    (reduced,) = ct_inverse_integral(F, x[None], 4.0, QuadSpec(levels=levels, tolerance=1e-6))
+    ((reduced,),), _ = ct_inverse_integral(F, x[None], (4.0,), QuadSpec(levels=levels, tolerance=1e-6))
     scale = sum(abs(b[0, 0]) * math.exp(t * sum(k * k for k in n) / 2.0) for n, b in F.coefs.entries.items())
     _close(reduced, _oracle_inverse(F, x, 4.0, levels[-1]), scale)

@@ -9,13 +9,7 @@ from gsb.groups import enumerate_irreps, irrep_dim, random_algebra, random_k, su
 from gsb.polar import PointKC, polar_compose
 from gsb.quadrature import QuadSpec
 from gsb.sobolev import phi_x_weight, toeplitz_symbol
-from gsb.transform import (
-    QuadratureError,
-    ct_forward,
-    ct_inverse_integral,
-    holo_inner,
-    inverse_integral_trace,
-)
+from gsb.transform import ct_forward, ct_inverse_integral, holo_inner
 
 # the inversion integral's quadrature levels
 INVERSE_Q = QuadSpec(levels=(32, 48))
@@ -119,16 +113,19 @@ def test_holo_inner_batch_equals_one_pair_calls(spec, weight):
     assert 0 < np.count_nonzero(batch.value) < len(F1s)
 
 
-def test_quadrature_error_raised():
+def test_inverse_integral_reports_its_level_gap():
     spec = torus(1)
     F = ct_forward(basis_entry(spec, (5,)), 2.0)
     # the shifted rule is exact here, so the two levels differ only by rounding
     (gap,) = holo_inner([F], [F], QuadSpec(levels=(8, 12))).gap
     assert 0.0 < gap <= 1e-14
-    # the inversion integral refuses a level gap above its tolerance
-    with pytest.raises(QuadratureError) as info:
-        ct_inverse_integral(F, np.zeros((1, 1)), 10.0, QuadSpec(levels=(4, 6)))
-    assert info.value.result.gap[0] > 1e-6
+    # the inversion integral returns each point's level gap, above its
+    # tolerance at levels 4, 6 and within it at 32, 48, and raises nothing
+    xs = np.array([[0.0], [1.3]])
+    _, coarse = ct_inverse_integral(F, xs, (10.0,), QuadSpec(levels=(4, 6)))
+    assert coarse.shape == (2,) and np.all(coarse > 1e-6)
+    _, fine = ct_inverse_integral(F, xs, (10.0,), INVERSE_Q)
+    assert np.all(fine <= 1e-12)
 
 
 def test_inverse_integral_torus():
@@ -137,8 +134,8 @@ def test_inverse_integral_torus():
     F = ct_forward(f, 1.0)
     rng = random.Random(3)
     xs = np.stack([random_k(spec, rng) for _ in range(3)])
-    rec = ct_inverse_integral(F, xs, 10.0, INVERSE_Q)
-    assert rec.shape == (3,)
+    (rec,), gap = ct_inverse_integral(F, xs, (10.0,), INVERSE_Q)
+    assert rec.shape == gap.shape == (3,)
     assert np.all(np.abs(rec - f.eval_k_batch(xs)) < 1e-10)
 
 
@@ -148,30 +145,28 @@ def test_inverse_integral_su2_character():
     F = ct_forward(f, 1.0)
     rng = random.Random(4)
     x = random_k(spec, rng)[None]
-    values, stabilized = inverse_integral_trace(F, x, [4.0, 7.0, 10.0], INVERSE_Q)
-    assert stabilized.tolist() == [True]
-    assert abs(values[-1][0] - f.eval_k_batch(x)[0]) < 1e-6
+    ((inner,), (outer,)), _ = ct_inverse_integral(F, x, (7.0, 10.0), INVERSE_Q)
+    assert abs(outer - inner) <= 1e-6 * max(1.0, abs(outer))  # stabilized
+    assert abs(outer - f.eval_k_batch(x)[0]) < 1e-6
 
 
 def test_inverse_radius_guard():
     spec = torus(1)
     F = ct_forward(basis_entry(spec, (1,)), 1.0)
     with pytest.raises(ValueError):
-        ct_inverse_integral(F, np.zeros((1, 1)), 60.0, INVERSE_Q)
+        ct_inverse_integral(F, np.zeros((1, 1)), (10.0, 60.0), INVERSE_Q)
 
 
 @pytest.mark.parametrize("spec", [torus(1), torus(2), su2()], ids=str)
 def test_ct_inverse_integral_batch_equals_one_point_calls(spec):
-    # a point batch is its batches of one, bit for bit, and so is the
-    # stability flag of each point
+    # a point batch is its batches of one, bit for bit, at each radius, and
+    # so is the level gap of each point
     Fs = _random_functions(spec, 0.8, np.random.default_rng(9), count=1)
     rng = random.Random(9)
     xs = np.stack([random_k(spec, rng) for _ in range(5)])
-    batch = ct_inverse_integral(Fs[0], xs, 7.0, INVERSE_Q)
-    values, stabilized = inverse_integral_trace(Fs[0], xs, [4.0, 7.0], INVERSE_Q)
-    assert batch.shape == stabilized.shape == (5,)
-    assert np.array_equal(values[-1], batch)
+    values, gap = ct_inverse_integral(Fs[0], xs, (4.0, 7.0), INVERSE_Q)
+    assert values.shape == (2, 5) and gap.shape == (5,)
     for k in range(5):
-        one = ct_inverse_integral(Fs[0], xs[k : k + 1], 7.0, INVERSE_Q)
-        assert one.shape == (1,) and one[0] == batch[k]
-        assert inverse_integral_trace(Fs[0], xs[k : k + 1], [4.0, 7.0], INVERSE_Q)[1][0] == stabilized[k]
+        one, one_gap = ct_inverse_integral(Fs[0], xs[k : k + 1], (4.0, 7.0), INVERSE_Q)
+        assert one.shape == (2, 1) and np.array_equal(one[:, 0], values[:, k])
+        assert one_gap[0] == gap[k]
