@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .bounds import alpha_t_estimate, kernel_bound_check, lattice_limit_check, smoothness_report
+from .bounds import kernel_bound_check, lattice_limit_check, smoothness_report
 from .coeffs import CoefVec, basis_entry
 from .groups import (
     GroupSpec,
@@ -44,7 +44,7 @@ from .sobolev import (
     toeplitz_symbol,
     weighted_form,
 )
-from .transform import ct_forward, ct_inverse_integral, holo_inner, inversion_radii
+from .transform import MAX_DAMPING, ct_forward, ct_inverse_integral, holo_inner, inversion_radii
 
 REPORT_COLUMNS = {
     "bounds": ["tau", "max-ratio", "alpha_t", "chamber", "pass"],
@@ -125,17 +125,13 @@ class RunConfig:
             raise ConfigError("seed must be nonnegative")
         if self.fmt not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
-        # the damping e^{-lambda t/2} of the top irrep must stay a normal double
-        half_t = max(self.t) / 2.0
-
-        def top_damping(cutoff):
-            return laplacian_eigenvalue(spec, cutoff if spec.kind == "su2" else (cutoff,) * spec.rank) * half_t
-
-        if top_damping(self.cutoff) > 700.0:
-            allowed = max((k for k in range(1, self.cutoff) if top_damping(k) <= 700.0), default=0)
+        # the top irrep's eigenvalue grows with the cutoff: all cutoffs from the first lost one are lost
+        tops = [k if spec.kind == "su2" else (k,) * spec.rank for k in range(1, self.cutoff + 1)]
+        lost = [k for k, top in enumerate(tops, 1) if _damped_out(spec, top, max(self.t))]
+        if lost:
             raise ConfigError(
-                f"cutoff {self.cutoff} damps the top irrep below e^-700 at t = {max(self.t):g}; "
-                f"the largest allowed cutoff is {allowed}"
+                f"cutoff {self.cutoff} damps the top irrep below e^-{MAX_DAMPING:g} at t = {max(self.t):g}; "
+                f"the largest allowed cutoff is {lost[0] - 1}"
             )
         return self
 
@@ -155,6 +151,11 @@ class RunConfig:
         grid = [base + 0.5 * k for k in range(40)]
         found = symbol_positivity_threshold(spec, t, max(n, 1), grid)
         return found if found is not None else grid[-1]
+
+
+def _damped_out(spec: GroupSpec, label, t: float) -> bool:
+    """Whether ct_forward at time t damps label's block below e^-MAX_DAMPING, where it would be lost."""
+    return laplacian_eigenvalue(spec, label) * t / 2.0 > MAX_DAMPING
 
 
 def _config_from_args(args) -> RunConfig:
@@ -445,11 +446,10 @@ def _report_rows(kind: str, cfg: RunConfig, t: float):
         return lattice_limit_check(spec, cfg.tau), True
     if kind == "smoothness":
         f = CoefVec(spec, {label: np.eye(irrep_dim(spec, label)) for label in enumerate_irreps(spec, cfg.cutoff)})
-        return smoothness_report(ct_forward(f, t), t, n_max=max(cfg.n)), True
+        return smoothness_report(ct_forward(f, t), n_max=max(cfg.n)), True
     # bounds
-    alpha = alpha_t_estimate(spec, t)
     chamber = "full-lattice" if spec.kind == "torus" else "halfline"
-    rows = [(tau, ratio, alpha, chamber, ok) for tau, ratio, ok in kernel_bound_check(spec, t)]
+    rows = [(tau, ratio, alpha, chamber, ok) for tau, ratio, alpha, ok in kernel_bound_check(spec, t)]
     return rows, all(row[-1] for row in rows)
 
 
@@ -498,6 +498,10 @@ def cmd_invert(cfg: RunConfig, coeff_path: str, points_path: str) -> int:
             raise ConfigError("coefficient file group does not match --group")
         points = _parse_points(f.spec, points_path)
         inversion_radii(f.spec, max(cfg.t), f.support)  # refuses a radius past |Y| = MAX_ABS_Y
+        top = max(f.support, key=lambda label: laplacian_eigenvalue(f.spec, label), default=None)
+        if top is not None and _damped_out(f.spec, top, max(cfg.t)):
+            t_max = 2.0 * MAX_DAMPING / laplacian_eigenvalue(f.spec, top)
+            raise ConfigError(f"label {top} is damped below e^-{MAX_DAMPING:g}; the largest t this file allows is {t_max:.6g}")
     except (ConfigError, KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

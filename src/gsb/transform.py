@@ -68,6 +68,8 @@ __all__ = [
     "exp_iy_batch",
 ]
 
+MAX_DAMPING = 700.0  # ct_forward's damping e^{-lambda t/2} stays a normal double while lambda t/2 <= this
+
 
 @dataclass(frozen=True)
 class HoloFunc:
@@ -225,10 +227,10 @@ def holo_inner(F1s, F2s, q: QuadSpec, weight=None) -> QuadResult:
     terms = []
     for p, (G1, G2) in enumerate(zip(F1s, F2s)):
         for label in sorted(G1.coefs.entries.keys() & G2.coefs.entries.keys()):
-            # undo the damping of both blocks (up to e^700, past which the
-            # rest goes on the sum) so the product and the profile stay O(1)
+            # undo the damping of both blocks (up to e^MAX_DAMPING, past which
+            # the rest goes on the sum) so the product and the profile stay O(1)
             half_lam = laplacian_eigenvalue(spec, label) * t / 2.0
-            undo = min(half_lam, 700.0)
+            undo = min(half_lam, MAX_DAMPING)
             b1, b2 = math.exp(undo) * G1.coefs.entries[label], math.exp(undo) * G2.coefs.entries[label]
             if axis is not None:
                 b2 = rep_generator(spec, label, axis) @ b2
@@ -299,7 +301,7 @@ def ct_inverse_integral(F: HoloFunc, xs, radii, q: QuadSpec):
     traces = F.coefs.label_traces(xs)
     for label, trace in traces.items():
         half_lam = laplacian_eigenvalue(spec, label) * t / 2.0  # undone in two steps: no overflow while B != 0
-        traces[label] = math.exp(min(half_lam, 700.0)) * trace * math.exp(max(half_lam - 700.0, 0.0))
+        traces[label] = math.exp(min(half_lam, MAX_DAMPING)) * trace * math.exp(max(half_lam - MAX_DAMPING, 0.0))
 
     def value_at(level):
         total = np.zeros((len(radii), len(xs)), dtype=complex)

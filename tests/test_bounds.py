@@ -8,7 +8,6 @@ from gsb.bounds import (
     growth_functional,
     kernel_bound_check,
     lattice_limit_check,
-    lattice_points,
     lattice_sum,
     polar_grid,
     smoothness_report,
@@ -18,13 +17,28 @@ from gsb.groups import su2, torus
 from gsb.transform import ct_forward
 
 
-def test_lattice_points_structure():
-    pts = lattice_points(torus(2), 4.5 * 2 * math.pi)
-    assert pts.shape[1] == 2
-    assert any(np.allclose(p, [0.0, 0.0]) for p in pts)
-    su2_pts = lattice_points(su2(), 10 * math.pi)
-    assert su2_pts.shape[1] == 1
-    assert su2_pts.min() == 0.0  # closed-chamber half line
+@pytest.mark.parametrize("spec", [torus(1), torus(2), torus(3), torus(4), su2()], ids=str)
+def test_lattice_sum_is_the_theta_product(spec):
+    # h theta_3(0, q)^r with q = e^{-step^2/tau}, h = 1/2 on SU(2), summed
+    # with 40 digits; mpmath's jtheta refuses q this close to 1 past tau ~ 1e5
+    import mpmath
+
+    share = 0.5 if spec.kind == "su2" else 1.0
+    with mpmath.workdps(40):
+        for tau in (1e-4, 0.5, 1.0, 4.0 * math.pi, 16.0, 256.0, 4096.0):
+            q = mpmath.exp(-mpmath.mpf(spec.lattice_step) ** 2 / mpmath.mpf(tau))
+            exact = share * mpmath.jtheta(3, 0, q) ** spec.rank
+            assert abs(lattice_sum(spec, tau) - exact) <= 2e-15 * exact, tau
+
+
+@pytest.mark.parametrize("spec", [torus(1), torus(2), su2()], ids=str)
+def test_alpha_estimate_is_the_nine_point_scan_maximum(spec):
+    # the sup over tau >= t sits at tau = t, so the scan over tau = t 2^k,
+    # k = 0..8, that alpha_t once was finds nothing larger
+    for t in np.logspace(-3.0, math.log10(300.0), 41).tolist():
+        alpha = alpha_t_estimate(spec, t)
+        scan = max(lattice_sum(spec, tau) / tau ** (spec.rank / 2.0) for tau in (t * 2.0**k for k in range(9)))
+        assert abs(scan - alpha) <= 2e-16 * alpha, t
 
 
 def test_lattice_sum_small_tau():
@@ -61,7 +75,7 @@ def test_growth_functional_constant():
     # F is the constant 1; at Y = 0 the functional equals 1 and the
     # Gaussian envelope beats polynomial growth elsewhere
     grid = polar_grid(spec, 6.0)
-    ((value, arg),) = growth_functional(F, 1.0, [0], grid)
+    ((value, arg),) = growth_functional(F, [0], grid)
     assert value == pytest.approx(1.0, rel=1e-10)
     assert np.allclose(arg, 0.0)
 
@@ -70,7 +84,7 @@ def test_growth_functional_constant():
 def test_smoothness_report_stable(spec):
     label = (2,) if spec.kind == "torus" else 3
     f = CoefVec(spec, {**basis_entry(spec, label).entries, **basis_entry(spec, (0,) if spec.kind == "torus" else 1).entries})
-    rows = smoothness_report(ct_forward(f, 1.0), 1.0, n_max=3)
+    rows = smoothness_report(ct_forward(f, 1.0), n_max=3)
     assert len(rows) == 4 * 2
     assert rows == sorted(rows, key=lambda row: (row[0], row[1]))
     assert all(stable for _, _, _, stable in rows)
@@ -91,10 +105,10 @@ def _two_label_function(spec):
 def test_growth_functional_orders_match_one_order_calls(spec):
     F = _two_label_function(spec)
     grid = polar_grid(spec, 4.0, n_radial=12, n_angular=8)
-    sups = growth_functional(F, 1.0, range(5), grid)
+    sups = growth_functional(F, range(5), grid)
     assert len(sups) == 5
     for n, (value, arg) in enumerate(sups):
-        ((one_value, one_arg),) = growth_functional(F, 1.0, [n], grid)
+        ((one_value, one_arg),) = growth_functional(F, [n], grid)
         assert value == one_value
         assert np.array_equal(arg, one_arg)
 
@@ -114,7 +128,7 @@ def test_smoothness_report_evaluates_F_once_per_grid(monkeypatch, n_max):
         return eval_k_batch(self, g)
 
     monkeypatch.setattr(CoefVec, "eval_k_batch", counted)
-    rows = smoothness_report(_two_label_function(su2()), 1.0, n_max=n_max)
+    rows = smoothness_report(_two_label_function(su2()), n_max=n_max)
     assert len(rows) == 2 * (n_max + 1)
     points = len(polar_grid(su2(), bounds.GRID_RADIUS))  # the doubled grid has as many
     assert sum(calls) == 2 * points
@@ -142,11 +156,11 @@ def test_blocked_growth_functional_equals_one_evaluation(monkeypatch, spec, n_ra
         return blocks[-1]
 
     monkeypatch.setattr(CoefVec, "eval_k_batch", recorded)
-    blocked = growth_functional(F, 1.0, range(5), grid)
+    blocked = growth_functional(F, range(5), grid)
     assert len(blocks) == -(-len(grid) // bounds.GRID_BLOCK) > 1
     assert np.array_equal(np.concatenate(blocks), whole)
     monkeypatch.setattr(bounds, "GRID_BLOCK", len(grid))
-    unblocked = growth_functional(F, 1.0, range(5), grid)
+    unblocked = growth_functional(F, range(5), grid)
     assert len(blocks) == -(-len(grid) // 1024) + 1
     for (value, arg), (one_value, one_arg) in zip(blocked, unblocked):
         assert value == one_value
@@ -156,6 +170,6 @@ def test_blocked_growth_functional_equals_one_evaluation(monkeypatch, spec, n_ra
 @pytest.mark.parametrize("spec", [torus(1), su2()])
 def test_kernel_bound(spec):
     rows = kernel_bound_check(spec, 1.0)
-    assert [passed for _, _, passed in rows] == [True] * 3
-    assert all(ratio <= 1.05 for _, ratio, _ in rows)
+    assert [passed for *_, passed in rows] == [True] * 3
+    assert all(ratio <= 1.05 and alpha == alpha_t_estimate(spec, 1.0) for _, ratio, alpha, _ in rows)
 

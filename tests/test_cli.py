@@ -315,6 +315,16 @@ def test_invert_level_gap_is_a_fail_row_not_an_error(tmp_path, capsys):
     assert all(float(row["gap"]) > 1e-6 and row["pass"] == "0" for row in rows)
 
 
+def test_invert_keeps_a_label_damped_within_the_doubles(tmp_path, capsys):
+    # e_40 at t = 0.85 (damping e^-680) is not refused; on rules fine enough
+    # for its radii, 41.8 and 43.1, it is recovered
+    code, captured, path = _invert(tmp_path, capsys, {40: 1.0}, 0.85, [[0.3]], ["--levels", "128,150"])
+    assert code == 0, captured.err
+    with open(path, newline="") as fp:
+        (row,) = list(csv.DictReader(fp))
+    assert float(row["abs-err"]) <= 1e-12
+
+
 def test_reproducing_forms_each_label_trace_once(tmp_path, capsys, monkeypatch):
     # reproduce_check takes f(g) and the label traces from one label_traces
     # pass: one representation batch per label of each of the 5 functions
@@ -363,10 +373,16 @@ def test_no_command_imports_numpy_random(tmp_path):
 # A child's ru_maxrss is at least the peak of the process it was spawned
 # from (the kernel carries the spawning address space's high-water mark
 # across exec), so each child is started by a small launcher, not by the
-# test process, which holds numpy and scipy.
+# test process, which holds numpy and scipy.  The launcher caps the child's
+# address space at 2 GiB, so a runaway allocation ends in a MemoryError
+# within seconds instead of taking the machine's memory, and gives it one
+# BLAS thread, as OpenBLAS maps a buffer per thread and the cap would
+# otherwise depend on the core count.
 _LAUNCH = (
-    "import os, subprocess, sys\n"
-    "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "import os, resource, subprocess, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+    "env = dict(os.environ, OPENBLAS_NUM_THREADS='1', OMP_NUM_THREADS='1')\n"
+    "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, env=env)\n"
     "_, status, usage = os.wait4(p.pid, 0)\n"
     "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
 )
@@ -383,15 +399,18 @@ def _peak_rss_mb(argv, cwd):
 
 
 def test_pointwise_commands_stay_near_the_import_floor(tmp_path):
-    # the smoothness grid is evaluated in blocks and the sampled suites draw
-    # without numpy.random, so neither command holds more than a few MB
-    # beyond `import gsb.cli`
+    # the smoothness grid is evaluated in blocks, the sampled suites draw
+    # without numpy.random and a chamber lattice sum is a product of 1-D
+    # theta series, so no command holds more than a few MB beyond
+    # `import gsb.cli`
     _, floor = _peak_rss_mb(["-c", "import gsb.cli"], tmp_path)
     # the su2-pointwise benchmark workload's two largest commands
     base = ["--group", "su2", "--cutoff", "4", "--out", "o"]
     commands = {
         "smoothness": ["report", "smoothness", *base, "--t", "1", "--n", "1,2"],
         "kernel-tworoute": ["verify", "kernel-tworoute", *base, "--t", "0.25,0.5,1,2", "--n", "1,2,3", "--seed", "0"],
+        "lattice": ["report", "lattice", "--group", "torus:3", "--out", "o"],
+        "bounds": ["report", "bounds", "--group", "torus:3", "--out", "o"],
     }
     for name, argv in commands.items():
         code, peak = _peak_rss_mb(["-m", "gsb.cli", *argv], tmp_path)
@@ -421,6 +440,7 @@ def test_kernel_tworoute_judges_laguerre_gap(tmp_path, capsys, monkeypatch):
 
 
 _LABEL_3 = {"group": "torus:1", "entries": [{"label": [3], "matrix": [[[1.0, 0.0]]]}]}
+_LABEL_40 = {"group": "torus:1", "entries": [{"label": [40], "matrix": [[[1.0, 0.0]]]}]}
 
 
 @pytest.mark.parametrize(
@@ -449,6 +469,8 @@ _LABEL_3 = {"group": "torus:1", "entries": [{"label": [3], "matrix": [[[1.0, 0.0
         # label 3 at t = 10 needs R' = 30 + 9.90 sqrt(10) = 61.3 > MAX_ABS_Y = 50
         (["invert", "--coeffs", _LABEL_3, "--points", [[0.3]], "--t", "10"], "largest t these labels allow is 7.578"),
         (["verify", "mass", "--fmt", "xml"], "format must be csv or json"),
+        # e_40 at t = 1 is damped by e^-800, below the doubles: refused, as a --cutoff is
+        (["invert", "--coeffs", _LABEL_40, "--points", [[0.3]], "--t", "1"], "largest t this file allows is 0.875"),
     ],
 )
 def test_bad_input_exits_2_before_work(tmp_path, capsys, args, message):
@@ -658,7 +680,7 @@ def test_report_bounds_writes_report_then_fails_on_failed_check(tmp_path, capsys
     # the check fails at t = 2 only: both reports are written, the run fails
     import gsb.cli
 
-    monkeypatch.setattr(gsb.cli, "kernel_bound_check", lambda spec, t: [(t, 2.0 if t == 2 else 0.5, t != 2)])
+    monkeypatch.setattr(gsb.cli, "kernel_bound_check", lambda spec, t: [(t, 2.0 if t == 2 else 0.5, 1.0, t != 2)])
     out = tmp_path / "o"
     code, captured = _main_in_process(["report", "bounds", "--t", "1,2", "--out", str(out)], capsys)
     assert code == 1
@@ -674,3 +696,16 @@ def test_report_bounds_passing_run_prints_pass_verdict(tmp_path, capsys):
     code, captured = _main_in_process(["report", "bounds", "--out", str(out)], capsys)
     assert code == 0, captured.err
     assert captured.out == f"wrote {out / 'report_bounds_torus-1_t1.csv'}\nbounds: PASS\n"
+
+
+def test_report_bounds_forms_alpha_once_per_t(tmp_path, capsys, monkeypatch):
+    # alpha_t is the lattice sum at tau = t, formed once for the report's
+    # three rows; the nine-point scan, formed twice, made 18 calls
+    from gsb import bounds
+
+    calls = []
+    lattice_sum = bounds.lattice_sum
+    monkeypatch.setattr(bounds, "lattice_sum", lambda spec, tau: calls.append(tau) or lattice_sum(spec, tau))
+    code, captured = _main_in_process(["report", "bounds", "--t", "1", "--out", str(tmp_path / "o")], capsys)
+    assert code == 0, captured.err
+    assert calls == [1.0]
