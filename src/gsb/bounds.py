@@ -16,8 +16,8 @@ import random
 
 import numpy as np
 
+from . import heat
 from .groups import GroupSpec
-from .heat import rho_eval
 from .polar import exp_iy_batch, log_phi
 from .transform import HoloFunc
 
@@ -158,7 +158,7 @@ def kernel_bound_check(spec: GroupSpec, t: float):
     u, log_phis = np.sum(ys**2, axis=1), log_phi(spec, ys)
     rows = []
     for tau in (t, 2.0 * t, 4.0 * t):
-        value, _ = rho_eval(spec, 2.0 * tau, g2)
+        value, _ = heat.rho_eval(spec, 2.0 * tau, g2)
         log_scale = math.log(alpha) + (spec.rank - spec.dim) / 2.0 * math.log(tau) + spec.delta_sq * tau
         worst = float(np.max(np.abs(value) / np.exp(log_scale + u / tau + log_phis)))
         rows.append((tau, worst, alpha, worst <= 1.05))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .bounds import kernel_bound_check, lattice_limit_check, smoothness_report
+from . import bounds, heat, kernels, sobolev
 from .coeffs import CoefVec, basis_entry
 from .groups import (
     GroupSpec,
@@ -31,19 +31,8 @@ from .groups import (
     random_k,
     su2_euler,
 )
-from .heat import TailBoundError, log_nu_t
-from .kernels import KernelQuery, k_sobolev_integral, k_sobolev_spectral, reproduce_check
 from .polar import PointKC, log_phi
 from .quadrature import MAX_ORDER, QuadSpec, integrate_levels, rel_gap, roots_legendre
-from .sobolev import (
-    first_order_forms,
-    laplacian_apply,
-    sobolev_norm,
-    sobolev_shift,
-    symbol_positivity_threshold,
-    toeplitz_symbol,
-    weighted_form,
-)
 from .transform import MAX_DAMPING, ct_forward, ct_inverse_integral, holo_inner, inversion_radii
 
 REPORT_COLUMNS = {
@@ -115,6 +104,12 @@ class RunConfig:
             raise ConfigError("n values must be nonnegative")
         if not all(0 < tau < math.inf for tau in self.tau):
             raise ConfigError("tau values must be positive and finite")
+        lo, hi = _tau_range(spec)
+        if not all(lo <= tau <= hi for tau in self.tau):
+            raise ConfigError(
+                f"tau values must lie in [{lo:.6g}, {hi:.6g}] on {self.group}, "
+                "where tau^(r/2) and the scaled lattice sum are finite doubles"
+            )
         if len(self.levels) < 2 or not all(2 <= lv <= MAX_ORDER for lv in self.levels):
             raise ConfigError(f"need at least two quadrature levels, each in 2..{MAX_ORDER}")
         if self.c is not None and not 0 < self.c < math.inf:
@@ -149,8 +144,32 @@ class RunConfig:
             return self.c
         base = spec.delta_sq + 1.0
         grid = [base + 0.5 * k for k in range(40)]
-        found = symbol_positivity_threshold(spec, t, max(n, 1), grid)
+        found = sobolev.symbol_positivity_threshold(spec, t, max(n, 1), grid)
         return found if found is not None else grid[-1]
+
+
+def _tau_range(spec: GroupSpec) -> tuple:
+    """(lo, hi) = ((step^2/pi) 2^-s, 2^s), s = 2040/r for rank r: the lattice
+    scales tau that report lattice takes (hi is inf, and lo 0, when 2^s
+    passes the double range, as on rank 1).
+
+    bounds.lattice_limit_check writes tau^{r/2}, the scaled sum h theta^r /
+    tau^{r/2} (h <= 1, theta = sum_k e^{-(step k)^2/tau}) and its gap to the
+    target h (pi/step^2)^{r/2} < 1, which is at most the ratio R = theta^r
+    (step^2/(pi tau))^{r/2} plus 1.  theta grows with tau, theta/sqrt(tau)
+    falls (Jacobi), and theta(1) <= 1 + 3 e^{-4 pi^2} (step >= 2 pi), so c =
+    theta(1)^r < 2 for every rank below 10^16.
+
+    For lo <= tau <= 1: tau^{r/2} >= 2^-1020 (step^2/pi > 1), a normal
+    double; theta^r <= c; the scaled sum, R times the target, is below R <=
+    c 2^1020.  For 1 <= tau <= hi: tau^{r/2} <= 2^1020; theta^r <= c
+    tau^{r/2}; the scaled sum <= c; R <= c (step^2/pi)^{r/2} < c step^r,
+    finite, as are the target's own pi^{r/2} and step^r, while r log2(step)
+    < 1024 (torus ranks up to 386).  So every value is a finite double, with
+    two binades to spare for rounding, and tau^{r/2} is not 0.
+    """
+    span = 2040.0 / spec.rank
+    return spec.lattice_step**2 / math.pi * 2.0**-span, (2.0**span if span < 1024 else math.inf)
 
 
 def _damped_out(spec: GroupSpec, label, t: float) -> bool:
@@ -256,7 +275,7 @@ def _mass_level(spec: GroupSpec, t: float, radius: float, level: int) -> complex
     r = radius * (x + 1.0) / 2.0
     weights = math.pi ** (spec.dim / 2.0) / math.gamma(spec.dim / 2.0) * radius * w * r ** (spec.dim - 1)
     nodes = r[:, None] * np.full(spec.dim, 1.0 / math.sqrt(spec.dim))
-    return np.dot(weights, np.exp(log_nu_t(spec, t, nodes) - 2.0 * log_phi(spec, nodes)))
+    return np.dot(weights, np.exp(heat.log_nu_t(spec, t, nodes) - 2.0 * log_phi(spec, nodes)))
 
 
 # Each suite maps (cfg, t, tol, q) to its rows for one time t.
@@ -303,7 +322,7 @@ def _reproducing_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     # one batch of every (function, point) pair, function by function
     xs, ys = (np.concatenate([np.stack(part)] * len(basis)) for part in zip(*points))
     Fs = [ct_forward(f, t) for _, f in basis]
-    residual, gap = reproduce_check([F for F in Fs for _ in points], PointKC(spec, xs, ys), q)
+    residual, gap = kernels.reproduce_check([F for F in Fs for _ in points], PointKC(spec, xs, ys), q)
     cids = [f"{cid}@p{k}" for cid, _ in basis for k in range(len(points))]
     return [_row(cid, r, 0.0, r, tol, g) for cid, r, g in zip(cids, residual.tolist(), gap.tolist())]
 
@@ -315,11 +334,11 @@ def _sobolev_isometry_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     rows = []
     for n in _orders(cfg):
         c = cfg.c_value(spec, t, n)
-        Gs = [sobolev_shift(F, n, c) for F in Fs]
-        rows += _norm_rows(f"n={n}:", basis, holo_inner(Gs, Gs, q), [sobolev_norm(f, n, c) for _, f in basis], tol)
+        Gs = [sobolev.sobolev_shift(F, n, c) for F in Fs]
+        rows += _norm_rows(f"n={n}:", basis, holo_inner(Gs, Gs, q), [sobolev.sobolev_norm(f, n, c) for _, f in basis], tol)
         # commutation of the Laplacian power with the transform, bit-exact
-        a = ct_forward(laplacian_apply(basis[-1][1], n), t).coefs
-        b = laplacian_apply(Fs[-1], n).coefs
+        a = ct_forward(sobolev.laplacian_apply(basis[-1][1], n), t).coefs
+        b = sobolev.laplacian_apply(Fs[-1], n).coefs
         same = a.support == b.support and all(np.array_equal(a.entries[lb], b.entries[lb]) for lb in a.support)
         rows.append(_row(f"n={n}:commutation", float(same), 1.0, float(not same), 0.0, 0.0))
     return rows
@@ -334,9 +353,9 @@ def _kernel_tworoute_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
         # 15 pairs (g, h), drawn g, h, g, h, ..., each as (x, Y): one batched query
         draws = [(random_k(spec, rng), random_algebra(spec, rng, 0.6)) for _ in range(30)]
         xs, ys = (np.stack(part) for part in zip(*draws))
-        query = KernelQuery(PointKC(spec, xs[0::2], ys[0::2]), PointKC(spec, xs[1::2], ys[1::2]), t, n, c)
-        lhs = k_sobolev_spectral(query)
-        rhs, res = k_sobolev_integral(query)
+        query = kernels.KernelQuery(PointKC(spec, xs[0::2], ys[0::2]), PointKC(spec, xs[1::2], ys[1::2]), t, n, c)
+        lhs = kernels.k_sobolev_spectral(query)
+        rhs, res = kernels.k_sobolev_integral(query)
         for k, (left, right, gap) in enumerate(zip(lhs.tolist(), rhs.tolist(), res.gap.tolist())):
             rows.append(_row(f"n={n}:q{k}", left, right, rel_gap(left, right), tol, gap))
     return rows
@@ -354,10 +373,10 @@ def _toeplitz_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     for n in _orders(cfg):
         c = cfg.c_value(spec, t, n)
         F1s, F2s = [Fs[i] for i in first], [Fs[j] for j in second]
-        quad = holo_inner(F1s, F2s, q, weight=toeplitz_symbol(spec, t, c, n))
-        shifted = [sobolev_shift(F, n, c) for F in Fs]
+        quad = holo_inner(F1s, F2s, q, weight=sobolev.toeplitz_symbol(spec, t, c, n))
+        shifted = [sobolev.sobolev_shift(F, n, c) for F in Fs]
         forms.append((f"n={n}", zip(first, second), quad, holo_inner(F1s, [shifted[j] for j in second], q)))
-    forms += [(f"X{k}", zip(same, same), *first_order_forms(Fs, Fs, k, q)) for k in range(spec.dim)]
+    forms += [(f"X{k}", zip(same, same), *sobolev.first_order_forms(Fs, Fs, k, q)) for k in range(spec.dim)]
     rows = []
     for tag, pairs, lhs_res, rhs_res in forms:
         levels = zip(*(res.by_level[k].tolist() for res in (lhs_res, rhs_res) for k in (-1, -2)))
@@ -376,8 +395,8 @@ def _weighted_norm_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     c = cfg.c_value(spec, t, n)
     basis = _basis(spec, cfg.cutoff)
     Fs = [ct_forward(f, t) for _, f in basis]
-    Gs = [sobolev_shift(F, 2 * n, c) for F in Fs]
-    lhs_res, rhs_res = weighted_form(Fs, n, q), holo_inner(Gs, Gs, q)
+    Gs = [sobolev.sobolev_shift(F, 2 * n, c) for F in Fs]
+    lhs_res, rhs_res = sobolev.weighted_form(Fs, n, q), holo_inner(Gs, Gs, q)
     rows = []
     forms = zip(basis, _norms(lhs_res), _norms(rhs_res), lhs_res.gap.tolist(), rhs_res.gap.tolist())
     for (cid, _), lhs, rhs, lhs_gap, rhs_gap in forms:
@@ -439,17 +458,17 @@ def _report_rows(kind: str, cfg: RunConfig, t: float):
     if kind == "symbol":
         rows = []
         for n in cfg.n:
-            sym = toeplitz_symbol(spec, t, cfg.c_value(spec, t, n), n)
+            sym = sobolev.toeplitz_symbol(spec, t, cfg.c_value(spec, t, n), n)
             rows += [(n, sym.degree, k, coef) for k, coef in enumerate(sym.coefficients)]
         return rows, True
     if kind == "lattice":
-        return lattice_limit_check(spec, cfg.tau), True
+        return bounds.lattice_limit_check(spec, cfg.tau), True
     if kind == "smoothness":
         f = CoefVec(spec, {label: np.eye(irrep_dim(spec, label)) for label in enumerate_irreps(spec, cfg.cutoff)})
-        return smoothness_report(ct_forward(f, t), n_max=max(cfg.n)), True
+        return bounds.smoothness_report(ct_forward(f, t), n_max=max(cfg.n)), True
     # bounds
     chamber = "full-lattice" if spec.kind == "torus" else "halfline"
-    rows = [(tau, ratio, alpha, chamber, ok) for tau, ratio, alpha, ok in kernel_bound_check(spec, t)]
+    rows = [(tau, ratio, alpha, chamber, ok) for tau, ratio, alpha, ok in bounds.kernel_bound_check(spec, t)]
     return rows, all(row[-1] for row in rows)
 
 
@@ -564,7 +583,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TailBoundError, OverflowError, FloatingPointError) as exc:
+    except (heat.TailBoundError, OverflowError, FloatingPointError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import heat
 from .groups import GroupSpec
-from .heat import _sum_series, rho_eval
 from .polar import PointKC, polar_compose
 from .quadrature import QuadSpec, integrate_laguerre
 from .transform import _integrate_profiles
@@ -69,7 +69,7 @@ def k_sobolev_spectral(query: KernelQuery):
     """
     spec = query.spec
     gh = pair_point(spec, query.g, query.h)
-    return _sum_series(spec, 2.0 * query.t, gh, 1e-10, lambda lam: (query.c + lam) ** (-2 * query.n))[0]
+    return heat._sum_series(spec, 2.0 * query.t, gh, 1e-10, lambda lam: (query.c + lam) ** (-2 * query.n))[0]
 
 
 def k_sobolev_integral(query: KernelQuery, q: QuadSpec | None = None):
@@ -88,7 +88,7 @@ def k_sobolev_integral(query: KernelQuery, q: QuadSpec | None = None):
 
     def f(s):
         # the nodes run down the rows and the pairs along the columns
-        return rho_eval(spec, 2.0 * (query.t + s[:, None]), gh)[0]
+        return heat.rho_eval(spec, 2.0 * (query.t + s[:, None]), gh)[0]
 
     res = integrate_laguerre(query.c, query.n, f, query.t, q)
     return res.value / math.factorial(2 * query.n - 1), res

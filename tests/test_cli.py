@@ -471,6 +471,9 @@ _LABEL_40 = {"group": "torus:1", "entries": [{"label": [40], "matrix": [[[1.0, 0
         (["verify", "mass", "--fmt", "xml"], "format must be csv or json"),
         # e_40 at t = 1 is damped by e^-800, below the doubles: refused, as a --cutoff is
         (["invert", "--coeffs", _LABEL_40, "--points", [[0.3]], "--t", "1"], "largest t this file allows is 0.875"),
+        # tau^2 underflows to 0 and overflows on torus:4: the range is 4 pi 2^-510 .. 2^510
+        (["report", "lattice", "--group", "torus:4", "--tau", "1e-300"], "must lie in [3.74897e-153, 3.35195e+153]"),
+        (["report", "lattice", "--group", "torus:4", "--tau", "1,1e300"], "must lie in [3.74897e-153, 3.35195e+153]"),
     ],
 )
 def test_bad_input_exits_2_before_work(tmp_path, capsys, args, message):
@@ -484,6 +487,26 @@ def test_bad_input_exits_2_before_work(tmp_path, capsys, args, message):
     assert code == 2
     assert message in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("group", ["torus:2", "torus:3", "torus:4", "torus:8", "su2"])
+def test_lattice_takes_every_tau_of_its_range(group):
+    # at both ends of the accepted range every written value is a finite
+    # double, and the next double outside it is refused
+    from gsb import bounds
+    from gsb.cli import ConfigError, RunConfig, _tau_range
+
+    spec = RunConfig(group=group).spec
+    lo, hi = _tau_range(spec)
+    ends = [tau for tau in (lo, hi) if 0 < tau < math.inf]
+    for tau in ends + [1.0]:
+        (row,) = bounds.lattice_limit_check(spec, [tau])
+        assert all(math.isfinite(v) for v in row) and tau ** (spec.rank / 2) > 0
+    for tau in (math.nextafter(lo, 0), math.nextafter(hi, math.inf)):
+        if 0 < tau < math.inf:
+            with pytest.raises(ConfigError, match="tau values must lie in"):
+                RunConfig(group=group, tau=(tau,)).validate()
+    assert len(ends) == (0 if spec.rank == 1 else 2)
 
 
 def test_every_config_field_has_one_flag_and_one_parse_path(tmp_path, capsys):
@@ -533,10 +556,10 @@ def test_readme_names_every_suite_and_flag():
 def test_verify_mass_reads_nu_t(tmp_path, capsys, monkeypatch, group):
     # the mass suite integrates the closed form of nu_t, so a density off by
     # a factor 1 + 1e-5 must fail it
-    import gsb.cli
+    import gsb.heat
 
-    exact = gsb.cli.log_nu_t
-    monkeypatch.setattr(gsb.cli, "log_nu_t", lambda spec, t, y: exact(spec, t, y) + math.log1p(1e-5))
+    exact = gsb.heat.log_nu_t
+    monkeypatch.setattr(gsb.heat, "log_nu_t", lambda spec, t, y: exact(spec, t, y) + math.log1p(1e-5))
     code, captured = _main_in_process(["verify", "mass", "--group", group, "--out", str(tmp_path)], capsys)
     assert code == 1
     assert "mass: FAIL" in captured.out
@@ -546,10 +569,10 @@ def test_verify_mass_reads_nu_t(tmp_path, capsys, monkeypatch, group):
 def test_verify_mass_sees_every_coordinate(tmp_path, capsys, monkeypatch, group):
     # the radial nodes have every coordinate nonzero, so a density that
     # ignores the last coordinate must fail the suite
-    import gsb.cli
+    import gsb.heat
 
-    exact = gsb.cli.log_nu_t
-    monkeypatch.setattr(gsb.cli, "log_nu_t", lambda spec, t, y: exact(spec, t, y * (np.arange(y.shape[1]) + 1 < y.shape[1])))
+    exact = gsb.heat.log_nu_t
+    monkeypatch.setattr(gsb.heat, "log_nu_t", lambda spec, t, y: exact(spec, t, y * (np.arange(y.shape[1]) + 1 < y.shape[1])))
     code, captured = _main_in_process(["verify", "mass", "--group", group, "--out", str(tmp_path)], capsys)
     assert code == 1
     assert "mass: FAIL" in captured.out
@@ -571,10 +594,10 @@ def test_symbols_need_no_sympy(tmp_path):
 def test_mass_evaluates_density_once_per_level(tmp_path, capsys, monkeypatch, group):
     # the mass suite hands log_nu_t the whole radial node batch of a level at
     # once, whatever the rank
-    import gsb.cli
+    import gsb.heat
 
-    exact, calls = gsb.cli.log_nu_t, []
-    monkeypatch.setattr(gsb.cli, "log_nu_t", lambda spec, t, y: calls.append(len(y)) or exact(spec, t, y))
+    exact, calls = gsb.heat.log_nu_t, []
+    monkeypatch.setattr(gsb.heat, "log_nu_t", lambda spec, t, y: calls.append(len(y)) or exact(spec, t, y))
     code, captured = _main_in_process(["verify", "mass", "--group", group, "--levels", "16,24", "--out", str(tmp_path)], capsys)
     assert code in (0, 1), captured.err
     assert calls == [16, 24]
@@ -678,9 +701,9 @@ def test_report_bounds_numeric_failure_exits_1_without_traceback(tmp_path, group
 
 def test_report_bounds_writes_report_then_fails_on_failed_check(tmp_path, capsys, monkeypatch):
     # the check fails at t = 2 only: both reports are written, the run fails
-    import gsb.cli
+    import gsb.bounds
 
-    monkeypatch.setattr(gsb.cli, "kernel_bound_check", lambda spec, t: [(t, 2.0 if t == 2 else 0.5, 1.0, t != 2)])
+    monkeypatch.setattr(gsb.bounds, "kernel_bound_check", lambda spec, t: [(t, 2.0 if t == 2 else 0.5, 1.0, t != 2)])
     out = tmp_path / "o"
     code, captured = _main_in_process(["report", "bounds", "--t", "1,2", "--out", str(out)], capsys)
     assert code == 1
