@@ -19,7 +19,7 @@ import sys
 
 from .coeffs import CoefVec, basis_entry
 from .groups import GroupSpec, parse_group, su2, torus
-from .polar import PointKC, abs_y, polar_compose
+from .polar import abs_y, polar_compose
 from .quadrature import QuadResult, QuadSpec, integrate_laguerre
 from .transform import HoloFunc, ct_forward, ct_inverse_integral, holo_inner
 
@@ -60,7 +60,6 @@ __all__ = [
     "GroupSpec",
     "HoloFunc",
     "KernelQuery",
-    "PointKC",
     "PolyU",
     "QuadResult",
     "QuadSpec",

@@ -74,8 +74,14 @@ def lattice_limit_check(spec: GroupSpec, tau_list):
 def alpha_t_estimate(spec: GroupSpec, t: float) -> float:
     """alpha_t = sup over tau >= t of lattice_sum(tau) / tau^{r/2} = h (theta(tau)
     / sqrt(tau))^r, its value at tau = t: by Jacobi, theta(tau) / sqrt(tau) =
-    (sqrt(pi)/step) (1 + 2 sum_{j >= 1} e^{-pi^2 tau j^2/step^2}) falls as tau grows."""
-    return lattice_sum(spec, t) / t ** (spec.rank / 2.0)
+    (sqrt(pi)/step) (1 + 2 sum_{j >= 1} e^{-pi^2 tau j^2/step^2}) falls as tau grows.
+    A FloatingPointError names t when t^{r/2} underflows to 0 or alpha_t is
+    not a finite double."""
+    scale = t ** (spec.rank / 2.0)
+    alpha = lattice_sum(spec, t) / scale if scale > 0 else math.inf
+    if not math.isfinite(alpha):
+        raise FloatingPointError(f"alpha_t is not a finite double at t = {t:g} on rank {spec.rank}")
+    return alpha
 
 
 def _unit_directions(dim: int, n_angular: int) -> np.ndarray:

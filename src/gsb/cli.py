@@ -25,15 +25,14 @@ from .groups import (
     GroupSpec,
     enumerate_irreps,
     irrep_dim,
-    laplacian_eigenvalue,
     parse_group,
     random_algebra,
     random_k,
     su2_euler,
 )
-from .polar import PointKC, log_phi
+from .polar import log_phi, polar_compose
 from .quadrature import MAX_ORDER, QuadSpec, integrate_levels, rel_gap, roots_legendre
-from .transform import MAX_DAMPING, ct_forward, ct_inverse_integral, holo_inner, inversion_radii
+from .transform import check_damping, ct_forward, ct_inverse_integral, holo_inner, inversion_radii
 
 REPORT_COLUMNS = {
     "bounds": ["tau", "max-ratio", "alpha_t", "chamber", "pass"],
@@ -121,22 +120,24 @@ class RunConfig:
         if self.fmt not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
         # the top irrep's eigenvalue grows with the cutoff: all cutoffs from the first lost one are lost
-        tops = [k if spec.kind == "su2" else (k,) * spec.rank for k in range(1, self.cutoff + 1)]
-        lost = [k for k, top in enumerate(tops, 1) if _damped_out(spec, top, max(self.t))]
-        if lost:
-            raise ConfigError(
-                f"cutoff {self.cutoff} damps the top irrep below e^-{MAX_DAMPING:g} at t = {max(self.t):g}; "
-                f"the largest allowed cutoff is {lost[0] - 1}"
-            )
+        for k in range(1, self.cutoff + 1):
+            top = k if spec.kind == "su2" else (k,) * spec.rank
+            try:
+                check_damping(spec, [top], max(self.t))
+            except ValueError as exc:
+                raise ConfigError(f"cutoff {self.cutoff}: {exc}; the largest allowed cutoff is {k - 1}") from None
         return self
 
     @property
     def spec(self) -> GroupSpec:
         return parse_group(self.group)
 
-    def quad(self, default: float = 1e-8) -> QuadSpec:
-        """Quadrature levels with the configured tolerance, else the default."""
-        return QuadSpec(levels=tuple(self.levels), tolerance=default if self.tolerance is None else self.tolerance)
+    def quad(self) -> QuadSpec:
+        return QuadSpec(levels=tuple(self.levels))
+
+    def tol(self, default: float) -> float:
+        """The configured tolerance, else the command's default."""
+        return default if self.tolerance is None else self.tolerance
 
     def c_value(self, spec: GroupSpec, t: float, n: int) -> float:
         """Configured c, or the positivity threshold (floored at |delta|^2+1)."""
@@ -170,11 +171,6 @@ def _tau_range(spec: GroupSpec) -> tuple:
     """
     span = 2040.0 / spec.rank
     return spec.lattice_step**2 / math.pi * 2.0**-span, (2.0**span if span < 1024 else math.inf)
-
-
-def _damped_out(spec: GroupSpec, label, t: float) -> bool:
-    """Whether ct_forward at time t damps label's block below e^-MAX_DAMPING, where it would be lost."""
-    return laplacian_eigenvalue(spec, label) * t / 2.0 > MAX_DAMPING
 
 
 def _config_from_args(args) -> RunConfig:
@@ -322,7 +318,7 @@ def _reproducing_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     # one batch of every (function, point) pair, function by function
     xs, ys = (np.concatenate([np.stack(part)] * len(basis)) for part in zip(*points))
     Fs = [ct_forward(f, t) for _, f in basis]
-    residual, gap = kernels.reproduce_check([F for F in Fs for _ in points], PointKC(spec, xs, ys), q)
+    residual, gap = kernels.reproduce_check([F for F in Fs for _ in points], polar_compose(spec, xs, ys), q)
     cids = [f"{cid}@p{k}" for cid, _ in basis for k in range(len(points))]
     return [_row(cid, r, 0.0, r, tol, g) for cid, r, g in zip(cids, residual.tolist(), gap.tolist())]
 
@@ -353,7 +349,12 @@ def _kernel_tworoute_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
         # 15 pairs (g, h), drawn g, h, g, h, ..., each as (x, Y): one batched query
         draws = [(random_k(spec, rng), random_algebra(spec, rng, 0.6)) for _ in range(30)]
         xs, ys = (np.stack(part) for part in zip(*draws))
-        query = kernels.KernelQuery(PointKC(spec, xs[0::2], ys[0::2]), PointKC(spec, xs[1::2], ys[1::2]), t, n, c)
+        g, h = polar_compose(spec, xs[0::2], ys[0::2]), polar_compose(spec, xs[1::2], ys[1::2])
+        gh = kernels.pair_point(spec, g, h)
+        try:
+            query = kernels.KernelQuery(spec, gh, t, n, c)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         lhs = kernels.k_sobolev_spectral(query)
         rhs, res = kernels.k_sobolev_integral(query)
         for k, (left, right, gap) in enumerate(zip(lhs.tolist(), rhs.tolist(), res.gap.tolist())):
@@ -367,25 +368,25 @@ def _toeplitz_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     Fs = [ct_forward(f, t) for _, f in basis]
     norms = [f.plancherel_norm() for _, f in basis]
     same = list(range(len(basis)))
-    # (tag, basis index pairs, lhs, rhs): the quadratic forms on the pairs
-    # (f_i, f_i) and (f_i, f_{i+1}), the first-order forms on (f_i, f_i)
+    # (tag, lhs, rhs): the quadratic forms on the pairs (f_i, f_i), then
+    # (f_i, f_{i+1}); the first-order forms on the first of them, (f_i, f_i)
     forms, first, second = [], same + same[:-1], same + same[1:]
+    # forms that vanish identically leave only rounding noise, so each
+    # pair's zero floor is scaled to the natural size of the form
+    floor = [1e-6 * norms[i] * norms[j] for i, j in zip(first, second)]
     for n in _orders(cfg):
         c = cfg.c_value(spec, t, n)
         F1s, F2s = [Fs[i] for i in first], [Fs[j] for j in second]
-        quad = holo_inner(F1s, F2s, q, weight=sobolev.toeplitz_symbol(spec, t, c, n))
+        quad = holo_inner(F1s, F2s, q, sobolev.toeplitz_symbol(spec, t, c, n), floor)
         shifted = [sobolev.sobolev_shift(F, n, c) for F in Fs]
-        forms.append((f"n={n}", zip(first, second), quad, holo_inner(F1s, [shifted[j] for j in second], q)))
-    forms += [(f"X{k}", zip(same, same), *sobolev.first_order_forms(Fs, Fs, k, q)) for k in range(spec.dim)]
+        forms.append((f"n={n}", quad, holo_inner(F1s, [shifted[j] for j in second], q, None, floor)))
+    forms += [(f"X{k}", *sobolev.first_order_forms(Fs, Fs, k, q, floor[: len(same)])) for k in range(spec.dim)]
     rows = []
-    for tag, pairs, lhs_res, rhs_res in forms:
-        levels = zip(*(res.by_level[k].tolist() for res in (lhs_res, rhs_res) for k in (-1, -2)))
-        for (i, j), (lhs, lhs_prev, rhs, rhs_prev) in zip(pairs, levels):
-            # forms that vanish identically leave only rounding noise, so the
-            # zero floor is scaled to the natural size of the form
-            floor = 1e-6 * norms[i] * norms[j]
-            gap = max(rel_gap(lhs, lhs_prev, floor), rel_gap(rhs, rhs_prev, floor))
-            rows.append(_row(f"{tag}:<{basis[i][0]},{basis[j][0]}>", abs(lhs), abs(rhs), rel_gap(lhs, rhs, floor), tol, gap))
+    for tag, lhs_res, rhs_res in forms:
+        sides = (lhs_res.value.tolist(), rhs_res.value.tolist(), lhs_res.gap.tolist(), rhs_res.gap.tolist())
+        for i, j, f, lhs, rhs, lhs_gap, rhs_gap in zip(first, second, floor, *sides):
+            cid, gap = f"{tag}:<{basis[i][0]},{basis[j][0]}>", max(lhs_gap, rhs_gap)
+            rows.append(_row(cid, abs(lhs), abs(rhs), rel_gap(lhs, rhs, f), tol, gap))
     return rows
 
 
@@ -397,13 +398,13 @@ def _weighted_norm_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     Fs = [ct_forward(f, t) for _, f in basis]
     Gs = [sobolev.sobolev_shift(F, 2 * n, c) for F in Fs]
     lhs_res, rhs_res = sobolev.weighted_form(Fs, n, q), holo_inner(Gs, Gs, q)
-    rows = []
+    # the row's tol bounds the ratio spread; the gap tolerance bounds each form's level gap
+    rows, gap_tol = [], cfg.tol(1e-8)
     forms = zip(basis, _norms(lhs_res), _norms(rhs_res), lhs_res.gap.tolist(), rhs_res.gap.tolist())
     for (cid, _), lhs, rhs, lhs_gap, rhs_gap in forms:
         ratio = lhs / rhs if rhs > 0 else math.inf
-        # the row's tol bounds the ratio spread; the quadrature tolerance bounds the gap
         gap = max(lhs_gap, rhs_gap)
-        rows.append((f"n={n}:{cid}", lhs, rhs, ratio, tol, math.isfinite(ratio) and gap <= q.tolerance, gap))
+        rows.append((f"n={n}:{cid}", lhs, rhs, ratio, tol, math.isfinite(ratio) and gap <= gap_tol, gap))
     ratios = [row[3] for row in rows]
     spread = max(ratios) / min(ratios)
     rows.append(_row(f"n={n}:ratio-spread", spread, tol, spread, tol, 0.0))
@@ -441,7 +442,7 @@ def _write_reports(cfg: RunConfig, stem: str, columns, result_at) -> int:
 
 def cmd_verify(suite: str, cfg: RunConfig) -> int:
     rows_fn, default_tol = SUITES[suite]
-    tol = default_tol if cfg.tolerance is None else cfg.tolerance
+    tol = cfg.tol(default_tol)
 
     def result_at(t):
         rows = rows_fn(cfg, t, tol, cfg.quad())
@@ -516,21 +517,19 @@ def cmd_invert(cfg: RunConfig, coeff_path: str, points_path: str) -> int:
         if f.spec != cfg.spec:
             raise ConfigError("coefficient file group does not match --group")
         points = _parse_points(f.spec, points_path)
-        inversion_radii(f.spec, max(cfg.t), f.support)  # refuses a radius past |Y| = MAX_ABS_Y
-        top = max(f.support, key=lambda label: laplacian_eigenvalue(f.spec, label), default=None)
-        if top is not None and _damped_out(f.spec, top, max(cfg.t)):
-            t_max = 2.0 * MAX_DAMPING / laplacian_eigenvalue(f.spec, top)
-            raise ConfigError(f"label {top} is damped below e^-{MAX_DAMPING:g}; the largest t this file allows is {t_max:.6g}")
+        # refuse a radius past |Y| = MAX_ABS_Y, and a label that ct_forward would lose
+        inversion_radii(f.spec, max(cfg.t), f.support)
+        check_damping(f.spec, f.support, max(cfg.t))
     except (ConfigError, KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     columns = ["point", "value-re", "value-im", "exact-re", "exact-im", "abs-err", "stabilized", "tol", "pass", "gap"]
-    tol = cfg.quad(1e-6).tolerance
+    tol = cfg.tol(1e-6)
     exact = f.eval_k_batch(points).tolist()
 
     def result_at(t):
         radii = inversion_radii(f.spec, t, f.support)
-        (inner, outer), gap = ct_inverse_integral(ct_forward(f, t), points, radii, cfg.quad(1e-6))
+        (inner, outer), gap = ct_inverse_integral(ct_forward(f, t), points, radii, cfg.quad())
         rows = []
         for k, (a, rec, ex, g) in enumerate(zip(inner.tolist(), outer.tolist(), exact, gap.tolist())):
             stable, err = abs(rec - a) <= tol * max(1.0, abs(rec)), abs(rec - ex)

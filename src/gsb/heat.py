@@ -66,11 +66,13 @@ def _tail_bound(spec: GroupSpec, t: float, cutoff: int, s: float) -> float:
     return math.inf
 
 
-def _choose_cutoff(spec: GroupSpec, t: float, s: float, tol: float) -> int:
+def _choose_cutoff(spec: GroupSpec, t: float, s: float, tol: float):
+    """(cutoff, tail bound): the first cutoff of the ladder whose tail bound meets tol."""
     cutoff = 1
     while cutoff <= MAX_CUTOFF:
-        if _tail_bound(spec, t, cutoff, s) <= tol:
-            return cutoff
+        bound = _tail_bound(spec, t, cutoff, s)
+        if bound <= tol:
+            return cutoff, bound
         cutoff = cutoff * 2 if cutoff < 32 else cutoff + 32
     raise TailBoundError(f"no cutoff up to {MAX_CUTOFF} meets tolerance {tol:.3e} at |Y|={s:.3f}")
 
@@ -120,21 +122,22 @@ def _series(spec: GroupSpec, tau, g, cutoff: int, weight=None):
 
 def _sum_series(spec: GroupSpec, tau, g, tol: float, weight=None):
     """_series at the cutoff whose tail bound, at the smallest tau and the
-    largest |Y| of the batch, meets tol.  Returns (value, cutoff, smallest
-    tau, largest |Y|); an overflow is re-raised with those numbers."""
+    largest |Y| of the batch, meets tol.  Returns (value, TruncationReport);
+    an overflow is re-raised with the cutoff, the smallest tau and the
+    largest |Y|."""
     tau = np.asarray(tau, dtype=float)
     if not np.all(tau > 0):
         raise ValueError("t must be positive")
     t_min = float(np.min(tau))
     s = float(np.max(abs_y(spec, g)))
-    cutoff = _choose_cutoff(spec, t_min, s, tol)
+    cutoff, bound = _choose_cutoff(spec, t_min, s, tol)
     try:
         value = _series(spec, tau, g, cutoff, weight)
     except FloatingPointError as exc:
         raise FloatingPointError(
             f"heat series overflowed at cutoff {cutoff}, smallest t {t_min:.6g}, largest |Y| {s:.6g} ({exc})"
         ) from exc
-    return value, cutoff, t_min, s
+    return value, TruncationReport(cutoff, bound, tol)
 
 
 def rho_eval(spec: GroupSpec, t, g, tol: float = 1e-10):
@@ -146,8 +149,7 @@ def rho_eval(spec: GroupSpec, t, g, tol: float = 1e-10):
     smallest t, serves the whole batch, so the report bounds the tail at
     every point.
     """
-    value, cutoff, t_min, s = _sum_series(spec, t, g, tol)
-    return value, TruncationReport(cutoff, _tail_bound(spec, t_min, cutoff, s), tol)
+    return _sum_series(spec, t, g, tol)
 
 
 def log_nu_t(spec: GroupSpec, t: float, y):

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import heat
 from .groups import GroupSpec
-from .polar import PointKC, polar_compose
 from .quadrature import QuadSpec, integrate_laguerre
 from .transform import _integrate_profiles
 
@@ -31,11 +30,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KernelQuery:
-    """Kernel at each pair (g, h) of a batch: g and h carry one leading axis
-    of the same length (one pair is a batch of one)."""
+    """Kernel k_t^{2n}(g, h) at each pair element gh = g h^* of a batch
+    (pair_point of two element batches; one pair is a batch of one)."""
 
-    g: PointKC
-    h: PointKC
+    spec: GroupSpec
+    gh: np.ndarray
     t: float
     n: int = 0
     c: float = 1.0
@@ -45,21 +44,17 @@ class KernelQuery:
             raise ValueError("t must be positive")
         if self.n < 0:
             raise ValueError("n must be nonnegative")
-        if self.n >= 1 and self.c <= self.g.spec.delta_sq:
+        if self.n >= 1 and self.c <= self.spec.delta_sq:
             raise ValueError("need c > |delta|^2 for the Sobolev kernel")
 
-    @property
-    def spec(self) -> GroupSpec:
-        return self.g.spec
 
-
-def pair_point(spec: GroupSpec, g: PointKC, h: PointKC):
+def pair_point(spec: GroupSpec, g, h):
     """The element g h^* of K_C: G H^* on SU(2), z_g - conj(z_h) on a torus,
-    where (x + iy)^* = -x + iy.  One element per pair of the two batches."""
-    gm, hm = polar_compose(spec, g), polar_compose(spec, h)
+    where (x + iy)^* = -x + iy.  One element per pair of the two element
+    batches."""
     if spec.kind == "torus":
-        return gm - np.conj(hm)
-    return gm @ np.swapaxes(hm.conj(), -1, -2)
+        return g - np.conj(h)
+    return g @ np.swapaxes(h.conj(), -1, -2)
 
 
 def k_sobolev_spectral(query: KernelQuery):
@@ -67,9 +62,7 @@ def k_sobolev_spectral(query: KernelQuery):
     cut where the series' tail bound meets 1e-10: one value per pair, at
     one cutoff for the batch.
     """
-    spec = query.spec
-    gh = pair_point(spec, query.g, query.h)
-    return heat._sum_series(spec, 2.0 * query.t, gh, 1e-10, lambda lam: (query.c + lam) ** (-2 * query.n))[0]
+    return heat._sum_series(query.spec, 2.0 * query.t, query.gh, 1e-10, lambda lam: (query.c + lam) ** (-2 * query.n))[0]
 
 
 def k_sobolev_integral(query: KernelQuery, q: QuadSpec | None = None):
@@ -83,21 +76,19 @@ def k_sobolev_integral(query: KernelQuery, q: QuadSpec | None = None):
     """
     if query.n < 1:
         raise ValueError("the integral route needs n >= 1")
-    spec = query.spec
-    gh = pair_point(spec, query.g, query.h)
 
     def f(s):
         # the nodes run down the rows and the pairs along the columns
-        return heat.rho_eval(spec, 2.0 * (query.t + s[:, None]), gh)[0]
+        return heat.rho_eval(query.spec, 2.0 * (query.t + s[:, None]), query.gh)[0]
 
     res = integrate_laguerre(query.c, query.n, f, query.t, q)
     return res.value / math.factorial(2 * query.n - 1), res
 
 
-def reproduce_check(Fs, g: PointKC, q: QuadSpec):
-    """Relative residual of the reproducing identity at each point g of a
-    batch (one leading axis), for its own function F of the sequence Fs,
-    and its level gap:
+def reproduce_check(Fs, g, q: QuadSpec):
+    """Relative residual of the reproducing identity at each element g of a
+    batch of K_C (one leading axis), for its own function F of the sequence
+    Fs, and its level gap:
 
     |F(g) - int k_t(g,h) F(h) nu_t(h) dh| / (1 + |F(g)|).
 
@@ -110,18 +101,17 @@ def reproduce_check(Fs, g: PointKC, q: QuadSpec):
     finest levels relative to the larger of them and the residual's scale
     1 + |F(g)|: arrays with each pair's bits of its batch of one.
     """
-    spec, Fs = g.spec, list(Fs)
-    g_mats = polar_compose(spec, g)
-    if len(Fs) != len(g_mats):
+    Fs = list(Fs)
+    if len(Fs) != len(g):
         raise ValueError("need one function per point")
     fg, terms = np.zeros(len(Fs), dtype=complex), []
     for G in {id(G): G for G in Fs}.values():  # each function on all of its points at once
         idx = [i for i, H in enumerate(Fs) if H is G]
-        for label, traces in sorted(G.coefs.label_traces(g_mats[idx]).items()):
+        for label, traces in sorted(G.coefs.label_traces(g[idx]).items()):
             fg[idx] += traces
-            terms += [(i, label, tr, 1.0) for i, tr in zip(idx, traces)]
+            terms += [(i, label, tr) for i, tr in zip(idx, traces)]
     fg = fg.tolist()
     scale = [1.0 + abs(v) for v in fg]
-    res = _integrate_profiles(spec, Fs[0].t, q, terms, len(Fs), floor=scale)
+    res = _integrate_profiles(Fs[0].spec, Fs[0].t, q, terms, len(Fs), floor=scale)
     residual = [abs(v - w) / s for v, w, s in zip(fg, res.value.tolist(), scale)]
     return np.array(residual), res.gap

@@ -1,42 +1,25 @@
 """Polar coordinates g = x * exp(iY) on the complexified group.
 
-A point is sampled and described as a polar pair (PointKC); the numerical
-layer works on the element it composes to, a complex (..., r) vector on a
-torus or an (..., 2, 2) SL(2,C) matrix on SU(2), and reads |Y| back from
-the element with abs_y.  Includes the density function Phi (through its
-logarithm, on batches of points).
+A point is sampled as a polar pair (x, Y) and composed once, by
+polar_compose, into its element of K_C: a complex (..., r) vector on a
+torus or an (..., 2, 2) SL(2,C) matrix on SU(2).  The numerical layer works
+on elements only and reads |Y| back with abs_y.  Includes the density
+function Phi (through its logarithm, on batches of points).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .groups import PAULI, GroupSpec
 
 __all__ = [
-    "PointKC",
     "polar_compose",
     "exp_iy_batch",
     "abs_y",
 ]
 
 MAX_ABS_Y = 50.0  # overflow guard on |Y| for the sinh factors and inversion radii
-
-
-@dataclass(frozen=True)
-class PointKC:
-    """Polar pair (x, Y): x in K, Y coordinates in the orthonormal basis."""
-
-    spec: GroupSpec
-    x: np.ndarray  # torus: angles in [0, 2pi)^r; su2: 2x2 unitary, det 1
-    y: np.ndarray  # real coordinates, length dim K
-    # a batch of points carries leading axes on x and y that broadcast
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
 
 
 def exp_iy_batch(spec: GroupSpec, ys: np.ndarray) -> np.ndarray:
@@ -58,12 +41,15 @@ def exp_iy_batch(spec: GroupSpec, ys: np.ndarray) -> np.ndarray:
     return out
 
 
-def polar_compose(spec: GroupSpec, p: PointKC):
-    """The element x * exp(iY) of K_C, for one point or a batch."""
+def polar_compose(spec: GroupSpec, x, y):
+    """The element x * exp(iY) of K_C, for one point or a batch: x in K
+    (angles on a torus, a 2x2 unitary on SU(2)) and Y's coordinates in the
+    orthonormal basis, with leading axes that broadcast."""
+    y = np.asarray(y, dtype=float)
     if spec.kind == "torus":
-        return np.asarray(p.x, dtype=float) + 1j * p.y
-    e = exp_iy_batch(spec, p.y.reshape(-1, 3)).reshape(p.y.shape[:-1] + (2, 2))
-    return np.asarray(p.x, dtype=complex) @ e
+        return np.asarray(x, dtype=float) + 1j * y
+    e = exp_iy_batch(spec, y.reshape(-1, 3)).reshape(y.shape[:-1] + (2, 2))
+    return np.asarray(x, dtype=complex) @ e
 
 
 def abs_y(spec: GroupSpec, g):

@@ -202,14 +202,13 @@ def roots_genlaguerre(n: int, alpha: int):
 
 @dataclass(frozen=True)
 class QuadSpec:
+    """The refinement levels of a rule; the gap is measured between the last two."""
+
     levels: tuple = (64, 96)
-    tolerance: float = 1e-6
 
     def __post_init__(self):
         if len(self.levels) < 2:
             raise ValueError("need at least two refinement levels")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -377,7 +376,7 @@ def integrate_laguerre(c: float, n: int, f, t: float | None = None, q: QuadSpec 
         w = np.concatenate([half * t * wx * np.exp(v - c * head), wu * (TAIL_BOUND / c)])
         return np.dot(w * s ** (2 * n - 1), np.asarray(f(s)))
 
-    return integrate_levels(q or QuadSpec(levels=(48, 64), tolerance=1e-8), value_at)
+    return integrate_levels(q or QuadSpec(levels=(48, 64)), value_at)
 
 
 @lru_cache(maxsize=32)

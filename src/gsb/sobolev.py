@@ -162,17 +162,17 @@ def phi_x_weight(spec: GroupSpec, t: float, k: int):
     return AxisWeight(k, lambda u: 0.5j * _grad_log_radial(t, np.sqrt(u)))
 
 
-def first_order_forms(F1s, F2s, k: int, q: QuadSpec):
+def first_order_forms(F1s, F2s, k: int, q: QuadSpec, floor=0.0):
     """Both sides of the first-order Toeplitz identity for X_k, on each pair
     (F1, F2) of two equal-length sequences.
 
-    Returns (lhs, rhs) as QuadResults: lhs = <F1, X_k F2> in L^2(nu_t), rhs
-    the quadratic form against phi_X.  Equality is the operator identity
-    under test.
+    Returns (lhs, rhs) as QuadResults, their gaps on holo_inner's floor: lhs
+    = <F1, X_k F2> in L^2(nu_t), rhs the quadratic form against phi_X.
+    Equality is the operator identity under test.
     """
     F = F2s[0]
     XF2s = [apply_vector_field(G, k) for G in F2s]
-    return holo_inner(F1s, XF2s, q), holo_inner(F1s, F2s, q, weight=phi_x_weight(F.spec, F.t, k))
+    return holo_inner(F1s, XF2s, q, None, floor), holo_inner(F1s, F2s, q, phi_x_weight(F.spec, F.t, k), floor)
 
 
 def weighted_form(Fs, n: int, q: QuadSpec) -> QuadResult:

@@ -62,6 +62,7 @@ __all__ = [
     "AxisWeight",
     "HoloFunc",
     "ct_forward",
+    "check_damping",
     "holo_inner",
     "ct_inverse_integral",
     "inversion_radii",
@@ -83,10 +84,24 @@ class HoloFunc:
         return self.coefs.spec
 
 
+def check_damping(spec: GroupSpec, labels, t: float):
+    """Refuse, with a ValueError naming the largest t they allow, labels that
+    ct_forward at time t would damp below e^-MAX_DAMPING, out of the normal
+    doubles; holo_inner and ct_inverse_integral undo a kept one by e^{lambda t/2}."""
+    top = max(labels, key=lambda label: laplacian_eigenvalue(spec, label), default=None)
+    if top is not None and laplacian_eigenvalue(spec, top) * t / 2.0 > MAX_DAMPING:
+        t_max = 2.0 * MAX_DAMPING / laplacian_eigenvalue(spec, top)
+        raise ValueError(
+            f"label {top} is damped below e^-{MAX_DAMPING:g} at t = {t:g}; the largest t these labels allow is {t_max:.6g}"
+        )
+
+
 def ct_forward(f: CoefVec, t: float) -> HoloFunc:
-    """Damp block pi by exp(-lambda_pi t/2) and package for K_C evaluation."""
+    """Damp block pi by exp(-lambda_pi t/2) and package for K_C evaluation;
+    check_damping refuses a label damped past the doubles."""
     if t <= 0:
         raise ValueError("t must be positive")
+    check_damping(f.spec, f.support, t)
     return HoloFunc(f.spectral(lambda lam: math.exp(-lam * t / 2.0)), t)
 
 
@@ -174,7 +189,7 @@ def _torus_base_rule(t: float, level: int, rank: int):
 
 def _integrate_profiles(spec: GroupSpec, t: float, q: QuadSpec, terms, size: int, weight=None, floor=0.0):
     """integrate_levels of the values p = 0, ..., size - 1, each the sum of
-    coef * S * rest over its terms (p, label, coef, rest).  S, the label's
+    coef * S over its terms (p, label, coef).  S, the label's
     profile sum against the weight, is that of a (b for an AxisWeight) of
     _schur_profiles on SU(2), and on a torus of a (b = (-i/|n|) zeta a, 0 at
     n = 0) of _torus_base_rule at the label's shift.  It sees the label only
@@ -184,7 +199,7 @@ def _integrate_profiles(spec: GroupSpec, t: float, q: QuadSpec, terms, size: int
     """
     first_order = isinstance(weight, AxisWeight)
     radial = weight.radial if first_order else weight
-    keys = {label: label if spec.kind == "su2" else sum(k * k for k in label) for _, label, _, _ in terms}
+    keys = {label: label if spec.kind == "su2" else sum(k * k for k in label) for _, label, _ in terms}
 
     def profile_sum(level, key):
         if spec.kind == "su2":
@@ -201,23 +216,24 @@ def _integrate_profiles(spec: GroupSpec, t: float, q: QuadSpec, terms, size: int
     def value_at(level):
         sums = {key: profile_sum(level, key) for key in set(keys.values())}
         total = [0j] * size
-        for p, label, coef, rest in terms:
-            total[p] += coef * sums[keys[label]] * rest
+        for p, label, coef in terms:
+            total[p] += coef * sums[keys[label]]
         return np.array(total, dtype=complex)
 
     return integrate_levels(q, value_at, floor)
 
 
-def holo_inner(F1s, F2s, q: QuadSpec, weight=None) -> QuadResult:
+def holo_inner(F1s, F2s, q: QuadSpec, weight=None, floor=0.0) -> QuadResult:
     """<F1, F2> against a weight times nu_t(g) dg, K-part exact, for each
-    pair (F1, F2) of two equal-length sequences.
+    pair (F1, F2) of two equal-length sequences of ct_forward's functions.
 
     weight is None (the weight 1), a vectorized map of u = |Y|^2 to a
     factor, or an AxisWeight: y_k * radial(|Y|^2), which depends on the
     direction of Y, not just its length.  Value, gap and levels are arrays
-    with one entry per pair, each with the bits of its batch of one.  A
-    common label contributes (vol/d) tr(B1^* B2) (B2 -> dpi(E_k) B2 for an
-    AxisWeight) times its profile sum.
+    with one entry per pair, each with the bits of its batch of one; floor
+    (a number, or one per pair) is the gap's zero floor, as in
+    integrate_levels.  A common label contributes (vol/d) tr(B1^* B2) (B2 ->
+    dpi(E_k) B2 for an AxisWeight) times its profile sum.
     """
     F1s, F2s = list(F1s), list(F2s)
     spec, t = F1s[0].spec, F1s[0].t
@@ -227,16 +243,14 @@ def holo_inner(F1s, F2s, q: QuadSpec, weight=None) -> QuadResult:
     terms = []
     for p, (G1, G2) in enumerate(zip(F1s, F2s)):
         for label in sorted(G1.coefs.entries.keys() & G2.coefs.entries.keys()):
-            # undo the damping of both blocks (up to e^MAX_DAMPING, past which
-            # the rest goes on the sum) so the product and the profile stay O(1)
-            half_lam = laplacian_eigenvalue(spec, label) * t / 2.0
-            undo = min(half_lam, MAX_DAMPING)
-            b1, b2 = math.exp(undo) * G1.coefs.entries[label], math.exp(undo) * G2.coefs.entries[label]
+            # undo the damping of both blocks so the product and the profile stay O(1)
+            undo = math.exp(laplacian_eigenvalue(spec, label) * t / 2.0)
+            b1, b2 = undo * G1.coefs.entries[label], undo * G2.coefs.entries[label]
             if axis is not None:
                 b2 = rep_generator(spec, label, axis) @ b2
             trace = (b1.conj() * b2).sum()
-            terms.append((p, label, (spec.volume / irrep_dim(spec, label)) * trace, math.exp(2.0 * (half_lam - undo))))
-    return _integrate_profiles(spec, t, q, terms, len(F1s), weight)
+            terms.append((p, label, (spec.volume / irrep_dim(spec, label)) * trace))
+    return _integrate_profiles(spec, t, q, terms, len(F1s), weight, floor)
 
 
 def inversion_radii(spec: GroupSpec, t: float, labels):
@@ -300,8 +314,7 @@ def ct_inverse_integral(F: HoloFunc, xs, radii, q: QuadSpec):
     spec, t = F.spec, F.t
     traces = F.coefs.label_traces(xs)
     for label, trace in traces.items():
-        half_lam = laplacian_eigenvalue(spec, label) * t / 2.0  # undone in two steps: no overflow while B != 0
-        traces[label] = math.exp(min(half_lam, MAX_DAMPING)) * trace * math.exp(max(half_lam - MAX_DAMPING, 0.0))
+        traces[label] = math.exp(laplacian_eigenvalue(spec, label) * t / 2.0) * trace
 
     def value_at(level):
         total = np.zeros((len(radii), len(xs)), dtype=complex)

@@ -21,9 +21,12 @@ from gsb.bounds import (
 )
 from gsb.coeffs import CoefVec, basis_entry
 from gsb.groups import enumerate_irreps, irrep_dim, random_algebra, random_k, su2, torus
-from gsb.kernels import KernelQuery, k_sobolev_integral, k_sobolev_spectral, reproduce_check
-from gsb.polar import PointKC, log_phi, polar_compose
+from gsb.kernels import KernelQuery, k_sobolev_integral, k_sobolev_spectral, pair_point, reproduce_check
+from gsb.polar import log_phi, polar_compose
 from gsb.quadrature import QuadSpec
+
+# the level gap every quadrature here must meet
+GAP_TOL = 1e-6
 from gsb.sobolev import (
     first_order_forms,
     laplacian_apply,
@@ -62,9 +65,9 @@ def _sum(*fs):
 
 
 def _norms(Fs, q):
-    """K_C L^2 norms of a batch of functions, and whether every quadrature gap meets q's tolerance."""
+    """K_C L^2 norms of a batch of functions, and whether every quadrature gap meets GAP_TOL."""
     res = holo_inner(Fs, Fs, q)
-    return [math.sqrt(max(v.real, 0.0)) for v in res.value.tolist()], bool(np.all(res.gap <= q.tolerance))
+    return [math.sqrt(max(v.real, 0.0)) for v in res.value.tolist()], bool(np.all(res.gap <= GAP_TOL))
 
 
 def _rel(a, b):
@@ -72,14 +75,14 @@ def _rel(a, b):
 
 
 def _random_points(spec, rng, count, max_norm=3.0):
-    """A batch of count points with |Y| uniform in [0, max_norm]."""
+    """The elements of a batch of count points with |Y| uniform in [0, max_norm]."""
     xs, ys = [], []
     for _ in range(count):
         y = random_algebra(spec, rng)
         y *= rng.uniform(0.0, max_norm) / max(np.linalg.norm(y), 1e-12)
         xs.append(random_k(spec, rng))
         ys.append(y)
-    return PointKC(spec, np.stack(xs), np.stack(ys))
+    return polar_compose(spec, np.stack(xs), np.stack(ys))
 
 
 def test_criterion_01_transform_is_unitary():
@@ -117,7 +120,7 @@ def test_criterion_03_reproducing_property():
         points = _random_points(spec, rng, 20)
         for f in basis:
             F = ct_forward(f, 1.0)
-            residual, _ = reproduce_check([F] * len(points.y), points, QuadSpec())
+            residual, _ = reproduce_check([F] * len(points), points, QuadSpec())
             worst = max(worst, float(np.max(residual)) / tol)
             ok = ok and bool(np.all(residual <= tol))
     _report("point evaluations reproduce through the kernel integral", ok, f"worst residual/tol {worst:.2e}")
@@ -155,7 +158,8 @@ def test_criterion_05_kernel_two_routes_agree():
             # 15 pairs (g, h), drawn g, h, g, h, ...: one batched query
             draws = [(random_k(spec, rng), random_algebra(spec, rng, 0.6)) for _ in range(30)]
             xs, ys = (np.stack(part) for part in zip(*draws))
-            query = KernelQuery(PointKC(spec, xs[0::2], ys[0::2]), PointKC(spec, xs[1::2], ys[1::2]), 1.0, n, c)
+            gh = pair_point(spec, polar_compose(spec, xs[0::2], ys[0::2]), polar_compose(spec, xs[1::2], ys[1::2]))
+            query = KernelQuery(spec, gh, 1.0, n, c)
             lhs = k_sobolev_spectral(query)
             rhs, _ = k_sobolev_integral(query, q)
             worst = max([worst] + [_rel(a, b) for a, b in zip(lhs.tolist(), rhs.tolist())])
@@ -174,17 +178,17 @@ def test_criterion_06_pointwise_bound_and_envelope():
         (norm,), gaps_ok = _norms([sobolev_shift(F, n, c)], QuadSpec())
         ok = ok and gaps_ok
         p = _random_points(spec, rng, 20)
-        lhs = np.abs(F.coefs.eval_k_batch(polar_compose(spec, p))) ** 2
-        rhs = norm**2 * k_sobolev_spectral(KernelQuery(p, p, t, n, c)).real
+        lhs = np.abs(F.coefs.eval_k_batch(p)) ** 2
+        rhs = norm**2 * k_sobolev_spectral(KernelQuery(spec, pair_point(spec, p, p), t, n, c)).real
         ok = ok and bool(np.all(lhs <= rhs * (1.0 + 1e-6)))
         # diagonal envelope ratio, stable under radial grid refinement
         sups = []
         for n_radial in (20, 40):
             grid = polar_grid(spec, 3.0, n_radial=n_radial, n_angular=8)
             e = np.zeros(spec.rank) if spec.kind == "torus" else np.eye(2, dtype=complex)
-            g = PointKC(spec, np.broadcast_to(e, (len(grid),) + e.shape), grid)
+            g = polar_compose(spec, np.broadcast_to(e, (len(grid),) + e.shape), grid)
             u = np.sum(grid * grid, axis=1)
-            k = k_sobolev_spectral(KernelQuery(g, g, t, n, c)).real
+            k = k_sobolev_spectral(KernelQuery(spec, pair_point(spec, g, g), t, n, c)).real
             vals = np.log(k) + 2 * n * np.log1p(u) - log_phi(spec, grid) - u / t
             sups.append(math.exp(np.max(vals)))
         ok = ok and math.isfinite(sups[1]) and abs(sups[1] - sups[0]) <= 0.05 * sups[0]

@@ -168,10 +168,10 @@ def _main_in_process(args, capsys):
     return code, capsys.readouterr()
 
 
-def test_kernel_tworoute_composes_each_point_once_per_route(tmp_path, capsys, monkeypatch):
-    # the 15 queries of one (t, n) form one batch; each route composes the
-    # batch of g and the batch of h once into the elements g h^*, and uses
-    # them as they are: 2 routes x 2 batches of 15 points
+def test_kernel_tworoute_composes_each_point_once(tmp_path, capsys, monkeypatch):
+    # the 15 queries of one (t, n) form one batch; the suite composes the
+    # batch of g and the batch of h once into the elements g h^*, and both
+    # routes use them as they are: 2 batches of 15 points
     import gsb.polar
 
     calls = []
@@ -185,8 +185,8 @@ def test_kernel_tworoute_composes_each_point_once_per_route(tmp_path, capsys, mo
     args = ["verify", "kernel-tworoute", "--group", "su2", "--t", "1", "--n", "1", "--out", str(tmp_path / "o")]
     code, captured = _main_in_process(args, capsys)
     assert code == 0, captured.err
-    assert 0 < len(calls) <= 4
-    assert sum(calls) == 2 * 2 * 15
+    assert 0 < len(calls) <= 2
+    assert sum(calls) == 2 * 15
 
 
 def _count_calls(monkeypatch, module, name):
@@ -470,10 +470,12 @@ _LABEL_40 = {"group": "torus:1", "entries": [{"label": [40], "matrix": [[[1.0, 0
         (["invert", "--coeffs", _LABEL_3, "--points", [[0.3]], "--t", "10"], "largest t these labels allow is 7.578"),
         (["verify", "mass", "--fmt", "xml"], "format must be csv or json"),
         # e_40 at t = 1 is damped by e^-800, below the doubles: refused, as a --cutoff is
-        (["invert", "--coeffs", _LABEL_40, "--points", [[0.3]], "--t", "1"], "largest t this file allows is 0.875"),
+        (["invert", "--coeffs", _LABEL_40, "--points", [[0.3]], "--t", "1"], "largest t these labels allow is 0.875"),
         # tau^2 underflows to 0 and overflows on torus:4: the range is 4 pi 2^-510 .. 2^510
         (["report", "lattice", "--group", "torus:4", "--tau", "1e-300"], "must lie in [3.74897e-153, 3.35195e+153]"),
         (["report", "lattice", "--group", "torus:4", "--tau", "1,1e300"], "must lie in [3.74897e-153, 3.35195e+153]"),
+        # the Sobolev kernel needs c > |delta|^2 = 1/4 on SU(2)
+        (["verify", "kernel-tworoute", "--group", "su2", "--c", "0.1"], "need c > |delta|^2"),
     ],
 )
 def test_bad_input_exits_2_before_work(tmp_path, capsys, args, message):
@@ -679,6 +681,17 @@ def test_report_and_invert_write_one_file_per_t(tmp_path, capsys):
         assert sorted(out.iterdir()) == paths
         assert captured.out == "".join(f"wrote {path}\n" for path in paths) + verdict + "\n"
         assert paths[0].read_bytes() != paths[1].read_bytes()
+
+
+def test_report_bounds_alpha_underflow_exits_1_without_traceback(tmp_path):
+    # t^2 underflows to 0 at t = 1e-300 on torus:4, so alpha_t is no finite
+    # double: one error line naming t, exit 1, and no report
+    r = run_cli(["report", "bounds", "--group", "torus:4", "--t", "1e-300", "--out", "o"], tmp_path)
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: FloatingPointError: ") and r.stderr.count("\n") == 1
+    assert "t = 1e-300" in r.stderr
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("group", ["su2", "torus:2"])

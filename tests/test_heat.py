@@ -6,7 +6,7 @@ import pytest
 
 from gsb.groups import enumerate_irreps, irrep_dim, random_algebra, random_k, rep_matrix_batch, su2, torus
 from gsb.heat import TailBoundError, _su2_characters, log_nu_t, rho_eval
-from gsb.polar import PointKC, exp_iy_batch, polar_compose
+from gsb.polar import exp_iy_batch, polar_compose
 from gsb.quadrature import integrate_K
 
 
@@ -151,7 +151,7 @@ def test_rho_eval_batch_matches_points(spec):
     rng = random.Random(6)
     xs = np.stack([random_k(spec, rng) for _ in range(6)])
     ys = np.stack([random_algebra(spec, rng, 0.8) for _ in range(6)])
-    gs = polar_compose(spec, PointKC(spec, xs, ys))
+    gs = polar_compose(spec, xs, ys)
     values, report = rho_eval(spec, 0.7, gs)
     assert values.shape == (6,)
     for g, y, value in zip(gs, ys, values):
@@ -177,7 +177,7 @@ def test_su2_series_matches_mpmath(t):
     spec = su2()
     rng = random.Random(7)
     for _ in range(4):
-        g = polar_compose(spec, PointKC(spec, random_k(spec, rng), random_algebra(spec, rng, 1.0)))
+        g = polar_compose(spec, random_k(spec, rng), random_algebra(spec, rng, 1.0))
         value, report = rho_eval(spec, t, g)
         w = mpmath.acos(mpmath.mpc(complex(0.5 * (g[0, 0] + g[1, 1]))))
         terms = [

@@ -15,27 +15,34 @@ from gsb.kernels import (
     pair_point,
     reproduce_check,
 )
-from gsb.polar import PointKC, abs_y, exp_iy_batch, log_phi, polar_compose
+from gsb.polar import abs_y, exp_iy_batch, log_phi, polar_compose
 from gsb.quadrature import QuadSpec
 from gsb.transform import ct_forward
 
 
 def _random_point(spec, rng, scale=0.6):
-    return PointKC(spec, random_k(spec, rng), random_algebra(spec, rng, scale))
+    """A polar pair (x, Y)."""
+    return random_k(spec, rng), random_algebra(spec, rng, scale)
 
 
-def _one(p):
-    """The point p as a batch of one."""
-    return PointKC(p.spec, p.x[None], p.y[None])
+def _one(spec, p):
+    """The element of the polar pair p as a batch of one."""
+    x, y = p
+    return polar_compose(spec, x[None], y[None])
+
+
+def _query(spec, g, h, t, n=0, c=1.0):
+    """The kernel query at the pairs of the element batches g and h."""
+    return KernelQuery(spec, pair_point(spec, g, h), t, n, c)
 
 
 def test_query_validation():
     spec = su2()
-    e = PointKC(spec, np.eye(2, dtype=complex)[None], np.zeros((1, 3)))
+    e = np.eye(2, dtype=complex)[None]
     with pytest.raises(ValueError):
-        KernelQuery(e, e, -1.0)
+        _query(spec, e, e, -1.0)
     with pytest.raises(ValueError):
-        KernelQuery(e, e, 1.0, n=1, c=0.1)  # needs c > |delta|^2
+        _query(spec, e, e, 1.0, n=1, c=0.1)  # needs c > |delta|^2
 
 
 def test_pair_point_diagonal():
@@ -44,7 +51,8 @@ def test_pair_point_diagonal():
     for spec in (torus(2), su2()):
         y = np.array([0.3, -0.4, 0.5])[: spec.dim]
         x = random_k(spec, rng)
-        gg = pair_point(spec, PointKC(spec, x, y), PointKC(spec, x, y))
+        g = polar_compose(spec, x, y)
+        gg = pair_point(spec, g, g)
         e2 = exp_iy_batch(spec, 2 * y[None])[0]
         assert np.allclose(gg, e2 if spec.kind == "torus" else x @ e2 @ x.conj().T, rtol=0, atol=1e-14)
         assert abs_y(spec, gg) == pytest.approx(2 * np.linalg.norm(y), rel=1e-14)
@@ -58,20 +66,21 @@ def test_k_t_is_heat_kernel_at_double_time():
     from gsb.groups import SU2_BASIS, enumerate_irreps, irrep_dim, laplacian_eigenvalue, rep_matrix_batch
 
     def compose(p):
-        return p.x @ expm(1j * np.tensordot(p.y, SU2_BASIS, axes=(0, 0)))
+        x, y = p
+        return x @ expm(1j * np.tensordot(y, SU2_BASIS, axes=(0, 0)))
 
     rng = random.Random(0)
     for spec in (torus(1), su2()):
         g = _random_point(spec, rng)
         h = _random_point(spec, rng)
-        gh = (g.x + 1j * g.y) - (h.x - 1j * h.y) if spec.kind == "torus" else compose(g) @ compose(h).conj().T
+        gh = (g[0] + 1j * g[1]) - (h[0] - 1j * h[1]) if spec.kind == "torus" else compose(g) @ compose(h).conj().T
         expected = sum(
             irrep_dim(spec, pi)
             * math.exp(-laplacian_eigenvalue(spec, pi) * 0.7)
             * np.trace(rep_matrix_batch(spec, pi, gh[None])[0])
             for pi in enumerate_irreps(spec, 40)
         )
-        value, _ = rho_eval(spec, 1.4, pair_point(spec, _one(g), _one(h)))
+        value, _ = rho_eval(spec, 1.4, pair_point(spec, _one(spec, g), _one(spec, h)))
         assert value[0] == pytest.approx(expected / spec.volume, rel=1e-10)
 
 
@@ -79,8 +88,8 @@ def test_sobolev_kernel_n0_reduces_to_k_t():
     # at n = 0 the spectral Sobolev kernel is k_t(g, h) = rho_{2t}(g h^*)
     spec = su2()
     rng = random.Random(1)
-    g, h = _one(_random_point(spec, rng)), _one(_random_point(spec, rng))
-    q = KernelQuery(g, h, 1.0, n=0, c=1.0)
+    g, h = _one(spec, _random_point(spec, rng)), _one(spec, _random_point(spec, rng))
+    q = _query(spec, g, h, 1.0, n=0, c=1.0)
     expected, _ = rho_eval(spec, 2.0, pair_point(spec, g, h))
     assert k_sobolev_spectral(q)[0] == pytest.approx(expected[0], rel=1e-9)
 
@@ -91,7 +100,7 @@ def test_two_route_agreement(spec, n):
     rng = random.Random(10 * n)
     c = spec.delta_sq + 1.0
     for _ in range(5):
-        q = KernelQuery(_one(_random_point(spec, rng)), _one(_random_point(spec, rng)), 1.0, n, c)
+        q = _query(spec, _one(spec, _random_point(spec, rng)), _one(spec, _random_point(spec, rng)), 1.0, n, c)
         (lhs,) = k_sobolev_spectral(q)
         (rhs,), res = k_sobolev_integral(q, QuadSpec(levels=(48, 64, 96)))
         assert res.gap[0] < 1e-7
@@ -110,13 +119,13 @@ def test_batched_routes_match_single_queries(spec, t, n):
     draws = [(random_k(spec, rng), random_algebra(spec, rng, 0.6)) for _ in range(30)]
     xs, ys = (np.stack(part) for part in zip(*draws))
     c = spec.delta_sq + 1.0
-    batch = KernelQuery(PointKC(spec, xs[0::2], ys[0::2]), PointKC(spec, xs[1::2], ys[1::2]), t, n, c)
+    batch = _query(spec, polar_compose(spec, xs[0::2], ys[0::2]), polar_compose(spec, xs[1::2], ys[1::2]), t, n, c)
     lhs = k_sobolev_spectral(batch)
     rhs, res = k_sobolev_integral(batch)
     assert lhs.shape == rhs.shape == res.gap.shape == (15,)
     for k in range(15):
         g, h = slice(2 * k, 2 * k + 1), slice(2 * k + 1, 2 * k + 2)
-        one = KernelQuery(PointKC(spec, xs[g], ys[g]), PointKC(spec, xs[h], ys[h]), t, n, c)
+        one = _query(spec, polar_compose(spec, xs[g], ys[g]), polar_compose(spec, xs[h], ys[h]), t, n, c)
         one_lhs = k_sobolev_spectral(one)
         one_rhs, one_res = k_sobolev_integral(one)
         assert one_lhs.shape == one_rhs.shape == one_res.gap.shape == (1,)
@@ -135,7 +144,8 @@ def test_gamma_route_matches_spectral_at_small_t(spec, t, n):
     rng = random.Random(int(100 * t) + n)
     draws = [(random_k(spec, rng), random_algebra(spec, rng, 0.6)) for _ in range(30)]
     xs, ys = (np.stack(part) for part in zip(*draws))
-    query = KernelQuery(PointKC(spec, xs[0::2], ys[0::2]), PointKC(spec, xs[1::2], ys[1::2]), t, n, spec.delta_sq + 1.0)
+    g, h = polar_compose(spec, xs[0::2], ys[0::2]), polar_compose(spec, xs[1::2], ys[1::2])
+    query = _query(spec, g, h, t, n, spec.delta_sq + 1.0)
     lhs = k_sobolev_spectral(query)
     rhs, res = k_sobolev_integral(query)
     assert np.all(np.abs(lhs - rhs) <= 1e-10 * np.maximum(np.abs(lhs), np.abs(rhs)))
@@ -144,16 +154,16 @@ def test_gamma_route_matches_spectral_at_small_t(spec, t, n):
 
 def test_integral_route_rejects_n0():
     spec = torus(1)
-    e = PointKC(spec, np.zeros((1, 1)), np.zeros((1, 1)))
+    e = polar_compose(spec, np.zeros((1, 1)), np.zeros((1, 1)))
     with pytest.raises(ValueError):
-        k_sobolev_integral(KernelQuery(e, e, 1.0, n=0))
+        k_sobolev_integral(_query(spec, e, e, 1.0, n=0))
 
 
 def test_diagonal_kernel_positive():
     spec = su2()
     rng = random.Random(2)
-    g = _one(_random_point(spec, rng, scale=1.0))
-    q = KernelQuery(g, g, 1.0, n=1, c=1.25)
+    g = _one(spec, _random_point(spec, rng, scale=1.0))
+    q = _query(spec, g, g, 1.0, n=1, c=1.25)
     (val,) = k_sobolev_spectral(q)
     assert val.real > 0
     assert abs(val.imag) < 1e-10 * val.real
@@ -166,7 +176,7 @@ def test_envelopes():
     y = np.array([0.0, 0.0, 1.5])
     t = 1.0
     F = ct_forward(basis_entry(spec, 2, 0, 0), t)
-    g = polar_compose(spec, PointKC(spec, np.eye(2, dtype=complex)[None], y[None]))
+    g = polar_compose(spec, np.eye(2, dtype=complex)[None], y[None])
     value = abs(F.coefs.eval_k_batch(g)[0]) ** 2
     (g0, _), (g2, _) = growth_functional(F, [0, 2], y[None, :])
     assert g0 == pytest.approx(value / (np.exp(log_phi(spec, y[None])[0]) * math.exp(2.25 / t)), rel=1e-12)
@@ -181,7 +191,7 @@ def test_reproducing_identity(spec):
     for _ in range(5):
         y = random_algebra(spec, rng)
         y *= rng.uniform(0.0, 3.0) / np.linalg.norm(y)
-        p = PointKC(spec, random_k(spec, rng)[None], y[None])
+        p = polar_compose(spec, random_k(spec, rng)[None], y[None])
         (residual,), (gap,) = reproduce_check([F], p, QuadSpec())
         assert residual < 1e-9
         assert gap < 1e-9
@@ -205,8 +215,8 @@ def test_reproduce_check_batch_equals_one_point_calls(spec):
     xs, ys = (np.stack(part) for part in zip(*draws))
     q = QuadSpec(levels=(12, 16, 24))
     for F in ([Fs[k // 2] for k in range(6)], [Fs[0]] * 6):
-        residual, gap = reproduce_check(F, PointKC(spec, xs, ys), q)
+        residual, gap = reproduce_check(F, polar_compose(spec, xs, ys), q)
         assert residual.shape == gap.shape == (6,)
         for k in range(6):
-            one_residual, one_gap = reproduce_check(F[k : k + 1], PointKC(spec, xs[k : k + 1], ys[k : k + 1]), q)
+            one_residual, one_gap = reproduce_check(F[k : k + 1], polar_compose(spec, xs[k : k + 1], ys[k : k + 1]), q)
             assert (residual[k], gap[k]) == (one_residual[0], one_gap[0])

@@ -7,7 +7,6 @@ import pytest
 from gsb.groups import random_algebra, random_k, su2, torus
 from gsb.polar import (
     MAX_ABS_Y,
-    PointKC,
     abs_y,
     log_phi,
     polar_compose,
@@ -27,11 +26,11 @@ def test_abs_y_reads_back_the_composed_norm(spec):
             y = random_algebra(spec, rng)
             ys.append(y * (size / np.linalg.norm(y)))
     xs = np.stack([random_k(spec, rng) for _ in ys])
-    got = abs_y(spec, polar_compose(spec, PointKC(spec, xs, np.stack(ys))))
+    got = abs_y(spec, polar_compose(spec, xs, np.stack(ys)))
     assert got.shape == (len(ys),)
     want = np.linalg.norm(ys, axis=1)
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(want, 1.0)), np.max(np.abs(got - want))
-    one = polar_compose(spec, PointKC(spec, xs[-1], ys[-1]))
+    one = polar_compose(spec, xs[-1], ys[-1])
     assert abs_y(spec, one) == pytest.approx(MAX_ABS_Y, rel=1e-12)
 
 
@@ -62,6 +61,6 @@ def test_polar_compose_matches_expm():
         y = direction / np.linalg.norm(direction) * MAX_ABS_Y * rng.uniform() if k else np.zeros(3)
         x = random_k(spec, draw)
         exact = x @ expm(1j * np.tensordot(y, SU2_BASIS, axes=(0, 0)))
-        got = polar_compose(spec, PointKC(spec, x, y))
+        got = polar_compose(spec, x, y)
         assert np.max(np.abs(got - exact)) <= 5e-14 * np.max(np.abs(exact)), y
-    assert np.array_equal(polar_compose(spec, PointKC(spec, np.eye(2), np.zeros(3))), np.eye(2))
+    assert np.array_equal(polar_compose(spec, np.eye(2), np.zeros(3)), np.eye(2))

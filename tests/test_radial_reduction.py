@@ -16,14 +16,15 @@ from scipy.special import roots_legendre
 from gsb.coeffs import CoefVec
 from gsb.groups import laplacian_eigenvalue, random_algebra, random_k, rep_matrix_batch, su2
 from gsb.kernels import reproduce_check
-from gsb.polar import PointKC, log_phi, polar_compose
+from gsb.polar import log_phi, polar_compose
 from gsb.quadrature import QuadSpec, kspace_rule
 from gsb.sobolev import _grad_log_radial, apply_vector_field, phi_x_weight
 from gsb.transform import _schur_profiles, ct_forward, ct_inverse_integral, exp_iy_batch, holo_inner
 
 SPEC = su2()
 LEVELS = (16, 24)
-Q = QuadSpec(levels=LEVELS, tolerance=1e-8)
+Q = QuadSpec(levels=LEVELS)
+GAP_TOL = 1e-8  # the level gap a reduced integral must meet
 
 
 def _random_holo(rng, t, cutoff=3):
@@ -95,16 +96,15 @@ def test_reproduce_check_matches_tensor_oracle():
     rule = kspace_rule(SPEC, t, LEVELS[-1])
     for _ in range(3):
         y = random_algebra(SPEC, draw)
-        g = PointKC(SPEC, random_k(SPEC, draw)[None], (y * (1.5 / np.linalg.norm(y)))[None])
-        g_mat = polar_compose(SPEC, g)
+        g_mat = polar_compose(SPEC, random_k(SPEC, draw)[None], (y * (1.5 / np.linalg.norm(y)))[None])
         gs = g_mat @ exp_iy_batch(SPEC, 2.0 * rule.nodes)
         oracle = complex(np.dot(rule.weights, damped.eval_k_batch(gs)))
         fg = F.coefs.eval_k_batch(g_mat)[0]
         oracle_residual = abs(fg - oracle) / (1.0 + abs(fg))
-        (residual,), (gap,) = reproduce_check([F], g, Q)
+        (residual,), (gap,) = reproduce_check([F], g_mat, Q)
         assert oracle_residual <= 1e-12
         assert abs(residual - oracle_residual) <= 1e-12
-        assert gap <= Q.tolerance
+        assert gap <= GAP_TOL
 
 
 def _oracle_inverse(F, x, radius, level):

@@ -53,3 +53,11 @@ def test_every_config_field_is_read():
         and id(node) not in validate
     }
     assert sorted(names - read) == []
+
+
+def test_transform_alone_owns_the_damping_floor():
+    # ct_forward refuses a label damped past the doubles, and validate and
+    # invert ask transform.check_damping: the CLI repeats none of the lambda t/2 arithmetic
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported & {"MAX_DAMPING", "laplacian_eigenvalue"} == set()

@@ -6,17 +6,16 @@ import pytest
 
 from gsb.coeffs import CoefVec, basis_entry
 from gsb.groups import enumerate_irreps, irrep_dim, random_algebra, random_k, su2, torus
-from gsb.polar import PointKC, polar_compose
+from gsb.polar import polar_compose
 from gsb.quadrature import QuadSpec
 from gsb.sobolev import phi_x_weight, toeplitz_symbol
 from gsb.transform import ct_forward, ct_inverse_integral, holo_inner
 
+# the level gap every quadrature here must meet
+GAP_TOL = 1e-6
+
 # the inversion integral's quadrature levels
 INVERSE_Q = QuadSpec(levels=(32, 48))
-
-
-def _random_point(spec, rng, scale=1.0):
-    return PointKC(spec, random_k(spec, rng), random_algebra(spec, rng, scale))
 
 
 def test_forward_damps_blocks():
@@ -28,14 +27,23 @@ def test_forward_damps_blocks():
         ct_forward(f, 0.0)
 
 
+def test_forward_refuses_a_label_damped_past_the_doubles():
+    # e_40 on torus:1 has lambda = 1600: at t = 1 its damping e^-800 is
+    # below e^-MAX_DAMPING, and the largest t it allows is 1400/1600
+    f = basis_entry(torus(1), (40,))
+    with pytest.raises(ValueError, match=r"label \(40,\) .* the largest t these labels allow is 0\.875$"):
+        ct_forward(f, 1.0)
+    assert ct_forward(f, 0.875).coefs.entries[(40,)][0, 0] == math.exp(-700.0)
+
+
 def test_eval_holo_restricts_to_K():
     spec = su2()
     rng = random.Random(1)
     f = basis_entry(spec, 2, 1, 0)
     F = ct_forward(f, 1.0)
     x = random_k(spec, rng)[None]
-    p = PointKC(spec, x, np.zeros((1, 3)))
-    assert F.coefs.eval_k_batch(polar_compose(spec, p))[0] == pytest.approx(F.coefs.eval_k_batch(x)[0], abs=1e-12)
+    g = polar_compose(spec, x, np.zeros((1, 3)))
+    assert F.coefs.eval_k_batch(g)[0] == pytest.approx(F.coefs.eval_k_batch(x)[0], abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -43,17 +51,17 @@ def test_eval_holo_restricts_to_K():
 )
 def test_unitarity_single_entries(spec, label):
     f = basis_entry(spec, label, 0, 0)
-    q = QuadSpec(tolerance=1e-6)
+    q = QuadSpec()
     for t in (0.5, 2.0):
         F = ct_forward(f, t)
         res = holo_inner([F], [F], q)
-        assert res.gap[0] <= q.tolerance
+        assert res.gap[0] <= GAP_TOL
         assert math.sqrt(res.value[0].real) == pytest.approx(f.plancherel_norm(), rel=1e-9)
 
 
 def test_holo_inner_orthogonality():
     spec = su2()
-    q = QuadSpec(tolerance=1e-6)
+    q = QuadSpec()
     F1 = ct_forward(basis_entry(spec, 2, 0, 0), 1.0)
     F2 = ct_forward(basis_entry(spec, 2, 0, 1), 1.0)
     res = holo_inner([F1], [F2], q)
