@@ -68,10 +68,12 @@ def _flag(default, kind, help: str):
 class RunConfig:
     group: str = _flag("torus:1", str, "torus:r or su2")
     t: tuple = _flag((1.0,), float, "comma list of times")
-    n: tuple = _flag((1, 2), int, "comma list of Sobolev orders")
-    c: float | None = _flag(None, float, "spectral shift (default: positivity threshold)")
+    n: tuple = _flag((1, 2), int, "comma list of Sobolev orders, each in 0..64")
+    c: float | None = _flag(None, float, "spectral shift (default: positivity threshold; kernel-tworoute: |delta|^2+1)")
     cutoff: int = _flag(4, int, "irrep label cutoff (max 64)")
-    levels: tuple = _flag((64, 96), int, "comma list of quadrature levels")
+    levels: tuple = _flag(
+        (64, 96), int, "comma list of quadrature levels of the K_C forms, mass and invert (kernel-tworoute's Gamma route: 48,64)"
+    )
     tau: tuple = _flag((1.0, 4.0, 16.0, 64.0, 256.0), float, "comma list of lattice scales")
     tolerance: float | None = _flag(None, float, "override the suite or invert tolerance")
     seed: int = _flag(0, int, "RNG seed for sampled cases")
@@ -99,8 +101,8 @@ class RunConfig:
             raise ConfigError("t values must be positive and finite")
         if not (1 <= self.cutoff <= 64):
             raise ConfigError("cutoff must be in 1..64")
-        if any(n < 0 for n in self.n):
-            raise ConfigError("n values must be nonnegative")
+        if not all(0 <= n <= 64 for n in self.n):
+            raise ConfigError("n values must be in 0..64")
         if not all(0 < tau < math.inf for tau in self.tau):
             raise ConfigError("tau values must be positive and finite")
         lo, hi = _tau_range(spec)
@@ -315,12 +317,12 @@ def _reproducing_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
         y *= rng.uniform(0.0, 3.0) / max(np.linalg.norm(y), 1e-12)
         points.append((random_k(spec, rng), y))
     basis = _basis(spec, cfg.cutoff, limit=5)
-    # one batch of every (function, point) pair, function by function
-    xs, ys = (np.concatenate([np.stack(part)] * len(basis)) for part in zip(*points))
+    xs, ys = (np.stack(part) for part in zip(*points))
     Fs = [ct_forward(f, t) for _, f in basis]
-    residual, gap = kernels.reproduce_check([F for F in Fs for _ in points], polar_compose(spec, xs, ys), q)
+    # every function at every point, function by function
+    residual, gap = kernels.reproduce_check(Fs, polar_compose(spec, xs, ys), q)
     cids = [f"{cid}@p{k}" for cid, _ in basis for k in range(len(points))]
-    return [_row(cid, r, 0.0, r, tol, g) for cid, r, g in zip(cids, residual.tolist(), gap.tolist())]
+    return [_row(cid, r, 0.0, r, tol, g) for cid, r, g in zip(cids, residual.ravel().tolist(), gap.ravel().tolist())]
 
 
 def _sobolev_isometry_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):

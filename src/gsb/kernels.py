@@ -86,9 +86,9 @@ def k_sobolev_integral(query: KernelQuery, q: QuadSpec | None = None):
 
 
 def reproduce_check(Fs, g, q: QuadSpec):
-    """Relative residual of the reproducing identity at each element g of a
-    batch of K_C (one leading axis), for its own function F of the sequence
-    Fs, and its level gap:
+    """Relative residual of the reproducing identity for each function F of
+    the sequence Fs at each element g of a batch of K_C (one leading axis),
+    and its level gap:
 
     |F(g) - int k_t(g,h) F(h) nu_t(h) dh| / (1 + |F(g)|).
 
@@ -97,21 +97,20 @@ def reproduce_check(Fs, g, q: QuadSpec):
     of e^{-lambda t} pi(e^{2iY}) is the identity (the sphere mean
     chi_m(|Y|)/m on SU(2), the shifted Gaussian on a torus), so label pi
     contributes trace(pi(g) B_pi) times the sum of its profile a (which
-    should be exactly 1).  Returns (residual, gap), the gap between the two
-    finest levels relative to the larger of them and the residual's scale
-    1 + |F(g)|: arrays with each pair's bits of its batch of one.
+    should be exactly 1).  Returns (residual, gap), each of shape (len(Fs),
+    len(g)), the gap between the two finest levels relative to the larger
+    of them and the residual's scale 1 + |F(g)|; each entry has the bits of
+    its batch of one.
     """
     Fs = list(Fs)
-    if len(Fs) != len(g):
-        raise ValueError("need one function per point")
-    fg, terms = np.zeros(len(Fs), dtype=complex), []
-    for G in {id(G): G for G in Fs}.values():  # each function on all of its points at once
-        idx = [i for i, H in enumerate(Fs) if H is G]
-        for label, traces in sorted(G.coefs.label_traces(g[idx]).items()):
-            fg[idx] += traces
-            terms += [(i, label, tr) for i, tr in zip(idx, traces)]
-    fg = fg.tolist()
+    shape = (len(Fs), len(g))
+    fg, terms = np.zeros(shape, dtype=complex), []
+    for i, F in enumerate(Fs):
+        for label, traces in sorted(F.coefs.label_traces(g).items()):
+            fg[i] += traces
+            terms += [(i * len(g) + k, label, tr) for k, tr in enumerate(traces)]
+    fg = fg.ravel().tolist()
     scale = [1.0 + abs(v) for v in fg]
-    res = _integrate_profiles(Fs[0].spec, Fs[0].t, q, terms, len(Fs), floor=scale)
+    res = _integrate_profiles(Fs[0].spec, Fs[0].t, q, terms, len(fg), floor=scale)
     residual = [abs(v - w) / s for v, w, s in zip(fg, res.value.tolist(), scale)]
-    return np.array(residual), res.gap
+    return np.reshape(residual, shape), res.gap.reshape(shape)

@@ -3,16 +3,15 @@
 The K-side Sobolev norm is the Plancherel norm after the blockwise factor
 (c + lambda_pi)^n; its holomorphic image uses the same factor before the
 K_C norm.  The Toeplitz symbol phi_n of (cI - Delta)^n is a degree-n
-polynomial in u = |Y|^2 obtained from an exact differential recursion on
-the density nu_t.
+polynomial in u = |Y|^2, a sum of generalized Laguerre polynomials in u/t
+evaluated exactly.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "sobolev_shift",
     "sobolev_norm",
     "toeplitz_symbol",
-    "symbol_coefficients",
     "symbol_positivity_threshold",
     "apply_vector_field",
     "phi_x_weight",
@@ -75,43 +73,36 @@ def sobolev_norm(f: CoefVec, n: int, c: float) -> float:
     return sobolev_shift(f, n, c).plancherel_norm()
 
 
-@lru_cache(maxsize=None)
-def symbol_coefficients(spec: GroupSpec, n: int) -> tuple:
-    """Exact coefficients of phi_n, ascending in u; coefficient k is a dict
-    {(power of c, power of 1/t): Fraction}.
-
-    phi_n = q_n, with q_0 = 1 and
-    q_{k+1} = c q_k + dq_k/dt + q_k (-d/(2t) - |delta|^2 + u/t^2),
-    run on {(power of u, power of c, power of s): Fraction} dicts, s = 1/t
-    (so d/dt s^e = -e s^{e+1}).
-    """
-    half_dim, dsq = Fraction(spec.dim, 2), Fraction(spec.delta_sq)
-    q = {(0, 0, 0): Fraction(1)}
-    for _ in range(n):
-        nxt = defaultdict(Fraction)
-        for (a, b, e), x in q.items():
-            nxt[a, b + 1, e] += x  # c q
-            nxt[a, b, e + 1] -= (e + half_dim) * x  # dq/dt - d/(2t) q
-            nxt[a, b, e] -= dsq * x  # -|delta|^2 q
-            nxt[a + 1, b, e + 2] += x  # u/t^2 q
-        q = {key: x for key, x in nxt.items() if x}
-    coefs = tuple({} for _ in range(n + 1))
-    for (a, b, e), x in q.items():
-        coefs[a][b, e] = x
-    return coefs
-
-
 def toeplitz_symbol(spec: GroupSpec, t: float, c: float, n: int) -> PolyU:
-    """phi_n at (t, c): each coefficient evaluated exactly, then rounded once."""
+    """phi_n at (t, c), phi_n nu_t = (c + d/dt)^n nu_t: each coefficient
+    evaluated exactly, then rounded once.
+
+    nu_t is e^{-a t} G times a factor free of t, a = |delta|^2 and G =
+    t^{-d/2} e^{-u/t}, so phi_n = sum_k C(n,k) (c - a)^{n-k} (d/dt)^k G / G.
+    P_k(x) = t^k (d/dt)^k G / G at x = u/t has P_0 = 1 and P_{k+1} = (x - k
+    - d/2) P_k - x P_k'; the three-term and derivative relations of the
+    Laguerre polynomials L_k = L_k^{(alpha)}, alpha = d/2 - 1, show that
+    (-1)^k k! L_k obeys the same, so
+
+    phi_n(u) = sum_k C(n,k) (c - a)^{n-k} (-1)^k k! t^{-k} L_k(u/t),
+
+    whose u^j coefficient is sum_{k >= j} C(n,k) (c - a)^{n-k} p_kj t^{-k-j},
+    with p_kj = (-1)^{k+j} (k!/j!) C(k + alpha, k - j) the x^j coefficient
+    of (-1)^k k! L_k(x): p_kk = 1 and p_k(j-1) = -p_kj j (j + alpha) / (k -
+    j + 1).
+    """
     if t <= 0 or c <= 0:
         raise ValueError("t and c must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    s, cf = 1 / Fraction(t), Fraction(c)
-    coeffs = tuple(
-        float(sum(x * cf**b * s**e for (b, e), x in coef.items())) for coef in symbol_coefficients(spec, n)
-    )
-    return PolyU(coeffs)
+    tf, shift, alpha = Fraction(t), Fraction(c) - Fraction(spec.delta_sq), Fraction(spec.dim, 2) - 1
+    coeffs = [Fraction(0)] * (n + 1)
+    for k in range(n + 1):
+        term = comb(n, k) * shift ** (n - k) / tf ** (2 * k)
+        for j in range(k, -1, -1):
+            coeffs[j] += term
+            term *= -j * (j + alpha) * tf / (k - j + 1)
+    return PolyU(tuple(float(x) for x in coeffs))
 
 
 def symbol_positivity_threshold(spec: GroupSpec, t: float, n: int, c_grid):

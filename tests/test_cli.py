@@ -217,8 +217,8 @@ def _count_calls(monkeypatch, module, name):
     ],
 )
 def test_kc_suites_batch_their_forms(tmp_path, capsys, monkeypatch, suite, group, layer, most):
-    # each suite hands a K_C form the whole basis (every function-point pair
-    # for reproducing): calls per t stay fixed however large the basis is
+    # each suite hands a K_C form the whole basis (every function at every
+    # point for reproducing): calls per t stay fixed however large the basis is
     import gsb.kernels
     import gsb.transform
 
@@ -476,6 +476,8 @@ _LABEL_40 = {"group": "torus:1", "entries": [{"label": [40], "matrix": [[[1.0, 0
         (["report", "lattice", "--group", "torus:4", "--tau", "1,1e300"], "must lie in [3.74897e-153, 3.35195e+153]"),
         # the Sobolev kernel needs c > |delta|^2 = 1/4 on SU(2)
         (["verify", "kernel-tworoute", "--group", "su2", "--c", "0.1"], "need c > |delta|^2"),
+        # the Sobolev orders share the cutoff's bound
+        (["report", "symbol", "--group", "su2", "--n", "65"], "n values must be in 0..64"),
     ],
 )
 def test_bad_input_exits_2_before_work(tmp_path, capsys, args, message):

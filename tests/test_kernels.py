@@ -192,15 +192,15 @@ def test_reproducing_identity(spec):
         y = random_algebra(spec, rng)
         y *= rng.uniform(0.0, 3.0) / np.linalg.norm(y)
         p = polar_compose(spec, random_k(spec, rng)[None], y[None])
-        (residual,), (gap,) = reproduce_check([F], p, QuadSpec())
+        ((residual,),), ((gap,),) = reproduce_check([F], p, QuadSpec())
         assert residual < 1e-9
         assert gap < 1e-9
 
 
 @pytest.mark.parametrize("spec", [torus(1), torus(2), torus(3), su2()], ids=str)
 def test_reproduce_check_batch_equals_one_point_calls(spec):
-    # a batch of (function, point) pairs, with three functions or with one
-    # function on every point, is its batches of one, bit for bit
+    # every function at every point of one batch is each pair's batch of
+    # one, bit for bit
     rng = np.random.default_rng(11)
     draw = random.Random(11)
     labels = enumerate_irreps(spec, 2)
@@ -214,9 +214,9 @@ def test_reproduce_check_batch_equals_one_point_calls(spec):
     draws = [(random_k(spec, draw), random_algebra(spec, draw)) for _ in range(6)]
     xs, ys = (np.stack(part) for part in zip(*draws))
     q = QuadSpec(levels=(12, 16, 24))
-    for F in ([Fs[k // 2] for k in range(6)], [Fs[0]] * 6):
-        residual, gap = reproduce_check(F, polar_compose(spec, xs, ys), q)
-        assert residual.shape == gap.shape == (6,)
+    residual, gap = reproduce_check(Fs, polar_compose(spec, xs, ys), q)
+    assert residual.shape == gap.shape == (3, 6)
+    for i, F in enumerate(Fs):
         for k in range(6):
-            one_residual, one_gap = reproduce_check(F[k : k + 1], polar_compose(spec, xs[k : k + 1], ys[k : k + 1]), q)
-            assert (residual[k], gap[k]) == (one_residual[0], one_gap[0])
+            one_residual, one_gap = reproduce_check([F], polar_compose(spec, xs[k : k + 1], ys[k : k + 1]), q)
+            assert (residual[i, k], gap[i, k]) == (one_residual[0, 0], one_gap[0, 0])

@@ -77,5 +77,5 @@ def test_each_command_runs_only_the_modules_it_uses(runs, command, group):
     code, ran, fractions = json.loads(r.stdout.splitlines()[-1])
     assert code == 0, r.stdout
     assert set(ran) == RUNS[command]
-    # fractions (and decimal with it) comes in only with the symbol recursion
+    # fractions (and decimal with it) comes in only with the exact symbol evaluation
     assert fractions == ("sobolev" in ran)

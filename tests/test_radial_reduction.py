@@ -101,7 +101,7 @@ def test_reproduce_check_matches_tensor_oracle():
         oracle = complex(np.dot(rule.weights, damped.eval_k_batch(gs)))
         fg = F.coefs.eval_k_batch(g_mat)[0]
         oracle_residual = abs(fg - oracle) / (1.0 + abs(fg))
-        (residual,), (gap,) = reproduce_check([F], g_mat, Q)
+        ((residual,),), ((gap,),) = reproduce_check([F], g_mat, Q)
         assert oracle_residual <= 1e-12
         assert abs(residual - oracle_residual) <= 1e-12
         assert gap <= GAP_TOL

@@ -1,5 +1,6 @@
 """Report bytes of every verify suite, report kind and invert, at default
-flags on torus:1, torus:2 and su2, against the sha256 digests in
+flags on torus:1, torus:2 and su2, and of `report symbol` at orders up to
+32 on torus:1, torus:3 and su2, against the sha256 digests in
 tests/data/report_digests.json.
 
 A change that keeps the numerical method keeps every byte.  A change that
@@ -22,6 +23,11 @@ from gsb import cli
 DIGESTS = Path(__file__).resolve().parent / "data" / "report_digests.json"
 GROUPS = ("torus:1", "torus:2", "su2")
 COMMANDS = [("verify", suite) for suite in cli.SUITES] + [("report", kind) for kind in cli.REPORT_COLUMNS] + [("invert",)]
+# phi_n up to n = 32, at times off the default t = 1, so the file names
+# differ from the default-flag reports; alpha = d/2 - 1 is -1/2 on torus:1
+# and 1/2 on torus:3 and su2, which adds |delta|^2 = 1/4
+SYMBOL_GROUPS = ("torus:1", "torus:3", "su2")
+SYMBOL_COMMAND = ("report", "symbol", "--n", "1,2,3,8,16,32", "--t", "0.3,0.7,4")
 
 # invert's inputs: a few labels with fixed coefficients, and points of K
 # (angles on a torus, Euler triples on SU(2))
@@ -69,14 +75,22 @@ def test_report_bytes_match_the_recorded_digests(tmp_path, command, group):
     assert got and got == {name: expected.get(name) for name in got}
 
 
+@pytest.mark.parametrize("group", SYMBOL_GROUPS)
+def test_symbol_report_bytes_at_high_orders_match_the_recorded_digests(tmp_path, group):
+    expected = json.loads(DIGESTS.read_text())
+    got = report_digests(SYMBOL_COMMAND, group, tmp_path)
+    assert len(got) == 3 and got == {name: expected.get(name) for name in got}
+
+
 if __name__ == "__main__":
     import tempfile
 
+    runs = [(command, group) for group in GROUPS for command in COMMANDS]
+    runs += [(SYMBOL_COMMAND, group) for group in SYMBOL_GROUPS]
     digests = {}
-    for group in GROUPS:
-        for command in COMMANDS:
-            with tempfile.TemporaryDirectory() as work:
-                digests.update(report_digests(command, group, Path(work)))
+    for command, group in runs:
+        with tempfile.TemporaryDirectory() as work:
+            digests.update(report_digests(command, group, Path(work)))
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {DIGESTS}", file=sys.stderr)

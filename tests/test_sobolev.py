@@ -1,4 +1,5 @@
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,6 @@ from gsb.sobolev import (
     laplacian_apply,
     sobolev_norm,
     sobolev_shift,
-    symbol_coefficients,
     symbol_positivity_threshold,
     toeplitz_symbol,
     weighted_form,
@@ -38,14 +38,49 @@ def test_symbol_phi1_su2_closed_form():
     assert sym.coefficients == pytest.approx((3.0 - 0.75 - 0.25, 0.25))
 
 
+def _recursion_symbol(spec, t, c, n):
+    """phi_n by the product rule phi_n nu_t = (c + d/dt)^n nu_t, run exactly:
+    q_0 = 1, q_{k+1} = c q_k + dq_k/dt + q_k (-d/(2t) - |delta|^2 + u/t^2) on
+    {(power of u, power of c, power of s): Fraction} dicts, s = 1/t (so d/dt
+    s^e = -e s^{e+1}); each coefficient evaluated at (t, c), rounded once."""
+    half_dim, dsq = Fraction(spec.dim, 2), Fraction(spec.delta_sq)
+    q = {(0, 0, 0): Fraction(1)}
+    for _ in range(n):
+        nxt = defaultdict(Fraction)
+        for (a, b, e), x in q.items():
+            nxt[a, b + 1, e] += x  # c q
+            nxt[a, b, e + 1] -= (e + half_dim) * x  # dq/dt - d/(2t) q
+            nxt[a, b, e] -= dsq * x  # -|delta|^2 q
+            nxt[a + 1, b, e + 2] += x  # u/t^2 q
+        q = {key: x for key, x in nxt.items() if x}
+    s, cf = 1 / Fraction(t), Fraction(c)
+    exact = [Fraction(0)] * (n + 1)
+    for (a, b, e), x in q.items():
+        exact[a] += x * cf**b * s**e
+    return tuple(float(x) for x in exact)
+
+
+# alpha = d/2 - 1 is -1/2, 0, 1/2 and 3/2 on torus:1, torus:2, torus:3 (and su2), torus:5
+@pytest.mark.parametrize("spec", [torus(1), torus(2), torus(3), torus(5), su2()], ids=str)
+def test_symbol_closed_form_matches_the_recursion_bit_for_bit(spec):
+    # c on the CLI's positivity grid |delta|^2 + 1 + k/2, and off it
+    cs = [spec.delta_sq + 1.0 + 0.5 * k for k in (0, 1, 5, 39)] + [0.3, 1.1, 2.7182818, 7.1]
+    for n in range(11):
+        for t in (0.05, 0.3, 0.7, 1.0, 3.7):
+            for c in cs:
+                assert toeplitz_symbol(spec, t, c, n).coefficients == _recursion_symbol(spec, t, c, n), (n, t, c)
+
+
 @pytest.mark.parametrize("spec", [torus(1), torus(2), su2()])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_symbol_degree_and_top_coefficient(spec, n):
-    # coefficients are {(power of c, power of 1/t): Fraction}; the top one is t^{-2n}
-    coefs = symbol_coefficients(spec, n)
-    assert len(coefs) == n + 1
-    assert coefs[n] == {(0, 2 * n): Fraction(1)}
-    assert all(coef and all(x != 0 for x in coef.values()) for coef in coefs)
+    # at dyadic t the top coefficient t^{-2n} is a double, exactly; at c well
+    # above the positivity threshold every coefficient is positive
+    for t, c in ((2.0, 1.25), (0.5, 20.0), (0.25, 40.0)):
+        sym = toeplitz_symbol(spec, t, c, n)
+        assert sym.degree == n
+        assert sym.coefficients[n] == t ** (-2 * n)
+        assert t > 1 or all(coef > 0 for coef in sym.coefficients)
 
 
 @pytest.mark.parametrize("spec", [torus(1), torus(2), torus(3), su2()])

@@ -128,7 +128,7 @@ def test_reproduce_check_matches_tensor_oracle(rank, t):
         y = random_algebra(spec, draw)
         g = polar_compose(spec, random_k(spec, draw)[None], (y * (1.5 / np.linalg.norm(y)))[None])
         fg = F.coefs.eval_k_batch(g)[0]
-        (residual,), (gap,) = reproduce_check([F], g, Q)
+        ((residual,),), ((gap,),) = reproduce_check([F], g, Q)
         rule = kspace_rule(spec, t, ORACLE_LEVEL[rank])
         zs = g + 2j * rule.nodes
         oracle = complex(np.dot(rule.weights, damped.eval_k_batch(zs)))
