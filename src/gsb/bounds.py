@@ -119,7 +119,7 @@ def growth_functional(F: HoloFunc, orders, grid: np.ndarray):
     """
     spec = F.spec
     blocks = [grid[i : i + GRID_BLOCK] for i in range(0, len(grid), GRID_BLOCK)]
-    vals = np.concatenate([F.coefs.eval_k_batch(exp_iy_batch(spec, block)) for block in blocks])
+    vals = np.concatenate([sum(F.label_traces(exp_iy_batch(spec, b)).values(), np.zeros(len(b), complex)) for b in blocks])
     u = np.sum(grid**2, axis=1)
     log_env = log_phi(spec, grid) + u / F.t
     with np.errstate(divide="ignore"):

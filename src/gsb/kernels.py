@@ -93,11 +93,11 @@ def reproduce_check(Fs, g, q: QuadSpec):
     |F(g) - int k_t(g,h) F(h) nu_t(h) dh| / (1 + |F(g)|).
 
     The K-part of the h-integral is exact (Schur), leaving one k-space
-    quadrature of sum_pi e^{-lambda t} trace(pi(g e^{2iY}) B_pi).  The mean
-    of e^{-lambda t} pi(e^{2iY}) is the identity (the sphere mean
-    chi_m(|Y|)/m on SU(2), the shifted Gaussian on a torus), so label pi
-    contributes trace(pi(g) B_pi) times the sum of its profile a (which
-    should be exactly 1).  Returns (residual, gap), each of shape (len(Fs),
+    quadrature of sum_pi e^{-lambda t} F_pi(g e^{2iY}), F_pi the label traces
+    of F.  The mean of e^{-lambda t} pi(e^{2iY}) is the identity (the sphere
+    mean chi_m(|Y|)/m on SU(2), the shifted Gaussian on a torus), so label
+    pi contributes F_pi(g) times the sum of its profile a (which should be
+    exactly 1, the rule's scale and lambda met in one exponent).  Returns (residual, gap), each of shape (len(Fs),
     len(g)), the gap between the two finest levels relative to the larger
     of them and the residual's scale 1 + |F(g)|; each entry has the bits of
     its batch of one.
@@ -106,7 +106,7 @@ def reproduce_check(Fs, g, q: QuadSpec):
     shape = (len(Fs), len(g))
     fg, terms = np.zeros(shape, dtype=complex), []
     for i, F in enumerate(Fs):
-        for label, traces in sorted(F.coefs.label_traces(g).items()):
+        for label, traces in sorted(F.label_traces(g).items()):
             fg[i] += traces
             terms += [(i * len(g) + k, label, tr) for k, tr in enumerate(traces)]
     fg = fg.ravel().tolist()

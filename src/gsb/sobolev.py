@@ -9,9 +9,9 @@ evaluated exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 
@@ -98,24 +98,28 @@ def toeplitz_symbol(spec: GroupSpec, t: float, c: float, n: int) -> PolyU:
     tf, shift, alpha = Fraction(t), Fraction(c) - Fraction(spec.delta_sq), Fraction(spec.dim, 2) - 1
     coeffs = [Fraction(0)] * (n + 1)
     for k in range(n + 1):
-        term = comb(n, k) * shift ** (n - k) / tf ** (2 * k)
+        term = math.comb(n, k) * shift ** (n - k) / tf ** (2 * k)
         for j in range(k, -1, -1):
             coeffs[j] += term
             term *= -j * (j + alpha) * tf / (k - j + 1)
     return PolyU(tuple(float(x) for x in coeffs))
 
 
-def symbol_positivity_threshold(spec: GroupSpec, t: float, n: int, c_grid):
-    """Smallest c in the ascending grid with all phi_n coefficients > 0.
+def symbol_positivity_threshold(spec: GroupSpec, t: float, n: int) -> float:
+    """The first |delta|^2 + 1 + k/2 (k >= 0) above c* = |delta|^2 + (n - 1 +
+    d/2)/t, compared in Fraction: every phi_n coefficient is > 0 iff c > c*.
 
-    All-positive coefficients force phi_n(u) > 0 for u >= 0.  Returns None
-    if no grid point qualifies.
+    In toeplitz_symbol's Laguerre form, with a = c - |delta|^2, z = 1/t, N =
+    n - j and beta = j + alpha, the u^j coefficient is (n!/j!) t^{-2j} [w^N]
+    e^{aw} (1 + zw)^{-beta-1}.  The coefficients e_m of e^{Av} (1 +
+    v)^{-beta-1} obey e_0 = 1, (m + 1) e_{m+1} = (A - m - beta - 1) e_m + A
+    e_{m-1}, so all e_m, m <= N, are >= 0 at A = N + beta = n + alpha > 0.
+    At a = a* + b, a* = (n + alpha) z, [w^N] is then sum_m b^{N-m}/(N-m)! z^m
+    e_m(n + alpha), every term >= 0 and the m = 0 one b^N/N! > 0 for b > 0;
+    the u^{n-1} coefficient is n t^{2-2n} (a - a*), so no c <= c* will do.
     """
-    for c in c_grid:
-        sym = toeplitz_symbol(spec, t, float(c), n)
-        if all(coef > 0 for coef in sym.coefficients):
-            return float(c)
-    return None
+    k = max(0, math.floor(2 * ((n - 1 + Fraction(spec.dim, 2)) / Fraction(t) - 1)) + 1)
+    return spec.delta_sq + 1.0 + 0.5 * k
 
 
 def apply_vector_field(f, k: int):

@@ -1,10 +1,10 @@
 """The heat-kernel transform C_t, its norms, and its inversion integral.
 
-C_t f is the analytic continuation of exp(t*Delta/2) f, realized here as
-blockwise damping of a coefficient vector.  Norms over the complexified
-group split into an exact K-integral (Schur orthogonality applied to the
-blocks pi(e^{iY}) B_pi) times a single numeric integral over the Lie
-algebra; only the latter carries quadrature error.
+C_t f is the analytic continuation of exp(t*Delta/2) f, the factor
+e^{-lambda t/2} on each block of f, which a HoloFunc keeps undamped.  Norms
+over the complexified group split into an exact K-integral (Schur
+orthogonality applied to the blocks pi(e^{iY}) B_pi) times a single numeric
+integral over the Lie algebra; only the latter carries quadrature error.
 
 On SU(2) the density nu_t is Ad-invariant, so Schur applies a second time,
 on each sphere |Y| = r.  With chi_m(r) = sinh(m r)/sinh(r):
@@ -18,16 +18,16 @@ so every K_C integral of the package is one radial sum per irrep.  Each
 exponential e^{k r} of chi_m = sum_k e^{k r} is integrated on the radial
 Gauss-Hermite rule centred at its own peak (quadrature.su2_radial_rule),
 the leading one at m t/2, with the factor that completing the square leaves
-formed from its exponent; the inversion integral uses a radial
+met by the damping in one exponent; the inversion integral uses a radial
 Gauss-Legendre rule on [0, R].
 
 On a torus nu_t is the isotropic Gaussian e^{-|Y|^2/t} / (pi t)^{r/2}, and
 label n meets it through e^{-2 n.Y}.  Completing the square turns
-e^{-2 n.Y} dmu_t into e^{t |n|^2} N(-t n, t/2), and the block damping
-e^{-t |n|^2} cancels the first factor.  With zeta = Y.nhat and s = |Y_perp|^2,
-a weight rho(|Y|^2) sees only u = zeta^2 + s, and y_k rho only its mean
-nhat_k zeta rho along the shift, so every torus K_C integral is one sum over
-a rule in (zeta, s) per |n|^2.  The inversion integral factors over the axes.
+e^{-2 n.Y} dmu_t into e^{t |n|^2} N(-t n, t/2), met by the damping of both
+blocks as e^{(|n|^2 - lambda) t}.  With zeta = Y.nhat and s = |Y_perp|^2, a
+weight rho(|Y|^2) sees only u = zeta^2 + s, and y_k rho only its mean nhat_k
+zeta rho along the shift, so every torus K_C integral is one sum over a rule
+in (zeta, s) per |n|^2.  The inversion integral factors over the axes.
 """
 
 from __future__ import annotations
@@ -62,19 +62,16 @@ __all__ = [
     "AxisWeight",
     "HoloFunc",
     "ct_forward",
-    "check_damping",
     "holo_inner",
     "ct_inverse_integral",
     "inversion_radii",
     "exp_iy_batch",
 ]
 
-MAX_DAMPING = 700.0  # ct_forward's damping e^{-lambda t/2} stays a normal double while lambda t/2 <= this
-
 
 @dataclass(frozen=True)
 class HoloFunc:
-    """Holomorphic function with finite Peter-Weyl support (damped coefs)."""
+    """C_t f: the blocks of f, kept undamped, and the transform time t."""
 
     coefs: CoefVec
     t: float
@@ -83,26 +80,17 @@ class HoloFunc:
     def spec(self) -> GroupSpec:
         return self.coefs.spec
 
-
-def check_damping(spec: GroupSpec, labels, t: float):
-    """Refuse, with a ValueError naming the largest t they allow, labels that
-    ct_forward at time t would damp below e^-MAX_DAMPING, out of the normal
-    doubles; holo_inner and ct_inverse_integral undo a kept one by e^{lambda t/2}."""
-    top = max(labels, key=lambda label: laplacian_eigenvalue(spec, label), default=None)
-    if top is not None and laplacian_eigenvalue(spec, top) * t / 2.0 > MAX_DAMPING:
-        t_max = 2.0 * MAX_DAMPING / laplacian_eigenvalue(spec, top)
-        raise ValueError(
-            f"label {top} is damped below e^-{MAX_DAMPING:g} at t = {t:g}; the largest t these labels allow is {t_max:.6g}"
-        )
+    def label_traces(self, zs: np.ndarray) -> dict:
+        """F = C_t f at a batch of K_C: f's label traces times e^{-lambda t/2}, one (N,) array per label."""
+        traces = self.coefs.label_traces(zs).items()
+        return {lb: math.exp(-laplacian_eigenvalue(self.spec, lb) * self.t / 2.0) * tr for lb, tr in traces}
 
 
 def ct_forward(f: CoefVec, t: float) -> HoloFunc:
-    """Damp block pi by exp(-lambda_pi t/2) and package for K_C evaluation;
-    check_damping refuses a label damped past the doubles."""
+    """C_t f, to be evaluated on K_C."""
     if t <= 0:
         raise ValueError("t must be positive")
-    check_damping(f.spec, f.support, t)
-    return HoloFunc(f.spectral(lambda lam: math.exp(-lam * t / 2.0)), t)
+    return HoloFunc(f, t)
 
 
 @dataclass(frozen=True)
@@ -123,25 +111,24 @@ class AxisWeight:
 
 
 @lru_cache(maxsize=1024)
-def _schur_profiles(t: float, level: int, m: int):
-    """Radial rule for irrep m of SU(2) with the sphere means folded in.
+def _schur_profiles(t: float, level: int, m: int, lam: float):
+    """Radial rule for irrep m of SU(2), blocks damped by e^{-lam t/2}, with the
+    sphere means folded in: (r, a, b) such that, for a radial factor rho(u), u = |Y|^2,
 
-    Returns (r, a, b) such that, for a radial factor rho(u), u = |Y|^2,
-
-        e^{-lam_m t} int rho pi_m(e^{2iY}) dmu_t     ~ sum_i a_i rho(r_i^2) * I,
-        e^{-lam_m t} int y_k rho pi_m(e^{2iY}) dmu_t ~ sum_i b_i rho(r_i^2) * dpi_m(E_k).
+        e^{-lam t} int rho pi_m(e^{2iY}) dmu_t     ~ sum_i a_i rho(r_i^2) * I,
+        e^{-lam t} int y_k rho pi_m(e^{2iY}) dmu_t ~ sum_i b_i rho(r_i^2) * dpi_m(E_k).
 
     chi_m(r) = sum_k e^{k r} over k = m-1, m-3, ..., 1-m, and each term gets
     the radial rule tilted by k, i.e. centred at its own peak (k+1) t/2 (the
-    leading one at m t/2).  Completing the square leaves the factor
-    e^{(lam_k - lam_m) t} = e^{((k+1)^2 - m^2) t/4} <= 1, formed from its
-    exponent, so the profile stays O(1) where e^{lam_m t} would overflow;
-    polynomial weights rho are integrated exactly.
+    leading one at m t/2).  Completing the square leaves e^{s t}, s = ((k+1)^2
+    - 1)/4, met by the damping as one exponent (s - lam) t <= 0 at lam_m, so
+    the profile stays O(1) where e^{lam t} would overflow; polynomial weights
+    rho are integrated exactly.
     """
     ks = np.arange(m - 1, -m, -2)
     r = np.concatenate([su2_radial_rule(t, level, int(k))[0] for k in ks])
     w = np.concatenate(
-        [math.exp(((k + 1) ** 2 - m * m) * t / 4.0) * su2_radial_rule(t, level, int(k))[1] for k in ks]
+        [math.exp((((k + 1) ** 2 - 1) / 4.0 - lam) * t) * su2_radial_rule(t, level, int(k))[1] for k in ks]
     )
     a = w / m
     # r g_m(r) with g_m = 2i chi_m'/(m (m^2 - 1)) and chi_m' = sum_k k e^{k r}
@@ -189,21 +176,22 @@ def _torus_base_rule(t: float, level: int, rank: int):
 
 def _integrate_profiles(spec: GroupSpec, t: float, q: QuadSpec, terms, size: int, weight=None, floor=0.0):
     """integrate_levels of the values p = 0, ..., size - 1, each the sum of
-    coef * S over its terms (p, label, coef).  S, the label's
-    profile sum against the weight, is that of a (b for an AxisWeight) of
-    _schur_profiles on SU(2), and on a torus of a (b = (-i/|n|) zeta a, 0 at
-    n = 0) of _torus_base_rule at the label's shift.  It sees the label only
-    through its key (m, or |n|^2), and each level sums each key once for the
-    batch; the terms run in order on numbers, so a value has the bits of its
-    batch of one.
+    coef * S over its terms (p, label, coef).  S, the label's profile sum
+    against the weight with both blocks damped, is that of a (b for an
+    AxisWeight) of _schur_profiles on SU(2), and on a torus e^{(|n|^2 -
+    lambda) t} times that of a (b = (-i/|n|) zeta a, 0 at n = 0) of
+    _torus_base_rule at the label's shift.  It sees the label only through
+    its key (m or |n|^2, and lambda), summed once a level for the batch; the
+    terms run in order on numbers, so a value has the bits of its batch of one.
     """
     first_order = isinstance(weight, AxisWeight)
     radial = weight.radial if first_order else weight
-    keys = {label: label if spec.kind == "su2" else sum(k * k for k in label) for _, label, _ in terms}
+    keys = {lb: (lb if spec.kind == "su2" else sum(k * k for k in lb), laplacian_eigenvalue(spec, lb)) for _, lb, _ in terms}
 
-    def profile_sum(level, key):
+    def profile_sum(level, key, lam):
+        scale = 1.0
         if spec.kind == "su2":
-            r, a, b = _schur_profiles(t, level, key)
+            r, a, b = _schur_profiles(t, level, key, lam)
             u, prof = r * r, (b if first_order else a)
         else:
             hx, s, prof = _torus_base_rule(t, level, spec.rank)
@@ -211,10 +199,11 @@ def _integrate_profiles(spec: GroupSpec, t: float, q: QuadSpec, terms, size: int
             if first_order:
                 prof = (-1j / math.sqrt(key)) * np.repeat(zeta, s.size) * prof if key else np.zeros(prof.shape)
             u = None if radial is None else (zeta[:, None] ** 2 + s[None, :]).ravel()
-        return np.sum(prof if radial is None else prof * radial(u))
+            scale = math.exp((key - lam) * t)  # the completed square's e^{t |n|^2} meets the damping
+        return scale * np.sum(prof if radial is None else prof * radial(u))
 
     def value_at(level):
-        sums = {key: profile_sum(level, key) for key in set(keys.values())}
+        sums = {key: profile_sum(level, *key) for key in set(keys.values())}
         total = [0j] * size
         for p, label, coef in terms:
             total[p] += coef * sums[keys[label]]
@@ -233,7 +222,8 @@ def holo_inner(F1s, F2s, q: QuadSpec, weight=None, floor=0.0) -> QuadResult:
     with one entry per pair, each with the bits of its batch of one; floor
     (a number, or one per pair) is the gap's zero floor, as in
     integrate_levels.  A common label contributes (vol/d) tr(B1^* B2) (B2 ->
-    dpi(E_k) B2 for an AxisWeight) times its profile sum.
+    dpi(E_k) B2 for an AxisWeight) of the undamped blocks times its profile
+    sum, which carries the damping of both.
     """
     F1s, F2s = list(F1s), list(F2s)
     spec, t = F1s[0].spec, F1s[0].t
@@ -243,9 +233,7 @@ def holo_inner(F1s, F2s, q: QuadSpec, weight=None, floor=0.0) -> QuadResult:
     terms = []
     for p, (G1, G2) in enumerate(zip(F1s, F2s)):
         for label in sorted(G1.coefs.entries.keys() & G2.coefs.entries.keys()):
-            # undo the damping of both blocks so the product and the profile stay O(1)
-            undo = math.exp(laplacian_eigenvalue(spec, label) * t / 2.0)
-            b1, b2 = undo * G1.coefs.entries[label], undo * G2.coefs.entries[label]
+            b1, b2 = G1.coefs.entries[label], G2.coefs.entries[label]
             if axis is not None:
                 b2 = rep_generator(spec, label, axis) @ b2
             trace = (b1.conj() * b2).sum()
@@ -304,17 +292,20 @@ def ct_inverse_integral(F: HoloFunc, xs, radii, q: QuadSpec):
 
     (2 pi t)^{-d/2} e^{-|delta|^2 t/2} int F(x e^{iY}) e^{-|Y|^2/2t} / Phi(Y/2) dY,
 
-    the sum over labels of tr(pi(x) B) e^{lambda t/2}, traces formed once
-    for the batch, times the label's share inside R.  Returns (values of
-    shape (len(radii), N), each point's largest level gap over the radii
-    relative to max(1, |value|)); a gap is reported, never raised.
+    the sum over labels of tr(pi(x) B) e^{(s - lambda) t/2}, traces of f
+    formed once for the batch, times the label's share inside R; completing
+    the square leaves s = |n|^2 on a torus, m^2/4 - |delta|^2 on SU(2) (centre
+    mt/2, and the prefactor).  Returns (values of shape (len(radii), N), each
+    point's largest level gap over the radii relative to max(1, |value|);
+    a gap is reported, never raised).
     """
     if max(radii) > MAX_ABS_Y:
         raise ValueError("radius exceeds the |Y| overflow guard")
     spec, t = F.spec, F.t
     traces = F.coefs.label_traces(xs)
     for label, trace in traces.items():
-        traces[label] = math.exp(laplacian_eigenvalue(spec, label) * t / 2.0) * trace
+        s = label * label / 4.0 - spec.delta_sq if spec.kind == "su2" else float(sum(k * k for k in label))
+        traces[label] = math.exp((s - laplacian_eigenvalue(spec, label)) * t / 2.0) * trace
 
     def value_at(level):
         total = np.zeros((len(radii), len(xs)), dtype=complex)

@@ -118,16 +118,16 @@ def test_smoothness_report_evaluates_F_once_per_grid(monkeypatch, n_max):
     # every point of the two grids is evaluated once, in blocks of
     # GRID_BLOCK, whatever the number of orders
     from gsb import bounds
-    from gsb.coeffs import CoefVec
+    from gsb.transform import HoloFunc
 
     calls = []
-    eval_k_batch = CoefVec.eval_k_batch
+    label_traces = HoloFunc.label_traces
 
     def counted(self, g):
         calls.append(len(g))
-        return eval_k_batch(self, g)
+        return label_traces(self, g)
 
-    monkeypatch.setattr(CoefVec, "eval_k_batch", counted)
+    monkeypatch.setattr(HoloFunc, "label_traces", counted)
     rows = smoothness_report(_two_label_function(su2()), n_max=n_max)
     assert len(rows) == 2 * (n_max + 1)
     points = len(polar_grid(su2(), bounds.GRID_RADIUS))  # the doubled grid has as many
@@ -141,21 +141,22 @@ def test_blocked_growth_functional_equals_one_evaluation(monkeypatch, spec, n_ra
     # evaluated on ceil(N / GRID_BLOCK) blocks, whose values are those of one
     # evaluation on the whole grid, bit for bit
     from gsb import bounds
-    from gsb.coeffs import CoefVec
     from gsb.polar import exp_iy_batch
+    from gsb.transform import HoloFunc
 
     F = _two_label_function(spec)
     grid = polar_grid(spec, 6.0, n_radial=n_radial, n_angular=16)
     assert len(grid) % bounds.GRID_BLOCK != 0
-    whole = F.coefs.eval_k_batch(exp_iy_batch(spec, grid))
+    whole = sum(F.label_traces(exp_iy_batch(spec, grid)).values())
     blocks = []
-    eval_k_batch = CoefVec.eval_k_batch
+    label_traces = HoloFunc.label_traces
 
     def recorded(self, g):
-        blocks.append(eval_k_batch(self, g))
-        return blocks[-1]
+        traces = label_traces(self, g)
+        blocks.append(sum(traces.values()))
+        return traces
 
-    monkeypatch.setattr(CoefVec, "eval_k_batch", recorded)
+    monkeypatch.setattr(HoloFunc, "label_traces", recorded)
     blocked = growth_functional(F, range(5), grid)
     assert len(blocks) == -(-len(grid) // bounds.GRID_BLOCK) > 1
     assert np.array_equal(np.concatenate(blocks), whole)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -325,6 +326,17 @@ def test_invert_keeps_a_label_damped_within_the_doubles(tmp_path, capsys):
     assert float(row["abs-err"]) <= 1e-12
 
 
+def test_invert_recovers_a_label_whose_damping_underflows(tmp_path, capsys):
+    # e_40 at t = 1 is damped by e^-800, below the doubles, yet the damping
+    # meets the rule's scale e^{t |n|^2 / 2} as the one exponent 0: at levels
+    # fine enough for its radii, 48.5 and 49.9, it is recovered
+    code, captured, path = _invert(tmp_path, capsys, {40: 1.0}, 1, [[0.3]], ["--levels", "128,150"])
+    assert code == 0, captured.err
+    with open(path, newline="") as fp:
+        (row,) = list(csv.DictReader(fp))
+    assert float(row["abs-err"]) <= 1e-12
+
+
 def test_reproducing_forms_each_label_trace_once(tmp_path, capsys, monkeypatch):
     # reproduce_check takes f(g) and the label traces from one label_traces
     # pass: one representation batch per label of each of the 5 functions
@@ -418,6 +430,28 @@ def test_pointwise_commands_stay_near_the_import_floor(tmp_path):
         assert peak <= floor + 5.0, f"{name}: {peak:.1f} MB against an import floor of {floor:.1f} MB"
 
 
+def test_basis_cost_follows_the_measured_peak(tmp_path):
+    # the estimate validate holds against the budget is within 20 % of the
+    # peak RSS of a fresh process, for each basis suite at su2 cutoffs 16 and 24
+    from gsb.cli import BASIS_COST, basis_cost
+    from gsb.groups import su2
+
+    runs = [(suite, cutoff) for suite in BASIS_COST for cutoff in (16, 24)]
+
+    def peak_of(run):
+        suite, cutoff = run
+        argv = ["verify", suite, "--group", "su2", "--cutoff", str(cutoff), "--out", f"o-{suite}-{cutoff}"]
+        return _peak_rss_mb(["-m", "gsb.cli", *argv], tmp_path)[1]
+
+    # two children at a time: each peak is its own process's
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        peaks = list(pool.map(peak_of, runs))
+    for (suite, cutoff), peak in zip(runs, peaks):
+        rows, estimate = basis_cost(su2(), suite, cutoff)
+        assert rows == sum(m * m for m in range(1, cutoff + 1))
+        assert abs(estimate / 2**20 - peak) <= 0.2 * peak, (suite, cutoff, estimate / 2**20, peak)
+
+
 def test_kernel_tworoute_judges_laguerre_gap(tmp_path, capsys, monkeypatch):
     # with the Gamma route's levels forced to (3, 32) the finer level still
     # agrees with the spectral route, but the level gap is far above tol:
@@ -440,7 +474,6 @@ def test_kernel_tworoute_judges_laguerre_gap(tmp_path, capsys, monkeypatch):
 
 
 _LABEL_3 = {"group": "torus:1", "entries": [{"label": [3], "matrix": [[[1.0, 0.0]]]}]}
-_LABEL_40 = {"group": "torus:1", "entries": [{"label": [40], "matrix": [[[1.0, 0.0]]]}]}
 
 
 @pytest.mark.parametrize(
@@ -455,9 +488,10 @@ _LABEL_40 = {"group": "torus:1", "entries": [{"label": [40], "matrix": [[[1.0, 0
         (["report", "lattice", "--tau", "1,inf"], "tau values"),
         (["verify", "mass", "--tolerance", "nan"], "tolerance"),
         (["verify", "reproducing", "--seed", "-1"], "seed"),
-        (["verify", "unitarity", "--group", "su2", "--t", "2", "--cutoff", "56"], "largest allowed cutoff is 52"),
-        (["verify", "unitarity", "--group", "torus:1", "--cutoff", "64"], "largest allowed cutoff is 37"),
-        (["verify", "unitarity", "--group", "torus:2", "--t", "0.5,4", "--cutoff", "20"], "largest allowed cutoff is 13"),
+        # a basis suite whose estimated peak RSS passes the 1 GB budget (cli.basis_cost)
+        (["verify", "unitarity", "--group", "su2", "--t", "2", "--cutoff", "56"], "largest allowed cutoff is 49"),
+        (["verify", "unitarity", "--group", "torus:4", "--cutoff", "18"], "largest allowed cutoff is 13"),
+        (["verify", "unitarity", "--group", "su2", "--cutoff", "64"], "largest allowed cutoff is 49"),
         (["verify", "mass", "--t", "abc"], "--t expects a comma list of numbers"),
         (["verify", "mass", "--levels", "64,x"], "--levels expects a comma list of integers"),
         (["verify", "mass", "--config", {"seed": "1"}], "seed must be an integer"),
@@ -469,8 +503,7 @@ _LABEL_40 = {"group": "torus:1", "entries": [{"label": [40], "matrix": [[[1.0, 0
         # label 3 at t = 10 needs R' = 30 + 9.90 sqrt(10) = 61.3 > MAX_ABS_Y = 50
         (["invert", "--coeffs", _LABEL_3, "--points", [[0.3]], "--t", "10"], "largest t these labels allow is 7.578"),
         (["verify", "mass", "--fmt", "xml"], "format must be csv or json"),
-        # e_40 at t = 1 is damped by e^-800, below the doubles: refused, as a --cutoff is
-        (["invert", "--coeffs", _LABEL_40, "--points", [[0.3]], "--t", "1"], "largest t these labels allow is 0.875"),
+        (["verify", "weighted-norm", "--group", "torus:8", "--cutoff", "3"], "largest allowed cutoff is 2"),
         # tau^2 underflows to 0 and overflows on torus:4: the range is 4 pi 2^-510 .. 2^510
         (["report", "lattice", "--group", "torus:4", "--tau", "1e-300"], "must lie in [3.74897e-153, 3.35195e+153]"),
         (["report", "lattice", "--group", "torus:4", "--tau", "1,1e300"], "must lie in [3.74897e-153, 3.35195e+153]"),
@@ -478,6 +511,8 @@ _LABEL_40 = {"group": "torus:1", "entries": [{"label": [40], "matrix": [[[1.0, 0
         (["verify", "kernel-tworoute", "--group", "su2", "--c", "0.1"], "need c > |delta|^2"),
         # the Sobolev orders share the cutoff's bound
         (["report", "symbol", "--group", "su2", "--n", "65"], "n values must be in 0..64"),
+        # 3^12 basis rows pass the budget even at cutoff 1
+        (["verify", "sobolev-isometry", "--group", "torus:12", "--cutoff", "1"], "no cutoff fits on torus:12"),
     ],
 )
 def test_bad_input_exits_2_before_work(tmp_path, capsys, args, message):

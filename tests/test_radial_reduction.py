@@ -32,13 +32,19 @@ def _random_holo(rng, t, cutoff=3):
     return ct_forward(CoefVec(SPEC, blocks), t)
 
 
+def _damped_blocks(F):
+    """The blocks of C_t f from its definition: block m times e^{-lambda_m t/2}."""
+    return {m: math.exp(-laplacian_eigenvalue(SPEC, m) * F.t / 2.0) * b for m, b in F.coefs.entries.items()}
+
+
 def _oracle_inner(F1, F2, level, weight_nodes=None):
     rule = kspace_rule(SPEC, F1.t, level)
     exp_iy = exp_iy_batch(SPEC, rule.nodes)
     vals = np.zeros(rule.nodes.shape[0], dtype=complex)
-    for m in set(F1.coefs.entries) & set(F2.coefs.entries):
+    B1, B2 = _damped_blocks(F1), _damped_blocks(F2)
+    for m in set(B1) & set(B2):
         mats = rep_matrix_batch(SPEC, m, exp_iy)
-        p1, p2 = mats @ F1.coefs.entries[m], mats @ F2.coefs.entries[m]
+        p1, p2 = mats @ B1[m], mats @ B2[m]
         vals += (SPEC.volume / m) * np.einsum("nij,nij->n", p1.conj(), p2)
     if weight_nodes is not None:
         vals = vals * weight_nodes(rule.nodes)
@@ -82,7 +88,7 @@ def test_schur_profile_matches_tensor_sphere_means():
         rule = kspace_rule(SPEC, t, LEVELS[-1])
         mats = rep_matrix_batch(SPEC, m, exp_iy_batch(SPEC, 2.0 * rule.nodes))
         direct = math.exp(-laplacian_eigenvalue(SPEC, m) * t) * np.einsum("n,nij->ij", rule.weights, mats)
-        reduced = np.sum(_schur_profiles(t, LEVELS[-1], m)[1])
+        reduced = np.sum(_schur_profiles(t, LEVELS[-1], m, laplacian_eigenvalue(SPEC, m))[1])
         assert np.allclose(direct, reduced * np.eye(m), rtol=0, atol=1e-12)
         assert reduced == pytest.approx(1.0, abs=1e-12)
 
@@ -92,14 +98,17 @@ def test_reproduce_check_matches_tensor_oracle():
     draw = random.Random(5)
     t = 1.0
     F = _random_holo(rng, t)
-    damped = F.coefs.spectral(lambda lam: math.exp(-lam * t))
     rule = kspace_rule(SPEC, t, LEVELS[-1])
     for _ in range(3):
         y = random_algebra(SPEC, draw)
         g_mat = polar_compose(SPEC, random_k(SPEC, draw)[None], (y * (1.5 / np.linalg.norm(y)))[None])
         gs = g_mat @ exp_iy_batch(SPEC, 2.0 * rule.nodes)
-        oracle = complex(np.dot(rule.weights, damped.eval_k_batch(gs)))
-        fg = F.coefs.eval_k_batch(g_mat)[0]
+        # the kernel rho_2t(g e^{2iY} ...) weights label m of F by e^{-lambda_m t}
+        traces = F.label_traces(gs)
+        oracle = sum(
+            math.exp(-laplacian_eigenvalue(SPEC, m) * t) * complex(np.dot(rule.weights, traces[m])) for m in traces
+        )
+        fg = sum(F.label_traces(g_mat).values())[0]
         oracle_residual = abs(fg - oracle) / (1.0 + abs(fg))
         ((residual,),), ((gap,),) = reproduce_check([F], g_mat, Q)
         assert oracle_residual <= 1e-12
@@ -121,7 +130,7 @@ def _oracle_inverse(F, x, radius, level):
     ang_w = np.repeat(v, 40) * (2.0 * math.pi / 40)
     nodes = (r[:, None, None] * dirs[None]).reshape(-1, 3)
     weights = (wr[:, None] * ang_w[None]).ravel()
-    vals = F.coefs.eval_k_batch(np.asarray(x)[None] @ exp_iy_batch(SPEC, nodes))
+    vals = sum(F.label_traces(np.asarray(x)[None] @ exp_iy_batch(SPEC, nodes)).values())
     log_phi_half = np.repeat(log_phi(SPEC, np.outer(r / 2.0, [0.0, 0.0, 1.0])), dirs.shape[0])
     log_damp = -np.sum(nodes**2, axis=1) / (2.0 * F.t) - log_phi_half
     pref = (2.0 * math.pi * F.t) ** -1.5 * math.exp(-SPEC.delta_sq * F.t / 2.0)

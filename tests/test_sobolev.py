@@ -101,20 +101,54 @@ def test_symbol_is_exact_value_rounded_once(spec):
 
 
 def test_positivity_threshold_torus_n1():
-    # phi_1 coefficients (c - 1/2, 1) at t = 1: positive iff c > 1/2.
+    # phi_1 = (c - 1/(2t), 1/t^2) on torus:1: positive iff c > c* = 1/(2t),
+    # and the default is the first |delta|^2 + 1 + k/2 strictly above c*
     spec = torus(1)
-    grid = np.arange(0.1, 3.0, 0.1)
-    thr = symbol_positivity_threshold(spec, 1.0, 1, grid)
-    assert thr == pytest.approx(0.6, abs=1e-12)
-    assert symbol_positivity_threshold(spec, 1.0, 1, [0.2, 0.4]) is None
+    assert symbol_positivity_threshold(spec, 1.0, 1) == 1.0  # c* = 1/2 lies below the floor
+    assert symbol_positivity_threshold(spec, 0.25, 1) == 2.5  # c* = 2 is a grid point, and phi_1 vanishes there
+    assert toeplitz_symbol(spec, 0.25, 2.0, 1).coefficients[0] == 0.0
+    assert symbol_positivity_threshold(spec, 0.3, 1) == 2.0  # c* = 5/3
 
 
 @pytest.mark.parametrize("spec", [torus(1), su2()])
 def test_thresholds_nondecreasing_in_n(spec):
-    grid = spec.delta_sq + 0.25 * np.arange(1, 200)
-    thrs = [symbol_positivity_threshold(spec, 1.0, n, grid) for n in (1, 2, 3, 4)]
-    assert all(x is not None for x in thrs)
-    assert all(a <= b for a, b in zip(thrs, thrs[1:]))
+    # each default makes every coefficient positive, the grid point below
+    # it (when above the floor) leaves one <= 0, and c* grows with n
+    for t in (0.3, 1.0, 4.0):
+        thrs = [symbol_positivity_threshold(spec, t, n) for n in range(1, 9)]
+        assert all(a <= b for a, b in zip(thrs, thrs[1:]))
+        for n, c in enumerate(thrs, start=1):
+            assert all(coef > 0 for coef in toeplitz_symbol(spec, t, c, n).coefficients)
+            if c > spec.delta_sq + 1.0:
+                assert min(toeplitz_symbol(spec, t, c - 0.5, n).coefficients) <= 0
+
+
+def _shifted_coefficient(alpha: Fraction, t: Fraction, n: int, j: int) -> list:
+    """The u^j coefficient of phi_n as a polynomial in b, a = c - |delta|^2 =
+    a* + b with a* = (n + alpha)/t, ascending in b: from the Laguerre form
+    sum_{k >= j} C(n,k) a^{n-k} p_kj t^{-k-j}, p_kj = (-1)^{k+j} (k!/j!)
+    C(k + alpha, k - j), Taylor-shifted exactly."""
+    in_a = [Fraction(0)] * (n + 1)  # ascending in a
+    for k in range(j, n + 1):
+        binom = math.prod((j + alpha + i) / i for i in range(1, k - j + 1))
+        p = (-1) ** (k + j) * Fraction(math.factorial(k), math.factorial(j)) * binom
+        in_a[n - k] += math.comb(n, k) * p / t ** (k + j)
+    star = (n + alpha) / t
+    return [sum(math.comb(m, l) * in_a[m] * star ** (m - l) for m in range(l, n + 1)) for l in range(n + 1)]
+
+
+def test_symbol_coefficients_are_positive_above_the_threshold():
+    # the certificate of symbol_positivity_threshold's proof: every u^j
+    # coefficient, shifted to a*, is a polynomial in b with no negative
+    # coefficient and a positive b^{n-j} term; the u^{n-1} one vanishes at a*
+    for d in (1, 2, 3, 4, 5):
+        alpha = Fraction(d, 2) - 1
+        for t in (Fraction(0.05), Fraction(0.3), Fraction(1), Fraction(3.7), Fraction(16)):
+            for n in range(1, 11):
+                for j in range(n + 1):
+                    shifted = _shifted_coefficient(alpha, t, n, j)
+                    assert min(shifted) >= 0 and shifted[n - j] > 0, (d, t, n, j)
+                assert _shifted_coefficient(alpha, t, n, n - 1)[0] == 0
 
 
 def test_laplacian_and_shift_on_basis():
@@ -125,16 +159,6 @@ def test_laplacian_and_shift_on_basis():
     assert np.allclose(g.entries[3], lam**2 * f.entries[3])
     h = sobolev_shift(f, 1, 2.0)
     assert np.allclose(h.entries[3], (2.0 + lam) * f.entries[3])
-
-
-def test_shift_commutes_with_transform_bitwise():
-    spec = su2()
-    f = CoefVec(spec, {2: np.diag([1.0, 0.0]), 4: np.diag([0.0, 0.5, 0.0, 0.0])})
-    t, n, c = 1.0, 2, 1.5
-    a = ct_forward(sobolev_shift(f, n, c), t)
-    b = sobolev_shift(ct_forward(f, t), n, c)
-    for lbl in a.coefs.support:
-        assert np.array_equal(a.coefs.entries[lbl], b.coefs.entries[lbl])
 
 
 def test_sobolev_norm_torus_closed_form():

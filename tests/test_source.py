@@ -55,9 +55,19 @@ def test_every_config_field_is_read():
     assert sorted(names - read) == []
 
 
-def test_transform_alone_owns_the_damping_floor():
-    # ct_forward refuses a label damped past the doubles, and validate and
-    # invert ask transform.check_damping: the CLI repeats none of the lambda t/2 arithmetic
-    tree = ast.parse((PACKAGE / "cli.py").read_text())
-    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert imported & {"MAX_DAMPING", "laplacian_eigenvalue"} == set()
+def _called_name(call) -> str:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
+def test_transform_alone_applies_the_damping():
+    # C_t f keeps f's blocks, so e^{-lambda t/2} is applied in transform
+    # alone: no other module takes an exponential of laplacian_eigenvalue
+    damping = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and _called_name(node) == "exp":
+                inner = [n for n in ast.walk(node) if isinstance(n, ast.Call) and n is not node]
+                if any(_called_name(n) == "laplacian_eigenvalue" for n in inner):
+                    damping.add(path.name)
+    assert damping == {"transform.py"}

@@ -17,7 +17,7 @@ import pytest
 from scipy.special import roots_legendre
 
 from gsb.coeffs import CoefVec
-from gsb.groups import random_algebra, random_k, torus
+from gsb.groups import laplacian_eigenvalue, random_algebra, random_k, torus
 from gsb.kernels import reproduce_check
 from gsb.polar import polar_compose
 from gsb.quadrature import QuadSpec, kspace_rule
@@ -54,7 +54,9 @@ def _k_part(F1, F2):
     rule = kspace_rule(spec, F1.t, ORACLE_LEVEL[spec.rank])
     vals = np.zeros(rule.nodes.shape[0], dtype=complex)
     for n in set(F1.coefs.entries) & set(F2.coefs.entries):
-        pair = np.conj(F1.coefs.entries[n][0, 0]) * F2.coefs.entries[n][0, 0]
+        # the blocks of C_t f from its definition: block n times e^{-|n|^2 t/2}, on both sides
+        damping = math.exp(-laplacian_eigenvalue(spec, n) * F1.t)
+        pair = damping * np.conj(F1.coefs.entries[n][0, 0]) * F2.coefs.entries[n][0, 0]
         vals += spec.volume * pair * np.exp(-2.0 * rule.nodes @ np.asarray(n, dtype=float))
     return rule, vals
 
@@ -123,15 +125,17 @@ def test_reproduce_check_matches_tensor_oracle(rank, t):
     draw = random.Random(7 * rank + int(10 * t))
     spec = torus(rank)
     F = _random_holo(rank, t, _labels(rank, rng), rng)
-    damped = F.coefs.spectral(lambda lam: math.exp(-lam * t))
     for _ in range(3):
         y = random_algebra(spec, draw)
         g = polar_compose(spec, random_k(spec, draw)[None], (y * (1.5 / np.linalg.norm(y)))[None])
-        fg = F.coefs.eval_k_batch(g)[0]
+        fg = sum(F.label_traces(g).values())[0]
         ((residual,),), ((gap,),) = reproduce_check([F], g, Q)
         rule = kspace_rule(spec, t, ORACLE_LEVEL[rank])
-        zs = g + 2j * rule.nodes
-        oracle = complex(np.dot(rule.weights, damped.eval_k_batch(zs)))
+        # the kernel rho_2t(g e^{2iY} ...) weights label n of F by e^{-|n|^2 t}
+        traces = F.label_traces(g + 2j * rule.nodes)
+        oracle = sum(
+            math.exp(-laplacian_eigenvalue(spec, n) * t) * complex(np.dot(rule.weights, traces[n])) for n in traces
+        )
         oracle_residual = abs(fg - oracle) / (1.0 + abs(fg))
         assert oracle_residual <= 1e-12
         assert abs(residual - oracle_residual) <= 1e-12
@@ -145,7 +149,7 @@ def _oracle_inverse(F, x, radius, level):
     grids = np.meshgrid(*([radius * xr] * spec.rank), indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=-1)
     weights = np.prod(np.meshgrid(*([radius * wr] * spec.rank), indexing="ij"), axis=0).ravel()
-    vals = F.coefs.eval_k_batch(np.asarray(x)[None, :] + 1j * nodes)
+    vals = sum(F.label_traces(np.asarray(x)[None, :] + 1j * nodes).values())
     damp = np.exp(-np.sum(nodes**2, axis=1) / (2.0 * F.t))
     return (2.0 * math.pi * F.t) ** (-spec.rank / 2.0) * complex(np.dot(weights, vals * damp))
 
@@ -160,5 +164,5 @@ def test_ct_inverse_integral_matches_tensor_oracle(rank, t):
     x = random_k(spec, draw)
     levels = (20, 24)
     ((reduced,),), _ = ct_inverse_integral(F, x[None], (4.0,), QuadSpec(levels=levels))
-    scale = sum(abs(b[0, 0]) * math.exp(t * sum(k * k for k in n) / 2.0) for n, b in F.coefs.entries.items())
+    scale = sum(abs(b[0, 0]) for b in F.coefs.entries.values())
     _close(reduced, _oracle_inverse(F, x, 4.0, levels[-1]), scale)

@@ -19,21 +19,27 @@ INVERSE_Q = QuadSpec(levels=(32, 48))
 
 
 def test_forward_damps_blocks():
+    # C_t keeps f's blocks and damps block pi by e^{-lambda t/2} where F
+    # meets a point: label 3 of SU(2) has lambda = 2, so e^{-2} at t = 2
     spec = su2()
     f = basis_entry(spec, 3, 0, 0)
     F = ct_forward(f, 2.0)
-    assert F.coefs.entries[3][0, 0] == pytest.approx(math.exp(-2.0))
+    assert F.coefs is f
+    (trace,) = F.label_traces(np.eye(2, dtype=complex)[None])[3]
+    assert trace == pytest.approx(math.exp(-2.0), rel=1e-15)
     with pytest.raises(ValueError):
         ct_forward(f, 0.0)
 
 
-def test_forward_refuses_a_label_damped_past_the_doubles():
-    # e_40 on torus:1 has lambda = 1600: at t = 1 its damping e^-800 is
-    # below e^-MAX_DAMPING, and the largest t it allows is 1400/1600
-    f = basis_entry(torus(1), (40,))
-    with pytest.raises(ValueError, match=r"label \(40,\) .* the largest t these labels allow is 0\.875$"):
-        ct_forward(f, 1.0)
-    assert ct_forward(f, 0.875).coefs.entries[(40,)][0, 0] == math.exp(-700.0)
+@pytest.mark.parametrize("spec, label, t", [(torus(1), (40,), 1.0), (su2(), 24, 10.0)], ids=str)
+def test_unitarity_where_the_damping_underflows(spec, label, t):
+    # e^{-lambda t/2} is e^-800 for e_40 on torus:1 at t = 1 and e^-718.75
+    # for label 24 of SU(2) at t = 10, below the normal doubles, yet the
+    # damping meets the rule's scale as one exponent and the norm is f's
+    f = basis_entry(spec, label, 0, 0)
+    res = holo_inner([ct_forward(f, t)], [ct_forward(f, t)], QuadSpec())
+    assert res.gap[0] <= 1e-14
+    assert math.sqrt(res.value[0].real) == pytest.approx(f.plancherel_norm(), rel=1e-13)
 
 
 def test_eval_holo_restricts_to_K():
@@ -43,7 +49,7 @@ def test_eval_holo_restricts_to_K():
     F = ct_forward(f, 1.0)
     x = random_k(spec, rng)[None]
     g = polar_compose(spec, x, np.zeros((1, 3)))
-    assert F.coefs.eval_k_batch(g)[0] == pytest.approx(F.coefs.eval_k_batch(x)[0], abs=1e-12)
+    assert sum(F.label_traces(g).values())[0] == pytest.approx(sum(F.label_traces(x).values())[0], abs=1e-12)
 
 
 @pytest.mark.parametrize(
