@@ -32,7 +32,7 @@ from .groups import (
 )
 from .polar import log_phi, polar_compose
 from .quadrature import MAX_ORDER, QuadSpec, integrate_levels, rel_gap, roots_legendre
-from .transform import ct_forward, ct_inverse_integral, holo_inner, inversion_radii
+from .transform import ct_forward, ct_inverse_integral, holo_inner, inversion_levels, inversion_radii
 
 REPORT_COLUMNS = {
     "bounds": ["tau", "max-ratio", "alpha_t", "chamber", "pass"],
@@ -43,9 +43,10 @@ REPORT_COLUMNS = {
 
 VERIFY_COLUMNS = ["case-id", "lhs", "rhs", "rel-err", "tol", "pass", "gap"]
 
-MEMORY_BUDGET = 1 << 30  # bytes: the largest peak RSS estimate (basis_cost) that validate accepts
+MEMORY_BUDGET = 1 << 30  # bytes: the largest peak RSS estimate (peak_estimate) that validate accepts
 # basis suite -> (bytes per row, dense basis copies held at once), fitted to peak RSS on su2 and torus:2-4
-BASIS_COST = {"unitarity": (1500, 1), "weighted-norm": (2200, 2), "sobolev-isometry": (2400, 3)}
+BASIS_COST = {"unitarity": (1500, 1), "weighted-norm": (2200, 2), "sobolev-isometry": (2300, 2)}
+SMOOTHNESS_LABEL_COST = 1000  # bytes per label of report smoothness besides its traces, fitted to peak RSS on torus:2-4
 
 
 class ConfigError(ValueError):
@@ -76,7 +77,7 @@ class RunConfig:
     c: float | None = _flag(None, float, "spectral shift (default: positivity threshold; kernel-tworoute: |delta|^2+1)")
     cutoff: int = _flag(4, int, "irrep label cutoff (max 64)")
     levels: tuple = _flag(
-        (64, 96), int, "comma list of quadrature levels of the K_C forms, mass and invert (kernel-tworoute's Gamma route: 48,64)"
+        (64, 96), int, "comma list of quadrature levels of the K_C forms and mass, and the floor of invert's (kernel-tworoute's Gamma route: 48,64)"
     )
     tau: tuple = _flag((1.0, 4.0, 16.0, 64.0, 256.0), float, "comma list of lattice scales")
     tolerance: float | None = _flag(None, float, "override the suite or invert tolerance")
@@ -84,7 +85,8 @@ class RunConfig:
     out: str = _flag("reports", str, "output directory (default: reports)")
     fmt: str = _flag("csv", str, "report format: csv or json")
 
-    def validate(self, suite: str | None = None) -> "RunConfig":
+    def validate(self, command: str | None = None) -> "RunConfig":
+        """Check every field; command (a suite or report kind) adds its memory bound."""
         for f in fields(self):
             value, kind = getattr(self, f.name), f.metadata["kind"]
             if value is None and f.default is None:
@@ -125,11 +127,11 @@ class RunConfig:
             raise ConfigError("seed must be nonnegative")
         if self.fmt not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
-        need = basis_cost(spec, suite, self.cutoff)[1] if suite in BASIS_COST else 0
+        need = peak_estimate(spec, command, self.cutoff)
         if need > MEMORY_BUDGET:
-            fits = [k for k in range(1, self.cutoff) if basis_cost(spec, suite, k)[1] <= MEMORY_BUDGET]
+            fits = [k for k in range(1, self.cutoff) if peak_estimate(spec, command, k) <= MEMORY_BUDGET]
             largest = f"the largest allowed cutoff is {fits[-1]}" if fits else f"no cutoff fits on {self.group}"
-            raise ConfigError(f"{suite} at cutoff {self.cutoff} needs about {need / 2**30:.3g} GB, over {MEMORY_BUDGET / 2**30:g} GB; {largest}")
+            raise ConfigError(f"{command} at cutoff {self.cutoff} needs about {need / 2**30:.3g} GB, over {MEMORY_BUDGET / 2**30:g} GB; {largest}")
         return self
 
     @property
@@ -152,13 +154,36 @@ def basis_cost(spec: GroupSpec, suite: str, cutoff: int) -> tuple:
     """(rows, bytes) of a basis suite: sum d^2 matrix entries, and a peak RSS
     of the 31 MB import floor, the per-row cost and 16 B for each entry of a
     dense copy of the basis blocks (d x d per matrix entry, sum d^4 a copy):
-    the basis, its Sobolev shift and the next order's, built while one is held."""
+    the basis and one Sobolev shift of it, as each order's shift is released
+    before the next is built."""
     if spec.kind == "torus":
         rows = quartic = (2 * cutoff + 1) ** spec.rank
     else:
         rows, quartic = sum(m**2 for m in range(1, cutoff + 1)), sum(m**4 for m in range(1, cutoff + 1))
     per_row, copies = BASIS_COST[suite]
     return rows, (31 << 20) + per_row * rows + copies * 16 * quartic
+
+
+def smoothness_cost(spec: GroupSpec, cutoff: int) -> tuple:
+    """(labels, bytes) of report smoothness: the labels up to the cutoff, and
+    a peak RSS of the 31 MB import floor, a per-label cost, two complex
+    traces of each label (f's and C_t f's) on one block of the growth
+    functional's grid, and the largest label's representation batch on it
+    (d x d entries a point, 24 B an entry: fitted to su2 at cutoffs 32, 64)."""
+    labels = (2 * cutoff + 1) ** spec.rank if spec.kind == "torus" else cutoff
+    d = 1 if spec.kind == "torus" else cutoff
+    block = min(len(bounds.polar_grid(spec, bounds.GRID_RADIUS)), bounds.GRID_BLOCK)
+    return labels, (31 << 20) + labels * (SMOOTHNESS_LABEL_COST + 2 * 16 * block) + 24 * block * d * d
+
+
+def peak_estimate(spec: GroupSpec, command: str | None, cutoff: int) -> int:
+    """Estimated peak RSS in bytes of a command (a suite or report kind) at a
+    cutoff: basis_cost, smoothness_cost, or 0 where the cutoff sets no large array."""
+    if command in BASIS_COST:
+        return basis_cost(spec, command, cutoff)[1]
+    if command == "smoothness":
+        return smoothness_cost(spec, cutoff)[1]
+    return 0
 
 
 def _tau_range(spec: GroupSpec) -> tuple:
@@ -207,7 +232,7 @@ def _config_from_args(args) -> RunConfig:
         except ValueError:
             expected = f"a comma list of {_TYPE_NAMES[kind][1]}" if is_list else _TYPE_NAMES[kind][0]
             raise ConfigError(f"--{f.name} expects {expected}, got {raw!r}") from None
-    return replace(cfg, **overrides).validate(getattr(args, "suite", None))
+    return replace(cfg, **overrides).validate(getattr(args, "suite", None) or getattr(args, "kind", None))
 
 
 def _fmt_num(x) -> str:
@@ -344,6 +369,7 @@ def _sobolev_isometry_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
         c = cfg.c_value(spec, t, n)
         Gs = [sobolev.sobolev_shift(F, n, c) for F in Fs]
         rows += _norm_rows(f"n={n}:", basis, holo_inner(Gs, Gs, q), [sobolev.sobolev_norm(f, n, c) for _, f in basis], tol)
+        del Gs  # released before the next order's shift is built: two dense copies at once, not three
     return rows
 
 
@@ -535,7 +561,8 @@ def cmd_invert(cfg: RunConfig, coeff_path: str, points_path: str) -> int:
 
     def result_at(t):
         radii = inversion_radii(f.spec, t, f.support)
-        (inner, outer), gap = ct_inverse_integral(ct_forward(f, t), points, radii, cfg.quad())
+        q = QuadSpec(levels=inversion_levels(t, max(radii), cfg.levels))
+        (inner, outer), gap = ct_inverse_integral(ct_forward(f, t), points, radii, q)
         rows = []
         for k, (a, rec, ex, g) in enumerate(zip(inner.tolist(), outer.tolist(), exact, gap.tolist())):
             stable, err = abs(rec - a) <= tol * max(1.0, abs(rec)), abs(rec - ex)

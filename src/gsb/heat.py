@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupSpec, enumerate_irreps
+from .groups import GroupSpec
 from .polar import abs_y, log_phi
 
 __all__ = ["TruncationReport", "TailBoundError", "rho_eval", "log_nu_t"]
 
 MAX_CUTOFF = 4000
+THETA_BLOCK = 4096  # complex entries (64 KiB) of each temporary of the torus theta product
 
 
 class TailBoundError(RuntimeError):
@@ -91,6 +92,42 @@ def _su2_characters(h, cutoff: int):
         yield cur
 
 
+def _theta_product(tau, g, cutoff: int):
+    """prod over the axes of 1 + sum_{m=1..cutoff} e^{-m^2 tau/2} 2 cos(m g_k),
+    over the broadcast batch of tau and the (..., r) batch g, in blocks of
+    rows whose (rows, r, cutoff) temporaries hold at most THETA_BLOCK entries
+    (one row at least); each row's operations are those of the whole batch."""
+    shape = np.broadcast_shapes(tau.shape, g.shape[:-1])
+    rank = g.shape[-1]
+    taus = np.broadcast_to(tau, shape).reshape(-1)
+    gs = np.broadcast_to(g, shape + (rank,)).reshape(-1, rank)
+    n = np.arange(1, cutoff + 1)
+    rows = max(1, THETA_BLOCK // (rank * cutoff))
+    total = np.empty(len(taus), dtype=complex)
+    for i in range(0, len(taus), rows):
+        damp = np.exp(-n * n * taus[i : i + rows, None] / 2.0)[:, None, :]
+        nz = 1j * n * gs[i : i + rows, :, None]  # (rows, r, cutoff)
+        total[i : i + rows] = np.prod(1.0 + np.sum(damp * (np.exp(nz) + np.exp(-nz)), axis=-1), axis=-1)
+    return total.reshape(shape)
+
+
+def _shell_sums(g, cutoff: int):
+    """T[..., lam] = sum of e^{i n.g} over the labels n of the box [-cutoff,
+    cutoff]^r with |n|^2 = lam, lam = 0..r cutoff^2, built one axis at a
+    time: from T = delta_0, axis k adds 2 cos(m g_k) T[lam - m^2] for m =
+    1..cutoff to each T[lam] (the shells of the axes done so far reach k
+    cutoff^2).  Each batch element has the bits of its batch of one."""
+    rank = g.shape[-1]
+    shells = np.zeros(g.shape[:-1] + (rank * cutoff * cutoff + 1,), dtype=complex)
+    shells[..., 0] = 1.0
+    for k in range(rank):
+        reach = k * cutoff * cutoff + 1
+        prev = shells[..., :reach].copy()
+        for m in range(1, cutoff + 1):
+            shells[..., m * m : m * m + reach] += 2.0 * np.cos(m * g[..., k, None]) * prev
+    return shells
+
+
 def _series(spec: GroupSpec, tau, g, cutoff: int, weight=None):
     """sum over labels up to the cutoff of dim e^{-lam tau/2} weight(lam) chi(g) / vol K.
 
@@ -98,8 +135,9 @@ def _series(spec: GroupSpec, tau, g, cutoff: int, weight=None):
     a torus) and tau an array that broadcasts against the batch; weight
     maps eigenvalues to factors (None means 1).
     An unweighted torus sum is the product of its 1-D theta sums over the
-    axes; a weighted one contracts the whole label box.  A sum that
-    overflows raises FloatingPointError instead of returning inf or nan.
+    axes (_theta_product); a weighted one sees a label n only through lam =
+    |n|^2, so it sums the shell sums of the label box (_shell_sums).  A sum
+    that overflows raises FloatingPointError instead of returning inf or nan.
     """
     tau = np.asarray(tau, dtype=float)
     with np.errstate(over="raise", invalid="raise"):
@@ -109,14 +147,11 @@ def _series(spec: GroupSpec, tau, g, cutoff: int, weight=None):
                 lam = (m * m - 1) / 4.0
                 total = total + m * np.exp(-lam * tau / 2.0) * (1.0 if weight is None else weight(lam)) * chi
         elif weight is None:
-            n = np.arange(1, cutoff + 1)
-            damp = np.exp(-n * n * tau[..., None] / 2.0)[..., None, :]
-            nz = 1j * n * g[..., None]  # (..., r, cutoff)
-            total = np.prod(1.0 + np.sum(damp * (np.exp(nz) + np.exp(-nz)), axis=-1), axis=-1)
+            total = _theta_product(tau, g, cutoff)
         else:
-            labels = np.array(enumerate_irreps(spec, cutoff))
-            lam = np.sum(labels * labels, axis=1)
-            total = np.sum(np.exp(-lam * tau[..., None] / 2.0) * weight(lam) * np.exp(1j * g @ labels.T), axis=-1)
+            shells = _shell_sums(g, cutoff)
+            lam = np.arange(shells.shape[-1])
+            total = np.sum(np.exp(-lam * tau[..., None] / 2.0) * weight(lam) * shells, axis=-1)
     return total / spec.volume
 
 

@@ -49,6 +49,7 @@ from .groups import (
 from .polar import MAX_ABS_Y
 from .polar import exp_iy_batch  # bound here because bench/trace_layers.LAYERS resolves it here
 from .quadrature import (
+    MAX_ORDER,
     QuadResult,
     QuadSpec,
     integrate_levels,
@@ -65,8 +66,11 @@ __all__ = [
     "holo_inner",
     "ct_inverse_integral",
     "inversion_radii",
+    "inversion_levels",
     "exp_iy_batch",
 ]
+
+INVERSION_WIDTHS = 12.0  # Gaussian widths R/sqrt(t) of the inversion rule that the configured levels resolve
 
 
 @dataclass(frozen=True)
@@ -265,6 +269,21 @@ def inversion_radii(spec: GroupSpec, t: float, labels):
         t_max = (2.0 * MAX_ABS_Y / (b + math.sqrt(b * b + 4.0 * reach * MAX_ABS_Y))) ** 2
         raise ValueError(f"the inversion radius passes |Y| = {MAX_ABS_Y:g}; the largest t these labels allow is {t_max:.6g}")
     return radius, radius + math.sqrt(2.0 * t)
+
+
+def inversion_levels(t: float, radius: float, levels) -> tuple:
+    """The Gauss-Legendre levels of the inversion rule on |Y| <= radius: the
+    configured levels times the Gaussian widths radius/sqrt(t) that the rule
+    spans over INVERSION_WIDTHS, never below the configured levels, and
+    scaled by at most MAX_ORDER / max(levels), so the finest stays a Gauss
+    rule and the levels stay apart.
+
+    A label's integrand is a Gaussian of width sqrt(t) on an interval of
+    length R (SU(2)) or 2R (a torus), so the nodes a rule needs grow with
+    R/sqrt(t): on torus:1 the rule of e_1 at t = 1 (11 widths) meets 1e-13
+    at 45 nodes, that of e_40 at t = 1 (50 widths) at 121."""
+    scale = min(max(1.0, radius / math.sqrt(t) / INVERSION_WIDTHS), MAX_ORDER / max(levels))
+    return tuple(min(MAX_ORDER, math.ceil(level * scale)) for level in levels)
 
 
 def _inverse_profiles(spec: GroupSpec, t: float, radius: float, level: int, labels):

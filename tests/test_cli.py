@@ -337,6 +337,33 @@ def test_invert_recovers_a_label_whose_damping_underflows(tmp_path, capsys):
     assert float(row["abs-err"]) <= 1e-12
 
 
+@pytest.mark.parametrize("t", [0.85, 1])
+def test_invert_levels_follow_the_gaussian_widths(tmp_path, capsys, t):
+    # the rule of e_40 spans R'/sqrt(t) = 47 and 50 Gaussian widths, where
+    # the default levels 64, 96 meet 12: its levels grow to 100, 150
+    from gsb.groups import torus
+    from gsb.transform import inversion_levels, inversion_radii
+
+    radius = inversion_radii(torus(1), t, [(40,)])[1]
+    assert inversion_levels(t, radius, (64, 96)) == (100, 150)
+    code, captured, path = _invert(tmp_path, capsys, {40: 1.0}, t, [[0.3]])
+    assert code == 0, captured.err
+    with open(path, newline="") as fp:
+        (row,) = list(csv.DictReader(fp))
+    assert float(row["abs-err"]) <= 1e-12 and float(row["gap"]) <= 1e-6
+
+
+def test_invert_levels_keep_the_configured_floor():
+    # at most 12 widths the configured levels stand; past them they scale,
+    # never beyond MAX_ORDER; levels that reach it stay as they are
+    from gsb.transform import inversion_levels
+
+    assert inversion_levels(1.0, 11.4, (64, 96)) == (64, 96)
+    assert inversion_levels(4.0, 2 * 18.0, (4, 6)) == (6, 9)
+    assert inversion_levels(0.01, 50.0, (16, 24, 32)) == (75, 113, 150)
+    assert inversion_levels(0.01, 50.0, (128, 150)) == (128, 150)
+
+
 def test_reproducing_forms_each_label_trace_once(tmp_path, capsys, monkeypatch):
     # reproduce_check takes f(g) and the label traces from one label_traces
     # pass: one representation batch per label of each of the 5 functions
@@ -423,6 +450,8 @@ def test_pointwise_commands_stay_near_the_import_floor(tmp_path):
         "kernel-tworoute": ["verify", "kernel-tworoute", *base, "--t", "0.25,0.5,1,2", "--n", "1,2,3", "--seed", "0"],
         "lattice": ["report", "lattice", "--group", "torus:3", "--out", "o"],
         "bounds": ["report", "bounds", "--group", "torus:3", "--out", "o"],
+        # the spectral route sums |n|^2 shells, not the 9^4-label box
+        "kernel-tworoute torus:4": ["verify", "kernel-tworoute", "--group", "torus:4", "--out", "o"],
     }
     for name, argv in commands.items():
         code, peak = _peak_rss_mb(["-m", "gsb.cli", *argv], tmp_path)
@@ -450,6 +479,20 @@ def test_basis_cost_follows_the_measured_peak(tmp_path):
         rows, estimate = basis_cost(su2(), suite, cutoff)
         assert rows == sum(m * m for m in range(1, cutoff + 1))
         assert abs(estimate / 2**20 - peak) <= 0.2 * peak, (suite, cutoff, estimate / 2**20, peak)
+
+
+def test_smoothness_cost_follows_the_measured_peak(tmp_path):
+    # the estimate validate holds against the budget for report smoothness is
+    # within 20 % of the peak RSS of a fresh process at torus:2 cutoffs 16 and 32
+    from gsb.cli import smoothness_cost
+    from gsb.groups import torus
+
+    for cutoff in (16, 32):
+        argv = ["report", "smoothness", "--group", "torus:2", "--cutoff", str(cutoff), "--out", f"o-{cutoff}"]
+        code, peak = _peak_rss_mb(["-m", "gsb.cli", *argv], tmp_path)
+        labels, estimate = smoothness_cost(torus(2), cutoff)
+        assert code == 0 and labels == (2 * cutoff + 1) ** 2
+        assert abs(estimate / 2**20 - peak) <= 0.2 * peak, (cutoff, estimate / 2**20, peak)
 
 
 def test_kernel_tworoute_judges_laguerre_gap(tmp_path, capsys, monkeypatch):
@@ -513,6 +556,8 @@ _LABEL_3 = {"group": "torus:1", "entries": [{"label": [3], "matrix": [[[1.0, 0.0
         (["report", "symbol", "--group", "su2", "--n", "65"], "n values must be in 0..64"),
         # 3^12 basis rows pass the budget even at cutoff 1
         (["verify", "sobolev-isometry", "--group", "torus:12", "--cutoff", "1"], "no cutoff fits on torus:12"),
+        # 17^4 labels hold about 2.7 GB of traces (cli.smoothness_cost)
+        (["report", "smoothness", "--group", "torus:4", "--cutoff", "8"], "largest allowed cutoff is 6"),
     ],
 )
 def test_bad_input_exits_2_before_work(tmp_path, capsys, args, message):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gsb.groups import enumerate_irreps, irrep_dim, random_algebra, random_k, rep_matrix_batch, su2, torus
-from gsb.heat import TailBoundError, _su2_characters, log_nu_t, rho_eval
+from gsb.heat import THETA_BLOCK, TailBoundError, _series, _su2_characters, _theta_product, log_nu_t, rho_eval
 from gsb.polar import exp_iy_batch, polar_compose
 from gsb.quadrature import integrate_K
 
@@ -187,3 +187,42 @@ def test_su2_series_matches_mpmath(t):
         exact = complex(mpmath.fsum(terms) / spec.volume)
         scale = float(sum(abs(term) for term in terms)) / spec.volume
         assert abs(value - exact) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_weighted_torus_series_matches_the_label_box_sum(rank):
+    # the shell sums see a label only through |n|^2; the oracle sums the
+    # whole label box [-cutoff, cutoff]^r, as the weighted branch once did
+    spec = torus(rank)
+    rng = np.random.default_rng(rank)
+    g = rng.uniform(0.0, 2 * math.pi, (5, rank)) + 1j * rng.uniform(-1.0, 1.0, (5, rank))
+    for cutoff in (1, 2, 3, 5, 8):
+        labels = np.array(enumerate_irreps(spec, cutoff))
+        for tau in (np.asarray(0.2), np.asarray(2.0)):
+            for n in (1, 2):
+                weight = lambda lam: (1.25 + lam) ** (-2 * n)
+                lam = np.sum(labels * labels, axis=1)
+                total = np.sum(np.exp(-lam * tau[..., None] / 2.0) * weight(lam) * np.exp(1j * g @ labels.T), axis=-1)
+                value = _series(spec, tau, g, cutoff, weight)
+                assert np.all(np.abs(value - total / spec.volume) <= 1e-13 * np.abs(total / spec.volume))
+                for k in range(len(g)):
+                    single = _series(spec, tau, g[k : k + 1], cutoff, weight)
+                    assert single.tobytes() == value[k : k + 1].tobytes()
+
+
+def test_blocked_theta_product_matches_the_unblocked_oracle():
+    # 64 times by 15 points on torus:3 at cutoff 6 is 17,280 entries a
+    # temporary, several blocks; each element has the bits of one product
+    # over the whole broadcast batch
+    rng = np.random.default_rng(8)
+    g = rng.uniform(0.0, 2 * math.pi, (15, 3)) + 1j * rng.uniform(-1.0, 1.0, (15, 3))
+    tau = rng.uniform(0.1, 3.0, (64, 1))
+    cutoff = 6
+    assert tau.size * len(g) * 3 * cutoff > 4 * THETA_BLOCK
+    n = np.arange(1, cutoff + 1)
+    damp = np.exp(-n * n * tau[..., None] / 2.0)[..., None, :]
+    nz = 1j * n * g[..., None]
+    oracle = np.prod(1.0 + np.sum(damp * (np.exp(nz) + np.exp(-nz)), axis=-1), axis=-1)
+    value = _theta_product(tau, g, cutoff)
+    assert value.shape == oracle.shape == (64, 15)
+    assert value.tobytes() == oracle.tobytes()

@@ -8,7 +8,8 @@ means to move values regenerates the file with
 
     PYTHONPATH=src python tests/test_report_digests.py
 
-and says which reports moved and why.
+and says which reports moved and why; the run prints each digest that it
+changes, adds or drops against the file it replaces.
 """
 
 import hashlib
@@ -83,14 +84,25 @@ def test_symbol_report_bytes_at_high_orders_match_the_recorded_digests(tmp_path,
 
 
 if __name__ == "__main__":
+    import contextlib
+    import io
     import tempfile
 
     runs = [(command, group) for group in GROUPS for command in COMMANDS]
     runs += [(SYMBOL_COMMAND, group) for group in SYMBOL_GROUPS]
     digests = {}
     for command, group in runs:
-        with tempfile.TemporaryDirectory() as work:
+        # the commands' own lines are dropped, so the run prints only what moved
+        with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):
             digests.update(report_digests(command, group, Path(work)))
+    recorded = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    for name in sorted(recorded.keys() | digests.keys()):
+        if name not in digests:
+            print(f"dropped {name}", file=sys.stderr)
+        elif name not in recorded:
+            print(f"added {name}", file=sys.stderr)
+        elif digests[name] != recorded[name]:
+            print(f"changed {name}", file=sys.stderr)
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {DIGESTS}", file=sys.stderr)
