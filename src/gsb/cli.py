@@ -44,8 +44,8 @@ REPORT_COLUMNS = {
 VERIFY_COLUMNS = ["case-id", "lhs", "rhs", "rel-err", "tol", "pass", "gap"]
 
 MEMORY_BUDGET = 1 << 30  # bytes: the largest peak RSS estimate (peak_estimate) that validate accepts
-# basis suite -> (bytes per row, dense basis copies held at once), fitted to peak RSS on su2 and torus:2-4
-BASIS_COST = {"unitarity": (1500, 1), "weighted-norm": (2200, 2), "sobolev-isometry": (2300, 2)}
+# basis suite -> bytes per row (matrix entry), fitted to peak RSS on su2 and torus:3-4
+BASIS_COST = {"unitarity": 900, "weighted-norm": 1000, "sobolev-isometry": 1350}
 SMOOTHNESS_LABEL_COST = 1000  # bytes per label of report smoothness besides its traces, fitted to peak RSS on torus:2-4
 
 
@@ -152,16 +152,9 @@ class RunConfig:
 
 def basis_cost(spec: GroupSpec, suite: str, cutoff: int) -> tuple:
     """(rows, bytes) of a basis suite: sum d^2 matrix entries, and a peak RSS
-    of the 31 MB import floor, the per-row cost and 16 B for each entry of a
-    dense copy of the basis blocks (d x d per matrix entry, sum d^4 a copy):
-    the basis and one Sobolev shift of it, as each order's shift is released
-    before the next is built."""
-    if spec.kind == "torus":
-        rows = quartic = (2 * cutoff + 1) ** spec.rank
-    else:
-        rows, quartic = sum(m**2 for m in range(1, cutoff + 1)), sum(m**4 for m in range(1, cutoff + 1))
-    per_row, copies = BASIS_COST[suite]
-    return rows, (31 << 20) + per_row * rows + copies * 16 * quartic
+    of the 31 MB import floor and the suite's cost per row."""
+    rows = (2 * cutoff + 1) ** spec.rank if spec.kind == "torus" else sum(m**2 for m in range(1, cutoff + 1))
+    return rows, (31 << 20) + BASIS_COST[suite] * rows
 
 
 def smoothness_cost(spec: GroupSpec, cutoff: int) -> tuple:
@@ -277,16 +270,27 @@ def write_report(path: str, columns, rows, fmt: str):
 
 
 def _basis(spec: GroupSpec, cutoff: int, limit: int | None = None):
-    """Matrix-entry basis (case id, CoefVec) up to the label cutoff."""
+    """Matrix-entry basis up to the label cutoff: (case id, entry (label, i,
+    j)), the entry pi_ij of the label, as holo_inner takes it."""
     out = []
     for label in enumerate_irreps(spec, cutoff):
         d = irrep_dim(spec, label)
         for i in range(d):
             for j in range(d):
-                out.append((f"{label}[{i},{j}]", basis_entry(spec, label, i, j)))
+                out.append((f"{label}[{i},{j}]", (label, i, j)))
                 if limit is not None and len(out) >= limit:
                     return out
     return out
+
+
+def _entry_norm(spec: GroupSpec, label, scale: float = 1.0) -> float:
+    """The Plancherel norm sqrt((vol/d) |s|^2) of s times a matrix entry of the label."""
+    return math.sqrt(spec.volume / irrep_dim(spec, label) * (abs(scale) * abs(scale)))
+
+
+def _shifts(spec: GroupSpec, basis, n: int, c: float) -> dict:
+    """The Sobolev shift's scale (c + lambda)^n on each label of the basis."""
+    return {label: sobolev.shift_scale(spec, label, n, c) for label in {e[0] for _, e in basis}}
 
 
 def _row(cid, lhs, rhs, err, tol, gap):
@@ -338,9 +342,10 @@ def _norm_rows(prefix, basis, res, rhs, tol):
 
 
 def _unitarity_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
-    basis = _basis(cfg.spec, cfg.cutoff)
-    Fs = [ct_forward(f, t) for _, f in basis]
-    return _norm_rows("", basis, holo_inner(Fs, Fs, q), [f.plancherel_norm() for _, f in basis], tol)
+    spec = cfg.spec
+    basis = _basis(spec, cfg.cutoff)
+    res = holo_inner(spec, t, [(e, e, 1.0) for _, e in basis], q)
+    return _norm_rows("", basis, res, [_entry_norm(spec, e[0]) for _, e in basis], tol)
 
 
 def _reproducing_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
@@ -353,7 +358,7 @@ def _reproducing_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
         points.append((random_k(spec, rng), y))
     basis = _basis(spec, cfg.cutoff, limit=5)
     xs, ys = (np.stack(part) for part in zip(*points))
-    Fs = [ct_forward(f, t) for _, f in basis]
+    Fs = [ct_forward(basis_entry(spec, *e), t) for _, e in basis]
     # every function at every point, function by function
     residual, gap = kernels.reproduce_check(Fs, polar_compose(spec, xs, ys), q)
     cids = [f"{cid}@p{k}" for cid, _ in basis for k in range(len(points))]
@@ -363,13 +368,11 @@ def _reproducing_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
 def _sobolev_isometry_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     spec = cfg.spec
     basis = _basis(spec, cfg.cutoff)
-    Fs = [ct_forward(f, t) for _, f in basis]
     rows = []
     for n in _orders(cfg):
-        c = cfg.c_value(spec, t, n)
-        Gs = [sobolev.sobolev_shift(F, n, c) for F in Fs]
-        rows += _norm_rows(f"n={n}:", basis, holo_inner(Gs, Gs, q), [sobolev.sobolev_norm(f, n, c) for _, f in basis], tol)
-        del Gs  # released before the next order's shift is built: two dense copies at once, not three
+        shift = _shifts(spec, basis, n, cfg.c_value(spec, t, n))
+        res = holo_inner(spec, t, [(e, e, shift[e[0]] * shift[e[0]]) for _, e in basis], q)
+        rows += _norm_rows(f"n={n}:", basis, res, [_entry_norm(spec, e[0], shift[e[0]]) for _, e in basis], tol)
     return rows
 
 
@@ -398,8 +401,7 @@ def _kernel_tworoute_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
 def _toeplitz_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     spec = cfg.spec
     basis = _basis(spec, min(cfg.cutoff, 3))
-    Fs = [ct_forward(f, t) for _, f in basis]
-    norms = [f.plancherel_norm() for _, f in basis]
+    norms = [_entry_norm(spec, e[0]) for _, e in basis]
     same = list(range(len(basis)))
     # (tag, lhs, rhs): the quadratic forms on the pairs (f_i, f_i), then
     # (f_i, f_{i+1}); the first-order forms on the first of them, (f_i, f_i)
@@ -407,13 +409,18 @@ def _toeplitz_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     # forms that vanish identically leave only rounding noise, so each
     # pair's zero floor is scaled to the natural size of the form
     floor = [1e-6 * norms[i] * norms[j] for i, j in zip(first, second)]
+    pairs = [(basis[i][1], basis[j][1], 1.0) for i, j in zip(first, second)]
     for n in _orders(cfg):
         c = cfg.c_value(spec, t, n)
-        F1s, F2s = [Fs[i] for i in first], [Fs[j] for j in second]
-        quad = holo_inner(F1s, F2s, q, sobolev.toeplitz_symbol(spec, t, c, n), floor)
-        shifted = [sobolev.sobolev_shift(F, n, c) for F in Fs]
-        forms.append((f"n={n}", quad, holo_inner(F1s, [shifted[j] for j in second], q, None, floor)))
-    forms += [(f"X{k}", *sobolev.first_order_forms(Fs, Fs, k, q, floor[: len(same)])) for k in range(spec.dim)]
+        shift = _shifts(spec, basis, n, c)
+        quad = holo_inner(spec, t, pairs, q, sobolev.toeplitz_symbol(spec, t, c, n), floor)
+        shifted = [(e1, e2, shift[e2[0]]) for e1, e2, _ in pairs]
+        forms.append((f"n={n}", quad, holo_inner(spec, t, shifted, q, None, floor)))
+    diagonal, diagonal_floor = pairs[: len(same)], floor[: len(same)]
+    for k in range(spec.dim):
+        # <F, X_k F> by the gather of dpi(E_k), against the quadratic form of the symbol of X_k
+        lhs = holo_inner(spec, t, diagonal, q, None, diagonal_floor, axis=k)
+        forms.append((f"X{k}", lhs, holo_inner(spec, t, diagonal, q, sobolev.phi_x_weight(spec, t, k), diagonal_floor)))
     rows = []
     for tag, lhs_res, rhs_res in forms:
         sides = (lhs_res.value.tolist(), rhs_res.value.tolist(), lhs_res.gap.tolist(), rhs_res.gap.tolist())
@@ -426,11 +433,10 @@ def _toeplitz_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
 def _weighted_norm_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     spec = cfg.spec
     n = min(_orders(cfg), default=1)
-    c = cfg.c_value(spec, t, n)
     basis = _basis(spec, cfg.cutoff)
-    Fs = [ct_forward(f, t) for _, f in basis]
-    Gs = [sobolev.sobolev_shift(F, 2 * n, c) for F in Fs]
-    lhs_res, rhs_res = sobolev.weighted_form(Fs, n, q), holo_inner(Gs, Gs, q)
+    shift = _shifts(spec, basis, 2 * n, cfg.c_value(spec, t, n))
+    lhs_res = holo_inner(spec, t, [(e, e, 1.0) for _, e in basis], q, weight=lambda u: (1.0 + u) ** (2 * n))
+    rhs_res = holo_inner(spec, t, [(e, e, shift[e[0]] * shift[e[0]]) for _, e in basis], q)
     # the row's tol bounds the ratio spread; the gap tolerance bounds each form's level gap
     rows, gap_tol = [], cfg.tol(1e-8)
     forms = zip(basis, _norms(lhs_res), _norms(rhs_res), lhs_res.gap.tolist(), rhs_res.gap.tolist())
@@ -487,7 +493,8 @@ def cmd_verify(suite: str, cfg: RunConfig) -> int:
 
 
 def _report_rows(kind: str, cfg: RunConfig, t: float):
-    """(rows, ok) of one report kind at time t; bounds fails on a failed row, symbol on a coefficient <= 0."""
+    """(rows, ok) of one report kind at time t; bounds fails on a failed row,
+    symbol on a coefficient <= 0, smoothness on a G_n that is not finite."""
     spec = cfg.spec
     if kind == "symbol":
         rows = []
@@ -499,7 +506,8 @@ def _report_rows(kind: str, cfg: RunConfig, t: float):
         return bounds.lattice_limit_check(spec, cfg.tau), True
     if kind == "smoothness":
         f = CoefVec(spec, {label: np.eye(irrep_dim(spec, label)) for label in enumerate_irreps(spec, cfg.cutoff)})
-        return bounds.smoothness_report(ct_forward(f, t), n_max=max(cfg.n)), True
+        rows = bounds.smoothness_report(ct_forward(f, t), n_max=max(cfg.n))
+        return rows, all(math.isfinite(row[2]) for row in rows)
     # bounds
     chamber = "full-lattice" if spec.kind == "torus" else "halfline"
     rows = [(tau, ratio, alpha, chamber, ok) for tau, ratio, alpha, ok in bounds.kernel_bound_check(spec, t)]

@@ -1,4 +1,4 @@
-"""Sobolev norms, Toeplitz symbol polynomials, and weighted forms.
+"""Sobolev shifts and norms, Toeplitz symbol polynomials, and the symbol of a vector field.
 
 The K-side Sobolev norm is the Plancherel norm after the blockwise factor
 (c + lambda_pi)^n; its holomorphic image uses the same factor before the
@@ -16,21 +16,18 @@ from fractions import Fraction
 import numpy as np
 
 from .coeffs import CoefVec
-from .groups import GroupSpec, algebra_basis, rep_generator
-from .quadrature import QuadResult, QuadSpec
-from .transform import AxisWeight, HoloFunc, holo_inner
+from .groups import GroupSpec, laplacian_eigenvalue
+from .transform import AxisWeight
 
 __all__ = [
     "PolyU",
     "laplacian_apply",
+    "shift_scale",
     "sobolev_shift",
     "sobolev_norm",
     "toeplitz_symbol",
     "symbol_positivity_threshold",
-    "apply_vector_field",
     "phi_x_weight",
-    "first_order_forms",
-    "weighted_form",
 ]
 
 
@@ -49,22 +46,19 @@ class PolyU:
         return np.polyval(coeffs, u)
 
 
-def _as_coefs(f) -> CoefVec:
-    return f.coefs if isinstance(f, HoloFunc) else f
-
-
-def _rewrap(f, coefs: CoefVec):
-    return HoloFunc(coefs, f.t) if isinstance(f, HoloFunc) else coefs
-
-
-def laplacian_apply(f, n: int = 1):
+def laplacian_apply(f: CoefVec, n: int = 1) -> CoefVec:
     """Apply the group Laplacian n times: block pi scales by (-lambda_pi)^n."""
-    return _rewrap(f, _as_coefs(f).spectral(lambda lam: (-lam) ** n))
+    return f.spectral(lambda lam: (-lam) ** n)
 
 
-def sobolev_shift(f, n: int, c: float):
-    """Blockwise (c + lambda_pi)^n, i.e. (cI - Delta)^n on coefficients."""
-    return _rewrap(f, _as_coefs(f).spectral(lambda lam: (c + lam) ** n))
+def shift_scale(spec: GroupSpec, label, n: int, c: float) -> float:
+    """(c + lambda_pi)^n: the factor of (cI - Delta)^n on the block of label pi."""
+    return (c + laplacian_eigenvalue(spec, label)) ** n
+
+
+def sobolev_shift(f: CoefVec, n: int, c: float) -> CoefVec:
+    """(cI - Delta)^n on coefficients: block pi times shift_scale."""
+    return CoefVec(f.spec, {label: shift_scale(f.spec, label, n, c) * block for label, block in f.entries.items()})
 
 
 def sobolev_norm(f: CoefVec, n: int, c: float) -> float:
@@ -122,14 +116,6 @@ def symbol_positivity_threshold(spec: GroupSpec, t: float, n: int) -> float:
     return spec.delta_sq + 1.0 + 0.5 * k
 
 
-def apply_vector_field(f, k: int):
-    """Left-invariant derivative along the k-th algebra basis direction."""
-    coefs = _as_coefs(f)
-    direction = algebra_basis(coefs.spec, k)
-    blocks = {label: rep_generator(coefs.spec, label, direction) @ block for label, block in coefs.entries.items()}
-    return _rewrap(f, CoefVec(coefs.spec, blocks))
-
-
 def _grad_log_radial(t: float, r: np.ndarray) -> np.ndarray:
     """h(r) with grad_Y log nu_t = Y * h(|Y|) on su(2): 1/r^2 - coth(r)/r - 2/t."""
     small = np.abs(r) < 1e-3
@@ -155,21 +141,3 @@ def phi_x_weight(spec: GroupSpec, t: float, k: int):
     # frame block d(Y) = S^{-1} cos(ad Y) acts on it as the identity and the
     # contraction collapses to y_k times a radial profile
     return AxisWeight(k, lambda u: 0.5j * _grad_log_radial(t, np.sqrt(u)))
-
-
-def first_order_forms(F1s, F2s, k: int, q: QuadSpec, floor=0.0):
-    """Both sides of the first-order Toeplitz identity for X_k, on each pair
-    (F1, F2) of two equal-length sequences.
-
-    Returns (lhs, rhs) as QuadResults, their gaps on holo_inner's floor: lhs
-    = <F1, X_k F2> in L^2(nu_t), rhs the quadratic form against phi_X.
-    Equality is the operator identity under test.
-    """
-    F = F2s[0]
-    XF2s = [apply_vector_field(G, k) for G in F2s]
-    return holo_inner(F1s, XF2s, q, None, floor), holo_inner(F1s, F2s, q, phi_x_weight(F.spec, F.t, k), floor)
-
-
-def weighted_form(Fs, n: int, q: QuadSpec) -> QuadResult:
-    """int |F|^2 (1 + |Y|^2)^{2n} nu_t dg, K-part exact, for each F of a sequence."""
-    return holo_inner(Fs, Fs, q, weight=lambda u: (1.0 + u) ** (2 * n))

@@ -64,6 +64,7 @@ __all__ = [
     "HoloFunc",
     "ct_forward",
     "holo_inner",
+    "entry_pairs",
     "ct_inverse_integral",
     "inversion_radii",
     "inversion_levels",
@@ -216,33 +217,53 @@ def _integrate_profiles(spec: GroupSpec, t: float, q: QuadSpec, terms, size: int
     return integrate_levels(q, value_at, floor)
 
 
-def holo_inner(F1s, F2s, q: QuadSpec, weight=None, floor=0.0) -> QuadResult:
-    """<F1, F2> against a weight times nu_t(g) dg, K-part exact, for each
-    pair (F1, F2) of two equal-length sequences of ct_forward's functions.
+def holo_inner(spec: GroupSpec, t: float, pairs, q: QuadSpec, weight=None, floor=0.0, axis=None) -> QuadResult:
+    """<C_t f1, C_t f2> against a weight times nu_t(g) dg, K-part exact, for
+    each pair (e1, e2, scale) of a sequence: two matrix entries e = (label, i,
+    j), pi_ij of the label (the block E_ji, as in basis_entry), and a
+    scale, conj(s1) s2 for the functions s1 e1 and s2 e2.
 
     weight is None (the weight 1), a vectorized map of u = |Y|^2 to a
     factor, or an AxisWeight: y_k * radial(|Y|^2), which depends on the
     direction of Y, not just its length.  Value, gap and levels are arrays
     with one entry per pair, each with the bits of its batch of one; floor
     (a number, or one per pair) is the gap's zero floor, as in
-    integrate_levels.  A common label contributes (vol/d) tr(B1^* B2) (B2 ->
-    dpi(E_k) B2 for an AxisWeight) of the undamped blocks times its profile
-    sum, which carries the damping of both.
+    integrate_levels.  A pair on one label contributes its trace, the gather
+    (vol/d) scale A[j1, j2] delta(i1, i2), times the label's profile sum,
+    which carries the damping of both; A = dpi(E_k) for an axis k (an
+    AxisWeight's own, or the axis argument for <F1, X_k F2>), else I.  A
+    pair on two labels contributes nothing.  The form of two dense CoefVecs
+    is the sum of the values on their entry_pairs.
     """
-    F1s, F2s = list(F1s), list(F2s)
-    spec, t = F1s[0].spec, F1s[0].t
-    if len(F1s) != len(F2s) or any(F.spec != spec or F.t != t for F in F1s + F2s):
-        raise ValueError("need pairs of functions of one group spec and one transform time")
-    axis = algebra_basis(spec, weight.axis) if isinstance(weight, AxisWeight) else None
-    terms = []
-    for p, (G1, G2) in enumerate(zip(F1s, F2s)):
-        for label in sorted(G1.coefs.entries.keys() & G2.coefs.entries.keys()):
-            b1, b2 = G1.coefs.entries[label], G2.coefs.entries[label]
-            if axis is not None:
-                b2 = rep_generator(spec, label, axis) @ b2
-            trace = (b1.conj() * b2).sum()
-            terms.append((p, label, (spec.volume / irrep_dim(spec, label)) * trace))
-    return _integrate_profiles(spec, t, q, terms, len(F1s), weight, floor)
+    if t <= 0:
+        raise ValueError("t must be positive")
+    axis = weight.axis if isinstance(weight, AxisWeight) else axis
+    generators, terms = {}, []
+    for p, ((label, i1, j1), (other, i2, j2), scale) in enumerate(pairs):
+        if label != other:
+            continue
+        if axis is None:
+            a = float(j1 == j2)
+        else:
+            if label not in generators:
+                generators[label] = rep_generator(spec, label, algebra_basis(spec, axis))
+            a = generators[label][j1, j2]
+        trace = scale * a if i1 == i2 else 0.0
+        terms.append((p, label, (spec.volume / irrep_dim(spec, label)) * trace))
+    return _integrate_profiles(spec, t, q, terms, len(pairs), weight, floor)
+
+
+def entry_pairs(f1: CoefVec, f2: CoefVec) -> list:
+    """holo_inner's pairs of two functions: each nonzero entry of f1 with
+    each of f2 on its label, scaled by the product conj(b1) b2 of their
+    coefficients, so the form of C_t f1 and C_t f2 is the sum of their values."""
+    pairs = []
+    for label in sorted(f1.entries.keys() & f2.entries.keys()):
+        b1, b2 = f1.entries[label], f2.entries[label]
+        for j1, i1 in zip(*np.nonzero(b1)):
+            for j2, i2 in zip(*np.nonzero(b2)):
+                pairs.append(((label, i1, j1), (label, i2, j2), b1[j1, i1].conjugate() * b2[j2, i2]))
+    return pairs
 
 
 def inversion_radii(spec: GroupSpec, t: float, labels):

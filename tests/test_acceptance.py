@@ -27,14 +27,13 @@ from gsb.quadrature import QuadSpec
 # the level gap every quadrature here must meet
 GAP_TOL = 1e-6
 from gsb.sobolev import (
-    first_order_forms,
+    phi_x_weight,
     sobolev_norm,
     sobolev_shift,
     symbol_positivity_threshold,
     toeplitz_symbol,
-    weighted_form,
 )
-from gsb.transform import ct_forward, ct_inverse_integral, holo_inner
+from gsb.transform import ct_forward, ct_inverse_integral, entry_pairs, holo_inner
 
 TORUS = torus(1)
 SU2 = su2()
@@ -61,10 +60,23 @@ def _sum(*fs):
     return CoefVec(fs[0].spec, {label: block for f in fs for label, block in f.entries.items()})
 
 
-def _norms(Fs, q):
-    """K_C L^2 norms of a batch of functions, and whether every quadrature gap meets GAP_TOL."""
-    res = holo_inner(Fs, Fs, q)
-    return [math.sqrt(max(v.real, 0.0)) for v in res.value.tolist()], bool(np.all(res.gap <= GAP_TOL))
+def _forms(pairs, t, q, **kwargs):
+    """<C_t f1, C_t f2> for each pair (f1, f2) of functions, each the sum of
+    holo_inner's values on their entry pairs, and whether every quadrature
+    gap meets GAP_TOL."""
+    entries, spans = [], []
+    for f1, f2 in pairs:
+        span = entry_pairs(f1, f2)
+        spans.append(slice(len(entries), len(entries) + len(span)))
+        entries += span
+    res = holo_inner(pairs[0][0].spec, t, entries, q, **kwargs)
+    return [complex(np.sum(res.value[span])) for span in spans], bool(np.all(res.gap <= GAP_TOL))
+
+
+def _norms(fs, t, q, **kwargs):
+    """K_C L^2 norms of C_t f for a batch of functions, and whether every quadrature gap meets GAP_TOL."""
+    values, gaps_ok = _forms([(f, f) for f in fs], t, q, **kwargs)
+    return [math.sqrt(max(v.real, 0.0)) for v in values], gaps_ok
 
 
 def _rel(a, b):
@@ -88,7 +100,7 @@ def test_criterion_01_transform_is_unitary():
     for spec, cutoff, tol in ((TORUS, 5, 1e-6), (SU2, 4, 1e-6)):
         basis = _basis(spec, cutoff)
         for t in (0.5, 1.0, 2.0):
-            norms, gaps_ok = _norms([ct_forward(f, t) for f in basis], QuadSpec())
+            norms, gaps_ok = _norms(basis, t, QuadSpec())
             ok = ok and gaps_ok
             for f, norm in zip(basis, norms):
                 err = _rel(norm, f.plancherel_norm())
@@ -102,8 +114,7 @@ def test_criterion_02_density_mass():
     for spec in (TORUS, torus(2), SU2):
         one = CoefVec(spec, {((0,) * spec.rank if spec.kind == "torus" else 1): np.ones((1, 1))})
         for t in (0.25, 0.5, 1.0, 2.0, 4.0):
-            F = ct_forward(one, t)
-            mass = holo_inner([F], [F], QuadSpec()).value[0].real
+            mass = holo_inner(spec, t, entry_pairs(one, one), QuadSpec()).value[0].real
             worst = max(worst, _rel(mass, spec.volume))
     _report("density integrates to the group volume", worst <= 1e-6, f"worst rel err {worst:.2e}")
 
@@ -129,7 +140,7 @@ def test_criterion_04_sobolev_isometry_and_commutation():
         for n in (1, 2):
             c = spec.delta_sq + 1.0
             basis = _basis(spec, 3)
-            norms, gaps_ok = _norms([sobolev_shift(ct_forward(f, t), n, c) for f in basis], QuadSpec())
+            norms, gaps_ok = _norms([sobolev_shift(f, n, c) for f in basis], t, QuadSpec())
             ok = ok and gaps_ok
             for f, norm in zip(basis, norms):
                 err = _rel(norm, sobolev_norm(f, n, c))
@@ -165,7 +176,7 @@ def test_criterion_06_pointwise_bound_and_envelope():
         label = (3,) if spec.kind == "torus" else 3
         f = _sum(basis_entry(spec, label, 0, 0), basis_entry(spec, (1,) if spec.kind == "torus" else 2, 0, 0))
         F = ct_forward(f, t)
-        (norm,), gaps_ok = _norms([sobolev_shift(F, n, c)], QuadSpec())
+        (norm,), gaps_ok = _norms([sobolev_shift(f, n, c)], t, QuadSpec())
         ok = ok and gaps_ok
         p = _random_points(spec, rng, 20)
         lhs = np.abs(sum(F.label_traces(p).values())) ** 2
@@ -194,19 +205,18 @@ def test_criterion_07_toeplitz_forms():
         pairs = [(f, f) for f in basis] + list(zip(basis[:-1], basis[1:]))
         for n in (1, 2):
             c = spec.delta_sq + 1.0
-            sym = toeplitz_symbol(spec, t, c, n)
-            F1s, F2s = [ct_forward(f1, t) for f1, _ in pairs], [ct_forward(f2, t) for _, f2 in pairs]
-            quads = holo_inner(F1s, F2s, QuadSpec(), weight=sym).value.tolist()
-            spectrals = holo_inner(F1s, [sobolev_shift(F2, n, c) for F2 in F2s], QuadSpec()).value.tolist()
+            quads, _ = _forms(pairs, t, QuadSpec(), weight=toeplitz_symbol(spec, t, c, n))
+            spectrals, _ = _forms([(f1, sobolev_shift(f2, n, c)) for f1, f2 in pairs], t, QuadSpec())
             for (f1, f2), quad, spectral in zip(pairs, quads, spectrals):
                 floor = 1e-6 * f1.plancherel_norm() * f2.plancherel_norm()
                 err = abs(quad - spectral) / max(abs(quad), abs(spectral), floor)
                 worst = max(worst, err / tol)
                 ok = ok and err <= tol
-        Fs = [ct_forward(f, t) for f in basis]
         for k in range(spec.dim):
-            lhs_res, rhs_res = first_order_forms(Fs, Fs, k, QuadSpec())
-            for (f1, f2), lhs, rhs in zip(pairs[: len(basis)], lhs_res.value.tolist(), rhs_res.value.tolist()):
+            # <F, X_k F> by the axis gather, and the quadratic form of the symbol of X_k
+            lhs_values, _ = _forms(pairs[: len(basis)], t, QuadSpec(), axis=k)
+            rhs_values, _ = _forms(pairs[: len(basis)], t, QuadSpec(), weight=phi_x_weight(spec, t, k))
+            for (f1, f2), lhs, rhs in zip(pairs[: len(basis)], lhs_values, rhs_values):
                 floor = 1e-6 * f1.plancherel_norm() * f2.plancherel_norm()
                 err = abs(lhs - rhs) / max(abs(lhs), abs(rhs), floor)
                 worst = max(worst, err / tol)
@@ -231,9 +241,9 @@ def test_criterion_08_symbol_structure():
 def test_criterion_09_weighted_norm_equivalence():
     t, n = 1.0, 1
     c = symbol_positivity_threshold(SU2, t, 2 * n)
-    Fs = [ct_forward(f, t) for f in _basis(SU2, 4)]
-    weighted = [math.sqrt(max(v.real, 0.0)) for v in weighted_form(Fs, n, QuadSpec()).value.tolist()]
-    sobolev, gaps_ok = _norms([sobolev_shift(F, 2 * n, c) for F in Fs], QuadSpec())
+    basis = _basis(SU2, 4)
+    weighted, _ = _norms(basis, t, QuadSpec(), weight=lambda u: (1.0 + u) ** (2 * n))
+    sobolev, gaps_ok = _norms([sobolev_shift(f, 2 * n, c) for f in basis], t, QuadSpec())
     ratios = [a / b for a, b in zip(weighted, sobolev)]
     spread = max(ratios) / min(ratios)
     ok = gaps_ok and all(math.isfinite(r) and r > 0 for r in ratios) and spread <= 50.0

@@ -459,13 +459,23 @@ def test_pointwise_commands_stay_near_the_import_floor(tmp_path):
         assert peak <= floor + 5.0, f"{name}: {peak:.1f} MB against an import floor of {floor:.1f} MB"
 
 
+def test_basis_suites_hold_no_dense_block_per_entry(tmp_path):
+    # holo_inner takes each matrix entry as indices and a scale, so the
+    # 22,140 rows of su2 cutoff 40 cost rows, not sum d^4 block entries
+    _, floor = _peak_rss_mb(["-c", "import gsb.cli"], tmp_path)
+    code, peak = _peak_rss_mb(["-m", "gsb.cli", "verify", "unitarity", "--group", "su2", "--cutoff", "40", "--out", "o"], tmp_path)
+    assert code == 0
+    assert peak <= floor + 24.0, f"{peak:.1f} MB against an import floor of {floor:.1f} MB"
+
+
 def test_basis_cost_follows_the_measured_peak(tmp_path):
     # the estimate validate holds against the budget is within 20 % of the
-    # peak RSS of a fresh process, for each basis suite at su2 cutoffs 16 and 24
+    # peak RSS of a fresh process, for each basis suite at su2 cutoffs 40 and
+    # 56, where the row term is at least a third of the estimate
     from gsb.cli import BASIS_COST, basis_cost
     from gsb.groups import su2
 
-    runs = [(suite, cutoff) for suite in BASIS_COST for cutoff in (16, 24)]
+    runs = [(suite, cutoff) for suite in BASIS_COST for cutoff in (40, 56)]
 
     def peak_of(run):
         suite, cutoff = run
@@ -478,6 +488,7 @@ def test_basis_cost_follows_the_measured_peak(tmp_path):
     for (suite, cutoff), peak in zip(runs, peaks):
         rows, estimate = basis_cost(su2(), suite, cutoff)
         assert rows == sum(m * m for m in range(1, cutoff + 1))
+        assert 3 * BASIS_COST[suite] * rows >= estimate
         assert abs(estimate / 2**20 - peak) <= 0.2 * peak, (suite, cutoff, estimate / 2**20, peak)
 
 
@@ -493,6 +504,26 @@ def test_smoothness_cost_follows_the_measured_peak(tmp_path):
         labels, estimate = smoothness_cost(torus(2), cutoff)
         assert code == 0 and labels == (2 * cutoff + 1) ** 2
         assert abs(estimate / 2**20 - peak) <= 0.2 * peak, (cutoff, estimate / 2**20, peak)
+
+
+def test_validate_takes_the_su2_basis_suites_at_the_largest_cutoff():
+    # the row law puts su2 cutoff 64 (89,440 rows) far inside the budget
+    from gsb.cli import BASIS_COST, RunConfig
+
+    for suite in BASIS_COST:
+        RunConfig(group="su2", cutoff=64).validate(suite)
+
+
+def test_report_smoothness_fails_on_a_growth_functional_that_is_not_finite(tmp_path, capsys):
+    # on torus:1 at cutoff 64 the traces of e_64 overflow at radius 12, and
+    # G_n is nan there: the report is written, and the verdict is FAIL
+    out = tmp_path / "o"
+    code, captured = _main_in_process(["report", "smoothness", "--group", "torus:1", "--cutoff", "64", "--out", str(out)], capsys)
+    assert code == 1
+    assert "smoothness: FAIL" in captured.out
+    with open(out / "report_smoothness_torus-1_t1.csv", newline="") as fp:
+        values = [float(row["G_n"]) for row in csv.DictReader(fp)]
+    assert any(math.isnan(v) for v in values) and any(math.isfinite(v) for v in values)
 
 
 def test_kernel_tworoute_judges_laguerre_gap(tmp_path, capsys, monkeypatch):
@@ -531,10 +562,11 @@ _LABEL_3 = {"group": "torus:1", "entries": [{"label": [3], "matrix": [[[1.0, 0.0
         (["report", "lattice", "--tau", "1,inf"], "tau values"),
         (["verify", "mass", "--tolerance", "nan"], "tolerance"),
         (["verify", "reproducing", "--seed", "-1"], "seed"),
-        # a basis suite whose estimated peak RSS passes the 1 GB budget (cli.basis_cost)
-        (["verify", "unitarity", "--group", "su2", "--t", "2", "--cutoff", "56"], "largest allowed cutoff is 49"),
-        (["verify", "unitarity", "--group", "torus:4", "--cutoff", "18"], "largest allowed cutoff is 13"),
-        (["verify", "unitarity", "--group", "su2", "--cutoff", "64"], "largest allowed cutoff is 49"),
+        # a basis suite whose estimated peak RSS passes the 1 GB budget (cli.basis_cost): 129^3 rows
+        (["verify", "sobolev-isometry", "--group", "torus:3", "--cutoff", "64"], "largest allowed cutoff is 45"),
+        (["verify", "unitarity", "--group", "torus:4", "--cutoff", "18"], "largest allowed cutoff is 15"),
+        # 3^13 basis rows pass the budget even at cutoff 1
+        (["verify", "unitarity", "--group", "torus:13", "--cutoff", "1"], "no cutoff fits on torus:13"),
         (["verify", "mass", "--t", "abc"], "--t expects a comma list of numbers"),
         (["verify", "mass", "--levels", "64,x"], "--levels expects a comma list of integers"),
         (["verify", "mass", "--config", {"seed": "1"}], "seed must be an integer"),
@@ -554,8 +586,8 @@ _LABEL_3 = {"group": "torus:1", "entries": [{"label": [3], "matrix": [[[1.0, 0.0
         (["verify", "kernel-tworoute", "--group", "su2", "--c", "0.1"], "need c > |delta|^2"),
         # the Sobolev orders share the cutoff's bound
         (["report", "symbol", "--group", "su2", "--n", "65"], "n values must be in 0..64"),
-        # 3^12 basis rows pass the budget even at cutoff 1
-        (["verify", "sobolev-isometry", "--group", "torus:12", "--cutoff", "1"], "no cutoff fits on torus:12"),
+        # 3^12 basis rows fit the budget, 5^12 do not
+        (["verify", "sobolev-isometry", "--group", "torus:12", "--cutoff", "2"], "largest allowed cutoff is 1"),
         # 17^4 labels hold about 2.7 GB of traces (cli.smoothness_cost)
         (["report", "smoothness", "--group", "torus:4", "--cutoff", "8"], "largest allowed cutoff is 6"),
     ],

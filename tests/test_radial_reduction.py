@@ -14,12 +14,12 @@ import pytest
 from scipy.special import roots_legendre
 
 from gsb.coeffs import CoefVec
-from gsb.groups import laplacian_eigenvalue, random_algebra, random_k, rep_matrix_batch, su2
+from gsb.groups import algebra_basis, laplacian_eigenvalue, random_algebra, random_k, rep_generator, rep_matrix_batch, su2
 from gsb.kernels import reproduce_check
 from gsb.polar import log_phi, polar_compose
 from gsb.quadrature import QuadSpec, kspace_rule
-from gsb.sobolev import _grad_log_radial, apply_vector_field, phi_x_weight
-from gsb.transform import _schur_profiles, ct_forward, ct_inverse_integral, exp_iy_batch, holo_inner
+from gsb.sobolev import _grad_log_radial, phi_x_weight
+from gsb.transform import _schur_profiles, ct_forward, ct_inverse_integral, entry_pairs, exp_iy_batch, holo_inner
 
 SPEC = su2()
 LEVELS = (16, 24)
@@ -51,6 +51,18 @@ def _oracle_inner(F1, F2, level, weight_nodes=None):
     return complex(np.dot(rule.weights, vals))
 
 
+def _levels(F1, F2, **kwargs):
+    """holo_inner's form of F1 and F2 at each level: the sum over their entry pairs."""
+    res = holo_inner(SPEC, F1.t, entry_pairs(F1.coefs, F2.coefs), Q, **kwargs)
+    return [np.sum(level) for level in res.by_level]
+
+
+def _vector_field(F, k):
+    """X_k F from its definition: block m times dpi_m(E_k), the oracle of holo_inner's axis gather."""
+    direction = algebra_basis(SPEC, k)
+    return ct_forward(CoefVec(SPEC, {m: rep_generator(SPEC, m, direction) @ b for m, b in F.coefs.entries.items()}), F.t)
+
+
 def _close(reduced, oracle, scale):
     assert abs(reduced - oracle) <= 1e-12 * max(abs(oracle), scale)
 
@@ -61,16 +73,15 @@ def test_holo_inner_matches_tensor_oracle(t):
     F1, F2 = _random_holo(rng, t), _random_holo(rng, t)
     scale = math.sqrt(abs(_oracle_inner(F1, F1, LEVELS[-1]) * _oracle_inner(F2, F2, LEVELS[-1])))
     cases = [
-        (holo_inner([F1], [F2], Q), F2, None),
-        (holo_inner([F1], [F2], Q, weight=lambda u: u), F2, lambda ys: np.sum(ys**2, axis=1)),
+        (_levels(F1, F2), F2, None),
+        (_levels(F1, F2, weight=lambda u: u), F2, lambda ys: np.sum(ys**2, axis=1)),
     ]
     for k in range(3):
         weight = phi_x_weight(SPEC, t, k)
-        XF2 = apply_vector_field(F2, k)
-        cases.append((holo_inner([F1], [F2], Q, weight=weight), F2, weight))
-        cases.append((holo_inner([F1], [XF2], Q), XF2, None))
-    for res, second, weight in cases:
-        for level, (value,) in zip(LEVELS, res.by_level):
+        cases.append((_levels(F1, F2, weight=weight), F2, weight))
+        cases.append((_levels(F1, F2, axis=k), _vector_field(F2, k), None))
+    for values, second, weight in cases:
+        for level, value in zip(LEVELS, values):
             _close(value, _oracle_inner(F1, second, level, weight), scale)
 
 

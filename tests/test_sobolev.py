@@ -12,16 +12,14 @@ from gsb.quadrature import QuadSpec
 # the level gap every quadrature here must meet
 GAP_TOL = 1e-6
 from gsb.sobolev import (
-    apply_vector_field,
-    first_order_forms,
     laplacian_apply,
+    phi_x_weight,
     sobolev_norm,
     sobolev_shift,
     symbol_positivity_threshold,
     toeplitz_symbol,
-    weighted_form,
 )
-from gsb.transform import ct_forward, holo_inner
+from gsb.transform import entry_pairs, holo_inner
 
 
 def test_symbol_phi1_torus_closed_form():
@@ -174,8 +172,8 @@ def test_sobolev_isometry(spec):
     label = (2,) if spec.kind == "torus" else 3
     f = basis_entry(spec, label, 0, 0)
     t, n, c = 1.0, 1, spec.delta_sq + 1.0
-    G, q = sobolev_shift(ct_forward(f, t), n, c), QuadSpec()
-    res = holo_inner([G], [G], q)
+    g, q = sobolev_shift(f, n, c), QuadSpec()
+    res = holo_inner(spec, t, entry_pairs(g, g), q)
     assert res.gap[0] <= GAP_TOL
     assert math.sqrt(res.value[0].real) == pytest.approx(sobolev_norm(f, n, c), rel=1e-8)
 
@@ -185,9 +183,9 @@ def test_toeplitz_identity(spec):
     label = (1,) if spec.kind == "torus" else 2
     f = basis_entry(spec, label, 0, 0)
     t, n, c = 1.0, 1, spec.delta_sq + 1.0
-    F = ct_forward(f, t)
     lhs = sobolev_shift(f, n, c).plancherel_norm() ** 2
-    (rhs,) = holo_inner([sobolev_shift(F, n, c)], [F], QuadSpec(), weight=toeplitz_symbol(spec, t, c, n)).value
+    pairs = entry_pairs(sobolev_shift(f, n, c), f)
+    (rhs,) = holo_inner(spec, t, pairs, QuadSpec(), weight=toeplitz_symbol(spec, t, c, n)).value
     assert rhs.real == pytest.approx(lhs, rel=1e-8)
     assert abs(rhs.imag) < 1e-8 * lhs
 
@@ -198,24 +196,31 @@ def test_first_order_identity(spec, k):
     labels = [(1,), (2,)] if spec.kind == "torus" else [2, 3]
     f1 = basis_entry(spec, labels[0], 0, 0)
     f2 = CoefVec(spec, {**basis_entry(spec, labels[1], 0, 0).entries, labels[0]: 0.3 * f1.entries[labels[0]]})
-    F1, F2 = ct_forward(f1, 1.0), ct_forward(f2, 1.0)
-    lhs, rhs = (res.value[0] for res in first_order_forms([F1], [F2], k, QuadSpec()))
+    # <F1, X_k F2> by the axis gather, and the quadratic form of the symbol of X_k
+    pairs, t = entry_pairs(f1, f2), 1.0
+    lhs = np.sum(holo_inner(spec, t, pairs, QuadSpec(), axis=k).value)
+    rhs = np.sum(holo_inner(spec, t, pairs, QuadSpec(), weight=phi_x_weight(spec, t, k)).value)
     scale = f1.plancherel_norm() * f2.plancherel_norm()
     assert abs(lhs - rhs) <= 1e-8 * scale
 
 
 def test_vector_field_torus_eigen():
+    # X_1 e_n = i n_1 e_n: the axis gather scales the form of e_(2,-1) by -i
     spec = torus(2)
-    f = basis_entry(spec, (2, -1), 0, 0)
-    g = apply_vector_field(f, 1)
-    assert np.allclose(g.entries[(2, -1)], -1j * f.entries[(2, -1)])
+    e = ((2, -1), 0, 0)
+    plain, along = (holo_inner(spec, 1.0, [(e, e, 1.0)], QuadSpec(), axis=axis).value[0] for axis in (None, 1))
+    assert along == pytest.approx(-1j * plain, rel=1e-15)
 
 
 def test_weighted_norm_n0_is_l2():
     spec = su2()
-    F, q = ct_forward(basis_entry(spec, 3, 1, 0), 1.0), QuadSpec()
-    res = holo_inner([F], [F], q)
+    e, q = (3, 1, 0), QuadSpec()
+    res = holo_inner(spec, 1.0, [(e, e, 1.0)], q)
     assert res.gap[0] <= GAP_TOL
+
+    def weighted(n):
+        return math.sqrt(holo_inner(spec, 1.0, [(e, e, 1.0)], q, weight=lambda u: (1.0 + u) ** (2 * n)).value[0].real)
+
     base = math.sqrt(res.value[0].real)
-    assert math.sqrt(weighted_form([F], 0, q).value[0].real) == pytest.approx(base, rel=1e-10)
-    assert math.sqrt(weighted_form([F], 1, q).value[0].real) > base
+    assert weighted(0) == pytest.approx(base, rel=1e-10)
+    assert weighted(1) > base

@@ -22,7 +22,7 @@ from gsb.kernels import reproduce_check
 from gsb.polar import polar_compose
 from gsb.quadrature import QuadSpec, kspace_rule
 from gsb.sobolev import phi_x_weight
-from gsb.transform import AxisWeight, ct_forward, ct_inverse_integral, holo_inner
+from gsb.transform import AxisWeight, ct_forward, ct_inverse_integral, entry_pairs, holo_inner
 
 LEVELS = (16, 24)
 Q = QuadSpec(levels=LEVELS)
@@ -93,13 +93,13 @@ def test_holo_inner_matches_tensor_oracle(rank, t):
         cases.append((axis, axis))
     k11, k22, k12 = _k_part(F1, F1), _k_part(F2, F2), _k_part(F1, F2)
     for weight, node_weight in cases:
-        res = holo_inner([F1], [F2], Q, weight=weight)
+        res = holo_inner(F1.spec, t, entry_pairs(F1.coefs, F2.coefs), Q, weight=weight)
         size = None if node_weight is None else (lambda ys, w=node_weight: np.abs(w(ys)))
         # the Cauchy-Schwarz bound of the form, the size its rounding is judged by
         scale = math.sqrt(abs(_oracle(k11, size) * _oracle(k22, size)))
         oracle = _oracle(k12, node_weight)
-        for (value,) in res.by_level:
-            _close(value, oracle, scale)
+        for level in res.by_level:
+            _close(np.sum(level), oracle, scale)
 
 
 @pytest.mark.parametrize("rank", range(1, 9))
@@ -108,10 +108,10 @@ def test_shifted_rule_moments_every_rank(rank):
     t = 0.75
     n = (2,) + (-1,) * (rank - 1)
     nsq = sum(k * k for k in n)
-    F = ct_forward(CoefVec(torus(rank), {n: np.array([[1.0 + 0.0j]])}), t)
+    e = (n, 0, 0)
     vol = torus(rank).volume
-    mass = holo_inner([F], [F], Q)
-    second = holo_inner([F], [F], Q, weight=lambda u: u)
+    mass = holo_inner(torus(rank), t, [(e, e, 1.0)], Q)
+    second = holo_inner(torus(rank), t, [(e, e, 1.0)], Q, weight=lambda u: u)
     for (value,) in mass.by_level:
         assert value == pytest.approx(vol, rel=1e-13)
     for (value,) in second.by_level:

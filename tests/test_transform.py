@@ -9,7 +9,7 @@ from gsb.groups import enumerate_irreps, irrep_dim, random_algebra, random_k, su
 from gsb.polar import polar_compose
 from gsb.quadrature import QuadSpec
 from gsb.sobolev import phi_x_weight, toeplitz_symbol
-from gsb.transform import ct_forward, ct_inverse_integral, holo_inner
+from gsb.transform import ct_forward, ct_inverse_integral, entry_pairs, holo_inner
 
 # the level gap every quadrature here must meet
 GAP_TOL = 1e-6
@@ -37,7 +37,8 @@ def test_unitarity_where_the_damping_underflows(spec, label, t):
     # for label 24 of SU(2) at t = 10, below the normal doubles, yet the
     # damping meets the rule's scale as one exponent and the norm is f's
     f = basis_entry(spec, label, 0, 0)
-    res = holo_inner([ct_forward(f, t)], [ct_forward(f, t)], QuadSpec())
+    e = (label, 0, 0)
+    res = holo_inner(spec, t, [(e, e, 1.0)], QuadSpec())
     assert res.gap[0] <= 1e-14
     assert math.sqrt(res.value[0].real) == pytest.approx(f.plancherel_norm(), rel=1e-13)
 
@@ -57,35 +58,32 @@ def test_eval_holo_restricts_to_K():
 )
 def test_unitarity_single_entries(spec, label):
     f = basis_entry(spec, label, 0, 0)
-    q = QuadSpec()
+    e, q = (label, 0, 0), QuadSpec()
     for t in (0.5, 2.0):
-        F = ct_forward(f, t)
-        res = holo_inner([F], [F], q)
+        res = holo_inner(spec, t, [(e, e, 1.0)], q)
         assert res.gap[0] <= GAP_TOL
         assert math.sqrt(res.value[0].real) == pytest.approx(f.plancherel_norm(), rel=1e-9)
 
 
 def test_holo_inner_orthogonality():
+    # distinct entries of one label, and entries of two labels, are orthogonal
     spec = su2()
     q = QuadSpec()
-    F1 = ct_forward(basis_entry(spec, 2, 0, 0), 1.0)
-    F2 = ct_forward(basis_entry(spec, 2, 0, 1), 1.0)
-    res = holo_inner([F1], [F2], q)
-    assert abs(res.value[0]) < 1e-10
+    res = holo_inner(spec, 1.0, [((2, 0, 0), (2, 0, 1), 1.0), ((2, 0, 0), (3, 0, 0), 1.0)], q)
+    assert np.all(np.abs(res.value) < 1e-10)
     with pytest.raises(ValueError):
-        holo_inner([F1], [ct_forward(basis_entry(spec, 2, 0, 0), 2.0)], q)
+        holo_inner(spec, 0.0, [((2, 0, 0), (2, 0, 0), 1.0)], q)
 
 
 def test_holo_inner_weight_is_expectation():
     # <F,F> with weight u equals E[|Y|^2] times the norm for a constant F
     spec = torus(1)
-    t = 0.9
-    F = ct_forward(basis_entry(spec, (0,)), t)
-    res = holo_inner([F], [F], QuadSpec(), weight=lambda u: u)
+    t, e = 0.9, ((0,), 0, 0)
+    res = holo_inner(spec, t, [(e, e, 1.0)], QuadSpec(), weight=lambda u: u)
     assert res.value[0].real == pytest.approx(2 * math.pi * t / 2.0, rel=1e-12)
 
 
-def _random_functions(spec, t, rng, count=4):
+def _random_functions(spec, rng, count=4):
     # functions on overlapping random label sets, so pairs share one or more
     # labels, and one on a label of its own, which shares none
     labels = enumerate_irreps(spec, 3)
@@ -97,7 +95,7 @@ def _random_functions(spec, t, rng, count=4):
         for label in chosen:
             d = irrep_dim(spec, label)
             blocks[label] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        out.append(ct_forward(CoefVec(spec, blocks), t))
+        out.append(CoefVec(spec, blocks))
     return out
 
 
@@ -105,7 +103,7 @@ def _random_functions(spec, t, rng, count=4):
 @pytest.mark.parametrize("weight", ["none", "symbol", "power", "axis"])
 def test_holo_inner_batch_equals_one_pair_calls(spec, weight):
     # a batch of pairs is its batches of one pair, bit for bit: value, gap
-    # and every level
+    # and every level; the pairs are every entry pair of random functions
     t, n = 0.7, 2
     weight = {
         "none": None,
@@ -113,25 +111,27 @@ def test_holo_inner_batch_equals_one_pair_calls(spec, weight):
         "power": lambda u: (1.0 + u) ** (2 * n),
         "axis": phi_x_weight(spec, t, spec.dim - 1),
     }[weight]
-    Fs = _random_functions(spec, t, np.random.default_rng(5))
-    F1s = [F for F in Fs for _ in Fs]
-    F2s = [G for _ in Fs for G in Fs]
+    fs = _random_functions(spec, np.random.default_rng(5))
+    pairs = [pair for f1 in fs for f2 in fs for pair in entry_pairs(f1, f2)]
+    # and a pair on two labels, which contributes nothing
+    pairs.append((pairs[0][0], next(p[1] for p in pairs if p[1][0] != pairs[0][0][0]), 1.0))
     q = QuadSpec(levels=(12, 16, 24))
-    batch = holo_inner(F1s, F2s, q, weight)
-    assert batch.value.shape == batch.gap.shape == (len(F1s),)
-    for i, (F1, F2) in enumerate(zip(F1s, F2s)):
-        one = holo_inner([F1], [F2], q, weight)
+    batch = holo_inner(spec, t, pairs, q, weight)
+    assert batch.value.shape == batch.gap.shape == (len(pairs),)
+    for i, pair in enumerate(pairs):
+        one = holo_inner(spec, t, [pair], q, weight)
         assert batch.value[i] == one.value[0]
         assert batch.gap[i] == one.gap[0]
         assert [level[i] for level in batch.by_level] == [level[0] for level in one.by_level]
-    assert 0 < np.count_nonzero(batch.value) < len(F1s)
+    assert 0 < np.count_nonzero(batch.value) < len(pairs)
 
 
 def test_inverse_integral_reports_its_level_gap():
     spec = torus(1)
     F = ct_forward(basis_entry(spec, (5,)), 2.0)
     # the shifted rule is exact here, so the two levels differ only by rounding
-    (gap,) = holo_inner([F], [F], QuadSpec(levels=(8, 12))).gap
+    e = ((5,), 0, 0)
+    (gap,) = holo_inner(spec, 2.0, [(e, e, 1.0)], QuadSpec(levels=(8, 12))).gap
     assert 0.0 < gap <= 1e-14
     # the inversion integral returns each point's level gap, above its
     # tolerance at levels 4, 6 and within it at 32, 48, and raises nothing
@@ -175,12 +175,12 @@ def test_inverse_radius_guard():
 def test_ct_inverse_integral_batch_equals_one_point_calls(spec):
     # a point batch is its batches of one, bit for bit, at each radius, and
     # so is the level gap of each point
-    Fs = _random_functions(spec, 0.8, np.random.default_rng(9), count=1)
+    F = ct_forward(_random_functions(spec, np.random.default_rng(9), count=1)[0], 0.8)
     rng = random.Random(9)
     xs = np.stack([random_k(spec, rng) for _ in range(5)])
-    values, gap = ct_inverse_integral(Fs[0], xs, (4.0, 7.0), INVERSE_Q)
+    values, gap = ct_inverse_integral(F, xs, (4.0, 7.0), INVERSE_Q)
     assert values.shape == (2, 5) and gap.shape == (5,)
     for k in range(5):
-        one, one_gap = ct_inverse_integral(Fs[0], xs[k : k + 1], (4.0, 7.0), INVERSE_Q)
+        one, one_gap = ct_inverse_integral(F, xs[k : k + 1], (4.0, 7.0), INVERSE_Q)
         assert one.shape == (2, 1) and np.array_equal(one[:, 0], values[:, k])
         assert one_gap[0] == gap[k]
