@@ -381,7 +381,8 @@ def test_reproducing_forms_each_label_trace_once(tmp_path, capsys, monkeypatch):
 def test_no_command_imports_numpy_random(tmp_path):
     # numpy.random (with secrets, hashlib and OpenSSL) adds about 6 MB to a
     # process; the sampled suites draw from the stdlib's random.Random
-    from gsb.cli import REPORT_COLUMNS, SUITES
+    from gsb.cli import REPORT_COLUMNS
+    from gsb.suites import SUITES
 
     commands = []
     for group, label, point in (("torus:1", [1], [0.3]), ("su2", 2, [0.3, 0.5, 0.7])):
@@ -472,7 +473,7 @@ def test_basis_cost_follows_the_measured_peak(tmp_path):
     # the estimate validate holds against the budget is within 20 % of the
     # peak RSS of a fresh process, for each basis suite at su2 cutoffs 40 and
     # 56, where the row term is at least a third of the estimate
-    from gsb.cli import BASIS_COST, basis_cost
+    from gsb.config import BASIS_COST, basis_cost
     from gsb.groups import su2
 
     runs = [(suite, cutoff) for suite in BASIS_COST for cutoff in (40, 56)]
@@ -495,7 +496,7 @@ def test_basis_cost_follows_the_measured_peak(tmp_path):
 def test_smoothness_cost_follows_the_measured_peak(tmp_path):
     # the estimate validate holds against the budget for report smoothness is
     # within 20 % of the peak RSS of a fresh process at torus:2 cutoffs 16 and 32
-    from gsb.cli import smoothness_cost
+    from gsb.config import smoothness_cost
     from gsb.groups import torus
 
     for cutoff in (16, 32):
@@ -508,7 +509,7 @@ def test_smoothness_cost_follows_the_measured_peak(tmp_path):
 
 def test_validate_takes_the_su2_basis_suites_at_the_largest_cutoff():
     # the row law puts su2 cutoff 64 (89,440 rows) far inside the budget
-    from gsb.cli import BASIS_COST, RunConfig
+    from gsb.config import BASIS_COST, RunConfig
 
     for suite in BASIS_COST:
         RunConfig(group="su2", cutoff=64).validate(suite)
@@ -562,7 +563,7 @@ _LABEL_3 = {"group": "torus:1", "entries": [{"label": [3], "matrix": [[[1.0, 0.0
         (["report", "lattice", "--tau", "1,inf"], "tau values"),
         (["verify", "mass", "--tolerance", "nan"], "tolerance"),
         (["verify", "reproducing", "--seed", "-1"], "seed"),
-        # a basis suite whose estimated peak RSS passes the 1 GB budget (cli.basis_cost): 129^3 rows
+        # a basis suite whose estimated peak RSS passes the 1 GB budget (config.basis_cost): 129^3 rows
         (["verify", "sobolev-isometry", "--group", "torus:3", "--cutoff", "64"], "largest allowed cutoff is 45"),
         (["verify", "unitarity", "--group", "torus:4", "--cutoff", "18"], "largest allowed cutoff is 15"),
         # 3^13 basis rows pass the budget even at cutoff 1
@@ -588,7 +589,7 @@ _LABEL_3 = {"group": "torus:1", "entries": [{"label": [3], "matrix": [[[1.0, 0.0
         (["report", "symbol", "--group", "su2", "--n", "65"], "n values must be in 0..64"),
         # 3^12 basis rows fit the budget, 5^12 do not
         (["verify", "sobolev-isometry", "--group", "torus:12", "--cutoff", "2"], "largest allowed cutoff is 1"),
-        # 17^4 labels hold about 2.7 GB of traces (cli.smoothness_cost)
+        # 17^4 labels hold about 2.7 GB of traces (config.smoothness_cost)
         (["report", "smoothness", "--group", "torus:4", "--cutoff", "8"], "largest allowed cutoff is 6"),
     ],
 )
@@ -610,7 +611,7 @@ def test_lattice_takes_every_tau_of_its_range(group):
     # at both ends of the accepted range every written value is a finite
     # double, and the next double outside it is refused
     from gsb import bounds
-    from gsb.cli import ConfigError, RunConfig, _tau_range
+    from gsb.config import ConfigError, RunConfig, _tau_range
 
     spec = RunConfig(group=group).spec
     lo, hi = _tau_range(spec)
@@ -630,7 +631,8 @@ def test_every_config_field_has_one_flag_and_one_parse_path(tmp_path, capsys):
     # does not parse is one error line, not argparse's usage block
     from dataclasses import fields
 
-    from gsb.cli import RunConfig, build_parser
+    from gsb.cli import build_parser
+    from gsb.config import RunConfig
 
     parser = build_parser()
     heads = (["verify", "mass"], ["report", "lattice"], ["invert", "--coeffs", "c.json", "--points", "p.json"])
@@ -658,7 +660,8 @@ def test_readme_names_every_suite_and_flag():
     from dataclasses import fields
 
     import gsb
-    from gsb.cli import SUITES, RunConfig
+    from gsb.config import RunConfig
+    from gsb.suites import SUITES
 
     suites = re.findall(r"`([a-z-]+)`", _readme_section("Suites:", "Report kinds:"))
     assert suites == list(SUITES)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -41,18 +42,36 @@ def test_every_exported_name_resolves(path):
 
 def test_every_config_field_is_read():
     # a RunConfig field that only validate reads is a knob nothing uses: each
-    # one must be read as cfg.<name> or self.<name> somewhere else in cli.py
-    tree = ast.parse((PACKAGE / "cli.py").read_text())
-    (config,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "RunConfig"]
+    # one must be read as cfg.<name> or self.<name> somewhere else in the
+    # modules that hold and use the configuration
+    trees = [ast.parse((PACKAGE / name).read_text()) for name in ("config.py", "suites.py", "cli.py")]
+    (config,) = [node for node in trees[0].body if isinstance(node, ast.ClassDef) and node.name == "RunConfig"]
     names = {node.target.id for node in config.body if isinstance(node, ast.AnnAssign)}
     validate = {id(node) for fn in ast.walk(config) if getattr(fn, "name", None) == "validate" for node in ast.walk(fn)}
     read = {
         node.attr
+        for tree in trees
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("cfg", "self")
         and id(node) not in validate
     }
     assert sorted(names - read) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_each_module_compiles_in_a_small_footprint(path):
+    # with no bytecode cached (PYTHONDONTWRITEBYTECODE=1) every process
+    # compiles each module it loads, and the compiler holds a module's tokens
+    # and AST at once: the largest module sets the peak RSS of every command,
+    # so each stays below 1.25 MiB of compiler allocations
+    source = path.read_text()
+    tracemalloc.start()
+    try:
+        compile(source, str(path), "exec")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 2**20, f"{path.name}: {peak / 2**20:.2f} MiB"
 
 
 def _called_name(call) -> str:
