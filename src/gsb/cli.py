@@ -14,6 +14,8 @@ import math
 import os
 import sys
 from dataclasses import fields
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -45,20 +47,43 @@ def _name_num(x) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-def _row_strings(row):
-    out = []
-    for cell in row:
-        if isinstance(cell, bool):
-            out.append("1" if cell else "0")
-        elif isinstance(cell, complex):
-            out.append(_fmt_num(cell.real) + ("+" if cell.imag >= 0 else "") + _fmt_num(cell.imag) + "j")
-        elif isinstance(cell, (int, np.integer)):
-            out.append(str(int(cell)))
-        elif isinstance(cell, (float, np.floating)):
-            out.append(_fmt_num(cell))
-        else:
-            out.append(str(cell))
-    return out
+def _complex_string(z) -> str:
+    return _fmt_num(z.real) + ("+" if z.imag >= 0 else "") + _fmt_num(z.imag) + "j"
+
+
+def _cell_string(cell) -> str:
+    if isinstance(cell, bool):
+        return "1" if cell else "0"
+    if isinstance(cell, complex):
+        return _complex_string(cell)
+    if isinstance(cell, (int, np.integer)):
+        return str(int(cell))
+    if isinstance(cell, (float, np.floating)):
+        return _fmt_num(cell)
+    return str(cell)
+
+
+# cell type -> the strings of a column of that type, as _cell_string writes them
+_COLUMN_STRINGS = {
+    bool: lambda cells: map(("0", "1").__getitem__, cells),
+    complex: lambda cells: map(_complex_string, cells),
+    int: lambda cells: map(str, cells),
+    float: lambda cells: map(format, cells, repeat(".17g")),
+    str: lambda cells: cells,
+}
+
+
+def _row_strings(columns, rows):
+    """Each row's cell strings.  A column whose cells share one type of
+    _COLUMN_STRINGS is formatted by that type's rule, found once; any other
+    column cell by cell."""
+    strings = []
+    for k in range(len(columns)):
+        kinds = set(map(type, map(itemgetter(k), rows)))
+        column = _COLUMN_STRINGS.get(kinds.pop()) if len(kinds) == 1 else None
+        cells = map(itemgetter(k), rows)
+        strings.append(column(cells) if column else map(_cell_string, cells))
+    return zip(*strings)
 
 
 def write_report(path: str, columns, rows, fmt: str):
@@ -67,10 +92,9 @@ def write_report(path: str, columns, rows, fmt: str):
         with open(path, "w", newline="") as fp:
             writer = csv.writer(fp)
             writer.writerow(columns)
-            for row in rows:
-                writer.writerow(_row_strings(row))
+            writer.writerows(_row_strings(columns, rows))
     else:
-        payload = [dict(zip(columns, _row_strings(row))) for row in rows]
+        payload = [dict(zip(columns, strings)) for strings in _row_strings(columns, rows)]
         with open(path, "w") as fp:
             json.dump(payload, fp, indent=2, sort_keys=True)
             fp.write("\n")

@@ -17,8 +17,12 @@ from .groups import GroupSpec, parse_group
 from .quadrature import MAX_ORDER, QuadSpec
 
 MEMORY_BUDGET = 1 << 30  # bytes: the largest peak RSS estimate (peak_estimate) that validate accepts
-# basis suite -> bytes per row (matrix entry), fitted to peak RSS on su2 and torus:3-4
-BASIS_COST = {"unitarity": 900, "weighted-norm": 1000, "sobolev-isometry": 1350}
+IMPORT_FLOOR = 31 << 20  # bytes: the peak RSS of `import gsb.cli`
+# basis suite -> bytes per matrix entry while it runs, and bytes per finished
+# row until its report is written: fitted to peak RSS on su2 and torus:3-4
+# at one to four t or orders
+BASIS_COST = {"unitarity": 580, "weighted-norm": 680, "sobolev-isometry": 710}
+ROW_COST = 320
 SMOOTHNESS_LABEL_COST = 1000  # bytes per label of report smoothness besides its traces, fitted to peak RSS on torus:2-4
 
 
@@ -100,9 +104,9 @@ class RunConfig:
             raise ConfigError("seed must be nonnegative")
         if self.fmt not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
-        need = peak_estimate(spec, command, self.cutoff)
+        need = peak_estimate(self, command, self.cutoff)
         if need > MEMORY_BUDGET:
-            fits = [k for k in range(1, self.cutoff) if peak_estimate(spec, command, k) <= MEMORY_BUDGET]
+            fits = [k for k in range(1, self.cutoff) if peak_estimate(self, command, k) <= MEMORY_BUDGET]
             largest = f"the largest allowed cutoff is {fits[-1]}" if fits else f"no cutoff fits on {self.group}"
             raise ConfigError(f"{command} at cutoff {self.cutoff} needs about {need / 2**30:.3g} GB, over {MEMORY_BUDGET / 2**30:g} GB; {largest}")
         return self
@@ -123,32 +127,36 @@ class RunConfig:
         return self.c if self.c is not None else sobolev.symbol_positivity_threshold(spec, t, max(n, 1))
 
 
-def basis_cost(spec: GroupSpec, suite: str, cutoff: int) -> tuple:
-    """(rows, bytes) of a basis suite: sum d^2 matrix entries, and a peak RSS
-    of the 31 MB import floor and the suite's cost per row."""
+def basis_cost(cfg: RunConfig, suite: str, cutoff: int) -> tuple:
+    """(rows, bytes) of a basis suite at a cutoff: sum d^2 matrix entries, and
+    a peak RSS of the import floor, the suite's cost per entry, and ROW_COST
+    for each row held until the reports are written: an entry's row at every
+    t, on sobolev-isometry at every order n >= 1 of each t."""
+    spec = cfg.spec
     rows = (2 * cutoff + 1) ** spec.rank if spec.kind == "torus" else sum(m**2 for m in range(1, cutoff + 1))
-    return rows, (31 << 20) + BASIS_COST[suite] * rows
+    held = len(cfg.t) * (sum(n >= 1 for n in cfg.n) if suite == "sobolev-isometry" else 1)
+    return rows, IMPORT_FLOOR + (BASIS_COST[suite] + ROW_COST * held) * rows
 
 
 def smoothness_cost(spec: GroupSpec, cutoff: int) -> tuple:
     """(labels, bytes) of report smoothness: the labels up to the cutoff, and
-    a peak RSS of the 31 MB import floor, a per-label cost, two complex
+    a peak RSS of the import floor, a per-label cost, two complex
     traces of each label (f's and C_t f's) on one block of the growth
     functional's grid, and the largest label's representation batch on it
     (d x d entries a point, 24 B an entry: fitted to su2 at cutoffs 32, 64)."""
     labels = (2 * cutoff + 1) ** spec.rank if spec.kind == "torus" else cutoff
     d = 1 if spec.kind == "torus" else cutoff
     block = min(len(bounds.polar_grid(spec, bounds.GRID_RADIUS)), bounds.GRID_BLOCK)
-    return labels, (31 << 20) + labels * (SMOOTHNESS_LABEL_COST + 2 * 16 * block) + 24 * block * d * d
+    return labels, IMPORT_FLOOR + labels * (SMOOTHNESS_LABEL_COST + 2 * 16 * block) + 24 * block * d * d
 
 
-def peak_estimate(spec: GroupSpec, command: str | None, cutoff: int) -> int:
+def peak_estimate(cfg: RunConfig, command: str | None, cutoff: int) -> int:
     """Estimated peak RSS in bytes of a command (a suite or report kind) at a
     cutoff: basis_cost, smoothness_cost, or 0 where the cutoff sets no large array."""
     if command in BASIS_COST:
-        return basis_cost(spec, command, cutoff)[1]
+        return basis_cost(cfg, command, cutoff)[1]
     if command == "smoothness":
-        return smoothness_cost(spec, cutoff)[1]
+        return smoothness_cost(cfg.spec, cutoff)[1]
     return 0
 
 

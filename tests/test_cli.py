@@ -472,25 +472,27 @@ def test_basis_suites_hold_no_dense_block_per_entry(tmp_path):
 def test_basis_cost_follows_the_measured_peak(tmp_path):
     # the estimate validate holds against the budget is within 20 % of the
     # peak RSS of a fresh process, for each basis suite at su2 cutoffs 40 and
-    # 56, where the row term is at least a third of the estimate
-    from gsb.config import BASIS_COST, basis_cost
-    from gsb.groups import su2
+    # 56, and with the rows of four t or four orders held at cutoff 48, where
+    # the row term is at least a third of the estimate
+    from gsb.config import BASIS_COST, IMPORT_FLOOR, RunConfig, basis_cost
 
-    runs = [(suite, cutoff) for suite in BASIS_COST for cutoff in (40, 56)]
+    runs = [(suite, cutoff, {}) for suite in BASIS_COST for cutoff in (40, 56)]
+    runs += [("unitarity", 48, {"t": (0.5, 1.0, 2.0, 4.0)}), ("sobolev-isometry", 48, {"n": (1, 2, 3, 4)})]
 
     def peak_of(run):
-        suite, cutoff = run
-        argv = ["verify", suite, "--group", "su2", "--cutoff", str(cutoff), "--out", f"o-{suite}-{cutoff}"]
+        suite, cutoff, overrides = run
+        flags = [arg for name, values in overrides.items() for arg in (f"--{name}", ",".join(map(str, values)))]
+        argv = ["verify", suite, "--group", "su2", "--cutoff", str(cutoff), *flags, "--out", f"o-{suite}-{cutoff}"]
         return _peak_rss_mb(["-m", "gsb.cli", *argv], tmp_path)[1]
 
     # two children at a time: each peak is its own process's
     with ThreadPoolExecutor(max_workers=2) as pool:
         peaks = list(pool.map(peak_of, runs))
-    for (suite, cutoff), peak in zip(runs, peaks):
-        rows, estimate = basis_cost(su2(), suite, cutoff)
+    for (suite, cutoff, overrides), peak in zip(runs, peaks):
+        rows, estimate = basis_cost(RunConfig(group="su2", **overrides), suite, cutoff)
         assert rows == sum(m * m for m in range(1, cutoff + 1))
-        assert 3 * BASIS_COST[suite] * rows >= estimate
-        assert abs(estimate / 2**20 - peak) <= 0.2 * peak, (suite, cutoff, estimate / 2**20, peak)
+        assert 3 * (estimate - IMPORT_FLOOR) >= estimate
+        assert abs(estimate / 2**20 - peak) <= 0.2 * peak, (suite, cutoff, overrides, estimate / 2**20, peak)
 
 
 def test_smoothness_cost_follows_the_measured_peak(tmp_path):
