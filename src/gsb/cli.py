@@ -1,4 +1,6 @@
-"""Command-line driver: verification suites, diagnostic reports, inversion.
+"""Command-line driver: runs the verify suites of gsb.suites on a RunConfig
+of gsb.config, the diagnostic reports and the inversion, and writes their
+reports.
 
 Exit codes: 0 all checks passed, 1 numeric failure, 2 usage/config error.
 Reports are CSV or JSON with locale-independent 17-significant-digit

@@ -122,6 +122,10 @@ class RunConfig:
         """The configured tolerance, else the command's default."""
         return default if self.tolerance is None else self.tolerance
 
+    def orders(self) -> list:
+        """The configured Sobolev orders n >= 1 (n = 0 has no Sobolev identity to check)."""
+        return [n for n in self.n if n >= 1]
+
     def c_value(self, spec: GroupSpec, t: float, n: int) -> float:
         """Configured c, or the positivity threshold of phi_max(n, 1)."""
         return self.c if self.c is not None else sobolev.symbol_positivity_threshold(spec, t, max(n, 1))
@@ -134,7 +138,7 @@ def basis_cost(cfg: RunConfig, suite: str, cutoff: int) -> tuple:
     t, on sobolev-isometry at every order n >= 1 of each t."""
     spec = cfg.spec
     rows = (2 * cutoff + 1) ** spec.rank if spec.kind == "torus" else sum(m**2 for m in range(1, cutoff + 1))
-    held = len(cfg.t) * (sum(n >= 1 for n in cfg.n) if suite == "sobolev-isometry" else 1)
+    held = len(cfg.t) * (len(cfg.orders()) if suite == "sobolev-isometry" else 1)
     return rows, IMPORT_FLOOR + (BASIS_COST[suite] + ROW_COST * held) * rows
 
 

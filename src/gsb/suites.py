@@ -49,11 +49,6 @@ def _row(cid, lhs, rhs, err, tol, gap):
     return (cid, lhs, rhs, err, tol, err <= tol and gap <= tol, gap)
 
 
-def _orders(cfg: RunConfig) -> list:
-    """The configured Sobolev orders n >= 1 (n = 0 has no Sobolev identity to check)."""
-    return [n for n in cfg.n if n >= 1]
-
-
 def _mass_level(spec: GroupSpec, t: float, radius: float, level: int) -> complex:
     """int exp(log nu_t - 2 log Phi) dY over |Y| <= R by the radial Gauss-Legendre
     rule on [0, R] with weight |S^{dim-1}| r^{dim-1}: the integrand is radial on
@@ -120,7 +115,7 @@ def _sobolev_isometry_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     spec = cfg.spec
     basis = _basis(spec, cfg.cutoff)
     rows = []
-    for n in _orders(cfg):
+    for n in cfg.orders():
         shift = _shifts(spec, basis, n, cfg.c_value(spec, t, n))
         res = holo_inner(spec, t, [(e, e, shift[e[0]] * shift[e[0]]) for _, e in basis], q)
         rows += _norm_rows(f"n={n}:", basis, res, [_entry_norm(spec, e[0], shift[e[0]]) for _, e in basis], tol)
@@ -131,7 +126,7 @@ def _kernel_tworoute_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     spec = cfg.spec
     rng = random.Random(cfg.seed)
     rows = []
-    for n in _orders(cfg):
+    for n in cfg.orders():
         c = spec.delta_sq + 1.0 if cfg.c is None else cfg.c
         # 15 pairs (g, h), drawn g, h, g, h, ..., each as (x, Y): one batched query
         draws = [(random_k(spec, rng), random_algebra(spec, rng, 0.6)) for _ in range(30)]
@@ -161,7 +156,7 @@ def _toeplitz_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     # pair's zero floor is scaled to the natural size of the form
     floor = [1e-6 * norms[i] * norms[j] for i, j in zip(first, second)]
     pairs = [(basis[i][1], basis[j][1], 1.0) for i, j in zip(first, second)]
-    for n in _orders(cfg):
+    for n in cfg.orders():
         c = cfg.c_value(spec, t, n)
         shift = _shifts(spec, basis, n, c)
         quad = holo_inner(spec, t, pairs, q, sobolev.toeplitz_symbol(spec, t, c, n), floor)
@@ -183,7 +178,7 @@ def _toeplitz_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
 
 def _weighted_norm_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     spec = cfg.spec
-    n = min(_orders(cfg), default=1)
+    n = min(cfg.orders(), default=1)
     basis = _basis(spec, cfg.cutoff)
     shift = _shifts(spec, basis, 2 * n, cfg.c_value(spec, t, n))
     lhs_res = holo_inner(spec, t, [(e, e, 1.0) for _, e in basis], q, weight=lambda u: (1.0 + u) ** (2 * n))
