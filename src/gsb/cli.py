@@ -39,10 +39,6 @@ REPORT_COLUMNS = {
 VERIFY_COLUMNS = ["case-id", "lhs", "rhs", "rel-err", "tol", "pass", "gap"]
 
 
-def _fmt_num(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _name_num(x) -> str:
     """Shortest round-trip form of x for file names: 0.05, not 0.050000000000000003; 1, not 1.0."""
     text = repr(float(x))
@@ -50,41 +46,33 @@ def _name_num(x) -> str:
 
 
 def _complex_string(z) -> str:
-    return _fmt_num(z.real) + ("+" if z.imag >= 0 else "") + _fmt_num(z.imag) + "j"
+    return format(z.real, ".17g") + ("+" if z.imag >= 0 else "") + format(z.imag, ".17g") + "j"
 
 
-def _cell_string(cell) -> str:
-    if isinstance(cell, bool):
-        return "1" if cell else "0"
-    if isinstance(cell, complex):
-        return _complex_string(cell)
-    if isinstance(cell, (int, np.integer)):
-        return str(int(cell))
-    if isinstance(cell, (float, np.floating)):
-        return _fmt_num(cell)
-    return str(cell)
+def _number_strings(cells):
+    # an int formats as float(n) does: str(n) for every |n| below 2^53
+    return map(format, cells, repeat(".17g"))
 
 
-# cell type -> the strings of a column of that type, as _cell_string writes them
+# cell type -> the strings of a column of cells of that type; int and float
+# share one rule, so a column mixing them (integers from a config file) has one
 _COLUMN_STRINGS = {
     bool: lambda cells: map(("0", "1").__getitem__, cells),
     complex: lambda cells: map(_complex_string, cells),
-    int: lambda cells: map(str, cells),
-    float: lambda cells: map(format, cells, repeat(".17g")),
+    int: _number_strings,
+    float: _number_strings,
     str: lambda cells: cells,
 }
 
 
 def _row_strings(columns, rows):
-    """Each row's cell strings.  A column whose cells share one type of
-    _COLUMN_STRINGS is formatted by that type's rule, found once; any other
-    column cell by cell."""
+    """Each row's cell strings: each column by the one rule of _COLUMN_STRINGS
+    that its cells' types share, found once."""
     strings = []
     for k in range(len(columns)):
-        kinds = set(map(type, map(itemgetter(k), rows)))
-        column = _COLUMN_STRINGS.get(kinds.pop()) if len(kinds) == 1 else None
-        cells = map(itemgetter(k), rows)
-        strings.append(column(cells) if column else map(_cell_string, cells))
+        kinds = set(map(type, map(itemgetter(k), rows))) or {str}
+        (column,) = {_COLUMN_STRINGS[kind] for kind in kinds}
+        strings.append(column(map(itemgetter(k), rows)))
     return zip(*strings)
 
 
@@ -200,9 +188,9 @@ def cmd_invert(cfg: RunConfig, coeff_path: str, points_path: str) -> int:
         points = _parse_points(f.spec, points_path)
         # refuse a radius past |Y| = MAX_ABS_Y
         inversion_radii(f.spec, max(cfg.t), f.support)
-    except (ConfigError, KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (KeyError, ValueError, TypeError, OSError) as exc:
+        # a data file that is unreadable or malformed, or whose radius is refused
+        raise ConfigError(str(exc)) from None
     columns = ["point", "value-re", "value-im", "exact-re", "exact-im", "abs-err", "stabilized", "tol", "pass", "gap"]
     tol = cfg.tol(1e-6)
     exact = f.eval_k_batch(points).tolist()
@@ -247,14 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if args.command == "verify":
             return cmd_verify(args.suite, cfg)
         if args.command == "report":

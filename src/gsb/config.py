@@ -1,8 +1,8 @@
 """Run configuration: the RunConfig fields and their flags, validation, and
 the memory bounds that validate holds each command to.
 
-Exit code 2 of the command line is a ConfigError raised here (or by a suite
-that finds no case to check).
+Exit code 2 of the command line is a ConfigError: raised here, by invert on
+a data file it cannot read or use, or by a suite that finds no case to check.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, field, fields, replace
 
 from . import bounds, sobolev
@@ -63,7 +64,8 @@ class RunConfig:
     fmt: str = _flag("csv", str, "report format: csv or json")
 
     def validate(self, command: str | None = None) -> "RunConfig":
-        """Check every field; command (a suite or report kind) adds its memory bound."""
+        """Check every field; command (a suite or report kind) adds its memory
+        bound, and on kernel-tworoute the Sobolev kernel's c > |delta|^2."""
         for f in fields(self):
             value, kind = getattr(self, f.name), f.metadata["kind"]
             if value is None and f.default is None:
@@ -104,6 +106,10 @@ class RunConfig:
             raise ConfigError("seed must be nonnegative")
         if self.fmt not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
+        if os.path.exists(self.out) and not os.path.isdir(self.out):
+            raise ConfigError(f"out {self.out!r} exists and is not a directory")
+        if command == "kernel-tworoute" and self.orders() and self.c is not None and self.c <= spec.delta_sq:
+            raise ConfigError("need c > |delta|^2 for the Sobolev kernel")
         need = peak_estimate(self, command, self.cutoff)
         if need > MEMORY_BUDGET:
             fits = [k for k in range(1, self.cutoff) if peak_estimate(self, command, k) <= MEMORY_BUDGET]
@@ -191,8 +197,11 @@ def _tau_range(spec: GroupSpec) -> tuple:
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
-        with open(args.config) as fp:
-            data = json.load(fp)
+        try:
+            with open(args.config) as fp:
+                data = json.load(fp)
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+            raise ConfigError(str(exc)) from None
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = set(data) - {f.name for f in fields(RunConfig)}

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import heat, kernels, sobolev
 from .coeffs import basis_entry
-from .config import ConfigError, RunConfig
+from .config import RunConfig
 from .groups import GroupSpec, enumerate_irreps, irrep_dim, random_algebra, random_k
 from .polar import log_phi, polar_compose
 from .quadrature import QuadSpec, integrate_levels, rel_gap, roots_legendre
@@ -133,10 +133,7 @@ def _kernel_tworoute_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
         xs, ys = (np.stack(part) for part in zip(*draws))
         g, h = polar_compose(spec, xs[0::2], ys[0::2]), polar_compose(spec, xs[1::2], ys[1::2])
         gh = kernels.pair_point(spec, g, h)
-        try:
-            query = kernels.KernelQuery(spec, gh, t, n, c)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        query = kernels.KernelQuery(spec, gh, t, n, c)
         lhs = kernels.k_sobolev_spectral(query)
         rhs, res = kernels.k_sobolev_integral(query)
         for k, (left, right, gap) in enumerate(zip(lhs.tolist(), rhs.tolist(), res.gap.tolist())):

@@ -52,11 +52,14 @@ def test_impossible_tolerance_fails(tmp_path, capsys, suite):
 
 
 def test_malformed_config_exits_2(tmp_path):
+    # a file that is not JSON, and one that is not even UTF-8 text
     bad = tmp_path / "cfg.json"
-    bad.write_text("{not json")
-    r = run_cli(["verify", "mass", "--config", str(bad), "--out", "o"], tmp_path)
-    assert r.returncode == 2
-    assert not (tmp_path / "o").exists()
+    for content in (b"{not json", b"\xff\xfe{"):
+        bad.write_bytes(content)
+        r = run_cli(["verify", "mass", "--config", str(bad), "--out", "o"], tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
 
 def test_unknown_config_key_exits_2(tmp_path):
@@ -593,6 +596,10 @@ _LABEL_3 = {"group": "torus:1", "entries": [{"label": [3], "matrix": [[[1.0, 0.0
         (["verify", "sobolev-isometry", "--group", "torus:12", "--cutoff", "2"], "largest allowed cutoff is 1"),
         # 17^4 labels hold about 2.7 GB of traces (config.smoothness_cost)
         (["report", "smoothness", "--group", "torus:4", "--cutoff", "8"], "largest allowed cutoff is 6"),
+        # a data file that does not exist, given for either input of invert
+        (["invert", "--coeffs", "missing/coeffs.json", "--points", [[0.3]]], "No such file or directory: 'missing/coeffs.json'"),
+        (["invert", "--coeffs", _LABEL_3, "--points", "missing/points.json"], "No such file or directory: 'missing/points.json'"),
+        (["verify", "mass", "--config", "missing/config.json"], "No such file or directory: 'missing/config.json'"),
     ],
 )
 def test_bad_input_exits_2_before_work(tmp_path, capsys, args, message):
@@ -604,8 +611,51 @@ def test_bad_input_exits_2_before_work(tmp_path, capsys, args, message):
     out = tmp_path / "o"
     code, captured = _main_in_process([*args, "--out", str(out)], capsys)
     assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
+    assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("head", [["verify", "mass"], ["report", "lattice"]])
+def test_out_naming_a_file_exits_2_before_work(tmp_path, capsys, monkeypatch, head):
+    # an --out that exists but is no directory is refused before the rows are
+    # formed, and the file is left as it was
+    from gsb import cli
+
+    def refuse(*args):
+        raise AssertionError("rows formed")
+
+    monkeypatch.setitem(cli.SUITES, "mass", (refuse, 1e-6))
+    monkeypatch.setattr(cli, "_report_rows", refuse)
+    out = tmp_path / "o"
+    out.write_bytes(b"kept\n")
+    code, captured = _main_in_process([*head, "--out", str(out)], capsys)
+    assert code == 2
+    assert captured.err == f"error: out {str(out)!r} exists and is not a directory\n"
+    assert captured.out == ""
+    assert out.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("group", ["torus:1", "su2"])
+@pytest.mark.parametrize("head", [["report", "bounds"], ["report", "lattice"], ["verify", "weighted-norm"]])
+def test_integers_in_a_config_file_write_the_bytes_of_float_flags(tmp_path, capsys, group, head):
+    # JSON integers reach the rows as ints, and the columns that mix them with
+    # floats (tau, and weighted-norm's rhs, which holds the tolerance) take
+    # the one rule of float cells
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"t": [1, 2], "tau": [1, 4], "tolerance": 1}))
+    runs = {
+        "config": ["--config", str(config)],
+        "flags": ["--t", "1.0,2.0", "--tau", "1.0,4.0", "--tolerance", "1.0"],
+    }
+    written = {}
+    for name, extra in runs.items():
+        code, captured = _main_in_process([*head, "--group", group, *extra, "--out", str(tmp_path / name)], capsys)
+        assert captured.err == ""
+        written[name] = (code, {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()})
+    assert len(written["flags"][1]) == 2
+    assert written["config"] == written["flags"]
 
 
 @pytest.mark.parametrize("group", ["torus:2", "torus:3", "torus:4", "torus:8", "su2"])

@@ -90,3 +90,33 @@ def test_transform_alone_applies_the_damping():
                 if any(_called_name(n) == "laplacian_eigenvalue" for n in inner):
                     damping.add(path.name)
     assert damping == {"transform.py"}
+
+
+def _sites(predicate) -> set:
+    # "module.function[.inner]" of each node that predicate holds for, named
+    # by its innermost enclosing function (the module alone at top level)
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner}.{node.name}"
+        found = {owner} if predicate(node) else set()
+        for child in ast.iter_child_nodes(node):
+            found |= visit(child, owner)
+        return found
+
+    return set().union(*(visit(ast.parse(path.read_text()), path.stem) for path in PACKAGE.glob("*.py")))
+
+
+def test_main_alone_reports_bad_input():
+    # bad input is raised as a ConfigError where it is read; cli.main alone
+    # catches it and prints the one error line, so every refusal exits the
+    # same way
+    def error_line(node):
+        return isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith("error:")
+
+    def catches_config_error(node):
+        if not (isinstance(node, ast.ExceptHandler) and node.type):
+            return False
+        return "ConfigError" in {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}
+
+    assert _sites(error_line) == {"cli.main"}
+    assert _sites(catches_config_error) == {"cli.main"}
