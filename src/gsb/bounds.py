@@ -6,7 +6,8 @@ closed Weyl chamber is h theta(tau)^r, theta a 1-D Jacobi theta series; a_tau
 alpha_t over tau >= t is its value at tau = t, which feeds a pointwise
 envelope for the analytically continued heat kernel.  The growth functional
 G_n measures sup |F|^2 (1+|Y|^2)^{2n} / (Phi e^{|Y|^2/t}) on a polar grid and
-classifies smoothness by stability under radius doubling.
+classifies smoothness by stability under radius doubling; for F = C_t of a
+sum of characters, a class function, F's values are a finite heat series.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from . import heat
 from .groups import GroupSpec
 from .polar import exp_iy_batch, log_phi
-from .transform import HoloFunc
 
 __all__ = [
     "lattice_sum",
@@ -31,7 +31,6 @@ __all__ = [
     "kernel_bound_check",
 ]
 
-GRID_BLOCK = 1024  # growth-functional grid points whose group elements are formed at once
 GRID_RADIUS = 6.0  # smoothness_report's radius; it also evaluates twice that
 
 
@@ -109,37 +108,52 @@ def polar_grid(spec: GroupSpec, radius: float, n_radial: int = 40, n_angular: in
     return np.vstack([np.zeros((1, spec.dim)), pts])
 
 
-def growth_functional(F: HoloFunc, orders, grid: np.ndarray):
+def growth_functional(spec: GroupSpec, t: float, values: np.ndarray, orders, grid: np.ndarray):
     """sup over the grid of |F(e^{iY})|^2 (1+|Y|^2)^{2n} / (Phi(Y) e^{|Y|^2/t})
-    for each order n of a sequence, t = F.t.
+    for each order n of a sequence, given F's values on the grid.
 
-    Worked in log space.  F (in blocks of GRID_BLOCK points), |Y|^2 and
-    log Phi are evaluated once; returns a list with one (value, argmax Y)
-    per order.
+    Worked in log space.  |Y|^2 and log Phi are evaluated once; returns a
+    list with one (value, argmax Y) per order.
     """
-    spec = F.spec
-    blocks = [grid[i : i + GRID_BLOCK] for i in range(0, len(grid), GRID_BLOCK)]
-    vals = np.concatenate([sum(F.label_traces(exp_iy_batch(spec, b)).values(), np.zeros(len(b), complex)) for b in blocks])
     u = np.sum(grid**2, axis=1)
-    log_env = log_phi(spec, grid) + u / F.t
-    with np.errstate(divide="ignore"):
-        log_f2 = 2.0 * np.log(np.abs(vals))
+    log_env = log_phi(spec, grid) + u / t
     log_w = np.log1p(u)
     sups = []
-    for order in orders:
-        logs = log_f2 + 2.0 * order * log_w - log_env
-        i = int(np.argmax(logs))
-        sups.append((float(np.exp(logs[i])), grid[i]))
+    with np.errstate(divide="ignore", over="ignore"):  # F = 0 has log -inf; a sup past the doubles is inf
+        log_f2 = 2.0 * np.log(np.abs(values))
+        for order in orders:
+            logs = log_f2 + 2.0 * order * log_w - log_env
+            i = int(np.argmax(logs))
+            sups.append((float(np.exp(logs[i])), grid[i]))
     return sups
 
 
-def smoothness_report(F: HoloFunc, n_max: int = 4) -> list:
-    """Rows (n, radius, G_n, stable) for n = 0..n_max, sorted, on the polar
-    grids of radius GRID_RADIUS and its double; order n is stable when its
+def _character_series(spec: GroupSpec, t: float, cutoff: int, grid: np.ndarray) -> np.ndarray:
+    """F = sum over labels up to the cutoff of e^{-lambda t/2} chi at e^{iY}, Y
+    on the grid: vol times heat._series at tau = t, weighted 1/dim (dim =
+    sqrt(4 lambda + 1)) on SU(2); nan where either overflows.  F is a class
+    function, so on SU(2) it takes e^{iY} as its conjugate diag(e^{|Y|/2},
+    e^{-|Y|/2}), a real array without exp_iy_batch's complex temporaries."""
+    if spec.kind == "su2":
+        g = np.exp(np.multiply.outer(np.linalg.norm(grid, axis=1), [0.5, -0.5]))[..., None] * np.eye(2)
+        weight = lambda lam: 1.0 / math.sqrt(4.0 * lam + 1.0)
+    else:
+        g, weight = exp_iy_batch(spec, grid), None
+    try:
+        return spec.volume * heat._series(spec, t, g, cutoff, weight)
+    except (FloatingPointError, OverflowError):  # vol overflows past torus rank 386
+        return np.full(len(grid), math.nan)
+
+
+def smoothness_report(spec: GroupSpec, t: float, cutoff: int, n_max: int = 4) -> list:
+    """Rows (n, radius, G_n, stable) for n = 0..n_max, sorted, of C_t of the
+    sum of the characters up to the cutoff, one _character_series per polar
+    grid, of radius GRID_RADIUS and its double; order n is stable when its
     two growth functionals agree to 10% of the value at GRID_RADIUS."""
     radii = (GRID_RADIUS, 2.0 * GRID_RADIUS)
     orders = range(n_max + 1)
-    base, double = ([value for value, _ in growth_functional(F, orders, polar_grid(F.spec, r))] for r in radii)
+    grids = (polar_grid(spec, r) for r in radii)  # one at a time
+    base, double = ([v for v, _ in growth_functional(spec, t, _character_series(spec, t, cutoff, g), orders, g)] for g in grids)
     rows = []
     for n in orders:
         stable = abs(double[n] - base[n]) <= 0.10 * max(base[n], 1e-300)

@@ -24,7 +24,7 @@ import numpy as np
 from . import bounds, heat, sobolev
 from .coeffs import CoefVec
 from .config import ConfigError, RunConfig, _config_from_args
-from .groups import GroupSpec, enumerate_irreps, irrep_dim, parse_group, su2_euler
+from .groups import GroupSpec, parse_group, su2_euler
 from .quadrature import QuadSpec
 from .suites import SUITES
 from .transform import ct_forward, ct_inverse_integral, inversion_levels, inversion_radii
@@ -133,8 +133,7 @@ def _report_rows(kind: str, cfg: RunConfig, t: float):
     if kind == "lattice":
         return bounds.lattice_limit_check(spec, cfg.tau), True
     if kind == "smoothness":
-        f = CoefVec(spec, {label: np.eye(irrep_dim(spec, label)) for label in enumerate_irreps(spec, cfg.cutoff)})
-        rows = bounds.smoothness_report(ct_forward(f, t), n_max=max(cfg.n))
+        rows = bounds.smoothness_report(spec, t, cfg.cutoff, n_max=max(cfg.n))
         return rows, all(math.isfinite(row[2]) for row in rows)
     # bounds
     chamber = "full-lattice" if spec.kind == "torus" else "halfline"

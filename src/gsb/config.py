@@ -1,5 +1,5 @@
 """Run configuration: the RunConfig fields and their flags, validation, and
-the memory bounds that validate holds each command to.
+the memory bound that validate holds the basis suites to.
 
 Exit code 2 of the command line is a ConfigError: raised here, by invert on
 a data file it cannot read or use, or by a suite that finds no case to check.
@@ -13,18 +13,17 @@ import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
 
-from . import bounds, sobolev
+from . import sobolev
 from .groups import GroupSpec, parse_group
 from .quadrature import MAX_ORDER, QuadSpec
 
-MEMORY_BUDGET = 1 << 30  # bytes: the largest peak RSS estimate (peak_estimate) that validate accepts
+MEMORY_BUDGET = 1 << 30  # bytes: the largest peak RSS estimate (basis_cost) that validate accepts
 IMPORT_FLOOR = 31 << 20  # bytes: the peak RSS of `import gsb.cli`
 # basis suite -> bytes per matrix entry while it runs, and bytes per finished
 # row until its report is written: fitted to peak RSS on su2 and torus:3-4
 # at one to four t or orders
 BASIS_COST = {"unitarity": 580, "weighted-norm": 680, "sobolev-isometry": 710}
 ROW_COST = 320
-SMOOTHNESS_LABEL_COST = 1000  # bytes per label of report smoothness besides its traces, fitted to peak RSS on torus:2-4
 
 
 class ConfigError(ValueError):
@@ -64,8 +63,12 @@ class RunConfig:
     fmt: str = _flag("csv", str, "report format: csv or json")
 
     def validate(self, command: str | None = None) -> "RunConfig":
-        """Check every field; command (a suite or report kind) adds its memory
-        bound, and on kernel-tworoute the Sobolev kernel's c > |delta|^2."""
+        """Check every field; command (a suite or report kind) adds a basis
+        suite's memory bound, and on kernel-tworoute the Sobolev kernel's c >
+        |delta|^2.  report smoothness needs no bound: the tau range refuses
+        every torus rank above 1,117, and --group torus:1117 --tau 3.545
+        --cutoff 64 peaks at 301 MB (torus:386, the largest rank whose vol K
+        is finite, at 155 MB)."""
         for f in fields(self):
             value, kind = getattr(self, f.name), f.metadata["kind"]
             if value is None and f.default is None:
@@ -106,13 +109,17 @@ class RunConfig:
             raise ConfigError("seed must be nonnegative")
         if self.fmt not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
-        if os.path.exists(self.out) and not os.path.isdir(self.out):
-            raise ConfigError(f"out {self.out!r} exists and is not a directory")
+        out = ancestor = os.path.abspath(self.out)
+        while not os.path.exists(ancestor):  # the root exists
+            ancestor = os.path.dirname(ancestor)
+        if not os.path.isdir(ancestor):
+            where = "exists and" if ancestor == out else f"lies under {ancestor!r}, which"
+            raise ConfigError(f"out {self.out!r} {where} is not a directory")
         if command == "kernel-tworoute" and self.orders() and self.c is not None and self.c <= spec.delta_sq:
             raise ConfigError("need c > |delta|^2 for the Sobolev kernel")
-        need = peak_estimate(self, command, self.cutoff)
+        need = basis_cost(self, command, self.cutoff)[1] if command in BASIS_COST else 0
         if need > MEMORY_BUDGET:
-            fits = [k for k in range(1, self.cutoff) if peak_estimate(self, command, k) <= MEMORY_BUDGET]
+            fits = [k for k in range(1, self.cutoff) if basis_cost(self, command, k)[1] <= MEMORY_BUDGET]
             largest = f"the largest allowed cutoff is {fits[-1]}" if fits else f"no cutoff fits on {self.group}"
             raise ConfigError(f"{command} at cutoff {self.cutoff} needs about {need / 2**30:.3g} GB, over {MEMORY_BUDGET / 2**30:g} GB; {largest}")
         return self
@@ -146,28 +153,6 @@ def basis_cost(cfg: RunConfig, suite: str, cutoff: int) -> tuple:
     rows = (2 * cutoff + 1) ** spec.rank if spec.kind == "torus" else sum(m**2 for m in range(1, cutoff + 1))
     held = len(cfg.t) * (len(cfg.orders()) if suite == "sobolev-isometry" else 1)
     return rows, IMPORT_FLOOR + (BASIS_COST[suite] + ROW_COST * held) * rows
-
-
-def smoothness_cost(spec: GroupSpec, cutoff: int) -> tuple:
-    """(labels, bytes) of report smoothness: the labels up to the cutoff, and
-    a peak RSS of the import floor, a per-label cost, two complex
-    traces of each label (f's and C_t f's) on one block of the growth
-    functional's grid, and the largest label's representation batch on it
-    (d x d entries a point, 24 B an entry: fitted to su2 at cutoffs 32, 64)."""
-    labels = (2 * cutoff + 1) ** spec.rank if spec.kind == "torus" else cutoff
-    d = 1 if spec.kind == "torus" else cutoff
-    block = min(len(bounds.polar_grid(spec, bounds.GRID_RADIUS)), bounds.GRID_BLOCK)
-    return labels, IMPORT_FLOOR + labels * (SMOOTHNESS_LABEL_COST + 2 * 16 * block) + 24 * block * d * d
-
-
-def peak_estimate(cfg: RunConfig, command: str | None, cutoff: int) -> int:
-    """Estimated peak RSS in bytes of a command (a suite or report kind) at a
-    cutoff: basis_cost, smoothness_cost, or 0 where the cutoff sets no large array."""
-    if command in BASIS_COST:
-        return basis_cost(cfg, command, cutoff)[1]
-    if command == "smoothness":
-        return smoothness_cost(cfg.spec, cutoff)[1]
-    return 0
 
 
 def _tau_range(spec: GroupSpec) -> tuple:

@@ -13,7 +13,8 @@ from gsb.bounds import (
     smoothness_report,
 )
 from gsb.coeffs import CoefVec, basis_entry
-from gsb.groups import su2, torus
+from gsb.groups import enumerate_irreps, irrep_dim, su2, torus
+from gsb.polar import exp_iy_batch
 from gsb.transform import ct_forward
 
 
@@ -71,20 +72,17 @@ def test_alpha_estimate_dominates_large_tau():
 
 def test_growth_functional_constant():
     spec = torus(1)
-    F = ct_forward(basis_entry(spec, (0,), 0, 0), 1.0)
     # F is the constant 1; at Y = 0 the functional equals 1 and the
     # Gaussian envelope beats polynomial growth elsewhere
     grid = polar_grid(spec, 6.0)
-    ((value, arg),) = growth_functional(F, [0], grid)
+    ((value, arg),) = growth_functional(spec, 1.0, np.ones(len(grid)), [0], grid)
     assert value == pytest.approx(1.0, rel=1e-10)
     assert np.allclose(arg, 0.0)
 
 
 @pytest.mark.parametrize("spec", [torus(1), su2()])
 def test_smoothness_report_stable(spec):
-    label = (2,) if spec.kind == "torus" else 3
-    f = CoefVec(spec, {**basis_entry(spec, label).entries, **basis_entry(spec, (0,) if spec.kind == "torus" else 1).entries})
-    rows = smoothness_report(ct_forward(f, 1.0), n_max=3)
+    rows = smoothness_report(spec, 1.0, cutoff=3, n_max=3)
     assert len(rows) == 4 * 2
     assert rows == sorted(rows, key=lambda row: (row[0], row[1]))
     assert all(stable for _, _, _, stable in rows)
@@ -95,77 +93,77 @@ def test_smoothness_report_stable(spec):
         assert by_n[n][6.0] <= by_n[n + 1][6.0] * (1 + 1e-9)
 
 
-def _two_label_function(spec):
+def _two_label_values(spec, grid):
+    # C_1 f at e^{iY} on the grid, f one matrix entry of a nontrivial label plus the constant
     label = (2, -1) if spec.kind == "torus" else 3
     other = (0,) * spec.rank if spec.kind == "torus" else 1
-    return ct_forward(CoefVec(spec, {**basis_entry(spec, label).entries, **basis_entry(spec, other).entries}), 1.0)
+    F = ct_forward(CoefVec(spec, {**basis_entry(spec, label).entries, **basis_entry(spec, other).entries}), 1.0)
+    return sum(F.label_traces(exp_iy_batch(spec, grid)).values())
 
 
 @pytest.mark.parametrize("spec", [torus(2), su2()], ids=str)
 def test_growth_functional_orders_match_one_order_calls(spec):
-    F = _two_label_function(spec)
     grid = polar_grid(spec, 4.0, n_radial=12, n_angular=8)
-    sups = growth_functional(F, range(5), grid)
+    values = _two_label_values(spec, grid)
+    sups = growth_functional(spec, 1.0, values, range(5), grid)
     assert len(sups) == 5
     for n, (value, arg) in enumerate(sups):
-        ((one_value, one_arg),) = growth_functional(F, [n], grid)
+        ((one_value, one_arg),) = growth_functional(spec, 1.0, values, [n], grid)
         assert value == one_value
         assert np.array_equal(arg, one_arg)
 
 
 @pytest.mark.parametrize("n_max", [0, 4])
 def test_smoothness_report_evaluates_F_once_per_grid(monkeypatch, n_max):
-    # every point of the two grids is evaluated once, in blocks of
-    # GRID_BLOCK, whatever the number of orders
-    from gsb import bounds
-    from gsb.transform import HoloFunc
+    # F is one character series per radius, whatever the number of orders,
+    # and no representation batch is formed
+    from gsb import bounds, coeffs, groups, heat
 
     calls = []
-    label_traces = HoloFunc.label_traces
+    series = heat._series
 
-    def counted(self, g):
-        calls.append(len(g))
-        return label_traces(self, g)
+    def counted(spec, tau, g, cutoff, weight=None):
+        calls.append((len(g), cutoff))
+        return series(spec, tau, g, cutoff, weight)
 
-    monkeypatch.setattr(HoloFunc, "label_traces", counted)
-    rows = smoothness_report(_two_label_function(su2()), n_max=n_max)
+    def refuse(*args):
+        raise AssertionError("rep_matrix_batch called")
+
+    monkeypatch.setattr(heat, "_series", counted)
+    monkeypatch.setattr(groups, "rep_matrix_batch", refuse)
+    monkeypatch.setattr(coeffs, "rep_matrix_batch", refuse)
+    rows = smoothness_report(su2(), 1.0, cutoff=5, n_max=n_max)
     assert len(rows) == 2 * (n_max + 1)
     points = len(polar_grid(su2(), bounds.GRID_RADIUS))  # the doubled grid has as many
-    assert sum(calls) == 2 * points
-    assert len(calls) == 2 * -(-points // bounds.GRID_BLOCK)
+    assert calls == [(points, 5)] * 2
 
 
-@pytest.mark.parametrize("spec, n_radial", [(torus(2), 100), (su2(), 40)], ids=str)
-def test_blocked_growth_functional_equals_one_evaluation(monkeypatch, spec, n_radial):
-    # 1,601 and 10,241 grid points, neither a multiple of the block: F is
-    # evaluated on ceil(N / GRID_BLOCK) blocks, whose values are those of one
-    # evaluation on the whole grid, bit for bit
-    from gsb import bounds
-    from gsb.polar import exp_iy_batch
-    from gsb.transform import HoloFunc
+@pytest.mark.parametrize(
+    "spec, cutoff",
+    [(spec, cutoff) for spec in (torus(1), torus(2), su2()) for cutoff in (1, 4, 16)] + [(torus(3), 6)],
+    ids=str,
+)
+def test_character_series_matches_the_label_route(spec, cutoff):
+    # F = C_t f, f the sum of the characters up to the cutoff (identity
+    # blocks), as the sum of its label traces; every term is positive at
+    # e^{iY}, so the two routes agree to rounding at each point
+    from gsb.bounds import GRID_RADIUS, _character_series
 
-    F = _two_label_function(spec)
-    grid = polar_grid(spec, 6.0, n_radial=n_radial, n_angular=16)
-    assert len(grid) % bounds.GRID_BLOCK != 0
-    whole = sum(F.label_traces(exp_iy_batch(spec, grid)).values())
-    blocks = []
-    label_traces = HoloFunc.label_traces
+    t = 1.0
+    f = CoefVec(spec, {label: np.eye(irrep_dim(spec, label)) for label in enumerate_irreps(spec, cutoff)})
+    for radius in (GRID_RADIUS, 2.0 * GRID_RADIUS):
+        grid = polar_grid(spec, radius)
+        exact = sum(ct_forward(f, t).label_traces(exp_iy_batch(spec, grid)).values())
+        series = _character_series(spec, t, cutoff, grid)
+        assert np.all(np.isfinite(exact))
+        assert np.max(np.abs(series - exact) / np.abs(exact)) <= 5e-14, radius
 
-    def recorded(self, g):
-        traces = label_traces(self, g)
-        blocks.append(sum(traces.values()))
-        return traces
 
-    monkeypatch.setattr(HoloFunc, "label_traces", recorded)
-    blocked = growth_functional(F, range(5), grid)
-    assert len(blocks) == -(-len(grid) // bounds.GRID_BLOCK) > 1
-    assert np.array_equal(np.concatenate(blocks), whole)
-    monkeypatch.setattr(bounds, "GRID_BLOCK", len(grid))
-    unblocked = growth_functional(F, range(5), grid)
-    assert len(blocks) == -(-len(grid) // 1024) + 1
-    for (value, arg), (one_value, one_arg) in zip(blocked, unblocked):
-        assert value == one_value
-        assert np.array_equal(arg, one_arg)
+def test_smoothness_rows_are_nan_at_the_radius_where_the_series_overflows():
+    # on torus:1 at cutoff 64, e^{64 |Y|} passes the double range at |Y| = 12
+    rows = smoothness_report(torus(1), 1.0, cutoff=64, n_max=2)
+    assert all(math.isfinite(g) for _, r, g, _ in rows if r == 6.0)
+    assert all(math.isnan(g) and not stable for _, r, g, stable in rows if r == 12.0)
 
 
 @pytest.mark.parametrize("spec", [torus(1), su2()])

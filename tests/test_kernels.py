@@ -177,8 +177,9 @@ def test_envelopes():
     t = 1.0
     F = ct_forward(basis_entry(spec, 2, 0, 0), t)
     g = polar_compose(spec, np.eye(2, dtype=complex)[None], y[None])
-    value = abs(sum(F.label_traces(g).values())[0]) ** 2
-    (g0, _), (g2, _) = growth_functional(F, [0, 2], y[None, :])
+    values = sum(F.label_traces(g).values())
+    value = abs(values[0]) ** 2
+    (g0, _), (g2, _) = growth_functional(spec, t, values, [0, 2], y[None, :])
     assert g0 == pytest.approx(value / (np.exp(log_phi(spec, y[None])[0]) * math.exp(2.25 / t)), rel=1e-12)
     assert g2 == pytest.approx(g0 * (1 + 2.25) ** 4, rel=1e-12)
 

@@ -30,7 +30,7 @@ RUNS = {
     ("verify", "weighted-norm"): {"sobolev"},
     ("report", "symbol"): {"sobolev"},
     ("report", "lattice"): {"bounds"},
-    ("report", "smoothness"): {"bounds"},
+    ("report", "smoothness"): {"bounds", "heat"},
     ("report", "bounds"): {"bounds", "heat"},
     ("invert", "--coeffs", "c.json", "--points", "p.json"): set(),
 }
