@@ -141,7 +141,7 @@ def _character_series(spec: GroupSpec, t: float, cutoff: int, grid: np.ndarray) 
         g, weight = exp_iy_batch(spec, grid), None
     try:
         return spec.volume * heat._series(spec, t, g, cutoff, weight)
-    except (FloatingPointError, OverflowError):  # vol overflows past torus rank 386
+    except FloatingPointError:  # the series overflows, as on torus:1 at cutoff 64 and radius 12
         return np.full(len(grid), math.nan)
 
 

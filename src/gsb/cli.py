@@ -4,7 +4,8 @@ reports.
 
 Exit codes: 0 all checks passed, 1 numeric failure, 2 usage/config error.
 Reports are CSV or JSON with locale-independent 17-significant-digit
-numbers, so repeated runs are byte-identical.
+numbers, so repeated runs are byte-identical.  Each is written a block of
+rows at a time, as its command yields them.
 """
 
 from __future__ import annotations
@@ -76,73 +77,93 @@ def _row_strings(columns, rows):
     return zip(*strings)
 
 
-def write_report(path: str, columns, rows, fmt: str):
+def write_report(path: str, columns, blocks, fmt: str):
+    """Write the rows of an iterable of blocks (lists of rows) to path as they
+    come: the bytes that csv.writer, or json.dump(indent=2, sort_keys=True)
+    of a list of {column: cell string}, writes for all the rows at once."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    if fmt == "csv":
-        with open(path, "w", newline="") as fp:
+    with open(path, "w", newline="" if fmt == "csv" else None) as fp:
+        if fmt == "csv":
             writer = csv.writer(fp)
             writer.writerow(columns)
-            writer.writerows(_row_strings(columns, rows))
-    else:
-        payload = [dict(zip(columns, strings)) for strings in _row_strings(columns, rows)]
-        with open(path, "w") as fp:
-            json.dump(payload, fp, indent=2, sort_keys=True)
-            fp.write("\n")
+            for rows in blocks:
+                writer.writerows(_row_strings(columns, rows))
+            return
+        # a block's list less its brackets, "\n  {...},\n  {...}", joined by commas
+        encode, opening = json.JSONEncoder(indent=2, sort_keys=True).encode, "["
+        for rows in blocks:
+            if rows:
+                fp.write(opening + encode([dict(zip(columns, strings)) for strings in _row_strings(columns, rows)])[1:-2])
+                opening = ","
+        fp.write("[]\n" if opening == "[" else "\n]\n")
 
 
-def _write_reports(cfg: RunConfig, stem: str, columns, result_at) -> int:
-    """result_at(t) -> (rows, ok) at every configured t, then one report
-    per t, <stem>_<group>_t<t>.<fmt>, each path printed; nothing is written
-    unless every t ran.  Prints the verdict line `<name>: PASS|FAIL`, name
-    the stem less its `verify_` or `report_` prefix (suite and kind names
-    hold no underscore), and returns the exit code: 0 when every t was ok,
-    else 1."""
-    results = [(t, *result_at(t)) for t in cfg.t]
-    for t, rows, _ in results:
-        path = os.path.join(cfg.out, f"{stem}_{cfg.group.replace(':', '-')}_t{_name_num(t)}.{cfg.fmt}")
-        write_report(path, columns, rows, cfg.fmt)
+def _write_reports(cfg: RunConfig, stem: str, columns, blocks_at, passed) -> int:
+    """One report per configured t, <stem>_<group>_t<t>.<fmt>, of the rows of
+    blocks_at(t): each block is written to <report>.part as it comes, and the
+    parts are renamed into place, each path printed, once every t ran; on any
+    exception the parts (and an --out this run made) are removed, so nothing
+    is written unless every t ran.  Prints the verdict line `<name>:
+    PASS|FAIL`, name the stem less its `verify_` or `report_` prefix (suite
+    and kind names hold no underscore), and returns the exit code: 0 when
+    passed(row) holds for every row, else 1."""
+    ok, paths, made = True, [], not os.path.isdir(cfg.out)
+
+    def judged(blocks):
+        nonlocal ok
+        for rows in blocks:
+            ok = all(map(passed, rows)) and ok
+            yield rows
+
+    try:
+        for t in cfg.t:
+            paths.append(os.path.join(cfg.out, f"{stem}_{cfg.group.replace(':', '-')}_t{_name_num(t)}.{cfg.fmt}"))
+            write_report(paths[-1] + ".part", columns, judged(blocks_at(t)), cfg.fmt)
+        for path in dict.fromkeys(paths):  # a t given twice writes its report once
+            os.replace(path + ".part", path)
+    except BaseException:
+        for part in [path + ".part" for path in paths]:
+            if os.path.exists(part):
+                os.remove(part)
+        if made and os.path.isdir(cfg.out) and not os.listdir(cfg.out):
+            os.rmdir(cfg.out)
+        raise
+    for path in paths:
         print(f"wrote {path}")
-    ok = all(ok for _, _, ok in results)
     print(f"{stem.split('_', 1)[-1]}: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
 def cmd_verify(suite: str, cfg: RunConfig) -> int:
     rows_fn, default_tol = SUITES[suite]
-    tol = cfg.tol(default_tol)
-
-    def result_at(t):
-        rows = rows_fn(cfg, t, tol, cfg.quad())
-        if not rows:
-            raise ConfigError(f"{suite} has no case to check at n = {','.join(map(str, cfg.n))}")
-        return rows, all(row[5] for row in rows)
-
-    return _write_reports(cfg, f"verify_{suite}", VERIFY_COLUMNS, result_at)
+    blocks_at = lambda t: rows_fn(cfg, t, cfg.tol(default_tol), cfg.quad())
+    return _write_reports(cfg, f"verify_{suite}", VERIFY_COLUMNS, blocks_at, itemgetter(5))
 
 
 def _report_rows(kind: str, cfg: RunConfig, t: float):
-    """(rows, ok) of one report kind at time t; bounds fails on a failed row,
-    symbol on a coefficient <= 0, smoothness on a G_n that is not finite."""
+    """The rows of one report kind at time t."""
     spec = cfg.spec
     if kind == "symbol":
         rows = []
         for n in cfg.n:
             sym = sobolev.toeplitz_symbol(spec, t, cfg.c_value(spec, t, n), n)
             rows += [(n, sym.degree, k, coef) for k, coef in enumerate(sym.coefficients)]
-        return rows, all(row[3] > 0 for row in rows)
+        return rows
     if kind == "lattice":
-        return bounds.lattice_limit_check(spec, cfg.tau), True
+        return bounds.lattice_limit_check(spec, cfg.tau)
     if kind == "smoothness":
-        rows = bounds.smoothness_report(spec, t, cfg.cutoff, n_max=max(cfg.n))
-        return rows, all(math.isfinite(row[2]) for row in rows)
+        return bounds.smoothness_report(spec, t, cfg.cutoff, n_max=max(cfg.n))
     # bounds
     chamber = "full-lattice" if spec.kind == "torus" else "halfline"
-    rows = [(tau, ratio, alpha, chamber, ok) for tau, ratio, alpha, ok in bounds.kernel_bound_check(spec, t)]
-    return rows, all(row[-1] for row in rows)
+    return [(tau, ratio, alpha, chamber, ok) for tau, ratio, alpha, ok in bounds.kernel_bound_check(spec, t)]
 
 
 def cmd_report(kind: str, cfg: RunConfig) -> int:
-    return _write_reports(cfg, f"report_{kind}", REPORT_COLUMNS[kind], lambda t: _report_rows(kind, cfg, t))
+    # a row fails on bounds when its pass does, on smoothness when G_n is not
+    # finite and on symbol when its coefficient is <= 0; a lattice row, a
+    # nonempty tuple, passes as bool(row)
+    passed = {"bounds": itemgetter(-1), "smoothness": lambda row: math.isfinite(row[2]), "symbol": lambda row: row[3] > 0}
+    return _write_reports(cfg, f"report_{kind}", REPORT_COLUMNS[kind], lambda t: [_report_rows(kind, cfg, t)], passed.get(kind, bool))
 
 
 def load_coefficients(path: str) -> CoefVec:
@@ -194,7 +215,7 @@ def cmd_invert(cfg: RunConfig, coeff_path: str, points_path: str) -> int:
     tol = cfg.tol(1e-6)
     exact = f.eval_k_batch(points).tolist()
 
-    def result_at(t):
+    def blocks_at(t):
         radii = inversion_radii(f.spec, t, f.support)
         q = QuadSpec(levels=inversion_levels(t, max(radii), cfg.levels))
         (inner, outer), gap = ct_inverse_integral(ct_forward(f, t), points, radii, q)
@@ -203,9 +224,9 @@ def cmd_invert(cfg: RunConfig, coeff_path: str, points_path: str) -> int:
             stable, err = abs(rec - a) <= tol * max(1.0, abs(rec)), abs(rec - ex)
             passed = stable and g <= tol and err <= tol * max(1.0, abs(ex))
             rows.append((f"p{k}", rec.real, rec.imag, ex.real, ex.imag, err, stable, tol, passed, g))
-        return rows, all(row[8] for row in rows)
+        return [rows]
 
-    return _write_reports(cfg, "invert", columns, result_at)
+    return _write_reports(cfg, "invert", columns, blocks_at, itemgetter(8))
 
 
 def build_parser() -> argparse.ArgumentParser:

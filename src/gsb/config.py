@@ -1,8 +1,8 @@
 """Run configuration: the RunConfig fields and their flags, validation, and
-the memory bound that validate holds the basis suites to.
+the size bound that validate holds the basis suites to.
 
-Exit code 2 of the command line is a ConfigError: raised here, by invert on
-a data file it cannot read or use, or by a suite that finds no case to check.
+Exit code 2 of the command line is a ConfigError: raised here, or by invert
+on a data file it cannot read or use.
 """
 
 from __future__ import annotations
@@ -17,13 +17,8 @@ from . import sobolev
 from .groups import GroupSpec, parse_group
 from .quadrature import MAX_ORDER, QuadSpec
 
-MEMORY_BUDGET = 1 << 30  # bytes: the largest peak RSS estimate (basis_cost) that validate accepts
-IMPORT_FLOOR = 31 << 20  # bytes: the peak RSS of `import gsb.cli`
-# basis suite -> bytes per matrix entry while it runs, and bytes per finished
-# row until its report is written: fitted to peak RSS on su2 and torus:3-4
-# at one to four t or orders
-BASIS_COST = {"unitarity": 580, "weighted-norm": 680, "sobolev-isometry": 710}
-ROW_COST = 320
+BASIS_SUITES = ("unitarity", "sobolev-isometry", "weighted-norm")
+MAX_ENTRIES = 1 << 20  # the most matrix entries a basis suite checks at one t
 
 
 class ConfigError(ValueError):
@@ -63,12 +58,17 @@ class RunConfig:
     fmt: str = _flag("csv", str, "report format: csv or json")
 
     def validate(self, command: str | None = None) -> "RunConfig":
-        """Check every field; command (a suite or report kind) adds a basis
-        suite's memory bound, and on kernel-tworoute the Sobolev kernel's c >
-        |delta|^2.  report smoothness needs no bound: the tau range refuses
-        every torus rank above 1,117, and --group torus:1117 --tau 3.545
-        --cutoff 64 peaks at 301 MB (torus:386, the largest rank whose vol K
-        is finite, at 155 MB)."""
+        """Check every field; command (a suite or report kind) adds a suite's
+        own refusals: a Sobolev suite with no order n >= 1 to check, a basis
+        suite with more than MAX_ENTRIES matrix entries (sum d^2) at one t,
+        and on kernel-tworoute the Sobolev kernel's c > |delta|^2.
+
+        The basis suites write their rows a block at a time, so no row
+        outlives its block: MAX_ENTRIES bounds the work and the report of
+        one t, not a memory estimate.  Unitarity on torus:4 at cutoff 15
+        (923,521 entries) takes 12 s, peaks at 132 MB and writes 123 MB of
+        CSV; su2 takes every cutoff, and at 64 (89,440 entries) unitarity
+        peaks near 49 MB (one fresh process, one BLAS thread)."""
         for f in fields(self):
             value, kind = getattr(self, f.name), f.metadata["kind"]
             if value is None and f.default is None:
@@ -115,13 +115,17 @@ class RunConfig:
         if not os.path.isdir(ancestor):
             where = "exists and" if ancestor == out else f"lies under {ancestor!r}, which"
             raise ConfigError(f"out {self.out!r} {where} is not a directory")
-        if command == "kernel-tworoute" and self.orders() and self.c is not None and self.c <= spec.delta_sq:
+        if command in ("sobolev-isometry", "kernel-tworoute") and not self.orders():
+            raise ConfigError(f"{command} has no case to check at n = {','.join(map(str, self.n))}")
+        if command == "kernel-tworoute" and self.c is not None and self.c <= spec.delta_sq:
             raise ConfigError("need c > |delta|^2 for the Sobolev kernel")
-        need = basis_cost(self, command, self.cutoff)[1] if command in BASIS_COST else 0
-        if need > MEMORY_BUDGET:
-            fits = [k for k in range(1, self.cutoff) if basis_cost(self, command, k)[1] <= MEMORY_BUDGET]
+        # the matrix entries sum d^2 of the irreps up to a cutoff k
+        count = lambda k: (2 * k + 1) ** spec.rank if spec.kind == "torus" else sum(m**2 for m in range(1, k + 1))
+        entries = count(self.cutoff) if command in BASIS_SUITES else 0
+        if entries > MAX_ENTRIES:
+            fits = [k for k in range(1, self.cutoff) if count(k) <= MAX_ENTRIES]
             largest = f"the largest allowed cutoff is {fits[-1]}" if fits else f"no cutoff fits on {self.group}"
-            raise ConfigError(f"{command} at cutoff {self.cutoff} needs about {need / 2**30:.3g} GB, over {MEMORY_BUDGET / 2**30:g} GB; {largest}")
+            raise ConfigError(f"{command} at cutoff {self.cutoff} checks {entries:,} matrix entries at each t, over {MAX_ENTRIES:,}; {largest}")
         return self
 
     @property
@@ -142,17 +146,6 @@ class RunConfig:
     def c_value(self, spec: GroupSpec, t: float, n: int) -> float:
         """Configured c, or the positivity threshold of phi_max(n, 1)."""
         return self.c if self.c is not None else sobolev.symbol_positivity_threshold(spec, t, max(n, 1))
-
-
-def basis_cost(cfg: RunConfig, suite: str, cutoff: int) -> tuple:
-    """(rows, bytes) of a basis suite at a cutoff: sum d^2 matrix entries, and
-    a peak RSS of the import floor, the suite's cost per entry, and ROW_COST
-    for each row held until the reports are written: an entry's row at every
-    t, on sobolev-isometry at every order n >= 1 of each t."""
-    spec = cfg.spec
-    rows = (2 * cutoff + 1) ** spec.rank if spec.kind == "torus" else sum(m**2 for m in range(1, cutoff + 1))
-    held = len(cfg.t) * (len(cfg.orders()) if suite == "sobolev-isometry" else 1)
-    return rows, IMPORT_FLOOR + (BASIS_COST[suite] + ROW_COST * held) * rows
 
 
 def _tau_range(spec: GroupSpec) -> tuple:

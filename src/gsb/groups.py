@@ -57,8 +57,8 @@ class GroupSpec:
     def __post_init__(self):
         if self.kind not in ("torus", "su2"):
             raise ValueError(f"unknown group kind {self.kind!r}")
-        if self.kind == "torus" and self.rank < 1:
-            raise ValueError("torus rank must be >= 1")
+        if self.kind == "torus" and not 1 <= self.rank <= 386:
+            raise ValueError("torus rank must be in 1..386, where vol K = (2 pi)^r is a finite double")
         if self.kind == "su2" and self.rank != 1:
             raise ValueError("su2 has rank 1")
 

@@ -1,5 +1,9 @@
 """The verify suites: each checks one identity of the paper at one time t
-and returns its rows (case-id, lhs, rhs, rel-err, tol, pass, gap).
+and yields its rows (case-id, lhs, rhs, rel-err, tol, pass, gap) in blocks,
+lists of rows that the report takes as they come.  The basis suites
+(unitarity, sobolev-isometry and weighted-norm) yield one block per
+BLOCK-entry block of the matrix-entry basis, so they hold one block's rows,
+not the whole basis's; the others yield all their rows as one block.
 
 SUITES maps each suite's name to its rows function and default tolerance.
 """
@@ -8,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import chain, islice
 
 import numpy as np
 
@@ -19,19 +24,22 @@ from .polar import log_phi, polar_compose
 from .quadrature import QuadSpec, integrate_levels, rel_gap, roots_legendre
 from .transform import ct_forward, holo_inner
 
+BLOCK = 4096  # matrix entries of a basis block: one holo_inner call per form, and the rows a basis suite holds
 
-def _basis(spec: GroupSpec, cutoff: int, limit: int | None = None):
-    """Matrix-entry basis up to the label cutoff: (case id, entry (label, i,
-    j)), the entry pi_ij of the label, as holo_inner takes it."""
-    out = []
+
+def _basis(spec: GroupSpec, cutoff: int):
+    """Matrix-entry basis up to the label cutoff, in label order: (case id,
+    entry (label, i, j)), the entry pi_ij of the label, as holo_inner takes
+    it, in blocks of whole labels, each of at least BLOCK entries but the last."""
+    block = []
     for label in enumerate_irreps(spec, cutoff):
         d = irrep_dim(spec, label)
-        for i in range(d):
-            for j in range(d):
-                out.append((f"{label}[{i},{j}]", (label, i, j)))
-                if limit is not None and len(out) >= limit:
-                    return out
-    return out
+        block += [(f"{label}[{i},{j}]", (label, i, j)) for i in range(d) for j in range(d)]
+        if len(block) >= BLOCK:
+            yield block
+            block = []
+    if block:
+        yield block
 
 
 def _entry_norm(spec: GroupSpec, label, scale: float = 1.0) -> float:
@@ -61,7 +69,7 @@ def _mass_level(spec: GroupSpec, t: float, radius: float, level: int) -> complex
     return np.dot(weights, np.exp(heat.log_nu_t(spec, t, nodes) - 2.0 * log_phi(spec, nodes)))
 
 
-# Each suite maps (cfg, t, tol, q) to its rows for one time t.
+# Each suite maps (cfg, t, tol, q) to its rows for one time t, in blocks.
 
 
 def _mass_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
@@ -71,7 +79,7 @@ def _mass_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     radius = 8.0 * math.sqrt(t) + (t / 2.0 if spec.kind == "su2" else 0.0)
     res = integrate_levels(q, lambda level: _mass_level(spec, t, radius, level))
     lhs = spec.volume * res.value.item().real
-    return [_row("mass", lhs, spec.volume, rel_gap(lhs, spec.volume), tol, res.gap.item())]
+    yield [_row("mass", lhs, spec.volume, rel_gap(lhs, spec.volume), tol, res.gap.item())]
 
 
 def _norms(res):
@@ -89,9 +97,9 @@ def _norm_rows(prefix, basis, res, rhs, tol):
 
 def _unitarity_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     spec = cfg.spec
-    basis = _basis(spec, cfg.cutoff)
-    res = holo_inner(spec, t, [(e, e, 1.0) for _, e in basis], q)
-    return _norm_rows("", basis, res, [_entry_norm(spec, e[0]) for _, e in basis], tol)
+    for basis in _basis(spec, cfg.cutoff):
+        res = holo_inner(spec, t, [(e, e, 1.0) for _, e in basis], q)
+        yield _norm_rows("", basis, res, [_entry_norm(spec, e[0]) for _, e in basis], tol)
 
 
 def _reproducing_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
@@ -102,24 +110,22 @@ def _reproducing_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
         y = random_algebra(spec, rng)
         y *= rng.uniform(0.0, 3.0) / max(np.linalg.norm(y), 1e-12)
         points.append((random_k(spec, rng), y))
-    basis = _basis(spec, cfg.cutoff, limit=5)
+    basis = list(islice(chain.from_iterable(_basis(spec, cfg.cutoff)), 5))
     xs, ys = (np.stack(part) for part in zip(*points))
     Fs = [ct_forward(basis_entry(spec, *e), t) for _, e in basis]
     # every function at every point, function by function
     residual, gap = kernels.reproduce_check(Fs, polar_compose(spec, xs, ys), q)
     cids = [f"{cid}@p{k}" for cid, _ in basis for k in range(len(points))]
-    return [_row(cid, r, 0.0, r, tol, g) for cid, r, g in zip(cids, residual.ravel().tolist(), gap.ravel().tolist())]
+    yield [_row(cid, r, 0.0, r, tol, g) for cid, r, g in zip(cids, residual.ravel().tolist(), gap.ravel().tolist())]
 
 
 def _sobolev_isometry_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     spec = cfg.spec
-    basis = _basis(spec, cfg.cutoff)
-    rows = []
     for n in cfg.orders():
-        shift = _shifts(spec, basis, n, cfg.c_value(spec, t, n))
-        res = holo_inner(spec, t, [(e, e, shift[e[0]] * shift[e[0]]) for _, e in basis], q)
-        rows += _norm_rows(f"n={n}:", basis, res, [_entry_norm(spec, e[0], shift[e[0]]) for _, e in basis], tol)
-    return rows
+        for basis in _basis(spec, cfg.cutoff):
+            shift = _shifts(spec, basis, n, cfg.c_value(spec, t, n))
+            res = holo_inner(spec, t, [(e, e, shift[e[0]] * shift[e[0]]) for _, e in basis], q)
+            yield _norm_rows(f"n={n}:", basis, res, [_entry_norm(spec, e[0], shift[e[0]]) for _, e in basis], tol)
 
 
 def _kernel_tworoute_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
@@ -138,12 +144,12 @@ def _kernel_tworoute_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
         rhs, res = kernels.k_sobolev_integral(query)
         for k, (left, right, gap) in enumerate(zip(lhs.tolist(), rhs.tolist(), res.gap.tolist())):
             rows.append(_row(f"n={n}:q{k}", left, right, rel_gap(left, right), tol, gap))
-    return rows
+    yield rows
 
 
 def _toeplitz_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     spec = cfg.spec
-    basis = _basis(spec, min(cfg.cutoff, 3))
+    basis = list(chain.from_iterable(_basis(spec, min(cfg.cutoff, 3))))
     norms = [_entry_norm(spec, e[0]) for _, e in basis]
     same = list(range(len(basis)))
     # (tag, lhs, rhs): the quadratic forms on the pairs (f_i, f_i), then
@@ -170,27 +176,31 @@ def _toeplitz_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
         for i, j, f, lhs, rhs, lhs_gap, rhs_gap in zip(first, second, floor, *sides):
             cid, gap = f"{tag}:<{basis[i][0]},{basis[j][0]}>", max(lhs_gap, rhs_gap)
             rows.append(_row(cid, abs(lhs), abs(rhs), rel_gap(lhs, rhs, f), tol, gap))
-    return rows
+    yield rows
 
 
 def _weighted_norm_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     spec = cfg.spec
     n = min(cfg.orders(), default=1)
-    basis = _basis(spec, cfg.cutoff)
-    shift = _shifts(spec, basis, 2 * n, cfg.c_value(spec, t, n))
-    lhs_res = holo_inner(spec, t, [(e, e, 1.0) for _, e in basis], q, weight=lambda u: (1.0 + u) ** (2 * n))
-    rhs_res = holo_inner(spec, t, [(e, e, shift[e[0]] * shift[e[0]]) for _, e in basis], q)
+    weight = lambda u: (1.0 + u) ** (2 * n)  # one object for every block, so they share its profile sums
     # the row's tol bounds the ratio spread; the gap tolerance bounds each form's level gap
-    rows, gap_tol = [], cfg.tol(1e-8)
-    forms = zip(basis, _norms(lhs_res), _norms(rhs_res), lhs_res.gap.tolist(), rhs_res.gap.tolist())
-    for (cid, _), lhs, rhs, lhs_gap, rhs_gap in forms:
-        ratio = lhs / rhs if rhs > 0 else math.inf
-        gap = max(lhs_gap, rhs_gap)
-        rows.append((f"n={n}:{cid}", lhs, rhs, ratio, tol, math.isfinite(ratio) and gap <= gap_tol, gap))
-    ratios = [row[3] for row in rows]
-    spread = max(ratios) / min(ratios)
-    rows.append(_row(f"n={n}:ratio-spread", spread, tol, spread, tol, 0.0))
-    return rows
+    gap_tol, extremes = cfg.tol(1e-8), []
+    for basis in _basis(spec, cfg.cutoff):
+        shift = _shifts(spec, basis, 2 * n, cfg.c_value(spec, t, n))
+        lhs_res = holo_inner(spec, t, [(e, e, 1.0) for _, e in basis], q, weight=weight)
+        rhs_res = holo_inner(spec, t, [(e, e, shift[e[0]] * shift[e[0]]) for _, e in basis], q)
+        rows = []
+        forms = zip(basis, _norms(lhs_res), _norms(rhs_res), lhs_res.gap.tolist(), rhs_res.gap.tolist())
+        for (cid, _), lhs, rhs, lhs_gap, rhs_gap in forms:
+            ratio = lhs / rhs if rhs > 0 else math.inf
+            gap = max(lhs_gap, rhs_gap)
+            rows.append((f"n={n}:{cid}", lhs, rhs, ratio, tol, math.isfinite(ratio) and gap <= gap_tol, gap))
+        # the largest and smallest ratio so far, each scanned in row order as max and min scan one list
+        ratios = [row[3] for row in rows]
+        extremes = [max(extremes[:1] + ratios), min(extremes[1:] + ratios)]
+        yield rows
+    spread = extremes[0] / extremes[1]
+    yield [_row(f"n={n}:ratio-spread", spread, tol, spread, tol, 0.0)]
 
 
 # suite name -> (rows function, default tolerance)

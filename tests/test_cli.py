@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -463,39 +462,72 @@ def test_pointwise_commands_stay_near_the_import_floor(tmp_path):
         assert peak <= floor + 5.0, f"{name}: {peak:.1f} MB against an import floor of {floor:.1f} MB"
 
 
-def test_basis_suites_hold_no_dense_block_per_entry(tmp_path):
-    # holo_inner takes each matrix entry as indices and a scale, so the
-    # 22,140 rows of su2 cutoff 40 cost rows, not sum d^4 block entries
+def test_basis_suites_stream_their_rows(tmp_path):
+    # holo_inner takes each matrix entry as indices and a scale, and the
+    # report takes the rows a block at a time, so the 88,560 rows of su2
+    # cutoff 40 at four orders cost neither sum d^4 block entries nor a
+    # held row each
     _, floor = _peak_rss_mb(["-c", "import gsb.cli"], tmp_path)
-    code, peak = _peak_rss_mb(["-m", "gsb.cli", "verify", "unitarity", "--group", "su2", "--cutoff", "40", "--out", "o"], tmp_path)
+    argv = ["verify", "sobolev-isometry", "--group", "su2", "--cutoff", "40", "--n", "1,2,3,4", "--out", "o"]
+    code, peak = _peak_rss_mb(["-m", "gsb.cli", *argv], tmp_path)
     assert code == 0
-    assert peak <= floor + 24.0, f"{peak:.1f} MB against an import floor of {floor:.1f} MB"
+    with open(tmp_path / "o" / "verify_sobolev-isometry_su2_t1.csv", newline="") as fp:
+        assert sum(1 for _ in fp) == 1 + 88_560
+    assert peak <= floor + 16.0, f"{peak:.1f} MB against an import floor of {floor:.1f} MB"
 
 
-def test_basis_cost_follows_the_measured_peak(tmp_path):
-    # the estimate validate holds against the budget is within 20 % of the
-    # peak RSS of a fresh process, for each basis suite at su2 cutoffs 40 and
-    # 56, and with the rows of four t or four orders held at cutoff 48, where
-    # the row term is at least a third of the estimate
-    from gsb.config import BASIS_COST, IMPORT_FLOOR, RunConfig, basis_cost
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("group", ["su2", "torus:2"])
+def test_basis_suites_write_the_bytes_of_one_block_in_many(tmp_path, capsys, monkeypatch, group, fmt):
+    # blocks of 7 entries split su2 at cutoff 4 into labels 1-3 and 4, and
+    # torus:2 into 12 blocks; every row, the ratio spread and the verdict
+    # lines are those of the single block of the default BLOCK
+    from gsb import suites
 
-    runs = [(suite, cutoff, {}) for suite in BASIS_COST for cutoff in (40, 56)]
-    runs += [("unitarity", 48, {"t": (0.5, 1.0, 2.0, 4.0)}), ("sobolev-isometry", 48, {"n": (1, 2, 3, 4)})]
+    calls, default = _count_calls(monkeypatch, suites, "holo_inner"), suites.BLOCK
+    for suite in ("unitarity", "sobolev-isometry", "weighted-norm"):
+        runs = []
+        for block in (default, 7):
+            monkeypatch.setattr(suites, "BLOCK", block)
+            calls.clear()
+            out = tmp_path / f"{suite}-{block}"
+            args = ["verify", suite, "--group", group, "--t", "0.5,1", "--n", "1,2", "--fmt", fmt, "--out", str(out)]
+            code, captured = _main_in_process(args, capsys)
+            files = {path.name: path.read_bytes() for path in out.iterdir()}
+            runs.append(((code, captured.out.replace(str(out), "<out>"), captured.err, files), len(calls)))
+        (one, calls_one), (many, calls_many) = runs
+        assert sorted(many[3]) == [f"verify_{suite}_{group.replace(':', '-')}_t{t}.{fmt}" for t in ("0.5", "1")]
+        assert many == one, suite
+        assert calls_many > calls_one, suite
 
-    def peak_of(run):
-        suite, cutoff, overrides = run
-        flags = [arg for name, values in overrides.items() for arg in (f"--{name}", ",".join(map(str, values)))]
-        argv = ["verify", suite, "--group", "su2", "--cutoff", str(cutoff), *flags, "--out", f"o-{suite}-{cutoff}"]
-        return _peak_rss_mb(["-m", "gsb.cli", *argv], tmp_path)[1]
 
-    # two children at a time: each peak is its own process's
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        peaks = list(pool.map(peak_of, runs))
-    for (suite, cutoff, overrides), peak in zip(runs, peaks):
-        rows, estimate = basis_cost(RunConfig(group="su2", **overrides), suite, cutoff)
-        assert rows == sum(m * m for m in range(1, cutoff + 1))
-        assert 3 * (estimate - IMPORT_FLOOR) >= estimate
-        assert abs(estimate / 2**20 - peak) <= 0.2 * peak, (suite, cutoff, overrides, estimate / 2**20, peak)
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_run_that_fails_after_its_first_block_leaves_no_report(tmp_path, capsys, monkeypatch, existing):
+    # the parts of every t are removed, and an --out made by the run with
+    # them; one that existed keeps what it held
+    from gsb import cli, suites
+
+    unitarity, tol = cli.SUITES["unitarity"]
+    out, seen = tmp_path / "o", []
+
+    def failing(cfg, t, tol, q):
+        blocks = unitarity(cfg, t, tol, q)
+        yield next(blocks)
+        if t == 2.0:
+            seen.extend(sorted(os.listdir(out)))
+            raise FloatingPointError("overflow after the first block")
+        yield from blocks
+
+    monkeypatch.setitem(cli.SUITES, "unitarity", (failing, tol))
+    monkeypatch.setattr(suites, "BLOCK", 7)
+    if existing:
+        out.mkdir()
+        (out / "kept.csv").write_bytes(b"kept\n")
+    code, captured = _main_in_process(["verify", "unitarity", "--group", "su2", "--t", "1,2", "--out", str(out)], capsys)
+    assert code == 1
+    assert captured.out == "" and captured.err == "error: FloatingPointError: overflow after the first block\n"
+    assert seen == sorted(["kept.csv"] * existing + [f"verify_unitarity_su2_t{t}.csv.part" for t in (1, 2)])
+    assert sorted(os.listdir(out)) == ["kept.csv"] if existing else not out.exists()
 
 
 def test_report_smoothness_stays_small_at_large_cutoffs(tmp_path):
@@ -510,10 +542,10 @@ def test_report_smoothness_stays_small_at_large_cutoffs(tmp_path):
 
 
 def test_validate_takes_the_su2_basis_suites_at_the_largest_cutoff():
-    # the row law puts su2 cutoff 64 (89,440 rows) far inside the budget
-    from gsb.config import BASIS_COST, RunConfig
+    # su2 cutoff 64 has 89,440 matrix entries, far inside the bound
+    from gsb.config import BASIS_SUITES, RunConfig
 
-    for suite in BASIS_COST:
+    for suite in BASIS_SUITES:
         RunConfig(group="su2", cutoff=64).validate(suite)
 
 
@@ -565,10 +597,10 @@ _LABEL_3 = {"group": "torus:1", "entries": [{"label": [3], "matrix": [[[1.0, 0.0
         (["report", "lattice", "--tau", "1,inf"], "tau values"),
         (["verify", "mass", "--tolerance", "nan"], "tolerance"),
         (["verify", "reproducing", "--seed", "-1"], "seed"),
-        # a basis suite whose estimated peak RSS passes the 1 GB budget (config.basis_cost): 129^3 rows
-        (["verify", "sobolev-isometry", "--group", "torus:3", "--cutoff", "64"], "largest allowed cutoff is 45"),
+        # a basis suite with more than 2^20 matrix entries at one t (config.MAX_ENTRIES): 129^3, and 101^3 fit
+        (["verify", "sobolev-isometry", "--group", "torus:3", "--cutoff", "64"], "largest allowed cutoff is 50"),
         (["verify", "unitarity", "--group", "torus:4", "--cutoff", "18"], "largest allowed cutoff is 15"),
-        # 3^13 basis rows pass the budget even at cutoff 1
+        # 3^13 basis entries pass the bound even at cutoff 1
         (["verify", "unitarity", "--group", "torus:13", "--cutoff", "1"], "no cutoff fits on torus:13"),
         (["verify", "mass", "--t", "abc"], "--t expects a comma list of numbers"),
         (["verify", "mass", "--levels", "64,x"], "--levels expects a comma list of integers"),
@@ -589,7 +621,7 @@ _LABEL_3 = {"group": "torus:1", "entries": [{"label": [3], "matrix": [[[1.0, 0.0
         (["verify", "kernel-tworoute", "--group", "su2", "--c", "0.1"], "need c > |delta|^2"),
         # the Sobolev orders share the cutoff's bound
         (["report", "symbol", "--group", "su2", "--n", "65"], "n values must be in 0..64"),
-        # 3^12 basis rows fit the budget, 5^12 do not
+        # 3^12 basis entries fit the bound, 5^12 do not
         (["verify", "sobolev-isometry", "--group", "torus:12", "--cutoff", "2"], "largest allowed cutoff is 1"),
         # an --out under a regular file (this module) can never be made
         (["verify", "mass", "--out", os.path.join(__file__, "o")], "which is not a directory"),
@@ -597,6 +629,10 @@ _LABEL_3 = {"group": "torus:1", "entries": [{"label": [3], "matrix": [[[1.0, 0.0
         (["invert", "--coeffs", "missing/coeffs.json", "--points", [[0.3]]], "No such file or directory: 'missing/coeffs.json'"),
         (["invert", "--coeffs", _LABEL_3, "--points", "missing/points.json"], "No such file or directory: 'missing/points.json'"),
         (["verify", "mass", "--config", "missing/config.json"], "No such file or directory: 'missing/config.json'"),
+        # (2 pi)^r, vol K, passes the double range past torus rank 386
+        (["verify", "mass", "--group", "torus:400", "--tau", "4"], "torus rank must be in 1..386"),
+        (["report", "lattice", "--group", "torus:387"], "torus rank must be in 1..386"),
+        (["verify", "toeplitz", "--group", "torus:400", "--cutoff", "1"], "torus rank must be in 1..386"),
     ],
 )
 def test_bad_input_exits_2_before_work(tmp_path, capsys, args, message):

@@ -24,6 +24,10 @@ def test_parse_group():
     assert parse_group("su2") == su2()
     with pytest.raises(ValueError):
         parse_group("so3")
+    # vol K = (2 pi)^r is a finite double at rank 386 and overflows at 387
+    assert math.isfinite(parse_group("torus:386").volume) and parse_group("torus:386").volume * 2 * math.pi == math.inf
+    with pytest.raises(ValueError, match=r"in 1\.\.386"):
+        parse_group("torus:387")
 
 
 def test_spec_constants():
