@@ -66,9 +66,9 @@ class RunConfig:
         The basis suites write their rows a block at a time, so no row
         outlives its block: MAX_ENTRIES bounds the work and the report of
         one t, not a memory estimate.  Unitarity on torus:4 at cutoff 15
-        (923,521 entries) takes 12 s, peaks at 132 MB and writes 123 MB of
-        CSV; su2 takes every cutoff, and at 64 (89,440 entries) unitarity
-        peaks near 49 MB (one fresh process, one BLAS thread)."""
+        (923,521 entries) takes 13-14 s, peaks near 45 MB and writes
+        123 MB of CSV; su2 takes every cutoff, and at 64 (89,440 entries)
+        unitarity peaks near 39 MB (one fresh process, one BLAS thread)."""
         for f in fields(self):
             value, kind = getattr(self, f.name), f.metadata["kind"]
             if value is None and f.default is None:

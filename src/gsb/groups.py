@@ -14,6 +14,7 @@ the metric conventions are fixed here once:
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -105,21 +106,18 @@ def parse_group(text: str) -> GroupSpec:
     raise ValueError(f"cannot parse group {text!r}")
 
 
-def enumerate_irreps(spec: GroupSpec, cutoff: int) -> list:
-    """All irrep labels up to the cutoff, in deterministic sorted order.
+def enumerate_irreps(spec: GroupSpec, cutoff: int):
+    """All irrep labels up to the cutoff, lazily, in deterministic sorted order.
 
-    Torus: integer vectors n with max|n_i| <= cutoff.  SU(2): dimensions
-    1..cutoff.
+    Torus: integer vectors n with max|n_i| <= cutoff, as an iterator (the
+    (2 cutoff + 1)^r labels are never held at once).  SU(2): the range of
+    dimensions 1..cutoff.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     if spec.kind == "su2":
-        return list(range(1, cutoff + 1))
-    axes = [range(-cutoff, cutoff + 1)] * spec.rank
-    out = [()]
-    for ax in axes:
-        out = [prev + (n,) for prev in out for n in ax]
-    return sorted(out)
+        return range(1, cutoff + 1)
+    return itertools.product(range(-cutoff, cutoff + 1), repeat=spec.rank)
 
 
 def irrep_dim(spec: GroupSpec, label) -> int:

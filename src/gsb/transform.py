@@ -115,7 +115,6 @@ class AxisWeight:
         return ys[:, self.axis] * self.radial(np.sum(ys**2, axis=1))
 
 
-@lru_cache(maxsize=1024)
 def _schur_profiles(t: float, level: int, m: int, lam: float):
     """Radial rule for irrep m of SU(2), blocks damped by e^{-lam t/2}, with the
     sphere means folded in: (r, a, b) such that, for a radial factor rho(u), u = |Y|^2,
@@ -140,8 +139,6 @@ def _schur_profiles(t: float, level: int, m: int, lam: float):
     b = np.zeros(r.shape, dtype=complex)
     if m > 1:
         b = (2j / (m * (m * m - 1))) * np.repeat(ks, level) * w * r
-    for arr in (r, a, b):
-        arr.setflags(write=False)
     return r, a, b
 
 

@@ -9,9 +9,6 @@ is read as source here, not imported, so the test writes nothing there.
 import ast
 import importlib
 import inspect
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -53,12 +50,9 @@ def test_traced_arguments_exist(module, attr, names):
     assert names <= set(inspect.signature(_resolve(module, attr)).parameters)
 
 
-def test_import_cli_registers_every_traced_module():
+def test_import_cli_registers_every_traced_module(fresh):
     # Tracer.install reads sys.modules["gsb.<module>"] for each layer after
     # `import gsb.cli`, whether or not the module's code has run yet
-    modules = sorted({f"gsb.{module}" for module, _ in _layers()})
-    script = f"import sys, gsb.cli\nprint([m for m in {modules!r} if m not in sys.modules])"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH", "")) if p))
-    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    floor = fresh[""]
+    assert floor.code == 0, floor.err
+    assert sorted({f"gsb.{module}" for module, _ in _layers()} - set(floor.gsb)) == []

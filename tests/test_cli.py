@@ -3,39 +3,36 @@ import json
 import math
 import os
 import re
-import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+def _main_in_process(args, capsys):
+    from gsb.cli import main
+
+    code = main(args)
+    return code, capsys.readouterr()
 
 
-def child_env():
-    # a child runs in its own cwd, so the package path must be absolute
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH", "")) if p))
+def test_verify_mass_passes(tmp_path, capsys):
+    out = tmp_path / "o"
+    code, captured = _main_in_process(["verify", "mass", "--group", "torus:1", "--t", "0.5,1", "--out", str(out)], capsys)
+    assert code == 0, captured.err
+    assert "PASS" in captured.out
+    assert (out / "verify_mass_torus-1_t0.5.csv").exists()
 
 
-def run_cli(args, cwd):
-    return subprocess.run([sys.executable, "-m", "gsb.cli", *args], cwd=cwd, capture_output=True, text=True, env=child_env())
-
-
-def test_verify_mass_passes(tmp_path):
-    r = run_cli(["verify", "mass", "--group", "torus:1", "--t", "0.5,1", "--out", "o"], tmp_path)
-    assert r.returncode == 0, r.stderr
-    assert "PASS" in r.stdout
-    assert (tmp_path / "o" / "verify_mass_torus-1_t0.5.csv").exists()
-
-
-def test_outputs_deterministic(tmp_path):
-    args = ["verify", "mass", "--group", "su2", "--t", "1", "--seed", "7"]
-    run_cli([*args, "--out", "a"], tmp_path)
-    run_cli([*args, "--out", "b"], tmp_path)
-    fa = (tmp_path / "a" / "verify_mass_su2_t1.csv").read_bytes()
-    fb = (tmp_path / "b" / "verify_mass_su2_t1.csv").read_bytes()
-    assert fa == fb
+def test_outputs_deterministic(fresh):
+    # `python -m gsb.cli` exits 0 on a passing run, and the sampled suite
+    # writes the bytes of the probed run in another process
+    entry, probed = fresh["-m gsb.cli verify reproducing --group su2"], fresh["verify reproducing --group su2"]
+    assert entry.code == 0, entry.err
+    assert entry.out.splitlines()[-1] == "reproducing: PASS"
+    name = "verify_reproducing_su2_t1.csv"
+    assert (entry.cwd / "o" / name).read_bytes() == (probed.cwd / "o" / name).read_bytes()
 
 
 SUITE_NAMES = ["unitarity", "mass", "reproducing", "sobolev-isometry", "kernel-tworoute", "toeplitz", "weighted-norm"]
@@ -50,43 +47,45 @@ def test_impossible_tolerance_fails(tmp_path, capsys, suite):
     assert captured.out.splitlines()[-1] == f"{suite}: FAIL"
 
 
-def test_malformed_config_exits_2(tmp_path):
+def test_malformed_config_exits_2(tmp_path, capsys):
     # a file that is not JSON, and one that is not even UTF-8 text
     bad = tmp_path / "cfg.json"
     for content in (b"{not json", b"\xff\xfe{"):
         bad.write_bytes(content)
-        r = run_cli(["verify", "mass", "--config", str(bad), "--out", "o"], tmp_path)
-        assert r.returncode == 2
-        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+        code, captured = _main_in_process(["verify", "mass", "--config", str(bad), "--out", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
 
-def test_unknown_config_key_exits_2(tmp_path):
+def test_unknown_config_key_exits_2(tmp_path, capsys):
     bad = tmp_path / "cfg.json"
     bad.write_text(json.dumps({"group": "su2", "bogus": 1}))
-    r = run_cli(["verify", "mass", "--config", str(bad), "--out", "o"], tmp_path)
-    assert r.returncode == 2
-    assert "bogus" in (r.stderr + r.stdout)
+    code, captured = _main_in_process(["verify", "mass", "--config", str(bad), "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert "bogus" in (captured.err + captured.out)
 
 
-def test_invalid_group_exits_2(tmp_path):
-    r = run_cli(["verify", "mass", "--group", "so3"], tmp_path)
-    assert r.returncode == 2
+def test_invalid_group_exits_2(fresh):
+    # `python -m gsb.cli` exits with main's 2 on bad input
+    run = fresh["-m gsb.cli verify mass --group so3"]
+    assert run.code == 2
+    assert run.err.startswith("error: ") and run.err.count("\n") == 1
+    assert not (run.cwd / "o").exists()
 
 
-def test_symbol_report(tmp_path):
-    r = run_cli(
-        ["report", "symbol", "--group", "su2", "--t", "1", "--n", "1,2", "--fmt", "json", "--out", "o"],
-        tmp_path,
-    )
-    assert r.returncode == 0, r.stderr
-    files = list((tmp_path / "o").glob("*.json"))
+def test_symbol_report(tmp_path, capsys):
+    out = tmp_path / "o"
+    args = ["report", "symbol", "--group", "su2", "--t", "1", "--n", "1,2", "--fmt", "json", "--out", str(out)]
+    code, captured = _main_in_process(args, capsys)
+    assert code == 0, captured.err
+    files = list(out.glob("*.json"))
     assert files
     rows = json.loads(files[0].read_text())
     assert any(int(row["degree"]) == 2 for row in rows)
 
 
-def test_invert_roundtrip(tmp_path):
+def test_invert_roundtrip(tmp_path, capsys):
     coeffs = {
         "group": "torus:1",
         "entries": [
@@ -97,39 +96,35 @@ def test_invert_roundtrip(tmp_path):
     pts = [[0.0], [1.1], [2.5]]
     (tmp_path / "c.json").write_text(json.dumps(coeffs))
     (tmp_path / "p.json").write_text(json.dumps(pts))
-    r = run_cli(
-        ["invert", "--coeffs", "c.json", "--points", "p.json", "--group", "torus:1", "--t", "1", "--out", "o"],
-        tmp_path,
-    )
-    assert r.returncode == 0, r.stderr
+    args = ["invert", "--coeffs", str(tmp_path / "c.json"), "--points", str(tmp_path / "p.json"), "--group", "torus:1"]
+    code, captured = _main_in_process([*args, "--t", "1", "--out", str(tmp_path / "o")], capsys)
+    assert code == 0, captured.err
     csv = list((tmp_path / "o").glob("invert*")).pop().read_text()
     lines = csv.strip().splitlines()
     assert len(lines) == 1 + len(pts)
 
 
-def test_invert_empty_points(tmp_path):
+def test_invert_empty_points(tmp_path, capsys):
     # an empty point list is bad input: no header-only report
-    (tmp_path / "c.json").write_text(json.dumps({"group": "su2", "entries": []}))
-    (tmp_path / "p.json").write_text("[]")
-    r = run_cli(
-        ["invert", "--coeffs", "c.json", "--points", "p.json", "--group", "su2", "--t", "1", "--out", "o"],
-        tmp_path,
-    )
-    assert r.returncode == 2
-    assert r.stderr.startswith("error: ")
+    coeffs, pts = tmp_path / "c.json", tmp_path / "p.json"
+    coeffs.write_text(json.dumps({"group": "su2", "entries": []}))
+    pts.write_text("[]")
+    args = ["invert", "--coeffs", str(coeffs), "--points", str(pts), "--group", "su2", "--t", "1", "--out", str(tmp_path / "o")]
+    code, captured = _main_in_process(args, capsys)
+    assert code == 2
+    assert captured.err.startswith("error: ")
     assert not (tmp_path / "o").exists()
 
 
-def test_invert_malformed_coeffs_exits_2(tmp_path):
+def test_invert_malformed_coeffs_exits_2(tmp_path, capsys):
     # a block with no matrix, and a block holding NaN (JSON's NaN token)
+    coeffs, pts = tmp_path / "c.json", tmp_path / "p.json"
     for entry in ({"label": 99}, {"label": 1, "matrix": [[[math.nan, 0.0]]]}):
-        (tmp_path / "c.json").write_text(json.dumps({"group": "su2", "entries": [entry]}))
-        (tmp_path / "p.json").write_text("[[0.1, 0.2, 0.3]]")
-        r = run_cli(
-            ["invert", "--coeffs", "c.json", "--points", "p.json", "--group", "su2", "--t", "1", "--out", "o"],
-            tmp_path,
-        )
-        assert r.returncode == 2
+        coeffs.write_text(json.dumps({"group": "su2", "entries": [entry]}))
+        pts.write_text("[[0.1, 0.2, 0.3]]")
+        args = ["invert", "--coeffs", str(coeffs), "--points", str(pts), "--group", "su2", "--t", "1"]
+        code, captured = _main_in_process([*args, "--out", str(tmp_path / "o")], capsys)
+        assert code == 2, captured.err
         assert not (tmp_path / "o").exists()
 
 
@@ -151,24 +146,18 @@ def test_invert_malformed_points_exits_2(tmp_path, capsys, group, points):
     assert not (tmp_path / "o").exists()
 
 
-def test_su2_unitarity_high_irreps_tight_gaps(tmp_path):
+def test_su2_unitarity_high_irreps_tight_gaps(tmp_path, capsys):
     # irreps up to m = 16 at t = 2 peak far from t/2; each radial term is
     # integrated on a rule centred at its own peak, so every gap is tiny
-    args = ["verify", "unitarity", "--group", "su2", "--t", "2", "--cutoff", "16", "--out", "o"]
-    r = run_cli(args, tmp_path)
-    assert r.returncode == 0, r.stderr
-    assert "PASS" in r.stdout
-    with open(tmp_path / "o" / "verify_unitarity_su2_t2.csv", newline="") as fp:
+    out = tmp_path / "o"
+    args = ["verify", "unitarity", "--group", "su2", "--t", "2", "--cutoff", "16", "--out", str(out)]
+    code, captured = _main_in_process(args, capsys)
+    assert code == 0, captured.err
+    assert "PASS" in captured.out
+    with open(out / "verify_unitarity_su2_t2.csv", newline="") as fp:
         rows = list(csv.DictReader(fp))
     assert len(rows) == sum(m * m for m in range(1, 17))
     assert all(row["pass"] == "1" and float(row["gap"]) <= 1e-10 for row in rows)
-
-
-def _main_in_process(args, capsys):
-    from gsb.cli import main
-
-    code = main(args)
-    return code, capsys.readouterr()
 
 
 def test_kernel_tworoute_composes_each_point_once(tmp_path, capsys, monkeypatch):
@@ -380,100 +369,62 @@ def test_reproducing_forms_each_label_trace_once(tmp_path, capsys, monkeypatch):
         assert len(calls) == 5
 
 
-def test_no_command_imports_numpy_random(tmp_path):
+def test_no_command_imports_numpy_random(fresh):
     # numpy.random (with secrets, hashlib and OpenSSL) adds about 6 MB to a
     # process; the sampled suites draw from the stdlib's random.Random
     from gsb.cli import REPORT_COLUMNS
     from gsb.suites import SUITES
 
-    commands = []
-    for group, label, point in (("torus:1", [1], [0.3]), ("su2", 2, [0.3, 0.5, 0.7])):
-        d = 1 if group.startswith("torus") else label
-        coeffs, points = tmp_path / f"c_{d}.json", tmp_path / f"p_{d}.json"
-        matrix = [[[1.0 if i == j else 0.0, 0.0] for j in range(d)] for i in range(d)]
-        coeffs.write_text(json.dumps({"group": group, "entries": [{"label": label, "matrix": matrix}]}))
-        points.write_text(json.dumps([point]))
-        flags = ["--group", group, "--out", "o"]
-        commands += [["verify", suite, *flags] for suite in SUITES]
-        commands += [["report", kind, *flags] for kind in REPORT_COLUMNS]
-        commands.append(["invert", "--coeffs", str(coeffs), "--points", str(points), *flags])
-    code = (
-        "import json, sys\n"
-        "from gsb.cli import main\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    print('exit', main(argv), 'numpy.random' in sys.modules, *argv[:2])\n"
-    )
-    r = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(commands)], cwd=tmp_path, capture_output=True, text=True, env=child_env()
-    )
-    assert r.returncode == 0, r.stderr
-    seen = [line.split() for line in r.stdout.splitlines() if line.startswith("exit ")]
-    assert len(seen) == len(commands) == 24
-    assert all(exit_code == "0" and loaded == "False" for _, exit_code, loaded, *_ in seen), seen
+    commands = [*(f"verify {suite}" for suite in SUITES), *(f"report {kind}" for kind in REPORT_COLUMNS)]
+    commands.append("invert --coeffs c.json --points p.json")
+    runs = {line: fresh[line] for line in (f"{command} --group {group}" for command in commands for group in ("torus:1", "su2"))}
+    assert len(runs) == 24
+    assert {command: (run.code, "numpy.random" in run.loaded) for command, run in runs.items()} == dict.fromkeys(runs, (0, False))
 
 
-# A child's ru_maxrss is at least the peak of the process it was spawned
-# from (the kernel carries the spawning address space's high-water mark
-# across exec), so each child is started by a small launcher, not by the
-# test process, which holds numpy and scipy.  The launcher caps the child's
-# address space at 2 GiB, so a runaway allocation ends in a MemoryError
-# within seconds instead of taking the machine's memory, and gives it one
-# BLAS thread, as OpenBLAS maps a buffer per thread and the cap would
-# otherwise depend on the core count.
-_LAUNCH = (
-    "import os, resource, subprocess, sys\n"
-    "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-    "env = dict(os.environ, OPENBLAS_NUM_THREADS='1', OMP_NUM_THREADS='1')\n"
-    "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, env=env)\n"
-    "_, status, usage = os.wait4(p.pid, 0)\n"
-    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
-)
-
-
-def _peak_rss_mb(argv, cwd):
-    """Exit code and peak RSS (MB) of a fresh `python argv` process."""
-    r = subprocess.run(
-        [sys.executable, "-c", _LAUNCH, sys.executable, *argv], cwd=cwd, capture_output=True, text=True, env=child_env()
-    )
-    assert r.returncode == 0, r.stderr
-    code, kb = r.stdout.split()
-    return int(code), int(kb) / 1024.0
-
-
-def test_pointwise_commands_stay_near_the_import_floor(tmp_path):
+def test_pointwise_commands_stay_near_the_import_floor(fresh):
     # the smoothness grid is one character series, the sampled suites draw
     # without numpy.random and a chamber lattice sum is a product of 1-D
     # theta series, so no command holds more than a few MB beyond
     # `import gsb.cli`
-    _, floor = _peak_rss_mb(["-c", "import gsb.cli"], tmp_path)
-    # the su2-pointwise benchmark workload's two largest commands
-    base = ["--group", "su2", "--cutoff", "4", "--out", "o"]
+    floor = fresh[""].peak_mb
     commands = {
-        "smoothness": ["report", "smoothness", *base, "--t", "1", "--n", "1,2"],
-        "kernel-tworoute": ["verify", "kernel-tworoute", *base, "--t", "0.25,0.5,1,2", "--n", "1,2,3", "--seed", "0"],
-        "lattice": ["report", "lattice", "--group", "torus:3", "--out", "o"],
-        "bounds": ["report", "bounds", "--group", "torus:3", "--out", "o"],
+        # the su2-pointwise benchmark workload's two largest commands (its
+        # smoothness flags --cutoff 4 --t 1 --n 1,2 are the defaults)
+        "smoothness": "report smoothness --group su2",
+        "kernel-tworoute": "verify kernel-tworoute --group su2 --cutoff 4 --t 0.25,0.5,1,2 --n 1,2,3 --seed 0",
+        "lattice": "report lattice --group torus:3",
+        "bounds": "report bounds --group torus:3",
         # the spectral route sums |n|^2 shells, not the 9^4-label box
-        "kernel-tworoute torus:4": ["verify", "kernel-tworoute", "--group", "torus:4", "--out", "o"],
+        "kernel-tworoute torus:4": "verify kernel-tworoute --group torus:4",
     }
-    for name, argv in commands.items():
-        code, peak = _peak_rss_mb(["-m", "gsb.cli", *argv], tmp_path)
-        assert code == 0, name
-        assert peak <= floor + 5.0, f"{name}: {peak:.1f} MB against an import floor of {floor:.1f} MB"
+    for name, command in commands.items():
+        run = fresh[command]
+        assert run.code == 0, (name, run.err)
+        assert run.peak_mb <= floor + 5.0, f"{name}: {run.peak_mb:.1f} MB against an import floor of {floor:.1f} MB"
 
 
-def test_basis_suites_stream_their_rows(tmp_path):
+def test_basis_suites_stream_their_rows(fresh):
     # holo_inner takes each matrix entry as indices and a scale, and the
     # report takes the rows a block at a time, so the 88,560 rows of su2
     # cutoff 40 at four orders cost neither sum d^4 block entries nor a
     # held row each
-    _, floor = _peak_rss_mb(["-c", "import gsb.cli"], tmp_path)
-    argv = ["verify", "sobolev-isometry", "--group", "su2", "--cutoff", "40", "--n", "1,2,3,4", "--out", "o"]
-    code, peak = _peak_rss_mb(["-m", "gsb.cli", *argv], tmp_path)
-    assert code == 0
-    with open(tmp_path / "o" / "verify_sobolev-isometry_su2_t1.csv", newline="") as fp:
+    floor = fresh[""].peak_mb
+    run = fresh["verify sobolev-isometry --group su2 --cutoff 40 --n 1,2,3,4"]
+    assert run.code == 0, run.err
+    with open(run.cwd / "o" / "verify_sobolev-isometry_su2_t1.csv", newline="") as fp:
         assert sum(1 for _ in fp) == 1 + 88_560
-    assert peak <= floor + 16.0, f"{peak:.1f} MB against an import floor of {floor:.1f} MB"
+    assert run.peak_mb <= floor + 16.0, f"{run.peak_mb:.1f} MB against an import floor of {floor:.1f} MB"
+
+
+def test_basis_suites_keep_no_radial_rule_past_its_t(fresh):
+    # _profile_sum keeps each (level, m) sum, not the su2 radial rule behind
+    # it, so four t values at cutoff 40 hold no more than one does
+    floor = fresh[""].peak_mb
+    run = fresh["verify unitarity --group su2 --cutoff 40 --t 0.5,1,2,4"]
+    assert run.code == 0, run.err
+    assert run.out.splitlines()[-1] == "unitarity: PASS"
+    assert run.peak_mb <= floor + 16.0, f"{run.peak_mb:.1f} MB against an import floor of {floor:.1f} MB"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -530,15 +481,14 @@ def test_a_run_that_fails_after_its_first_block_leaves_no_report(tmp_path, capsy
     assert sorted(os.listdir(out)) == ["kept.csv"] if existing else not out.exists()
 
 
-def test_report_smoothness_stays_small_at_large_cutoffs(tmp_path):
+def test_report_smoothness_stays_small_at_large_cutoffs(fresh):
     # F is one character series per grid, so neither the 64 labels of su2
     # (the largest a 64 x 64 representation batch) nor the 17^4 of torus:4
     # at cutoff 8 is formed one by one
     for group, cutoff in (("su2", 64), ("torus:4", 8)):
-        argv = ["report", "smoothness", "--group", group, "--cutoff", str(cutoff), "--out", f"o-{group.replace(':', '-')}"]
-        code, peak = _peak_rss_mb(["-m", "gsb.cli", *argv], tmp_path)
-        assert code == 0, group
-        assert peak < 40.0, f"{group}: {peak:.1f} MB"
+        run = fresh[f"report smoothness --group {group} --cutoff {cutoff}"]
+        assert run.code == 0, (group, run.err)
+        assert run.peak_mb < 40.0, f"{group}: {run.peak_mb:.1f} MB"
 
 
 def test_validate_takes_the_su2_basis_suites_at_the_largest_cutoff():
@@ -782,16 +732,11 @@ def test_verify_mass_sees_every_coordinate(tmp_path, capsys, monkeypatch, group)
     assert "mass: FAIL" in captured.out
 
 
-def test_symbols_need_no_sympy(tmp_path):
-    script = (
-        "import sys\n"
-        "from gsb.cli import main\n"
-        f"assert main(['report', 'symbol', '--group', 'su2', '--out', {str(tmp_path)!r}]) == 0\n"
-        f"assert main(['verify', 'toeplitz', '--group', 'su2', '--cutoff', '1', '--out', {str(tmp_path)!r}]) == 0\n"
-        "assert 'sympy' not in sys.modules\n"
-    )
-    r = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, env=child_env())
-    assert r.returncode == 0, r.stderr
+def test_symbols_need_no_sympy(fresh):
+    for command in ("report symbol --group su2", "verify toeplitz --group su2 --cutoff 1"):
+        run = fresh[command]
+        assert run.code == 0, (command, run.err)
+        assert "sympy" not in run.loaded, command
 
 
 @pytest.mark.parametrize("group", ["torus:3", "su2", "torus:1", "torus:8"])
@@ -807,23 +752,18 @@ def test_mass_evaluates_density_once_per_level(tmp_path, capsys, monkeypatch, gr
     assert calls == [16, 24]
 
 
-def test_commands_need_no_scipy(tmp_path):
-    coeffs = {"group": "torus:1", "entries": [{"label": [1], "matrix": [[[1.0, 0.0]]]}]}
-    (tmp_path / "c.json").write_text(json.dumps(coeffs))
-    (tmp_path / "p.json").write_text(json.dumps([[0.3]]))
-    out = str(tmp_path / "o")
-    runs = [
-        ["verify", "reproducing", "--group", "su2", "--cutoff", "2", "--levels", "16,24"],
-        ["verify", "unitarity", "--group", "torus:2", "--cutoff", "2"],
-        ["report", "lattice", "--group", "su2"],
-        ["report", "bounds", "--group", "su2"],
-        ["invert", "--group", "torus:1", "--coeffs", "c.json", "--points", "p.json"],
+def test_commands_need_no_scipy(fresh):
+    commands = [
+        "verify reproducing --group su2 --cutoff 2 --levels 16,24",
+        "verify unitarity --group torus:2 --cutoff 2",
+        "report lattice --group su2",
+        "report bounds --group su2",
+        "invert --coeffs c.json --points p.json --group torus:1",
     ]
-    script = "import sys\nfrom gsb.cli import main\n" + "".join(
-        f"assert main({[*args, '--out', out]!r}) == 0\n" for args in runs
-    ) + "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules), sorted(sys.modules)\n"
-    r = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, env=child_env())
-    assert r.returncode == 0, r.stderr
+    for command in commands:
+        run = fresh[command]
+        assert run.code == 0, (command, run.err)
+        assert "scipy" not in run.loaded, command
 
 
 def test_torus_unitarity_builds_no_tensor_rule(tmp_path, capsys, monkeypatch):
@@ -885,29 +825,30 @@ def test_report_and_invert_write_one_file_per_t(tmp_path, capsys):
         assert paths[0].read_bytes() != paths[1].read_bytes()
 
 
-def test_report_bounds_alpha_underflow_exits_1_without_traceback(tmp_path):
+def test_report_bounds_alpha_underflow_exits_1_without_traceback(fresh):
     # t^2 underflows to 0 at t = 1e-300 on torus:4, so alpha_t is no finite
-    # double: one error line naming t, exit 1, and no report
-    r = run_cli(["report", "bounds", "--group", "torus:4", "--t", "1e-300", "--out", "o"], tmp_path)
-    assert r.returncode == 1
-    assert "Traceback" not in r.stderr
-    assert r.stderr.startswith("error: FloatingPointError: ") and r.stderr.count("\n") == 1
-    assert "t = 1e-300" in r.stderr
-    assert not (tmp_path / "o").exists()
+    # double: `python -m gsb.cli` prints one error line naming t, exits 1
+    # and writes no report
+    run = fresh["-m gsb.cli report bounds --group torus:4 --t 1e-300"]
+    assert run.code == 1
+    assert "Traceback" not in run.err
+    assert run.err.startswith("error: FloatingPointError: ") and run.err.count("\n") == 1
+    assert "t = 1e-300" in run.err
+    assert not (run.cwd / "o").exists()
 
 
 @pytest.mark.parametrize("group", ["su2", "torus:2"])
-def test_report_bounds_numeric_failure_exits_1_without_traceback(tmp_path, group):
+def test_report_bounds_numeric_failure_exits_1_without_traceback(tmp_path, capsys, group):
     # at t = 0.01 the heat series at the grid's largest |Y| leaves the double
     # range (or no cutoff bounds its tail): one error line, exit 1
-    r = run_cli(["report", "bounds", "--group", group, "--t", "0.01", "--out", "o"], tmp_path)
-    assert r.returncode == 1
-    assert "Traceback" not in r.stderr
-    assert [line for line in r.stderr.splitlines() if line] == [r.stderr.strip()]
-    assert r.stderr.startswith("error: ")
+    code, captured = _main_in_process(["report", "bounds", "--group", group, "--t", "0.01", "--out", str(tmp_path / "o")], capsys)
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert [line for line in captured.err.splitlines() if line] == [captured.err.strip()]
+    assert captured.err.startswith("error: ")
     # the line names the series, its cutoff, the smallest t (the kernel of
     # tau = t is rho_{2 tau}) and the largest |Y| (2 x the grid radius 4)
-    line = r.stderr.strip()
+    line = captured.err.strip()
     assert "heat series" in line
     assert re.search(r"cutoff \d+", line), line
     assert "smallest t 0.02" in line

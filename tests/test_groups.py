@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,10 +43,27 @@ def test_spec_constants():
 
 
 def test_enumerate_irreps_sorted():
-    labels = enumerate_irreps(torus(2), 1)
+    labels = list(enumerate_irreps(torus(2), 1))
     assert len(labels) == 9
     assert labels == sorted(labels)
-    assert enumerate_irreps(su2(), 4) == [1, 2, 3, 4]
+    assert list(enumerate_irreps(su2(), 4)) == [1, 2, 3, 4]
+
+
+def test_the_first_basis_block_holds_no_label_list():
+    # the labels come one at a time, so the first block of the 21^4 labels
+    # of torus:4 at cutoff 10 costs its own 4,096 entries, not a sorted
+    # list of every label (18 MB)
+    from gsb.suites import BLOCK, _basis
+
+    tracemalloc.start()
+    try:
+        block = next(_basis(torus(4), 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(block) == BLOCK
+    assert block[0][1] == ((-10, -10, -10, -10), 0, 0)
+    assert peak < 2 * 2**20, f"{peak / 2**20:.1f} MB"
 
 
 def test_eigenvalues():

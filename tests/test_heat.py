@@ -197,7 +197,7 @@ def test_weighted_torus_series_matches_the_label_box_sum(rank):
     rng = np.random.default_rng(rank)
     g = rng.uniform(0.0, 2 * math.pi, (5, rank)) + 1j * rng.uniform(-1.0, 1.0, (5, rank))
     for cutoff in (1, 2, 3, 5, 8):
-        labels = np.array(enumerate_irreps(spec, cutoff))
+        labels = np.array(list(enumerate_irreps(spec, cutoff)))
         for tau in (np.asarray(0.2), np.asarray(2.0)):
             for n in (1, 2):
                 weight = lambda lam: (1.25 + lam) ** (-2 * n)

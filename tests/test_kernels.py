@@ -204,7 +204,7 @@ def test_reproduce_check_batch_equals_one_point_calls(spec):
     # one, bit for bit
     rng = np.random.default_rng(11)
     draw = random.Random(11)
-    labels = enumerate_irreps(spec, 2)
+    labels = list(enumerate_irreps(spec, 2))
     Fs = []
     for _ in range(3):
         blocks = {}

@@ -1,6 +1,7 @@
 import math
 from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -36,25 +37,32 @@ def test_symbol_phi1_su2_closed_form():
     assert sym.coefficients == pytest.approx((3.0 - 0.75 - 0.25, 0.25))
 
 
-def _recursion_symbol(spec, t, c, n):
-    """phi_n by the product rule phi_n nu_t = (c + d/dt)^n nu_t, run exactly:
+@lru_cache(maxsize=None)
+def _recursion_terms(spec, n):
+    """q_n of the product rule phi_n nu_t = (c + d/dt)^n nu_t, run exactly:
     q_0 = 1, q_{k+1} = c q_k + dq_k/dt + q_k (-d/(2t) - |delta|^2 + u/t^2) on
     {(power of u, power of c, power of s): Fraction} dicts, s = 1/t (so d/dt
-    s^e = -e s^{e+1}); each coefficient evaluated at (t, c), rounded once."""
+    s^e = -e s^{e+1}).  It holds neither t nor c, so each order is run once."""
+    if n == 0:
+        return {(0, 0, 0): Fraction(1)}
     half_dim, dsq = Fraction(spec.dim, 2), Fraction(spec.delta_sq)
-    q = {(0, 0, 0): Fraction(1)}
-    for _ in range(n):
-        nxt = defaultdict(Fraction)
-        for (a, b, e), x in q.items():
-            nxt[a, b + 1, e] += x  # c q
-            nxt[a, b, e + 1] -= (e + half_dim) * x  # dq/dt - d/(2t) q
-            nxt[a, b, e] -= dsq * x  # -|delta|^2 q
-            nxt[a + 1, b, e + 2] += x  # u/t^2 q
-        q = {key: x for key, x in nxt.items() if x}
+    nxt = defaultdict(Fraction)
+    for (a, b, e), x in _recursion_terms(spec, n - 1).items():
+        nxt[a, b + 1, e] += x  # c q
+        nxt[a, b, e + 1] -= (e + half_dim) * x  # dq/dt - d/(2t) q
+        nxt[a, b, e] -= dsq * x  # -|delta|^2 q
+        nxt[a + 1, b, e + 2] += x  # u/t^2 q
+    return {key: x for key, x in nxt.items() if x}
+
+
+def _recursion_symbol(spec, t, c, n):
+    """phi_n by the product rule (_recursion_terms), each coefficient
+    evaluated exactly at (t, c) and rounded once."""
     s, cf = 1 / Fraction(t), Fraction(c)
+    s_pow, c_pow = [s**e for e in range(2 * n + 1)], [cf**b for b in range(n + 1)]
     exact = [Fraction(0)] * (n + 1)
-    for (a, b, e), x in q.items():
-        exact[a] += x * cf**b * s**e
+    for (a, b, e), x in _recursion_terms(spec, n).items():
+        exact[a] += x * c_pow[b] * s_pow[e]
     return tuple(float(x) for x in exact)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gsb"
+TESTS = Path(__file__).resolve().parent
 
 
 def _exported(tree) -> set:
@@ -120,3 +121,16 @@ def test_main_alone_reports_bad_input():
 
     assert _sites(error_line) == {"cli.main"}
     assert _sites(catches_config_error) == {"cli.main"}
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("test_*.py")), ids=lambda path: path.name)
+def test_only_conftest_starts_processes(path):
+    # a fresh process is a record of conftest's launcher, started once per
+    # session, so no test module imports subprocess to start one of its own
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert "subprocess" not in imported

@@ -29,9 +29,9 @@ Q = QuadSpec(levels=LEVELS)
 RANKS = (1, 2, 3, 4)
 TIMES = (0.5, 1.0)
 # The unshifted tensor rule meets e^{-2 n_k y} (1 + |Y|^2)^4 on each axis and
-# needs about 40 nodes per axis for 1e-14 at n_k = 3, t = 1 (28 at n_k = 2);
+# needs about 40 nodes per axis for 1e-14 at n_k = 3, t = 1 (26 at n_k = 2);
 # on torus:4 the labels keep |n_k| <= 2 so that the oracle fits in memory.
-ORACLE_LEVEL = {1: 64, 2: 64, 3: 48, 4: 28}
+ORACLE_LEVEL = {1: 64, 2: 64, 3: 48, 4: 26}
 
 
 def _labels(rank, rng, count=6):
@@ -62,9 +62,9 @@ def _k_part(F1, F2):
 
 
 def _oracle(k_part, weight=None):
-    """int conj(F1) F2 weight dnu_t on the tensor rule."""
+    """int conj(F1) F2 weight dnu_t on the tensor rule, the weight given at its nodes."""
     rule, vals = k_part
-    return complex(np.dot(rule.weights, vals if weight is None else vals * weight(rule.nodes)))
+    return complex(np.dot(rule.weights, vals if weight is None else vals * weight))
 
 
 def _close(reduced, oracle, scale):
@@ -92,12 +92,14 @@ def test_holo_inner_matches_tensor_oracle(rank, t):
         axis = AxisWeight(k, lambda u: 1.0 + u)
         cases.append((axis, axis))
     k11, k22, k12 = _k_part(F1, F1), _k_part(F2, F2), _k_part(F1, F2)
+    nodes = k12[0].nodes  # the three share one rule
     for weight, node_weight in cases:
         res = holo_inner(F1.spec, t, entry_pairs(F1.coefs, F2.coefs), Q, weight=weight)
-        size = None if node_weight is None else (lambda ys, w=node_weight: np.abs(w(ys)))
+        at_nodes = None if node_weight is None else node_weight(nodes)
+        size = None if at_nodes is None else np.abs(at_nodes)
         # the Cauchy-Schwarz bound of the form, the size its rounding is judged by
         scale = math.sqrt(abs(_oracle(k11, size) * _oracle(k22, size)))
-        oracle = _oracle(k12, node_weight)
+        oracle = _oracle(k12, at_nodes)
         for level in res.by_level:
             _close(np.sum(level), oracle, scale)
 

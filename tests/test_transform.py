@@ -86,9 +86,9 @@ def test_holo_inner_weight_is_expectation():
 def _random_functions(spec, rng, count=4):
     # functions on overlapping random label sets, so pairs share one or more
     # labels, and one on a label of its own, which shares none
-    labels = enumerate_irreps(spec, 3)
+    labels = list(enumerate_irreps(spec, 3))
     label_sets = [[labels[k] for k in rng.choice(len(labels), size=2, replace=False)] for _ in range(count)]
-    label_sets.append([enumerate_irreps(spec, 4)[-1]])
+    label_sets.append([list(enumerate_irreps(spec, 4))[-1]])
     out = []
     for chosen in label_sets:
         blocks = {}
