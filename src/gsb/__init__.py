@@ -5,23 +5,18 @@ the complexification, heat kernels and the Gangolli density, the transform
 and its inversion integral, reproducing and Sobolev kernels, Toeplitz
 symbols, and lattice-sum/growth-functional bound diagnostics.
 
-The core modules (groups, coeffs, polar, quadrature, transform) load with
-the package.  heat, kernels, sobolev and bounds are registered lazily, as
-Scientific Python SPEC 1 describes: each is in sys.modules at once, and its
-code runs on the first attribute access, so a command that never uses one
-never compiles or runs it.  Their exported names resolve through the
-module __getattr__ below.  Before Python 3.12 LazyLoader takes no lock, so
-a threaded caller should touch each of them once before it starts threads.
+Every numerical module (groups, coeffs, polar, quadrature, transform, heat,
+kernels, sobolev, bounds and suites) is registered lazily, as Scientific
+Python SPEC 1 describes: each is in sys.modules at once, and its code runs
+on the first attribute access, so importing the package runs none of them
+(nor numpy), and a command that never uses one never compiles or runs it.
+The exported names resolve through the module __getattr__ below.  Before
+Python 3.12 LazyLoader takes no lock, so a threaded caller should touch
+each module it uses once before it starts threads.
 """
 
 import importlib.util
 import sys
-
-from .coeffs import CoefVec, basis_entry
-from .groups import GroupSpec, parse_group, su2, torus
-from .polar import abs_y, polar_compose
-from .quadrature import QuadResult, QuadSpec, integrate_laguerre
-from .transform import HoloFunc, ct_forward, ct_inverse_integral, holo_inner
 
 
 def _lazy(name: str):
@@ -33,26 +28,29 @@ def _lazy(name: str):
     return module
 
 
-heat, kernels, sobolev, bounds = (_lazy(name) for name in ("heat", "kernels", "sobolev", "bounds"))
-
-_EXPORTED_FROM = {
-    "log_nu_t": heat,
-    "rho_eval": heat,
-    "KernelQuery": kernels,
-    "k_sobolev_integral": kernels,
-    "k_sobolev_spectral": kernels,
-    "reproduce_check": kernels,
-    "PolyU": sobolev,
-    "laplacian_apply": sobolev,
-    "sobolev_norm": sobolev,
-    "toeplitz_symbol": sobolev,
+# module -> the names the package exports from it
+_EXPORTS = {
+    "groups": ("GroupSpec", "parse_group", "su2", "torus"),
+    "coeffs": ("CoefVec", "basis_entry"),
+    "polar": ("abs_y", "polar_compose"),
+    "quadrature": ("QuadResult", "QuadSpec", "integrate_laguerre"),
+    "transform": ("HoloFunc", "ct_forward", "ct_inverse_integral", "holo_inner"),
+    "heat": ("log_nu_t", "rho_eval"),
+    "kernels": ("KernelQuery", "k_sobolev_integral", "k_sobolev_spectral", "reproduce_check"),
+    "sobolev": ("PolyU", "laplacian_apply", "sobolev_norm", "toeplitz_symbol"),
+    "bounds": (),
+    "suites": (),
 }
+# the command line, gsb.cli, is not registered: `python -m gsb.cli` warns
+# when its module is in sys.modules before it runs
+groups, coeffs, polar, quadrature, transform, heat, kernels, sobolev, bounds, suites = map(_lazy, _EXPORTS)
+_EXPORTED_FROM = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
 def __getattr__(name: str):
     if name not in _EXPORTED_FROM:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(_EXPORTED_FROM[name], name)
+    return getattr(globals()[_EXPORTED_FROM[name]], name)
 
 
 __all__ = [

@@ -90,11 +90,13 @@ def _unit_directions(dim: int, n_angular: int) -> np.ndarray:
         ang = 2.0 * math.pi * np.arange(n_angular) / n_angular
         return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     if dim == 3:
-        ct = np.linspace(-1.0, 1.0, n_angular)
+        # n_angular azimuths on each circle of latitude between the poles;
+        # each pole is one direction
+        ct = np.linspace(-1.0, 1.0, n_angular)[1:-1]
         ph = 2.0 * math.pi * np.arange(n_angular) / n_angular
-        st = np.sqrt(np.clip(1.0 - ct**2, 0.0, None))
-        cols = (np.outer(st, np.cos(ph)), np.outer(st, np.sin(ph)), np.outer(ct, np.ones(n_angular)))
-        return np.stack([col.ravel() for col in cols], axis=-1)
+        st = np.sqrt(1.0 - ct**2)
+        circles = np.stack([np.outer(st, np.cos(ph)).ravel(), np.outer(st, np.sin(ph)).ravel(), np.repeat(ct, n_angular)], axis=-1)
+        return np.vstack([[0.0, 0.0, -1.0], circles, [0.0, 0.0, 1.0]])
     rng = random.Random(0)
     dirs = np.array([[rng.gauss(0.0, 1.0) for _ in range(dim)] for _ in range(n_angular * n_angular)])
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)

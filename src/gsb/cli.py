@@ -6,6 +6,10 @@ Exit codes: 0 all checks passed, 1 numeric failure, 2 usage/config error.
 Reports are CSV or JSON with locale-independent 17-significant-digit
 numbers, so repeated runs are byte-identical.  Each is written a block of
 rows at a time, as its command yields them.
+
+The numerical modules are reached by attribute when a command runs, and
+numpy is imported only where invert reads its files, so `import gsb.cli`,
+--help and a usage error run none of them (gsb/__init__.py).
 """
 
 from __future__ import annotations
@@ -20,15 +24,8 @@ from dataclasses import fields
 from itertools import repeat
 from operator import itemgetter
 
-import numpy as np
-
-from . import bounds, heat, sobolev
-from .coeffs import CoefVec
-from .config import ConfigError, RunConfig, _config_from_args
-from .groups import GroupSpec, parse_group, su2_euler
-from .quadrature import QuadSpec
-from .suites import SUITES
-from .transform import ct_forward, ct_inverse_integral, inversion_levels, inversion_radii
+from . import bounds, coeffs, groups, heat, quadrature, sobolev, suites, transform
+from .config import VERIFY_SUITES, ConfigError, RunConfig, _config_from_args
 
 REPORT_COLUMNS = {
     "bounds": ["tau", "max-ratio", "alpha_t", "chamber", "pass"],
@@ -135,7 +132,7 @@ def _write_reports(cfg: RunConfig, stem: str, columns, blocks_at, passed) -> int
 
 
 def cmd_verify(suite: str, cfg: RunConfig) -> int:
-    rows_fn, default_tol = SUITES[suite]
+    rows_fn, default_tol = suites.SUITES[suite]
     blocks_at = lambda t: rows_fn(cfg, t, cfg.tol(default_tol), cfg.quad())
     return _write_reports(cfg, f"verify_{suite}", VERIFY_COLUMNS, blocks_at, itemgetter(5))
 
@@ -166,13 +163,15 @@ def cmd_report(kind: str, cfg: RunConfig) -> int:
     return _write_reports(cfg, f"report_{kind}", REPORT_COLUMNS[kind], lambda t: [_report_rows(kind, cfg, t)], passed.get(kind, bool))
 
 
-def load_coefficients(path: str) -> CoefVec:
+def load_coefficients(path: str) -> coeffs.CoefVec:
     """Read {group, entries: [{label, matrix: rows of [re, im] pairs}]}."""
+    import numpy as np
+
     with open(path) as fp:
         data = json.load(fp)
     if not isinstance(data, dict) or "group" not in data or "entries" not in data:
         raise ConfigError("coefficient file needs 'group' and 'entries'")
-    spec = parse_group(data["group"])
+    spec = groups.parse_group(data["group"])
     blocks = {}
     for entry in data["entries"]:
         label = entry["label"]
@@ -187,17 +186,19 @@ def load_coefficients(path: str) -> CoefVec:
         if not np.all(np.isfinite(mat)):
             raise ConfigError(f"coefficient block {label} is not finite")
         blocks[label] = mat
-    return CoefVec(spec, blocks)
+    return coeffs.CoefVec(spec, blocks)
 
 
-def _parse_points(spec: GroupSpec, path: str):
+def _parse_points(spec: groups.GroupSpec, path: str):
+    import numpy as np
+
     with open(path) as fp:
         data = json.load(fp)
     # torus: one angle per axis; su2: Euler triples [phi, theta, psi]
     points = np.asarray(data, dtype=float).reshape(len(data), spec.dim)
     if not len(points) or not np.all(np.isfinite(points)):
         raise ConfigError("point file must hold a nonempty list of finite points")
-    return points if spec.kind == "torus" else su2_euler(*points.T)
+    return points if spec.kind == "torus" else groups.su2_euler(*points.T)
 
 
 def cmd_invert(cfg: RunConfig, coeff_path: str, points_path: str) -> int:
@@ -207,7 +208,7 @@ def cmd_invert(cfg: RunConfig, coeff_path: str, points_path: str) -> int:
             raise ConfigError("coefficient file group does not match --group")
         points = _parse_points(f.spec, points_path)
         # refuse a radius past |Y| = MAX_ABS_Y
-        inversion_radii(f.spec, max(cfg.t), f.support)
+        transform.inversion_radii(f.spec, max(cfg.t), f.support)
     except (KeyError, ValueError, TypeError, OSError) as exc:
         # a data file that is unreadable or malformed, or whose radius is refused
         raise ConfigError(str(exc)) from None
@@ -216,9 +217,9 @@ def cmd_invert(cfg: RunConfig, coeff_path: str, points_path: str) -> int:
     exact = f.eval_k_batch(points).tolist()
 
     def blocks_at(t):
-        radii = inversion_radii(f.spec, t, f.support)
-        q = QuadSpec(levels=inversion_levels(t, max(radii), cfg.levels))
-        (inner, outer), gap = ct_inverse_integral(ct_forward(f, t), points, radii, q)
+        radii = transform.inversion_radii(f.spec, t, f.support)
+        q = quadrature.QuadSpec(levels=transform.inversion_levels(t, max(radii), cfg.levels))
+        (inner, outer), gap = transform.ct_inverse_integral(transform.ct_forward(f, t), points, radii, q)
         rows = []
         for k, (a, rec, ex, g) in enumerate(zip(inner.tolist(), outer.tolist(), exact, gap.tolist())):
             stable, err = abs(rec - a) <= tol * max(1.0, abs(rec)), abs(rec - ex)
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override it")
 
     p_verify = sub.add_parser("verify", help="run a pass/fail verification suite")
-    p_verify.add_argument("suite", choices=SUITES)
+    p_verify.add_argument("suite", choices=VERIFY_SUITES)
     add_common(p_verify)
 
     p_report = sub.add_parser("report", help="emit a diagnostic table")

@@ -1,5 +1,6 @@
-"""Run configuration: the RunConfig fields and their flags, validation, and
-the size bound that validate holds the basis suites to.
+"""Run configuration: the RunConfig fields and their flags, validation, the
+verify suites' names, and the size bound that validate holds the basis
+suites to.
 
 Exit code 2 of the command line is a ConfigError: raised here, or by invert
 on a data file it cannot read or use.
@@ -13,10 +14,10 @@ import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
 
-from . import sobolev
-from .groups import GroupSpec, parse_group
-from .quadrature import MAX_ORDER, QuadSpec
+from . import groups, quadrature, sobolev
 
+# the verify suites, in the order gsb.suites.SUITES and the parser list them
+VERIFY_SUITES = ("unitarity", "mass", "reproducing", "sobolev-isometry", "kernel-tworoute", "toeplitz", "weighted-norm")
 BASIS_SUITES = ("unitarity", "sobolev-isometry", "weighted-norm")
 MAX_ENTRIES = 1 << 20  # the most matrix entries a basis suite checks at one t
 
@@ -99,8 +100,9 @@ class RunConfig:
                 f"tau values must lie in [{lo:.6g}, {hi:.6g}] on {self.group}, "
                 "where tau^(r/2) and the scaled lattice sum are finite doubles"
             )
-        if len(self.levels) < 2 or not all(2 <= lv <= MAX_ORDER for lv in self.levels):
-            raise ConfigError(f"need at least two quadrature levels, each in 2..{MAX_ORDER}")
+        max_order = quadrature.MAX_ORDER
+        if len(self.levels) < 2 or not all(2 <= lv <= max_order for lv in self.levels):
+            raise ConfigError(f"need at least two quadrature levels, each in 2..{max_order}")
         if self.c is not None and not 0 < self.c < math.inf:
             raise ConfigError("c must be positive and finite")
         if self.tolerance is not None and not 0 < self.tolerance < math.inf:
@@ -129,11 +131,11 @@ class RunConfig:
         return self
 
     @property
-    def spec(self) -> GroupSpec:
-        return parse_group(self.group)
+    def spec(self) -> groups.GroupSpec:
+        return groups.parse_group(self.group)
 
-    def quad(self) -> QuadSpec:
-        return QuadSpec(levels=tuple(self.levels))
+    def quad(self) -> quadrature.QuadSpec:
+        return quadrature.QuadSpec(levels=tuple(self.levels))
 
     def tol(self, default: float) -> float:
         """The configured tolerance, else the command's default."""
@@ -143,12 +145,12 @@ class RunConfig:
         """The configured Sobolev orders n >= 1 (n = 0 has no Sobolev identity to check)."""
         return [n for n in self.n if n >= 1]
 
-    def c_value(self, spec: GroupSpec, t: float, n: int) -> float:
+    def c_value(self, spec: groups.GroupSpec, t: float, n: int) -> float:
         """Configured c, or the positivity threshold of phi_max(n, 1)."""
         return self.c if self.c is not None else sobolev.symbol_positivity_threshold(spec, t, max(n, 1))
 
 
-def _tau_range(spec: GroupSpec) -> tuple:
+def _tau_range(spec: groups.GroupSpec) -> tuple:
     """(lo, hi) = ((step^2/pi) 2^-s, 2^s), s = 2040/r for rank r: the lattice
     scales tau that report lattice takes (hi is inf, and lo 0, when 2^s
     passes the double range, as on rank 1).

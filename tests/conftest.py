@@ -30,8 +30,9 @@ from pathlib import Path
 import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-OPTIONAL = ("heat", "kernels", "sobolev", "bounds")  # registered lazily by gsb/__init__.py
-WATCHED = ("numpy.random", "fractions", "scipy", "sympy")
+# registered lazily by gsb/__init__.py
+OPTIONAL = ("groups", "coeffs", "polar", "quadrature", "transform", "heat", "kernels", "sobolev", "bounds", "suites")
+WATCHED = ("numpy", "numpy.random", "fractions", "scipy", "sympy")
 
 # the input files of invert, by group: one block and one point
 COEFFS = {
@@ -63,11 +64,18 @@ DEFAULT_RUNS = tuple(
 )
 
 # Each entry is a command line less its `--out o`.  "" imports gsb.cli and
-# runs nothing: the import floor.  The runs of "-m gsb.cli" are the entry
-# point; every other one goes through a probe that calls cli.main and then
-# records which modules the process holds.
+# runs nothing: the import floor, which holds no numpy.  CORE also runs the
+# numerical core (every module but heat, kernels, sobolev and bounds) and
+# numpy, as every command that computes does: the floor of a command's peak
+# RSS.  The runs of "-m gsb.cli" are the entry point, and those of "-c" run
+# their code; every other one goes through a probe that calls cli.main and
+# then records which modules the process holds.
+CORE = "-c import gsb.cli; gsb.suites.SUITES"
 FRESH = (
     "",
+    CORE,
+    "--help",
+    "verify nope",
     "-m gsb.cli verify reproducing --group su2",
     "-m gsb.cli verify mass --group so3",
     "-m gsb.cli report bounds --group torus:4 --t 1e-300",
@@ -88,7 +96,10 @@ FRESH = (
 PROBE = f"""\
 import json, sys, types
 from gsb.cli import main
-code = main(sys.argv[1:]) if sys.argv[1:] else 0
+try:
+    code = main(sys.argv[1:]) if sys.argv[1:] else 0
+except SystemExit as exc:  # argparse's --help and usage errors
+    code = exc.code
 modules = sys.modules
 facts = {{
     "ran": [m for m in {OPTIONAL!r} if type(modules["gsb." + m]) is types.ModuleType],
@@ -123,7 +134,7 @@ while pending or running:
 @dataclass(frozen=True)
 class Run:
     """One fresh process: exit code, output, peak RSS (MB), its cwd (the
-    report directory is cwd / "o"), and, for a probed run, the optional
+    report directory is cwd / "o"), and, for a probed run, the lazily registered
     gsb modules that ran, the watched modules it loaded and every gsb
     module it holds."""
 
@@ -146,14 +157,14 @@ class FreshRuns:
         for i, command in enumerate(FRESH):
             cwd = self.root / f"{i:02d}"
             cwd.mkdir()
-            argv = command.split()
+            argv = command.split(maxsplit=1) if command.startswith("-c ") else command.split()
             if "--coeffs" in argv:
                 coeffs, points = COEFFS[argv[argv.index("--group") + 1]]
                 (cwd / "c.json").write_text(json.dumps(coeffs))
                 (cwd / "p.json").write_text(json.dumps(points))
             if argv:
                 argv += ["--out", "o"]
-            self.jobs.append((str(cwd), argv if argv[:1] == ["-m"] else ["-c", PROBE, *argv]))
+            self.jobs.append((str(cwd), argv if argv[:1] in (["-m"], ["-c"]) else ["-c", PROBE, *argv]))
         # each child runs in its own cwd, so the package path must be absolute
         path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH", "")) if p)
         self.launcher = subprocess.Popen(

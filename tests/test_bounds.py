@@ -80,6 +80,18 @@ def test_growth_functional_constant():
     assert np.allclose(arg, 0.0)
 
 
+@pytest.mark.parametrize("spec", [torus(1), torus(2), torus(3), su2()], ids=str)
+@pytest.mark.parametrize("n_angular", [8, 16])
+def test_polar_grid_evaluates_each_point_once(spec, n_angular):
+    # each pole of the dim-3 sphere is one direction, not n_angular
+    # azimuths of it, so no grid point is evaluated twice
+    grid = polar_grid(spec, 6.0, n_angular=n_angular)
+    directions = {1: 2, 2: n_angular, 3: (n_angular - 2) * n_angular + 2}[spec.dim]
+    assert len(grid) == 1 + 40 * directions
+    assert len(np.unique(grid, axis=0)) == len(grid)
+    assert np.allclose(np.linalg.norm(grid[1:], axis=1), np.repeat(6.0 * np.arange(1, 41) / 40, directions))
+
+
 @pytest.mark.parametrize("spec", [torus(1), su2()])
 def test_smoothness_report_stable(spec):
     rows = smoothness_report(spec, 1.0, cutoff=3, n_max=3)

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gsb.config import VERIFY_SUITES
+
 
 def _main_in_process(args, capsys):
     from gsb.cli import main
@@ -35,10 +37,7 @@ def test_outputs_deterministic(fresh):
     assert (entry.cwd / "o" / name).read_bytes() == (probed.cwd / "o" / name).read_bytes()
 
 
-SUITE_NAMES = ["unitarity", "mass", "reproducing", "sobolev-isometry", "kernel-tworoute", "toeplitz", "weighted-norm"]
-
-
-@pytest.mark.parametrize("suite", SUITE_NAMES)
+@pytest.mark.parametrize("suite", VERIFY_SUITES)
 def test_impossible_tolerance_fails(tmp_path, capsys, suite):
     # no row of any suite meets a tolerance of 1e-300, so each one must fail
     args = ["verify", suite, "--group", "torus:1", "--t", "1", "--tolerance", "1e-300", "--out", str(tmp_path / "o")]
@@ -183,7 +182,7 @@ def test_kernel_tworoute_composes_each_point_once(tmp_path, capsys, monkeypatch)
 
 def _count_calls(monkeypatch, module, name):
     # wrap the function in every gsb module that bound it; returns the call log
-    import gsb.cli  # noqa: F401  (loads every gsb module before the scan)
+    import gsb.cli  # noqa: F401  (registers every gsb module; the scan's getattr runs it)
 
     orig, calls = getattr(module, name), []
 
@@ -243,9 +242,9 @@ def _invert_label_3_at_t4(tmp_path, capsys, points, extra=()):
 
 def _old_radii(monkeypatch):
     # the radii 7, 10 that the --radii default 4,7,10 ended on, whatever t
-    import gsb.cli
+    import gsb.transform
 
-    monkeypatch.setattr(gsb.cli, "inversion_radii", lambda spec, t, labels: (7.0, 10.0))
+    monkeypatch.setattr(gsb.transform, "inversion_radii", lambda spec, t, labels: (7.0, 10.0))
 
 
 def test_invert_reads_the_configured_tolerance(tmp_path, capsys, monkeypatch):
@@ -373,21 +372,26 @@ def test_no_command_imports_numpy_random(fresh):
     # numpy.random (with secrets, hashlib and OpenSSL) adds about 6 MB to a
     # process; the sampled suites draw from the stdlib's random.Random
     from gsb.cli import REPORT_COLUMNS
-    from gsb.suites import SUITES
 
-    commands = [*(f"verify {suite}" for suite in SUITES), *(f"report {kind}" for kind in REPORT_COLUMNS)]
+    commands = [*(f"verify {suite}" for suite in VERIFY_SUITES), *(f"report {kind}" for kind in REPORT_COLUMNS)]
     commands.append("invert --coeffs c.json --points p.json")
     runs = {line: fresh[line] for line in (f"{command} --group {group}" for command in commands for group in ("torus:1", "su2"))}
     assert len(runs) == 24
     assert {command: (run.code, "numpy.random" in run.loaded) for command, run in runs.items()} == dict.fromkeys(runs, (0, False))
 
 
+# the conftest.py record of `import gsb.cli` with numpy and the numerical
+# core loaded, as every command that computes loads them: the floor of a
+# command's peak RSS
+CORE = "-c import gsb.cli; gsb.suites.SUITES"
+
+
 def test_pointwise_commands_stay_near_the_import_floor(fresh):
     # the smoothness grid is one character series, the sampled suites draw
     # without numpy.random and a chamber lattice sum is a product of 1-D
-    # theta series, so no command holds more than a few MB beyond
-    # `import gsb.cli`
-    floor = fresh[""].peak_mb
+    # theta series, so no command holds more than a few MB beyond the
+    # numerical core's import
+    floor = fresh[CORE].peak_mb
     commands = {
         # the su2-pointwise benchmark workload's two largest commands (its
         # smoothness flags --cutoff 4 --t 1 --n 1,2 are the defaults)
@@ -409,7 +413,7 @@ def test_basis_suites_stream_their_rows(fresh):
     # report takes the rows a block at a time, so the 88,560 rows of su2
     # cutoff 40 at four orders cost neither sum d^4 block entries nor a
     # held row each
-    floor = fresh[""].peak_mb
+    floor = fresh[CORE].peak_mb
     run = fresh["verify sobolev-isometry --group su2 --cutoff 40 --n 1,2,3,4"]
     assert run.code == 0, run.err
     with open(run.cwd / "o" / "verify_sobolev-isometry_su2_t1.csv", newline="") as fp:
@@ -420,7 +424,7 @@ def test_basis_suites_stream_their_rows(fresh):
 def test_basis_suites_keep_no_radial_rule_past_its_t(fresh):
     # _profile_sum keeps each (level, m) sum, not the su2 radial rule behind
     # it, so four t values at cutoff 40 hold no more than one does
-    floor = fresh[""].peak_mb
+    floor = fresh[CORE].peak_mb
     run = fresh["verify unitarity --group su2 --cutoff 40 --t 0.5,1,2,4"]
     assert run.code == 0, run.err
     assert run.out.splitlines()[-1] == "unitarity: PASS"
@@ -456,9 +460,9 @@ def test_basis_suites_write_the_bytes_of_one_block_in_many(tmp_path, capsys, mon
 def test_a_run_that_fails_after_its_first_block_leaves_no_report(tmp_path, capsys, monkeypatch, existing):
     # the parts of every t are removed, and an --out made by the run with
     # them; one that existed keeps what it held
-    from gsb import cli, suites
+    from gsb import suites
 
-    unitarity, tol = cli.SUITES["unitarity"]
+    unitarity, tol = suites.SUITES["unitarity"]
     out, seen = tmp_path / "o", []
 
     def failing(cfg, t, tol, q):
@@ -469,7 +473,7 @@ def test_a_run_that_fails_after_its_first_block_leaves_no_report(tmp_path, capsy
             raise FloatingPointError("overflow after the first block")
         yield from blocks
 
-    monkeypatch.setitem(cli.SUITES, "unitarity", (failing, tol))
+    monkeypatch.setitem(suites.SUITES, "unitarity", (failing, tol))
     monkeypatch.setattr(suites, "BLOCK", 7)
     if existing:
         out.mkdir()
@@ -604,12 +608,12 @@ def test_bad_input_exits_2_before_work(tmp_path, capsys, args, message):
 def test_out_naming_a_file_exits_2_before_work(tmp_path, capsys, monkeypatch, head):
     # an --out that exists but is no directory is refused before the rows are
     # formed, and the file is left as it was
-    from gsb import cli
+    from gsb import cli, suites
 
     def refuse(*args):
         raise AssertionError("rows formed")
 
-    monkeypatch.setitem(cli.SUITES, "mass", (refuse, 1e-6))
+    monkeypatch.setitem(suites.SUITES, "mass", (refuse, 1e-6))
     monkeypatch.setattr(cli, "_report_rows", refuse)
     out = tmp_path / "o"
     out.write_bytes(b"kept\n")
@@ -696,10 +700,9 @@ def test_readme_names_every_suite_and_flag():
 
     import gsb
     from gsb.config import RunConfig
-    from gsb.suites import SUITES
 
     suites = re.findall(r"`([a-z-]+)`", _readme_section("Suites:", "Report kinds:"))
-    assert suites == list(SUITES)
+    assert suites == list(VERIFY_SUITES)
     flags = re.findall(r"`--([a-z]+)", _readme_section("Common flags", "\n\n"))
     assert sorted(flags) == sorted([f.name for f in fields(RunConfig)] + ["config"])
     exports = re.findall(r"`(\w+)`", _readme_section("exports `", ";"))

@@ -19,11 +19,11 @@ from pathlib import Path
 
 import pytest
 
-from gsb import cli
+from gsb import cli, config
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "report_digests.json"
 GROUPS = ("torus:1", "torus:2", "su2")
-COMMANDS = [("verify", suite) for suite in cli.SUITES] + [("report", kind) for kind in cli.REPORT_COLUMNS] + [("invert",)]
+COMMANDS = [("verify", suite) for suite in config.VERIFY_SUITES] + [("report", kind) for kind in cli.REPORT_COLUMNS] + [("invert",)]
 # phi_n up to n = 32, at times off the default t = 1, so the file names
 # differ from the default-flag reports; alpha = d/2 - 1 is -1/2 on torus:1
 # and 1/2 on torus:3 and su2, which adds |delta|^2 = 1/4
