@@ -43,7 +43,7 @@ _EXPORTS = {
 }
 # the command line, gsb.cli, is not registered: `python -m gsb.cli` warns
 # when its module is in sys.modules before it runs
-groups, coeffs, polar, quadrature, transform, heat, kernels, sobolev, bounds, suites = map(_lazy, _EXPORTS)
+globals().update({module: _lazy(module) for module in _EXPORTS})
 _EXPORTED_FROM = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
@@ -53,32 +53,6 @@ def __getattr__(name: str):
     return getattr(globals()[_EXPORTED_FROM[name]], name)
 
 
-__all__ = [
-    "CoefVec",
-    "GroupSpec",
-    "HoloFunc",
-    "KernelQuery",
-    "PolyU",
-    "QuadResult",
-    "QuadSpec",
-    "abs_y",
-    "basis_entry",
-    "ct_forward",
-    "ct_inverse_integral",
-    "holo_inner",
-    "integrate_laguerre",
-    "k_sobolev_integral",
-    "k_sobolev_spectral",
-    "laplacian_apply",
-    "log_nu_t",
-    "parse_group",
-    "polar_compose",
-    "reproduce_check",
-    "rho_eval",
-    "sobolev_norm",
-    "su2",
-    "toeplitz_symbol",
-    "torus",
-]
+__all__ = sorted(_EXPORTED_FROM)
 
 __version__ = "0.1.0"

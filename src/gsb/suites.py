@@ -18,7 +18,7 @@ import numpy as np
 
 from . import heat, kernels, sobolev
 from .coeffs import basis_entry
-from .config import VERIFY_SUITES, RunConfig
+from .config import RunConfig
 from .groups import GroupSpec, enumerate_irreps, irrep_dim, random_algebra, random_k
 from .polar import log_phi, polar_compose
 from .quadrature import QuadSpec, integrate_levels, rel_gap, roots_legendre
@@ -203,19 +203,14 @@ def _weighted_norm_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
     yield [_row(f"n={n}:ratio-spread", spread, tol, spread, tol, 0.0)]
 
 
-# suite name (of config.VERIFY_SUITES, in its order) -> (rows function, default tolerance)
-SUITES = dict(
-    zip(
-        VERIFY_SUITES,
-        [
-            (_unitarity_rows, 1e-6),
-            (_mass_rows, 1e-6),
-            (_reproducing_rows, 1e-6),
-            (_sobolev_isometry_rows, 1e-6),
-            (_kernel_tworoute_rows, 1e-6),
-            (_toeplitz_rows, 1e-3),
-            (_weighted_norm_rows, 50.0),
-        ],
-        strict=True,
-    )
-)
+# suite name -> (rows function, default tolerance), in the order of
+# config.VERIFY_SUITES, which the parser lists without running this module
+SUITES = {
+    "unitarity": (_unitarity_rows, 1e-6),
+    "mass": (_mass_rows, 1e-6),
+    "reproducing": (_reproducing_rows, 1e-6),
+    "sobolev-isometry": (_sobolev_isometry_rows, 1e-6),
+    "kernel-tworoute": (_kernel_tworoute_rows, 1e-6),
+    "toeplitz": (_toeplitz_rows, 1e-3),
+    "weighted-norm": (_weighted_norm_rows, 50.0),
+}

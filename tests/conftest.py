@@ -64,16 +64,15 @@ DEFAULT_RUNS = tuple(
 )
 
 # Each entry is a command line less its `--out o`.  "" imports gsb.cli and
-# runs nothing: the import floor, which holds no numpy.  CORE also runs the
-# numerical core (every module but heat, kernels, sobolev and bounds) and
-# numpy, as every command that computes does: the floor of a command's peak
-# RSS.  The runs of "-m gsb.cli" are the entry point, and those of "-c" run
-# their code; every other one goes through a probe that calls cli.main and
-# then records which modules the process holds.
-CORE = "-c import gsb.cli; gsb.suites.SUITES"
+# runs the numerical core (every module but heat, kernels, sobolev and
+# bounds) with numpy, as every command that computes does, and nothing more:
+# the floor of a command's peak RSS.  "--help" and "verify nope" end in
+# argparse, as `import gsb.cli` alone would, before any numerical module
+# runs.  The runs of "-m gsb.cli" are the entry point; every other one goes
+# through a probe that calls cli.main and then records which modules the
+# process holds.
 FRESH = (
     "",
-    CORE,
     "--help",
     "verify nope",
     "-m gsb.cli verify reproducing --group su2",
@@ -96,10 +95,14 @@ FRESH = (
 PROBE = f"""\
 import json, sys, types
 from gsb.cli import main
-try:
-    code = main(sys.argv[1:]) if sys.argv[1:] else 0
-except SystemExit as exc:  # argparse's --help and usage errors
-    code = exc.code
+if sys.argv[1:]:
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:  # argparse's --help and usage errors
+        code = exc.code
+else:
+    from gsb.suites import SUITES
+    code = 0
 modules = sys.modules
 facts = {{
     "ran": [m for m in {OPTIONAL!r} if type(modules["gsb." + m]) is types.ModuleType],
@@ -157,14 +160,14 @@ class FreshRuns:
         for i, command in enumerate(FRESH):
             cwd = self.root / f"{i:02d}"
             cwd.mkdir()
-            argv = command.split(maxsplit=1) if command.startswith("-c ") else command.split()
+            argv = command.split()
             if "--coeffs" in argv:
                 coeffs, points = COEFFS[argv[argv.index("--group") + 1]]
                 (cwd / "c.json").write_text(json.dumps(coeffs))
                 (cwd / "p.json").write_text(json.dumps(points))
             if argv:
                 argv += ["--out", "o"]
-            self.jobs.append((str(cwd), argv if argv[:1] in (["-m"], ["-c"]) else ["-c", PROBE, *argv]))
+            self.jobs.append((str(cwd), argv if argv[:1] == ["-m"] else ["-c", PROBE, *argv]))
         # each child runs in its own cwd, so the package path must be absolute
         path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH", "")) if p)
         self.launcher = subprocess.Popen(

@@ -37,6 +37,13 @@ def test_outputs_deterministic(fresh):
     assert (entry.cwd / "o" / name).read_bytes() == (probed.cwd / "o" / name).read_bytes()
 
 
+def test_the_parser_offers_the_suites_in_their_order():
+    # the parser's choices are config's names, read without running suites
+    from gsb import suites
+
+    assert tuple(suites.SUITES) == VERIFY_SUITES
+
+
 @pytest.mark.parametrize("suite", VERIFY_SUITES)
 def test_impossible_tolerance_fails(tmp_path, capsys, suite):
     # no row of any suite meets a tolerance of 1e-300, so each one must fail
@@ -380,18 +387,12 @@ def test_no_command_imports_numpy_random(fresh):
     assert {command: (run.code, "numpy.random" in run.loaded) for command, run in runs.items()} == dict.fromkeys(runs, (0, False))
 
 
-# the conftest.py record of `import gsb.cli` with numpy and the numerical
-# core loaded, as every command that computes loads them: the floor of a
-# command's peak RSS
-CORE = "-c import gsb.cli; gsb.suites.SUITES"
-
-
 def test_pointwise_commands_stay_near_the_import_floor(fresh):
     # the smoothness grid is one character series, the sampled suites draw
     # without numpy.random and a chamber lattice sum is a product of 1-D
     # theta series, so no command holds more than a few MB beyond the
     # numerical core's import
-    floor = fresh[CORE].peak_mb
+    floor = fresh[""].peak_mb
     commands = {
         # the su2-pointwise benchmark workload's two largest commands (its
         # smoothness flags --cutoff 4 --t 1 --n 1,2 are the defaults)
@@ -413,7 +414,7 @@ def test_basis_suites_stream_their_rows(fresh):
     # report takes the rows a block at a time, so the 88,560 rows of su2
     # cutoff 40 at four orders cost neither sum d^4 block entries nor a
     # held row each
-    floor = fresh[CORE].peak_mb
+    floor = fresh[""].peak_mb
     run = fresh["verify sobolev-isometry --group su2 --cutoff 40 --n 1,2,3,4"]
     assert run.code == 0, run.err
     with open(run.cwd / "o" / "verify_sobolev-isometry_su2_t1.csv", newline="") as fp:
@@ -424,7 +425,7 @@ def test_basis_suites_stream_their_rows(fresh):
 def test_basis_suites_keep_no_radial_rule_past_its_t(fresh):
     # _profile_sum keeps each (level, m) sum, not the su2 radial rule behind
     # it, so four t values at cutoff 40 hold no more than one does
-    floor = fresh[CORE].peak_mb
+    floor = fresh[""].peak_mb
     run = fresh["verify unitarity --group su2 --cutoff 40 --t 0.5,1,2,4"]
     assert run.code == 0, run.err
     assert run.out.splitlines()[-1] == "unitarity: PASS"

@@ -44,8 +44,8 @@ def test_each_command_runs_only_the_modules_it_uses(fresh, command, group):
     assert ("fractions" in run.loaded) == ("sobolev" in run.ran)
 
 
-@pytest.mark.parametrize("command, code, text", [("", 0, ""), ("--help", 0, "usage: gsb"), ("verify nope", 2, "invalid choice: 'nope'")])
-def test_import_help_and_usage_errors_run_no_numerical_module(fresh, command, code, text):
+@pytest.mark.parametrize("command, code, text", [("--help", 0, "usage: gsb"), ("verify nope", 2, "invalid choice: 'nope'")])
+def test_help_and_usage_errors_run_no_numerical_module(fresh, command, code, text):
     # `import gsb.cli` runs cli and config alone, and argparse ends --help
     # and a usage error before any numerical module or numpy is needed
     run = fresh[command]
@@ -53,3 +53,11 @@ def test_import_help_and_usage_errors_run_no_numerical_module(fresh, command, co
     assert text in run.out + run.err
     assert run.ran == set()
     assert run.loaded == set()
+
+
+def test_the_floor_record_runs_the_numerical_core(fresh):
+    # the record that the peak-RSS tests measure against holds what every
+    # verify command holds before its suite's own modules run
+    run = fresh[""]
+    assert run.code == 0, run.err
+    assert (run.ran, run.loaded) == (VERIFY, {"numpy"})

@@ -11,11 +11,13 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gsb"
 TESTS = Path(__file__).resolve().parent
 
 
-def _exported(tree) -> set:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return set(ast.literal_eval(node.value))
-    return set()
+def _module(path):
+    return importlib.import_module("gsb" if path.stem == "__init__" else f"gsb.{path.stem}")
+
+
+def _exported(path) -> set:
+    # __all__ as the module builds it (the package's is computed)
+    return set(getattr(_module(path), "__all__", ()))
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
@@ -30,15 +32,15 @@ def test_no_unused_imports(path):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported |= {alias.asname or alias.name for alias in node.names}
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    assert sorted(imported - read - _exported(tree)) == []
+    assert sorted(imported - read - _exported(path)) == []
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_every_exported_name_resolves(path):
     # a name left in __all__ after its definition was deleted passes the
     # import check above, so each module is imported and every name looked up
-    module = importlib.import_module("gsb" if path.stem == "__init__" else f"gsb.{path.stem}")
-    assert sorted(name for name in _exported(ast.parse(path.read_text())) if not hasattr(module, name)) == []
+    module = _module(path)
+    assert sorted(name for name in _exported(path) if not hasattr(module, name)) == []
 
 
 def test_every_config_field_is_read():
