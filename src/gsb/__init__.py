@@ -37,7 +37,7 @@ _EXPORTS = {
     "transform": ("HoloFunc", "ct_forward", "ct_inverse_integral", "holo_inner"),
     "heat": ("log_nu_t", "rho_eval"),
     "kernels": ("KernelQuery", "k_sobolev_integral", "k_sobolev_spectral", "reproduce_check"),
-    "sobolev": ("PolyU", "laplacian_apply", "sobolev_norm", "toeplitz_symbol"),
+    "sobolev": ("PolyU", "toeplitz_symbol"),
     "bounds": (),
     "suites": (),
 }

@@ -164,7 +164,11 @@ def cmd_report(kind: str, cfg: RunConfig) -> int:
 
 
 def load_coefficients(path: str) -> coeffs.CoefVec:
-    """Read {group, entries: [{label, matrix: rows of [re, im] pairs}]}."""
+    """Read {group, entries: [{label, matrix: rows of [re, im] pairs}]}.
+
+    A label is a list of rank integers on a torus (or one integer on
+    torus:1) and an integer m >= 1 on SU(2); a label that is none of these,
+    or that two blocks share, is a ConfigError."""
     import numpy as np
 
     with open(path) as fp:
@@ -175,10 +179,16 @@ def load_coefficients(path: str) -> coeffs.CoefVec:
     blocks = {}
     for entry in data["entries"]:
         label = entry["label"]
-        if spec.kind == "torus":
-            label = tuple(int(v) for v in (label if isinstance(label, list) else [label]))
-        else:
-            label = int(label)
+        values = label if spec.kind == "torus" and isinstance(label, list) else [label]
+        if not all(type(v) is int for v in values):  # JSON integers, and no true or false
+            raise ConfigError(f"coefficient label {label!r} is not made of integers")
+        if spec.kind == "torus" and len(values) != spec.rank:
+            raise ConfigError(f"coefficient label {label!r} has {len(values)} entries, and {spec} needs {spec.rank}")
+        if spec.kind == "su2" and values[0] < 1:
+            raise ConfigError(f"coefficient label {label!r} is no SU(2) dimension m >= 1")
+        label = tuple(values) if spec.kind == "torus" else values[0]
+        if label in blocks:
+            raise ConfigError(f"two coefficient blocks have the label {label}")
         mat = np.array(
             [[complex(cell[0], cell[1]) for cell in row] for row in entry["matrix"]],
             dtype=complex,
@@ -209,7 +219,7 @@ def cmd_invert(cfg: RunConfig, coeff_path: str, points_path: str) -> int:
         points = _parse_points(f.spec, points_path)
         # refuse a radius past |Y| = MAX_ABS_Y
         transform.inversion_radii(f.spec, max(cfg.t), f.support)
-    except (KeyError, ValueError, TypeError, OSError) as exc:
+    except (LookupError, ValueError, TypeError, OSError) as exc:
         # a data file that is unreadable or malformed, or whose radius is refused
         raise ConfigError(str(exc)) from None
     columns = ["point", "value-re", "value-im", "exact-re", "exact-im", "abs-err", "stabilized", "tol", "pass", "gap"]

@@ -1,24 +1,21 @@
 """Finitely supported Peter-Weyl coefficient vectors.
 
 A CoefVec holds one complex dim x dim block B_pi per irrep label and
-represents f(x) = sum_pi trace(pi(x) B_pi).  The Plancherel convention is
-fixed so that the squared norm equals the Riemannian-volume L^2 integral:
+represents f(x) = sum_pi trace(pi(x) B_pi), evaluated on a batch of K or
+K_C elements one label trace at a time.  The Plancherel convention is fixed
+so that the squared norm equals the Riemannian-volume L^2 integral:
 
     ||f||^2 = sum_pi (vol K / dim pi) ||B_pi||_HS^2.
+
+The package forms norms only on the image side, where the Schur gather of
+transform.holo_inner carries the factor vol K / dim pi.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .groups import (
-    GroupSpec,
-    irrep_dim,
-    laplacian_eigenvalue,
-    rep_matrix_batch,
-)
+from .groups import GroupSpec, irrep_dim, rep_matrix_batch
 
 __all__ = ["CoefVec", "basis_entry"]
 
@@ -43,21 +40,6 @@ class CoefVec:
     @property
     def support(self):
         return sorted(self.entries.keys())
-
-    def spectral(self, fn) -> "CoefVec":
-        """New CoefVec with block pi scaled by fn(lambda_pi), lambda_pi the
-        Laplacian eigenvalue of pi."""
-        return CoefVec(
-            self.spec,
-            {label: fn(laplacian_eigenvalue(self.spec, label)) * block for label, block in self.entries.items()},
-        )
-
-    def plancherel_norm(self) -> float:
-        vol = self.spec.volume
-        total = 0.0
-        for label, block in self.entries.items():
-            total += vol / irrep_dim(self.spec, label) * float(np.sum(np.abs(block) ** 2))
-        return math.sqrt(total)
 
     def label_traces(self, xs: np.ndarray) -> dict:
         """tr(pi(x) B_pi) at each element x of a batch ((N, r) torus angles or

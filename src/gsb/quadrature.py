@@ -1,26 +1,26 @@
 """Shared deterministic quadrature rules.
 
-Three families:
+* The 1-D Gauss rules (roots_hermite, roots_legendre, roots_genlaguerre),
+  built the way scipy.special builds them, so they carry the same bits up
+  to order MAX_ORDER without importing scipy.  The torus K_C integrals of
+  transform build their per-label rules from these.
+* The radial rule of the normalized measure c_t exp(-|Y|^2/t) / Phi(Y) dY
+  on su(2) (su2_radial_rule).  The measure is Ad-invariant, so an integrand
+  enters only through its sphere means and one shifted-Hermite radial rule
+  does the work (exp(-r^2/t) sinh(r) r dr is a Gaussian centred at t/2
+  after folding); the rule can be re-centred to absorb an exponential
+  factor e^{k r} of the sphere means.
+* Log-spaced Gauss-Legendre plus a Laguerre tail for the weight
+  s^{2n-1} e^{-cs} (integrate_laguerre).
 
-* k-space rules integrating against the normalized measure
-  c_t exp(-|Y|^2/t) / Phi(Y) dY on the Lie algebra (tensor Gauss-Hermite on
-  tori).  On SU(2) the measure is Ad-invariant, so an integrand enters only
-  through its sphere means and one shifted-Hermite radial rule does the
-  work (exp(-r^2/t) sinh(r) r dr is a Gaussian centered at t/2 after
-  folding); the rule can be re-centred to absorb an exponential factor
-  e^{k r} of the sphere means.  A product sphere rule on top gives the tensor nodes that
-  integrate_kspace hands to integrands with no such structure (the torus
-  K_C integrals of transform run on a shifted rule per label instead);
-* log-spaced Gauss-Legendre plus a Laguerre tail for weight s^{2n-1} e^{-cs};
-* sampling rules on K itself (exact trigonometric on tori, Euler-angle
-  product rule on SU(2)).
+kspace_rule builds the tensor rules on the whole Lie algebra (Gauss-Hermite
+on every torus axis, the radial rule times a product sphere rule on SU(2)).
+No command integrates on them: they are the tests' independent oracle for
+the structured rules above, and a layer of the benchmark's tracer.
 
-The 1-D Gauss rules (roots_hermite, roots_legendre, roots_genlaguerre) are
-built the way scipy.special builds them, so they carry the same bits up to
-order MAX_ORDER without importing scipy.
-
-Every exposed integral reports the relative gap between its two finest
-levels; callers decide whether a flagged gap is fatal.
+integrate_levels is the one two-level primitive: every integral reports
+the relative gap between its two finest levels, and callers decide whether
+a flagged gap is fatal.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .groups import GroupSpec, su2_euler
+from .groups import GroupSpec
 
 __all__ = [
     "QuadSpec",
@@ -41,10 +41,7 @@ __all__ = [
     "su2_radial_rule",
     "integrate_levels",
     "rel_gap",
-    "integrate_kspace",
     "integrate_laguerre",
-    "integrate_K",
-    "k_haar_nodes",
     "roots_hermite",
     "roots_legendre",
     "roots_genlaguerre",
@@ -338,19 +335,6 @@ def integrate_levels(q: QuadSpec, value_at, floor: float = 0.0) -> QuadResult:
     return QuadResult(a, np.reshape(gaps, a.shape), values)
 
 
-def integrate_kspace(spec: GroupSpec, t: float, integrand, q: QuadSpec) -> QuadResult:
-    """Integrate f against the normalized measure c_t e^{-|Y|^2/t}/Phi(Y) dY.
-
-    integrand takes a batch (N, dim) of Y points and returns (N,) values.
-    """
-
-    def value_at(level):
-        rule = kspace_rule(spec, t, level)
-        return np.dot(rule.weights, np.asarray(integrand(rule.nodes)))
-
-    return integrate_levels(q, value_at)
-
-
 def integrate_laguerre(c: float, n: int, f, t: float | None = None, q: QuadSpec | None = None) -> QuadResult:
     """int_0^inf s^{2n-1} e^{-cs} f(s) ds for an f that may be singular at s = -t.
 
@@ -377,34 +361,3 @@ def integrate_laguerre(c: float, n: int, f, t: float | None = None, q: QuadSpec 
         return np.dot(w * s ** (2 * n - 1), np.asarray(f(s)))
 
     return integrate_levels(q or QuadSpec(levels=(48, 64)), value_at)
-
-
-@lru_cache(maxsize=32)
-def _k_haar_nodes_cached(kind: str, rank: int, level: int):
-    if kind == "torus":
-        pts = 2.0 * math.pi * np.arange(level) / level
-        return _tensor_rule(pts, np.full(level, 2.0 * math.pi / level), rank)
-
-    # Euler angles g = e^{phi E3} e^{theta E2} e^{psi E3}; Haar = sin(theta)
-    # d(phi) d(theta) d(psi), total mass 16 pi^2.
-    x, v = roots_legendre(level)  # cos(theta)
-    phis = 2.0 * math.pi * np.arange(level) / level
-    psis = 4.0 * math.pi * np.arange(2 * level) / (2 * level)
-    mats = su2_euler(phis[:, None, None], np.arccos(x)[None, :, None], psis[None, None, :])
-    w = (2.0 * math.pi / level) * v * (4.0 * math.pi / (2 * level))
-    return mats.reshape(-1, 2, 2), np.broadcast_to(w[None, :, None], mats.shape[:3]).ravel()
-
-
-def k_haar_nodes(spec: GroupSpec, level: int):
-    """Sample nodes and Haar (Riemannian-volume) weights on K."""
-    return _k_haar_nodes_cached(spec.kind, spec.rank, int(level))
-
-
-def integrate_K(spec: GroupSpec, f, level: int) -> complex:
-    """Integral over K with Riemannian-volume Haar.
-
-    f maps an (N, ...) batch of group elements (torus angles (N, r), SU(2)
-    matrices (N, 2, 2)) to (N,) values.
-    """
-    nodes, weights = k_haar_nodes(spec, level)
-    return complex(np.dot(weights, np.asarray(f(nodes))))

@@ -1,10 +1,11 @@
-"""Sobolev shifts and norms, Toeplitz symbol polynomials, and the symbol of a vector field.
+"""The Sobolev block factor, Toeplitz symbol polynomials, and the symbol of a vector field.
 
-The K-side Sobolev norm is the Plancherel norm after the blockwise factor
-(c + lambda_pi)^n; its holomorphic image uses the same factor before the
-K_C norm.  The Toeplitz symbol phi_n of (cI - Delta)^n is a degree-n
-polynomial in u = |Y|^2, a sum of generalized Laguerre polynomials in u/t
-evaluated exactly.
+(cI - Delta)^n scales the block of label pi by shift_scale, (c +
+lambda_pi)^n, the package's one spectral block multiplier: the K-side
+Sobolev norm is the Plancherel norm after it, and the Sobolev suites put it
+on the scale of each matrix entry's K_C norm.  The Toeplitz symbol phi_n of
+(cI - Delta)^n is a degree-n polynomial in u = |Y|^2, a sum of generalized
+Laguerre polynomials in u/t evaluated exactly.
 """
 
 from __future__ import annotations
@@ -15,16 +16,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coeffs import CoefVec
 from .groups import GroupSpec, laplacian_eigenvalue
 from .transform import AxisWeight
 
 __all__ = [
     "PolyU",
-    "laplacian_apply",
     "shift_scale",
-    "sobolev_shift",
-    "sobolev_norm",
     "toeplitz_symbol",
     "symbol_positivity_threshold",
     "phi_x_weight",
@@ -46,25 +43,9 @@ class PolyU:
         return np.polyval(coeffs, u)
 
 
-def laplacian_apply(f: CoefVec, n: int = 1) -> CoefVec:
-    """Apply the group Laplacian n times: block pi scales by (-lambda_pi)^n."""
-    return f.spectral(lambda lam: (-lam) ** n)
-
-
 def shift_scale(spec: GroupSpec, label, n: int, c: float) -> float:
     """(c + lambda_pi)^n: the factor of (cI - Delta)^n on the block of label pi."""
     return (c + laplacian_eigenvalue(spec, label)) ** n
-
-
-def sobolev_shift(f: CoefVec, n: int, c: float) -> CoefVec:
-    """(cI - Delta)^n on coefficients: block pi times shift_scale."""
-    return CoefVec(f.spec, {label: shift_scale(f.spec, label, n, c) * block for label, block in f.entries.items()})
-
-
-def sobolev_norm(f: CoefVec, n: int, c: float) -> float:
-    if c <= 0:
-        raise ValueError("c must be positive")
-    return sobolev_shift(f, n, c).plancherel_norm()
 
 
 def toeplitz_symbol(spec: GroupSpec, t: float, c: float, n: int) -> PolyU:

@@ -64,7 +64,6 @@ __all__ = [
     "HoloFunc",
     "ct_forward",
     "holo_inner",
-    "entry_pairs",
     "ct_inverse_integral",
     "inversion_radii",
     "inversion_levels",
@@ -103,16 +102,12 @@ class AxisWeight:
     """The direction-dependent weight y_k * radial(|Y|^2) on the Lie algebra.
 
     holo_inner integrates it through its structure (its mean on each sphere
-    on SU(2), along the shift on a torus); calling it on an (N, dim) node
-    batch gives the per-node factors, for a rule on the whole algebra.
+    on SU(2), along the shift on a torus), so the package never evaluates
+    it node by node.
     """
 
     axis: int
     radial: object  # vectorized u = |Y|^2 -> factor
-
-    def __call__(self, ys: np.ndarray) -> np.ndarray:
-        ys = np.asarray(ys, dtype=float)
-        return ys[:, self.axis] * self.radial(np.sum(ys**2, axis=1))
 
 
 def _schur_profiles(t: float, level: int, m: int, lam: float):
@@ -237,8 +232,9 @@ def holo_inner(spec: GroupSpec, t: float, pairs, q: QuadSpec, weight=None, floor
     (vol/d) scale A[j1, j2] delta(i1, i2), times the label's profile sum,
     which carries the damping of both; A = dpi(E_k) for an axis k (an
     AxisWeight's own, or the axis argument for <F1, X_k F2>), else I.  A
-    pair on two labels contributes nothing.  The form of two dense CoefVecs
-    is the sum of the values on their entry_pairs.
+    pair on two labels contributes nothing, so the form of two dense
+    functions is the sum of the values on their pairs of nonzero entries
+    that share a label.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -256,19 +252,6 @@ def holo_inner(spec: GroupSpec, t: float, pairs, q: QuadSpec, weight=None, floor
         trace = scale * a if i1 == i2 else 0.0
         terms.append((p, label, (spec.volume / irrep_dim(spec, label)) * trace))
     return _integrate_profiles(spec, t, q, terms, len(pairs), weight, floor)
-
-
-def entry_pairs(f1: CoefVec, f2: CoefVec) -> list:
-    """holo_inner's pairs of two functions: each nonzero entry of f1 with
-    each of f2 on its label, scaled by the product conj(b1) b2 of their
-    coefficients, so the form of C_t f1 and C_t f2 is the sum of their values."""
-    pairs = []
-    for label in sorted(f1.entries.keys() & f2.entries.keys()):
-        b1, b2 = f1.entries[label], f2.entries[label]
-        for j1, i1 in zip(*np.nonzero(b1)):
-            for j2, i2 in zip(*np.nonzero(b2)):
-                pairs.append(((label, i1, j1), (label, i2, j2), b1[j1, i1].conjugate() * b2[j2, i2]))
-    return pairs
 
 
 def inversion_radii(spec: GroupSpec, t: float, labels):

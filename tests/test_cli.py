@@ -123,9 +123,10 @@ def test_invert_empty_points(tmp_path, capsys):
 
 
 def test_invert_malformed_coeffs_exits_2(tmp_path, capsys):
-    # a block with no matrix, and a block holding NaN (JSON's NaN token)
+    # a block with no matrix, a block holding NaN (JSON's NaN token), and a
+    # cell that is one number, not an [re, im] pair
     coeffs, pts = tmp_path / "c.json", tmp_path / "p.json"
-    for entry in ({"label": 99}, {"label": 1, "matrix": [[[math.nan, 0.0]]]}):
+    for entry in ({"label": 99}, {"label": 1, "matrix": [[[math.nan, 0.0]]]}, {"label": 1, "matrix": [[[1.0]]]}):
         coeffs.write_text(json.dumps({"group": "su2", "entries": [entry]}))
         pts.write_text("[[0.1, 0.2, 0.3]]")
         args = ["invert", "--coeffs", str(coeffs), "--points", str(pts), "--group", "su2", "--t", "1"]
@@ -540,6 +541,11 @@ def test_kernel_tworoute_judges_laguerre_gap(tmp_path, capsys, monkeypatch):
 _LABEL_3 = {"group": "torus:1", "entries": [{"label": [3], "matrix": [[[1.0, 0.0]]]}]}
 
 
+def _coeffs(group, *labels):
+    """A coefficient file of one 1 x 1 block per label, the labels as given."""
+    return {"group": group, "entries": [{"label": label, "matrix": [[[1.0, 0.0]]]} for label in labels]}
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -588,6 +594,13 @@ _LABEL_3 = {"group": "torus:1", "entries": [{"label": [3], "matrix": [[[1.0, 0.0
         (["verify", "mass", "--group", "torus:400", "--tau", "4"], "torus rank must be in 1..386"),
         (["report", "lattice", "--group", "torus:387"], "torus rank must be in 1..386"),
         (["verify", "toeplitz", "--group", "torus:400", "--cutoff", "1"], "torus rank must be in 1..386"),
+        # invert's labels: [1] and 1 are one label on torus:1, and a second block would replace the first
+        (["invert", "--coeffs", _coeffs("torus:1", [1], 1), "--points", [[0.3]]], "two coefficient blocks have the label (1,)"),
+        (["invert", "--coeffs", _coeffs("torus:1", [1, 2]), "--points", [[0.3]]], "label [1, 2] has 2 entries, and torus:1 needs 1"),
+        (["invert", "--coeffs", _coeffs("torus:2", 1), "--points", [[0.3, 0.5]], "--group", "torus:2"], "label 1 has 1 entries"),
+        (["invert", "--coeffs", _coeffs("su2", 2.5), "--points", [[0.3, 0.5, 0.7]], "--group", "su2"], "label 2.5 is not made of integers"),
+        (["invert", "--coeffs", _coeffs("su2", 0), "--points", [[0.3, 0.5, 0.7]], "--group", "su2"], "label 0 is no SU(2) dimension"),
+        (["invert", "--coeffs", _coeffs("su2", True), "--points", [[0.3, 0.5, 0.7]], "--group", "su2"], "label True is not made"),
     ],
 )
 def test_bad_input_exits_2_before_work(tmp_path, capsys, args, message):
@@ -772,7 +785,7 @@ def test_commands_need_no_scipy(fresh):
 
 def test_torus_unitarity_builds_no_tensor_rule(tmp_path, capsys, monkeypatch):
     # every torus K_C integral runs on the shifted per-label rule, so the
-    # L^r tensor rule (kept for integrate_kspace) is never built
+    # L^r tensor rule (kept as the tests' oracle) is never built
     import gsb.quadrature
 
     calls = []

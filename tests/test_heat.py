@@ -7,7 +7,7 @@ import pytest
 from gsb.groups import enumerate_irreps, irrep_dim, random_algebra, random_k, rep_matrix_batch, su2, torus
 from gsb.heat import THETA_BLOCK, TailBoundError, _series, _su2_characters, _theta_product, log_nu_t, rho_eval
 from gsb.polar import exp_iy_batch, polar_compose
-from gsb.quadrature import integrate_K
+from oracles import integrate_K
 
 
 def test_rho_eval_tail_error(monkeypatch):
@@ -101,17 +101,6 @@ def test_nu_t_closed_form():
     assert value.shape == (1,)
     assert np.exp(value[0]) == pytest.approx(expected, rel=1e-12)
     assert value[0] == pytest.approx(math.log(expected), rel=1e-12)
-
-
-def test_nu_t_mass():
-    # int nu_t dg = vol(K): the k-space rule absorbs nu_t, so integrating 1
-    # against it must give exactly the normalized mass
-    from gsb.quadrature import QuadSpec, integrate_kspace
-
-    for spec in (torus(2), su2()):
-        for t in (0.25, 1.0, 4.0):
-            res = integrate_kspace(spec, t, lambda ys: np.ones(ys.shape[0]), QuadSpec())
-            assert res.value.real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_su2_characters_at_degenerate_half_traces():

@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from gsb import cli, coeffs, groups, transform
+from gsb import cli, groups
 from test_report_digests import _argv
 
 GROUPS = ("torus:1", "torus:2", "su2")
@@ -26,21 +26,27 @@ MUTATIONS = {
 }
 
 
+def _gsb_modules():
+    return [module for name, module in list(sys.modules.items()) if name == "gsb" or name.startswith("gsb.")]
+
+
 def _clear_caches():
-    for name, module in list(sys.modules.items()):
-        if name == "gsb" or name.startswith("gsb."):
-            for value in list(vars(module).values()):
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
+    for module in _gsb_modules():
+        for value in list(vars(module).values()):
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
 
 
 @pytest.fixture
 def mutate(monkeypatch):
-    """Patch the eigenvalue mutation of a group's kind into groups, coeffs and transform."""
+    """Patch the eigenvalue mutation of a group's kind into every gsb module that binds laplacian_eigenvalue."""
 
     def apply(group: str):
         kind = groups.parse_group(group).kind
-        for module in (groups, coeffs, transform):
+        # vars() runs a lazily registered module; every one runs before the
+        # first patch, or it would bind the mutation as its original
+        bound = [module for module in _gsb_modules() if "laplacian_eigenvalue" in vars(module)]
+        for module in bound:
             monkeypatch.setattr(module, "laplacian_eigenvalue", MUTATIONS[kind])
         _clear_caches()
 

@@ -9,8 +9,6 @@ from gsb.groups import rep_matrix_batch, su2, torus
 from gsb.quadrature import (
     MAX_ORDER,
     QuadSpec,
-    integrate_K,
-    integrate_kspace,
     integrate_laguerre,
     integrate_levels,
     kspace_rule,
@@ -19,9 +17,21 @@ from gsb.quadrature import (
     roots_legendre,
     su2_radial_rule,
 )
+from oracles import integrate_K
 
 # the level gap every quadrature here must meet
 GAP_TOL = 1e-6
+
+
+def _kspace_integral(spec, t, integrand, q):
+    """integrate_levels of f against c_t e^{-|Y|^2/t}/Phi(Y) dY on the tensor
+    rule of each level, f mapping (N, dim) nodes to (N,) values."""
+
+    def value_at(level):
+        rule = kspace_rule(spec, t, level)
+        return np.dot(rule.weights, integrand(rule.nodes))
+
+    return integrate_levels(q, value_at)
 
 
 def test_quadspec_validation():
@@ -31,22 +41,23 @@ def test_quadspec_validation():
 
 @pytest.mark.parametrize("spec", [torus(1), torus(2), su2()])
 def test_kspace_mass_one(spec):
-    q = QuadSpec()
-    res = integrate_kspace(spec, 0.7, lambda ys: np.ones(ys.shape[0]), q)
-    assert res.value.real == pytest.approx(1.0, abs=1e-12)
-    assert res.gap <= GAP_TOL
+    # the rule absorbs nu_t, so integrating 1 against it gives the normalized mass at every t
+    for t in (0.25, 0.7, 1.0, 4.0):
+        res = _kspace_integral(spec, t, lambda ys: np.ones(ys.shape[0]), QuadSpec())
+        assert res.value.real == pytest.approx(1.0, abs=1e-12), t
+        assert res.gap <= GAP_TOL
 
 
 @pytest.mark.parametrize("spec", [torus(2), su2()])
 def test_kspace_odd_integrand_vanishes(spec):
-    res = integrate_kspace(spec, 1.3, lambda ys: ys[:, 0], QuadSpec())
+    res = _kspace_integral(spec, 1.3, lambda ys: ys[:, 0], QuadSpec())
     assert abs(res.value) < 1e-12
 
 
 def test_torus_gaussian_polynomial_exact():
     # Gauss-Hermite exactness: E[Y^4] under the weight e^{-y^2/t}/sqrt(pi t)
     t = 0.6
-    res = integrate_kspace(torus(1), t, lambda ys: ys[:, 0] ** 4, QuadSpec(levels=(8, 12)))
+    res = _kspace_integral(torus(1), t, lambda ys: ys[:, 0] ** 4, QuadSpec(levels=(8, 12)))
     assert res.value.real == pytest.approx(0.75 * t * t, rel=1e-13)
 
 
@@ -60,7 +71,7 @@ def test_su2_radial_moment():
         40,
         epsabs=1e-13,
     )[0]
-    res = integrate_kspace(su2(), t, lambda ys: np.sum(ys**2, axis=1), QuadSpec())
+    res = _kspace_integral(su2(), t, lambda ys: np.sum(ys**2, axis=1), QuadSpec())
     assert res.value.real == pytest.approx(ref, rel=1e-10)
 
 
@@ -154,7 +165,7 @@ def test_su2_rule_is_radial_times_sphere():
     t = 0.8
     radii, weights = su2_radial_rule(t, 24)
     assert weights.sum() == pytest.approx(1.0, abs=1e-14)
-    res = integrate_kspace(su2(), t, lambda ys: np.exp(-np.sum(ys**2, axis=1)), QuadSpec(levels=(16, 24)))
+    res = _kspace_integral(su2(), t, lambda ys: np.exp(-np.sum(ys**2, axis=1)), QuadSpec(levels=(16, 24)))
     assert res.value.real == pytest.approx(np.dot(weights, np.exp(-(radii**2))), rel=1e-14)
 
 

@@ -6,6 +6,7 @@ the direct evaluation instead: Schur on K only, with the integrand built at
 every node of a radial x sphere tensor rule, as pi_m(e^{iY}) matrices.
 """
 
+import functools
 import math
 import random
 
@@ -19,7 +20,8 @@ from gsb.kernels import reproduce_check
 from gsb.polar import log_phi, polar_compose
 from gsb.quadrature import QuadSpec, kspace_rule
 from gsb.sobolev import _grad_log_radial, phi_x_weight
-from gsb.transform import _schur_profiles, ct_forward, ct_inverse_integral, entry_pairs, exp_iy_batch, holo_inner
+from gsb.transform import _schur_profiles, ct_forward, ct_inverse_integral, exp_iy_batch, holo_inner
+from oracles import axis_weight_at, entry_pairs
 
 SPEC = su2()
 LEVELS = (16, 24)
@@ -78,7 +80,7 @@ def test_holo_inner_matches_tensor_oracle(t):
     ]
     for k in range(3):
         weight = phi_x_weight(SPEC, t, k)
-        cases.append((_levels(F1, F2, weight=weight), F2, weight))
+        cases.append((_levels(F1, F2, weight=weight), F2, functools.partial(axis_weight_at, weight)))
         cases.append((_levels(F1, F2, axis=k), _vector_field(F2, k), None))
     for values, second, weight in cases:
         for level, value in zip(LEVELS, values):

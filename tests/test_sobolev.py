@@ -1,7 +1,5 @@
 import math
-from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -9,18 +7,12 @@ import pytest
 from gsb.coeffs import CoefVec, basis_entry
 from gsb.groups import laplacian_eigenvalue, su2, torus
 from gsb.quadrature import QuadSpec
+from gsb.sobolev import phi_x_weight, symbol_positivity_threshold, toeplitz_symbol
+from gsb.transform import holo_inner
+from oracles import entry_pairs, plancherel_norm, reference, sobolev_shift
 
 # the level gap every quadrature here must meet
 GAP_TOL = 1e-6
-from gsb.sobolev import (
-    laplacian_apply,
-    phi_x_weight,
-    sobolev_norm,
-    sobolev_shift,
-    symbol_positivity_threshold,
-    toeplitz_symbol,
-)
-from gsb.transform import entry_pairs, holo_inner
 
 
 def test_symbol_phi1_torus_closed_form():
@@ -37,44 +29,19 @@ def test_symbol_phi1_su2_closed_form():
     assert sym.coefficients == pytest.approx((3.0 - 0.75 - 0.25, 0.25))
 
 
-@lru_cache(maxsize=None)
-def _recursion_terms(spec, n):
-    """q_n of the product rule phi_n nu_t = (c + d/dt)^n nu_t, run exactly:
-    q_0 = 1, q_{k+1} = c q_k + dq_k/dt + q_k (-d/(2t) - |delta|^2 + u/t^2) on
-    {(power of u, power of c, power of s): Fraction} dicts, s = 1/t (so d/dt
-    s^e = -e s^{e+1}).  It holds neither t nor c, so each order is run once."""
-    if n == 0:
-        return {(0, 0, 0): Fraction(1)}
-    half_dim, dsq = Fraction(spec.dim, 2), Fraction(spec.delta_sq)
-    nxt = defaultdict(Fraction)
-    for (a, b, e), x in _recursion_terms(spec, n - 1).items():
-        nxt[a, b + 1, e] += x  # c q
-        nxt[a, b, e + 1] -= (e + half_dim) * x  # dq/dt - d/(2t) q
-        nxt[a, b, e] -= dsq * x  # -|delta|^2 q
-        nxt[a + 1, b, e + 2] += x  # u/t^2 q
-    return {key: x for key, x in nxt.items() if x}
-
-
-def _recursion_symbol(spec, t, c, n):
-    """phi_n by the product rule (_recursion_terms), each coefficient
-    evaluated exactly at (t, c) and rounded once."""
-    s, cf = 1 / Fraction(t), Fraction(c)
-    s_pow, c_pow = [s**e for e in range(2 * n + 1)], [cf**b for b in range(n + 1)]
-    exact = [Fraction(0)] * (n + 1)
-    for (a, b, e), x in _recursion_terms(spec, n).items():
-        exact[a] += x * c_pow[b] * s_pow[e]
-    return tuple(float(x) for x in exact)
-
-
 # alpha = d/2 - 1 is -1/2, 0, 1/2 and 3/2 on torus:1, torus:2, torus:3 (and su2), torus:5
 @pytest.mark.parametrize("spec", [torus(1), torus(2), torus(3), torus(5), su2()], ids=str)
 def test_symbol_closed_form_matches_the_recursion_bit_for_bit(spec):
-    # c on the CLI's positivity grid |delta|^2 + 1 + k/2, and off it
+    # the product rule phi_n nu_t = (c + d/dt)^n nu_t run exactly by the
+    # reference, each coefficient evaluated at (t, c) and rounded once; c on
+    # the CLI's positivity grid |delta|^2 + 1 + k/2, and off it
+    group = reference.Group(str(spec))
     cs = [spec.delta_sq + 1.0 + 0.5 * k for k in (0, 1, 5, 39)] + [0.3, 1.1, 2.7182818, 7.1]
     for n in range(11):
         for t in (0.05, 0.3, 0.7, 1.0, 3.7):
             for c in cs:
-                assert toeplitz_symbol(spec, t, c, n).coefficients == _recursion_symbol(spec, t, c, n), (n, t, c)
+                exact = reference.symbol_coefficients(group, n, Fraction(t), Fraction(c))
+                assert toeplitz_symbol(spec, t, c, n).coefficients == tuple(map(float, exact)), (n, t, c)
 
 
 @pytest.mark.parametrize("spec", [torus(1), torus(2), su2()])
@@ -157,22 +124,12 @@ def test_symbol_coefficients_are_positive_above_the_threshold():
                 assert _shifted_coefficient(alpha, t, n, n - 1)[0] == 0
 
 
-def test_laplacian_and_shift_on_basis():
+def test_shift_on_basis():
     spec = su2()
     f = basis_entry(spec, 3, 0, 1)
     lam = laplacian_eigenvalue(spec, 3)
-    g = laplacian_apply(f, 2)
-    assert np.allclose(g.entries[3], lam**2 * f.entries[3])
     h = sobolev_shift(f, 1, 2.0)
     assert np.allclose(h.entries[3], (2.0 + lam) * f.entries[3])
-
-
-def test_sobolev_norm_torus_closed_form():
-    spec = torus(1)
-    f = basis_entry(spec, (3,), 0, 0)
-    # ||(c - Delta)^n e_3||^2 = vol * (c + 9)^{2n}
-    got = sobolev_norm(f, 2, 1.0)
-    assert got == pytest.approx(math.sqrt(2 * math.pi) * 10.0**2, rel=1e-12)
 
 
 @pytest.mark.parametrize("spec", [torus(1), su2()])
@@ -183,7 +140,8 @@ def test_sobolev_isometry(spec):
     g, q = sobolev_shift(f, n, c), QuadSpec()
     res = holo_inner(spec, t, entry_pairs(g, g), q)
     assert res.gap[0] <= GAP_TOL
-    assert math.sqrt(res.value[0].real) == pytest.approx(sobolev_norm(f, n, c), rel=1e-8)
+    exact = reference.sobolev_entry_norm(reference.Group(str(spec)), label, n, Fraction(c))
+    assert math.sqrt(res.value[0].real) == pytest.approx(exact, rel=1e-8)
 
 
 @pytest.mark.parametrize("spec", [torus(1), su2()])
@@ -191,7 +149,7 @@ def test_toeplitz_identity(spec):
     label = (1,) if spec.kind == "torus" else 2
     f = basis_entry(spec, label, 0, 0)
     t, n, c = 1.0, 1, spec.delta_sq + 1.0
-    lhs = sobolev_shift(f, n, c).plancherel_norm() ** 2
+    lhs = plancherel_norm(sobolev_shift(f, n, c)) ** 2
     pairs = entry_pairs(sobolev_shift(f, n, c), f)
     (rhs,) = holo_inner(spec, t, pairs, QuadSpec(), weight=toeplitz_symbol(spec, t, c, n)).value
     assert rhs.real == pytest.approx(lhs, rel=1e-8)
@@ -208,7 +166,7 @@ def test_first_order_identity(spec, k):
     pairs, t = entry_pairs(f1, f2), 1.0
     lhs = np.sum(holo_inner(spec, t, pairs, QuadSpec(), axis=k).value)
     rhs = np.sum(holo_inner(spec, t, pairs, QuadSpec(), weight=phi_x_weight(spec, t, k)).value)
-    scale = f1.plancherel_norm() * f2.plancherel_norm()
+    scale = plancherel_norm(f1) * plancherel_norm(f2)
     assert abs(lhs - rhs) <= 1e-8 * scale
 
 

@@ -8,6 +8,7 @@ of the L^r tensor Gauss-Hermite rule (and, for the inversion, of the L^r
 tensor Gauss-Legendre rule on the cube).
 """
 
+import functools
 import itertools
 import math
 import random
@@ -22,7 +23,8 @@ from gsb.kernels import reproduce_check
 from gsb.polar import polar_compose
 from gsb.quadrature import QuadSpec, kspace_rule
 from gsb.sobolev import phi_x_weight
-from gsb.transform import AxisWeight, ct_forward, ct_inverse_integral, entry_pairs, holo_inner
+from gsb.transform import AxisWeight, ct_forward, ct_inverse_integral, holo_inner
+from oracles import axis_weight_at, entry_pairs
 
 LEVELS = (16, 24)
 Q = QuadSpec(levels=LEVELS)
@@ -88,9 +90,8 @@ def test_holo_inner_matches_tensor_oracle(rank, t):
         (lambda u: (1.0 + u) ** 4, lambda ys: (1.0 + _u(ys)) ** 4),
     ]
     for k in range(rank):
-        cases.append((phi_x_weight(F1.spec, t, k), phi_x_weight(F1.spec, t, k)))
-        axis = AxisWeight(k, lambda u: 1.0 + u)
-        cases.append((axis, axis))
+        for weight in (phi_x_weight(F1.spec, t, k), AxisWeight(k, lambda u: 1.0 + u)):
+            cases.append((weight, functools.partial(axis_weight_at, weight)))
     k11, k22, k12 = _k_part(F1, F1), _k_part(F2, F2), _k_part(F1, F2)
     nodes = k12[0].nodes  # the three share one rule
     for weight, node_weight in cases:
