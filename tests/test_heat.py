@@ -103,6 +103,28 @@ def test_nu_t_closed_form():
     assert value[0] == pytest.approx(math.log(expected), rel=1e-12)
 
 
+def test_nu_t_mass():
+    # int nu_t dg = 1 over G/K, dg = J(Y) dY in polar coordinates, with the
+    # Jacobian J = (sinh|Y|/|Y|)^2 on SU(2) and 1 on a torus. nu_t is radial
+    # here, so on the sphere of radius r it is nu_t(r e_1) times the sphere's
+    # area: an adaptive route that shares nothing with the k-space rule
+    from scipy.integrate import quad
+
+    for spec in (torus(1), torus(2), su2()):
+        d = spec.dim
+        area = 2 * math.pi ** (d / 2) / math.gamma(d / 2)
+        for t in (0.25, 1.0, 4.0):
+
+            def shell(r):
+                y = np.zeros((1, d))
+                y[0, 0] = r
+                jac = (math.sinh(r) / r) ** 2 if spec.kind == "su2" and r > 0 else 1.0
+                return area * r ** (d - 1) * jac * math.exp(log_nu_t(spec, t, y)[0])
+
+            mass = quad(shell, 0, 30 * math.sqrt(t), epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+            assert mass == pytest.approx(1.0, abs=1e-12), (spec, t)
+
+
 def test_su2_characters_at_degenerate_half_traces():
     # chi_m = sin(m w)/sin(w) is removable at w = 0 (h = 1) and w = pi (h = -1),
     # where it equals m and (-1)^(m-1) m; the recurrence divides by nothing
