@@ -163,51 +163,81 @@ def cmd_report(kind: str, cfg: RunConfig) -> int:
     return _write_reports(cfg, f"report_{kind}", REPORT_COLUMNS[kind], lambda t: [_report_rows(kind, cfg, t)], passed.get(kind, bool))
 
 
+def _read_json(path: str, kind: str):
+    """The JSON value of a data file; one that is not JSON is a ConfigError naming it."""
+    with open(path) as fp:
+        try:
+            return json.load(fp)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ConfigError(f"{kind} file {path!r} is not JSON: {exc}") from None
+
+
 def load_coefficients(path: str) -> coeffs.CoefVec:
     """Read {group, entries: [{label, matrix: rows of [re, im] pairs}]}.
 
     A label is a list of rank integers on a torus (or one integer on
     torus:1) and an integer m >= 1 on SU(2); a label that is none of these,
-    or that two blocks share, is a ConfigError."""
+    or that two blocks share, an entry with no label or matrix, and a matrix
+    that is not rows of [re, im] pairs of finite numbers are a ConfigError
+    that names the file and the entry."""
+    data = _read_json(path, "coefficient")
+    if not (isinstance(data, dict) and isinstance(data.get("group"), str) and isinstance(data.get("entries"), list)):
+        raise ConfigError(f"coefficient file {path!r} needs a 'group' string and an 'entries' list")
+    try:
+        spec = groups.parse_group(data["group"])
+    except ValueError as exc:
+        raise ConfigError(f"coefficient file {path!r}: {exc}") from None
+    blocks = {}
+    for k, entry in enumerate(data["entries"]):
+        try:
+            label, matrix = _coefficient_block(spec, entry, blocks)
+        except (KeyError, ValueError) as exc:  # a ConfigError is a ValueError; a KeyError names the missing key
+            reason = f"no {exc}" if isinstance(exc, KeyError) else exc
+            raise ConfigError(f"coefficient file {path!r}, entry {k}: {reason}") from None
+        blocks[label] = matrix
+    return coeffs.CoefVec(spec, blocks)
+
+
+def _coefficient_block(spec: groups.GroupSpec, entry: dict, blocks: dict):
+    """The label and matrix of one entry of a coefficient file, checked
+    against the group and the labels already read."""
     import numpy as np
 
-    with open(path) as fp:
-        data = json.load(fp)
-    if not isinstance(data, dict) or "group" not in data or "entries" not in data:
-        raise ConfigError("coefficient file needs 'group' and 'entries'")
-    spec = groups.parse_group(data["group"])
-    blocks = {}
-    for entry in data["entries"]:
-        label = entry["label"]
-        values = label if spec.kind == "torus" and isinstance(label, list) else [label]
-        if not all(type(v) is int for v in values):  # JSON integers, and no true or false
-            raise ConfigError(f"coefficient label {label!r} is not made of integers")
-        if spec.kind == "torus" and len(values) != spec.rank:
-            raise ConfigError(f"coefficient label {label!r} has {len(values)} entries, and {spec} needs {spec.rank}")
-        if spec.kind == "su2" and values[0] < 1:
-            raise ConfigError(f"coefficient label {label!r} is no SU(2) dimension m >= 1")
-        label = tuple(values) if spec.kind == "torus" else values[0]
-        if label in blocks:
-            raise ConfigError(f"two coefficient blocks have the label {label}")
-        mat = np.array(
-            [[complex(cell[0], cell[1]) for cell in row] for row in entry["matrix"]],
-            dtype=complex,
-        )
-        if not np.all(np.isfinite(mat)):
-            raise ConfigError(f"coefficient block {label} is not finite")
-        blocks[label] = mat
-    return coeffs.CoefVec(spec, blocks)
+    if not isinstance(entry, dict):
+        raise ConfigError("not a JSON object")
+    label = entry["label"]
+    values = label if spec.kind == "torus" and isinstance(label, list) else [label]
+    if not all(type(v) is int for v in values):  # JSON integers, and no true or false
+        raise ConfigError(f"label {label!r} is not made of integers")
+    if spec.kind == "torus" and len(values) != spec.rank:
+        raise ConfigError(f"label {label!r} has {len(values)} entries, and {spec} needs {spec.rank}")
+    if spec.kind == "su2" and values[0] < 1:
+        raise ConfigError(f"label {label!r} is no SU(2) dimension m >= 1")
+    label = tuple(values) if spec.kind == "torus" else values[0]
+    if label in blocks:
+        raise ConfigError(f"two coefficient blocks have the label {label}")
+    rows = entry["matrix"]
+    try:
+        mat = np.array([[complex(cell[0], cell[1]) for cell in row] for row in rows], dtype=complex)
+    except (LookupError, ValueError, TypeError):
+        raise ConfigError(f"the matrix of label {label} is not rows of [re, im] pairs of numbers") from None
+    if not np.all(np.isfinite(mat)):
+        raise ConfigError(f"the matrix of label {label} is not finite")
+    return label, mat
 
 
 def _parse_points(spec: groups.GroupSpec, path: str):
     import numpy as np
 
-    with open(path) as fp:
-        data = json.load(fp)
+    data = _read_json(path, "point")
     # torus: one angle per axis; su2: Euler triples [phi, theta, psi]
-    points = np.asarray(data, dtype=float).reshape(len(data), spec.dim)
-    if not len(points) or not np.all(np.isfinite(points)):
-        raise ConfigError("point file must hold a nonempty list of finite points")
+    try:
+        points = np.asarray(data, dtype=float).reshape(len(data), spec.dim)
+        usable = len(points) > 0 and np.all(np.isfinite(points))
+    except (TypeError, ValueError):  # not a list, or not of numbers, or of the wrong shape
+        usable = False
+    if not usable:
+        raise ConfigError(f"point file {path!r} must hold a nonempty list of finite points of dimension {spec.dim}")
     return points if spec.kind == "torus" else groups.su2_euler(*points.T)
 
 

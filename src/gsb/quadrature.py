@@ -2,8 +2,10 @@
 
 * The 1-D Gauss rules (roots_hermite, roots_legendre, roots_genlaguerre),
   built the way scipy.special builds them, so they carry the same bits up
-  to order MAX_ORDER without importing scipy.  The torus K_C integrals of
-  transform build their per-label rules from these.
+  to order MAX_ORDER without importing scipy.  roots_genlaguerre also takes
+  a half-integer alpha: on torus:r, |Y_perp|^2 follows a Gamma law of shape
+  alpha + 1 = (r - 1)/2, and the torus K_C integrals of transform build
+  their per-label rules from a Hermite rule times one rule for it.
 * The radial rule of the normalized measure c_t exp(-|Y|^2/t) / Phi(Y) dY
   on su(2) (su2_radial_rule).  The measure is Ad-invariant, so an integrand
   enters only through its sphere means and one shifted-Hermite radial rule
@@ -114,9 +116,10 @@ def _legendre(n: int, x):
     return p
 
 
-def _binom(n: int, k: int) -> float:
-    """C(n, k) by cephes' multiplication formula (exact below 2^53)."""
-    k = min(k, n - k)
+def _binom(n: float, k: int) -> float:
+    """C(n, k) by cephes' multiplication formula (exact below 2^53); as in
+    cephes, k is reduced to min(k, n - k) only for an integer n."""
+    k = min(k, int(n) - k) if n == int(n) else k
     num = den = 1.0
     for i in range(1, k + 1):
         num *= i + n - k
@@ -127,7 +130,7 @@ def _binom(n: int, k: int) -> float:
     return num / den
 
 
-def _genlaguerre(n: int, alpha: int, x):
+def _genlaguerre(n: int, alpha: float, x):
     if n == 0:
         return np.ones_like(x)
     if n == 1:
@@ -176,19 +179,20 @@ def roots_legendre(n: int):
 
 
 @lru_cache(maxsize=None)
-def roots_genlaguerre(n: int, alpha: int):
-    """n-point generalized Gauss-Laguerre rule for x^alpha e^{-x} on [0, inf).
+def roots_genlaguerre(n: int, alpha: float):
+    """n-point generalized Gauss-Laguerre rule for x^alpha e^{-x} on [0, inf),
+    of mass Gamma(alpha + 1).
 
-    alpha is a nonnegative integer, so the mass Gamma(alpha + 1) = alpha! is
-    exact; the rule matches scipy's bit for bit while alpha < 20.
+    alpha is a nonnegative integer or half-integer.  An integer alpha below 20
+    gives scipy's rule bit for bit; a half-integer one forms C(n + alpha, n)
+    by the same multiplication formula, where scipy takes a beta function.
     """
-    if alpha != int(alpha) or alpha < 0:
-        raise ValueError("alpha must be a nonnegative integer")
-    alpha = int(alpha)
+    if 2 * alpha != int(2 * alpha) or alpha < 0:
+        raise ValueError("alpha must be a nonnegative integer or half-integer")
     k = np.arange(n, dtype=float)
     return _golub_welsch(
         n,
-        float(math.factorial(alpha)),
+        math.gamma(alpha + 1),
         2 * k + alpha + 1,
         -np.sqrt(k[1:] * (k[1:] + alpha)),
         lambda m, x: _genlaguerre(m, alpha, x),

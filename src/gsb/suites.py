@@ -72,11 +72,28 @@ def _mass_level(spec: GroupSpec, t: float, radius: float, level: int) -> complex
 # Each suite maps (cfg, t, tol, q) to its rows for one time t, in blocks.
 
 
+def _mass_radius(spec: GroupSpec, t: float) -> float:
+    """The radius R that _mass_rows integrates to: max(8 sqrt(t), sqrt((t/2)
+    (d + 2 sqrt(d x) + 2x))) with x = 52 ln 2 and d = dim, plus t/2 on SU(2).
+
+    On torus:d, nu_t is N(0, t/2) on each axis, so |Y|^2 ~ (t/2) chi^2_d,
+    and |Y| >= R means chi^2_d - d >= 2 sqrt(d x) + 2x, of probability at
+    most e^{-x} = 2^-52 by the chi^2 tail bound of Laurent and Massart (Ann.
+    Statist. 28, 2000, Lemma 1).  8 sqrt(t) alone leaves P(chi^2_d >= 128),
+    3.1e-2 of the mass on torus:100.  On SU(2) the Gaussian factor
+    e^{-(r - t/2)^2/t} is below e^-64 past 8 sqrt(t) + t/2.  8 sqrt(t) is the
+    larger term up to d = 12, so on torus:1-12 and SU(2) (d = 3) R is
+    8 sqrt(t) (+ t/2).
+    """
+    x = 52.0 * math.log(2.0)
+    tail = math.sqrt(t / 2.0 * (spec.dim + 2.0 * math.sqrt(spec.dim * x) + 2.0 * x))
+    return max(8.0 * math.sqrt(t), tail) + (t / 2.0 if spec.kind == "su2" else 0.0)
+
+
 def _mass_rows(cfg: RunConfig, t: float, tol: float, q: QuadSpec):
-    # nu_t against the polar Haar density 1/Phi^2 has total mass 1; the
-    # Gaussian factor e^{-(r - t/2)^2/t} on SU(2) is below e^-64 past R
+    # nu_t against the polar Haar density 1/Phi^2 has total mass 1
     spec = cfg.spec
-    radius = 8.0 * math.sqrt(t) + (t / 2.0 if spec.kind == "su2" else 0.0)
+    radius = _mass_radius(spec, t)
     res = integrate_levels(q, lambda level: _mass_level(spec, t, radius, level))
     lhs = spec.volume * res.value.item().real
     yield [_row("mass", lhs, spec.volume, rel_gap(lhs, spec.volume), tol, res.gap.item())]

@@ -26,8 +26,10 @@ label n meets it through e^{-2 n.Y}.  Completing the square turns
 e^{-2 n.Y} dmu_t into e^{t |n|^2} N(-t n, t/2), met by the damping of both
 blocks as e^{(|n|^2 - lambda) t}.  With zeta = Y.nhat and s = |Y_perp|^2, a
 weight rho(|Y|^2) sees only u = zeta^2 + s, and y_k rho only its mean nhat_k
-zeta rho along the shift, so every torus K_C integral is one sum over a rule
-in (zeta, s) per |n|^2.  The inversion integral factors over the axes.
+zeta rho along the shift, so every torus K_C integral is one sum per |n|^2
+over a product rule: Gauss-Hermite in zeta times one Gauss rule in s, whose
+law (t/2) chi^2_{r-1} is a Gamma law on every rank.  The inversion integral
+factors over the axes.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ def _schur_profiles(t: float, level: int, m: int, lam: float):
     return r, a, b
 
 
-# a base rule holds L^3 weights on torus:4 (7 MB at L = 96)
+# a base rule holds L^2 weights on every rank >= 2 (74 KB at L = 96)
 @lru_cache(maxsize=16)
 def _torus_base_rule(t: float, level: int, rank: int):
     """The torus label rule, less its shift: read-only (hx, s, a) such that a
@@ -148,23 +150,25 @@ def _torus_base_rule(t: float, level: int, rank: int):
         e^{-t |n|^2} int y_k rho e^{-2 n.Y} dmu_t ~ nhat_k sum_i a_i zeta_i rho(u_i).
 
     zeta = Y.nhat ~ N(-t |n|, t/2) takes the level-point Gauss-Hermite rule
-    (hx = sqrt(t) x on its nodes x); s = |Y_perp|^2 ~ (t/2) chi^2_{r-1} is
-    t x^2 on a Gauss-Hermite node x for one of its r - 1 squares when r is
-    even, plus t v on a generalized Gauss-Laguerre node v (alpha = (r-1)//2
-    - 1, mass alpha!) for the rest when r >= 3.  Polynomial weights rho are
-    integrated exactly.
+    (hx = sqrt(t) x on its nodes x), and s = |Y_perp|^2 ~ (t/2) chi^2_{r-1},
+    a Gamma law of shape (r - 1)/2 and scale t, one level-point rule of its
+    own: none on torus:1 (s = 0), t x^2 on the Gauss-Hermite nodes x on
+    torus:2 (for even L, the L/2-point alpha = -1/2 Laguerre rule with each
+    node taken twice, read off the zeta rule), and t v on the generalized
+    Gauss-Laguerre nodes v (alpha = (r - 3)/2, mass Gamma(alpha + 1)) from
+    rank 3 on.  So every rank holds at most L^2 nodes, and polynomial
+    weights rho are integrated exactly.
     """
     x, h = roots_hermite(level)
     gauss = h / math.sqrt(math.pi)
     hx = math.sqrt(t) * x
     s, v = np.zeros(1), np.ones(1)
-    if rank % 2 == 0:
+    if rank == 2:
         s, v = t * x**2, gauss
-    if rank >= 3:
-        alpha = (rank - 1) // 2 - 1
+    elif rank >= 3:
+        alpha = (rank - 3) / 2
         xl, wl = roots_genlaguerre(level, alpha)
-        s = (s[:, None] + t * xl[None, :]).ravel()
-        v = (v[:, None] * (wl / math.factorial(alpha))[None, :]).ravel()
+        s, v = t * xl, wl / math.gamma(alpha + 1)
     a = (gauss[:, None] * v[None, :]).ravel()
     for arr in (hx, s, a):
         arr.setflags(write=False)

@@ -123,16 +123,46 @@ def test_invert_empty_points(tmp_path, capsys):
 
 
 def test_invert_malformed_coeffs_exits_2(tmp_path, capsys):
-    # a block with no matrix, a block holding NaN (JSON's NaN token), and a
-    # cell that is one number, not an [re, im] pair
+    # a block with no matrix, a block holding NaN (JSON's NaN token), a cell
+    # that is one number, not an [re, im] pair, and a cell holding a string:
+    # one error line that names the file, the entry and what is wrong
     coeffs, pts = tmp_path / "c.json", tmp_path / "p.json"
-    for entry in ({"label": 99}, {"label": 1, "matrix": [[[math.nan, 0.0]]]}, {"label": 1, "matrix": [[[1.0]]]}):
-        coeffs.write_text(json.dumps({"group": "su2", "entries": [entry]}))
+    cases = [
+        ({"label": 99}, "entry 1: no 'matrix'"),
+        ({"label": 1, "matrix": [[[math.nan, 0.0]]]}, "entry 1: the matrix of label 1 is not finite"),
+        ({"label": 1, "matrix": [[[1.0]]]}, "entry 1: the matrix of label 1 is not rows of [re, im] pairs of numbers"),
+        ({"label": 1, "matrix": [[["1", 0.0]]]}, "entry 1: the matrix of label 1 is not rows of [re, im] pairs of numbers"),
+    ]
+    for entry, message in cases:
+        coeffs.write_text(json.dumps({"group": "su2", "entries": [{"label": 2, "matrix": [[[1.0, 0.0]] * 2] * 2}, entry]}))
         pts.write_text("[[0.1, 0.2, 0.3]]")
         args = ["invert", "--coeffs", str(coeffs), "--points", str(pts), "--group", "su2", "--t", "1"]
         code, captured = _main_in_process([*args, "--out", str(tmp_path / "o")], capsys)
         assert code == 2, captured.err
+        assert captured.err == f"error: coefficient file {str(coeffs)!r}, {message}\n"
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "coeffs, points, message",
+    [
+        ("nope", "[[0.1]]", "coefficient file {c!r} is not JSON: Expecting value"),
+        ('{"group": 3, "entries": []}', "[[0.1]]", "coefficient file {c!r} needs a 'group' string and an 'entries' list"),
+        ('{"group": "torus:1", "entries": 5}', "[[0.1]]", "coefficient file {c!r} needs a 'group' string and an 'entries' list"),
+        ('{"group": "torus:1", "entries": ["x"]}', "[[0.1]]", "coefficient file {c!r}, entry 0: not a JSON object"),
+        ('{"group": "torus:1", "entries": []}', "nope", "point file {p!r} is not JSON: Expecting value"),
+    ],
+)
+def test_invert_data_file_errors_name_the_file(tmp_path, capsys, coeffs, points, message):
+    # a data file that is not JSON, or not of the documented shape, is one
+    # error line that names it, never a traceback
+    c, p = tmp_path / "c.json", tmp_path / "p.json"
+    c.write_text(coeffs)
+    p.write_text(points)
+    code, captured = _main_in_process(["invert", "--coeffs", str(c), "--points", str(p), "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert captured.err.startswith("error: " + message.format(c=str(c), p=str(p)))
+    assert captured.err.count("\n") == 1 and not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -149,7 +179,7 @@ def test_invert_malformed_points_exits_2(tmp_path, capsys, group, points):
     args = ["invert", "--coeffs", str(coeffs), "--points", str(pts), "--group", group, "--out", str(tmp_path / "o")]
     code, captured = _main_in_process(args, capsys)
     assert code == 2
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith(f"error: point file {str(pts)!r} must hold")
     assert not (tmp_path / "o").exists()
 
 
@@ -591,7 +621,7 @@ def _coeffs(group, *labels):
         (["invert", "--coeffs", _LABEL_3, "--points", "missing/points.json"], "No such file or directory: 'missing/points.json'"),
         (["verify", "mass", "--config", "missing/config.json"], "No such file or directory: 'missing/config.json'"),
         # (2 pi)^r, vol K, passes the double range past torus rank 386
-        (["verify", "mass", "--group", "torus:400", "--tau", "4"], "torus rank must be in 1..386"),
+        (["verify", "mass", "--group", "torus:400"], "torus rank must be in 1..386"),
         (["report", "lattice", "--group", "torus:387"], "torus rank must be in 1..386"),
         (["verify", "toeplitz", "--group", "torus:400", "--cutoff", "1"], "torus rank must be in 1..386"),
         # invert's labels: [1] and 1 are one label on torus:1, and a second block would replace the first
@@ -616,6 +646,20 @@ def test_bad_input_exits_2_before_work(tmp_path, capsys, args, message):
     assert message in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+def test_only_report_lattice_checks_the_tau_range(tmp_path, capsys):
+    # the default tau 256 lies past torus:300's range [0.113, 111]; report
+    # lattice, tau's one reader, refuses it, and verify mass runs (its radial
+    # weight r^(dim - 1) overflows from rank 257 at t = 1, so its row FAILs)
+    code, captured = _main_in_process(["verify", "mass", "--group", "torus:300", "--out", str(tmp_path / "m")], capsys)
+    assert code != 2 and "tau" not in captured.err
+    assert (tmp_path / "m" / "verify_mass_torus-300_t1.csv").exists()
+    code, captured = _main_in_process(["report", "lattice", "--group", "torus:300", "--out", str(tmp_path / "l")], capsys)
+    assert code == 2
+    assert "tau values must lie in [0.112773, 111.43] on torus:300" in captured.err
+    assert not (tmp_path / "l").exists()
 
 
 @pytest.mark.parametrize("head", [["verify", "mass"], ["report", "lattice"]])
@@ -675,7 +719,7 @@ def test_lattice_takes_every_tau_of_its_range(group):
     for tau in (math.nextafter(lo, 0), math.nextafter(hi, math.inf)):
         if 0 < tau < math.inf:
             with pytest.raises(ConfigError, match="tau values must lie in"):
-                RunConfig(group=group, tau=(tau,)).validate()
+                RunConfig(group=group, tau=(tau,)).validate("lattice")
     assert len(ends) == (0 if spec.rank == 1 else 2)
 
 
@@ -810,6 +854,19 @@ def test_verify_mass_torus4_passes_at_default_flags(tmp_path, capsys):
         assert row["pass"] == "1"
         assert float(row["rel-err"]) <= 1e-13 and float(row["gap"]) <= 1e-13
         assert float(row["rhs"]) == pytest.approx((2 * math.pi) ** 4, rel=1e-15)
+
+
+@pytest.mark.parametrize("group", ["torus:20", "torus:60", "torus:100", "torus:200"])
+def test_verify_mass_passes_on_wide_tori(tmp_path, capsys, group):
+    # |Y|^2 ~ (t/2) chi^2_r under nu_t: the radius grows with the rank, so
+    # no mass is cut off (a radius of 8 sqrt(t) loses 3.1e-2 of it on torus:100)
+    out = tmp_path / "o"
+    code, captured = _main_in_process(["verify", "mass", "--group", group, "--t", "0.5,1,2", "--out", str(out)], capsys)
+    assert code == 0, captured.err
+    for path in out.iterdir():
+        with open(path, newline="") as fp:
+            (row,) = list(csv.DictReader(fp))
+        assert float(row["rel-err"]) <= 1e-13 and float(row["gap"]) <= 1e-13, (path.name, row)
 
 
 def test_report_names_use_shortest_form_of_t(tmp_path, capsys):

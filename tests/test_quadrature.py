@@ -184,6 +184,24 @@ def test_rules_match_scipy_bit_for_bit():
             assert _same_bits(roots_genlaguerre(n, alpha), sps.roots_genlaguerre(n, alpha)), (n, alpha)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
+def test_half_integer_laguerre_rules_give_the_gamma_moments(alpha):
+    # under x^alpha e^{-x} / Gamma(alpha + 1), E x^k = Gamma(k + alpha + 1) /
+    # Gamma(alpha + 1) = (alpha + 1)(alpha + 2)...(alpha + k), exact in binary
+    # for these alpha; an n-point rule integrates every degree below 2n
+    for n in range(4, MAX_ORDER + 1):
+        x, w = roots_genlaguerre(n, alpha)
+        for k in range(min(12, 2 * n)):
+            exact = math.prod(alpha + i for i in range(1, k + 1))
+            assert np.dot(w, x**k) / math.gamma(alpha + 1) == pytest.approx(exact, rel=1e-13), (n, k)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.25, math.nan])
+def test_laguerre_rules_refuse_other_alpha(alpha):
+    with pytest.raises(ValueError):
+        roots_genlaguerre(8, alpha)
+
+
 def test_odd_legendre_rules_close_to_scipy():
     # cephes evaluates P_n near 0 by a power series, the recurrence here does
     # not: the middle weight moves by a few ulp, and through the weights'

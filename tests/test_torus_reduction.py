@@ -4,8 +4,9 @@ On a torus the package evaluates every K_C integral label by label on a rule
 in (zeta, s): zeta = Y.nhat along the shift -t n of the Gaussian and s the
 squared length of the rest.  The oracle here does the direct evaluation
 instead: Schur on K only, with e^{-2 n.Y} and the weight built at every node
-of the L^r tensor Gauss-Hermite rule (and, for the inversion, of the L^r
-tensor Gauss-Legendre rule on the cube).
+of the L^r tensor Gauss-Hermite rule, or with the rule moved to each label's
+shift (and, for the inversion, of the L^r tensor Gauss-Legendre rule on the
+cube).
 """
 
 import functools
@@ -23,7 +24,7 @@ from gsb.kernels import reproduce_check
 from gsb.polar import polar_compose
 from gsb.quadrature import QuadSpec, kspace_rule
 from gsb.sobolev import phi_x_weight
-from gsb.transform import AxisWeight, ct_forward, ct_inverse_integral, holo_inner
+from gsb.transform import AxisWeight, _torus_base_rule, ct_forward, ct_inverse_integral, holo_inner
 from oracles import axis_weight_at, entry_pairs
 
 LEVELS = (16, 24)
@@ -103,6 +104,52 @@ def test_holo_inner_matches_tensor_oracle(rank, t):
         oracle = _oracle(k12, at_nodes)
         for level in res.by_level:
             _close(np.sum(level), oracle, scale)
+
+
+def _shifted_oracle(F1, F2, node_weight, level):
+    """The form of F1 and F2 against a weight given at nodes, and its size
+    (the same sum over |terms|): Schur on K, and each shared label n's
+    e^{-2 n.Y} dmu_t taken as e^{t |n|^2} N(-t n, t/2) on the L^r tensor rule
+    moved to -t n, so a weight polynomial in Y is integrated exactly."""
+    spec, t = F1.spec, F1.t
+    rule = kspace_rule(spec, t, level)
+    value = size = 0j
+    for n in set(F1.coefs.entries) & set(F2.coefs.entries):
+        damping = math.exp((sum(k * k for k in n) - laplacian_eigenvalue(spec, n)) * t)
+        pair = spec.volume * damping * np.conj(F1.coefs.entries[n][0, 0]) * F2.coefs.entries[n][0, 0]
+        at_nodes = node_weight(rule.nodes - t * np.asarray(n, dtype=float))
+        value += pair * np.dot(rule.weights, at_nodes)
+        size += abs(pair) * np.dot(rule.weights, np.abs(at_nodes))
+    return complex(value), abs(size)
+
+
+@pytest.mark.parametrize("t", TIMES)
+@pytest.mark.parametrize("rank", [4, 6])
+def test_holo_inner_matches_shifted_tensor_oracle_on_even_ranks(rank, t):
+    # weights of degree 0-3 in u = |Y|^2, so 6 in each coordinate: the level-6
+    # tensor rule is exact, and so is each level of the reduced rule
+    rng = np.random.default_rng(300 + rank + int(10 * t))
+    labels = _labels(rank, rng)
+    F1, F2 = _random_holo(rank, t, labels, rng), _random_holo(rank, t, labels, rng)
+    cases = [
+        (None, lambda ys: np.ones(ys.shape[0])),
+        (lambda u: 2.0 - u, lambda ys: 2.0 - _u(ys)),
+        (lambda u: (1.0 + u) ** 2, lambda ys: (1.0 + _u(ys)) ** 2),
+        (lambda u: u**3 - u, lambda ys: _u(ys) ** 3 - _u(ys)),
+    ]
+    for weight, node_weight in cases:
+        res = holo_inner(F1.spec, t, entry_pairs(F1.coefs, F2.coefs), Q, weight=weight)
+        oracle, size = _shifted_oracle(F1, F2, node_weight, 6)
+        for level in res.by_level:
+            _close(np.sum(level), oracle, size)
+
+
+@pytest.mark.parametrize("rank", range(2, 9))
+def test_torus_base_rule_holds_level_squared_weights(rank):
+    # zeta's Gauss-Hermite rule times one rule in s = |Y_perp|^2 on every rank
+    level = 24
+    hx, s, a = _torus_base_rule(0.75, level, rank)
+    assert (hx.size, s.size, a.size) == (level, level, level * level)
 
 
 @pytest.mark.parametrize("rank", range(1, 9))
