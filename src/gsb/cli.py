@@ -25,7 +25,7 @@ from itertools import repeat
 from operator import itemgetter
 
 from . import bounds, coeffs, groups, heat, quadrature, sobolev, suites, transform
-from .config import VERIFY_SUITES, ConfigError, RunConfig, _config_from_args
+from .config import VERIFY_SUITES, ConfigError, RunConfig, _config_from_args, read_json
 
 REPORT_COLUMNS = {
     "bounds": ["tau", "max-ratio", "alpha_t", "chamber", "pass"],
@@ -96,7 +96,8 @@ def write_report(path: str, columns, blocks, fmt: str):
 
 
 def _write_reports(cfg: RunConfig, stem: str, columns, blocks_at, passed) -> int:
-    """One report per configured t, <stem>_<group>_t<t>.<fmt>, of the rows of
+    """One report per configured t, <stem>_<group>_t<t>.<fmt> with group the
+    canonical name (su2, torus-r) however --group spelled it, of the rows of
     blocks_at(t): each block is written to <report>.part as it comes, and the
     parts are renamed into place, each path printed, once every t ran; on any
     exception the parts (and an --out this run made) are removed, so nothing
@@ -114,7 +115,7 @@ def _write_reports(cfg: RunConfig, stem: str, columns, blocks_at, passed) -> int
 
     try:
         for t in cfg.t:
-            paths.append(os.path.join(cfg.out, f"{stem}_{cfg.group.replace(':', '-')}_t{_name_num(t)}.{cfg.fmt}"))
+            paths.append(os.path.join(cfg.out, f"{stem}_{str(cfg.spec).replace(':', '-')}_t{_name_num(t)}.{cfg.fmt}"))
             write_report(paths[-1] + ".part", columns, judged(blocks_at(t)), cfg.fmt)
         for path in dict.fromkeys(paths):  # a t given twice writes its report once
             os.replace(path + ".part", path)
@@ -163,15 +164,6 @@ def cmd_report(kind: str, cfg: RunConfig) -> int:
     return _write_reports(cfg, f"report_{kind}", REPORT_COLUMNS[kind], lambda t: [_report_rows(kind, cfg, t)], passed.get(kind, bool))
 
 
-def _read_json(path: str, kind: str):
-    """The JSON value of a data file; one that is not JSON is a ConfigError naming it."""
-    with open(path) as fp:
-        try:
-            return json.load(fp)
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise ConfigError(f"{kind} file {path!r} is not JSON: {exc}") from None
-
-
 def load_coefficients(path: str) -> coeffs.CoefVec:
     """Read {group, entries: [{label, matrix: rows of [re, im] pairs}]}.
 
@@ -180,7 +172,7 @@ def load_coefficients(path: str) -> coeffs.CoefVec:
     or that two blocks share, an entry with no label or matrix, and a matrix
     that is not rows of [re, im] pairs of finite numbers are a ConfigError
     that names the file and the entry."""
-    data = _read_json(path, "coefficient")
+    data = read_json(path, "coefficient")
     if not (isinstance(data, dict) and isinstance(data.get("group"), str) and isinstance(data.get("entries"), list)):
         raise ConfigError(f"coefficient file {path!r} needs a 'group' string and an 'entries' list")
     try:
@@ -229,7 +221,7 @@ def _coefficient_block(spec: groups.GroupSpec, entry: dict, blocks: dict):
 def _parse_points(spec: groups.GroupSpec, path: str):
     import numpy as np
 
-    data = _read_json(path, "point")
+    data = read_json(path, "point")
     # torus: one angle per axis; su2: Euler triples [phi, theta, psi]
     try:
         points = np.asarray(data, dtype=float).reshape(len(data), spec.dim)
@@ -249,7 +241,7 @@ def cmd_invert(cfg: RunConfig, coeff_path: str, points_path: str) -> int:
         points = _parse_points(f.spec, points_path)
         # refuse a radius past |Y| = MAX_ABS_Y
         transform.inversion_radii(f.spec, max(cfg.t), f.support)
-    except (LookupError, ValueError, TypeError, OSError) as exc:
+    except (LookupError, ValueError, TypeError) as exc:
         # a data file that is unreadable or malformed, or whose radius is refused
         raise ConfigError(str(exc)) from None
     columns = ["point", "value-re", "value-im", "exact-re", "exact-im", "abs-err", "stabilized", "tol", "pass", "gap"]

@@ -175,14 +175,22 @@ def _tau_range(spec: groups.GroupSpec) -> tuple:
     return spec.lattice_step**2 / math.pi * 2.0**-span, (2.0**span if span < 1024 else math.inf)
 
 
+def read_json(path: str, kind: str):
+    """The JSON value of a config or data file; a file that cannot be read,
+    or is not JSON, is a ConfigError that names it."""
+    try:
+        with open(path) as fp:
+            return json.load(fp)
+    except OSError as exc:  # its message names the file
+        raise ConfigError(str(exc)) from None
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigError(f"{kind} file {path!r} is not JSON: {exc}") from None
+
+
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
-        try:
-            with open(args.config) as fp:
-                data = json.load(fp)
-        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
-            raise ConfigError(str(exc)) from None
+        data = read_json(args.config, "config")
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = set(data) - {f.name for f in fields(RunConfig)}

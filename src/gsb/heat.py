@@ -18,7 +18,6 @@ from .polar import abs_y, log_phi
 __all__ = ["TruncationReport", "TailBoundError", "rho_eval", "log_nu_t"]
 
 MAX_CUTOFF = 4000
-THETA_BLOCK = 4096  # complex entries (64 KiB) of each temporary of the torus theta product
 
 
 class TailBoundError(RuntimeError):
@@ -78,37 +77,36 @@ def _choose_cutoff(spec: GroupSpec, t: float, s: float, tol: float):
     raise TailBoundError(f"no cutoff up to {MAX_CUTOFF} meets tolerance {tol:.3e} at |Y|={s:.3f}")
 
 
-def _su2_characters(h, cutoff: int):
-    """chi_1, ..., chi_cutoff of SU(2) at the half-trace h (an array), one at a time.
+def _recurrence(h, prev, cur, count: int):
+    """c_1, ..., c_count of c_{m+1} = 2h c_m - c_{m-1} from the seeds c_0 =
+    prev and c_1 = cur, one at a time: each term is yielded before the next
+    is formed, so none past c_count is.
 
-    With eigenvalues e^{+-iw}, h = cos w and chi_m = sin(m w)/sin w = U_{m-1}(h),
-    the Chebyshev polynomial of the second kind: U_0 = 1, U_1 = 2h,
-    U_{k+1} = 2h U_k - U_{k-1}.  Nothing is divided, so h = +-1 is no special case.
+    At h = cos w (an array) the seeds (0, 1) give c_m = U_{m-1}(h) = sin(m
+    w)/sin w, the SU(2) character chi_m at the half-trace h; nothing is
+    divided, so h = +-1 is no special case.  The seeds (2, 2h) give c_m =
+    2 T_m(h) = 2 cos(m w), the character sum e^{imw} + e^{-imw} of a torus
+    axis.
     """
-    prev, cur = np.zeros_like(h), np.ones_like(h)
     yield cur
-    for _ in range(cutoff - 1):
+    for _ in range(count - 1):
         prev, cur = cur, 2.0 * h * cur - prev
         yield cur
 
 
 def _theta_product(tau, g, cutoff: int):
     """prod over the axes of 1 + sum_{m=1..cutoff} e^{-m^2 tau/2} 2 cos(m g_k),
-    over the broadcast batch of tau and the (..., r) batch g, in blocks of
-    rows whose (rows, r, cutoff) temporaries hold at most THETA_BLOCK entries
-    (one row at least); each row's operations are those of the whole batch."""
-    shape = np.broadcast_shapes(tau.shape, g.shape[:-1])
-    rank = g.shape[-1]
-    taus = np.broadcast_to(tau, shape).reshape(-1)
-    gs = np.broadcast_to(g, shape + (rank,)).reshape(-1, rank)
-    n = np.arange(1, cutoff + 1)
-    rows = max(1, THETA_BLOCK // (rank * cutoff))
-    total = np.empty(len(taus), dtype=complex)
-    for i in range(0, len(taus), rows):
-        damp = np.exp(-n * n * taus[i : i + rows, None] / 2.0)[:, None, :]
-        nz = 1j * n * gs[i : i + rows, :, None]  # (rows, r, cutoff)
-        total[i : i + rows] = np.prod(1.0 + np.sum(damp * (np.exp(nz) + np.exp(-nz)), axis=-1), axis=-1)
-    return total.reshape(shape)
+    over the broadcast batch of tau and the (..., r) batch g, one axis at a
+    time with 2 cos(m g_k) from _recurrence."""
+    damp = [np.exp(-m * m * tau / 2.0) for m in range(1, cutoff + 1)]
+    total = 1.0
+    for k in range(g.shape[-1]):
+        h = np.cos(g[..., k])
+        axis = 1.0
+        for d, c in zip(damp, _recurrence(h, 2.0, 2.0 * h, cutoff)):
+            axis = axis + d * c
+        total = total * axis
+    return total
 
 
 def _shell_sums(g, cutoff: int):
@@ -116,15 +114,16 @@ def _shell_sums(g, cutoff: int):
     cutoff]^r with |n|^2 = lam, lam = 0..r cutoff^2, built one axis at a
     time: from T = delta_0, axis k adds 2 cos(m g_k) T[lam - m^2] for m =
     1..cutoff to each T[lam] (the shells of the axes done so far reach k
-    cutoff^2).  Each batch element has the bits of its batch of one."""
+    cutoff^2), with 2 cos(m g_k) from _recurrence."""
     rank = g.shape[-1]
     shells = np.zeros(g.shape[:-1] + (rank * cutoff * cutoff + 1,), dtype=complex)
     shells[..., 0] = 1.0
     for k in range(rank):
         reach = k * cutoff * cutoff + 1
         prev = shells[..., :reach].copy()
-        for m in range(1, cutoff + 1):
-            shells[..., m * m : m * m + reach] += 2.0 * np.cos(m * g[..., k, None]) * prev
+        h = np.cos(g[..., k, None])
+        for m, c in enumerate(_recurrence(h, 2.0, 2.0 * h, cutoff), start=1):
+            shells[..., m * m : m * m + reach] += c * prev
     return shells
 
 
@@ -133,17 +132,21 @@ def _series(spec: GroupSpec, tau, g, cutoff: int, weight=None):
 
     g is a batch of K_C elements ((..., 2, 2) on SU(2), (..., r) complex on
     a torus) and tau an array that broadcasts against the batch; weight
-    maps eigenvalues to factors (None means 1).
-    An unweighted torus sum is the product of its 1-D theta sums over the
-    axes (_theta_product); a weighted one sees a label n only through lam =
-    |n|^2, so it sums the shell sums of the label box (_shell_sums).  A sum
-    that overflows raises FloatingPointError instead of returning inf or nan.
+    maps eigenvalues to factors (None means 1).  Every character comes from
+    the one recurrence _recurrence: chi_m at the half-trace on SU(2), and
+    2 cos(m g_k) per torus axis.  An unweighted torus sum is the product of
+    its 1-D theta sums over the axes (_theta_product); a weighted one sees
+    a label n only through lam = |n|^2, so it sums the shell sums of the
+    label box (_shell_sums).  Each batch element has the bits of its batch
+    of one.  A sum that overflows raises FloatingPointError instead of
+    returning inf or nan.
     """
     tau = np.asarray(tau, dtype=float)
     with np.errstate(over="raise", invalid="raise"):
         if spec.kind == "su2":
+            h = 0.5 * (g[..., 0, 0] + g[..., 1, 1])
             total = 0.0
-            for m, chi in enumerate(_su2_characters(0.5 * (g[..., 0, 0] + g[..., 1, 1]), cutoff), start=1):
+            for m, chi in enumerate(_recurrence(h, np.zeros_like(h), np.ones_like(h), cutoff), start=1):
                 lam = (m * m - 1) / 4.0
                 total = total + m * np.exp(-lam * tau / 2.0) * (1.0 if weight is None else weight(lam)) * chi
         elif weight is None:

@@ -54,14 +54,24 @@ def test_impossible_tolerance_fails(tmp_path, capsys, suite):
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):
-    # a file that is not JSON, and one that is not even UTF-8 text
+    # files that are not JSON, and one that is not even UTF-8 text: one
+    # error line that names the file, as for invert's data files
     bad = tmp_path / "cfg.json"
-    for content in (b"{not json", b"\xff\xfe{"):
+    for content in (b"{not json", b"nope", b"\xff\xfe{"):
         bad.write_bytes(content)
         code, captured = _main_in_process(["verify", "mass", "--config", str(bad), "--out", str(tmp_path / "o")], capsys)
         assert code == 2
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: config file {str(bad)!r} is not JSON: ") and captured.err.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("group, name", [(" SU2 ", "su2"), ("su2", "su2"), ("torus:01", "torus-1"), ("TORUS:1", "torus-1")])
+def test_reports_are_named_by_the_canonical_group(tmp_path, capsys, group, name):
+    # parse_group takes case, padding and leading zeros; the file name does not
+    out = tmp_path / "o"
+    code, captured = _main_in_process(["verify", "mass", "--group", group, "--out", str(out)], capsys)
+    assert code == 0, captured.err
+    assert sorted(path.name for path in out.iterdir()) == [f"verify_mass_{name}_t1.csv"]
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

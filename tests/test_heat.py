@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gsb.groups import enumerate_irreps, irrep_dim, random_algebra, random_k, rep_matrix_batch, su2, torus
-from gsb.heat import THETA_BLOCK, TailBoundError, _series, _su2_characters, _theta_product, log_nu_t, rho_eval
+from gsb.heat import TailBoundError, _recurrence, _series, log_nu_t, rho_eval
 from gsb.polar import exp_iy_batch, polar_compose
 from oracles import integrate_K
 
@@ -125,6 +125,11 @@ def test_nu_t_mass():
             assert mass == pytest.approx(1.0, abs=1e-12), (spec, t)
 
 
+def _su2_characters(h, cutoff):
+    """chi_1, ..., chi_cutoff at the half-trace h: the recurrence from the seeds (0, 1)."""
+    return _recurrence(h, np.zeros_like(h), np.ones_like(h), cutoff)
+
+
 def test_su2_characters_at_degenerate_half_traces():
     # chi_m = sin(m w)/sin(w) is removable at w = 0 (h = 1) and w = pi (h = -1),
     # where it equals m and (-1)^(m-1) m; the recurrence divides by nothing
@@ -221,19 +226,40 @@ def test_weighted_torus_series_matches_the_label_box_sum(rank):
                     assert single.tobytes() == value[k : k + 1].tobytes()
 
 
-def test_blocked_theta_product_matches_the_unblocked_oracle():
-    # 64 times by 15 points on torus:3 at cutoff 6 is 17,280 entries a
-    # temporary, several blocks; each element has the bits of one product
-    # over the whole broadcast batch
-    rng = np.random.default_rng(8)
-    g = rng.uniform(0.0, 2 * math.pi, (15, 3)) + 1j * rng.uniform(-1.0, 1.0, (15, 3))
-    tau = rng.uniform(0.1, 3.0, (64, 1))
-    cutoff = 6
-    assert tau.size * len(g) * 3 * cutoff > 4 * THETA_BLOCK
-    n = np.arange(1, cutoff + 1)
-    damp = np.exp(-n * n * tau[..., None] / 2.0)[..., None, :]
-    nz = 1j * n * g[..., None]
-    oracle = np.prod(1.0 + np.sum(damp * (np.exp(nz) + np.exp(-nz)), axis=-1), axis=-1)
-    value = _theta_product(tau, g, cutoff)
-    assert value.shape == oracle.shape == (64, 15)
-    assert value.tobytes() == oracle.tobytes()
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_torus_series_matches_mpmath(rank):
+    # the truncated theta product, prod_k (1 + sum_m e^{-m^2 tau/2} 2 cos(m g_k)) / vol,
+    # summed with 40 digits, at points with |Im g| <= 5 (among them cos g = 1,
+    # cos g = -1 and Im g = 5 on every axis), over a batch of times; each
+    # element has the bits of its batch of one
+    import mpmath
+
+    mpmath.mp.dps = 40
+    spec = torus(rank)
+    rng = np.random.default_rng(9)
+    g = rng.uniform(0.0, 2 * math.pi, (6, rank)) + 1j * rng.uniform(-5.0, 5.0, (6, rank))
+    g[0], g[1], g[2] = 0.0, math.pi, math.pi + 5j
+    taus = np.array([0.05, 0.5, 2.0])
+    for cutoff in (16, 64):
+        value = _series(spec, taus[:, None], g, cutoff)
+        assert value.shape == (3, 6)
+        for i, tau in enumerate(taus):
+            damp = [mpmath.exp(-m * m * mpmath.mpf(tau) / 2) for m in range(1, cutoff + 1)]
+            for k, point in enumerate(g):
+                exact, scale = mpmath.mpf(1), mpmath.mpf(1)
+                for z in map(mpmath.mpc, point):
+                    exact *= 1 + mpmath.fsum(d * 2 * mpmath.cos(m * z) for m, d in enumerate(damp, start=1))
+                    scale *= 1 + mpmath.fsum(d * 2 * mpmath.cosh(m * z.imag) for m, d in enumerate(damp, start=1))
+                exact, scale = complex(exact / spec.volume), float(scale / spec.volume)
+                assert abs(value[i, k] - exact) <= 1e-14 * scale, (cutoff, tau, k)
+                single = _series(spec, np.asarray(tau), g[k : k + 1], cutoff)
+                assert single.tobytes() == value[i, k : k + 1].tobytes()
+
+
+def test_torus_series_forms_no_term_past_the_cutoff():
+    # at g = 0.3 + 11i the characters 2 cos(m g) grow like e^{11 m}: e^{704}
+    # at m = 64 is still a double, e^{715} at m = 65 is not
+    g = np.array([[0.3 + 11j]])
+    assert np.all(np.isfinite(_series(torus(1), np.asarray(1.0), g, 64)))
+    with pytest.raises(FloatingPointError):
+        _series(torus(1), np.asarray(1.0), g, 65)
