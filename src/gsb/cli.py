@@ -25,7 +25,7 @@ from itertools import repeat
 from operator import itemgetter
 
 from . import bounds, coeffs, groups, heat, quadrature, sobolev, suites, transform
-from .config import VERIFY_SUITES, ConfigError, RunConfig, _config_from_args, read_json
+from .config import MAX_LABEL, VERIFY_SUITES, ConfigError, RunConfig, _config_from_args, read_json
 
 REPORT_COLUMNS = {
     "bounds": ["tau", "max-ratio", "alpha_t", "chamber", "pass"],
@@ -209,6 +209,8 @@ def _coefficient_block(spec: groups.GroupSpec, entry: dict, blocks: dict):
     if label in blocks:
         raise ConfigError(f"two coefficient blocks have the label {label}")
     rows = entry["matrix"]
+    if spec.kind == "su2" and label > MAX_LABEL:
+        raise ConfigError(f"label {label} is above {MAX_LABEL}, past which pi_m on K is not unitary to 1e-6")
     try:
         mat = np.array([[complex(cell[0], cell[1]) for cell in row] for row in rows], dtype=complex)
     except (LookupError, ValueError, TypeError):

@@ -20,6 +20,10 @@ from . import groups, quadrature, sobolev
 VERIFY_SUITES = ("unitarity", "mass", "reproducing", "sobolev-isometry", "kernel-tworoute", "toeplitz", "weighted-norm")
 BASIS_SUITES = ("unitarity", "sobolev-isometry", "weighted-norm")
 MAX_ENTRIES = 1 << 20  # the most matrix entries a basis suite checks at one t
+# the largest label cutoff, and the largest SU(2) label invert reads: pi_m on
+# K loses unitarity with m, to 7e-8 at m = 64 and 1.5e-5 at m = 80 (above
+# invert's 1e-6), and invert's exact column shares the error it would check
+MAX_LABEL = 64
 
 
 class ConfigError(ValueError):
@@ -48,7 +52,7 @@ class RunConfig:
     t: tuple = _flag((1.0,), float, "comma list of times")
     n: tuple = _flag((1, 2), int, "comma list of Sobolev orders, each in 0..64")
     c: float | None = _flag(None, float, "spectral shift (default: positivity threshold; kernel-tworoute: |delta|^2+1)")
-    cutoff: int = _flag(4, int, "irrep label cutoff (max 64)")
+    cutoff: int = _flag(4, int, f"irrep label cutoff (max {MAX_LABEL})")
     levels: tuple = _flag(
         (64, 96), int, "comma list of quadrature levels of the K_C forms and mass, and the floor of invert's (kernel-tworoute's Gamma route: 48,64)"
     )
@@ -89,8 +93,8 @@ class RunConfig:
             raise ConfigError(str(exc))
         if not all(0 < t < math.inf for t in self.t):
             raise ConfigError("t values must be positive and finite")
-        if not (1 <= self.cutoff <= 64):
-            raise ConfigError("cutoff must be in 1..64")
+        if not (1 <= self.cutoff <= MAX_LABEL):
+            raise ConfigError(f"cutoff must be in 1..{MAX_LABEL}")
         if not all(0 <= n <= 64 for n in self.n):
             raise ConfigError("n values must be in 0..64")
         if not all(0 < tau < math.inf for tau in self.tau):

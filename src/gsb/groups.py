@@ -18,7 +18,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -144,17 +143,6 @@ def _check_torus_label(spec, label):
     return label
 
 
-@lru_cache(maxsize=None)
-def _sym_power_tables(n: int):
-    """Index tables for the symmetric-power expansion of pi_m, m = n+1."""
-    norms = np.array([math.sqrt(math.factorial(n - k) * math.factorial(k)) for k in range(n + 1)])
-    binom = np.zeros((n + 1, n + 1))
-    for p in range(n + 1):
-        for i in range(p + 1):
-            binom[p, i] = math.comb(p, i)
-    return norms, binom
-
-
 def rep_matrix_batch(spec: GroupSpec, label, gs: np.ndarray) -> np.ndarray:
     """Representation matrices pi(g) of a batch of elements g, holomorphic
     in g over the complexified group.
@@ -187,47 +175,19 @@ def rep_matrix_batch(spec: GroupSpec, label, gs: np.ndarray) -> np.ndarray:
     scale = 1.0 + np.max(np.abs(gs), axis=(1, 2)) ** 2
     if np.any(np.abs(det - 1.0) > 1e-8 * scale):
         raise ValueError("su2 group elements must have determinant 1")
+    # Basis e_l = z1^{n-l} z2^l / sqrt((n-l)! l!), n = m-1: column k of pi(g)
+    # holds the coefficients of (a z1 + c z2)^{n-k} (b z1 + d z2)^k, built by
+    # n multiply-and-shift steps, the first n-k of them by (a, c)
     n = m - 1
-    if n == 0:
-        return np.ones((gs.shape[0], 1, 1), dtype=complex)
-    if n == 1:
-        return gs.copy()
-
-    a, b = gs[:, 0, 0], gs[:, 0, 1]
-    c, d = gs[:, 1, 0], gs[:, 1, 1]
-    norms, binom = _sym_power_tables(n)
-    # powers[x][p] = x**p for p = 0..n, shape (n+1, N)
-    pw = {}
-    for name, arr in (("a", a), ("b", b), ("c", c), ("d", d)):
-        cur = np.ones_like(arr)
-        rows = [cur]
-        for _ in range(n):
-            cur = cur * arr
-            rows.append(cur)
-        pw[name] = np.stack(rows)
-
     out = np.zeros((gs.shape[0], m, m), dtype=complex)
-    # Basis e_k = z1^{n-k} z2^k / sqrt((n-k)! k!); pi(g) e_k expands
-    # (a z1 + c z2)^{n-k} (b z1 + d z2)^k over the same basis.
-    for k in range(m):
-        for l in range(m):
-            tot = None
-            for i in range(min(n - k, n - l) + 1):
-                j = (n - l) - i
-                if j < 0 or j > k:
-                    continue
-                term = (
-                    binom[n - k, i]
-                    * binom[k, j]
-                    * pw["a"][i]
-                    * pw["c"][n - k - i]
-                    * pw["b"][j]
-                    * pw["d"][k - j]
-                )
-                tot = term if tot is None else tot + term
-            if tot is not None:
-                out[:, l, k] = tot * (norms[l] / norms[k])
-    return out
+    out[:, 0] = 1.0
+    for step in range(n):
+        x = gs[:, :, (np.arange(m) >= n - step).astype(int)]
+        col, out = out[:, :-1], np.zeros_like(out)
+        out[:, :-1] += col * x[:, :1]
+        out[:, 1:] += col * x[:, 1:]
+    norms = np.array([math.sqrt(math.factorial(n - k) * math.factorial(k)) for k in range(m)])
+    return out * (norms[:, None] / norms)
 
 
 def rep_generator(spec: GroupSpec, label, X) -> np.ndarray:

@@ -61,12 +61,17 @@ def _mass_level(spec: GroupSpec, t: float, radius: float, level: int) -> complex
     """int exp(log nu_t - 2 log Phi) dY over |Y| <= R by the radial Gauss-Legendre
     rule on [0, R] with weight |S^{dim-1}| r^{dim-1}: the integrand is radial on
     every group, so it is evaluated along one unit direction with every
-    coordinate nonzero (a density that ignored a coordinate would fail)."""
+    coordinate nonzero (a density that ignored a coordinate would fail).  The
+    weight's logarithm joins the integrand's in one exponent: on a wide torus
+    r^{dim-1} and Gamma(dim/2) overflow alone, and their product with nu_t
+    does not."""
+    d = spec.dim
     x, w = roots_legendre(level)
     r = radius * (x + 1.0) / 2.0
-    weights = math.pi ** (spec.dim / 2.0) / math.gamma(spec.dim / 2.0) * radius * w * r ** (spec.dim - 1)
-    nodes = r[:, None] * np.full(spec.dim, 1.0 / math.sqrt(spec.dim))
-    return np.dot(weights, np.exp(heat.log_nu_t(spec, t, nodes) - 2.0 * log_phi(spec, nodes)))
+    nodes = r[:, None] * np.full(d, 1.0 / math.sqrt(d))
+    log_sphere = math.log(2.0) + d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0)
+    log_f = log_sphere + (d - 1) * np.log(r) + heat.log_nu_t(spec, t, nodes) - 2.0 * log_phi(spec, nodes)
+    return np.dot(radius / 2.0 * w, np.exp(log_f))
 
 
 # Each suite maps (cfg, t, tol, q) to its rows for one time t, in blocks.

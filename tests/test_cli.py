@@ -641,6 +641,9 @@ def _coeffs(group, *labels):
         (["invert", "--coeffs", _coeffs("su2", 2.5), "--points", [[0.3, 0.5, 0.7]], "--group", "su2"], "label 2.5 is not made of integers"),
         (["invert", "--coeffs", _coeffs("su2", 0), "--points", [[0.3, 0.5, 0.7]], "--group", "su2"], "label 0 is no SU(2) dimension"),
         (["invert", "--coeffs", _coeffs("su2", True), "--points", [[0.3, 0.5, 0.7]], "--group", "su2"], "label True is not made"),
+        # pi_m on K is unitary to 1e-6 up to config.MAX_LABEL = 64, and invert's exact column shares its error
+        (["invert", "--coeffs", _coeffs("su2", 65), "--points", [[0.3, 0.5, 0.7]], "--group", "su2"], "label 65 is above 64"),
+        (["invert", "--coeffs", _coeffs("su2", 96), "--points", [[0.3, 0.5, 0.7]], "--group", "su2"], "label 96 is above 64"),
     ],
 )
 def test_bad_input_exits_2_before_work(tmp_path, capsys, args, message):
@@ -658,13 +661,11 @@ def test_bad_input_exits_2_before_work(tmp_path, capsys, args, message):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
 def test_only_report_lattice_checks_the_tau_range(tmp_path, capsys):
     # the default tau 256 lies past torus:300's range [0.113, 111]; report
-    # lattice, tau's one reader, refuses it, and verify mass runs (its radial
-    # weight r^(dim - 1) overflows from rank 257 at t = 1, so its row FAILs)
+    # lattice, tau's one reader, refuses it, and verify mass runs
     code, captured = _main_in_process(["verify", "mass", "--group", "torus:300", "--out", str(tmp_path / "m")], capsys)
-    assert code != 2 and "tau" not in captured.err
+    assert code == 0 and "tau" not in captured.err
     assert (tmp_path / "m" / "verify_mass_torus-300_t1.csv").exists()
     code, captured = _main_in_process(["report", "lattice", "--group", "torus:300", "--out", str(tmp_path / "l")], capsys)
     assert code == 2
@@ -866,17 +867,22 @@ def test_verify_mass_torus4_passes_at_default_flags(tmp_path, capsys):
         assert float(row["rhs"]) == pytest.approx((2 * math.pi) ** 4, rel=1e-15)
 
 
-@pytest.mark.parametrize("group", ["torus:20", "torus:60", "torus:100", "torus:200"])
+@pytest.mark.parametrize("group", ["torus:20", "torus:60", "torus:100", "torus:200", "torus:300", "torus:350", "torus:386"])
 def test_verify_mass_passes_on_wide_tori(tmp_path, capsys, group):
     # |Y|^2 ~ (t/2) chi^2_r under nu_t: the radius grows with the rank, so
-    # no mass is cut off (a radius of 8 sqrt(t) loses 3.1e-2 of it on torus:100)
+    # no mass is cut off (a radius of 8 sqrt(t) loses 3.1e-2 of it on torus:100);
+    # r^(dim - 1) and Gamma(dim/2) overflow alone from rank 257 and 344 at
+    # t = 1, and the radial weight is summed in the exponent.  From torus:300
+    # the integrand's logarithm reaches the hundreds and its rounding sets
+    # rel-err and gap: at most 2.0e-13 and 3.2e-12 measured (torus:350, 386)
+    bound = 2e-11 if int(group.split(":")[1]) >= 300 else 1e-13
     out = tmp_path / "o"
     code, captured = _main_in_process(["verify", "mass", "--group", group, "--t", "0.5,1,2", "--out", str(out)], capsys)
     assert code == 0, captured.err
     for path in out.iterdir():
         with open(path, newline="") as fp:
             (row,) = list(csv.DictReader(fp))
-        assert float(row["rel-err"]) <= 1e-13 and float(row["gap"]) <= 1e-13, (path.name, row)
+        assert float(row["rel-err"]) <= bound and float(row["gap"]) <= bound, (path.name, row)
 
 
 def test_report_names_use_shortest_form_of_t(tmp_path, capsys):

@@ -144,7 +144,7 @@ def test_su2_characters_at_degenerate_half_traces():
 
 
 def test_su2_characters_match_rep_trace():
-    # against the symmetric-power matrices at random SL(2,C) points
+    # against the traces of the irreps' matrices at random SL(2,C) points
     rng = np.random.default_rng(5)
     a = rng.normal(size=(16, 2, 2)) + 1j * rng.normal(size=(16, 2, 2))
     gs = a / np.sqrt(np.linalg.det(a))[:, None, None]

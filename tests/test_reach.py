@@ -22,10 +22,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gsb"
 # directory -> the coefficient and point files of invert in it
 INPUTS = {
     **{group.replace(":", "-"): files for group, files in COEFFS.items()},
-    "su2-m3": (
-        {"group": "su2", "entries": [{"label": m, "matrix": [[[0.5, 0.25]] * m] * m} for m in (1, 2, 3)]},
-        [[0.3, 0.5, 0.7], [2.0, 1.1, 4.0]],
-    ),
     "bad-label": ({"group": "torus:1", "entries": [{"label": [1, 2], "matrix": [[[1.0, 0.0]]]}]}, [[0.3]]),
 }
 
@@ -39,8 +35,6 @@ def _with_inputs(command: str) -> str:
 # (command less its --out, exit code)
 COMMANDS = (
     *((_with_inputs(command), 0) for command in DEFAULT_RUNS),
-    # an m = 3 block is the only path to the symmetric-power tables of the SU(2) irreps
-    ("invert --group su2 --coeffs su2-m3/c.json --points su2-m3/p.json", 0),
     ("verify unitarity --group torus:2 --cutoff 2", 0),
     ("verify weighted-norm --group torus:3 --cutoff 1", 0),
     ("report lattice --group torus:3", 0),
