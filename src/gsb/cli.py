@@ -117,7 +117,7 @@ def _write_reports(cfg: RunConfig, stem: str, columns, blocks_at, passed) -> int
         for t in cfg.t:
             paths.append(os.path.join(cfg.out, f"{stem}_{str(cfg.spec).replace(':', '-')}_t{_name_num(t)}.{cfg.fmt}"))
             write_report(paths[-1] + ".part", columns, judged(blocks_at(t)), cfg.fmt)
-        for path in dict.fromkeys(paths):  # a t given twice writes its report once
+        for path in paths:  # distinct t name distinct reports (RunConfig.validate)
             os.replace(path + ".part", path)
     except BaseException:
         for part in [path + ".part" for path in paths]:

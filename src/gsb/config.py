@@ -49,25 +49,27 @@ def _flag(default, kind, help: str):
 @dataclass(frozen=True)
 class RunConfig:
     group: str = _flag("torus:1", str, "torus:r or su2")
-    t: tuple = _flag((1.0,), float, "comma list of times")
-    n: tuple = _flag((1, 2), int, "comma list of Sobolev orders, each in 0..64")
+    t: tuple = _flag((1.0,), float, "comma list of distinct times")
+    n: tuple = _flag((1, 2), int, "comma list of distinct Sobolev orders, each in 0..64")
     c: float | None = _flag(None, float, "spectral shift (default: positivity threshold; kernel-tworoute: |delta|^2+1)")
     cutoff: int = _flag(4, int, f"irrep label cutoff (max {MAX_LABEL})")
     levels: tuple = _flag(
-        (64, 96), int, "comma list of quadrature levels of the K_C forms and mass, and the floor of invert's (kernel-tworoute's Gamma route: 48,64)"
+        (64, 96), int, "two quadrature levels coarse,fine, coarse < fine, of the K_C forms and mass, and the floor of invert's (kernel-tworoute's Gamma route: 48,64)"
     )
-    tau: tuple = _flag((1.0, 4.0, 16.0, 64.0, 256.0), float, "comma list of lattice scales (report lattice only)")
+    tau: tuple = _flag((1.0, 4.0, 16.0, 64.0, 256.0), float, "comma list of distinct lattice scales (report lattice only)")
     tolerance: float | None = _flag(None, float, "override the suite or invert tolerance")
     seed: int = _flag(0, int, "RNG seed for sampled cases")
     out: str = _flag("reports", str, "output directory (default: reports)")
     fmt: str = _flag("csv", str, "report format: csv or json")
 
     def validate(self, command: str | None = None) -> "RunConfig":
-        """Check every field; command (a suite or report kind) adds a command's
-        own refusals: a Sobolev suite with no order n >= 1 to check, a basis
-        suite with more than MAX_ENTRIES matrix entries (sum d^2) at one t,
-        on kernel-tworoute the Sobolev kernel's c > |delta|^2, and on report
-        lattice, tau's one reader, a tau outside _tau_range.
+        """Check every field (a list field's values must be distinct, and the
+        levels are the pair QuadSpec takes); command (a suite or report
+        kind) adds a command's own refusals: a Sobolev suite with no order
+        n >= 1 to check, a basis suite with more than MAX_ENTRIES matrix
+        entries (sum d^2) at one t, on kernel-tworoute the Sobolev kernel's
+        c > |delta|^2, and on report lattice, tau's one reader, a tau
+        outside _tau_range.
 
         The basis suites write their rows a block at a time, so no row
         outlives its block: MAX_ENTRIES bounds the work and the report of
@@ -84,11 +86,14 @@ class RunConfig:
                     raise ConfigError(f"{f.name} must be a list of {_TYPE_NAMES[kind][1]}")
                 if not value:
                     raise ConfigError(f"{f.name} must not be empty")
+                if len(set(value)) < len(value):
+                    raise ConfigError(f"{f.name} values must be distinct, got {','.join(map(str, value))}")
             elif not _has_type(value, kind):
                 raise ConfigError(f"{f.name} must be {_TYPE_NAMES[kind][0]}")
         # written so that nan fails every comparison and is rejected
         try:
             spec = self.spec
+            self.quad()  # QuadSpec owns the level-pair rule
         except ValueError as exc:
             raise ConfigError(str(exc))
         if not all(0 < t < math.inf for t in self.t):
@@ -105,9 +110,6 @@ class RunConfig:
                 f"tau values must lie in [{lo:.6g}, {hi:.6g}] on {self.group}, "
                 "where tau^(r/2) and the scaled lattice sum are finite doubles"
             )
-        max_order = quadrature.MAX_ORDER
-        if len(self.levels) < 2 or not all(2 <= lv <= max_order for lv in self.levels):
-            raise ConfigError(f"need at least two quadrature levels, each in 2..{max_order}")
         if self.c is not None and not 0 < self.c < math.inf:
             raise ConfigError("c must be positive and finite")
         if self.tolerance is not None and not 0 < self.tolerance < math.inf:

@@ -151,22 +151,24 @@ def rep_matrix_batch(spec: GroupSpec, label, gs: np.ndarray) -> np.ndarray:
     (N, 1, 1) values exp(i n.z).  SU(2): gs is (N, 2, 2) complex matrices
     with det 1, returns (N, m, m); the m-dimensional irrep is realized on
     degree-(m-1) polynomials with an orthonormal monomial basis, so pi(g) is
-    unitary for unitary g and pi = id on the defining rep.
+    unitary for unitary g and pi = id on the defining rep.  Non-finite
+    elements are refused: the determinant guard would pass a nan.
     """
+    gs = np.asarray(gs, dtype=complex)
+    if not np.all(np.isfinite(gs)):
+        raise ValueError("group elements must be finite")
     if spec.kind == "torus":
         label = _check_torus_label(spec, label)
-        zs = np.asarray(gs, dtype=complex)
-        if zs.ndim != 2 or zs.shape[1] != spec.rank:
+        if gs.ndim != 2 or gs.shape[1] != spec.rank:
             raise ValueError("torus batch must have shape (N, r)")
         # n.z summed axis by axis, not by a BLAS product, whose rounding
         # depends on the batch size: each element keeps its batch-of-one bits
-        vals = np.exp(1j * sum(n * zs[:, k] for k, n in enumerate(label)))
+        vals = np.exp(1j * sum(n * gs[:, k] for k, n in enumerate(label)))
         return vals.reshape(-1, 1, 1)
 
     m = int(label)
     if m < 1:
         raise ValueError("su2 label must be a positive integer")
-    gs = np.asarray(gs, dtype=complex)
     if gs.ndim != 3 or gs.shape[1:] != (2, 2):
         raise ValueError("su2 batch must have shape (N, 2, 2)")
     det = gs[:, 0, 0] * gs[:, 1, 1] - gs[:, 0, 1] * gs[:, 1, 0]

@@ -98,7 +98,7 @@ def reproduce_check(Fs, g, q: QuadSpec):
     mean chi_m(|Y|)/m on SU(2), the shifted Gaussian on a torus), so label
     pi contributes F_pi(g) times the sum of its profile a (which should be
     exactly 1, the rule's scale and lambda met in one exponent).  Returns (residual, gap), each of shape (len(Fs),
-    len(g)), the gap between the two finest levels relative to the larger
+    len(g)), the gap between the two levels relative to the larger
     of them and the residual's scale 1 + |F(g)|; each entry has the bits of
     its batch of one.
     """

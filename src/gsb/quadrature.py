@@ -21,8 +21,8 @@ No command integrates on them: they are the tests' independent oracle for
 the structured rules above, and a layer of the benchmark's tracer.
 
 integrate_levels is the one two-level primitive: every integral reports
-the relative gap between its two finest levels, and callers decide whether
-a flagged gap is fatal.
+the relative gap between its coarse and fine level, and callers decide
+whether a flagged gap is fatal.
 """
 
 from __future__ import annotations
@@ -203,13 +203,15 @@ def roots_genlaguerre(n: int, alpha: float):
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """The refinement levels of a rule; the gap is measured between the last two."""
+    """The refinement levels of a rule, one pair (coarse, fine) with 2 <=
+    coarse < fine <= MAX_ORDER; the gap is measured between them.  The one
+    check of a level pair: the command line's --levels is refused here."""
 
     levels: tuple = (64, 96)
 
     def __post_init__(self):
-        if len(self.levels) < 2:
-            raise ValueError("need at least two refinement levels")
+        if len(self.levels) != 2 or not 2 <= self.levels[0] < self.levels[1] <= MAX_ORDER:
+            raise ValueError(f"levels must be one pair coarse,fine, each in 2..{MAX_ORDER}, with coarse < fine, got {','.join(map(str, self.levels))}")
 
 
 @dataclass(frozen=True)
@@ -324,19 +326,19 @@ def rel_gap(a, b, floor: float = 0.0) -> float:
 
 
 def integrate_levels(q: QuadSpec, value_at, floor: float = 0.0) -> QuadResult:
-    """Evaluate value_at(level) on every level of q and measure the gap.
+    """Evaluate value_at(level) on the coarse and the fine level of q and
+    measure the gap.
 
-    value_at returns an array of values (0-d for one value); value, gap and
-    each level are arrays of its shape.  The gap is rel_gap of the two
-    finest levels, element by element, with the floor broadcast against
-    them.  It is formed on Python numbers, so an element's gap has the bits
-    of its batch of one.
+    value_at returns an array of values (0-d for one value); value (the
+    fine level's), gap and each level are arrays of its shape.  The gap is
+    rel_gap of the two levels, element by element, with the floor broadcast
+    against them.  It is formed on Python numbers, so an element's gap has
+    the bits of its batch of one.
     """
-    values = tuple(np.asarray(value_at(level), dtype=complex) for level in q.levels)
-    a, b = values[-1], values[-2]
-    floors = np.broadcast_to(floor, a.shape).ravel().tolist()
-    gaps = [rel_gap(x, y, f) for x, y, f in zip(a.ravel().tolist(), b.ravel().tolist(), floors)]
-    return QuadResult(a, np.reshape(gaps, a.shape), values)
+    coarse, fine = values = tuple(np.asarray(value_at(level), dtype=complex) for level in q.levels)
+    floors = np.broadcast_to(floor, fine.shape).ravel().tolist()
+    gaps = [rel_gap(x, y, f) for x, y, f in zip(fine.ravel().tolist(), coarse.ravel().tolist(), floors)]
+    return QuadResult(fine, np.reshape(gaps, fine.shape), values)
 
 
 def integrate_laguerre(c: float, n: int, f, t: float | None = None, q: QuadSpec | None = None) -> QuadResult:

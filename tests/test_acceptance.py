@@ -147,7 +147,7 @@ def test_criterion_04_sobolev_isometry_and_commutation():
 def test_criterion_05_kernel_two_routes_agree():
     rng = random.Random(5)
     worst = 0.0
-    q = QuadSpec(levels=(48, 64, 96))
+    q = QuadSpec(levels=(64, 96))
     for spec in (TORUS, SU2):
         c = spec.delta_sq + 1.0
         for n in (1, 2):

@@ -644,6 +644,14 @@ def _coeffs(group, *labels):
         # pi_m on K is unitary to 1e-6 up to config.MAX_LABEL = 64, and invert's exact column shares its error
         (["invert", "--coeffs", _coeffs("su2", 65), "--points", [[0.3, 0.5, 0.7]], "--group", "su2"], "label 65 is above 64"),
         (["invert", "--coeffs", _coeffs("su2", 96), "--points", [[0.3, 0.5, 0.7]], "--group", "su2"], "label 96 is above 64"),
+        # --levels is one pair coarse,fine (quadrature.QuadSpec), and no list flag repeats a value
+        (["verify", "mass", "--levels", "2,2"], "levels values must be distinct"),
+        (["verify", "mass", "--levels", "64,96,128"], "levels must be one pair coarse,fine"),
+        (["verify", "mass", "--levels", "96,64"], "with coarse < fine, got 96,64"),
+        (["verify", "mass", "--t", "1,1"], "t values must be distinct"),
+        (["report", "symbol", "--n", "1,1"], "n values must be distinct"),
+        (["report", "lattice", "--tau", "4,4"], "tau values must be distinct"),
+        (["verify", "mass", "--config", {"levels": [64, 64]}], "levels values must be distinct"),
     ],
 )
 def test_bad_input_exits_2_before_work(tmp_path, capsys, args, message):
@@ -659,6 +667,39 @@ def test_bad_input_exits_2_before_work(tmp_path, capsys, args, message):
     assert message in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_levels_without_a_gap_exit_2(tmp_path, capsys):
+    # at levels 2,2 every gap was 0 and weighted-norm passed on lhs 33.40,
+    # where levels 64,96 give 38.86: a pass the gap could not back
+    out = tmp_path / "o"
+    code, captured = _main_in_process(["verify", "weighted-norm", "--group", "su2", "--levels", "2,2", "--out", str(out)], capsys)
+    assert code == 2
+    assert captured.err == "error: levels values must be distinct, got 2,2\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_every_list_flag_refuses_a_repeated_value(tmp_path, capsys):
+    # each RunConfig field with a tuple default is a comma-list flag and a
+    # config list, and one rule holds for all of them: a list flag added
+    # later inherits it
+    from dataclasses import fields
+
+    from gsb.config import RunConfig
+
+    list_fields = [f for f in fields(RunConfig) if isinstance(f.default, tuple)]
+    assert {f.name for f in list_fields} >= {"t", "n", "levels", "tau"}
+    for f in list_fields:
+        value = f.default[0]
+        config = tmp_path / f"{f.name}.json"
+        config.write_text(json.dumps({f.name: [value, value]}))
+        for args in (["report", "lattice", f"--{f.name}", f"{value},{value}"], ["report", "lattice", "--config", str(config)]):
+            out = tmp_path / "o"
+            code, captured = _main_in_process([*args, "--out", str(out)], capsys)
+            assert code == 2, (f.name, captured)
+            assert captured.err.startswith(f"error: {f.name} values must be distinct")
+            assert captured.out == "" and not out.exists()
 
 
 def test_only_report_lattice_checks_the_tau_range(tmp_path, capsys):

@@ -140,6 +140,23 @@ def test_rep_matrix_batch_matches_single():
                 assert np.array_equal(batch[k], rep_matrix_batch(spec, label, gs[k : k + 1])[0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rep_matrix_refuses_non_finite_elements(bad):
+    # the determinant guard alone passes them: |det - 1| > 1e-8 scale is
+    # False for a nan, and for an inf entry (inf > inf) on diag(inf, 1)
+    one = np.eye(2, dtype=complex)
+    cases = [
+        (su2(), 2, np.stack([one, np.full((2, 2), bad, dtype=complex)])),
+        (su2(), 3, np.stack([one, np.diag([bad, 1.0]).astype(complex)])),
+        (su2(), 1, np.stack([one, np.diag([1.0, complex(0.0, bad)])])),
+        (torus(2), (1, -1), np.array([[0.3, 0.5], [0.3, bad]])),
+        (torus(1), (2,), np.array([[complex(0.3, bad)]])),
+    ]
+    for spec, label, gs in cases:
+        with pytest.raises(ValueError, match="must be finite"):
+            rep_matrix_batch(spec, label, gs)
+
+
 def test_torus_rep_is_exponential():
     spec = torus(2)
     x = np.array([[0.3, -1.2]])

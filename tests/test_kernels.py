@@ -102,7 +102,7 @@ def test_two_route_agreement(spec, n):
     for _ in range(5):
         q = _query(spec, _one(spec, _random_point(spec, rng)), _one(spec, _random_point(spec, rng)), 1.0, n, c)
         (lhs,) = k_sobolev_spectral(q)
-        (rhs,), res = k_sobolev_integral(q, QuadSpec(levels=(48, 64, 96)))
+        (rhs,), res = k_sobolev_integral(q, QuadSpec(levels=(64, 96)))
         assert res.gap[0] < 1e-7
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs))
 
@@ -214,7 +214,7 @@ def test_reproduce_check_batch_equals_one_point_calls(spec):
         Fs.append(ct_forward(CoefVec(spec, blocks), 0.8))
     draws = [(random_k(spec, draw), random_algebra(spec, draw)) for _ in range(6)]
     xs, ys = (np.stack(part) for part in zip(*draws))
-    q = QuadSpec(levels=(12, 16, 24))
+    q = QuadSpec(levels=(16, 24))
     residual, gap = reproduce_check(Fs, polar_compose(spec, xs, ys), q)
     assert residual.shape == gap.shape == (3, 6)
     for i, F in enumerate(Fs):

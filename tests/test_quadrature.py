@@ -35,8 +35,12 @@ def _kspace_integral(spec, t, integrand, q):
 
 
 def test_quadspec_validation():
-    with pytest.raises(ValueError):
-        QuadSpec(levels=(8,))
+    # the one check of a level pair: exactly (coarse, fine), 2 <= coarse < fine <= MAX_ORDER
+    for levels in [(8,), (48, 64, 96), (64, 64), (96, 64), (64, MAX_ORDER + 1), (1, 2), ()]:
+        with pytest.raises(ValueError, match=f"one pair coarse,fine, each in 2..{MAX_ORDER}, with coarse < fine"):
+            QuadSpec(levels=levels)
+    assert QuadSpec(levels=(2, 3)).levels == (2, 3)
+    assert QuadSpec(levels=(MAX_ORDER - 1, MAX_ORDER)).levels == (MAX_ORDER - 1, MAX_ORDER)
 
 
 @pytest.mark.parametrize("spec", [torus(1), torus(2), su2()])
@@ -99,7 +103,7 @@ def test_integrate_levels_array_values_match_scalar_calls(floor):
     # one call on a length-5 array gives, element by element, the bits of
     # its batch of one; element 1 vanishes on every level (gap 0), element 2
     # is below the floor of 1e-3, element 3 is real
-    q = QuadSpec(levels=(8, 12, 16))
+    q = QuadSpec(levels=(12, 16))
     base = np.array([1.0 + 2.0j, 0.0, 3e-7 - 1e-7j, -2.5, 4e5j])
 
     def value_at(level):

@@ -116,7 +116,7 @@ def test_holo_inner_batch_equals_one_pair_calls(spec, weight):
     pairs = [pair for f1 in fs for f2 in fs for pair in entry_pairs(f1, f2)]
     # and a pair on two labels, which contributes nothing
     pairs.append((pairs[0][0], next(p[1] for p in pairs if p[1][0] != pairs[0][0][0]), 1.0))
-    q = QuadSpec(levels=(12, 16, 24))
+    q = QuadSpec(levels=(16, 24))
     batch = holo_inner(spec, t, pairs, q, weight)
     assert batch.value.shape == batch.gap.shape == (len(pairs),)
     for i, pair in enumerate(pairs):
